@@ -13,13 +13,12 @@
 /// model in StrideCostModel.
 ///
 /// `bench_runtime --compare` switches to the wall-clock engine harness:
-/// Reference vs Decoded vs Trace execution cores over real workloads,
-/// median-of-N wall time and instructions/sec, written to
-/// BENCH_runtime.json so the perf trajectory stays machine-readable across
-/// PRs (docs/PERFORMANCE.md). The Trace series reports its speedup over
-/// Decoded plus the tier's side-exit rate, and like the other engine pairs
-/// is cross-checked for bit-identical simulated accounting.
-/// `--with-telemetry` adds a third, fully-instrumented Decoded series per
+/// Reference vs Decoded execution cores over real workloads, median-of-N
+/// wall time and instructions/sec, written to BENCH_runtime.json so the
+/// perf trajectory stays machine-readable across PRs
+/// (docs/PERFORMANCE.md). The two engines are cross-checked for
+/// bit-identical simulated accounting.
+/// `--with-telemetry` adds a fully-instrumented Decoded series per
 /// workload (live ObsSession with the background TelemetrySampler and the
 /// engine self-profiler) and gates the measured overhead: warn above
 /// --telemetry-warn (default 2%), fail above --telemetry-fail (default 5%).
@@ -287,10 +286,6 @@ struct CompareOptions {
   std::string JsonPath = "BENCH_runtime.json";
   bool WriteJson = true;
   double MinSpeedup = 0.0;
-  /// Gate on the Trace engine's wall speedup over Decoded (0 = report
-  /// only). Loop-dominated workloads should clear 1.5x; branchy ones may
-  /// not, which is why the gate is per-invocation opt-in.
-  double MinTraceSpeedup = 0.0;
   /// Add the telemetry-overhead series: interleaved plain/instrumented
   /// Decoded runs with a live ObsSession (sampler + self-profiler), the
   /// measured overhead gated against the thresholds below.
@@ -331,15 +326,12 @@ double medianOf(std::vector<double> V) {
 /// profiled mode, instrumentation excluded; decode, when the engine
 /// pre-decodes, included -- it is part of the engine's per-run cost).
 /// \p Prof, when non-null and profiling is on, receives the run's profile
-/// observables for the cross-engine equality check. \p Tier, when
-/// non-null, receives the run's trace-tier statistics (all-zero under
-/// Reference/Decoded).
+/// observables for the cross-engine equality check.
 double timeOneRun(const Workload &W, DataSet DS,
                   InterpreterConfig::Engine Engine,
                   const CompareOptions &Opts, RunStats &StatsOut,
                   ProfiledObservables *Prof = nullptr,
-                  ObsSession *Obs = nullptr,
-                  TraceTierStats *Tier = nullptr) {
+                  ObsSession *Obs = nullptr) {
   Program Prog = W.build({DS});
   if (Opts.WithProfiler)
     instrumentModule(Prog.M, Opts.ProfMethod);
@@ -361,8 +353,6 @@ double timeOneRun(const Workload &W, DataSet DS,
   auto T0 = std::chrono::steady_clock::now();
   StatsOut = I.run();
   auto T1 = std::chrono::steady_clock::now();
-  if (Tier)
-    *Tier = I.traceTier();
   if (Prof && SP) {
     Prof->Invocations = SP->totalInvocations();
     Prof->Processed = SP->totalProcessed();
@@ -382,19 +372,13 @@ void finishTiming(EngineTiming &E, std::vector<double> &WallMs) {
                        : 0.0;
 }
 
-/// Times all three engines over \p Runs rounds, alternating engines within
+/// Times both engines over \p Runs rounds, alternating engines within
 /// each round so slow environmental drift (thermal throttling, noisy
-/// neighbours) biases no side. The trace tier warms up inside round 0
-/// (selection thresholds, compile) and -- with the shared ProgramCache on
-/// by default -- later rounds adopt the installed traces, so the median
-/// reflects steady-state trace execution. The last round's tier stats are
-/// kept: that run enters with a warm bank, so its exit mix is the
-/// steady-state one.
+/// neighbours) biases no side.
 void timeEngines(const Workload &W, const CompareOptions &Opts,
-                 EngineTiming &Ref, EngineTiming &Dec, EngineTiming &Trc,
-                 ProfiledObservables &RefProf, ProfiledObservables &DecProf,
-                 ProfiledObservables &TrcProf, TraceTierStats &Tier) {
-  std::vector<double> RefMs, DecMs, TrcMs;
+                 EngineTiming &Ref, EngineTiming &Dec,
+                 ProfiledObservables &RefProf, ProfiledObservables &DecProf) {
+  std::vector<double> RefMs, DecMs;
   for (unsigned R = 0; R != Opts.Runs; ++R) {
     RunStats S;
     RefMs.push_back(timeOneRun(W, Opts.DS,
@@ -407,15 +391,9 @@ void timeEngines(const Workload &W, const CompareOptions &Opts,
                                R == 0 ? &DecProf : nullptr));
     if (R == 0)
       Dec.Stats = S;
-    TrcMs.push_back(timeOneRun(W, Opts.DS,
-                               InterpreterConfig::Engine::Trace, Opts, S,
-                               R == 0 ? &TrcProf : nullptr, nullptr, &Tier));
-    if (R == 0)
-      Trc.Stats = S;
   }
   finishTiming(Ref, RefMs);
   finishTiming(Dec, DecMs);
-  finishTiming(Trc, TrcMs);
 }
 
 /// Telemetry-overhead measurement of one workload on the Decoded engine.
@@ -546,7 +524,7 @@ bool sameAccounting(const RunStats &A, const RunStats &B) {
 
 int runCompare(const CompareOptions &Opts) {
   JsonValue Root = JsonValue::object();
-  Root.set("schema", "sprof.bench_runtime_compare/2");
+  Root.set("schema", "sprof.bench_runtime_compare/3");
   Root.set("dataset", Opts.DS == DataSet::Train ? "train" : "ref");
   Root.set("runs", Opts.Runs);
   Root.set("with_memsys", Opts.WithMemsys);
@@ -555,7 +533,7 @@ int runCompare(const CompareOptions &Opts) {
     Root.set("profiler_method", profilingMethodName(Opts.ProfMethod));
   JsonValue Rows = JsonValue::array();
 
-  std::cout << "engine compare: Reference vs Decoded vs Trace, median of "
+  std::cout << "engine compare: Reference vs Decoded, median of "
             << Opts.Runs << " runs, "
             << (Opts.DS == DataSet::Train ? "train" : "ref") << " input"
             << (Opts.WithMemsys ? ", cache hierarchy on" : "");
@@ -563,13 +541,11 @@ int runCompare(const CompareOptions &Opts) {
     std::cout << ", stride profiler on ("
               << profilingMethodName(Opts.ProfMethod) << ")";
   std::cout << "\n";
-  std::printf("%-14s %14s %12s %10s %8s %9s %10s\n", "workload",
-              "reference(ms)", "decoded(ms)", "trace(ms)", "dec", "trace",
-              "side-exit");
+  std::printf("%-14s %14s %12s %8s\n", "workload", "reference(ms)",
+              "decoded(ms)", "speedup");
 
   bool Ok = true;
   double LogSum = 0.0;
-  double TraceLogSum = 0.0;
   unsigned Count = 0;
   double WorstOverhead = -1.0; // overhead is a ratio - 1, so >= -1 always
   bool FirstTelemetry = true;
@@ -579,12 +555,10 @@ int runCompare(const CompareOptions &Opts) {
       std::cerr << "error: unknown workload '" << Name << "'\n";
       return 2;
     }
-    EngineTiming Ref, Dec, Trc;
-    ProfiledObservables RefProf, DecProf, TrcProf;
-    TraceTierStats Tier;
-    timeEngines(*W, Opts, Ref, Dec, Trc, RefProf, DecProf, TrcProf, Tier);
-    if (!sameAccounting(Ref.Stats, Dec.Stats) ||
-        !sameAccounting(Ref.Stats, Trc.Stats)) {
+    EngineTiming Ref, Dec;
+    ProfiledObservables RefProf, DecProf;
+    timeEngines(*W, Opts, Ref, Dec, RefProf, DecProf);
+    if (!sameAccounting(Ref.Stats, Dec.Stats)) {
       std::cerr << "error: engines disagree on " << Name
                 << " (simulated accounting differs; run the differential "
                    "test suite)\n";
@@ -592,10 +566,10 @@ int runCompare(const CompareOptions &Opts) {
     }
     bool ProfileIdentical = true;
     if (Opts.WithProfiler) {
-      ProfileIdentical = RefProf == DecProf && RefProf == TrcProf;
+      ProfileIdentical = RefProf == DecProf;
       if (!ProfileIdentical) {
         std::cerr << "error: engines disagree on " << Name
-                  << " (profiles differ across Reference/Decoded/Trace; "
+                  << " (profiles differ between Reference and Decoded; "
                      "run the differential test suite)\n";
         Ok = false;
       }
@@ -606,13 +580,9 @@ int runCompare(const CompareOptions &Opts) {
       // engines either (it rides the same demandAccess/prefetch stream).
       AttributionData RefAttr =
           attributedRun(*W, Opts.DS, InterpreterConfig::Engine::Reference);
-      AttributionIdentical =
-          sameAttribution(RefAttr, attributedRun(
-                                       *W, Opts.DS,
-                                       InterpreterConfig::Engine::Decoded)) &&
-          sameAttribution(RefAttr, attributedRun(
-                                       *W, Opts.DS,
-                                       InterpreterConfig::Engine::Trace));
+      AttributionIdentical = sameAttribution(
+          RefAttr,
+          attributedRun(*W, Opts.DS, InterpreterConfig::Engine::Decoded));
       if (!AttributionIdentical) {
         std::cerr << "error: engines disagree on " << Name
                   << " (prefetch/miss attribution differs)\n";
@@ -620,28 +590,14 @@ int runCompare(const CompareOptions &Opts) {
       }
     }
     double Speedup = Dec.MedianMs > 0.0 ? Ref.MedianMs / Dec.MedianMs : 0.0;
-    double TraceSpeedup =
-        Trc.MedianMs > 0.0 ? Dec.MedianMs / Trc.MedianMs : 0.0;
-    double SideExitRate =
-        Tier.Entries ? static_cast<double>(Tier.SideExits) /
-                           static_cast<double>(Tier.Entries)
-                     : 0.0;
     LogSum += std::log(Speedup > 0.0 ? Speedup : 1.0);
-    TraceLogSum += std::log(TraceSpeedup > 0.0 ? TraceSpeedup : 1.0);
     ++Count;
-    std::printf("%-14s %14.2f %12.2f %10.2f %7.2fx %8.2fx %9.1f%%\n",
-                Name.c_str(), Ref.MedianMs, Dec.MedianMs, Trc.MedianMs,
-                Speedup, TraceSpeedup, SideExitRate * 100.0);
+    std::printf("%-14s %14.2f %12.2f %7.2fx\n", Name.c_str(), Ref.MedianMs,
+                Dec.MedianMs, Speedup);
     if (Opts.MinSpeedup > 0.0 && Speedup < Opts.MinSpeedup) {
       std::cerr << "error: " << Name << " speedup " << Speedup
                 << "x below the --min-speedup gate of " << Opts.MinSpeedup
                 << "x\n";
-      Ok = false;
-    }
-    if (Opts.MinTraceSpeedup > 0.0 && TraceSpeedup < Opts.MinTraceSpeedup) {
-      std::cerr << "error: " << Name << " trace-vs-decoded speedup "
-                << TraceSpeedup << "x below the --min-trace-speedup gate of "
-                << Opts.MinTraceSpeedup << "x\n";
       Ok = false;
     }
 
@@ -674,26 +630,12 @@ int runCompare(const CompareOptions &Opts) {
     JsonValue DecJ = JsonValue::object();
     DecJ.set("median_ms", Dec.MedianMs);
     DecJ.set("instructions_per_sec", Dec.InstructionsPerSec);
-    JsonValue TrcJ = JsonValue::object();
-    TrcJ.set("median_ms", Trc.MedianMs);
-    TrcJ.set("instructions_per_sec", Trc.InstructionsPerSec);
-    TrcJ.set("speedup_vs_decoded", TraceSpeedup);
-    TrcJ.set("side_exit_rate", SideExitRate);
-    TrcJ.set("traces_compiled", Tier.TracesCompiled);
-    TrcJ.set("traces_adopted", Tier.TracesAdopted);
-    TrcJ.set("entries", Tier.Entries);
-    TrcJ.set("iterations", Tier.Iterations);
-    TrcJ.set("side_exits", Tier.SideExits);
-    TrcJ.set("on_trace_insts", Tier.OnTraceInsts);
     Row.set("reference", std::move(RefJ));
     Row.set("decoded", std::move(DecJ));
-    Row.set("trace", std::move(TrcJ));
     Row.set("speedup", Speedup);
-    Row.set("trace_speedup", TraceSpeedup);
     Row.set("instructions", Dec.Stats.Instructions);
     Row.set("simulated_cycles", Dec.Stats.Cycles);
-    Row.set("accounting_identical", sameAccounting(Ref.Stats, Dec.Stats) &&
-                                        sameAccounting(Ref.Stats, Trc.Stats));
+    Row.set("accounting_identical", sameAccounting(Ref.Stats, Dec.Stats));
     if (Opts.WithMemsys)
       Row.set("attribution_identical", AttributionIdentical);
     if (Opts.WithProfiler) {
@@ -717,13 +659,10 @@ int runCompare(const CompareOptions &Opts) {
     Rows.push(std::move(Row));
   }
   double Geomean = Count ? std::exp(LogSum / Count) : 0.0;
-  double TraceGeomean = Count ? std::exp(TraceLogSum / Count) : 0.0;
-  std::printf("%-14s %14s %12s %10s %7.2fx %8.2fx\n", "geomean", "", "", "",
-              Geomean, TraceGeomean);
+  std::printf("%-14s %14s %12s %7.2fx\n", "geomean", "", "", Geomean);
 
   Root.set("workloads", std::move(Rows));
   Root.set("geomean_speedup", Geomean);
-  Root.set("trace_geomean_speedup", TraceGeomean);
   if (Opts.WithTelemetry)
     Root.set("telemetry_overhead", WorstOverhead);
   if (Opts.WriteJson) {
@@ -783,8 +722,6 @@ std::optional<CompareOptions> parseCompareArgs(int Argc, char **Argv) {
       Opts.WriteJson = false;
     } else if (auto V = Value("--min-speedup=")) {
       Opts.MinSpeedup = std::atof(V->c_str());
-    } else if (auto V = Value("--min-trace-speedup=")) {
-      Opts.MinTraceSpeedup = std::atof(V->c_str());
     } else if (Arg == "--with-telemetry") {
       Opts.WithTelemetry = true;
     } else if (auto V = Value("--telemetry-warn=")) {

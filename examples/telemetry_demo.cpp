@@ -12,9 +12,8 @@
 ///
 ///   * a machine-readable run report (schema "sprof.run_report/5") with the
 ///     profiles, classification verdicts, prefetch-outcome attribution, a
-///     profile-accuracy diff against a sampled profiling run, the trace
-///     tier's compile/entry/side-exit accounting (the demo runs under
-///     Engine::Trace), and every registry metric,
+///     profile-accuracy diff against a sampled profiling run, and every
+///     registry metric,
 ///   * a second run report for the sampled run (so `sprof-inspect diff`
 ///     has a report pair to compare),
 ///   * a Chrome trace_event file (load it at chrome://tracing or
@@ -24,7 +23,7 @@
 ///     `sprof-inspect timeseries`),
 ///   * the engine self-profiler's folded-stack file (feed to
 ///     flamegraph.pl, or `sprof-inspect hotspots` on the run report), and
-///   * a sprof.trace/1 capture of the profile run's access-event stream
+///   * a sprof.trace/2 capture of the profile run's access-event stream
 ///     (inspect with `sprof-inspect trace`), which the demo immediately
 ///     replays through the stream frontend and checks for bit-identical
 ///     stride and edge profiles.
@@ -131,15 +130,12 @@ int main(int Argc, char **Argv) {
   Config.Obs.SampleIntervalUs = 200;
   Config.Obs.TimeSeriesOutputPath = TimeSeriesPath;
   // Engine self-profiling: window-sample the dispatch loop and export the
-  // folded-stack attribution. Running under the trace tier, hot-loop
-  // samples land in "trace:<n>" frames and the report grows a trace_tier
-  // section (rendered by `sprof-inspect hotspots`).
+  // folded-stack attribution (rendered by `sprof-inspect hotspots`).
   Config.Obs.SelfProfile = true;
   Config.Obs.FoldedProfilePath = FoldedPath;
-  Config.Interp.Exec = InterpreterConfig::Engine::Trace;
   Config.Memory.EnableAttribution = true;
   // Capture the profile run's access-event stream into a replayable
-  // sprof.trace/1 file (reported in profile_run.trace).
+  // sprof.trace/2 file (reported in profile_run.trace).
   Config.TraceCapturePath = CapturePath;
   Pipeline P(Demo, Config);
 

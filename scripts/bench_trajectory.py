@@ -6,11 +6,11 @@ overhead, the engine wall-clock compare harness — once plain and once with
 full telemetry attached — and the telemetry demo's profile-accuracy diff),
 condenses them into one trajectory point
 
-    {"schema": "sprof.bench_point/5", "date": ..., "geomean_speedup": ...,
+    {"schema": "sprof.bench_point/6", "date": ..., "geomean_speedup": ...,
      "profiling_overhead": ..., "prefetch_useful_ratio": ...,
      "accuracy_score": ..., "engine_wall_speedup": ...,
      "memsys_wall_speedup": ..., "profiled_wall_speedup": ...,
-     "trace_wall_speedup": ..., "telemetry_overhead": ...,
+     "telemetry_overhead": ...,
      "replay_events_per_sec": ..., "replay_parallel_speedup": ...,
      "components": ..., "git_sha": ..., "git_dirty": ...}
 
@@ -24,12 +24,10 @@ recent committed point (replay throughput gates hard at 3x the tolerance:
 it is a single-process decode loop, so a large sustained drop is a real
 decoder regression, but its run-to-run spread on shared hosts reaches
 ~15%, too wide for the 5% band the deterministic metrics use). The
-wall-clock compare fields (engine/memsys/profiled/trace
+wall-clock compare fields (engine/memsys/profiled
 geomeans) are reported against the baseline but only warn: they measure
 host wall time across engine pairs and swing with machine load, so a hard
-gate on them would be flaky — trace_wall_speedup in particular is
-warn-only while the trace tier's first trajectory points accumulate, and
-replay_parallel_speedup (serial over threaded replay wall time) is
+gate on them would be flaky, and replay_parallel_speedup (serial over threaded replay wall time) is
 warn-only because it scales with the host's core count.
 Used by the trajectory-gate CI job; run locally with
 
@@ -72,7 +70,7 @@ def geomean(values):
 def git_revision():
     """The checkout's (sha, dirty) pair, or (None, None) outside git.
 
-    Optional provenance: readers of sprof.bench_point/5 must not require
+    Optional provenance: readers of sprof.bench_point/6 must not require
     these fields, so a tarball build still produces a valid point.
     """
     try:
@@ -166,7 +164,7 @@ def collect_point(build_dir, threads, workdir):
 
     git_sha, git_dirty = git_revision()
     point = {
-        "schema": "sprof.bench_point/5",
+        "schema": "sprof.bench_point/6",
         "date": datetime.date.today().isoformat(),
         "geomean_speedup": geomean(speedups),
         "profiling_overhead": overhead,
@@ -175,7 +173,6 @@ def collect_point(build_dir, threads, workdir):
         "engine_wall_speedup": runtime_doc.get("geomean_speedup", 0.0),
         "memsys_wall_speedup": memsys_doc.get("geomean_speedup", 0.0),
         "profiled_wall_speedup": profiled_doc.get("geomean_speedup", 0.0),
-        "trace_wall_speedup": runtime_doc.get("trace_geomean_speedup", 0.0),
         "telemetry_overhead": telemetry_doc.get("telemetry_overhead", 0.0),
         "replay_events_per_sec": replay_doc.get("replay_events_per_sec", 0.0),
         "replay_parallel_speedup": replay_doc.get("replay_parallel_speedup",
@@ -211,7 +208,7 @@ def gate(point, baseline, baseline_path, tolerance):
     Simulated-cycle metrics and the replay decode throughput gate hard
     (replay at 3x the tolerance: single-process, but its host-noise
     spread is wider than the deterministic metrics' 5% band);
-    wall-clock compare geomeans (engine/memsys/profiled/trace) are
+    wall-clock compare geomeans (engine/memsys/profiled) are
     load-sensitive, so they warn only, and replay_parallel_speedup is
     warn-only too: it compares serial vs threaded replay wall time, so it
     tracks the host's core count, not just the code. A baseline that
@@ -222,8 +219,7 @@ def gate(point, baseline, baseline_path, tolerance):
     hard = ("geomean_speedup", "prefetch_useful_ratio",
             "replay_events_per_sec")
     soft = ("engine_wall_speedup", "memsys_wall_speedup",
-            "profiled_wall_speedup", "trace_wall_speedup",
-            "replay_parallel_speedup")
+            "profiled_wall_speedup", "replay_parallel_speedup")
     for key in hard + soft:
         old, new = baseline.get(key, 0.0), point.get(key, 0.0)
         if old <= 0:

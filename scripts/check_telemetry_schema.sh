@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
 # Validates the machine-readable telemetry artifacts: runs the
 # telemetry_demo example and checks the run report against the
-# "sprof.run_report/5" schema (each version a strict superset of the
-# previous: the /1../4 sections must all still be present and shaped as
-# before), the attribution exact-sum invariant, the profile_diff,
-# self_profile, profile_run.trace, and trace_tier sections, the "sprof.timeseries/1"
-# sampler artifact, the folded-stack self-profile file, the binary
+# "sprof.run_report/5" schema, the attribution exact-sum invariant, the
+# profile_diff, self_profile, and profile_run.trace sections, the
+# "sprof.timeseries/1" sampler artifact, the folded-stack self-profile file, the binary
 # "sprof.trace/1" or /2 capture's framing (for /2 also the seekable tail
 # and the shard index's invariants), and the Chrome trace
 # for the pipeline's phase spans plus the sampler's counter ("C") events.
@@ -13,8 +11,8 @@
 # diff, timeseries, hotspots, and trace modes against the fresh artifacts
 # — including that unknown subcommands, malformed JSON, truncated traces,
 # and trace version mismatches exit nonzero — and when given a
-# bench-trajectory point it validates the "sprof.bench_point/5" schema
-# (accepting legacy /1../4 points). When given the sweep_demo example it
+# bench-trajectory point it validates the "sprof.bench_point/6" schema.
+# When given the sweep_demo example it
 # also validates the "sprof.sweep_report/1" document (per-job queue-wait
 # vs run split, dependency edges referencing earlier ids, the critical
 # path's sum-of-durations <= wall invariant, and the scheduler section
@@ -68,10 +66,8 @@ def check(cond, message):
 with open(report_path) as f:
     report = json.load(f)
 
-RUN_REPORT_SCHEMAS = ("sprof.run_report/1", "sprof.run_report/2",
-                      "sprof.run_report/3", "sprof.run_report/4",
-                      "sprof.run_report/5")
-check(report.get("schema") in RUN_REPORT_SCHEMAS,
+RUN_REPORT_SCHEMA = "sprof.run_report/5"
+check(report.get("schema") == RUN_REPORT_SCHEMA,
       f"unexpected schema: {report.get('schema')!r}")
 for key in ("workload", "config", "profile_run", "baseline_run",
             "timed_run", "speedup", "metrics"):
@@ -101,152 +97,98 @@ sampling = (report.get("config", {}).get("profiler", {}).get("sampling"))
 check(isinstance(sampling, dict) and "enabled" in sampling,
       "config.profiler.sampling missing")
 
-# -- run_report/2 additions ------------------------------------------------
+# -- attribution and profile_diff ------------------------------------------
 
-if report.get("schema") in RUN_REPORT_SCHEMAS[1:]:
-    attribution = report.get("attribution")
-    check(isinstance(attribution, dict), "/2 report missing attribution")
-    if isinstance(attribution, dict):
-        check(attribution.get("finalized") is True,
-              "attribution not finalized")
-        outcomes = attribution.get("outcomes", {})
-        for key in ("useful", "late", "early", "redundant", "issued"):
-            check(key in outcomes, f"attribution.outcomes missing {key!r}")
-        total = sum(outcomes.get(k, 0)
-                    for k in ("useful", "late", "early", "redundant"))
-        check(total == outcomes.get("issued"),
-              f"attribution sum {total} != issued {outcomes.get('issued')}")
-        issued = report["timed_run"]["stats"]["memory"]["prefetches_issued"]
-        check(outcomes.get("issued") == issued,
-              f"attribution issued {outcomes.get('issued')} != "
-              f"memsys prefetches_issued {issued}")
-        per_site = attribution.get("per_site", [])
-        check(isinstance(per_site, list) and per_site,
-              "attribution.per_site empty")
-        site_sum = sum(s.get(k, 0) for s in per_site
-                       for k in ("useful", "late", "early", "redundant"))
-        check(site_sum == outcomes.get("issued"),
-              f"per-site sum {site_sum} != issued {outcomes.get('issued')}")
-        for key in ("by_class", "demand_misses"):
-            check(key in attribution, f"attribution missing {key!r}")
-        for s in per_site:
-            for key in ("site", "class", "accesses", "l1_misses",
-                        "full_misses", "stall_cycles"):
-                check(key in s, f"attribution site missing {key!r}")
+attribution = report.get("attribution")
+check(isinstance(attribution, dict), "report missing attribution")
+if isinstance(attribution, dict):
+    check(attribution.get("finalized") is True,
+          "attribution not finalized")
+    outcomes = attribution.get("outcomes", {})
+    for key in ("useful", "late", "early", "redundant", "issued"):
+        check(key in outcomes, f"attribution.outcomes missing {key!r}")
+    total = sum(outcomes.get(k, 0)
+                for k in ("useful", "late", "early", "redundant"))
+    check(total == outcomes.get("issued"),
+          f"attribution sum {total} != issued {outcomes.get('issued')}")
+    issued = report["timed_run"]["stats"]["memory"]["prefetches_issued"]
+    check(outcomes.get("issued") == issued,
+          f"attribution issued {outcomes.get('issued')} != "
+          f"memsys prefetches_issued {issued}")
+    per_site = attribution.get("per_site", [])
+    check(isinstance(per_site, list) and per_site,
+          "attribution.per_site empty")
+    site_sum = sum(s.get(k, 0) for s in per_site
+                   for k in ("useful", "late", "early", "redundant"))
+    check(site_sum == outcomes.get("issued"),
+          f"per-site sum {site_sum} != issued {outcomes.get('issued')}")
+    for key in ("by_class", "demand_misses"):
+        check(key in attribution, f"attribution missing {key!r}")
+    for s in per_site:
+        for key in ("site", "class", "accesses", "l1_misses",
+                    "full_misses", "stall_cycles"):
+            check(key in s, f"attribution site missing {key!r}")
 
-    diff = report.get("profile_diff")
-    check(isinstance(diff, dict), "/2 report missing profile_diff")
-    if isinstance(diff, dict):
-        for key in ("sites_compared", "top_stride_agreement",
-                    "class_agreement", "weighted_accuracy", "class_flips",
-                    "sites"):
-            check(key in diff, f"profile_diff missing {key!r}")
-        acc = diff.get("weighted_accuracy", -1)
-        check(0.0 <= acc <= 1.0,
-              f"weighted_accuracy {acc} outside [0, 1]")
-        flips = diff.get("class_flips", {})
-        classes = ("none", "ssst", "pmst", "wsst")
-        check(all(c in flips and all(d in flips[c] for d in classes)
-                  for c in classes),
-              "class_flips is not a 4x4 class matrix")
-        flip_total = sum(flips[a][b] for a in classes for b in classes
-                         if a in flips and b in flips.get(a, {}))
-        check(flip_total == diff.get("sites_compared"),
-              f"flip total {flip_total} != sites_compared "
-              f"{diff.get('sites_compared')}")
+diff = report.get("profile_diff")
+check(isinstance(diff, dict), "report missing profile_diff")
+if isinstance(diff, dict):
+    for key in ("sites_compared", "top_stride_agreement",
+                "class_agreement", "weighted_accuracy", "class_flips",
+                "sites"):
+        check(key in diff, f"profile_diff missing {key!r}")
+    acc = diff.get("weighted_accuracy", -1)
+    check(0.0 <= acc <= 1.0,
+          f"weighted_accuracy {acc} outside [0, 1]")
+    flips = diff.get("class_flips", {})
+    classes = ("none", "ssst", "pmst", "wsst")
+    check(all(c in flips and all(d in flips[c] for d in classes)
+              for c in classes),
+          "class_flips is not a 4x4 class matrix")
+    flip_total = sum(flips[a][b] for a in classes for b in classes
+                     if a in flips and b in flips.get(a, {}))
+    check(flip_total == diff.get("sites_compared"),
+          f"flip total {flip_total} != sites_compared "
+          f"{diff.get('sites_compared')}")
 
-# -- run_report/3 additions ------------------------------------------------
+# -- self_profile ----------------------------------------------------------
 
-if report.get("schema") in RUN_REPORT_SCHEMAS[2:]:
-    self_profile = report.get("self_profile")
-    check(isinstance(self_profile, dict), "/3 report missing self_profile")
-    if isinstance(self_profile, dict):
-        for key in ("window", "total_samples", "entries"):
-            check(key in self_profile, f"self_profile missing {key!r}")
-        entries = self_profile.get("entries", [])
-        check(isinstance(entries, list) and entries,
-              "self_profile.entries empty")
-        entry_sum = 0
-        for e in entries:
-            for key in ("workload", "phase", "op", "samples", "ns"):
-                check(key in e, f"self_profile entry missing {key!r}")
-            entry_sum += e.get("samples", 0)
-        check(entry_sum == self_profile.get("total_samples"),
-              f"self_profile entry sum {entry_sum} != total_samples "
-              f"{self_profile.get('total_samples')}")
-        samples_sorted = [e.get("samples", 0) for e in entries]
-        check(samples_sorted == sorted(samples_sorted, reverse=True),
-              "self_profile.entries not sorted by samples descending")
-    obs_config = report.get("config", {}).get("obs", {})
-    for key in ("sample_interval_us", "sample_ring_capacity",
-                "self_profile", "self_profile_window"):
-        check(key in obs_config, f"config.obs missing {key!r}")
+self_profile = report.get("self_profile")
+check(isinstance(self_profile, dict), "report missing self_profile")
+if isinstance(self_profile, dict):
+    for key in ("window", "total_samples", "entries"):
+        check(key in self_profile, f"self_profile missing {key!r}")
+    entries = self_profile.get("entries", [])
+    check(isinstance(entries, list) and entries,
+          "self_profile.entries empty")
+    entry_sum = 0
+    for e in entries:
+        for key in ("workload", "phase", "op", "samples", "ns"):
+            check(key in e, f"self_profile entry missing {key!r}")
+        entry_sum += e.get("samples", 0)
+    check(entry_sum == self_profile.get("total_samples"),
+          f"self_profile entry sum {entry_sum} != total_samples "
+          f"{self_profile.get('total_samples')}")
+    samples_sorted = [e.get("samples", 0) for e in entries]
+    check(samples_sorted == sorted(samples_sorted, reverse=True),
+          "self_profile.entries not sorted by samples descending")
+obs_config = report.get("config", {}).get("obs", {})
+for key in ("sample_interval_us", "sample_ring_capacity",
+            "self_profile", "self_profile_window"):
+    check(key in obs_config, f"config.obs missing {key!r}")
 
-# -- run_report/4 additions ------------------------------------------------
+# -- profile_run.trace -----------------------------------------------------
 
-if report.get("schema") in RUN_REPORT_SCHEMAS[3:]:
-    capture = report.get("profile_run", {}).get("trace")
-    check(isinstance(capture, dict), "/4 report missing profile_run.trace")
-    if isinstance(capture, dict):
-        for key in ("path", "schema", "events", "bytes"):
-            check(key in capture, f"profile_run.trace missing {key!r}")
-        check(capture.get("schema") in ("sprof.trace/1", "sprof.trace/2",
-                                        "sprof.trace.text/1"),
-              f"unexpected trace schema: {capture.get('schema')!r}")
-        check(capture.get("events", 0) ==
-              report.get("profile_run", {}).get("stride_invocations"),
-              "trace events != profile_run.stride_invocations")
-
-# -- run_report/5 additions ------------------------------------------------
-
-if report.get("schema") == "sprof.run_report/5":
-    # The demo runs under Engine::Trace, so both run sections must carry
-    # the tier's host-side accounting. The simulated stats stay engine-
-    # independent; trace_tier lives beside them, never inside.
-    for section in ("profile_run", "timed_run"):
-        tier = report.get(section, {}).get("trace_tier")
-        check(isinstance(tier, dict), f"/5 report missing {section}.trace_tier")
-        if not isinstance(tier, dict):
-            continue
-        for key in ("traces_compiled", "traces_adopted", "compile_aborts",
-                    "invalidations", "entries", "iterations", "side_exits",
-                    "loop_exits", "fuel_exits", "on_trace_insts",
-                    "on_trace_refs", "traces"):
-            check(key in tier, f"{section}.trace_tier missing {key!r}")
-        traces = tier.get("traces", [])
-        check(isinstance(traces, list) and traces,
-              f"{section}.trace_tier.traces empty")
-        sums = {k: 0 for k in ("entries", "iterations", "side_exits",
-                               "loop_exits", "fuel_exits")}
-        for t in traces if isinstance(traces, list) else []:
-            for key in ("id", "head_pc", "num_ops", "num_guards", "entries",
-                        "iterations", "side_exits", "loop_exits",
-                        "fuel_exits", "guard_exits", "invalidated"):
-                check(key in t, f"trace_tier trace missing {key!r}")
-            for k in sums:
-                sums[k] += t.get(k, 0)
-            guard_exits = t.get("guard_exits", [])
-            check(isinstance(guard_exits, list) and
-                  len(guard_exits) == t.get("num_guards"),
-                  "guard_exits length != num_guards")
-            check(sum(guard_exits) == t.get("side_exits", 0) +
-                  t.get("loop_exits", 0),
-                  "guard_exits sum != side_exits + loop_exits")
-        for k, total in sums.items():
-            check(total == tier.get(k),
-                  f"{section}.trace_tier.{k} {tier.get(k)} != per-trace "
-                  f"sum {total}")
-        # Every entry leaves exactly one way.
-        check(tier.get("side_exits", 0) + tier.get("loop_exits", 0) +
-              tier.get("fuel_exits", 0) == tier.get("entries"),
-              f"{section} exit kinds do not sum to entries")
-        rate = tier.get("side_exit_rate")
-        check(isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0,
-              f"{section}.trace_tier.side_exit_rate missing or out of range")
-    # Trace-tier samples surface as "trace:<n>" frames in the self-profile.
-    entries = (report.get("self_profile") or {}).get("entries", [])
-    check(any(e.get("op", "").startswith("trace:") for e in entries),
-          "no trace:<n> frames in self_profile despite Engine::Trace")
+capture = report.get("profile_run", {}).get("trace")
+check(isinstance(capture, dict), "report missing profile_run.trace")
+if isinstance(capture, dict):
+    for key in ("path", "schema", "events", "bytes"):
+        check(key in capture, f"profile_run.trace missing {key!r}")
+    check(capture.get("schema") in ("sprof.trace/1", "sprof.trace/2",
+                                    "sprof.trace.text/1"),
+          f"unexpected trace schema: {capture.get('schema')!r}")
+    check(capture.get("events", 0) ==
+          report.get("profile_run", {}).get("stride_invocations"),
+          "trace events != profile_run.stride_invocations")
 
 # -- sprof.trace/1 + /2 binary framing -------------------------------------
 
@@ -342,8 +284,7 @@ if version >= 2:
         check(footer_events == reported_events,
               f"/2 footer says {footer_events} events but the report "
               f"says {reported_events}")
-if report.get("schema") in RUN_REPORT_SCHEMAS[3:] and \
-        isinstance(report.get("profile_run", {}).get("trace"), dict):
+if isinstance(report.get("profile_run", {}).get("trace"), dict):
     reported = report["profile_run"]["trace"].get("bytes")
     check(reported == len(raw),
           f"trace capture is {len(raw)} bytes on disk but the report "
@@ -351,7 +292,7 @@ if report.get("schema") in RUN_REPORT_SCHEMAS[3:] and \
 
 with open(sampled_path) as f:
     sampled = json.load(f)
-check(sampled.get("schema") in RUN_REPORT_SCHEMAS,
+check(sampled.get("schema") == RUN_REPORT_SCHEMA,
       f"sampled report has unexpected schema: {sampled.get('schema')!r}")
 check("profile_run" in sampled, "sampled report missing profile_run")
 
@@ -399,8 +340,7 @@ for line in folded_lines:
     check(folded_re.match(line) is not None,
           f"malformed folded line: {line!r}")
 folded_total = sum(int(line.rsplit(" ", 1)[1]) for line in folded_lines)
-if report.get("schema") in RUN_REPORT_SCHEMAS[2:] and \
-        isinstance(report.get("self_profile"), dict):
+if isinstance(report.get("self_profile"), dict):
     check(folded_total == report["self_profile"].get("total_samples"),
           f"folded sample total {folded_total} != self_profile "
           f"total_samples {report['self_profile'].get('total_samples')}")
@@ -571,41 +511,25 @@ with open(sys.argv[1]) as f:
     point = json.load(f)
 failures = []
 schema = point.get("schema")
-if schema not in ("sprof.bench_point/1", "sprof.bench_point/2",
-                  "sprof.bench_point/3", "sprof.bench_point/4",
-                  "sprof.bench_point/5"):
+if schema != "sprof.bench_point/6":
     failures.append(f"unexpected schema: {schema!r}")
+# The wall-clock compare geomeans for the bare, memsys-attached and
+# profiler-attached configurations sit beside the simulated figures.
 for key in ("date", "geomean_speedup", "profiling_overhead",
-            "prefetch_useful_ratio", "accuracy_score"):
+            "prefetch_useful_ratio", "accuracy_score", "engine_wall_speedup",
+            "memsys_wall_speedup", "profiled_wall_speedup"):
     if key not in point:
         failures.append(f"bench point missing {key!r}")
-if schema in ("sprof.bench_point/2", "sprof.bench_point/3",
-              "sprof.bench_point/4", "sprof.bench_point/5"):
-    # v2 adds the wall-clock compare geomeans for the memsys-attached and
-    # profiler-attached configurations.
-    for key in ("engine_wall_speedup", "memsys_wall_speedup",
-                "profiled_wall_speedup"):
-        if key not in point:
-            failures.append(f"bench point missing {key!r}")
-if schema in ("sprof.bench_point/3", "sprof.bench_point/4",
-              "sprof.bench_point/5"):
-    # v3 adds the worst-case telemetry overhead from the instrumented
-    # wall-clock compare (a ratio - 1, so anything >= -1 is legal).
-    overhead = point.get("telemetry_overhead")
-    if not isinstance(overhead, (int, float)) or overhead < -1:
-        failures.append("bench point telemetry_overhead missing or invalid")
-if schema in ("sprof.bench_point/4", "sprof.bench_point/5"):
-    # v4 adds the trace tier's wall-clock geomean over the decoded engine.
-    value = point.get("trace_wall_speedup")
-    if not isinstance(value, (int, float)) or value < 0:
-        failures.append("bench point trace_wall_speedup missing or invalid")
-if schema == "sprof.bench_point/5":
-    # v5 adds the parallel-replay scaling ratio (serial over threaded
-    # wall time; warn-only in the gate, but it must be present and sane).
-    value = point.get("replay_parallel_speedup")
-    if not isinstance(value, (int, float)) or value < 0:
-        failures.append(
-            "bench point replay_parallel_speedup missing or invalid")
+# The worst-case telemetry overhead from the instrumented wall-clock
+# compare (a ratio - 1, so anything >= -1 is legal).
+overhead = point.get("telemetry_overhead")
+if not isinstance(overhead, (int, float)) or overhead < -1:
+    failures.append("bench point telemetry_overhead missing or invalid")
+# The parallel-replay scaling ratio (serial over threaded wall time;
+# warn-only in the gate, but it must be present and sane).
+value = point.get("replay_parallel_speedup")
+if not isinstance(value, (int, float)) or value < 0:
+    failures.append("bench point replay_parallel_speedup missing or invalid")
 for key in ("geomean_speedup", "prefetch_useful_ratio", "accuracy_score"):
     value = point.get(key)
     if not isinstance(value, (int, float)) or value < 0:

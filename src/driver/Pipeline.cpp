@@ -116,8 +116,6 @@ ProfileRunResult Pipeline::runProfile(ProfilingMethod Method, DataSet DS,
     }
   }
 
-  Result.TraceTier = I.traceTier();
-
   if (Obs) {
     Obs->counter("pipeline.profile_runs")->inc();
     Obs->counter("pipeline.profile_cycles")->inc(Result.Stats.Cycles);
@@ -241,7 +239,6 @@ TimedRunResult Pipeline::runPrefetched(DataSet DS, const EdgeProfile &Edges,
   assert(Result.Stats.Completed && "prefetched run did not complete");
   MH.finalizeAttribution();
   Result.Attribution = MH.attribution();
-  Result.TraceTier = I.traceTier();
 
   if (Obs) {
     Obs->counter("pipeline.timed_runs")->inc();

@@ -91,12 +91,6 @@ struct ProfileRunResult {
   uint64_t LfuCalls = 0;
 
   TraceCaptureInfo Capture;
-
-  /// Trace-tier selection/execution statistics (Enabled == true only when
-  /// the run executed under InterpreterConfig::Engine::Trace). Lives
-  /// outside RunStats: the tier is host-side machinery, and the simulated
-  /// accounting must stay bit-identical across engines.
-  TraceTierStats TraceTier;
 };
 
 /// Results of one timed (performance) run.
@@ -109,8 +103,6 @@ struct TimedRunResult {
   /// Lives outside RunStats so the pre-existing accounting stays
   /// bit-identical whether attribution runs or not.
   AttributionData Attribution;
-  /// Trace-tier statistics of the timed run (see ProfileRunResult).
-  TraceTierStats TraceTier;
 };
 
 /// Drives one workload through the paper's pipeline. The workload's

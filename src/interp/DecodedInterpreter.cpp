@@ -33,8 +33,6 @@
 
 #include "interp/DecodedInterpreter.h"
 
-#include "interp/TraceInterpreter.h"
-#include "interp/TraceSelector.h"
 #include "obs/SelfProfiler.h"
 
 #include <algorithm>
@@ -73,23 +71,15 @@ selfProfStop(EngineSelfProfiler *SP, uint8_t DOp, uint64_t NInsts,
 
 RunStats DecodedInterpreter::run(uint64_t MaxInstructions, ExecTally &Tally) {
   if (SelfProf) {
-    // With the trace tier live, the slot table grows per-trace slots after
-    // the dispatch ops so on-trace samples attribute to their trace.
-    if (Selector)
-      SelfProf->configureSlots(NumDispatchOps + NumTraceSelfProfSlots,
-                               traceTierSlotNames());
-    else
-      SelfProf->configureSlots(NumDispatchOps, dispatchOpNames());
+    SelfProf->configureSlots(NumDispatchOps, dispatchOpNames());
     SelfProf->beginWindow();
   }
   if (Mem)
-    return Selector ? runImpl<true, true>(MaxInstructions, Tally)
-                    : runImpl<true, false>(MaxInstructions, Tally);
-  return Selector ? runImpl<false, true>(MaxInstructions, Tally)
-                  : runImpl<false, false>(MaxInstructions, Tally);
+    return runImpl<true>(MaxInstructions, Tally);
+  return runImpl<false>(MaxInstructions, Tally);
 }
 
-template <bool HasMem, bool HasTrace>
+template <bool HasMem>
 RunStats DecodedInterpreter::runImpl(uint64_t MaxInstructions,
                                      ExecTally &Tally) {
   RunStats Stats;
@@ -171,16 +161,6 @@ RunStats DecodedInterpreter::runImpl(uint64_t MaxInstructions,
       NextStop = NInsts + SPWindow;
   }
 
-  // Trace tier (HasTrace instantiations): the cross-iteration path
-  // signature -- one direction bit per conditional branch since the last
-  // taken back-edge, first branch in the most significant recorded bit.
-  // PathLen saturates the recording at 64 bits but keeps counting, so the
-  // selector can tell an over-long path from a truncated signature. Real
-  // calls and returns reset the signature (a path spanning frames is not
-  // a loop path); inlined calls are straight-line code and record through.
-  uint64_t PathSig = 0;
-  uint32_t PathLen = 0;
-
 // Reads a pre-decoded operand: one unconditional load, whether the operand
 // was a register or a decode-time immediate (constant slot).
 #define SPROF_VAL(O) (Regs[O])
@@ -222,9 +202,13 @@ RunStats DecodedInterpreter::runImpl(uint64_t MaxInstructions,
     }                                                                        \
   } while (0)
 
+// Add, Sub and Mul wrap in 64-bit two's complement (docs/IR.md), so they
+// compute through uint64_t like Shl.
 #define SPROF_STEP_Add(P)                                                    \
   do {                                                                       \
-    Regs[(P)->Dst] = Regs[(P)->A] + Regs[(P)->B];                            \
+    Regs[(P)->Dst] = static_cast<int64_t>(                                   \
+        static_cast<uint64_t>(Regs[(P)->A]) +                                \
+        static_cast<uint64_t>(Regs[(P)->B]));                                \
     SPROF_STEP_PREFETCH_HINT(P);                                             \
     SPROF_CHARGE(TM.DefaultCost);                                            \
   } while (0)
@@ -290,26 +274,6 @@ RunStats DecodedInterpreter::runImpl(uint64_t MaxInstructions,
     SPROF_NEXT();                                                            \
   }
 
-// Records one conditional branch's direction bit into the path signature
-// and diverts to the trace tier's cold hook when the branch is a taken
-// back-edge (target at or before the branch). Expands to nothing in
-// HasTrace=false instantiations -- a plain (not constexpr) `if` so the
-// trace_backedge label stays referenced in both and the dead branch folds.
-#define SPROF_TRACE_COND_BRANCH(BRPC, TAKEN, TARGET)                         \
-  do {                                                                       \
-    if (HasTrace) {                                                          \
-      const uint32_t TraceTgt_ = (TARGET);                                   \
-      const uint32_t TraceBr_ = (BRPC);                                      \
-      if (PathLen < 64)                                                      \
-        PathSig = (PathSig << 1) | ((TAKEN) ? 1u : 0u);                      \
-      ++PathLen;                                                             \
-      I = Code + TraceTgt_;                                                  \
-      if (__builtin_expect(TraceTgt_ <= TraceBr_, 0))                        \
-        goto trace_backedge;                                                 \
-      SPROF_JUMP();                                                          \
-    }                                                                        \
-  } while (0)
-
 // Compare fused with the conditional branch consuming it (loop back-edges
 // and guards). The branch half reads its own condition slot, so the pair
 // fuses even when the branch tests something other than the compare's Dst.
@@ -323,12 +287,7 @@ RunStats DecodedInterpreter::runImpl(uint64_t MaxInstructions,
     const DInst *J_ = I + 1;                                                 \
     SPROF_CHARGE(TM.DefaultCost);                                            \
     ++Tally.Branches;                                                        \
-    {                                                                        \
-      const bool Taken_ = Regs[J_->A] != 0;                                  \
-      SPROF_TRACE_COND_BRANCH(static_cast<uint32_t>(J_ - Code), Taken_,      \
-                              Taken_ ? J_->target0() : J_->target1());       \
-      I = Code + (Taken_ ? J_->target0() : J_->target1());                   \
-    }                                                                        \
+    I = Code + (Regs[J_->A] != 0 ? J_->target0() : J_->target1());          \
     SPROF_JUMP();                                                            \
   }
 
@@ -430,12 +389,16 @@ next_inst:
       SPROF_NEXT();
     }
     SPROF_OP(Sub) {
-      Regs[I->Dst] = SPROF_VAL(I->A) - SPROF_VAL(I->B);
+      Regs[I->Dst] = static_cast<int64_t>(
+          static_cast<uint64_t>(SPROF_VAL(I->A)) -
+          static_cast<uint64_t>(SPROF_VAL(I->B)));
       SPROF_CHARGE(TM.DefaultCost);
       SPROF_NEXT();
     }
     SPROF_OP(Mul) {
-      Regs[I->Dst] = SPROF_VAL(I->A) * SPROF_VAL(I->B);
+      Regs[I->Dst] = static_cast<int64_t>(
+          static_cast<uint64_t>(SPROF_VAL(I->A)) *
+          static_cast<uint64_t>(SPROF_VAL(I->B)));
       SPROF_CHARGE(TM.MulCost);
       SPROF_NEXT();
     }
@@ -535,28 +498,13 @@ next_inst:
     SPROF_OP(Jmp) {
       SPROF_CHARGE(TM.DefaultCost);
       ++Tally.Branches;
-      if (HasTrace) {
-        // Unconditional: records no direction bit, but a backward Jmp is a
-        // back-edge (loops closed by Jmp after an if/else diamond).
-        const uint32_t JmpPC_ = static_cast<uint32_t>(I - Code);
-        const uint32_t Tgt_ = I->target0();
-        I = Code + Tgt_;
-        if (__builtin_expect(Tgt_ <= JmpPC_, 0))
-          goto trace_backedge;
-        SPROF_JUMP();
-      }
       I = Code + I->target0();
       SPROF_JUMP();
     }
     SPROF_OP(Br) {
       SPROF_CHARGE(TM.DefaultCost);
       ++Tally.Branches;
-      {
-        const bool Taken_ = SPROF_VAL(I->A) != 0;
-        SPROF_TRACE_COND_BRANCH(static_cast<uint32_t>(I - Code), Taken_,
-                                Taken_ ? I->target0() : I->target1());
-        I = Code + (Taken_ ? I->target0() : I->target1());
-      }
+      I = Code + (SPROF_VAL(I->A) != 0 ? I->target0() : I->target1());
       SPROF_JUMP();
     }
 
@@ -589,18 +537,10 @@ next_inst:
       ++Tally.Calls;
       if (Frames.size() > Tally.MaxDepth)
         Tally.MaxDepth = Frames.size();
-      if (HasTrace) {
-        PathSig = 0;
-        PathLen = 0;
-      }
       SPROF_JUMP();
     }
     SPROF_OP(Ret) {
       SPROF_CHARGE(TM.RetCost);
-      if (HasTrace) {
-        PathSig = 0;
-        PathLen = 0;
-      }
       int64_t RV = SPROF_VAL(I->A); // an empty operand decodes as slot 0
       DFrame Top = Frames.back();
       Frames.pop_back();
@@ -718,62 +658,6 @@ next_inst:
         Regs[I->Dst] = Regs[I->A];
       SPROF_NEXT();
     }
-
-  // Cold trace-tier hook (HasTrace instantiations only): every taken
-  // back-edge lands here with I already on the loop head and the path
-  // signature closed by the branch's own bit. The selector either keeps
-  // profiling (nullptr) or hands back an installed trace, which executes
-  // whole iterations through TraceInterpreter and returns the decoded PC
-  // to resume at; the engine's register-resident accounting round-trips
-  // through TraceExecState so the handoff is exact in both directions.
-  trace_backedge : {
-    if (HasTrace) {
-      TraceRuntime *RT_ = nullptr;
-      const TraceProgram *TP_ = Selector->onBackEdge(
-          static_cast<uint32_t>(I - Code), PathSig, PathLen, RT_);
-      PathSig = 0;
-      PathLen = 0;
-      if (TP_) {
-        TraceExecContext Ctx_;
-        Ctx_.Memory = &Memory;
-        Ctx_.Mem = Mem;
-        Ctx_.Profiler = Profiler;
-        Ctx_.Sink = Sink;
-        Ctx_.SelfProf = SelfProf;
-        Ctx_.Counters = Counters.data();
-        Ctx_.ArgPool = ArgPool;
-        Ctx_.TM = TM;
-        TraceExecState S_;
-        S_.Regs = Regs;
-        S_.SiteCounts = SiteCounts;
-        S_.Ring = Ring;
-        S_.RingN = RingN;
-        S_.RingCap = RingCap;
-        S_.NInsts = NInsts;
-        S_.LoadRefs = LoadRefs;
-        S_.BaseCyc = BaseCyc;
-        S_.InstrCyc = InstrCyc;
-        S_.MemStall = MemStall;
-        S_.RuntimeCyc = RuntimeCyc;
-        S_.NextStop = NextStop;
-        S_.MaxInstructions = MaxInstructions;
-        S_.SPWindow = SPWindow;
-        S_.FrameDepth = static_cast<uint32_t>(Frames.size());
-        const uint32_t Resume_ =
-            TraceInterpreter::run<HasMem>(*TP_, *RT_, Ctx_, S_, Tally);
-        RingN = S_.RingN;
-        NInsts = S_.NInsts;
-        LoadRefs = S_.LoadRefs;
-        BaseCyc = S_.BaseCyc;
-        InstrCyc = S_.InstrCyc;
-        MemStall = S_.MemStall;
-        RuntimeCyc = S_.RuntimeCyc;
-        NextStop = S_.NextStop;
-        I = Code + Resume_;
-      }
-    }
-    SPROF_JUMP();
-  }
 
 #if SPROF_COMPUTED_GOTO
 

@@ -28,7 +28,6 @@
 namespace sprof {
 
 class EngineSelfProfiler;
-class TraceSelector;
 
 /// Executes a DecodedProgram. Owned by an Interpreter, which supplies the
 /// memory image, counters, and per-run attachments; the pool vectors
@@ -58,22 +57,13 @@ public:
   /// host-side: simulated accounting is bit-identical with or without it.
   void attachSelfProfiler(EngineSelfProfiler *SP) { SelfProf = SP; }
 
-  /// Attaches (or detaches, with nullptr) the trace tier's selection
-  /// policy. With a selector attached, every taken backward branch
-  /// reports its cross-iteration path signature, and installed traces
-  /// execute through TraceInterpreter; accounting stays bit-identical by
-  /// contract (tests/test_trace.cpp).
-  void attachTraceSelector(TraceSelector *TS) { Selector = TS; }
-
   RunStats run(uint64_t MaxInstructions, ExecTally &Tally);
 
 private:
   /// The dispatch loop, specialized on whether a cache hierarchy is
   /// attached -- the HasMem=false instance folds the latency branch and the
-  /// (always-zero) stall arithmetic out of every Load/Prefetch/SpecLoad --
-  /// and on whether the trace tier is live -- HasTrace=false branch
-  /// handlers carry no path-signature bookkeeping at all.
-  template <bool HasMem, bool HasTrace>
+  /// (always-zero) stall arithmetic out of every Load/Prefetch/SpecLoad.
+  template <bool HasMem>
   RunStats runImpl(uint64_t MaxInstructions, ExecTally &Tally);
 
   /// One pooled call frame: where to resume in the caller and which slice
@@ -94,7 +84,6 @@ private:
   StrideProfiler *Profiler = nullptr;
   AccessSink *Sink = nullptr;
   EngineSelfProfiler *SelfProf = nullptr;
-  TraceSelector *Selector = nullptr;
   /// See InterpreterConfig::StrideBatchWindow (normalized to >= 1).
   uint32_t StrideBatchWindow;
 

@@ -10,7 +10,6 @@
 #include "interp/DecodedInterpreter.h"
 #include "interp/DecodedProgram.h"
 #include "interp/ProgramCache.h"
-#include "interp/TraceSelector.h"
 #include "obs/Obs.h"
 
 #include <cassert>
@@ -62,12 +61,6 @@ void Interpreter::attachObs(ObsSession *Session) {
   Sinks.InstrumentationCycles =
       Session->counter("interp.instrumentation_cycles");
   Sinks.RuntimeCycles = Session->counter("interp.runtime_cycles");
-  Sinks.TraceEntries = Session->counter("interp.trace_entries");
-  Sinks.TraceIterations = Session->counter("interp.trace_iterations");
-  Sinks.TraceSideExits = Session->counter("interp.trace_side_exits");
-  Sinks.TraceFuelExits = Session->counter("interp.trace_fuel_exits");
-  Sinks.TracesCompiled = Session->counter("interp.traces_compiled");
-  Sinks.TraceInsts = Session->counter("interp.trace_insts");
   Sinks.MaxStackDepth = Session->gauge("interp.max_stack_depth");
   Sinks.RunCycles = Session->histogram("interp.run_cycles",
                                        Histogram::exponentialBounds(1024, 24));
@@ -108,59 +101,26 @@ void Interpreter::flushObs(const RunStats &Stats, const ExecTally &Tally) {
     Sinks.MaxStackDepth->set(static_cast<double>(Tally.MaxDepth));
   if (Sinks.RunCycles)
     Sinks.RunCycles->record(Stats.Cycles);
-  if (Selector && Sinks.TraceEntries) {
-    // Selector stats are cumulative across runs; emit per-run deltas.
-    const TraceTierStats TS = Selector->stats();
-    if (Sinks.TraceEntries)
-      Sinks.TraceEntries->inc(TS.Entries - TraceFlushed.Entries);
-    if (Sinks.TraceIterations)
-      Sinks.TraceIterations->inc(TS.Iterations - TraceFlushed.Iterations);
-    if (Sinks.TraceSideExits)
-      Sinks.TraceSideExits->inc(TS.SideExits - TraceFlushed.SideExits);
-    if (Sinks.TraceFuelExits)
-      Sinks.TraceFuelExits->inc(TS.FuelExits - TraceFlushed.FuelExits);
-    if (Sinks.TracesCompiled)
-      Sinks.TracesCompiled->inc(TS.TracesCompiled -
-                                TraceFlushed.TracesCompiled);
-    if (Sinks.TraceInsts)
-      Sinks.TraceInsts->inc(TS.OnTraceInsts - TraceFlushed.OnTraceInsts);
-    TraceFlushed = TS;
-  }
 }
 
 RunStats Interpreter::run(uint64_t MaxInstructions) {
   ExecTally Tally;
   RunStats Stats;
-  const bool WantTrace = Config.Exec == InterpreterConfig::Engine::Trace;
-  if (Config.Exec == InterpreterConfig::Engine::Decoded || WantTrace) {
+  if (Config.Exec == InterpreterConfig::Engine::Decoded) {
     if (!Decoded) {
-      if (Config.ShareProgramCache) {
-        ProgramCache::Entry E = ProgramCache::global().get(M);
-        Decoded = std::move(E.Program);
-        Bank = std::move(E.Bank);
-      } else {
-        Decoded = std::make_shared<const DecodedProgram>(M);
-      }
+      Decoded = ProgramCache::global().get(M);
       DecodedExec = std::make_unique<DecodedInterpreter>(
           *Decoded, M.NumLoadSites, Timing, Memory, Counters,
           Config.StrideBatchWindow);
     }
-    if (WantTrace && !Selector)
-      Selector = std::make_unique<TraceSelector>(*Decoded, Timing,
-                                                 Config.Trace, Bank.get());
     DecodedExec->attach(Mem, Profiler, EventSink);
     DecodedExec->attachSelfProfiler(SelfProf);
-    DecodedExec->attachTraceSelector(WantTrace ? Selector.get() : nullptr);
     Stats = DecodedExec->run(MaxInstructions, Tally);
   } else {
     Stats = runReference(MaxInstructions, Tally);
   }
   flushObs(Stats, Tally);
   return Stats;
-}
-
-TraceTierStats Interpreter::traceTier() const {
-  return Selector ? Selector->stats() : TraceTierStats();
 }
 
 RunStats Interpreter::runReference(uint64_t MaxInstructions,
@@ -230,16 +190,20 @@ RunStats Interpreter::runReference(uint64_t MaxInstructions,
       F->Regs[I->Dst] = Val(I->A);
       Charge(Timing.DefaultCost, I->IsInstrumentation);
       break;
+    // Add, Sub and Mul wrap in 64-bit two's complement (docs/IR.md).
     case Opcode::Add:
-      F->Regs[I->Dst] = Val(I->A) + Val(I->B);
+      F->Regs[I->Dst] = static_cast<int64_t>(static_cast<uint64_t>(Val(I->A)) +
+                                             static_cast<uint64_t>(Val(I->B)));
       Charge(Timing.DefaultCost, I->IsInstrumentation);
       break;
     case Opcode::Sub:
-      F->Regs[I->Dst] = Val(I->A) - Val(I->B);
+      F->Regs[I->Dst] = static_cast<int64_t>(static_cast<uint64_t>(Val(I->A)) -
+                                             static_cast<uint64_t>(Val(I->B)));
       Charge(Timing.DefaultCost, I->IsInstrumentation);
       break;
     case Opcode::Mul:
-      F->Regs[I->Dst] = Val(I->A) * Val(I->B);
+      F->Regs[I->Dst] = static_cast<int64_t>(static_cast<uint64_t>(Val(I->A)) *
+                                             static_cast<uint64_t>(Val(I->B)));
       Charge(Timing.MulCost, I->IsInstrumentation);
       break;
     case Opcode::Shl:

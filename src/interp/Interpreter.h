@@ -12,21 +12,16 @@
 /// instructions, profiling-runtime work) so the benches can reproduce the
 /// paper's speedup (Figure 16) and profiling-overhead (Figure 20) ratios.
 ///
-/// Three execution engines back run(), selectable via
+/// Two execution engines back run(), selectable via
 /// InterpreterConfig::Engine and cycle-accounting-identical by contract
-/// (enforced by tests/test_decoded.cpp and tests/test_trace.cpp):
+/// (enforced by tests/test_decoded.cpp):
 ///
 ///   * Reference walks the Module structures directly -- the simple,
 ///     obviously-correct loop;
 ///   * Decoded (the default) runs a pre-decoded flat instruction stream
 ///     (DecodedProgram) on a threaded-dispatch core with a reusable
 ///     frame/register pool (DecodedInterpreter); same simulated cycles,
-///     several times faster in wall-clock (docs/PERFORMANCE.md);
-///   * Trace layers a trace-JIT tier on Decoded: backward branches feed
-///     cross-iteration path profiles to a TraceSelector, and hot stable
-///     paths are compiled into specialized superblocks (TraceProgram)
-///     executed by TraceInterpreter, with guard side-exits handing exact
-///     state back to the decoded core.
+///     several times faster in wall-clock (docs/PERFORMANCE.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +29,6 @@
 #define SPROF_INTERP_INTERPRETER_H
 
 #include "interp/SimMemory.h"
-#include "interp/TraceProgram.h"
 #include "ir/Module.h"
 #include "memsys/Cache.h"
 #include "profile/StrideProfiler.h"
@@ -51,8 +45,7 @@ class Gauge;
 class Histogram;
 class EngineSelfProfiler;
 class DecodedInterpreter;
-class TraceSelector;
-class TraceBank;
+class DecodedProgram;
 
 /// Per-opcode-class cycle costs of the in-order pipeline.
 struct TimingModel {
@@ -73,23 +66,12 @@ struct TimingModel {
 
 /// Engine selection and future execution-core knobs.
 struct InterpreterConfig {
-  /// Which execution core run() uses. All produce bit-identical RunStats,
+  /// Which execution core run() uses. Both produce bit-identical RunStats,
   /// profiles, and telemetry; Reference exists as the differential-testing
-  /// baseline and for debugging the Decoded core; Trace adds the hot-trace
-  /// superblock tier on top of Decoded.
-  enum class Engine { Reference, Decoded, Trace };
+  /// baseline and for debugging the Decoded core.
+  enum class Engine { Reference, Decoded };
 
   Engine Exec = Engine::Decoded;
-
-  /// Trace-tier thresholds and limits (Engine::Trace only).
-  TraceTierConfig Trace;
-
-  /// Obtain the decoded program (and, for Engine::Trace, the shared trace
-  /// bank) from the process-wide content-keyed ProgramCache, so repeated
-  /// runs of structurally identical modules -- Pipeline::speedup
-  /// repetitions, baseline/prefetched pairs, parallel ExperimentEngine
-  /// jobs -- decode once and share compiled traces. Off decodes privately.
-  bool ShareProgramCache = true;
 
   /// Capacity of the Decoded engine's stride-event ring: ProfStride traps
   /// queue (site, address, global-ref-index) records and drain them in
@@ -175,10 +157,6 @@ public:
 
   const InterpreterConfig &config() const { return Config; }
 
-  /// Trace-tier statistics accumulated by this interpreter's selector
-  /// across run() calls; Enabled == false when Engine::Trace never ran.
-  TraceTierStats traceTier() const;
-
 private:
   /// Cached telemetry sinks, resolved at attachObs; all null when
   /// detached (or when the session collects no metrics).
@@ -189,10 +167,6 @@ private:
             *CounterOps = nullptr, *StrideTraps = nullptr, *Cycles = nullptr,
             *MemStallCycles = nullptr, *InstrumentationCycles = nullptr,
             *RuntimeCycles = nullptr;
-    // Trace tier (all zero-delta no-ops under Reference/Decoded).
-    Counter *TraceEntries = nullptr, *TraceIterations = nullptr,
-            *TraceSideExits = nullptr, *TraceFuelExits = nullptr,
-            *TracesCompiled = nullptr, *TraceInsts = nullptr;
     Gauge *MaxStackDepth = nullptr;
     Histogram *RunCycles = nullptr;
   };
@@ -215,20 +189,14 @@ private:
   ObsSinks Sinks;
   std::vector<uint64_t> Counters;
 
-  /// Lazily-built decoded form and its execution core (Engine::Decoded
-  /// and Engine::Trace); reused across run() calls so repeated runs pay
-  /// one decode. Shared (immutable) when the ProgramCache supplied it.
+  /// Lazily-built decoded form and its execution core (Engine::Decoded);
+  /// reused across run() calls so repeated runs pay one decode. Shared
+  /// (immutable) through the process-wide content-keyed ProgramCache, so
+  /// structurally identical modules -- Pipeline::speedup repetitions,
+  /// baseline/prefetched pairs, parallel ExperimentEngine jobs -- decode
+  /// once.
   std::shared_ptr<const DecodedProgram> Decoded;
   std::unique_ptr<DecodedInterpreter> DecodedExec;
-
-  /// Trace-tier state (Engine::Trace): the per-interpreter selection
-  /// policy plus the shared cross-interpreter bank of compiled traces
-  /// (from the ProgramCache entry; null when decoding privately).
-  std::unique_ptr<TraceSelector> Selector;
-  std::shared_ptr<TraceBank> Bank;
-  /// Scalar trace counters already flushed to telemetry; selector stats
-  /// are cumulative, so flushObs emits deltas against this snapshot.
-  TraceTierStats TraceFlushed;
 };
 
 } // namespace sprof

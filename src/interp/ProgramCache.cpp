@@ -1,4 +1,4 @@
-//===- interp/ProgramCache.cpp - Shared decoded/trace program cache -------===//
+//===- interp/ProgramCache.cpp - Shared decoded program cache -------------===//
 //
 // Part of the StrideProf project (see SimMemory.h for the project
 // reference).
@@ -71,7 +71,7 @@ ProgramCache &ProgramCache::global() {
   return Cache;
 }
 
-ProgramCache::Entry ProgramCache::get(const Module &M) {
+std::shared_ptr<const DecodedProgram> ProgramCache::get(const Module &M) {
   const auto [H1, H2] = hashModule(M);
   std::lock_guard<std::mutex> Lock(Mu);
   ++UseClock;
@@ -79,25 +79,24 @@ ProgramCache::Entry ProgramCache::get(const Module &M) {
     if (N.H1 == H1 && N.H2 == H2) {
       N.LastUse = UseClock;
       ++Counts.Hits;
-      return N.E;
+      return N.Program;
     }
   ++Counts.Misses;
   Node N;
   N.H1 = H1;
   N.H2 = H2;
   N.LastUse = UseClock;
-  N.E.Program = std::make_shared<const DecodedProgram>(M);
-  N.E.Bank = std::make_shared<TraceBank>();
+  N.Program = std::make_shared<const DecodedProgram>(M);
   if (Nodes.size() >= MaxEntries) {
     auto Oldest = std::min_element(
         Nodes.begin(), Nodes.end(),
         [](const Node &A, const Node &B) { return A.LastUse < B.LastUse; });
     *Oldest = std::move(N);
     ++Counts.Evictions;
-    return Oldest->E;
+    return Oldest->Program;
   }
   Nodes.push_back(std::move(N));
-  return Nodes.back().E;
+  return Nodes.back().Program;
 }
 
 ProgramCache::CacheStats ProgramCache::stats() const {

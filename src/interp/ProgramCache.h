@@ -1,4 +1,4 @@
-//===- interp/ProgramCache.h - Shared decoded/trace program cache -*- C++ -*-===//
+//===- interp/ProgramCache.h - Shared decoded program cache ----*- C++ -*-===//
 //
 // Part of the StrideProf project (see SimMemory.h for the project
 // reference).
@@ -15,11 +15,6 @@
 /// attribution flags, entry function, id spaces -- and deliberately
 /// excludes Module::Name and function/block names, which decode ignores.
 ///
-/// Each entry also owns the TraceBank for that program, so trace-tier
-/// engines running the same workload share compiled superblocks across
-/// repetitions and across engine-pool threads (TraceProgram is immutable;
-/// the bank is mutex-guarded; per-run counters stay in each selector).
-///
 /// DecodedProgram is immutable after construction, so handing one
 /// shared_ptr to any number of concurrent interpreters is safe; the cache
 /// itself is mutex-guarded and LRU-bounded.
@@ -30,7 +25,6 @@
 #define SPROF_INTERP_PROGRAMCACHE_H
 
 #include "interp/DecodedProgram.h"
-#include "interp/TraceSelector.h"
 
 #include <memory>
 #include <mutex>
@@ -39,13 +33,6 @@ namespace sprof {
 
 class ProgramCache {
 public:
-  /// One cached program: the immutable decoded form plus the shared trace
-  /// bank scoped to it.
-  struct Entry {
-    std::shared_ptr<const DecodedProgram> Program;
-    std::shared_ptr<TraceBank> Bank;
-  };
-
   /// Host-side cache counters (reports/tests; monotonically increasing).
   struct CacheStats {
     uint64_t Hits = 0;
@@ -58,9 +45,9 @@ public:
 
   explicit ProgramCache(size_t MaxEntries = 64) : MaxEntries(MaxEntries) {}
 
-  /// Returns the cached entry for a module with \p M's content, decoding
-  /// and inserting on first sight. Thread-safe.
-  Entry get(const Module &M);
+  /// Returns the cached decoded program for a module with \p M's content,
+  /// decoding and inserting on first sight. Thread-safe.
+  std::shared_ptr<const DecodedProgram> get(const Module &M);
 
   /// Content fingerprint of everything the decoder reads from \p M.
   static std::pair<uint64_t, uint64_t> hashModule(const Module &M);
@@ -75,7 +62,7 @@ private:
     uint64_t H1 = 0;
     uint64_t H2 = 0;
     uint64_t LastUse = 0;
-    Entry E;
+    std::shared_ptr<const DecodedProgram> Program;
   };
 
   mutable std::mutex Mu;

@@ -450,47 +450,6 @@ JsonValue sprof::traceCaptureToJson(const TraceCaptureInfo &Capture) {
   return J;
 }
 
-JsonValue sprof::traceTierToJson(const TraceTierStats &TT) {
-  JsonValue J = JsonValue::object();
-  J.set("traces_compiled", TT.TracesCompiled);
-  J.set("traces_adopted", TT.TracesAdopted);
-  J.set("compile_aborts", TT.CompileAborts);
-  J.set("invalidations", TT.Invalidations);
-  J.set("entries", TT.Entries);
-  J.set("iterations", TT.Iterations);
-  J.set("side_exits", TT.SideExits);
-  J.set("loop_exits", TT.LoopExits);
-  J.set("fuel_exits", TT.FuelExits);
-  J.set("on_trace_insts", TT.OnTraceInsts);
-  J.set("on_trace_refs", TT.OnTraceRefs);
-  // Mispredicted entries per entry: the tier's central health number (a
-  // high rate means the selected paths stopped matching the program).
-  if (TT.Entries != 0)
-    J.set("side_exit_rate", static_cast<double>(TT.SideExits) /
-                                static_cast<double>(TT.Entries));
-  JsonValue Traces = JsonValue::array();
-  for (const TraceTierStats::PerTrace &T : TT.Traces) {
-    JsonValue TJ = JsonValue::object();
-    TJ.set("id", static_cast<uint64_t>(T.Id));
-    TJ.set("head_pc", static_cast<uint64_t>(T.HeadPC));
-    TJ.set("num_ops", static_cast<uint64_t>(T.NumOps));
-    TJ.set("num_guards", static_cast<uint64_t>(T.NumGuards));
-    TJ.set("entries", T.Entries);
-    TJ.set("iterations", T.Iterations);
-    TJ.set("side_exits", T.SideExits);
-    TJ.set("loop_exits", T.LoopExits);
-    TJ.set("fuel_exits", T.FuelExits);
-    TJ.set("invalidated", T.Invalidated);
-    JsonValue GE = JsonValue::array();
-    for (uint64_t E : T.GuardExits)
-      GE.push(E);
-    TJ.set("guard_exits", std::move(GE));
-    Traces.push(std::move(TJ));
-  }
-  J.set("traces", std::move(Traces));
-  return J;
-}
-
 JsonValue sprof::profileRunToJson(const ProfileRunResult &R,
                                   const ReportOptions &Options) {
   JsonValue J = JsonValue::object();
@@ -505,8 +464,6 @@ JsonValue sprof::profileRunToJson(const ProfileRunResult &R,
   J.set("lfu_calls", R.LfuCalls);
   if (R.Capture.Enabled)
     J.set("trace", traceCaptureToJson(R.Capture));
-  if (R.TraceTier.Enabled)
-    J.set("trace_tier", traceTierToJson(R.TraceTier));
   return J;
 }
 
@@ -518,8 +475,6 @@ JsonValue sprof::timedRunToJson(const TimedRunResult &R,
   J.set("stats", runStatsToJson(R.Stats));
   J.set("prefetches", prefetchStatsToJson(R.Prefetches));
   J.set("classification", feedbackToJson(R.Feedback, SP, Config));
-  if (R.TraceTier.Enabled)
-    J.set("trace_tier", traceTierToJson(R.TraceTier));
   (void)Options;
   return J;
 }

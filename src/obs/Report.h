@@ -15,15 +15,10 @@
 ///
 /// The top-level document is versioned ("sprof.run_report/5"); consumers
 /// (scripts/check_telemetry_schema.sh, tests/test_obs.cpp, sprof-inspect)
-/// validate against that schema string. Each version is a strict superset
-/// of the previous one: /2 added the optional "attribution" and
-/// "profile_diff" sections, /3 the optional "self_profile" section (the
-/// engine's window-sampled per-dispatch-op attribution), /4 the optional
-/// "profile_run.trace" section (accounting of the sprof.trace capture a
-/// profile run recorded), /5 adds the optional "trace_tier" section in
-/// profile_run/timed_run (hot-trace selection and execution accounting of
-/// runs under the Trace engine), so an older reader that ignores unknown
-/// keys parses newer documents unchanged.
+/// validate against that schema string. The optional sections are
+/// "attribution" and "profile_diff", "self_profile" (the engine's
+/// window-sampled per-dispatch-op attribution), and "profile_run.trace"
+/// (accounting of the sprof.trace capture a profile run recorded).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,22 +34,6 @@
 #include <string>
 
 namespace sprof {
-
-/// Schema identifier of reports written before prefetch-outcome
-/// attribution existed; still accepted by every reader.
-inline constexpr const char *RunReportSchemaV1 = "sprof.run_report/1";
-
-/// Schema identifier of reports written before the engine self-profile
-/// section existed; still accepted by every reader.
-inline constexpr const char *RunReportSchemaV2 = "sprof.run_report/2";
-
-/// Schema identifier of reports written before the trace-capture section
-/// existed; still accepted by every reader.
-inline constexpr const char *RunReportSchemaV3 = "sprof.run_report/3";
-
-/// Schema identifier of reports written before the trace-tier section
-/// existed; still accepted by every reader.
-inline constexpr const char *RunReportSchemaV4 = "sprof.run_report/4";
 
 /// Schema identifier stamped into every run report.
 inline constexpr const char *RunReportSchemaV5 = "sprof.run_report/5";
@@ -91,10 +70,6 @@ JsonValue profileDiffToJson(const ProfileDiffResult &Diff);
 /// Trace-capture accounting section (run_report/4): the sprof.trace
 /// artifact a profile run recorded (path, schema, event/byte counts).
 JsonValue traceCaptureToJson(const TraceCaptureInfo &Capture);
-/// Trace-tier accounting section (run_report/5): selection counters,
-/// entry/iteration/exit mix with the derived side-exit rate, and the
-/// per-trace breakdown (shape, exit mix, per-guard exit counts).
-JsonValue traceTierToJson(const TraceTierStats &TT);
 JsonValue metricsToJson(const MetricsRegistry &Registry);
 /// Engine self-profile section (run_report/3): sampling window, total
 /// sample count, and every nonzero (workload, phase, op) cell with its

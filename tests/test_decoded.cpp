@@ -20,6 +20,7 @@
 #include "instrument/Instrumentation.h"
 #include "interp/DecodedProgram.h"
 #include "interp/Interpreter.h"
+#include "interp/ProgramCache.h"
 #include "ir/IRBuilder.h"
 #include "obs/Obs.h"
 #include "obs/SelfProfiler.h"
@@ -31,6 +32,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -480,6 +483,65 @@ TEST(DecodedEngine, DecoderInlinesLeafCallsAndFlagsPointerLoads) {
     if (D.Op == Opcode::Load && D.PrefetchDst)
       SawFlaggedLoad = true;
   EXPECT_TRUE(SawFlaggedLoad);
+}
+
+// The content key: names are ignored, every operand byte matters.
+TEST(DecodedEngine, ProgramCacheKeyIsContentNotName) {
+  uint32_t DataSite = 0, NextSite = 0;
+  Module A = makeChaseModule(DataSite, NextSite);
+  Module B = makeChaseModule(DataSite, NextSite);
+  B.Name = "other";
+  B.Functions[0].Name = "renamed";
+  EXPECT_EQ(ProgramCache::hashModule(A), ProgramCache::hashModule(B));
+  Module C = makeChaseModule(DataSite, NextSite);
+  C.Functions[0].Blocks[1].Insts[0].Imm ^= 1;
+  EXPECT_NE(ProgramCache::hashModule(A), ProgramCache::hashModule(C));
+
+  ProgramCache Cache(4);
+  Cache.get(A);
+  Cache.get(B);
+  ProgramCache::CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Hits, 1u);
+}
+
+// add, sub and mul wrap in 64-bit two's complement (docs/IR.md) in both
+// engines, including inside a fused add;add pair.
+TEST(DecodedEngine, ArithmeticWrapsLikeReference) {
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  Module M;
+  M.Name = "wrap";
+  IRBuilder B(M);
+  B.startFunction("main", 0);
+  Reg RMax = B.movImm(Max);
+  Reg RMin = B.movImm(Min);
+  Reg MaxPlus1 = B.add(Operand::reg(RMax), Operand::imm(1));
+  Reg MinMinus1 = B.sub(Operand::reg(RMin), Operand::imm(1));
+  Reg MaxTimes4 = B.mul(Operand::reg(RMax), Operand::imm(4));
+  Reg Sum = B.add(Operand::reg(MaxTimes4), Operand::reg(MaxPlus1));
+  Reg Out = B.add(Operand::reg(Sum), Operand::reg(MinMinus1));
+  B.ret(Operand::reg(Out));
+
+  DecodedProgram DP(M);
+  bool SawAddAdd = false;
+  for (const DInst &D : DP.code())
+    if (D.DOp == static_cast<uint8_t>(FusedOp::AddAdd))
+      SawAddAdd = true;
+  EXPECT_TRUE(SawAddAdd);
+
+  // Max + 1 = Min, Min - 1 = Max, Max * 4 = -4; then -4 + Min wraps to
+  // Max - 3, and (Max - 3) + Max wraps to -5.
+  const int64_t Expected = -5;
+  Interpreter Ref(M, SimMemory(), TimingModel(),
+                  interpConfig(InterpreterConfig::Engine::Reference));
+  Interpreter Dec(M, SimMemory(), TimingModel(),
+                  interpConfig(InterpreterConfig::Engine::Decoded));
+  RunStats RR = Ref.run();
+  RunStats RD = Dec.run();
+  EXPECT_TRUE(RR.Completed);
+  EXPECT_EQ(RR.ExitValue, Expected);
+  expectSameStats(RR, RD);
 }
 
 } // namespace

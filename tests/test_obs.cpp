@@ -602,57 +602,6 @@ TEST(ObsReport, RunReportRoundTripsWithStableSchema) {
     EXPECT_TRUE(P.obs()->trace().hasSpan(Phase)) << Phase;
 }
 
-// The /5 trace-tier section: present exactly when the run executed under
-// the Trace engine, with the counters agreeing with the pipeline's
-// in-memory TraceTierStats and the derived side-exit rate in range.
-TEST(ObsReport, TraceTierSectionRoundTrips) {
-  ChaseWorkload W;
-  PipelineConfig Config;
-  Config.Interp.Exec = InterpreterConfig::Engine::Trace;
-  Config.Interp.Trace.HotThreshold = 4;
-  Config.Interp.Trace.PathThreshold = 3;
-  Pipeline P(W, Config);
-
-  ProfileRunResult Prof =
-      P.runProfile(ProfilingMethod::EdgeCheck, DataSet::Train);
-  ASSERT_TRUE(Prof.TraceTier.Enabled);
-
-  JsonValue Report = buildRunReport(W.info().Name, P.config(), &Prof,
-                                    nullptr, nullptr, nullptr);
-  JsonValue Back;
-  std::string Error;
-  ASSERT_TRUE(JsonValue::parse(Report.str(), Back, &Error)) << Error;
-
-  const JsonValue *TT = Back.get("profile_run")->get("trace_tier");
-  ASSERT_NE(TT, nullptr);
-  EXPECT_EQ(TT->get("traces_compiled")->asUInt() +
-                TT->get("traces_adopted")->asUInt(),
-            Prof.TraceTier.TracesCompiled + Prof.TraceTier.TracesAdopted);
-  EXPECT_EQ(TT->get("iterations")->asUInt(), Prof.TraceTier.Iterations);
-  EXPECT_GT(TT->get("iterations")->asUInt(), 0u);
-  EXPECT_EQ(TT->get("entries")->asUInt(), Prof.TraceTier.Entries);
-  if (Prof.TraceTier.Entries != 0) {
-    double Rate = TT->get("side_exit_rate")->asDouble();
-    EXPECT_GE(Rate, 0.0);
-  }
-  ASSERT_EQ(TT->get("traces")->size(), Prof.TraceTier.Traces.size());
-  for (const JsonValue &T : TT->get("traces")->items()) {
-    EXPECT_NE(T.get("head_pc"), nullptr);
-    EXPECT_NE(T.get("num_guards"), nullptr);
-    EXPECT_EQ(T.get("guard_exits")->size(),
-              T.get("num_guards")->asUInt());
-  }
-
-  // And absent for the default (Decoded) engine.
-  PipelineConfig DecConfig;
-  Pipeline DP(W, DecConfig);
-  ProfileRunResult DecProf =
-      DP.runProfile(ProfilingMethod::EdgeCheck, DataSet::Train);
-  JsonValue DecReport = buildRunReport(W.info().Name, DP.config(), &DecProf,
-                                       nullptr, nullptr, nullptr);
-  EXPECT_EQ(DecReport.get("profile_run")->get("trace_tier"), nullptr);
-}
-
 // A reader written against sprof.run_report/1 must keep working on /2
 // documents: every /1 section is still present with its /1 shape, and the
 // only additions are new optional top-level sections such a reader ignores.

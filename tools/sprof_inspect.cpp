@@ -30,11 +30,7 @@
 ///
 ///   sprof-inspect hotspots <report.json> [--top=N]
 ///       The engine self-profiler's per-dispatch-op attribution from the
-///       report's self_profile section, hottest first. Trace-tier runs
-///       sample into "trace:<n>" frames (also present in the folded-stack
-///       export); when the report carries a trace_tier section, a second
-///       table breaks each installed trace down by exit kind (side, loop,
-///       fuel) and flags the hottest side-exiting guard.
+///       report's self_profile section, hottest first.
 ///
 ///   sprof-inspect trace <file.sprof.trace> [--top=N]
 ///       Decodes a sprof.trace/1 or /2 (binary or text) capture:
@@ -559,66 +555,6 @@ int runHotspots(const std::string &Path, size_t TopN) {
   if (Entries->size() > N)
     std::cout << "(" << Entries->size() - N << " more entries)\n";
 
-  // The trace-tier exit breakdown gives the "trace:<n>" frames above their
-  // meaning: which installed traces those samples were, and how each one
-  // leaves (committed loop exit, mispredicted side exit, fuel handback).
-  const JsonValue *TT = nullptr;
-  for (const char *Section : {"timed_run", "profile_run"}) {
-    const JsonValue *Run = Report.get(Section);
-    if (Run && Run->isObject() && (TT = Run->get("trace_tier")))
-      break;
-  }
-  if (TT && TT->isObject()) {
-    const JsonValue *Traces = TT->get("traces");
-    std::cout << "\ntrace tier:    " << uintAt(TT, "traces_compiled")
-              << " compiled, " << uintAt(TT, "traces_adopted")
-              << " adopted, " << uintAt(TT, "invalidations")
-              << " invalidated; side-exit rate "
-              << Table::fmtPercent(doubleAt(TT, "side_exit_rate") * 100.0)
-              << "\n\n";
-    if (Traces && Traces->isArray() && Traces->size() != 0) {
-      Table TraceT("Installed traces (exit mix per trace)");
-      TraceT.row({"frame", "head", "ops", "entries", "iters/entry", "side",
-                  "loop", "fuel", "hot guard"});
-      size_t TN = std::min<size_t>(Traces->size(), TopN);
-      for (size_t I = 0; I != TN; ++I) {
-        const JsonValue &E = Traces->at(I);
-        uint64_t Id = uintAt(&E, "id");
-        uint64_t TEntries = uintAt(&E, "entries");
-        uint64_t Iters = uintAt(&E, "iterations");
-        // Per-trace frame name as sampled: traces hash into the
-        // self-profiler's trace slots by id.
-        std::string Frame =
-            "trace:" + std::to_string(Id % NumTraceSelfProfSlots);
-        if (E.get("invalidated") && E.get("invalidated")->asBool())
-          Frame += " (dead)";
-        const JsonValue *GE = E.get("guard_exits");
-        size_t HotGuard = 0;
-        uint64_t HotExits = 0;
-        if (GE && GE->isArray())
-          for (size_t G = 0; G != GE->size(); ++G)
-            if (GE->at(G).asUInt() > HotExits) {
-              HotExits = GE->at(G).asUInt();
-              HotGuard = G;
-            }
-        TraceT.row(
-            {Frame, Table::fmtInt(uintAt(&E, "head_pc")),
-             Table::fmtInt(uintAt(&E, "num_ops")), Table::fmtInt(TEntries),
-             Table::fmt(TEntries ? static_cast<double>(Iters) /
-                                       static_cast<double>(TEntries)
-                                 : 0.0),
-             Table::fmtInt(uintAt(&E, "side_exits")),
-             Table::fmtInt(uintAt(&E, "loop_exits")),
-             Table::fmtInt(uintAt(&E, "fuel_exits")),
-             HotExits ? "#" + std::to_string(HotGuard) + " x" +
-                            std::to_string(HotExits)
-                      : "-"});
-      }
-      TraceT.print(std::cout);
-      if (Traces->size() > TN)
-        std::cout << "(" << Traces->size() - TN << " more traces)\n";
-    }
-  }
   return 0;
 }
 
