@@ -120,14 +120,17 @@ ProfileHandle queueProfile(ExperimentEngine &Engine, const std::string &Tag,
 
 /// Queues the timed half (baseline + prefetched run on ref) against an
 /// already-queued profile; *Out receives the speedup after Engine.run().
+/// Configurations share baselines (and often prefetched modules), so the
+/// timed runs go through the engine's run memo.
 void queueSpeedup(ExperimentEngine &Engine, const std::string &Tag,
                   const Workload &W, const PipelineConfig &Config,
                   const ProfileHandle &Profile, double *Out) {
   std::shared_ptr<ProfileRunResult> PR = Profile.Profile;
+  RunMemo *Memo = Engine.runMemo();
   Engine.addJob(
       "feedback:" + Tag, "feedback-job",
-      [&W, Config, PR, Out](ObsSession *JobObs) {
-        Pipeline P(W, Config, JobObs);
+      [&W, Config, PR, Out, Memo](ObsSession *JobObs) {
+        Pipeline P(W, Config, JobObs, Memo);
         *Out = P.speedup(DataSet::Ref, PR->Edges, PR->Strides);
       },
       {Profile.Job});

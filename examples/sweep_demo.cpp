@@ -15,6 +15,9 @@
 ///     flow events along dependency edges, and the sweep report
 ///     ("sprof.sweep_report/1") carries queue-wait vs run time, the
 ///     critical path, and per-worker utilization;
+///   * the three feedback jobs each time the same baseline run through the
+///     engine's run memo: one executes, two replay it, and the report's
+///     scheduler.run_memo section counts them;
 ///   * the flight recorder rides along and can be dumped on request
 ///     (--dump-flight), on a fatal signal (--crash raises SIGSEGV from a
 ///     job), or by the hang watchdog (--hang --watchdog=SEC exits with
@@ -35,6 +38,7 @@
 #include "driver/Engine.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Trace.h"
+#include "workloads/Builders.h"
 
 #include <chrono>
 #include <csignal>
@@ -57,6 +61,33 @@ std::string defaultOut(const char *Name) {
 void busyFor(unsigned Ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(Ms));
 }
+
+/// A 512-node pointer chase: the timed run the feedback jobs share stays
+/// far shorter than the stage chain, even under sanitizers, so the chain
+/// remains the critical path.
+class SmallChase final : public Workload {
+public:
+  WorkloadInfo info() const override {
+    return {"demo.chase", "IR", "small pointer chase"};
+  }
+  Program build(const BuildRequest &Req) const override {
+    Program Prog;
+    BumpAllocator A;
+    Rng R(Req.seed(0xde30));
+    ListSpec Spec;
+    Spec.Count = 512;
+    Spec.NodeBytes = 64;
+    uint64_t Head = buildList(Prog.Memory, A, R, Spec);
+    IRBuilder B(Prog.M);
+    B.startFunction("main", 0);
+    Reg P = B.mov(Operand::imm(static_cast<int64_t>(Head)));
+    emitPointerLoop(B, P, [](IRBuilder &IB, Reg Node) {
+      IB.load(Node, 0, Node);
+    });
+    B.halt();
+    return Prog;
+  }
+};
 
 struct Options {
   unsigned Threads = 2;
@@ -139,7 +170,10 @@ int main(int Argc, char **Argv) {
   }
 
   // Independent profile -> feedback pairs that parallel workers can
-  // overlap with the chain.
+  // overlap with the chain. Every feedback job times the same small
+  // baseline, so the run memo executes it once.
+  SmallChase Timed;
+  RunMemo *Memo = Engine.runMemo();
   for (int W = 0; W < 3; ++W) {
     std::string Tag = ":w" + std::to_string(W);
     JobId Run = Engine.addJob("profile" + Tag, "run-job",
@@ -148,9 +182,11 @@ int main(int Argc, char **Argv) {
                                 busyFor(6);
                               });
     Engine.addJob("feedback" + Tag, "feedback-job",
-                  [](ObsSession *JobObs) {
+                  [&Timed, Memo](ObsSession *JobObs) {
                     TraceSpan S(JobObs, "execute", "feedback-job");
                     busyFor(4);
+                    Pipeline(Timed, {}, JobObs, Memo)
+                        .runBaseline(DataSet::Train);
                   },
                   {Run});
   }
@@ -202,6 +238,11 @@ int main(int Argc, char **Argv) {
   Ok &= check(Sched && Sched->get("workers") &&
                   Sched->get("workers")->size() == O.Threads,
               "scheduler section has one entry per worker");
+  const JsonValue *MemoJson = Sched ? Sched->get("run_memo") : nullptr;
+  Ok &= check(MemoJson && MemoJson->get("misses") && MemoJson->get("hits") &&
+                  MemoJson->get("misses")->asUInt() == 1 &&
+                  MemoJson->get("hits")->asUInt() == 2,
+              "the run memo executed the shared baseline once");
   if (TraceCollector *TC = Engine.obs()->traceAtLevel(1))
     Ok &= check(TC->flowEdges().size() >= 5,
                 "flow events recorded along dependency edges");
@@ -215,6 +256,10 @@ int main(int Argc, char **Argv) {
               Wall ? Wall->asUInt() / 1000.0 : 0.0,
               Crit->get("duration_us")->asUInt() / 1000.0,
               Crit->get("jobs")->size());
+  std::printf("sweep_demo: run memo %llu hits, %llu misses\n",
+              static_cast<unsigned long long>(MemoJson->get("hits")->asUInt()),
+              static_cast<unsigned long long>(
+                  MemoJson->get("misses")->asUInt()));
   std::printf("sweep_demo: report=%s trace=%s%s\n", O.ReportPath.c_str(),
               O.TracePath.c_str(),
               O.DumpFlight ? (" flight=" + O.FlightPath).c_str() : "");

@@ -630,6 +630,19 @@ for key in ("queue_depth_high_water", "wakeup_retries", "jobs_enqueued",
     check(key in sched, f"scheduler missing {key!r}")
 check(sched.get("jobs_enqueued") == len(jobs),
       f"jobs_enqueued {sched.get('jobs_enqueued')} != jobs length")
+# Run memo: sweep_demo's three feedback jobs time one shared baseline, so
+# exactly one request executes and two replay it, each replay saving the
+# executed run's instructions.
+memo = sched.get("run_memo", {})
+for key in ("hits", "misses", "saved_instructions"):
+    check(isinstance(memo.get(key), int) and memo.get(key) >= 0,
+          f"scheduler.run_memo.{key} missing or not a count")
+check(memo.get("misses") == 1 and memo.get("hits") == 2,
+      f"run_memo {memo.get('hits')} hits / {memo.get('misses')} misses, "
+      "want 2 / 1")
+check(memo.get("saved_instructions", 0) > 0 and
+      memo.get("saved_instructions", 0) % 2 == 0,
+      "run_memo.saved_instructions is not two replays of one run")
 workers = sched.get("workers", [])
 check(len(workers) == report.get("threads"),
       "scheduler.workers length != threads")
@@ -717,6 +730,10 @@ EOF
         }
         grep -q "Worker utilization" "$WORKDIR/inspect_sweep.txt" || {
             echo "FAIL: sprof-inspect sweep lacks worker utilization" >&2
+            exit 1
+        }
+        grep -q "run memo: 2 hits / 1 misses" "$WORKDIR/inspect_sweep.txt" || {
+            echo "FAIL: sprof-inspect sweep lacks the run memo counts" >&2
             exit 1
         }
         "$INSPECT" blackbox "$SWEEP_FLIGHT" > "$WORKDIR/inspect_blackbox.txt"

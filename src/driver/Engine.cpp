@@ -124,6 +124,13 @@ void ExperimentEngine::run() {
       ++Started;
   }
   SchedStats.JobsSkipped += Skipped;
+  // Every job of the wave has drained, so no request can still hold a
+  // memo entry.
+  const RunMemo::Counts MemoCounts = Memo.counts();
+  Memo.clear();
+  SchedStats.RunMemoHits += MemoCounts.Hits;
+  SchedStats.RunMemoMisses += MemoCounts.Misses;
+  SchedStats.RunMemoSavedInstructions += MemoCounts.SavedInstructions;
 
   // Fold per-job telemetry in JobId order so the session registry, the
   // trace, and the "jobs" array never depend on completion order.
@@ -201,6 +208,10 @@ void ExperimentEngine::run() {
       Reg.counter("engine.jobs.finished").inc(Started);
       Reg.counter("engine.jobs.failed").inc(Failed);
       Reg.counter("engine.jobs.skipped").inc(Skipped);
+      Reg.counter("engine.run_memo.hits").inc(MemoCounts.Hits);
+      Reg.counter("engine.run_memo.misses").inc(MemoCounts.Misses);
+      Reg.counter("engine.run_memo.saved_instructions")
+          .inc(MemoCounts.SavedInstructions);
       Reg.counter("engine.sched.wakeup_retries").inc(GS.DequeueRetries);
       Reg.gauge("engine.sched.queue_depth_high_water")
           .set(static_cast<double>(SchedStats.QueueDepthHighWater));
@@ -243,8 +254,8 @@ SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
     if (Spec.Baseline) {
       uint64_t *BaseOut = &Result.BaselineCycles[WI];
       addJob("baseline:" + WName, "baseline-job",
-             [W, &Spec, BaseOut](ObsSession *JobObs) {
-               Pipeline P(*W, Spec.Config, JobObs);
+             [this, W, &Spec, BaseOut](ObsSession *JobObs) {
+               Pipeline P(*W, Spec.Config, JobObs, &Memo);
                *BaseOut = P.runBaseline(Spec.FeedbackInput).Cycles;
              });
     }
@@ -277,10 +288,10 @@ SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
           if (Spec.Feedback)
             addJob(
                 "feedback:" + Tag, "feedback-job",
-                [Cell, &Spec](ObsSession *JobObs) {
+                [this, Cell, &Spec](ObsSession *JobObs) {
                   PipelineConfig C = Spec.Config;
                   C.WorkloadSeedOffset = Cell->SeedOffset;
-                  Pipeline P(*Cell->W, C, JobObs);
+                  Pipeline P(*Cell->W, C, JobObs, &Memo);
                   Cell->Timed = P.runPrefetched(Spec.FeedbackInput,
                                                 Cell->Profile.Edges,
                                                 Cell->Profile.Strides);

@@ -19,7 +19,10 @@
 ///     is on); after the graph drains, job scopes fold into the session
 ///     registry/trace in deterministic JobId order, one span per job lands
 ///     on the worker's trace lane, and the run report gains a "jobs"
-///     array.
+///     array;
+///   * jobs whose pipelines are given runMemo() coalesce identical timed
+///     runs within one wave (driver/RunMemo.h); the memo is cleared when
+///     the wave drains.
 ///
 /// Two levels of API: addJob()/run() schedules arbitrary closures with
 /// dependencies (the suite helpers in Experiments.h use this), and
@@ -34,6 +37,7 @@
 
 #include "driver/JobGraph.h"
 #include "driver/Pipeline.h"
+#include "driver/RunMemo.h"
 #include "obs/Sharded.h"
 #include "obs/SweepReport.h"
 
@@ -133,6 +137,10 @@ public:
   /// The session, or nullptr when Opts.Obs.Enabled is false.
   ObsSession *obs() const { return Session.get(); }
 
+  /// The wave's timed-run memo; pass it to Pipeline's external-session
+  /// constructor from job bodies.
+  RunMemo *runMemo() { return &Memo; }
+
   /// The job body. \p JobObs is the job's private telemetry scope
   /// (nullptr when telemetry is off); pass it to Pipeline's
   /// external-session constructor.
@@ -155,8 +163,8 @@ public:
   /// Expands \p Spec into jobs, runs them, and assembles the grid.
   SweepResult runSweep(const SweepSpec &Spec);
 
-  /// Scheduler accounting accumulated over every drain of this engine
-  /// (high-water marks maxed, counts summed).
+  /// Scheduler and run-memo accounting accumulated over every drain of
+  /// this engine (high-water marks maxed, counts summed).
   const SweepSchedulerStats &schedStats() const { return SchedStats; }
 
   /// Builds the "sprof.sweep_report/1" document over every job this
@@ -177,6 +185,7 @@ private:
   std::unique_ptr<ObsSession> Session;
   std::unique_ptr<FlightRecorder> Recorder;
   SweepSchedulerStats SchedStats;
+  RunMemo Memo;
   /// Per-worker metric shards (EngineOptions::ShardedMetrics); cleared
   /// after every drain so the engine stays reusable.
   std::unique_ptr<ShardedMetricsRegistry> Shards;

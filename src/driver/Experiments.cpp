@@ -92,6 +92,7 @@ sprof::measureSuite(ExperimentEngine &Engine,
   // preallocated slots; nothing is shared between (workload, method)
   // pairs.
   std::vector<ProfileRunResult> Profiles(Workloads.size() * Methods.size());
+  RunMemo *Memo = Engine.runMemo();
 
   for (size_t WI = 0; WI != Workloads.size(); ++WI) {
     const Workload *W = Workloads[WI];
@@ -103,8 +104,8 @@ sprof::measureSuite(ExperimentEngine &Engine,
       BM.Methods.emplace(M, MethodMeasurement{});
 
     Engine.addJob("baseline:" + BM.Name + "/ref", "baseline-job",
-                  [W, &Config, &BM](ObsSession *JobObs) {
-                    Pipeline P(*W, Config, JobObs);
+                  [W, &Config, &BM, Memo](ObsSession *JobObs) {
+                    Pipeline P(*W, Config, JobObs, Memo);
                     BM.BaselineRefCycles =
                         P.runBaseline(DataSet::Ref).Cycles;
                   });
@@ -137,8 +138,8 @@ sprof::measureSuite(ExperimentEngine &Engine,
           });
       Engine.addJob(
           "feedback:" + Tag, "feedback-job",
-          [W, &Config, MM, PR](ObsSession *JobObs) {
-            Pipeline P(*W, Config, JobObs);
+          [W, &Config, MM, PR, Memo](ObsSession *JobObs) {
+            Pipeline P(*W, Config, JobObs, Memo);
             TimedRunResult TR =
                 P.runPrefetched(DataSet::Ref, PR->Edges, PR->Strides);
             MM->Prefetches = TR.Prefetches;
@@ -193,6 +194,7 @@ std::vector<SensitivityMeasurement> sprof::measureSuiteSensitivity(
     uint64_t Cycles[4] = {0, 0, 0, 0}; ///< train, ref, er-st, et-sr
   };
   std::vector<Slot> Slots(Workloads.size());
+  RunMemo *Memo = Engine.runMemo();
 
   for (size_t WI = 0; WI != Workloads.size(); ++WI) {
     const Workload *W = Workloads[WI];
@@ -201,8 +203,8 @@ std::vector<SensitivityMeasurement> sprof::measureSuiteSensitivity(
     Slot *S = &Slots[WI];
 
     Engine.addJob("baseline:" + Name + "/ref", "baseline-job",
-                  [W, &Config, S](ObsSession *JobObs) {
-                    Pipeline P(*W, Config, JobObs);
+                  [W, &Config, S, Memo](ObsSession *JobObs) {
+                    Pipeline P(*W, Config, JobObs, Memo);
                     S->BaseCycles = P.runBaseline(DataSet::Ref).Cycles;
                   });
     JobId TrainJob = Engine.addJob(
@@ -239,8 +241,8 @@ std::vector<SensitivityMeasurement> sprof::measureSuiteSensitivity(
       const Combo &C = Combos[CI];
       Engine.addJob(
           "feedback:" + Name + "/" + C.Tag, "feedback-job",
-          [W, &Config, S, C, CI](ObsSession *JobObs) {
-            Pipeline P(*W, Config, JobObs);
+          [W, &Config, S, C, CI, Memo](ObsSession *JobObs) {
+            Pipeline P(*W, Config, JobObs, Memo);
             const EdgeProfile &EP =
                 C.EdgeFromTrain ? S->Train.Edges : S->Ref.Edges;
             const StrideProfile &SP =
@@ -279,18 +281,19 @@ std::vector<BaselineMeasurement> sprof::measureSuiteBaselines(
     ExperimentEngine &Engine, const std::vector<const Workload *> &Workloads,
     const PipelineConfig &Config) {
   std::vector<BaselineMeasurement> Results(Workloads.size());
+  RunMemo *Memo = Engine.runMemo();
   for (size_t WI = 0; WI != Workloads.size(); ++WI) {
     const Workload *W = Workloads[WI];
     BaselineMeasurement *BM = &Results[WI];
     BM->Info = W->info();
     Engine.addJob("baseline:" + BM->Info.Name + "/train", "baseline-job",
-                  [W, &Config, BM](ObsSession *JobObs) {
-                    Pipeline P(*W, Config, JobObs);
+                  [W, &Config, BM, Memo](ObsSession *JobObs) {
+                    Pipeline P(*W, Config, JobObs, Memo);
                     BM->Train = P.runBaseline(DataSet::Train);
                   });
     Engine.addJob("baseline:" + BM->Info.Name + "/ref", "baseline-job",
-                  [W, &Config, BM](ObsSession *JobObs) {
-                    Pipeline P(*W, Config, JobObs);
+                  [W, &Config, BM, Memo](ObsSession *JobObs) {
+                    Pipeline P(*W, Config, JobObs, Memo);
                     BM->Ref = P.runBaseline(DataSet::Ref);
                   });
   }

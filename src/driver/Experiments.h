@@ -90,7 +90,9 @@ SensitivityMeasurement measureSensitivity(const Workload &W,
 // Each expands the whole suite into one job graph on \p Engine, so
 // independent runs overlap across the engine's worker threads. Results are
 // identical to looping the single-workload helpers above, for any thread
-// count (every job rebuilds its own Program and owns its seed).
+// count (every job rebuilds its own Program and owns its seed). Timed runs
+// go through the engine's run memo (driver/RunMemo.h), so identical ones
+// within one call execute once.
 
 /// Borrow raw pointers from an owning suite (makeSpecIntSuite) for the
 /// duration of an engine call.

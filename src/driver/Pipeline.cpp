@@ -8,13 +8,16 @@
 #include "driver/Pipeline.h"
 
 #include "driver/ParallelReplay.h"
+#include "driver/RunMemo.h"
 #include "driver/TraceReplay.h"
+#include "interp/ProgramCache.h"
 #include "ir/Verifier.h"
 #include "obs/SelfProfiler.h"
 #include "obs/Trace.h"
 #include "stream/TraceFile.h"
 
 #include <cassert>
+#include <tuple>
 
 using namespace sprof;
 
@@ -191,16 +194,8 @@ RunStats Pipeline::runBaseline(DataSet DS) const {
     return W.build({DS, Config.WorkloadSeedOffset});
   }();
   assert(isWellFormed(Prog.M) && "workload built a malformed module");
-  Interpreter I(Prog.M, std::move(Prog.Memory), Config.Timing, Config.Interp);
-  MemoryHierarchy MH(Config.Memory);
-  I.attachMemory(&MH);
-  I.attachObs(Obs);
-  labelSelfProfile(Obs, W, "baseline");
-  RunStats Stats;
-  {
-    TraceSpan ES(Obs, "execute", "interp", /*Level=*/1);
-    Stats = I.run();
-  }
+  RunStats Stats =
+      executeTimed(Prog, DS, /*Attribution=*/false, "baseline").first;
   assert(Stats.Completed && "baseline run did not complete");
 
   if (Obs) {
@@ -225,20 +220,9 @@ TimedRunResult Pipeline::runPrefetched(DataSet DS, const EdgeProfile &Edges,
   Result.Prefetches = insertPrefetches(Prog.M, Result.Feedback, Obs);
   assert(isWellFormed(Prog.M) && "prefetch insertion broke the module");
 
-  Interpreter I(Prog.M, std::move(Prog.Memory), Config.Timing, Config.Interp);
-  MemoryHierarchy MH(Config.Memory);
-  if (Config.Memory.EnableAttribution)
-    MH.enableAttribution(Prog.M.NumLoadSites);
-  I.attachMemory(&MH);
-  I.attachObs(Obs);
-  labelSelfProfile(Obs, W, "timed");
-  {
-    TraceSpan ES(Obs, "execute", "interp", /*Level=*/1);
-    Result.Stats = I.run();
-  }
+  std::tie(Result.Stats, Result.Attribution) =
+      executeTimed(Prog, DS, Config.Memory.EnableAttribution, "timed");
   assert(Result.Stats.Completed && "prefetched run did not complete");
-  MH.finalizeAttribution();
-  Result.Attribution = MH.attribution();
 
   if (Obs) {
     Obs->counter("pipeline.timed_runs")->inc();
@@ -263,6 +247,57 @@ TimedRunResult Pipeline::runPrefetched(DataSet DS, const EdgeProfile &Edges,
     Obs->counter("memsys.site_miss.stall_cycles")->inc(Stall);
   }
   return Result;
+}
+
+std::pair<RunStats, AttributionData>
+Pipeline::executeTimed(Program &Prog, DataSet DS, bool Attribution,
+                       const char *Phase) const {
+  ObsSession *Obs = Session;
+  auto Execute = [&](ObsSession *RunObs) {
+    Interpreter I(Prog.M, std::move(Prog.Memory), Config.Timing,
+                  Config.Interp);
+    MemoryHierarchy MH(Config.Memory);
+    if (Attribution)
+      MH.enableAttribution(Prog.M.NumLoadSites);
+    I.attachMemory(&MH);
+    I.attachObs(RunObs);
+    MemoizedRun Run;
+    Run.Stats = I.run();
+    MH.finalizeAttribution();
+    Run.Attribution = MH.attribution();
+    return Run;
+  };
+
+  labelSelfProfile(Obs, W, Phase);
+  TraceSpan ES(Obs, "execute", "interp", /*Level=*/1);
+  // Self-profiler samples belong to the run that took them, so a profiled
+  // session always executes.
+  if (!Memo || (Obs && Obs->selfProfiler())) {
+    MemoizedRun Run = Execute(Obs);
+    return {std::move(Run.Stats), std::move(Run.Attribution)};
+  }
+
+  RunMemoKey Key{.W = &W,
+                 .DS = DS,
+                 .SeedOffset = Config.WorkloadSeedOffset,
+                 .ModuleHash = ProgramCache::hashModule(Prog.M),
+                 .Timing = Config.Timing,
+                 .Memory = Config.Memory,
+                 .Interp = Config.Interp};
+  Key.Memory.EnableAttribution = Attribution;
+  std::shared_ptr<const MemoizedRun> Run = Memo->run(Key, [&] {
+    // Collect the run's metrics apart, so every request can replay them.
+    ObsConfig DeltaConfig;
+    DeltaConfig.Enabled = true;
+    DeltaConfig.CollectTrace = false;
+    ObsSession Delta(DeltaConfig);
+    MemoizedRun R = Execute(&Delta);
+    R.Metrics = Delta.registry();
+    return R;
+  });
+  if (Obs && Obs->config().CollectMetrics)
+    Obs->registry().merge(Run->Metrics);
+  return {Run->Stats, Run->Attribution};
 }
 
 double Pipeline::speedup(DataSet RunDS, const EdgeProfile &Edges,

@@ -33,8 +33,11 @@
 #include "workloads/Workload.h"
 
 #include <memory>
+#include <utility>
 
 namespace sprof {
+
+class RunMemo;
 
 /// Everything configurable about one experiment family.
 struct PipelineConfig {
@@ -120,8 +123,13 @@ public:
   /// Runs against an externally owned telemetry session (nullptr disables
   /// telemetry). Config.Obs is not consulted; the experiment engine uses
   /// this so every job's pipeline phases land in the job's metric scope.
-  Pipeline(const Workload &W, PipelineConfig Config, ObsSession *External)
-      : W(W), Config(std::move(Config)), Session(External) {}
+  /// With \p Memo (the engine's, see driver/RunMemo.h), runBaseline and
+  /// runPrefetched execute through it, so identical timed runs in one
+  /// engine wave execute once; results and telemetry are unchanged. A
+  /// session with the self-profiler attached bypasses the memo.
+  Pipeline(const Workload &W, PipelineConfig Config, ObsSession *External,
+           RunMemo *Memo = nullptr)
+      : W(W), Config(std::move(Config)), Session(External), Memo(Memo) {}
 
   /// Steps 1-2: instrument for \p Method and run on \p DS.
   /// \p WithMemorySystem selects whether the cache hierarchy is simulated;
@@ -172,10 +180,17 @@ public:
   ObsSession *obs() const { return Session; }
 
 private:
+  /// The execute step of a timed run: runs \p Prog, built for \p DS, with
+  /// the cache hierarchy attached, through the memo when there is one.
+  std::pair<RunStats, AttributionData> executeTimed(Program &Prog, DataSet DS,
+                                                    bool Attribution,
+                                                    const char *Phase) const;
+
   const Workload &W;
   PipelineConfig Config;
   std::unique_ptr<ObsSession> Owned;
   ObsSession *Session = nullptr;
+  RunMemo *Memo = nullptr;
 };
 
 } // namespace sprof

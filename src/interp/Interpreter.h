@@ -62,6 +62,8 @@ struct TimingModel {
   uint32_t PredicatedOffCost = 1; ///< predicated-off slots still issue
   /// Latency assumed for loads when no MemoryHierarchy is attached.
   uint32_t FlatLoadLatency = 2;
+
+  bool operator==(const TimingModel &) const = default;
 };
 
 /// Engine selection and future execution-core knobs.
@@ -83,6 +85,8 @@ struct InterpreterConfig {
   /// count *before* the next access is timed, so the engine stays on the
   /// per-event path. 0 behaves as 1.
   uint32_t StrideBatchWindow = 256;
+
+  bool operator==(const InterpreterConfig &) const = default;
 };
 
 /// Outcome and accounting of one program run.

@@ -71,9 +71,8 @@ ProgramCache &ProgramCache::global() {
   return Cache;
 }
 
-std::shared_ptr<const DecodedProgram> ProgramCache::get(const Module &M) {
-  const auto [H1, H2] = hashModule(M);
-  std::lock_guard<std::mutex> Lock(Mu);
+std::shared_ptr<const DecodedProgram>
+ProgramCache::lookupLocked(uint64_t H1, uint64_t H2) {
   ++UseClock;
   for (Node &N : Nodes)
     if (N.H1 == H1 && N.H2 == H2) {
@@ -81,12 +80,32 @@ std::shared_ptr<const DecodedProgram> ProgramCache::get(const Module &M) {
       ++Counts.Hits;
       return N.Program;
     }
+  return nullptr;
+}
+
+std::shared_ptr<const DecodedProgram> ProgramCache::get(const Module &M) {
+  const auto [H1, H2] = hashModule(M);
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    if (std::shared_ptr<const DecodedProgram> Hit = lookupLocked(H1, H2))
+      return Hit;
+  }
+
+  // Decode outside the lock, so one worker's miss never stalls another
+  // worker's lookup.
+  auto Program = std::make_shared<const DecodedProgram>(M);
+
+  std::lock_guard<std::mutex> Lock(Mu);
+  // Another thread may have decoded the same content meanwhile: adopt the
+  // entry inserted first, so every caller shares one program.
+  if (std::shared_ptr<const DecodedProgram> Hit = lookupLocked(H1, H2))
+    return Hit;
   ++Counts.Misses;
   Node N;
   N.H1 = H1;
   N.H2 = H2;
   N.LastUse = UseClock;
-  N.Program = std::make_shared<const DecodedProgram>(M);
+  N.Program = std::move(Program);
   if (Nodes.size() >= MaxEntries) {
     auto Oldest = std::min_element(
         Nodes.begin(), Nodes.end(),

@@ -46,7 +46,10 @@ public:
   explicit ProgramCache(size_t MaxEntries = 64) : MaxEntries(MaxEntries) {}
 
   /// Returns the cached decoded program for a module with \p M's content,
-  /// decoding and inserting on first sight. Thread-safe.
+  /// decoding and inserting on first sight. Thread-safe; decoding runs
+  /// outside the cache lock, and when two threads decode the same content
+  /// at once both get the entry inserted first (Misses counts insertions,
+  /// so the loser counts as a hit).
   std::shared_ptr<const DecodedProgram> get(const Module &M);
 
   /// Content fingerprint of everything the decoder reads from \p M.
@@ -64,6 +67,10 @@ private:
     uint64_t LastUse = 0;
     std::shared_ptr<const DecodedProgram> Program;
   };
+
+  /// The entry for (\p H1, \p H2), refreshed and counted as a hit, or
+  /// nullptr. Requires Mu.
+  std::shared_ptr<const DecodedProgram> lookupLocked(uint64_t H1, uint64_t H2);
 
   mutable std::mutex Mu;
   std::vector<Node> Nodes;

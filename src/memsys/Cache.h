@@ -51,6 +51,8 @@ struct CacheLevelConfig {
   unsigned LineBytes = 64;
   /// Load-to-use latency when hitting in this level.
   uint32_t HitLatency = 2;
+
+  bool operator==(const CacheLevelConfig &) const = default;
 };
 
 /// Whole-hierarchy configuration. Defaults model the paper's Itanium.
@@ -67,6 +69,8 @@ struct MemoryConfig {
   /// Purely additive bookkeeping: neither timing nor MemoryStats changes
   /// whether this is on or off.
   bool EnableAttribution = false;
+
+  bool operator==(const MemoryConfig &) const = default;
 };
 
 /// Load-site sentinel for accesses that carry no attributable site (the

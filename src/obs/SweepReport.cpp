@@ -129,6 +129,11 @@ JsonValue sprof::buildSweepReport(const std::vector<JobRecord> &Jobs,
                 static_cast<uint64_t>(Jobs.size()) - Sched.JobsSkipped);
   SchedJson.set("jobs_failed", Failed - Sched.JobsSkipped);
   SchedJson.set("jobs_skipped", Sched.JobsSkipped);
+  JsonValue Memo = JsonValue::object();
+  Memo.set("hits", Sched.RunMemoHits);
+  Memo.set("misses", Sched.RunMemoMisses);
+  Memo.set("saved_instructions", Sched.RunMemoSavedInstructions);
+  SchedJson.set("run_memo", std::move(Memo));
 
   JsonValue Workers = JsonValue::array();
   for (unsigned W = 0; W != Threads; ++W) {

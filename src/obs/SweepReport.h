@@ -27,6 +27,7 @@
 ///    "scheduler": {"queue_depth_high_water", "wakeup_retries",
 ///                  "jobs_enqueued", "jobs_started", "jobs_finished",
 ///                  "jobs_failed", "jobs_skipped",
+///                  "run_memo": {"hits", "misses", "saved_instructions"},
 ///                  "workers": [{"worker", "jobs", "busy_us",
 ///                               "utilization"}, ...],
 ///                  "stragglers": [{"id", "name", "run_us",
@@ -58,6 +59,10 @@ struct SweepSchedulerStats {
   uint64_t QueueDepthHighWater = 0; ///< max over drains
   uint64_t WakeupRetries = 0;       ///< sum over drains
   uint64_t JobsSkipped = 0;         ///< jobs skipped on a failed dependency
+  /// Timed-run memo accounting (driver/RunMemo.h), summed over drains.
+  uint64_t RunMemoHits = 0;
+  uint64_t RunMemoMisses = 0;
+  uint64_t RunMemoSavedInstructions = 0;
 };
 
 /// The computed critical path: job ids in execution order, and the sum of

@@ -36,6 +36,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace sprof;
@@ -503,6 +504,47 @@ TEST(DecodedEngine, ProgramCacheKeyIsContentNotName) {
   ProgramCache::CacheStats S = Cache.stats();
   EXPECT_EQ(S.Misses, 1u);
   EXPECT_EQ(S.Hits, 1u);
+}
+
+// Concurrent lookups: decoding happens outside the cache lock, and threads
+// racing to decode the same content all end up with the entry inserted
+// first. Misses count insertions, so they equal the distinct contents.
+TEST(ProgramCache, ConcurrentGetsShareTheFirstInsertedEntry) {
+  uint32_t DataSite = 0, NextSite = 0;
+  std::vector<Module> Mods;
+  for (int64_t Imm = 0; Imm != 3; ++Imm) {
+    Mods.push_back(makeChaseModule(DataSite, NextSite));
+    Mods.back().Functions[0].Blocks[1].Insts[0].Imm += Imm;
+  }
+
+  ProgramCache Cache(8);
+  constexpr unsigned Threads = 8, Gets = 40;
+  std::vector<std::vector<const DecodedProgram *>> Seen(
+      Threads, std::vector<const DecodedProgram *>(Mods.size(), nullptr));
+  // char, not bool: workers write neighbouring elements concurrently.
+  std::vector<char> Stable(Threads, 1);
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T != Threads; ++T)
+    Workers.emplace_back([&, T] {
+      for (unsigned I = 0; I != Gets; ++I) {
+        size_t MI = (T + I) % Mods.size();
+        const DecodedProgram *P = Cache.get(Mods[MI]).get();
+        if (Seen[T][MI] && Seen[T][MI] != P)
+          Stable[T] = 0;
+        Seen[T][MI] = P;
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+
+  for (unsigned T = 0; T != Threads; ++T) {
+    EXPECT_TRUE(Stable[T]);
+    EXPECT_EQ(Seen[T], Seen[0]);
+  }
+  ProgramCache::CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Misses, Mods.size());
+  EXPECT_EQ(S.Hits + S.Misses, uint64_t{Threads} * Gets);
+  EXPECT_EQ(S.Evictions, 0u);
 }
 
 // add, sub and mul wrap in 64-bit two's complement (docs/IR.md) in both

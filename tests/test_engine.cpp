@@ -29,6 +29,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 using namespace sprof;
 using namespace sprof::test;
@@ -543,6 +544,237 @@ TEST(ExperimentEngine, SeedOffsetZeroReproducesStandalonePipeline) {
   // A non-zero offset owns a different RNG stream, so its profile is a
   // genuine replica, not a copy.
   EXPECT_NE(profileText(*Replica), profileText(*Canonical));
+}
+
+// The chase re-entered from an outer pass loop, so the check methods'
+// trip guards fire and some methods insert prefetches.
+class PassesChaseWorkload : public Workload {
+public:
+  WorkloadInfo info() const override {
+    return {"test.chase.passes", "c", "re-entered pointer chase"};
+  }
+  Program build(const BuildRequest &Req) const override {
+    Program P;
+    uint32_t DataSite = 0, NextSite = 0;
+    P.M = makePassesChaseModule(4, DataSite, NextSite);
+    uint64_t Count = (Req.DS == DataSet::Train ? 160 : 224) +
+                     (Req.seed(0x9a55) & 15);
+    fillChaseList(P.Memory, Count, 64);
+    return P;
+  }
+};
+
+/// Every counter, gauge and histogram outside the engine.* namespace (the
+/// scheduler's own accounting), one per line.
+std::string registryText(const MetricsRegistry &Reg) {
+  auto Keep = [](const std::string &Name) {
+    return Name.rfind("engine.", 0) != 0;
+  };
+  std::ostringstream OS;
+  for (const auto &[Name, C] : Reg.counters())
+    if (Keep(Name))
+      OS << "counter " << Name << " " << C.value() << "\n";
+  for (const auto &[Name, G] : Reg.gauges())
+    if (Keep(Name))
+      OS << "gauge " << Name << " " << G.value() << "\n";
+  for (const auto &[Name, H] : Reg.histograms()) {
+    if (!Keep(Name))
+      continue;
+    OS << "histogram " << Name << " " << H.count() << " " << H.sum() << " "
+       << H.min() << " " << H.max();
+    for (uint64_t B : H.bucketCounts())
+      OS << " " << B;
+    OS << "\n";
+  }
+  return OS.str();
+}
+
+std::string measurementsText(const std::vector<BenchMeasurement> &BMs) {
+  std::string Text;
+  for (const BenchMeasurement &BM : BMs)
+    Text += benchMeasurementToJson(BM).str(0) + "\n";
+  return Text;
+}
+
+/// measureSuite's calls, in its job order, through one memo-free Pipeline
+/// per workload reporting into \p Obs.
+std::vector<BenchMeasurement>
+measureWithoutMemo(const std::vector<const Workload *> &Workloads,
+                   const std::vector<ProfilingMethod> &Methods,
+                   ObsSession *Obs) {
+  std::vector<BenchMeasurement> Results;
+  for (const Workload *W : Workloads) {
+    Pipeline P(*W, {}, Obs);
+    BenchMeasurement BM;
+    BM.Name = W->info().Name;
+    BM.BaselineRefCycles = P.runBaseline(DataSet::Ref).Cycles;
+    BM.EdgeOnlyTrainCycles =
+        P.runProfile(ProfilingMethod::EdgeOnly, DataSet::Train).Stats.Cycles;
+    for (ProfilingMethod M : Methods) {
+      MethodMeasurement &MM = BM.Methods[M];
+      ProfileRunResult PR = P.runProfile(M, DataSet::Train);
+      MM.ProfiledCycles = PR.Stats.Cycles;
+      MM.StrideInvocations = PR.StrideInvocations;
+      MM.StrideProcessed = PR.StrideProcessed;
+      MM.LfuCalls = PR.LfuCalls;
+      MM.TrainLoadRefs = PR.Stats.LoadRefs;
+      TimedRunResult TR = P.runPrefetched(DataSet::Ref, PR.Edges, PR.Strides);
+      MM.Prefetches = TR.Prefetches;
+      MM.PrefetchedRefCycles = TR.Stats.Cycles;
+      MM.RefMemory = TR.Stats.Mem;
+      MM.Speedup = static_cast<double>(BM.BaselineRefCycles) /
+                   static_cast<double>(MM.PrefetchedRefCycles);
+    }
+    Results.push_back(std::move(BM));
+  }
+  return Results;
+}
+
+// The memo's contract: a memoized suite produces the results and the
+// telemetry of the same calls made without it. Hits replay the first
+// run's interp.* metric delta into their own job scope.
+TEST(RunMemo, SuiteMatchesMemoFreePipelines) {
+  ChaseWorkload Chase;
+  PassesChaseWorkload Passes;
+  const std::vector<const Workload *> WL = {&Chase, &Passes};
+  const std::vector<ProfilingMethod> Methods = paperStrideMethods();
+
+  EngineOptions Opts;
+  Opts.Threads = 4;
+  Opts.Obs.Enabled = true;
+  ExperimentEngine Engine(Opts);
+  std::vector<BenchMeasurement> Memoized =
+      measureSuite(Engine, WL, {}, Methods);
+
+  ObsConfig RefConfig;
+  RefConfig.Enabled = true;
+  ObsSession Ref(RefConfig);
+  std::vector<BenchMeasurement> Plain = measureWithoutMemo(WL, Methods, &Ref);
+
+  EXPECT_EQ(measurementsText(Memoized), measurementsText(Plain));
+  EXPECT_EQ(registryText(Engine.obs()->registry()),
+            registryText(Ref.registry()));
+
+  // The suite did repeat runs, and the memo caught them: per workload one
+  // baseline plus one prefetched run per method.
+  const SweepSchedulerStats &S = Engine.schedStats();
+  EXPECT_EQ(S.RunMemoHits + S.RunMemoMisses, WL.size() * (1 + Methods.size()));
+  EXPECT_GT(S.RunMemoHits, 0u);
+  EXPECT_GT(S.RunMemoSavedInstructions, 0u);
+  const MetricsRegistry &Reg = Engine.obs()->registry();
+  EXPECT_EQ(Reg.counters().at("engine.run_memo.hits").value(), S.RunMemoHits);
+  EXPECT_EQ(Reg.counters().at("engine.run_memo.misses").value(),
+            S.RunMemoMisses);
+  EXPECT_EQ(Reg.counters().at("engine.run_memo.saved_instructions").value(),
+            S.RunMemoSavedInstructions);
+}
+
+// Requests for a key still executing wait for it, so misses equal the
+// distinct keys whatever the thread count.
+TEST(RunMemo, CountsIdenticalAcrossThreadCounts) {
+  ChaseWorkload Chase;
+  PassesChaseWorkload Passes;
+  auto Counts = [&](unsigned Threads) {
+    ExperimentEngine Engine(withThreads(Threads));
+    measureSuite(Engine, {&Chase, &Passes});
+    measureSuiteSensitivity(Engine, {&Chase, &Passes});
+    const SweepSchedulerStats &S = Engine.schedStats();
+    return std::make_tuple(S.RunMemoHits, S.RunMemoMisses,
+                           S.RunMemoSavedInstructions);
+  };
+  auto Serial = Counts(1);
+  EXPECT_GT(std::get<0>(Serial), 0u);
+  EXPECT_EQ(Counts(4), Serial);
+}
+
+// Many requests for one key from concurrent threads execute it once.
+TEST(RunMemo, ConcurrentRequestsExecuteOnce) {
+  RunMemo Memo;
+  RunMemoKey Key;
+  std::atomic<int> Executions{0};
+  constexpr unsigned Threads = 8;
+  std::vector<std::thread> Workers;
+  std::vector<uint64_t> Seen(Threads, 0);
+  for (unsigned T = 0; T != Threads; ++T)
+    Workers.emplace_back([&, T] {
+      Seen[T] = Memo.run(Key, [&] {
+                      ++Executions;
+                      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                      MemoizedRun R;
+                      R.Stats.Instructions = 42;
+                      return R;
+                    })
+                    ->Stats.Instructions;
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(Executions.load(), 1);
+  EXPECT_EQ(Seen, std::vector<uint64_t>(Threads, 42));
+  RunMemo::Counts C = Memo.counts();
+  EXPECT_EQ(C.Misses, 1u);
+  EXPECT_EQ(C.Hits, Threads - 1);
+  EXPECT_EQ(C.SavedInstructions, 42u * (Threads - 1));
+  Memo.clear();
+  EXPECT_EQ(Memo.counts().Misses, 0u);
+}
+
+// The key holds everything a timed run reads: a Reference-engine run never
+// shares an entry with a Decoded one, and neither do runs under two memory
+// configurations.
+TEST(RunMemo, KeySeparatesEnginesAndMemoryConfigs) {
+  ChaseWorkload W;
+  PipelineConfig Decoded;
+  PipelineConfig Reference;
+  Reference.Interp.Exec = InterpreterConfig::Engine::Reference;
+  PipelineConfig SlowMemory;
+  SlowMemory.Memory.MemoryLatency *= 2;
+  const PipelineConfig *Configs[] = {&Decoded, &Reference, &SlowMemory};
+
+  ExperimentEngine Engine(withThreads(4));
+  uint64_t Cycles[3][2] = {};
+  for (unsigned CI = 0; CI != 3; ++CI)
+    for (unsigned Rep = 0; Rep != 2; ++Rep) {
+      uint64_t *Out = &Cycles[CI][Rep];
+      const PipelineConfig *C = Configs[CI];
+      RunMemo *Memo = Engine.runMemo();
+      Engine.addJob("baseline", "baseline-job",
+                    [&W, C, Out, Memo](ObsSession *JobObs) {
+                      *Out = Pipeline(W, *C, JobObs, Memo)
+                                 .runBaseline(DataSet::Ref)
+                                 .Cycles;
+                    });
+    }
+  Engine.run();
+
+  EXPECT_EQ(Engine.schedStats().RunMemoMisses, 3u);
+  EXPECT_EQ(Engine.schedStats().RunMemoHits, 3u);
+  for (unsigned CI = 0; CI != 3; ++CI)
+    EXPECT_EQ(Cycles[CI][0], Cycles[CI][1]);
+  // Both engines account identically, yet each executed its own run.
+  EXPECT_EQ(Cycles[1][0], Cycles[0][0]);
+  EXPECT_GT(Cycles[2][0], Cycles[0][0]);
+
+  // The memo is per wave: the next wave starts empty.
+  Engine.addJob("baseline", "baseline-job",
+                [&W, &Engine](ObsSession *JobObs) {
+                  Pipeline(W, {}, JobObs, Engine.runMemo())
+                      .runBaseline(DataSet::Ref);
+                });
+  Engine.run();
+  EXPECT_EQ(Engine.schedStats().RunMemoMisses, 4u);
+}
+
+// Self-profiler samples belong to the run that took them, so a profiled
+// session always executes.
+TEST(RunMemo, SelfProfiledSessionBypassesTheMemo) {
+  ChaseWorkload W;
+  EngineOptions Opts;
+  Opts.Obs.Enabled = true;
+  Opts.Obs.SelfProfile = true;
+  ExperimentEngine Engine(Opts);
+  measureSuite(Engine, {&W}, {}, {ProfilingMethod::EdgeCheck});
+  EXPECT_EQ(Engine.schedStats().RunMemoHits, 0u);
+  EXPECT_EQ(Engine.schedStats().RunMemoMisses, 0u);
 }
 
 } // namespace

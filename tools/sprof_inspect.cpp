@@ -782,7 +782,13 @@ int runSweepReport(const std::string &Path, size_t TopN) {
               << ", wakeup retries " << uintAt(Sched, "wakeup_retries")
               << ", " << uintAt(Sched, "jobs_finished") << " finished / "
               << uintAt(Sched, "jobs_failed") << " failed / "
-              << uintAt(Sched, "jobs_skipped") << " skipped\n\n";
+              << uintAt(Sched, "jobs_skipped") << " skipped\n";
+    if (const JsonValue *Memo = Sched->get("run_memo"))
+      std::cout << "run memo: " << uintAt(Memo, "hits") << " hits / "
+                << uintAt(Memo, "misses") << " misses, "
+                << uintAt(Memo, "saved_instructions")
+                << " instructions not re-executed\n";
+    std::cout << "\n";
     const JsonValue *Workers = Sched->get("workers");
     if (Workers && Workers->isArray() && Workers->size() != 0) {
       Table W("Worker utilization");
