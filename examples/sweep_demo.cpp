@@ -256,10 +256,12 @@ int main(int Argc, char **Argv) {
               Wall ? Wall->asUInt() / 1000.0 : 0.0,
               Crit->get("duration_us")->asUInt() / 1000.0,
               Crit->get("jobs")->size());
-  std::printf("sweep_demo: run memo %llu hits, %llu misses\n",
+  std::printf("sweep_demo: run memo %llu hits, %llu misses, %llu parks\n",
               static_cast<unsigned long long>(MemoJson->get("hits")->asUInt()),
               static_cast<unsigned long long>(
-                  MemoJson->get("misses")->asUInt()));
+                  MemoJson->get("misses")->asUInt()),
+              static_cast<unsigned long long>(
+                  MemoJson->get("parks")->asUInt()));
   std::printf("sweep_demo: report=%s trace=%s%s\n", O.ReportPath.c_str(),
               O.TracePath.c_str(),
               O.DumpFlight ? (" flight=" + O.FlightPath).c_str() : "");

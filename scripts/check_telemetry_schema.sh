@@ -16,7 +16,8 @@
 # also validates the "sprof.sweep_report/1" document (per-job queue-wait
 # vs run split, dependency edges referencing earlier ids, the critical
 # path's sum-of-durations <= wall invariant, and the scheduler section
-# with per-worker utilization), the Chrome trace's flow-event pairing
+# with per-worker utilization and the run-memo counts, whose parks must
+# be 0 when the same sweep runs serially), the Chrome trace's flow-event pairing
 # (every "s" has an "f" with the same id on the "job-dep" category), the
 # "sprof.flightrec/1" dump format, the sprof-inspect sweep/blackbox
 # renderers, and that a newer-versioned sweep report is rejected with a
@@ -564,12 +565,19 @@ if [ -n "$SWEEP_DEMO" ]; then
     "$SWEEP_DEMO" --threads=2 --report="$SWEEP_REPORT" \
         --trace="$SWEEP_TRACE" --flight="$SWEEP_FLIGHT" --dump-flight \
         > /dev/null
+    # The same graph serially: no two jobs overlap, so none may park.
+    SWEEP_SERIAL="$WORKDIR/sweep_report_serial.json"
+    "$SWEEP_DEMO" --threads=1 --report="$SWEEP_SERIAL" \
+        --trace="$WORKDIR/sweep_trace_serial.json" \
+        --flight="$WORKDIR/sweep_flight_serial.json" > /dev/null
 
-    python3 - "$SWEEP_REPORT" "$SWEEP_TRACE" "$SWEEP_FLIGHT" <<'EOF'
+    python3 - "$SWEEP_REPORT" "$SWEEP_TRACE" "$SWEEP_FLIGHT" \
+        "$SWEEP_SERIAL" <<'EOF'
 import json
 import sys
 
 report_path, trace_path, flight_path = sys.argv[1], sys.argv[2], sys.argv[3]
+serial_path = sys.argv[4]
 failures = []
 
 
@@ -634,7 +642,7 @@ check(sched.get("jobs_enqueued") == len(jobs),
 # exactly one request executes and two replay it, each replay saving the
 # executed run's instructions.
 memo = sched.get("run_memo", {})
-for key in ("hits", "misses", "saved_instructions"):
+for key in ("hits", "misses", "saved_instructions", "parks"):
     check(isinstance(memo.get(key), int) and memo.get(key) >= 0,
           f"scheduler.run_memo.{key} missing or not a count")
 check(memo.get("misses") == 1 and memo.get("hits") == 2,
@@ -643,6 +651,15 @@ check(memo.get("misses") == 1 and memo.get("hits") == 2,
 check(memo.get("saved_instructions", 0) > 0 and
       memo.get("saved_instructions", 0) % 2 == 0,
       "run_memo.saved_instructions is not two replays of one run")
+# Parks depend on the schedule; the serial sweep has none, and its other
+# memo counts equal the threaded sweep's.
+with open(serial_path) as f:
+    serial_memo = json.load(f).get("scheduler", {}).get("run_memo", {})
+check(serial_memo.get("parks") == 0,
+      f"serial sweep parked {serial_memo.get('parks')!r} times, want 0")
+for key in ("hits", "misses", "saved_instructions"):
+    check(serial_memo.get(key) == memo.get(key),
+          f"run_memo.{key} differs between --threads=1 and --threads=2")
 workers = sched.get("workers", [])
 check(len(workers) == report.get("threads"),
       "scheduler.workers length != threads")

@@ -80,6 +80,15 @@ JobId ExperimentEngine::addJob(std::string Name, std::string Category,
             Scope && Shards ? &Shards->shard(Worker) : nullptr;
         try {
           Fn(Scope);
+        } catch (const JobPending &) {
+          // Parked: the re-run starts over in a fresh scope, so this
+          // attempt's telemetry is dropped, never merged.
+          JobObs[Index].reset();
+          if (FR) {
+            FR->jobParked(Worker, FRName.c_str());
+            FlightRecorder::unbindThread();
+          }
+          throw;
         } catch (...) {
           if (Shard)
             Shard->merge(Scope->registry());
@@ -131,6 +140,8 @@ void ExperimentEngine::run() {
   SchedStats.RunMemoHits += MemoCounts.Hits;
   SchedStats.RunMemoMisses += MemoCounts.Misses;
   SchedStats.RunMemoSavedInstructions += MemoCounts.SavedInstructions;
+  // Only memo requests park engine jobs.
+  SchedStats.RunMemoParks += GS.Parks;
 
   // Fold per-job telemetry in JobId order so the session registry, the
   // trace, and the "jobs" array never depend on completion order.
@@ -198,8 +209,8 @@ void ExperimentEngine::run() {
 
     // Scheduler telemetry, recorded once per drain after the fold so the
     // values are identical whether the drain ran serial or threaded —
-    // except the timing histograms and retry counter, which are
-    // inherently wall-clock/schedule dependent (tests comparing
+    // except the timing histograms and the retry and park counters, which
+    // are inherently wall-clock/schedule dependent (tests comparing
     // serial-vs-N-thread snapshots filter the engine.* namespace).
     if (Session->config().CollectMetrics) {
       MetricsRegistry &Reg = Session->registry();
@@ -212,6 +223,7 @@ void ExperimentEngine::run() {
       Reg.counter("engine.run_memo.misses").inc(MemoCounts.Misses);
       Reg.counter("engine.run_memo.saved_instructions")
           .inc(MemoCounts.SavedInstructions);
+      Reg.counter("engine.run_memo.parks").inc(GS.Parks);
       Reg.counter("engine.sched.wakeup_retries").inc(GS.DequeueRetries);
       Reg.gauge("engine.sched.queue_depth_high_water")
           .set(static_cast<double>(SchedStats.QueueDepthHighWater));

@@ -7,6 +7,7 @@
 
 #include "driver/JobGraph.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
@@ -14,6 +15,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 using namespace sprof;
 
@@ -46,9 +48,20 @@ struct RunState {
   size_t Remaining = 0;         ///< jobs not yet finished or skipped
   uint64_t QueueHighWater = 0;  ///< most jobs ever runnable at once
   uint64_t DequeueRetries = 0;  ///< worker wakeups that found no job
+  uint64_t Parks = 0;           ///< attempts that threw JobPending
 
   static constexpr JobId NoDep = static_cast<JobId>(-1);
+
+  /// Appends a runnable job; called with Mu held.
+  void enqueue(JobId Id) {
+    Queue.push_back(Id);
+    QueueHighWater = std::max<uint64_t>(QueueHighWater, Queue.size());
+  }
 };
+
+/// The onPark() actions of the attempt running on this thread, or null
+/// outside a job.
+thread_local std::vector<std::function<void()>> *AttemptUndo = nullptr;
 
 uint64_t steadyNowUs() {
   return static_cast<uint64_t>(
@@ -58,6 +71,11 @@ uint64_t steadyNowUs() {
 }
 
 } // namespace
+
+void JobGraph::onPark(std::function<void()> Undo) {
+  if (AttemptUndo)
+    AttemptUndo->push_back(std::move(Undo));
+}
 
 std::vector<JobOutcome> JobGraph::run(unsigned Threads) {
   assert(!Executed && "graph already ran");
@@ -76,9 +94,8 @@ std::vector<JobOutcome> JobGraph::run(unsigned Threads) {
   for (JobId Id = 0; Id != Nodes.size(); ++Id) {
     S.Indegree[Id] = static_cast<unsigned>(Nodes[Id].Deps.size());
     if (S.Indegree[Id] == 0)
-      S.Queue.push_back(Id); // ready at run() entry: ReadyUs stays 0
+      S.enqueue(Id); // ready at run() entry: ReadyUs stays 0
   }
-  S.QueueHighWater = S.Queue.size();
 
   // Called with S.Mu held after a job finished (or was skipped): release
   // the job's dependents, propagating the failure when it failed.
@@ -89,21 +106,31 @@ std::vector<JobOutcome> JobGraph::run(unsigned Threads) {
         S.FailedDep[Dep] = Id;
       if (--S.Indegree[Dep] == 0) {
         Outcomes[Dep].ReadyUs = steadyNowUs() - EpochUs;
-        S.Queue.push_back(Dep);
-        S.QueueHighWater = std::max<uint64_t>(S.QueueHighWater,
-                                              S.Queue.size());
+        S.enqueue(Dep);
       }
     }
   };
 
+  // Runs one attempt of a job; returns the subscribe hook when it parked.
   auto execute = [&](JobId Id, uint32_t Worker) {
     JobOutcome &O = Outcomes[Id];
-    O.Worker = Worker;
-    O.StartUs = steadyNowUs() - EpochUs;
+    const uint64_t AttemptUs = steadyNowUs() - EpochUs;
+    if (!O.Ran)
+      O.StartUs = AttemptUs;
     O.Ran = true;
+    O.Worker = Worker;
+    std::function<void(JobPending::WakeFn)> Subscribe;
+    std::vector<std::function<void()>> Undo;
+    std::vector<std::function<void()>> *Outer =
+        std::exchange(AttemptUndo, &Undo);
     try {
       Nodes[Id].Work(Worker);
       O.Ok = true;
+    } catch (JobPending &P) {
+      assert(P.Subscribe && "JobPending without a subscribe hook");
+      for (auto It = Undo.rbegin(); It != Undo.rend(); ++It)
+        (*It)();
+      Subscribe = std::move(P.Subscribe);
     } catch (const std::exception &E) {
       O.Ok = false;
       O.Error = E.what();
@@ -113,7 +140,9 @@ std::vector<JobOutcome> JobGraph::run(unsigned Threads) {
       O.Error = "unknown exception";
       O.Exception = std::current_exception();
     }
-    O.DurationUs = steadyNowUs() - EpochUs - O.StartUs;
+    AttemptUndo = Outer;
+    O.DurationUs += steadyNowUs() - EpochUs - AttemptUs;
+    return Subscribe;
   };
 
   auto skip = [&](JobId Id) {
@@ -125,27 +154,12 @@ std::vector<JobOutcome> JobGraph::run(unsigned Threads) {
               "' failed";
   };
 
-  if (Threads == 1 || Nodes.size() <= 1) {
-    // Inline execution in deterministic topological order.
-    while (!S.Queue.empty()) {
-      JobId Id = S.Queue.front();
-      S.Queue.pop_front();
-      if (S.FailedDep[Id] != RunState::NoDep)
-        skip(Id);
-      else
-        execute(Id, /*Worker=*/0);
-      finish(Id, /*Failed=*/!Outcomes[Id].Ok);
-    }
-    assert(S.Remaining == 0 && "cycle in job graph");
-    Sched.QueueDepthHighWater = S.QueueHighWater;
-    Sched.DequeueRetries = 0;
-    return Outcomes;
-  }
-
   auto worker = [&](uint32_t Worker) {
     std::unique_lock<std::mutex> Lock(S.Mu);
     while (true) {
       if (S.Queue.empty()) {
+        // A parked job keeps Remaining above zero, so workers stay until
+        // its wake requeues it.
         if (S.Remaining == 0)
           return; // all done
         S.Ready.wait(Lock);
@@ -164,21 +178,39 @@ std::vector<JobOutcome> JobGraph::run(unsigned Threads) {
         continue;
       }
       Lock.unlock();
-      execute(Id, Worker);
+      if (auto Subscribe = execute(Id, Worker)) {
+        // The wake puts the job back at the tail of the ready queue. It
+        // may run on any thread, or right here when the event has already
+        // happened, so subscribe off the lock.
+        Subscribe([&S, Id] {
+          std::lock_guard<std::mutex> Lock(S.Mu);
+          S.enqueue(Id);
+          S.Ready.notify_all();
+        });
+        Lock.lock();
+        ++S.Parks;
+        continue;
+      }
       Lock.lock();
       finish(Id, /*Failed=*/!Outcomes[Id].Ok);
       S.Ready.notify_all();
     }
   };
 
-  std::vector<std::thread> Pool;
-  Pool.reserve(Threads);
-  for (uint32_t WI = 0; WI != Threads; ++WI)
-    Pool.emplace_back(worker, WI);
-  for (std::thread &T : Pool)
-    T.join();
+  if (Threads == 1 || Nodes.size() <= 1) {
+    // Inline execution in deterministic topological order.
+    worker(/*Worker=*/0);
+  } else {
+    std::vector<std::thread> Pool;
+    Pool.reserve(Threads);
+    for (uint32_t WI = 0; WI != Threads; ++WI)
+      Pool.emplace_back(worker, WI);
+    for (std::thread &T : Pool)
+      T.join();
+  }
   assert(S.Remaining == 0 && "cycle in job graph");
   Sched.QueueDepthHighWater = S.QueueHighWater;
   Sched.DequeueRetries = S.DequeueRetries;
+  Sched.Parks = S.Parks;
   return Outcomes;
 }

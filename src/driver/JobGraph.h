@@ -24,6 +24,18 @@
 /// (std::exception_ptr), its transitive dependents are skipped, and every
 /// other job still runs. The caller inspects the outcome vector.
 ///
+/// Park and wake: a job that cannot go on until another job publishes
+/// something (the run memo's in-flight timed run, driver/RunMemo.h) throws
+/// JobPending instead of blocking its worker. The attempt is abandoned:
+/// the worker takes the next ready job, and the parked job is neither
+/// queued nor finished, so its dependents stay blocked. When the awaited
+/// event happens the job goes back to the tail of the ready queue and
+/// re-runs from the start. Actions registered with onPark() during the
+/// abandoned attempt run first, so side effects that must count once per
+/// job can be withdrawn. A JobOutcome covers all attempts: StartUs is the
+/// first attempt's start and DurationUs sums the time each attempt held a
+/// worker, so parked time is neither run time nor queue wait.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPROF_DRIVER_JOBGRAPH_H
@@ -53,9 +65,9 @@ struct JobOutcome {
   /// StartUs - ReadyUs is the time the job spent waiting for a worker, so
   /// queue wait and run time are separable in sweep traces.
   uint64_t ReadyUs = 0;
-  uint64_t StartUs = 0;
-  uint64_t DurationUs = 0;
-  uint32_t Worker = 0; ///< worker lane that ran the job
+  uint64_t StartUs = 0;    ///< start of the first attempt
+  uint64_t DurationUs = 0; ///< worker time summed over every attempt
+  uint32_t Worker = 0;     ///< worker lane that ran the last attempt
 };
 
 /// Scheduler-side accounting of one JobGraph::run(). Pure observability:
@@ -70,6 +82,20 @@ struct JobSchedStats {
   /// take (the retry path of the dequeue loop: spurious wakeups plus
   /// notify_all races lost to a faster worker). Always 0 serial.
   uint64_t DequeueRetries = 0;
+  /// Attempts that threw JobPending and were requeued on wake. Depends on
+  /// the schedule; 0 when no two jobs overlap (Threads == 1).
+  uint64_t Parks = 0;
+};
+
+/// Thrown by a job that cannot go on until an event elsewhere happens. Not
+/// a std::exception: it parks the job, it does not fail it (see the file
+/// comment).
+struct JobPending {
+  using WakeFn = std::function<void()>;
+  /// Called once by the scheduler, off its lock, with the job's wake
+  /// callback. Must see that Wake runs exactly once: at once when the
+  /// event has already happened, else on whatever thread makes it happen.
+  std::function<void(WakeFn Wake)> Subscribe;
 };
 
 /// A DAG of jobs. Build with add() (dependencies must already be in the
@@ -78,7 +104,8 @@ struct JobSchedStats {
 class JobGraph {
 public:
   /// The work closure; \p Worker is the executing worker's index
-  /// (0..Threads-1), stable for the duration of the job.
+  /// (0..Threads-1), stable for the duration of one attempt (a re-run
+  /// after a park may land on another worker).
   using WorkFn = std::function<void(uint32_t Worker)>;
 
   /// Adds a job depending on \p Deps (each must be a previously returned
@@ -98,6 +125,11 @@ public:
 
   /// Scheduler accounting of the most recent run().
   const JobSchedStats &schedStats() const { return Sched; }
+
+  /// Registers \p Undo to run if the calling job's current attempt parks,
+  /// before the job is requeued; dropped when the attempt ends any other
+  /// way. Actions run newest first. A no-op outside a JobGraph job.
+  static void onPark(std::function<void()> Undo);
 
 private:
   struct Node {

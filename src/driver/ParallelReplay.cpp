@@ -14,6 +14,10 @@
 #include <cassert>
 #include <memory>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 namespace sprof {
 
 namespace {
@@ -309,6 +313,13 @@ TraceReplayResult replayTraceFileParallel(const std::string &Path,
   TraceReplayResult R = replayStream(Src, O, Path, &Reader->edgeSection(),
                                      &Reader->provenance());
   R.Events = Total;
+#ifdef __GLIBC__
+  // The shard buckets and profilers are freed by several threads. glibc
+  // raises its mmap threshold on such frees and then keeps freed heap
+  // resident, so without a trim the RSS that repeated replays leave behind
+  // depends on thread timing.
+  malloc_trim(0);
+#endif
   return R;
 }
 

@@ -12,48 +12,87 @@ using namespace sprof;
 std::shared_ptr<const MemoizedRun>
 RunMemo::run(const RunMemoKey &K,
              const std::function<MemoizedRun()> &Execute) {
-  std::promise<std::shared_ptr<const MemoizedRun>> Promise;
-  Future Result;
+  size_t Index = 0;
+  std::shared_ptr<const MemoizedRun> Run;
+  std::exception_ptr Error;
+  bool Hit = false;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    for (const Entry &E : Entries)
-      if (E.Key == K) {
-        Result = E.Result;
-        break;
-      }
-    if (!Result.valid()) {
-      ++Stats.Misses;
-      Entries.push_back({K, Promise.get_future().share()});
+    while (Index != Entries.size() && !(Entries[Index].Key == K))
+      ++Index;
+    if (Index == Entries.size()) {
+      Entries.emplace_back().Key = K;
+    } else if (!Entries[Index].Done) {
+      // Executing on another worker: park this job until it publishes.
+      throw JobPending{[this, Index](JobPending::WakeFn Wake) {
+        subscribe(Index, std::move(Wake));
+      }};
+    } else {
+      Hit = true;
+      Run = Entries[Index].Value;
+      Error = Entries[Index].Error;
+    }
+    ++Entries[Index].Requests;
+  }
+  JobGraph::onPark([this, Index] {
+    std::lock_guard<std::mutex> Lock(Mu);
+    --Entries[Index].Requests;
+  });
+
+  if (!Hit) {
+    try {
+      Run = std::make_shared<const MemoizedRun>(Execute());
+    } catch (...) {
+      Error = std::current_exception();
+    }
+    publish(Index, Run, Error);
+  }
+  if (Error)
+    std::rethrow_exception(Error);
+  return Run;
+}
+
+void RunMemo::subscribe(size_t Index, JobPending::WakeFn Wake) {
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    if (!Entries[Index].Done) {
+      Entries[Index].Waiters.push_back(std::move(Wake));
+      return;
     }
   }
+  Wake(); // published between the throw and this call
+}
 
-  if (Result.valid()) {
-    // A hit: wait for the first request (on another worker, or already
-    // done). That request is running, so the wait cannot deadlock.
-    std::shared_ptr<const MemoizedRun> Run = Result.get();
+void RunMemo::publish(size_t Index, std::shared_ptr<const MemoizedRun> Value,
+                      std::exception_ptr Error) {
+  std::vector<JobPending::WakeFn> Waiters;
+  {
     std::lock_guard<std::mutex> Lock(Mu);
-    ++Stats.Hits;
-    Stats.SavedInstructions += Run->Stats.Instructions;
-    return Run;
+    Entry &E = Entries[Index];
+    E.Value = std::move(Value);
+    E.Error = std::move(Error);
+    E.Done = true;
+    Waiters.swap(E.Waiters);
   }
-
-  try {
-    auto Run = std::make_shared<const MemoizedRun>(Execute());
-    Promise.set_value(Run);
-    return Run;
-  } catch (...) {
-    Promise.set_exception(std::current_exception());
-    throw;
-  }
+  for (JobPending::WakeFn &Wake : Waiters)
+    Wake();
 }
 
 RunMemo::Counts RunMemo::counts() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return Stats;
+  Counts C;
+  C.Misses = Entries.size();
+  for (const Entry &E : Entries) {
+    // A failed run replays its exception, not a run, to later requests.
+    if (!E.Value || E.Requests == 0)
+      continue;
+    C.Hits += E.Requests - 1;
+    C.SavedInstructions += (E.Requests - 1) * E.Value->Stats.Instructions;
+  }
+  return C;
 }
 
 void RunMemo::clear() {
   std::lock_guard<std::mutex> Lock(Mu);
   Entries.clear();
-  Stats = Counts();
 }

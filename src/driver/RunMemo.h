@@ -21,23 +21,30 @@
 ///
 /// The value is the run's RunStats, its AttributionData and its interp.*
 /// metric delta; every caller folds the delta into its own telemetry scope,
-/// so results and telemetry equal those of a memo-free run. A request for
-/// a key that is still executing waits on the first request's shared
-/// future, so the number of executions equals the number of distinct keys
-/// whatever the thread count.
+/// so results and telemetry equal those of a memo-free run.
+///
+/// No request ever waits. One for a key that is still executing throws
+/// JobPending (driver/JobGraph.h): its job parks, the worker runs other
+/// ready jobs, and the executing request wakes the job once it has
+/// published a value or an exception. The job re-runs from the start and
+/// its request finds the finished entry. So the number of executions
+/// equals the number of distinct keys, and the counts (taken over the
+/// requests of job attempts that did not park) are the same at any thread
+/// count.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPROF_DRIVER_RUNMEMO_H
 #define SPROF_DRIVER_RUNMEMO_H
 
+#include "driver/JobGraph.h"
 #include "interp/Interpreter.h"
 #include "memsys/Cache.h"
 #include "obs/Metrics.h"
 #include "workloads/Workload.h"
 
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -71,35 +78,45 @@ struct MemoizedRun {
 class RunMemo {
 public:
   struct Counts {
-    uint64_t Hits = 0;
-    uint64_t Misses = 0;
+    uint64_t Hits = 0;   ///< requests that replayed a finished run
+    uint64_t Misses = 0; ///< executions, one per distinct key
     /// Simulated instructions the hits did not execute.
     uint64_t SavedInstructions = 0;
   };
 
   /// Returns the run for \p K, calling \p Execute on the first request for
-  /// it. Later requests, including ones made while \p Execute is still
-  /// running on another thread, get the same result. An exception from
-  /// \p Execute propagates to every request for the key.
+  /// it; later requests get the same result. A request made while
+  /// \p Execute is still running on another worker throws JobPending, so
+  /// call this from a JobGraph job. An exception from \p Execute
+  /// propagates to every request for the key.
   std::shared_ptr<const MemoizedRun>
   run(const RunMemoKey &K, const std::function<MemoizedRun()> &Execute);
 
   Counts counts() const;
 
-  /// Drops every entry and zeroes the counts. Callers must have drained
-  /// every request first.
+  /// Drops every entry. Callers must have drained every request first.
   void clear();
 
 private:
-  using Future = std::shared_future<std::shared_ptr<const MemoizedRun>>;
   struct Entry {
     RunMemoKey Key;
-    Future Result;
+    bool Done = false; ///< Value or Error is published
+    std::shared_ptr<const MemoizedRun> Value;
+    std::exception_ptr Error;
+    /// Wake callbacks of the jobs parked on this entry.
+    std::vector<JobPending::WakeFn> Waiters;
+    /// Requests from job attempts that did not park; a parked attempt
+    /// withdraws its own, as its re-run makes them again.
+    uint64_t Requests = 0;
   };
 
+  void subscribe(size_t Index, JobPending::WakeFn Wake);
+  void publish(size_t Index, std::shared_ptr<const MemoizedRun> Value,
+               std::exception_ptr Error);
+
   mutable std::mutex Mu;
+  /// Addressed by index, which stays valid until clear().
   std::vector<Entry> Entries;
-  Counts Stats;
 };
 
 } // namespace sprof

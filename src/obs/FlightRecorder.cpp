@@ -58,6 +58,22 @@ void copyStr(char *Dst, size_t Cap, const char *Src) {
   Dst[N] = '\0';
 }
 
+/// copyStr into a seqlock-guarded buffer.
+void storeStr(std::atomic<char> *Dst, size_t Cap, const char *Src) {
+  size_t N = 0;
+  if (Src)
+    for (; Src[N] && N + 1 < Cap; ++N)
+      Dst[N].store(Src[N], std::memory_order_relaxed);
+  Dst[N].store('\0', std::memory_order_relaxed);
+}
+
+/// Snapshot of a seqlock-guarded buffer, always NUL-terminated.
+void loadStr(char *Dst, const std::atomic<char> *Src, size_t Cap) {
+  for (size_t N = 0; N != Cap; ++N)
+    Dst[N] = Src[N].load(std::memory_order_relaxed);
+  Dst[Cap - 1] = '\0';
+}
+
 /// Buffered fd writer; every call is async-signal-safe (write(2) only).
 struct FdWriter {
   int Fd;
@@ -189,8 +205,9 @@ void FlightRecorder::jobStart(uint32_t Worker, const char *Name,
   // CurrentJob gets the same odd/even guard as a ring slot so the dump
   // never reads a half-copied name.
   uint64_t Seq = L.JobSeq.load(std::memory_order_relaxed);
-  L.JobSeq.store(Seq + 1, std::memory_order_release);
-  copyStr(L.CurrentJob, NameCap, Name);
+  L.JobSeq.store(Seq + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  storeStr(L.CurrentJob, NameCap, Name);
   L.JobSeq.store(Seq + 2, std::memory_order_release);
   L.InFlight.store(true, std::memory_order_release);
   record(Worker, FlightEventKind::JobStart, Name, Detail, true);
@@ -203,6 +220,13 @@ void FlightRecorder::jobFinish(uint32_t Worker, const char *Name, bool Ok) {
          Name, "", Ok);
   Lanes[Worker].InFlight.store(false, std::memory_order_release);
   heartbeat();
+}
+
+void FlightRecorder::jobParked(uint32_t Worker, const char *Name) {
+  if (Worker >= workers())
+    Worker = 0;
+  record(Worker, FlightEventKind::Mark, "parked", Name, true);
+  Lanes[Worker].InFlight.store(false, std::memory_order_release);
 }
 
 void FlightRecorder::mark(uint32_t Worker, const char *Name,
@@ -219,12 +243,13 @@ void FlightRecorder::record(uint32_t Worker, FlightEventKind Kind,
   // Seqlock write: 2*Idx+1 while mid-write, 2*Idx+2 when stable. Tying
   // the sequence to the event index lets readers reject slots that a
   // lapped writer has already reused for a newer event.
-  S.Seq.store(2 * Idx + 1, std::memory_order_release);
-  S.TsUs = nowUs();
-  S.Kind = Kind;
-  S.Ok = Ok;
-  copyStr(S.Name, NameCap, Name);
-  copyStr(S.Detail, DetailCap, Detail);
+  S.Seq.store(2 * Idx + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  S.TsUs.store(nowUs(), std::memory_order_relaxed);
+  S.Kind.store(Kind, std::memory_order_relaxed);
+  S.Ok.store(Ok, std::memory_order_relaxed);
+  storeStr(S.Name, NameCap, Name);
+  storeStr(S.Detail, DetailCap, Detail);
   S.Seq.store(2 * Idx + 2, std::memory_order_release);
   L.Head.store(Idx + 1, std::memory_order_release);
 }
@@ -248,10 +273,9 @@ bool FlightRecorder::dumpFd(int Fd, const char *Reason) const {
     W.raw(L.InFlight.load(std::memory_order_acquire) ? "true" : "false");
     char Job[NameCap];
     uint64_t S1 = L.JobSeq.load(std::memory_order_acquire);
-    for (size_t N = 0; N != NameCap; ++N)
-      Job[N] = L.CurrentJob[N];
-    Job[NameCap - 1] = '\0';
-    if ((S1 & 1) != 0 || L.JobSeq.load(std::memory_order_acquire) != S1)
+    loadStr(Job, L.CurrentJob, NameCap);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if ((S1 & 1) != 0 || L.JobSeq.load(std::memory_order_relaxed) != S1)
       Job[0] = '\0'; // torn copy; drop rather than mislead
     W.raw(",\"current_job\":");
     W.str(Job);
@@ -264,17 +288,14 @@ bool FlightRecorder::dumpFd(int Fd, const char *Reason) const {
       uint64_t Want = 2 * Idx + 2;
       if (S.Seq.load(std::memory_order_acquire) != Want)
         continue; // mid-write or already lapped
-      uint64_t TsUs = S.TsUs;
-      FlightEventKind Kind = S.Kind;
-      bool Ok = S.Ok;
+      uint64_t TsUs = S.TsUs.load(std::memory_order_relaxed);
+      FlightEventKind Kind = S.Kind.load(std::memory_order_relaxed);
+      bool Ok = S.Ok.load(std::memory_order_relaxed);
       char Name[NameCap], Detail[DetailCap];
-      for (size_t N = 0; N != NameCap; ++N)
-        Name[N] = S.Name[N];
-      for (size_t N = 0; N != DetailCap; ++N)
-        Detail[N] = S.Detail[N];
-      Name[NameCap - 1] = '\0';
-      Detail[DetailCap - 1] = '\0';
-      if (S.Seq.load(std::memory_order_acquire) != Want)
+      loadStr(Name, S.Name, NameCap);
+      loadStr(Detail, S.Detail, DetailCap);
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (S.Seq.load(std::memory_order_relaxed) != Want)
         continue; // changed under us
       if (!First)
         W.put(',');

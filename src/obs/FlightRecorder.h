@@ -20,6 +20,9 @@
 /// slot is being written, even when stable). Readers (the signal handler,
 /// possibly interrupting a write on the same thread; the watchdog on its
 /// own thread) skip slots whose sequence is odd or changes under them.
+/// The payload moves through relaxed atomics, fenced the standard seqlock
+/// way (a release fence after the odd store, an acquire fence before the
+/// reader's re-check), so a torn read is detected, never a data race.
 /// The dump path allocates nothing and calls only async-signal-safe
 /// functions (write, open, clock_gettime), formatting numbers by hand.
 ///
@@ -94,6 +97,10 @@ public:
   /// watchdog heartbeat.
   void jobStart(uint32_t Worker, const char *Name, const char *Detail);
   void jobFinish(uint32_t Worker, const char *Name, bool Ok);
+  /// The job's attempt parked (driver/JobGraph.h): a mark named "parked"
+  /// with the job as detail, and the lane goes idle. Not a finish, so the
+  /// watchdog heartbeat does not move.
+  void jobParked(uint32_t Worker, const char *Name);
 
   /// Freeform annotation on an explicit lane.
   void mark(uint32_t Worker, const char *Name, const char *Detail);
@@ -128,11 +135,11 @@ public:
 private:
   struct Slot {
     std::atomic<uint64_t> Seq{0}; ///< odd while mid-write
-    uint64_t TsUs = 0;
-    FlightEventKind Kind = FlightEventKind::Mark;
-    bool Ok = true;
-    char Name[NameCap] = {0};
-    char Detail[DetailCap] = {0};
+    std::atomic<uint64_t> TsUs{0};
+    std::atomic<FlightEventKind> Kind{FlightEventKind::Mark};
+    std::atomic<bool> Ok{true};
+    std::atomic<char> Name[NameCap] = {};
+    std::atomic<char> Detail[DetailCap] = {};
   };
 
   struct Lane {
@@ -140,7 +147,7 @@ private:
     std::atomic<bool> InFlight{false};
     /// Last job started on the lane; guarded by JobSeq like a slot.
     std::atomic<uint64_t> JobSeq{0};
-    char CurrentJob[NameCap] = {0};
+    std::atomic<char> CurrentJob[NameCap] = {};
     std::vector<Slot> Ring;
   };
 

@@ -133,6 +133,7 @@ JsonValue sprof::buildSweepReport(const std::vector<JobRecord> &Jobs,
   Memo.set("hits", Sched.RunMemoHits);
   Memo.set("misses", Sched.RunMemoMisses);
   Memo.set("saved_instructions", Sched.RunMemoSavedInstructions);
+  Memo.set("parks", Sched.RunMemoParks);
   SchedJson.set("run_memo", std::move(Memo));
 
   JsonValue Workers = JsonValue::array();

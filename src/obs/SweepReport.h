@@ -27,7 +27,8 @@
 ///    "scheduler": {"queue_depth_high_water", "wakeup_retries",
 ///                  "jobs_enqueued", "jobs_started", "jobs_finished",
 ///                  "jobs_failed", "jobs_skipped",
-///                  "run_memo": {"hits", "misses", "saved_instructions"},
+///                  "run_memo": {"hits", "misses", "saved_instructions",
+///                               "parks"},
 ///                  "workers": [{"worker", "jobs", "busy_us",
 ///                               "utilization"}, ...],
 ///                  "stragglers": [{"id", "name", "run_us",
@@ -63,6 +64,8 @@ struct SweepSchedulerStats {
   uint64_t RunMemoHits = 0;
   uint64_t RunMemoMisses = 0;
   uint64_t RunMemoSavedInstructions = 0;
+  /// Job attempts parked on an in-flight memo entry; schedule dependent.
+  uint64_t RunMemoParks = 0;
 };
 
 /// The computed critical path: job ids in execution order, and the sum of

@@ -152,6 +152,85 @@ TEST(JobGraph, FailurePropagatesAndSkipsDependents) {
   EXPECT_TRUE(Outcomes[3].Ok);
 }
 
+/// Spins until \p Cond holds; false after a generous deadline, so a broken
+/// scheduler fails the test instead of hanging it.
+template <typename Fn> bool spinUntil(Fn Cond) {
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!Cond()) {
+    if (std::chrono::steady_clock::now() > Deadline)
+      return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// A job that parks leaves its worker, re-runs from the start once woken,
+// and only its finished re-run releases its dependents. The parked
+// attempt's onPark actions run; the finished attempt's do not.
+TEST(JobGraph, ParkedJobRerunsAfterWakeBeforeItsDependents) {
+  for (unsigned Threads : {1u, 2u}) {
+    SCOPED_TRACE(Threads);
+    JobGraph G;
+    std::atomic<int> Attempts{0}, Undone{0};
+    std::atomic<bool> Subscribed{false}, Woken{false}, Finished{false};
+    std::atomic<bool> DependentEarly{false};
+    JobPending::WakeFn Wake;
+    JobId Parker = G.add("parker", "test", [&](uint32_t) {
+      JobGraph::onPark([&] { ++Undone; });
+      if (++Attempts == 1)
+        throw JobPending{[&](JobPending::WakeFn W) {
+          Wake = std::move(W);
+          Subscribed = true;
+        }};
+      if (!Woken)
+        throw std::runtime_error("re-ran before its wake");
+      Finished = true;
+    });
+    // The event the parker waits for, published by another job.
+    G.add("waker", "test", [&](uint32_t) {
+      if (!spinUntil([&] { return Subscribed.load(); }))
+        throw std::runtime_error("parker never subscribed");
+      Woken = true;
+      Wake();
+    });
+    G.add(
+        "dependent", "test",
+        [&](uint32_t) { DependentEarly = !Finished; }, {Parker});
+
+    std::vector<JobOutcome> Outcomes = G.run(Threads);
+    for (const JobOutcome &O : Outcomes)
+      EXPECT_TRUE(O.Ok) << O.Error;
+    EXPECT_EQ(Attempts.load(), 2);
+    EXPECT_EQ(Undone.load(), 1);
+    EXPECT_FALSE(DependentEarly);
+    EXPECT_EQ(G.schedStats().Parks, 1u);
+    // One outcome over both attempts: it starts with the first and never
+    // counts the parked time as its own.
+    EXPECT_LE(Outcomes[Parker].StartUs + Outcomes[Parker].DurationUs,
+              Outcomes[2].StartUs);
+  }
+}
+
+// Subscribe may find the event already happened and wake at once, on the
+// parking worker itself: the job goes straight back to the queue.
+TEST(JobGraph, WakeInsideSubscribeRequeuesAtOnce) {
+  JobGraph G;
+  int Attempts = 0;
+  bool DependentRan = false;
+  JobId Job = G.add("parker", "test", [&](uint32_t) {
+    if (++Attempts == 1)
+      throw JobPending{[](JobPending::WakeFn Wake) { Wake(); }};
+  });
+  G.add(
+      "dependent", "test",
+      [&](uint32_t) { DependentRan = Attempts == 2; }, {Job});
+  std::vector<JobOutcome> Outcomes = G.run(1);
+  EXPECT_TRUE(Outcomes[Job].Ok);
+  EXPECT_EQ(Attempts, 2);
+  EXPECT_TRUE(DependentRan);
+  EXPECT_EQ(G.schedStats().Parks, 1u);
+}
+
 TEST(ExperimentEngine, RethrowsFirstFailureAndStaysReusable) {
   ExperimentEngine Engine(withThreads(2));
   Engine.addJob("fails", "test", [](ObsSession *) {
@@ -669,8 +748,9 @@ TEST(RunMemo, SuiteMatchesMemoFreePipelines) {
             S.RunMemoSavedInstructions);
 }
 
-// Requests for a key still executing wait for it, so misses equal the
-// distinct keys whatever the thread count.
+// Requests for a key still executing park until it publishes, so misses
+// equal the distinct keys and parked attempts' requests never count: the
+// counts are the same whatever the thread count.
 TEST(RunMemo, CountsIdenticalAcrossThreadCounts) {
   ChaseWorkload Chase;
   PassesChaseWorkload Passes;
@@ -687,35 +767,189 @@ TEST(RunMemo, CountsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(Counts(4), Serial);
 }
 
-// Many requests for one key from concurrent threads execute it once.
+// Eight same-key jobs on four workers: one executes, the requests that
+// find it in flight park instead of blocking, and every job gets the run.
+// The flight recorder logs each parked attempt as a "parked" mark.
 TEST(RunMemo, ConcurrentRequestsExecuteOnce) {
-  RunMemo Memo;
+  EngineOptions Opts = withThreads(4);
+  Opts.Obs.FlightRecorder = true;
+  Opts.Obs.FlightRecorderSignals = false;
+  ExperimentEngine Engine(Opts);
+  RunMemo *Memo = Engine.runMemo();
   RunMemoKey Key;
-  std::atomic<int> Executions{0};
-  constexpr unsigned Threads = 8;
-  std::vector<std::thread> Workers;
-  std::vector<uint64_t> Seen(Threads, 0);
-  for (unsigned T = 0; T != Threads; ++T)
-    Workers.emplace_back([&, T] {
-      Seen[T] = Memo.run(Key, [&] {
-                      ++Executions;
-                      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-                      MemoizedRun R;
-                      R.Stats.Instructions = 42;
-                      return R;
-                    })
-                    ->Stats.Instructions;
-    });
-  for (std::thread &W : Workers)
-    W.join();
+  std::atomic<int> Executions{0}, Parked{0};
+  constexpr unsigned Jobs = 8;
+  std::vector<uint64_t> Seen(Jobs, 0);
+  for (unsigned J = 0; J != Jobs; ++J)
+    Engine.addJob("request" + std::to_string(J), "test",
+                  [&, J](ObsSession *) {
+                    JobGraph::onPark([&] { ++Parked; });
+                    Seen[J] = Memo->run(Key, [&] {
+                                    ++Executions;
+                                    // Hold the key in flight until some
+                                    // request has parked on it.
+                                    spinUntil([&] { return Parked > 0; });
+                                    MemoizedRun R;
+                                    R.Stats.Instructions = 42;
+                                    return R;
+                                  })
+                                  ->Stats.Instructions;
+                  });
+  Engine.run();
   EXPECT_EQ(Executions.load(), 1);
-  EXPECT_EQ(Seen, std::vector<uint64_t>(Threads, 42));
-  RunMemo::Counts C = Memo.counts();
-  EXPECT_EQ(C.Misses, 1u);
-  EXPECT_EQ(C.Hits, Threads - 1);
-  EXPECT_EQ(C.SavedInstructions, 42u * (Threads - 1));
-  Memo.clear();
-  EXPECT_EQ(Memo.counts().Misses, 0u);
+  EXPECT_EQ(Seen, std::vector<uint64_t>(Jobs, 42));
+  const SweepSchedulerStats &S = Engine.schedStats();
+  EXPECT_EQ(S.RunMemoMisses, 1u);
+  EXPECT_EQ(S.RunMemoHits, Jobs - 1);
+  EXPECT_EQ(S.RunMemoSavedInstructions, 42u * (Jobs - 1));
+  EXPECT_GT(S.RunMemoParks, 0u);
+  EXPECT_EQ(S.RunMemoParks, static_cast<uint64_t>(Parked.load()));
+
+  std::string Path = testing::TempDir() + "flightrec_parked.json";
+  ASSERT_TRUE(Engine.flightRecorder()->dumpFile(Path.c_str(), "request"));
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  JsonValue Doc;
+  ASSERT_TRUE(JsonValue::parse(Buf.str(), Doc));
+  uint64_t ParkMarks = 0, Finishes = 0;
+  for (const JsonValue &Lane : Doc.get("workers")->items()) {
+    EXPECT_FALSE(Lane.get("in_flight")->asBool());
+    for (const JsonValue &E : Lane.get("events")->items()) {
+      const std::string Kind = E.get("kind")->asString();
+      ParkMarks += Kind == "mark" && E.get("name")->asString() == "parked";
+      Finishes += Kind == "job-finish";
+    }
+  }
+  EXPECT_EQ(ParkMarks, S.RunMemoParks);
+  EXPECT_EQ(Finishes, Jobs);
+}
+
+// A job whose second request parks re-runs its first one too; the parked
+// attempt withdraws that request, so it counts once, as in a serial run.
+TEST(RunMemo, ParkedAttemptWithdrawsItsRequests) {
+  ExperimentEngine Engine(withThreads(2));
+  RunMemo *Memo = Engine.runMemo();
+  RunMemoKey First, Second;
+  Second.SeedOffset = 1;
+  std::atomic<bool> Executing{false};
+  std::atomic<int> Parked{0};
+  auto Run = [](uint64_t Instructions) {
+    MemoizedRun R;
+    R.Stats.Instructions = Instructions;
+    return R;
+  };
+  Engine.addJob("executor", "test", [&](ObsSession *) {
+    Memo->run(Second, [&] {
+      Executing = true;
+      spinUntil([&] { return Parked > 0; });
+      return Run(7);
+    });
+  });
+  Engine.addJob("two-requests", "test", [&](ObsSession *) {
+    JobGraph::onPark([&] { ++Parked; });
+    Memo->run(First, [&] { return Run(5); });
+    spinUntil([&] { return Executing.load(); });
+    Memo->run(Second, [&] { return Run(7); });
+  });
+  Engine.run();
+  const SweepSchedulerStats &S = Engine.schedStats();
+  EXPECT_EQ(S.RunMemoParks, 1u);
+  EXPECT_EQ(S.RunMemoMisses, 2u);
+  EXPECT_EQ(S.RunMemoHits, 1u);
+  EXPECT_EQ(S.RunMemoSavedInstructions, 7u);
+}
+
+// A failed execution fails every request parked on it with the same error,
+// and their dependents are skipped.
+TEST(RunMemo, ExecutorFailureFailsEveryParkedRequest) {
+  ExperimentEngine Engine(withThreads(4));
+  RunMemo *Memo = Engine.runMemo();
+  RunMemoKey Key;
+  std::atomic<bool> Executing{false};
+  std::atomic<int> Parked{0};
+  constexpr int Waiters = 3;
+  Engine.addJob("executor", "test", [&](ObsSession *) {
+    Memo->run(Key, [&]() -> MemoizedRun {
+      Executing = true;
+      spinUntil([&] { return Parked == Waiters; });
+      throw std::runtime_error("timed run failed");
+    });
+  });
+  std::vector<JobId> Requests;
+  for (int I = 0; I != Waiters; ++I) {
+    JobId R = Engine.addJob("request" + std::to_string(I), "test",
+                            [&](ObsSession *) {
+                              spinUntil([&] { return Executing.load(); });
+                              JobGraph::onPark([&] { ++Parked; });
+                              Memo->run(Key, [] { return MemoizedRun(); });
+                            });
+    Requests.push_back(R);
+    Engine.addJob("dependent" + std::to_string(I), "test",
+                  [](ObsSession *) {}, {R});
+  }
+  EXPECT_THROW(Engine.run(), std::runtime_error);
+
+  const std::vector<JobOutcome> &Outcomes = Engine.lastOutcomes();
+  EXPECT_EQ(Outcomes[0].Error, "timed run failed");
+  for (JobId R : Requests) {
+    EXPECT_TRUE(Outcomes[R].Ran);
+    EXPECT_FALSE(Outcomes[R].Ok);
+    EXPECT_EQ(Outcomes[R].Error, "timed run failed");
+    EXPECT_FALSE(Outcomes[R + 1].Ran);
+    EXPECT_NE(Outcomes[R + 1].Error.find("skipped"), std::string::npos);
+  }
+  EXPECT_EQ(Engine.schedStats().RunMemoParks,
+            static_cast<uint64_t>(Waiters));
+  EXPECT_EQ(Engine.schedStats().RunMemoMisses, 1u);
+  EXPECT_EQ(Engine.schedStats().RunMemoHits, 0u);
+}
+
+/// A chase whose ref run is long next to the job prefix before it (build,
+/// feedback, prefetch insertion, hashing), so same-key feedback jobs of one
+/// workload overlap the executing run and park.
+class LongRefChaseWorkload : public Workload {
+public:
+  WorkloadInfo info() const override {
+    return {"test.chase.longref", "c", "pointer chase, long ref input"};
+  }
+  Program build(const BuildRequest &Req) const override {
+    Program P;
+    uint32_t DataSite = 0, NextSite = 0;
+    P.M = makePassesChaseModule(Req.DS == DataSet::Train ? 4 : 64, DataSite,
+                                NextSite);
+    fillChaseList(P.Memory, Req.DS == DataSet::Train ? 160 : 2048, 64);
+    return P;
+  }
+};
+
+// Parks are invisible to results and telemetry: a 4-thread measureSuite
+// wave whose jobs parked leaves the session registry, outside the
+// schedule-dependent engine.* namespace, equal to the serial one.
+TEST(RunMemo, ParkedWaveMatchesSerialRegistry) {
+  LongRefChaseWorkload Long;
+  PassesChaseWorkload Passes;
+  const std::vector<const Workload *> WL = {&Long, &Passes};
+  auto Run = [&](unsigned Threads, uint64_t &Parks) {
+    EngineOptions Opts;
+    Opts.Threads = Threads;
+    Opts.Obs.Enabled = true;
+    ExperimentEngine Engine(Opts);
+    std::string Text = measurementsText(measureSuite(Engine, WL));
+    Parks = Engine.schedStats().RunMemoParks;
+    EXPECT_EQ(Engine.obs()->registry().counters().at(
+                  "engine.run_memo.parks").value(),
+              Parks);
+    return Text + registryText(Engine.obs()->registry());
+  };
+  uint64_t SerialParks = 0;
+  const std::string Serial = Run(1, SerialParks);
+  EXPECT_EQ(SerialParks, 0u);
+  // Parks depend on the schedule; retry until a wave parked.
+  uint64_t Parks = 0;
+  for (int Try = 0; Try != 20 && Parks == 0; ++Try)
+    EXPECT_EQ(Run(4, Parks), Serial);
+  EXPECT_GT(Parks, 0u);
 }
 
 // The key holds everything a timed run reads: a Reference-engine run never

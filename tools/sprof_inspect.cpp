@@ -787,7 +787,8 @@ int runSweepReport(const std::string &Path, size_t TopN) {
       std::cout << "run memo: " << uintAt(Memo, "hits") << " hits / "
                 << uintAt(Memo, "misses") << " misses, "
                 << uintAt(Memo, "saved_instructions")
-                << " instructions not re-executed\n";
+                << " instructions not re-executed, " << uintAt(Memo, "parks")
+                << " parks\n";
     std::cout << "\n";
     const JsonValue *Workers = Sched->get("workers");
     if (Workers && Workers->isArray() && Workers->size() != 0) {
