@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <span>
 
 #ifdef __GLIBC__
 #include <malloc.h>
@@ -21,15 +22,6 @@
 namespace sprof {
 
 namespace {
-
-/// One bucketed load: everything profileAt() needs, including the load's
-/// global position (LoadIndex drives the chunk-sampling phase).
-struct IndexedLoad {
-  uint64_t Address;
-  uint64_t GlobalRef;
-  uint64_t LoadIndex;
-  uint32_t SiteId;
-};
 
 /// What one profile shard produced; folded in job-id order.
 struct ShardRun {
@@ -58,29 +50,23 @@ ShardedProfileResult profileEventsSharded(AccessSource &Src,
     Shards = 1;
   R.ShardsUsed = Shards;
 
-  // Serial bucketing pass: site-partition the loads, preserving per-site
-  // program order and each load's 0-based global position. A few ns per
-  // event -- negligible next to the parallelized decode and profile work.
-  std::vector<std::vector<IndexedLoad>> Buckets(Shards);
-  {
+  // Every shard scans one contiguous buffer: a VectorSource's own
+  // storage, or any other source drained into a vector first.
+  std::vector<AccessEvent> Drained;
+  std::span<const AccessEvent> Events;
+  if (auto *VS = dynamic_cast<VectorSource *>(&Src)) {
+    Events = VS->pullRest();
+  } else {
     std::vector<AccessEvent> Buf(4096);
-    uint64_t LoadIndex = 0;
-    while (size_t N = Src.pull(Buf.data(), Buf.size())) {
-      for (size_t I = 0; I != N; ++I) {
-        const AccessEvent &E = Buf[I];
-        // strideProf only ever sees demand loads (see
-        // StrideProfiler::consume, whose filter this mirrors).
-        if (E.Kind != AccessKind::Load)
-          continue;
-        Buckets[E.SiteId % Shards].push_back(
-            {E.Address, E.GlobalRefIndex, LoadIndex, E.SiteId});
-        ++LoadIndex;
-      }
-    }
+    while (size_t N = Src.pull(Buf.data(), Buf.size()))
+      Drained.insert(Drained.end(), Buf.begin(), Buf.begin() + N);
+    Events = Drained;
   }
 
   // One job per shard: a private full-size profiler (sites index directly)
-  // fed its sites' loads in order, against a private obs scope.
+  // fed its sites' loads in order, against a private obs scope. Each shard
+  // counts every load's 0-based global position itself, so the shards
+  // share nothing but the read-only buffer.
   const uint64_t SessionStartUs = Obs ? Obs->trace().nowUs() : 0;
   std::vector<ShardRun> Runs(Shards);
   std::vector<std::unique_ptr<ObsSession>> ShardObs(Shards);
@@ -96,9 +82,17 @@ ShardedProfileResult profileEventsSharded(AccessSource &Src,
             StrideProfiler P(NumSites, PC);
             P.attachObs(Scope);
             ShardRun &Out = Runs[S];
-            for (const IndexedLoad &L : Buckets[S])
-              Out.Cycles +=
-                  P.profileAt(L.SiteId, L.Address, L.GlobalRef, L.LoadIndex);
+            uint64_t LoadIndex = 0;
+            for (const AccessEvent &E : Events) {
+              // strideProf only ever sees demand loads (see
+              // StrideProfiler::consume, whose filter this mirrors).
+              if (E.Kind != AccessKind::Load)
+                continue;
+              if (E.SiteId % Shards == S)
+                Out.Cycles += P.profileAt(E.SiteId, E.Address,
+                                          E.GlobalRefIndex, LoadIndex);
+              ++LoadIndex;
+            }
             Out.Invocations = P.totalInvocations();
             Out.Processed = P.totalProcessed();
             Out.LfuCalls = P.totalLfuCalls();
@@ -314,10 +308,10 @@ TraceReplayResult replayTraceFileParallel(const std::string &Path,
                                      &Reader->provenance());
   R.Events = Total;
 #ifdef __GLIBC__
-  // The shard buckets and profilers are freed by several threads. glibc
-  // raises its mmap threshold on such frees and then keeps freed heap
-  // resident, so without a trim the RSS that repeated replays leave behind
-  // depends on thread timing.
+  // The shard profilers are freed by several threads. glibc raises its
+  // mmap threshold on such frees and then keeps freed heap resident, so
+  // without a trim the RSS that repeated replays leave behind depends on
+  // thread timing.
   malloc_trim(0);
 #endif
   return R;

@@ -8,7 +8,8 @@
 /// \file
 /// Parallel trace replay: decode and profile a captured access trace on N
 /// cores while staying bit-identical to the serial path. Two independent
-/// fan-outs, both scheduled as JobGraph jobs:
+/// fan-outs, both scheduled as JobGraph jobs (and, in replayStream, the
+/// demand-only memory pass running beside them as its own job):
 ///
 ///   * Decode sharding (time partition). The sprof.trace/2 shard index
 ///     records, every IndexInterval events, the chunk's byte offset and the
@@ -20,15 +21,17 @@
 ///   * Profile sharding (site partition). The global chunk-sampling phase
 ///     of Figure 9 is a pure function of the load's position in the run
 ///     (StrideProfiler::profileAt), and every other piece of profiler
-///     state is strictly per-site. profileEventsSharded() therefore
-///     buckets the loads by SiteId modulo the shard count -- preserving
-///     per-site program order and each load's global position -- and runs
-///     one full-size StrideProfiler per shard. Per-site results are
-///     bit-identical to the serial profiler's, so folding the disjoint
-///     shards in job-id order (the ShardedMetricsRegistry discipline)
-///     through ProfileData's order-preserving merge reproduces the serial
-///     profile verbatim: same values, same bytes. The determinism contract
-///     is spelled out in docs/TRACE.md.
+///     state is strictly per-site. profileEventsSharded() therefore runs
+///     one full-size StrideProfiler per shard, and each shard scans the
+///     whole contiguous event buffer, counting every load's global
+///     position itself and profiling only the loads whose SiteId modulo
+///     the shard count is its own -- per-site program order is preserved
+///     and no load is copied. Per-site results are bit-identical to the
+///     serial profiler's, so folding the disjoint shards in job-id order
+///     (the ShardedMetricsRegistry discipline) through ProfileData's
+///     order-preserving merge reproduces the serial profile verbatim: same
+///     values, same bytes. The determinism contract is spelled out in
+///     docs/TRACE.md.
 ///
 /// Telemetry: each profile shard runs against a child ObsSession
 /// (ObsSession::jobConfig) whose registry is merged into the parent in
@@ -64,7 +67,9 @@ struct ShardedProfileResult {
 
 /// Profiles \p Src's load events under \p PC with \p Threads workers over
 /// \p Shards site-partitions (0 = one shard per thread; clamped to the
-/// site count). The merged profile and the scalar accumulators are
+/// site count). A VectorSource's unread events are scanned in place; any
+/// other source is drained into one vector first. Either way \p Src is
+/// left exhausted. The merged profile and the scalar accumulators are
 /// bit-identical to a serial StrideProfiler::consume() over the same
 /// stream -- for any shard count, any thread count, all eight profiling
 /// methods. \p Obs, when non-null, receives per-shard JobRecords and the
@@ -87,9 +92,10 @@ bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
 /// replayTraceFile's parallel engine: opens \p Path through the seekable
 /// tail, decodes /2 traces with decodeTraceParallel (/1 and text traces
 /// fall back to serial decode -- they carry no index), then feeds
-/// replayStream, whose profile phase shards across Opts.Threads. The
-/// memory-simulation passes remain serial (cache state is order-dependent)
-/// and the whole result is bit-identical to Opts.Threads == 1.
+/// replayStream, whose profile phase shards across Opts.Threads while the
+/// demand-only memory pass runs beside it. Each memory pass is serial in
+/// itself (cache state is order-dependent) and the whole result is
+/// bit-identical to Opts.Threads == 1.
 /// Callers normally go through replayTraceFile(), which dispatches here
 /// when Opts.Threads > 1.
 TraceReplayResult replayTraceFileParallel(const std::string &Path,

@@ -11,6 +11,7 @@
 #include "workloads/Workload.h"
 
 #include <cassert>
+#include <future>
 
 namespace sprof {
 
@@ -104,6 +105,30 @@ TraceReplayResult replayStream(AccessSource &Src,
   if (Opts.EvaluateWorkload && !R.Prov.Workload.empty())
     W = makeWorkloadByName(R.Prov.Workload);
 
+  StreamReplayConfig SC;
+  SC.HiddenLatency = Opts.Config.Timing.FlatLoadLatency;
+  SC.BatchSize = Opts.Config.Interp.StrideBatchWindow;
+  StreamReplayStats DemandStats;
+  MemoryStats DemandMem;
+  auto DemandPass = [&](AccessSource &Cursor) {
+    MemoryHierarchy Base(Opts.Config.Memory);
+    DemandStats = replayAccessStream(Base, Cursor, SC);
+    DemandMem = Base.stats();
+  };
+  // The demand-only cache pass depends on nothing but the events. With
+  // Threads > 1 and the events in one buffer it runs as its own job, on its
+  // own cursor (never Src's), beside the profile, the classification and
+  // the prefetched pass; it is joined after the prefetched pass. Other
+  // sources run it serially, before the prefetched pass.
+  auto *Buffered = dynamic_cast<VectorSource *>(&Src);
+  const bool Overlap = Opts.SimulateMemory && Opts.Threads > 1 && Buffered;
+  std::future<void> DemandJob;
+  if (Overlap)
+    DemandJob = std::async(std::launch::async, [&] {
+      SpanSource Cursor(Buffered->events(), Buffered->numSites());
+      DemandPass(Cursor);
+    });
+
   // Pass 1 -- stream-driven profile phase.
   if (W) {
     Pipeline PL(*W, Opts.Config);
@@ -172,13 +197,12 @@ TraceReplayResult replayStream(AccessSource &Src,
   // Passes 3/4 -- cache model driven straight from the stream: demand
   // replay, then demand + synthesized prefetches for classified sites.
   if (Opts.SimulateMemory && Src.reset()) {
-    StreamReplayConfig SC;
-    SC.HiddenLatency = Opts.Config.Timing.FlatLoadLatency;
-    SC.BatchSize = Opts.Config.Interp.StrideBatchWindow;
-    MemoryHierarchy Base(Opts.Config.Memory);
-    R.MemBaseline = replayAccessStream(Base, Src, SC);
-    R.MemBaselineStats = Base.stats();
-    if (Src.reset()) {
+    bool Rewound = true;
+    if (!Overlap) {
+      DemandPass(Src);
+      Rewound = Src.reset();
+    }
+    if (Rewound) {
       std::vector<int64_t> SiteStride(R.SiteClass.size(), 0);
       for (uint32_t S = 0; S != R.SiteClass.size(); ++S) {
         const StrideClass C = R.SiteClass[S];
@@ -198,6 +222,10 @@ TraceReplayResult replayStream(AccessSource &Src,
       R.MemPrefetchedStats = Pf.stats();
       R.HasMemSim = true;
     }
+    if (DemandJob.valid())
+      DemandJob.get();
+    R.MemBaseline = DemandStats;
+    R.MemBaselineStats = DemandMem;
   }
   return R;
 }

@@ -64,9 +64,10 @@ struct TraceReplayOptions {
   /// Worker threads for the replay. 1 (the default) is the fully serial
   /// path; more fans the decode out over the trace's shard index (/2
   /// traces) and the profile phase over site-sharded profilers
-  /// (driver/ParallelReplay.h), with results bit-identical to serial.
-  /// The memory-simulation passes always run serially (cache state is
-  /// order-dependent).
+  /// (driver/ParallelReplay.h), and runs the demand-only memory pass as
+  /// its own job beside the profile, the classification and the
+  /// prefetched pass, with results bit-identical to serial. Each memory
+  /// pass is serial in itself (cache state is order-dependent).
   unsigned Threads = 1;
   /// Site-shard count of the parallel profile phase; 0 means one shard
   /// per thread. The merged profile is identical for any value.
@@ -115,7 +116,9 @@ struct TraceReplayResult {
 /// edge section, and \p Prov of its provenance header (which is what
 /// names the workload to rebuild). The source must support reset() for
 /// the passes beyond the first (profile, then the optional memory
-/// passes).
+/// passes). The demand-only memory pass overlaps the rest only when \p Src
+/// is a VectorSource, whose storage it reads on its own cursor; other
+/// sources run it serially.
 TraceReplayResult replayStream(AccessSource &Src,
                                const TraceReplayOptions &Opts = {},
                                const std::string &SourceName = "<stream>",

@@ -28,12 +28,23 @@ uint64_t drainStream(AccessSource &Src, AccessSink &Sink, size_t BatchSize) {
   return Total;
 }
 
-size_t VectorSource::pull(AccessEvent *Buf, size_t Max) {
+/// Copies up to \p Max events of \p Events from \p Pos on into \p Buf and
+/// advances \p Pos past them.
+static size_t pullFrom(std::span<const AccessEvent> Events, size_t &Pos,
+                       AccessEvent *Buf, size_t Max) {
   const size_t N = std::min(Max, Events.size() - Pos);
   if (N != 0)
     std::memcpy(Buf, Events.data() + Pos, N * sizeof(AccessEvent));
   Pos += N;
   return N;
+}
+
+size_t VectorSource::pull(AccessEvent *Buf, size_t Max) {
+  return pullFrom(Events, Pos, Buf, Max);
+}
+
+size_t SpanSource::pull(AccessEvent *Buf, size_t Max) {
+  return pullFrom(Events, Pos, Buf, Max);
 }
 
 } // namespace sprof

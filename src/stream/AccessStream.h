@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,10 +106,42 @@ public:
   }
   std::string describe() const override { return Name; }
 
+  /// Every event, independent of the pull cursor: lets other readers run
+  /// their own cursors over the storage (SpanSource) while this one pulls.
+  std::span<const AccessEvent> events() const { return Events; }
+
+  /// The zero-copy pull: returns the events pull() has not yet returned
+  /// and leaves the source exhausted, as if pulled to the end.
+  std::span<const AccessEvent> pullRest() {
+    const std::span<const AccessEvent> Rest = events().subspan(Pos);
+    Pos = Events.size();
+    return Rest;
+  }
+
 private:
   std::vector<AccessEvent> Events;
   uint32_t Sites;
   std::string Name;
+  size_t Pos = 0;
+};
+
+/// A source over borrowed events, which must outlive it: an independent
+/// cursor over storage that another source (or thread) also reads.
+class SpanSource final : public AccessSource {
+public:
+  SpanSource(std::span<const AccessEvent> Events, uint32_t NumSites)
+      : Events(Events), Sites(NumSites) {}
+
+  size_t pull(AccessEvent *Buf, size_t Max) override;
+  uint32_t numSites() const override { return Sites; }
+  bool reset() override {
+    Pos = 0;
+    return true;
+  }
+
+private:
+  std::span<const AccessEvent> Events;
+  uint32_t Sites;
   size_t Pos = 0;
 };
 

@@ -85,6 +85,38 @@ static int64_t zigzagDecode(uint64_t V) {
   return static_cast<int64_t>(V >> 1) ^ -static_cast<int64_t>(V & 1);
 }
 
+/// Longest LEB128 encoding of a 64-bit value.
+static constexpr size_t MaxVarintBytes = 10;
+static_assert(TraceMaxEventBytes == 1 + 3 * MaxVarintBytes,
+              "an event record is a tag byte and three varints");
+
+/// Writes \p V as a LEB128 varint at \p P (room for MaxVarintBytes);
+/// returns the byte after it.
+static uint8_t *encodeVarint(uint8_t *P, uint64_t V) {
+  while (V >= 0x80) {
+    *P++ = static_cast<uint8_t>(V) | 0x80;
+    V >>= 7;
+  }
+  *P++ = static_cast<uint8_t>(V);
+  return P;
+}
+
+/// Reads a LEB128 varint at \p P, which must have MaxVarintBytes readable
+/// bytes. Returns the byte after it, or nullptr when the varint does not
+/// fit 64 bits (a 10th byte above 0x01); the caller leaves such input to
+/// the checked decoder, which reports it.
+static const uint8_t *decodeVarint(const uint8_t *P, uint64_t &V) {
+  uint64_t B = *P++;
+  V = B & 0x7f;
+  for (unsigned Shift = 7; B & 0x80; Shift += 7) {
+    B = *P++;
+    if (Shift == 63 && B > 1)
+      return nullptr;
+    V |= (B & 0x7f) << Shift;
+  }
+  return P;
+}
+
 //===----------------------------------------------------------------------===//
 // TraceWriter
 //===----------------------------------------------------------------------===//
@@ -136,14 +168,9 @@ void TraceWriter::putBytes(const void *Data, size_t N) {
 }
 
 void TraceWriter::putVarint(uint64_t V) {
-  while (V >= 0x80) {
-    putByte(static_cast<uint8_t>(V) | 0x80);
-    V >>= 7;
-  }
-  putByte(static_cast<uint8_t>(V));
+  uint8_t Bytes[MaxVarintBytes];
+  putBytes(Bytes, static_cast<size_t>(encodeVarint(Bytes, V) - Bytes));
 }
-
-void TraceWriter::putZigzag(int64_t V) { putVarint(zigzagEncode(V)); }
 
 void TraceWriter::flushBuf() {
   if (Buf.empty() || Failed)
@@ -202,6 +229,11 @@ void TraceWriter::onBatch(const AccessEvent *Events, size_t N) {
       putBytes(Line, static_cast<size_t>(Len));
     }
   } else {
+    // Encode through a pointer into room for the worst case, then trim.
+    const size_t Start = Buf.size();
+    Buf.resize(Start + N * TraceMaxEventBytes);
+    uint8_t *const Base = Buf.data();
+    uint8_t *P = Base + Start;
     for (size_t I = 0; I < N; ++I) {
       const AccessEvent &E = Events[I];
       if (IndexInterval != 0) {
@@ -209,23 +241,27 @@ void TraceWriter::onBatch(const AccessEvent *Events, size_t N) {
           // Chunk boundary: remember where this event starts and the
           // decoder state carried into it. NumBytes counts flushed bytes,
           // so the pending buffer is part of the offset.
-          Index.push_back({NumBytes + Buf.size(), NumEvents + I, NumLoads,
-                           PrevAddr, PrevRef, PrevSite});
+          Index.push_back({NumBytes + static_cast<uint64_t>(P - Base),
+                           NumEvents + I, NumLoads, PrevAddr, PrevRef,
+                           PrevSite});
           UntilChunk = IndexInterval;
         }
         --UntilChunk;
         if (E.Kind != AccessKind::Prefetch)
           ++NumLoads;
       }
-      putByte(E.Kind == AccessKind::Prefetch ? TagPrefetch : TagLoad);
-      putZigzag(static_cast<int64_t>(E.SiteId) -
-                static_cast<int64_t>(PrevSite));
-      putZigzag(static_cast<int64_t>(E.Address - PrevAddr));
-      putZigzag(static_cast<int64_t>(E.GlobalRefIndex - PrevRef));
+      *P++ = E.Kind == AccessKind::Prefetch ? TagPrefetch : TagLoad;
+      P = encodeVarint(P, zigzagEncode(static_cast<int64_t>(E.SiteId) -
+                                       static_cast<int64_t>(PrevSite)));
+      P = encodeVarint(P,
+                       zigzagEncode(static_cast<int64_t>(E.Address - PrevAddr)));
+      P = encodeVarint(
+          P, zigzagEncode(static_cast<int64_t>(E.GlobalRefIndex - PrevRef)));
       PrevSite = E.SiteId;
       PrevAddr = E.Address;
       PrevRef = E.GlobalRefIndex;
     }
+    Buf.resize(static_cast<size_t>(P - Base));
   }
   NumEvents += N;
   flushBuf();
@@ -318,13 +354,13 @@ void TraceWriter::finish() {
 
 TraceReader::TraceReader(std::istream &IS, std::string Name)
     : IS(&IS), Name(std::move(Name)) {
-  InBuf.resize(64 * 1024);
+  InBuf.resize(TraceReadBufferBytes);
   parseHeader();
   EventsStart = tellAbs();
 }
 
 TraceReader::TraceReader(ShardTag) : IS(nullptr), Name("<shard>") {
-  InBuf.resize(64 * 1024);
+  InBuf.resize(TraceReadBufferBytes);
 }
 
 std::unique_ptr<TraceReader> TraceReader::openFile(const std::string &Path) {
@@ -454,6 +490,9 @@ bool TraceReader::getVarint(uint64_t &V) {
       fail(TraceError::Truncated, "file ends mid-varint");
       return false;
     }
+    // The 10th byte holds bit 63 only; anything above it would be lost.
+    if (Shift == 63 && B > 1)
+      break;
     V |= static_cast<uint64_t>(B & 0x7f) << Shift;
     if (!(B & 0x80))
       return true;
@@ -609,6 +648,44 @@ size_t TraceReader::pull(AccessEvent *Buf, size_t Max) {
   return IsText ? pullText(Buf, Max) : pullBinary(Buf, Max);
 }
 
+size_t TraceReader::decodeBuffered(AccessEvent *Buf, size_t Max) {
+  const uint8_t *const Base = InBuf.data();
+  const uint8_t *P = Base + InPos;
+  const uint8_t *const End = Base + InLen;
+  uint32_t Site = PrevSite;
+  uint64_t Addr = PrevAddr, Ref = PrevRef;
+  size_t N = 0;
+  while (N < Max && static_cast<size_t>(End - P) >= TraceMaxEventBytes) {
+    const uint8_t Tag = *P;
+    if (Tag != TagLoad && Tag != TagPrefetch)
+      break;
+    uint64_t DSite, DAddr, DRef;
+    const uint8_t *Q = decodeVarint(P + 1, DSite);
+    if (Q)
+      Q = decodeVarint(Q, DAddr);
+    if (Q)
+      Q = decodeVarint(Q, DRef);
+    if (!Q)
+      break;
+    P = Q;
+    Site = static_cast<uint32_t>(static_cast<int64_t>(Site) +
+                                 zigzagDecode(DSite));
+    Addr += static_cast<uint64_t>(zigzagDecode(DAddr));
+    Ref += static_cast<uint64_t>(zigzagDecode(DRef));
+    Buf[N].Address = Addr;
+    Buf[N].GlobalRefIndex = Ref;
+    Buf[N].SiteId = Site;
+    Buf[N].Kind = Tag == TagPrefetch ? AccessKind::Prefetch : AccessKind::Load;
+    ++N;
+  }
+  InPos = static_cast<size_t>(P - Base);
+  PrevSite = Site;
+  PrevAddr = Addr;
+  PrevRef = Ref;
+  DecodedEvents += N;
+  return N;
+}
+
 size_t TraceReader::pullBinary(AccessEvent *Buf, size_t Max) {
   size_t N = 0;
   while (N < Max) {
@@ -628,6 +705,17 @@ size_t TraceReader::pullBinary(AccessEvent *Buf, size_t Max) {
       SawFooter = true;
       break;
     }
+    size_t Want = Max - N;
+    if (ShardMode)
+      Want = static_cast<size_t>(
+          std::min<uint64_t>(Want, ShardMaxEvents - DecodedEvents));
+    if (const size_t Fast = decodeBuffered(Buf + N, Want)) {
+      N += Fast;
+      continue;
+    }
+    // Checked path, one event: the last TraceMaxEventBytes - 1 bytes of a
+    // buffer, the end marker, and every malformed record, so each error
+    // and its message come from one place.
     const int Tag = getByte();
     if (Tag < 0) {
       fail(TraceError::Truncated,

@@ -67,6 +67,14 @@ inline constexpr uint32_t TraceFormatVersion = 2;
 /// load-balances well even on traces of a few million events.
 inline constexpr uint64_t DefaultTraceIndexInterval = 32768;
 
+/// Bytes a TraceReader reads per refill of its input buffer.
+inline constexpr size_t TraceReadBufferBytes = 64 * 1024;
+
+/// Longest binary event record: the tag byte and three 10-byte varints.
+/// TraceWriter reserves this much per event; TraceReader decodes without
+/// per-byte checks only while this much input is buffered.
+inline constexpr size_t TraceMaxEventBytes = 31;
+
 /// Where a trace came from: the workload, data set, and profiling method
 /// of the capturing run. All fields may be empty (external traces).
 struct TraceProvenance {
@@ -200,7 +208,6 @@ private:
   void putByte(uint8_t B);
   void putBytes(const void *Data, size_t N);
   void putVarint(uint64_t V);
-  void putZigzag(int64_t V);
   void writeHeader(uint32_t NumSites, const TraceProvenance &Prov);
   void flushBuf();
 
@@ -314,6 +321,11 @@ private:
   bool parseTextLine(const std::string &Line, AccessEvent &E, bool &IsEvent);
   bool readLine(std::string &Line);
   size_t pullBinary(AccessEvent *Buf, size_t Max);
+  /// pullBinary's unchecked decoder: decodes up to \p Max well-formed
+  /// events straight from the buffer while a worst-case record is
+  /// buffered. Stops short of anything else (a buffer end, the end marker,
+  /// a malformed record), which the checked getByte() path then takes.
+  size_t decodeBuffered(AccessEvent *Buf, size_t Max);
   size_t pullText(AccessEvent *Buf, size_t Max);
 
   std::unique_ptr<std::istream> OwnedIS;

@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/ParallelReplay.h"
 #include "driver/Pipeline.h"
 #include "driver/TraceReplay.h"
 #include "instrument/Instrumentation.h"
@@ -34,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -397,6 +399,211 @@ TEST(TraceFile, CutStreamsAreTruncationErrors) {
     EXPECT_FALSE(R.ok());
     EXPECT_EQ(R.errorCode(), TraceError::Truncated);
     EXPECT_FALSE(R.atEnd());
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Codec fast paths: the pointer-based encoder and the unchecked decoder
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+uint64_t fnv1a(const std::string &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (const unsigned char C : Bytes) {
+    H ^= C;
+    H *= 0x100000001b3ULL;
+  }
+  return H;
+}
+
+/// Encodes \p Events one per batch -- the writer flushes every batch -- and
+/// records where each event's record ends in the returned file bytes.
+std::string encodeWithEnds(const std::vector<AccessEvent> &Events,
+                           uint32_t NumSites, const TraceProvenance &Prov,
+                           std::vector<uint64_t> &Ends) {
+  std::stringstream SS;
+  TraceWriter W(SS, NumSites, Prov);
+  Ends.clear();
+  for (const AccessEvent &E : Events) {
+    W.onBatch(&E, 1);
+    Ends.push_back(W.bytesWritten());
+  }
+  W.finish();
+  EXPECT_TRUE(W.ok()) << W.error();
+  return SS.str();
+}
+
+/// Records of every size the encoder produces, up to the widest real one:
+/// small strides, 32-bit site jumps, and address and ref deltas that need
+/// all ten varint bytes (a 10th byte of 0x01, the largest legal one).
+std::vector<AccessEvent> mixedWidthEvents(size_t N) {
+  std::vector<AccessEvent> Events;
+  Events.reserve(N);
+  uint64_t Addr = 0x1000, Ref = 0;
+  for (size_t I = 0; I != N; ++I) {
+    AccessEvent E;
+    switch (I % 7) {
+    case 0:
+    case 1:
+    case 2:
+      Addr += 8 * (I % 3 + 1);
+      break;
+    case 3:
+      Addr ^= 0x8000000000000000ULL;
+      break;
+    case 4:
+      Addr += 0x123456789ULL;
+      break;
+    default:
+      Addr -= 4096;
+      break;
+    }
+    Ref = I % 5 == 4 ? Ref ^ 0x8000000000000000ULL : Ref + 1;
+    E.Address = Addr;
+    E.GlobalRefIndex = Ref;
+    E.SiteId = I % 11 == 10 ? 0xfffffff0u : static_cast<uint32_t>(I % 4);
+    E.Kind = I % 13 == 6 ? AccessKind::Prefetch : AccessKind::Load;
+    Events.push_back(E);
+  }
+  return Events;
+}
+
+/// A hand-built /2 header: magic, version, site count, and the three
+/// provenance strings with the workload name \p Workload.
+std::string binaryHeader(uint32_t NumSites, const std::string &Workload) {
+  std::string H = "SPROFTRC";
+  for (const uint32_t W : {TraceFormatVersion, NumSites})
+    for (int I = 0; I != 4; ++I)
+      H.push_back(static_cast<char>(W >> (8 * I)));
+  EXPECT_LT(Workload.size(), 128u);
+  H.push_back(static_cast<char>(Workload.size()));
+  H += Workload;
+  H.append(2, '\0'); // empty data set and method
+  return H;
+}
+
+} // namespace
+
+// The writer's byte stream is a format contract (shard indexes and pinned
+// fixtures hold byte offsets into it): this hash was taken from the
+// byte-at-a-time encoder that preceded the pointer-based one.
+TEST(TraceFile, EncodedBytesArePinned) {
+  SyntheticTraceConfig Config;
+  Config.Events = 100000;
+  Config.Seed = 5;
+  auto Src = makeSyntheticTrace("stream-mixed", Config);
+  ASSERT_NE(Src, nullptr);
+  std::stringstream SS;
+  TraceWriter W(SS, Src->numSites());
+  drainStream(*Src, W);
+  ASSERT_TRUE(W.ok()) << W.error();
+  const std::string Bytes = SS.str();
+  EXPECT_EQ(Bytes.size(), 651643u);
+  EXPECT_EQ(fnv1a(Bytes), 0xc3b41b329fed3f55ULL);
+}
+
+// The decoder switches from its unchecked to its checked path for the last
+// TraceMaxEventBytes of each buffer. Growing the header one byte at a time
+// slides the records past the refill, so some record ends at every offset
+// of that tail, and each must still decode exactly.
+TEST(TraceFile, FastPathStraddlesRefills) {
+  const std::vector<AccessEvent> Events = mixedWidthEvents(20000);
+  std::vector<bool> Covered(TraceMaxEventBytes + 1, false);
+  for (size_t Pad = 0; Pad <= TraceMaxEventBytes; ++Pad) {
+    SCOPED_TRACE("header pad " + std::to_string(Pad));
+    std::vector<uint64_t> Ends;
+    const std::string Bytes = encodeWithEnds(
+        Events, 0xfffffff1u, {std::string(Pad, 'w'), "", ""}, Ends);
+    for (const uint64_t End : Ends)
+      for (const uint64_t Refill :
+           {TraceReadBufferBytes, 2 * TraceReadBufferBytes})
+        if (End <= Refill && Refill - End <= TraceMaxEventBytes)
+          Covered[Refill - End] = true;
+    ASSERT_GT(Bytes.size(), 2 * TraceReadBufferBytes);
+    std::istringstream In(Bytes);
+    TraceReader R(In);
+    ASSERT_TRUE(R.ok()) << R.error();
+    expectSameEvents(Events, drainAll(R));
+    EXPECT_TRUE(R.ok()) << R.error();
+    EXPECT_TRUE(R.atEnd());
+  }
+  for (size_t Gap = 0; Gap != Covered.size(); ++Gap)
+    EXPECT_TRUE(Covered[Gap]) << "no record ends " << Gap
+                              << " bytes before a refill";
+}
+
+// A cut at a record boundary is a truncation with the exact number of whole
+// events before it, whichever path decoded them and however the caller
+// batches its pulls; a cut inside a record is a truncation mid-varint.
+TEST(TraceFile, TruncationInsideTheFastRegionKeepsItsEventCount) {
+  const std::vector<AccessEvent> Events = patternEvents(30000);
+  std::vector<uint64_t> Ends;
+  const std::string Bytes = encodeWithEnds(Events, 5, {}, Ends);
+  ASSERT_GT(Bytes.size(), 2 * TraceReadBufferBytes);
+  // Record boundaries deep inside the first and the second buffer.
+  for (const uint64_t Target :
+       {TraceReadBufferBytes / 2, TraceReadBufferBytes * 3 / 2}) {
+    const size_t K = static_cast<size_t>(
+        std::lower_bound(Ends.begin(), Ends.end(), Target) - Ends.begin());
+    ASSERT_LT(K, Ends.size());
+    for (const bool MidRecord : {false, true}) {
+      const size_t Keep = static_cast<size_t>(Ends[K]) + (MidRecord ? 2 : 0);
+      SCOPED_TRACE("keep " + std::to_string(Keep));
+      const std::string Want =
+          MidRecord ? "<stream>: file ends mid-varint"
+                    : "<stream>: file ends before the end-of-events marker "
+                      "(decoded " +
+                          std::to_string(K + 1) + " events)";
+      for (const size_t Batch : {size_t(1), size_t(97), size_t(4096)}) {
+        SCOPED_TRACE("batch " + std::to_string(Batch));
+        std::istringstream Cut(Bytes.substr(0, Keep));
+        TraceReader R(Cut);
+        ASSERT_TRUE(R.ok()) << R.error();
+        std::vector<AccessEvent> Buf(Batch);
+        while (R.pull(Buf.data(), Buf.size()) != 0) {
+        }
+        EXPECT_EQ(R.errorCode(), TraceError::Truncated);
+        EXPECT_EQ(R.error(), Want);
+        EXPECT_FALSE(R.atEnd());
+      }
+    }
+  }
+}
+
+// A varint whose 10th byte exceeds 0x01 does not fit 64 bits. It is
+// Corrupt wherever it sits: mid-buffer, where the unchecked decoder meets
+// it first, and straddling a refill, where only the checked path runs.
+TEST(TraceFile, OverflowingVarintIsCorrupt) {
+  // Filler record: load, site +0, address +8, ref +1.
+  const std::string Filler = {'\x01', '\x00', '\x10', '\x02'};
+  // Load, site +0, then an address delta whose 10th byte is 0x02.
+  std::string Bad = {'\x01', '\x00'};
+  Bad.append(9, '\xff');
+  Bad += {'\x02', '\x02'};
+  // Header bytes: 19 plus the workload name. With a 1-byte name and 16376
+  // fillers the bad record starts 12 bytes before the first refill.
+  const size_t HeaderBytes = binaryHeader(4, "w").size();
+  ASSERT_EQ(HeaderBytes + 16376 * Filler.size(), TraceReadBufferBytes - 12);
+  for (const size_t Before : {size_t(100), size_t(16376)}) {
+    SCOPED_TRACE("bad record after " + std::to_string(Before) + " events");
+    std::string Bytes = binaryHeader(4, "w");
+    for (size_t I = 0; I != Before; ++I)
+      Bytes += Filler;
+    Bytes += Bad;
+    for (size_t I = 0; I != 100; ++I)
+      Bytes += Filler;
+    Bytes.push_back('\0'); // end-of-events marker
+    std::istringstream In(Bytes);
+    TraceReader R(In);
+    ASSERT_TRUE(R.ok()) << R.error();
+    AccessEvent E;
+    size_t Decoded = 0;
+    while (R.pull(&E, 1) != 0)
+      ++Decoded;
+    EXPECT_EQ(Decoded, Before);
+    EXPECT_EQ(R.errorCode(), TraceError::Corrupt);
+    EXPECT_EQ(R.error(), "<stream>: varint longer than 64 bits");
   }
 }
 
@@ -908,26 +1115,41 @@ void expectSameReplay(const TraceReplayResult &Serial,
     EXPECT_EQ(Par.SiteClass[S], Serial.SiteClass[S]) << "site " << S;
   EXPECT_EQ(Par.HasMemSim, Serial.HasMemSim);
   if (Serial.HasMemSim) {
-    EXPECT_EQ(Par.MemBaseline.Cycles, Serial.MemBaseline.Cycles);
-    EXPECT_EQ(Par.MemBaseline.StallCycles, Serial.MemBaseline.StallCycles);
-    EXPECT_EQ(Par.MemBaseline.Loads, Serial.MemBaseline.Loads);
-    EXPECT_EQ(Par.MemPrefetched.Cycles, Serial.MemPrefetched.Cycles);
-    EXPECT_EQ(Par.MemPrefetched.StallCycles,
-              Serial.MemPrefetched.StallCycles);
-    EXPECT_EQ(Par.MemPrefetched.Prefetches, Serial.MemPrefetched.Prefetches);
-    EXPECT_EQ(Par.MemBaselineStats.DemandAccesses,
-              Serial.MemBaselineStats.DemandAccesses);
-    EXPECT_EQ(Par.MemPrefetchedStats.PrefetchesIssued,
-              Serial.MemPrefetchedStats.PrefetchesIssued);
+    for (const auto &[P, S] :
+         {std::pair(&Par.MemBaseline, &Serial.MemBaseline),
+          std::pair(&Par.MemPrefetched, &Serial.MemPrefetched)}) {
+      EXPECT_EQ(P->Events, S->Events);
+      EXPECT_EQ(P->Loads, S->Loads);
+      EXPECT_EQ(P->Prefetches, S->Prefetches);
+      EXPECT_EQ(P->Cycles, S->Cycles);
+      EXPECT_EQ(P->StallCycles, S->StallCycles);
+    }
+    EXPECT_EQ(memoryStatsToJson(Par.MemBaselineStats).str(),
+              memoryStatsToJson(Serial.MemBaselineStats).str());
+    EXPECT_EQ(memoryStatsToJson(Par.MemPrefetchedStats).str(),
+              memoryStatsToJson(Serial.MemPrefetchedStats).str());
   }
 }
 
 } // namespace
 
 // The differential bar: for every profiling method, with and without the
-// stream-driven memory simulation, a threaded replay of a real capture is
-// bit-identical to the serial replay of the same file.
+// stream-driven memory simulation, and for every synthetic generator, a
+// threaded replay is bit-identical to the serial replay of the same file.
+// Threads > 1 overlaps the demand-only cache pass with the profile shards
+// and the prefetched pass, so this also holds the schedule to the result.
 TEST(TraceReplay, ParallelReplayMatchesSerialAcrossMethods) {
+  const auto ReplayAtEveryThreadCount = [](const std::string &Path,
+                                           TraceReplayOptions Opts) {
+    Opts.Threads = 1;
+    const TraceReplayResult Serial = replayTraceFile(Path, Opts);
+    for (unsigned Threads : {2u, 4u, 8u}) {
+      SCOPED_TRACE("threads " + std::to_string(Threads));
+      Opts.Threads = Threads;
+      expectSameReplay(Serial, replayTraceFile(Path, Opts));
+    }
+  };
+
   std::unique_ptr<Workload> W = makeWorkloadByName("181.mcf");
   ASSERT_NE(W, nullptr);
   for (ProfilingMethod Method : allProfilingMethods()) {
@@ -948,11 +1170,32 @@ TEST(TraceReplay, ParallelReplayMatchesSerialAcrossMethods) {
       Opts.Config = engineConfig(InterpreterConfig::Engine::Decoded);
       Opts.EvaluateWorkload = false;
       Opts.SimulateMemory = MemSim;
-      const TraceReplayResult Serial = replayTraceFile(Path, Opts);
-      Opts.Threads = 4;
-      const TraceReplayResult Par = replayTraceFile(Path, Opts);
-      expectSameReplay(Serial, Par);
+      ReplayAtEveryThreadCount(Path, Opts);
     }
+    std::remove(Path.c_str());
+  }
+
+  // Every synthetic generator, attribution on for the prefetched pass; a
+  // small index interval gives the parallel decode many chunks.
+  SyntheticTraceConfig Config;
+  Config.Events = 60000;
+  Config.Seed = 3;
+  for (const std::string &Name : syntheticTraceNames()) {
+    SCOPED_TRACE(Name);
+    auto Src = makeSyntheticTrace(Name, Config);
+    ASSERT_NE(Src, nullptr);
+    const std::string Path = tmpPath("par_" + Name + ".sprof.trace");
+    std::string Err;
+    auto Writer = TraceWriter::open(Path, Src->numSites(), {}, false, &Err,
+                                    /*IndexInterval=*/4096);
+    ASSERT_NE(Writer, nullptr) << Err;
+    drainStream(*Src, *Writer);
+    ASSERT_TRUE(Writer->ok()) << Writer->error();
+
+    TraceReplayOptions Opts;
+    Opts.EvaluateWorkload = false;
+    Opts.Config.Memory.EnableAttribution = true;
+    ReplayAtEveryThreadCount(Path, Opts);
     std::remove(Path.c_str());
   }
 }
@@ -1029,4 +1272,65 @@ TEST(TraceReplay, ProfileShardCountIsObservationallyInvisible) {
       expectSameReplay(Serial, R);
     }
   }
+}
+
+// profileEventsSharded's shards scan one contiguous buffer: a VectorSource's
+// own storage, or any other source drained into a vector first. A
+// file-backed reader, the same events in a VectorSource, and a serial
+// StrideProfiler::consume all give the identical profile and accumulators.
+TEST(ParallelReplay, NonContiguousSourceMatchesVectorSource) {
+  SyntheticTraceConfig Config;
+  Config.Events = 40000;
+  Config.Seed = 9;
+  auto Gen = makeSyntheticTrace("stream-mixed", Config);
+  ASSERT_NE(Gen, nullptr);
+  const uint32_t NumSites = Gen->numSites();
+  const std::vector<AccessEvent> Events = drainAll(*Gen);
+  const std::string Path = tmpPath("sharded_source.sprof.trace");
+  {
+    std::string Err;
+    auto W = TraceWriter::open(Path, NumSites, {}, false, &Err);
+    ASSERT_NE(W, nullptr) << Err;
+    W->onBatch(Events.data(), Events.size());
+    W->finish();
+    ASSERT_TRUE(W->ok()) << W->error();
+  }
+
+  for (const bool Sampling : {false, true}) {
+    SCOPED_TRACE(Sampling ? "sampling" : "no sampling");
+    StrideProfilerConfig PC;
+    PC.Sampling.Enabled = Sampling;
+    StrideProfiler Serial(NumSites, PC);
+    VectorSource SerialSrc(Events, NumSites);
+    const uint64_t SerialCycles = Serial.consume(SerialSrc, 256);
+    const std::string Want =
+        strideProfileToJson(StrideProfile::fromProfiler(Serial)).str();
+
+    for (const unsigned Threads : {1u, 3u}) {
+      for (const unsigned Shards : {0u, 2u, 7u}) {
+        SCOPED_TRACE("threads " + std::to_string(Threads) + " shards " +
+                     std::to_string(Shards));
+        auto Reader = TraceReader::openFile(Path);
+        ASSERT_TRUE(Reader->ok()) << Reader->error();
+        VectorSource Vec(Events, NumSites);
+        for (AccessSource *Src : {static_cast<AccessSource *>(Reader.get()),
+                                  static_cast<AccessSource *>(&Vec)}) {
+          const ShardedProfileResult R =
+              profileEventsSharded(*Src, PC, Threads, Shards);
+          ASSERT_TRUE(R.Ok) << R.Error;
+          EXPECT_EQ(strideProfileToJson(R.Strides).str(), Want);
+          EXPECT_EQ(R.RuntimeCycles, SerialCycles);
+          EXPECT_EQ(R.Invocations, Serial.totalInvocations());
+          EXPECT_EQ(R.Processed, Serial.totalProcessed());
+          EXPECT_EQ(R.LfuCalls, Serial.totalLfuCalls());
+          // Both sources are left exhausted, as a serial consume leaves them.
+          AccessEvent E;
+          EXPECT_EQ(Src->pull(&E, 1), 0u);
+        }
+        EXPECT_TRUE(Reader->ok()) << Reader->error();
+        EXPECT_TRUE(Reader->atEnd());
+      }
+    }
+  }
+  std::remove(Path.c_str());
 }
