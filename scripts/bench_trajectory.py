@@ -87,8 +87,9 @@ def git_revision():
 
 def collect_point(build_dir, threads, workdir):
     """Runs the benches into workdir and condenses one trajectory point."""
-    fig16 = os.path.join(workdir, "fig16.json")
-    fig20 = os.path.join(workdir, "fig20.json")
+    # sprof-repro writes each figure's report under its default name.
+    fig16 = os.path.join(workdir, "bench_fig16_speedup.json")
+    fig20 = os.path.join(workdir, "bench_fig20_overhead.json")
     runtime = os.path.join(workdir, "runtime.json")
     runtime_memsys = os.path.join(workdir, "runtime_memsys.json")
     runtime_profiled = os.path.join(workdir, "runtime_profiled.json")
@@ -102,10 +103,8 @@ def collect_point(build_dir, threads, workdir):
 
     bench = os.path.join(build_dir, "bench")
     examples = os.path.join(build_dir, "examples")
-    run([os.path.join(bench, "bench_fig16_speedup"),
-         f"--threads={threads}", f"--json={fig16}"], stdout=subprocess.DEVNULL)
-    run([os.path.join(bench, "bench_fig20_overhead"),
-         f"--threads={threads}", f"--json={fig20}"], stdout=subprocess.DEVNULL)
+    run([os.path.abspath(os.path.join(bench, "sprof-repro")), "fig16", "fig20",
+         f"--threads={threads}"], stdout=subprocess.DEVNULL, cwd=workdir)
     run([os.path.join(bench, "bench_runtime"), "--compare",
          f"--json={runtime}"], stdout=subprocess.DEVNULL)
     run([os.path.join(bench, "bench_runtime"), "--compare", "--with-memsys",

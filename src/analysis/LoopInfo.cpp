@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/LoopInfo.h"
+#include "ir/Module.h"
 
 #include <algorithm>
 #include <cassert>
@@ -247,4 +248,18 @@ bool LoopInfo::isLoopInvariantReg(uint32_t LoopIdx, Reg R) const {
   assert(LoopIdx < Loops.size() && "loop index out of range");
   return !std::binary_search(LoopDefs[LoopIdx].begin(),
                              LoopDefs[LoopIdx].end(), R);
+}
+
+std::vector<bool> sprof::loadSitesInLoop(const Module &M) {
+  std::vector<SiteLocation> Sites = M.locateLoadSites();
+  std::vector<bool> InLoop(M.NumLoadSites, false);
+  for (uint32_t FI = 0; FI != M.Functions.size(); ++FI) {
+    const Function &F = M.Functions[FI];
+    DomTree DT = DomTree::forward(F);
+    LoopInfo LI(F, DT);
+    for (uint32_t Site = 0; Site != M.NumLoadSites; ++Site)
+      if (Sites[Site].Func == FI)
+        InLoop[Site] = LI.isInLoop(Sites[Site].Block);
+  }
+  return InLoop;
 }

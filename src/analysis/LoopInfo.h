@@ -96,6 +96,12 @@ private:
   std::vector<std::vector<Reg>> LoopDefs;
 };
 
+struct Module;
+
+/// Per load site of \p M: whether the site sits inside a (reducible) loop,
+/// the paper's in-loop/out-loop split of Figures 17-19.
+std::vector<bool> loadSitesInLoop(const Module &M);
+
 } // namespace sprof
 
 #endif // SPROF_ANALYSIS_LOOPINFO_H

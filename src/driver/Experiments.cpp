@@ -7,7 +7,6 @@
 
 #include "driver/Experiments.h"
 
-#include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
 #include "obs/Report.h"
 #include "support/Stats.h"
@@ -32,16 +31,7 @@ static PopulationRow classifyPopulationImpl(const Workload &W,
 
   // In-loop classification per site on the original module.
   Program Prog = W.build({DataSet::Ref, Config.WorkloadSeedOffset});
-  std::vector<SiteLocation> Sites = Prog.M.locateLoadSites();
-  std::vector<bool> SiteInLoop(Prog.M.NumLoadSites, false);
-  for (uint32_t FI = 0; FI != Prog.M.Functions.size(); ++FI) {
-    const Function &F = Prog.M.Functions[FI];
-    DomTree DT = DomTree::forward(F);
-    LoopInfo LI(F, DT);
-    for (uint32_t Site = 0; Site != Prog.M.NumLoadSites; ++Site)
-      if (Sites[Site].Func == FI)
-        SiteInLoop[Site] = LI.isInLoop(Sites[Site].Block);
-  }
+  std::vector<bool> SiteInLoop = loadSitesInLoop(Prog.M);
 
   PopulationRow Row;
   Row.Bench = W.info().Name;
@@ -271,12 +261,6 @@ std::vector<SensitivityMeasurement> sprof::measureSuiteSensitivity(
   return Results;
 }
 
-SensitivityMeasurement
-sprof::measureSensitivity(const Workload &W, const PipelineConfig &Config) {
-  ExperimentEngine Engine;
-  return std::move(measureSuiteSensitivity(Engine, {&W}, Config).front());
-}
-
 std::vector<BaselineMeasurement> sprof::measureSuiteBaselines(
     ExperimentEngine &Engine, const std::vector<const Workload *> &Workloads,
     const PipelineConfig &Config) {
@@ -396,16 +380,6 @@ bool sprof::writeBenchReport(
   }
   std::cerr << "bench report written to " << Path << "\n";
   return true;
-}
-
-int sprof::emitBenchReport(int Argc, char **Argv,
-                           const std::string &DefaultPath,
-                           const std::string &Figure,
-                           const std::vector<BenchMeasurement> &Measurements) {
-  if (auto Path = benchReportPath(Argc, Argv, DefaultPath))
-    if (!writeBenchReport(*Path, Figure, Measurements))
-      return 1;
-  return 0;
 }
 
 int sprof::emitBenchReport(int Argc, char **Argv,

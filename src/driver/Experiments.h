@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the bench binaries that regenerate the paper's tables
-/// and figures: cached per-benchmark measurement bundles and the paper's
+/// Helpers behind the paper's tables and figures (bench/sprof_repro.cpp):
+/// per-benchmark measurement bundles, their JSON reports, and the paper's
 /// published reference numbers for side-by-side output.
 ///
 //===----------------------------------------------------------------------===//
@@ -82,9 +82,6 @@ struct SensitivityMeasurement {
   double EdgeTrainStrideRef = 1.0; ///< edge.train + stride.ref
 };
 
-SensitivityMeasurement measureSensitivity(const Workload &W,
-                                          const PipelineConfig &Config = {});
-
 // -- Engine-based suite drivers -------------------------------------------
 //
 // Each expands the whole suite into one job graph on \p Engine, so
@@ -127,9 +124,9 @@ measureSuiteBaselines(ExperimentEngine &Engine,
                       const PipelineConfig &Config = {});
 
 /// Machine-readable bench output. The bundles serialize under the stable
-/// schema "sprof.bench_report/1"; every figure bench can emit its raw
-/// measurements so downstream tooling (plots, regression gates) need not
-/// scrape the tables.
+/// schema "sprof.bench_report/1"; every figure sprof-repro renders emits
+/// its raw measurements so downstream tooling (plots, regression gates)
+/// need not scrape the tables.
 JsonValue methodMeasurementToJson(const MethodMeasurement &M);
 JsonValue benchMeasurementToJson(const BenchMeasurement &BM);
 JsonValue baselineMeasurementToJson(const BaselineMeasurement &BM);
@@ -155,15 +152,10 @@ bool writeBenchRows(const std::string &Path, const std::string &Figure,
 std::optional<std::string> benchReportPath(int Argc, char **Argv,
                                            const std::string &DefaultPath);
 
-/// The shared tail of every bench main: resolve the report path from the
-/// CLI (benchReportPath), serialize, and map the outcome onto the process
-/// exit code -- 0 when the report was written or disabled (`--no-json`),
-/// 1 when it could not be written. One overload per row flavour; both
-/// funnel into writeBenchReport/writeBenchRows so every bench keeps the
-/// same schema and failure behaviour without hand-rolling the idiom.
-int emitBenchReport(int Argc, char **Argv, const std::string &DefaultPath,
-                    const std::string &Figure,
-                    const std::vector<BenchMeasurement> &Measurements);
+/// The tail of a standalone bench main: resolve the report path from the
+/// CLI (benchReportPath), write \p Rows through writeBenchRows, and map
+/// the outcome onto the process exit code -- 0 when the report was written
+/// or disabled (`--no-json`), 1 when it could not be written.
 int emitBenchReport(int Argc, char **Argv, const std::string &DefaultPath,
                     const std::string &Figure, JsonValue Rows);
 

@@ -7,8 +7,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A tiny fixed-width table printer. Every bench binary regenerating one of
-/// the paper's figures prints its rows/series through this class so all
+/// A tiny fixed-width table printer. Every paper figure sprof-repro
+/// regenerates prints its rows/series through this class so all
 /// experiment output has a uniform, diffable format.
 ///
 //===----------------------------------------------------------------------===//
@@ -33,7 +33,7 @@ public:
   /// Appends a row; the first row added becomes the header.
   Table &row(std::vector<std::string> Cells);
 
-  /// Convenience formatters used by the bench binaries.
+  /// Convenience formatters used by the figure tables.
   static std::string fmt(double Value, int Precision = 2);
   static std::string fmtPercent(double Value, int Precision = 1);
   static std::string fmtInt(uint64_t Value);
