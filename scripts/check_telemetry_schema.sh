@@ -10,11 +10,9 @@
 # When given the sprof-inspect binary it also smoke-tests its summary,
 # diff, timeseries, hotspots, and trace modes against the fresh artifacts
 # — including that unknown subcommands, malformed JSON, truncated traces,
-# and trace version mismatches exit nonzero — and when given a
-# bench-trajectory point it validates the "sprof.bench_point/6" schema.
-# When given the sweep_demo example it
-# also validates the "sprof.sweep_report/1" document (per-job queue-wait
-# vs run split, dependency edges referencing earlier ids, the critical
+# and trace version mismatches exit nonzero. When given the sweep_demo
+# example it also validates the "sprof.sweep_report/1" document (per-job
+# queue-wait vs run split, dependency edges referencing earlier ids, the critical
 # path's sum-of-durations <= wall invariant, and the scheduler section
 # with per-worker utilization and the run-memo counts, whose parks must
 # be 0 when the same sweep runs serially), the Chrome trace's flow-event pairing
@@ -24,19 +22,15 @@
 # nonzero exit. Wired into ctest as `telemetry_schema`.
 #
 # Usage: check_telemetry_schema.sh /path/to/telemetry_demo [workdir]
-#            [/path/to/sprof-inspect] [/path/to/bench_point.json]
-#            [/path/to/sweep_demo]
+#            [/path/to/sprof-inspect] [/path/to/sweep_demo]
 set -euo pipefail
 
-DEMO="${1:?usage: check_telemetry_schema.sh /path/to/telemetry_demo [workdir] [sprof-inspect] [bench_point.json] [sweep_demo]}"
+DEMO="${1:?usage: check_telemetry_schema.sh /path/to/telemetry_demo [workdir] [sprof-inspect] [sweep_demo]}"
 WORKDIR="${2:-$(mktemp -d)}"
 INSPECT="${3:-}"
-BENCH_POINT="${4:-}"
-SWEEP_DEMO="${5:-}"
+SWEEP_DEMO="${4:-}"
 # "-" skips an optional slot (ctest can't pass empty arguments portably).
 [ "$INSPECT" = "-" ] && INSPECT=""
-[ "$BENCH_POINT" = "-" ] && BENCH_POINT=""
-[ "$SWEEP_DEMO" = "-" ] && SWEEP_DEMO=""
 REPORT="$WORKDIR/telemetry_report.json"
 TRACE="$WORKDIR/telemetry_trace.json"
 SAMPLED="$WORKDIR/telemetry_sampled_report.json"
@@ -499,61 +493,6 @@ EOF
         exit 1
     }
     echo "sprof-inspect error paths OK"
-fi
-
-# -- bench-trajectory point ------------------------------------------------
-
-if [ -n "$BENCH_POINT" ]; then
-    python3 - "$BENCH_POINT" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    point = json.load(f)
-failures = []
-schema = point.get("schema")
-if schema != "sprof.bench_point/6":
-    failures.append(f"unexpected schema: {schema!r}")
-# The wall-clock compare geomeans for the bare, memsys-attached and
-# profiler-attached configurations sit beside the simulated figures.
-for key in ("date", "geomean_speedup", "profiling_overhead",
-            "prefetch_useful_ratio", "accuracy_score", "engine_wall_speedup",
-            "memsys_wall_speedup", "profiled_wall_speedup"):
-    if key not in point:
-        failures.append(f"bench point missing {key!r}")
-# The worst-case telemetry overhead from the instrumented wall-clock
-# compare (a ratio - 1, so anything >= -1 is legal).
-overhead = point.get("telemetry_overhead")
-if not isinstance(overhead, (int, float)) or overhead < -1:
-    failures.append("bench point telemetry_overhead missing or invalid")
-# The parallel-replay scaling ratio (serial over threaded wall time;
-# warn-only in the gate, but it must be present and sane).
-value = point.get("replay_parallel_speedup")
-if not isinstance(value, (int, float)) or value < 0:
-    failures.append("bench point replay_parallel_speedup missing or invalid")
-for key in ("geomean_speedup", "prefetch_useful_ratio", "accuracy_score"):
-    value = point.get(key)
-    if not isinstance(value, (int, float)) or value < 0:
-        failures.append(f"bench point {key} not a non-negative number")
-if "replay_events_per_sec" in point:
-    # Optional /3 extension: trace-replay decode+profile throughput.
-    value = point.get("replay_events_per_sec")
-    if not isinstance(value, (int, float)) or value <= 0:
-        failures.append("bench point replay_events_per_sec not positive")
-if "git_sha" in point:
-    # Optional provenance stamp: a full commit sha plus a dirty flag.
-    sha = point.get("git_sha")
-    if not (isinstance(sha, str) and len(sha) == 40 and
-            all(c in "0123456789abcdef" for c in sha)):
-        failures.append(f"bench point git_sha malformed: {sha!r}")
-    if not isinstance(point.get("git_dirty"), bool):
-        failures.append("bench point git_sha without a boolean git_dirty")
-if failures:
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    sys.exit(1)
-print("bench point schema OK")
-EOF
 fi
 
 # -- sprof.sweep_report/1 + sprof.flightrec/1 ------------------------------

@@ -11,8 +11,6 @@
 #include "obs/Report.h"
 #include "support/Stats.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 using namespace sprof;
@@ -350,74 +348,35 @@ JsonValue sprof::sensitivityMeasurementToJson(
   return J;
 }
 
-bool sprof::writeBenchRows(const std::string &Path,
-                           const std::string &Figure, JsonValue Rows) {
+/// Writes a "sprof.bench_report/1" document whose payload \p Body sits
+/// under \p Key; reports the outcome on stderr.
+static bool writeBenchDocument(const std::string &Path,
+                               const std::string &Figure, const char *Key,
+                               JsonValue Body) {
   JsonValue Root = JsonValue::object();
   Root.set("schema", "sprof.bench_report/1");
   Root.set("figure", Figure);
-  Root.set("rows", std::move(Rows));
+  Root.set(Key, std::move(Body));
   if (!writeJsonFile(Path, Root)) {
     std::cerr << "error: could not write bench report to " << Path << "\n";
     return false;
   }
   std::cerr << "bench report written to " << Path << "\n";
   return true;
+}
+
+bool sprof::writeBenchRows(const std::string &Path,
+                           const std::string &Figure, JsonValue Rows) {
+  return writeBenchDocument(Path, Figure, "rows", std::move(Rows));
 }
 
 bool sprof::writeBenchReport(
     const std::string &Path, const std::string &Figure,
     const std::vector<BenchMeasurement> &Measurements) {
-  JsonValue Root = JsonValue::object();
-  Root.set("schema", "sprof.bench_report/1");
-  Root.set("figure", Figure);
   JsonValue Benchmarks = JsonValue::array();
   for (const BenchMeasurement &BM : Measurements)
     Benchmarks.push(benchMeasurementToJson(BM));
-  Root.set("benchmarks", std::move(Benchmarks));
-  if (!writeJsonFile(Path, Root)) {
-    std::cerr << "error: could not write bench report to " << Path << "\n";
-    return false;
-  }
-  std::cerr << "bench report written to " << Path << "\n";
-  return true;
-}
-
-int sprof::emitBenchReport(int Argc, char **Argv,
-                           const std::string &DefaultPath,
-                           const std::string &Figure, JsonValue Rows) {
-  if (auto Path = benchReportPath(Argc, Argv, DefaultPath))
-    if (!writeBenchRows(*Path, Figure, std::move(Rows)))
-      return 1;
-  return 0;
-}
-
-std::optional<std::string> sprof::benchReportPath(
-    int Argc, char **Argv, const std::string &DefaultPath) {
-  std::optional<std::string> Path = DefaultPath;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--no-json") == 0)
-      Path = std::nullopt;
-    else if (std::strncmp(Argv[I], "--json=", 7) == 0)
-      Path = std::string(Argv[I] + 7);
-  }
-  return Path;
-}
-
-unsigned sprof::benchThreads(int Argc, char **Argv, unsigned Default) {
-  unsigned Threads = Default;
-  auto Parse = [&](const char *Value) {
-    char *End = nullptr;
-    unsigned long N = std::strtoul(Value, &End, 10);
-    if (End != Value && *End == '\0' && N >= 1 && N <= 1024)
-      Threads = static_cast<unsigned>(N);
-  };
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strncmp(Argv[I], "--threads=", 10) == 0)
-      Parse(Argv[I] + 10);
-    else if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 < Argc)
-      Parse(Argv[++I]);
-  }
-  return Threads;
+  return writeBenchDocument(Path, Figure, "benchmarks", std::move(Benchmarks));
 }
 
 std::optional<double> sprof::paperFig16Speedup(const std::string &Bench) {

@@ -146,25 +146,6 @@ bool writeBenchReport(const std::string &Path, const std::string &Figure,
 bool writeBenchRows(const std::string &Path, const std::string &Figure,
                     JsonValue Rows);
 
-/// Shared bench CLI convention: `--json=PATH` overrides \p DefaultPath and
-/// `--no-json` disables the report (returns nullopt). Unknown arguments
-/// are ignored.
-std::optional<std::string> benchReportPath(int Argc, char **Argv,
-                                           const std::string &DefaultPath);
-
-/// The tail of a standalone bench main: resolve the report path from the
-/// CLI (benchReportPath), write \p Rows through writeBenchRows, and map
-/// the outcome onto the process exit code -- 0 when the report was written
-/// or disabled (`--no-json`), 1 when it could not be written.
-int emitBenchReport(int Argc, char **Argv, const std::string &DefaultPath,
-                    const std::string &Figure, JsonValue Rows);
-
-/// Shared bench CLI convention: `--threads=N` or `--threads N` selects the
-/// engine's worker count (results are thread-count-invariant; this only
-/// changes wall-clock time). Invalid or missing values fall back to
-/// \p Default.
-unsigned benchThreads(int Argc, char **Argv, unsigned Default = 1);
-
 /// Paper-published Figure 16 speedups (edge-check) where the text gives
 /// them explicitly; nullopt elsewhere.
 std::optional<double> paperFig16Speedup(const std::string &Bench);

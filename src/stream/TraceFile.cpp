@@ -501,6 +501,16 @@ bool TraceReader::getVarint(uint64_t &V) {
   return false;
 }
 
+bool TraceReader::checkSite(uint64_t Site) {
+  if (Site < Sites)
+    return true;
+  fail(TraceError::Corrupt,
+       "event " + std::to_string(DecodedEvents) + " names site " +
+           std::to_string(Site) + " but the header declares " +
+           std::to_string(Sites) + " sites");
+  return false;
+}
+
 bool TraceReader::getZigzag(int64_t &V) {
   uint64_t U;
   if (!getVarint(U))
@@ -667,9 +677,12 @@ size_t TraceReader::decodeBuffered(AccessEvent *Buf, size_t Max) {
       Q = decodeVarint(Q, DRef);
     if (!Q)
       break;
+    const uint32_t NextSite =
+        static_cast<uint32_t>(static_cast<int64_t>(Site) + zigzagDecode(DSite));
+    if (NextSite >= Sites)
+      break; // the checked path reports it
     P = Q;
-    Site = static_cast<uint32_t>(static_cast<int64_t>(Site) +
-                                 zigzagDecode(DSite));
+    Site = NextSite;
     Addr += static_cast<uint64_t>(zigzagDecode(DAddr));
     Ref += static_cast<uint64_t>(zigzagDecode(DRef));
     Buf[N].Address = Addr;
@@ -746,6 +759,8 @@ size_t TraceReader::pullBinary(AccessEvent *Buf, size_t Max) {
     if (!getZigzag(DSite) || !getZigzag(DAddr) || !getZigzag(DRef))
       return 0;
     PrevSite = static_cast<uint32_t>(static_cast<int64_t>(PrevSite) + DSite);
+    if (!checkSite(PrevSite))
+      return 0;
     PrevAddr += static_cast<uint64_t>(DAddr);
     PrevRef += static_cast<uint64_t>(DRef);
     Buf[N].Address = PrevAddr;
@@ -870,25 +885,28 @@ bool TraceReader::parseFooter() {
         return false;
       EdgeSec.Present = true;
       EdgeSec.NumFunctions = static_cast<uint32_t>(NumFuncs);
-      EdgeSec.Entries.resize(NumEntries);
-      for (TraceEntryRecord &R : EdgeSec.Entries) {
-        uint64_t F;
-        if (!getVarint(F) || !getVarint(R.Count))
+      // The counts are untrusted: records are appended one at a time, so
+      // memory grows only with the bytes actually read and a lying count
+      // ends at Truncated.
+      EdgeSec.Entries.clear();
+      for (uint64_t I = 0; I != NumEntries; ++I) {
+        uint64_t F, Count;
+        if (!getVarint(F) || !getVarint(Count))
           return false;
-        R.Func = static_cast<uint32_t>(F);
+        EdgeSec.Entries.push_back({static_cast<uint32_t>(F), Count});
       }
       uint64_t NumEdges;
       if (!getVarint(NumEdges))
         return false;
-      EdgeSec.Edges.resize(NumEdges);
-      for (TraceEdgeRecord &R : EdgeSec.Edges) {
-        uint64_t F, From, Slot;
+      EdgeSec.Edges.clear();
+      for (uint64_t I = 0; I != NumEdges; ++I) {
+        uint64_t F, From, Slot, Count;
         if (!getVarint(F) || !getVarint(From) || !getVarint(Slot) ||
-            !getVarint(R.Count))
+            !getVarint(Count))
           return false;
-        R.Func = static_cast<uint32_t>(F);
-        R.From = static_cast<uint32_t>(From);
-        R.Slot = static_cast<uint32_t>(Slot);
+        EdgeSec.Edges.push_back({static_cast<uint32_t>(F),
+                                 static_cast<uint32_t>(From),
+                                 static_cast<uint32_t>(Slot), Count});
       }
       continue;
     }
@@ -1024,6 +1042,8 @@ bool TraceReader::parseTextLine(const std::string &Line, AccessEvent &E,
       fail(TraceError::Corrupt, "malformed event line: '" + Line + "'");
       return false;
     }
+    if (!checkSite(Site))
+      return false;
     E.SiteId = static_cast<uint32_t>(Site);
     E.Address = Addr;
     E.GlobalRefIndex = Ref;

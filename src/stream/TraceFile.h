@@ -308,6 +308,9 @@ private:
   int getByte(); ///< -1 at end of input
   bool getVarint(uint64_t &V);
   bool getZigzag(int64_t &V);
+  /// The AccessSource contract, SiteId < numSites(): false (and Corrupt,
+  /// naming the site and the header's count) when \p Site breaks it.
+  bool checkSite(uint64_t Site);
   /// Absolute file offset of the next byte getByte() would return.
   uint64_t tellAbs() const { return SeekBase + BufBase + InPos; }
   bool seekTo(uint64_t AbsOffset);
@@ -324,7 +327,8 @@ private:
   /// pullBinary's unchecked decoder: decodes up to \p Max well-formed
   /// events straight from the buffer while a worst-case record is
   /// buffered. Stops short of anything else (a buffer end, the end marker,
-  /// a malformed record), which the checked getByte() path then takes.
+  /// a malformed record, a site out of range), which the checked
+  /// getByte() path then takes.
   size_t decodeBuffered(AccessEvent *Buf, size_t Max);
   size_t pullText(AccessEvent *Buf, size_t Max);
 

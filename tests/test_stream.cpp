@@ -607,6 +607,84 @@ TEST(TraceFile, OverflowingVarintIsCorrupt) {
   }
 }
 
+// The AccessSource contract promises SiteId < numSites(). A trace whose
+// events name sites beyond its header's count is corrupt -- binary (the
+// buffered fast path hands the record to the checked path) and text alike
+// -- so replay never indexes per-site profiler state out of bounds.
+TEST(TraceFile, SiteIdBeyondHeaderIsCorrupt) {
+  std::vector<AccessEvent> Events = patternEvents(64);
+  for (size_t I = 0; I != Events.size(); ++I)
+    Events[I].SiteId = I < 32 ? 0 : static_cast<uint32_t>(100000 + I);
+  for (bool Text : {false, true}) {
+    SCOPED_TRACE(Text ? "text" : "binary");
+    const std::string Path =
+        tmpPath(Text ? "bad_site_text.sprof.trace" : "bad_site.sprof.trace");
+    {
+      std::string Err;
+      auto W = TraceWriter::open(Path, /*NumSites=*/1, {}, Text, &Err);
+      ASSERT_NE(W, nullptr) << Err;
+      W->onBatch(Events.data(), Events.size());
+      W->finish();
+      ASSERT_TRUE(W->ok()) << W->error();
+    }
+    TraceReplayOptions Opts;
+    Opts.EvaluateWorkload = false;
+    Opts.SimulateMemory = false;
+    const TraceReplayResult Replay = replayTraceFile(Path, Opts);
+    EXPECT_FALSE(Replay.Ok);
+    EXPECT_EQ(Replay.ErrorCode, TraceError::Corrupt);
+
+    auto R = TraceReader::openFile(Path);
+    ASSERT_TRUE(R->ok()) << R->error();
+    AccessEvent E;
+    size_t Decoded = 0;
+    while (R->pull(&E, 1) != 0)
+      ++Decoded;
+    EXPECT_EQ(Decoded, 32u);
+    EXPECT_EQ(R->errorCode(), TraceError::Corrupt);
+    EXPECT_EQ(R->error(),
+              Path + ": event 32 names site 100032 but the header declares "
+                     "1 sites");
+    std::remove(Path.c_str());
+  }
+}
+
+// The edge section's record counts are untrusted varints. A count far
+// beyond the bytes that follow must end in Truncated once the input runs
+// out, not in an allocation of that many records up front.
+TEST(TraceFile, HugeEdgeSectionCountIsTruncated) {
+  TraceEdgeSection S;
+  S.Present = true;
+  S.NumFunctions = 1;
+  S.Entries.push_back({0, 42});
+  std::stringstream SS;
+  {
+    TraceWriter W(SS, 1, {}, /*Text=*/false, /*IndexInterval=*/0);
+    W.setEdgeSection(S);
+    W.finish();
+    ASSERT_TRUE(W.ok()) << W.error();
+  }
+  const std::string Data = SS.str();
+  // The /1 footer: end-of-events marker; edges section with 1 function,
+  // 1 entry {func 0, count 42} and 0 edges; section end; 0 events; magic.
+  const std::string Footer =
+      std::string("\x00\x01\x01\x01\x00\x2a\x00\x00\x00", 9) + "SPROFEND";
+  ASSERT_EQ(Data.substr(Data.size() - Footer.size()), Footer);
+  std::string Huge(9, '\x80'); // 2^63 as a varint
+  Huge.push_back('\x01');
+  for (const size_t CountAt : {size_t(3), size_t(6)}) {
+    SCOPED_TRACE(CountAt == 3 ? "entry count" : "edge count");
+    std::string Bytes = Data;
+    Bytes.replace(Data.size() - Footer.size() + CountAt, 1, Huge);
+    std::istringstream In(Bytes);
+    TraceReader R(In);
+    ASSERT_TRUE(R.ok()) << R.error();
+    AccessEvent E;
+    EXPECT_EQ(R.pull(&E, 1), 0u);
+    EXPECT_EQ(R.errorCode(), TraceError::Truncated) << R.error();
+  }
+}
+
 // The seekable tail's two failure modes: a chopped-off tail (unfinished or
 // truncated capture) and an offset word that no longer points at the
 // end-of-events marker (bit rot). Both must be loud, typed errors.
@@ -937,69 +1015,68 @@ TEST(Stream, InterpreterSourceMatchesLiveProfiler) {
 
 // Every profiling method on both engines: a capture of the live profile
 // run replays to a bit-identical stride profile, edge profile, and
-// strideProf call accounting.
+// strideProf call accounting. The same holds for every suite workload at
+// edge-check on the Decoded engine.
 TEST(TraceReplay, ReplayedProfilesMatchLiveAcrossMethodsAndEngines) {
-  std::unique_ptr<Workload> W = makeWorkloadByName("181.mcf");
-  ASSERT_NE(W, nullptr);
-  for (auto Engine : {InterpreterConfig::Engine::Reference,
-                      InterpreterConfig::Engine::Decoded}) {
-    for (ProfilingMethod Method : allProfilingMethods()) {
-      const std::string Tag =
-          std::string(Engine == InterpreterConfig::Engine::Reference
-                          ? "reference"
-                          : "decoded") +
-          "/" + profilingMethodName(Method);
-      SCOPED_TRACE(Tag);
-      const std::string Path = tmpPath("diff_" +
-                                       std::string(profilingMethodName(
-                                           Method)) +
-                                       (Engine ==
-                                                InterpreterConfig::Engine::
-                                                    Reference
-                                            ? "_ref"
-                                            : "_dec") +
-                                       ".sprof.trace");
+  auto Check = [](const Workload &W, InterpreterConfig::Engine Engine,
+                  ProfilingMethod Method) {
+    const std::string Tag =
+        W.info().Name + "/" +
+        (Engine == InterpreterConfig::Engine::Reference ? "reference"
+                                                        : "decoded") +
+        "/" + profilingMethodName(Method);
+    SCOPED_TRACE(Tag);
+    std::string File = "diff_" + Tag + ".sprof.trace";
+    std::replace(File.begin(), File.end(), '/', '_');
+    const std::string Path = tmpPath(File);
 
-      PipelineConfig C = engineConfig(Engine);
-      C.TraceCapturePath = Path;
-      Pipeline P(*W, C);
-      const ProfileRunResult Live =
-          P.runProfile(Method, DataSet::Train, /*WithMemorySystem=*/false);
-      ASSERT_TRUE(Live.Capture.Enabled);
-      EXPECT_EQ(Live.Capture.Schema, TraceSchemaV2);
-      // The capture records the complete pre-sampling invocation stream.
-      EXPECT_EQ(Live.Capture.Events, Live.StrideInvocations);
+    PipelineConfig C = engineConfig(Engine);
+    C.TraceCapturePath = Path;
+    Pipeline P(W, C);
+    const ProfileRunResult Live =
+        P.runProfile(Method, DataSet::Train, /*WithMemorySystem=*/false);
+    ASSERT_TRUE(Live.Capture.Enabled);
+    EXPECT_EQ(Live.Capture.Schema, TraceSchemaV2);
+    // The capture records the complete pre-sampling invocation stream.
+    EXPECT_EQ(Live.Capture.Events, Live.StrideInvocations);
 
-      TraceReplayOptions Opts;
-      Opts.Config = engineConfig(Engine);
-      Opts.EvaluateWorkload = false;
-      Opts.SimulateMemory = false;
-      const TraceReplayResult Replay = replayTraceFile(Path, Opts);
-      ASSERT_TRUE(Replay.Ok) << Replay.Error;
-      EXPECT_EQ(Replay.Method, Method);
-      EXPECT_EQ(Replay.Events, Live.StrideInvocations);
+    TraceReplayOptions Opts;
+    Opts.Config = engineConfig(Engine);
+    Opts.EvaluateWorkload = false;
+    Opts.SimulateMemory = false;
+    const TraceReplayResult Replay = replayTraceFile(Path, Opts);
+    ASSERT_TRUE(Replay.Ok) << Replay.Error;
+    EXPECT_EQ(Replay.Method, Method);
+    EXPECT_EQ(Replay.Events, Live.StrideInvocations);
 
-      EXPECT_EQ(strideProfileToJson(Replay.Profile.Strides).str(),
-                strideProfileToJson(Live.Strides).str());
-      EXPECT_EQ(edgeProfileToJson(Replay.Profile.Edges).str(),
-                edgeProfileToJson(Live.Edges).str());
-      EXPECT_EQ(Replay.Profile.StrideInvocations, Live.StrideInvocations);
-      EXPECT_EQ(Replay.Profile.StrideProcessed, Live.StrideProcessed);
-      EXPECT_EQ(Replay.Profile.LfuCalls, Live.LfuCalls);
-      // The serialized store -- what experiments persist -- is identical.
-      const ProfileStore LiveStore({W->info().Name,
+    EXPECT_EQ(strideProfileToJson(Replay.Profile.Strides).str(),
+              strideProfileToJson(Live.Strides).str());
+    EXPECT_EQ(edgeProfileToJson(Replay.Profile.Edges).str(),
+              edgeProfileToJson(Live.Edges).str());
+    EXPECT_EQ(Replay.Profile.StrideInvocations, Live.StrideInvocations);
+    EXPECT_EQ(Replay.Profile.StrideProcessed, Live.StrideProcessed);
+    EXPECT_EQ(Replay.Profile.LfuCalls, Live.LfuCalls);
+    // The serialized store -- what experiments persist -- is identical.
+    const ProfileStore LiveStore({W.info().Name, profilingMethodName(Method),
+                                  dataSetName(DataSet::Train)},
+                                 Live.Edges, Live.Strides);
+    const ProfileStore ReplayStore({W.info().Name,
                                     profilingMethodName(Method),
                                     dataSetName(DataSet::Train)},
-                                   Live.Edges, Live.Strides);
-      const ProfileStore ReplayStore({W->info().Name,
-                                      profilingMethodName(Method),
-                                      dataSetName(DataSet::Train)},
-                                     Replay.Profile.Edges,
-                                     Replay.Profile.Strides);
-      EXPECT_EQ(LiveStore.toString(), ReplayStore.toString());
-      std::remove(Path.c_str());
-    }
-  }
+                                   Replay.Profile.Edges,
+                                   Replay.Profile.Strides);
+    EXPECT_EQ(LiveStore.toString(), ReplayStore.toString());
+    std::remove(Path.c_str());
+  };
+
+  std::unique_ptr<Workload> Mcf = makeWorkloadByName("181.mcf");
+  ASSERT_NE(Mcf, nullptr);
+  for (auto Engine : {InterpreterConfig::Engine::Reference,
+                      InterpreterConfig::Engine::Decoded})
+    for (ProfilingMethod Method : allProfilingMethods())
+      Check(*Mcf, Engine, Method);
+  for (const std::unique_ptr<Workload> &W : makeSpecIntSuite())
+    Check(*W, InterpreterConfig::Engine::Decoded, ProfilingMethod::EdgeCheck);
 }
 
 // The full-evaluation half: replaying a capture whose provenance names a

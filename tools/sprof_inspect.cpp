@@ -578,8 +578,6 @@ int runTrace(const std::string &Path, size_t TopN) {
   while (size_t N = Reader->pull(Buf.data(), Buf.size())) {
     for (size_t I = 0; I != N; ++I) {
       const AccessEvent &E = Buf[I];
-      if (E.SiteId >= Sites.size())
-        Sites.resize(E.SiteId + 1);
       SiteCount &S = Sites[E.SiteId];
       if (E.Kind == AccessKind::Prefetch) {
         ++Prefetches;
