@@ -6,10 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parallel trace replay: decode and profile a captured access trace on N
-/// cores while staying bit-identical to the serial path. Two independent
-/// fan-outs, both scheduled as JobGraph jobs (and, in replayStream, the
-/// demand-only memory pass running beside them as its own job):
+/// Parallel trace replay: decode, profile and cache-simulate a captured
+/// access trace on N cores while staying bit-identical to the serial path.
+/// Three independent fan-outs: decode and profile shards scheduled as
+/// JobGraph jobs (with, in replayStream, the demand-only memory pass
+/// running beside them as its own job), then the prefetched memory pass's
+/// cache shards:
 ///
 ///   * Decode sharding (time partition). The sprof.trace/2 shard index
 ///     records, every IndexInterval events, the chunk's byte offset and the
@@ -33,6 +35,14 @@
 ///     values, same bytes. The determinism contract is spelled out in
 ///     docs/TRACE.md.
 ///
+///   * Cache sharding (set partition). replayStream's prefetched cache
+///     pass runs on replaySyntheticPrefetchDecoupled(): shards simulate
+///     tags, LRU and prefetch marks for disjoint sets on threads of their
+///     own, and one in-order scan on the calling thread turns their
+///     per-access outcomes into cycles. The cache state never reads
+///     simulated time, so the split is exact (docs/TRACE.md, "Decoupled
+///     prefetched pass").
+///
 /// Telemetry: each profile shard runs against a child ObsSession
 /// (ObsSession::jobConfig) whose registry is merged into the parent in
 /// job-id order and recorded as a JobRecord, so sweep reports show shard
@@ -45,6 +55,7 @@
 
 #include "driver/TraceReplay.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,12 +100,56 @@ bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
                          unsigned Threads, std::vector<AccessEvent> &Events,
                          std::string &Error, TraceError &Code);
 
+/// What the decoupled prefetched pass produces: exactly what the inline
+/// pass (replayWithSyntheticPrefetch on one MemoryHierarchy) produces, plus
+/// two counts of the timing branches it took.
+struct DecoupledReplayResult {
+  StreamReplayStats Stream;
+  MemoryStats Mem;
+  /// Demand hits on a line whose fill was still in flight (the filling access lay
+  /// within the in-flight horizon and its ready time was still ahead).
+  uint64_t InFlightHits = 0;
+  /// Prefetches that missed every level, whose second fill of each level
+  /// takes CacheLevel::fill's refresh path.
+  uint64_t RefreshFills = 0;
+};
+
+/// Largest shard count the decoupled pass supports for \p MC under
+/// \p SC: the smallest level's set count (after CacheLevel's power-of-two
+/// round-up), since a shard key must lie inside every level's set index,
+/// and at most 16, since each shard holds its own window buffers. 0 when the pass does not apply: a line size that is not a power of two,
+/// IssueCost 0, or an in-flight horizon (the largest latency over
+/// IssueCost, in accesses) beyond 65536.
+unsigned maxDecoupledShards(const MemoryConfig &MC,
+                            const StreamReplayConfig &SC);
+
+/// Shard count replayStream uses for its prefetched pass with \p Threads
+/// workers, or 0 for the inline pass. The demand-only pass and the scan
+/// hold one thread each, so this is the largest power of two up to
+/// Threads - 2, capped by maxDecoupledShards.
+unsigned decoupledShardCount(const MemoryConfig &MC,
+                             const StreamReplayConfig &SC, unsigned Threads);
+
+/// The set-sharded, timing-decoupled prefetched cache pass over \p Events:
+/// bit-identical to replayWithSyntheticPrefetch on a fresh MemoryHierarchy
+/// of \p MC fed the same events (StreamReplayStats and MemoryStats), for
+/// any \p Shards that is a power of two no larger than
+/// maxDecoupledShards(MC, SC). Runs \p Shards threads beside the calling
+/// thread, which does the scan. Attribution is not modelled; MC's
+/// EnableAttribution is ignored.
+DecoupledReplayResult
+replaySyntheticPrefetchDecoupled(std::span<const AccessEvent> Events,
+                                 const MemoryConfig &MC,
+                                 const StreamReplayConfig &SC,
+                                 std::span<const int64_t> SiteStride,
+                                 unsigned Distance, unsigned Shards);
+
 /// replayTraceFile's parallel engine: opens \p Path through the seekable
 /// tail, decodes /2 traces with decodeTraceParallel (/1 and text traces
 /// fall back to serial decode -- they carry no index), then feeds
 /// replayStream, whose profile phase shards across Opts.Threads while the
-/// demand-only memory pass runs beside it. Each memory pass is serial in
-/// itself (cache state is order-dependent) and the whole result is
+/// demand-only memory pass runs beside it, and whose prefetched pass runs
+/// set-sharded when decoupledShardCount allows. The whole result is
 /// bit-identical to Opts.Threads == 1.
 /// Callers normally go through replayTraceFile(), which dispatches here
 /// when Opts.Threads > 1.

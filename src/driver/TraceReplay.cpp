@@ -39,15 +39,9 @@ EdgeProfile edgeProfileFromSection(const TraceEdgeSection &S) {
   return EP;
 }
 
-namespace {
-
-/// The prefetched stream pass: every Load event at a site with a
-/// synthesized stride additionally issues a prefetch StrideValue *
-/// Distance bytes ahead, mimicking the in-loop prefetch the compiler
-/// would have inserted (Figure 3).
 StreamReplayStats replayWithSyntheticPrefetch(
     MemoryHierarchy &MH, AccessSource &Src, const StreamReplayConfig &Config,
-    const std::vector<int64_t> &SiteStride, unsigned Distance) {
+    std::span<const int64_t> SiteStride, unsigned Distance) {
   StreamReplayStats S;
   std::vector<AccessEvent> Buf(Config.BatchSize ? Config.BatchSize : 1);
   uint64_t Now = 0;
@@ -82,8 +76,6 @@ StreamReplayStats replayWithSyntheticPrefetch(
   S.Cycles = Now;
   return S;
 }
-
-} // namespace
 
 TraceReplayResult replayStream(AccessSource &Src,
                                const TraceReplayOptions &Opts,
@@ -213,13 +205,24 @@ TraceReplayResult replayStream(AccessSource &Src,
         if (Prefetchable)
           SiteStride[S] = R.Profile.Strides.site(S).top1Stride();
       }
-      MemoryHierarchy Pf(Opts.Config.Memory);
-      if (Opts.Config.Memory.EnableAttribution)
-        Pf.enableAttribution(Src.numSites());
-      R.MemPrefetched = replayWithSyntheticPrefetch(
-          Pf, Src, SC, SiteStride, Opts.StreamPrefetchDistance);
-      Pf.finalizeAttribution();
-      R.MemPrefetchedStats = Pf.stats();
+      // With the events in one buffer and threads to spare, the pass runs
+      // set-sharded beside an in-order timing scan (ParallelReplay.h);
+      // otherwise inline on one hierarchy. Both give identical results.
+      const unsigned Shards =
+          Overlap ? decoupledShardCount(Opts.Config.Memory, SC, Opts.Threads)
+                  : 0;
+      if (Shards != 0) {
+        DecoupledReplayResult D = replaySyntheticPrefetchDecoupled(
+            Buffered->pullRest(), Opts.Config.Memory, SC, SiteStride,
+            Opts.StreamPrefetchDistance, Shards);
+        R.MemPrefetched = D.Stream;
+        R.MemPrefetchedStats = std::move(D.Mem);
+      } else {
+        MemoryHierarchy Pf(Opts.Config.Memory);
+        R.MemPrefetched = replayWithSyntheticPrefetch(
+            Pf, Src, SC, SiteStride, Opts.StreamPrefetchDistance);
+        R.MemPrefetchedStats = Pf.stats();
+      }
       R.HasMemSim = true;
     }
     if (DemandJob.valid())

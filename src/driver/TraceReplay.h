@@ -33,6 +33,7 @@
 #include "stream/TraceFile.h"
 
 #include <optional>
+#include <span>
 #include <string>
 
 namespace sprof {
@@ -57,7 +58,9 @@ struct TraceReplayOptions {
   bool EvaluateWorkload = true;
   /// Drive the cache model from the stream itself (works for any trace):
   /// a demand-only pass and a pass with synthesized prefetches for
-  /// classified sites.
+  /// classified sites. These passes report MemoryStats only, never
+  /// per-site attribution: Config.Memory.EnableAttribution applies to the
+  /// workload evaluation alone.
   bool SimulateMemory = true;
   /// Prefetch distance (in strides) of the synthesized stream prefetches.
   unsigned StreamPrefetchDistance = 4;
@@ -66,8 +69,10 @@ struct TraceReplayOptions {
   /// traces) and the profile phase over site-sharded profilers
   /// (driver/ParallelReplay.h), and runs the demand-only memory pass as
   /// its own job beside the profile, the classification and the
-  /// prefetched pass, with results bit-identical to serial. Each memory
-  /// pass is serial in itself (cache state is order-dependent).
+  /// prefetched pass, with results bit-identical to serial. The demand
+  /// pass is serial in itself; with buffered events and 3 or more
+  /// threads, the prefetched pass splits into cache-set shards and an
+  /// in-order timing scan (decoupledShardCount).
   unsigned Threads = 1;
   /// Site-shard count of the parallel profile phase; 0 means one shard
   /// per thread. The merged profile is identical for any value.
@@ -118,12 +123,24 @@ struct TraceReplayResult {
 /// the passes beyond the first (profile, then the optional memory
 /// passes). The demand-only memory pass overlaps the rest only when \p Src
 /// is a VectorSource, whose storage it reads on its own cursor; other
-/// sources run it serially.
+/// sources run it serially. Only a VectorSource's prefetched pass runs
+/// set-sharded, too (decoupledShardCount, driver/ParallelReplay.h).
 TraceReplayResult replayStream(AccessSource &Src,
                                const TraceReplayOptions &Opts = {},
                                const std::string &SourceName = "<stream>",
                                const TraceEdgeSection *Edges = nullptr,
                                const TraceProvenance *Prov = nullptr);
+
+/// replayStream's prefetched cache pass, inline on one hierarchy: drains
+/// \p Src through \p MH under the StreamReplayConfig timing, and every
+/// event that is not a prefetch, at a site with a nonzero \p SiteStride
+/// entry, also prefetches SiteStride * \p Distance bytes ahead, mimicking
+/// the in-loop prefetch the compiler would have inserted (Figure 3). This
+/// is the spec replaySyntheticPrefetchDecoupled (driver/ParallelReplay.h)
+/// is held to.
+StreamReplayStats replayWithSyntheticPrefetch(
+    MemoryHierarchy &MH, AccessSource &Src, const StreamReplayConfig &Config,
+    std::span<const int64_t> SiteStride, unsigned Distance);
 
 /// Opens \p Path as a sprof.trace file and replays it. Read errors
 /// (unreadable, truncated, version mismatch, corrupt) come back in the

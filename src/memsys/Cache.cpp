@@ -29,16 +29,19 @@ CacheLevel::CacheLevel(const CacheLevelConfig &Config) : Config(Config) {
   SetMask = NumSets - 1;
   Assoc = Config.Associativity;
   BlockStride = 4 * static_cast<size_t>(Assoc);
-  // Carve the lane storage from 2MB-aligned, huge-page-advised memory (see
-  // the member comment in Cache.h): the L3 block array alone is ~1MB and
-  // is indexed randomly, so 4KB pages would cost a dTLB walk per probe.
+  // Carve the lane storage from 2MB-aligned memory and advise huge pages
+  // for lanes of a huge page or more (see the member comment in Cache.h):
+  // the L3 block array is indexed randomly, so 4KB pages would cost a dTLB
+  // walk per probe. Smaller lanes stay on 4KB pages, so an 8KB L1 does not
+  // take a whole huge page.
   size_t Words = NumSets * BlockStride;
   size_t Bytes = (Words * sizeof(uint64_t) + BlockAlign - 1) &
                  ~(BlockAlign - 1);
   auto *Raw =
       static_cast<uint64_t *>(::operator new(Bytes, std::align_val_t(BlockAlign)));
 #if defined(__linux__)
-  ::madvise(Raw, Bytes, MADV_HUGEPAGE);
+  if (Words * sizeof(uint64_t) >= BlockAlign)
+    ::madvise(Raw, Bytes, MADV_HUGEPAGE);
 #endif
   std::memset(Raw, 0, Words * sizeof(uint64_t));
   Blocks.reset(Raw);
@@ -81,14 +84,17 @@ void CacheLevel::fill(uint64_t LineAddr, uint64_t ReadyTime, bool Prefetched,
   // Refresh an existing entry for the same line: earliest ready time wins,
   // the touch bumps LRU recency, and the prefetch mark/site stay untouched
   // (the original prefetch still owns the line's outcome). See the header
-  // comment for when this path is reached.
-  for (unsigned W = 0; W != Assoc; ++W) {
-    if ((B[W] & ~MarkBit) == LineAddr) {
-      B[2 * Assoc + W] = std::min(B[2 * Assoc + W], ReadyTime);
-      B[Assoc + W] = ++UseClock;
-      Mru[Set] = W;
-      return;
+  // comment for when this path is reached: right after the same line's
+  // fillMiss, which left it in the set's MRU way, so look there first.
+  unsigned W = Mru[Set];
+  if ((B[W] & ~MarkBit) != LineAddr)
+    for (W = 0; W != Assoc && (B[W] & ~MarkBit) != LineAddr; ++W) {
     }
+  if (W != Assoc) {
+    B[2 * Assoc + W] = std::min(B[2 * Assoc + W], ReadyTime);
+    B[Assoc + W] = ++UseClock;
+    Mru[Set] = W;
+    return;
   }
   fillMiss(LineAddr, ReadyTime, Prefetched, PrefetchSite);
 }
@@ -98,15 +104,17 @@ void CacheLevel::fillMiss(uint64_t LineAddr, uint64_t ReadyTime,
   assert(LineAddr < MarkBit && "line address collides with the mark bit");
   uint64_t Set = LineAddr & SetMask;
   uint64_t *B = Blocks.get() + Set * BlockStride;
-  // Victim: first invalid way, else LRU.
+  // Victim: first invalid way, else LRU. An invalid way's use stamp is
+  // still the constructor's 0 and every fill or hit stamps ++UseClock >= 1,
+  // so both are the first way with the smallest stamp. The running minimum
+  // lives in a register, not behind the victim index.
+  const uint64_t *Use = B + Assoc;
   unsigned Victim = 0;
-  for (unsigned W = 0; W != Assoc; ++W) {
-    if (B[W] == InvalidTag) {
-      Victim = W;
-      break;
-    }
-    if (B[Assoc + W] < B[Assoc + Victim])
-      Victim = W;
+  uint64_t Oldest = Use[0];
+  for (unsigned W = 1; W != Assoc; ++W) {
+    const uint64_t U = Use[W];
+    Victim = U < Oldest ? W : Victim;
+    Oldest = U < Oldest ? U : Oldest;
   }
   uint64_t VT = B[Victim];
   if (VT != InvalidTag && (VT & MarkBit)) {

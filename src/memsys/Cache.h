@@ -313,10 +313,11 @@ private:
   unsigned Assoc;
   /// BlockStride = 4 * Assoc u64 words per set.
   size_t BlockStride;
-  /// Lane storage is aligned to (and advised toward) 2MB transparent huge
-  /// pages: a large level's randomly-indexed blocks would otherwise pay a
-  /// host-dTLB walk on nearly every probe, the same problem SimMemory's
-  /// slab pool solves for the simulated image.
+  /// Lane storage is aligned to 2MB transparent huge pages, and advised
+  /// toward them when it fills at least one: a large level's
+  /// randomly-indexed blocks would otherwise pay a host-dTLB walk on nearly
+  /// every probe, the same problem SimMemory's slab pool solves for the
+  /// simulated image.
   static constexpr size_t BlockAlign = 2ull << 20;
   struct BlockDeleter {
     void operator()(uint64_t *P) const {

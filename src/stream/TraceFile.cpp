@@ -817,6 +817,16 @@ bool TraceReader::validateIndex() {
   Index.TotalEvents = FooterEvents;
   Index.EventsStart = EventsStart;
   Index.FooterStart = FooterStart;
+  // Every binary event record is at least 4 bytes (a tag and three
+  // varints), so the event area bounds the count that parallel decode
+  // allocates for.
+  if (FooterEvents > (FooterStart - EventsStart) / 4) {
+    fail(TraceError::Corrupt,
+         "footer claims " + std::to_string(FooterEvents) +
+             " events but the event area holds " +
+             std::to_string(FooterStart - EventsStart) + " bytes");
+    return false;
+  }
   const uint64_t WantChunks =
       (FooterEvents + Index.Interval - 1) / Index.Interval;
   if (Index.Chunks.size() != WantChunks) {

@@ -28,6 +28,7 @@
 #include "stream/InterpreterSource.h"
 #include "stream/SyntheticTrace.h"
 #include "stream/TraceFile.h"
+#include "support/Random.h"
 #include "workloads/TraceWorkload.h"
 #include "workloads/Workload.h"
 
@@ -38,6 +39,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -685,6 +687,46 @@ TEST(TraceFile, HugeEdgeSectionCountIsTruncated) {
   }
 }
 
+// The footer's event count is untrusted too: parallel decode allocates its
+// output from it. A count beyond what the event bytes can hold (every record
+// is at least 4 bytes) is Corrupt at open, not an allocation of that many
+// events.
+TEST(TraceFile, FooterEventCountBeyondEventBytesIsCorrupt) {
+  const std::vector<AccessEvent> Events = patternEvents(10);
+  std::stringstream SS;
+  {
+    // One chunk: the index stays consistent with any count below 2^40.
+    TraceWriter W(SS, 5, {}, /*Text=*/false, /*IndexInterval=*/1ull << 40);
+    W.onBatch(Events.data(), Events.size());
+    W.finish();
+    ASSERT_TRUE(W.ok()) << W.error();
+  }
+  const std::string Data = SS.str();
+  // The event count is the 1-byte varint just before the 16-byte tail,
+  // which stays in place (its offset word names the end-of-events marker).
+  const size_t CountAt = Data.size() - 17;
+  ASSERT_EQ(Data[CountAt], '\x0a');
+  std::string Bytes = Data;
+  Bytes.replace(CountAt, 1, std::string("\x80\x80\x80\x80\x80\x01", 6)); // 2^35
+  const std::string Path = tmpPath("huge_count.sprof.trace");
+  {
+    std::ofstream F(Path, std::ios::binary | std::ios::trunc);
+    F.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+  }
+
+  auto R = TraceReader::openFileIndexed(Path);
+  EXPECT_FALSE(R->ok());
+  EXPECT_EQ(R->errorCode(), TraceError::Corrupt) << R->error();
+
+  TraceReplayOptions Opts;
+  Opts.EvaluateWorkload = false;
+  Opts.Threads = 4;
+  const TraceReplayResult Replay = replayTraceFile(Path, Opts);
+  EXPECT_FALSE(Replay.Ok);
+  EXPECT_EQ(Replay.ErrorCode, TraceError::Corrupt) << Replay.Error;
+  std::remove(Path.c_str());
+}
+
 // The seekable tail's two failure modes: a chopped-off tail (unfinished or
 // truncated capture) and an offset word that no longer points at the
 // end-of-events marker (bit rot). Both must be loud, typed errors.
@@ -1214,7 +1256,8 @@ void expectSameReplay(const TraceReplayResult &Serial,
 // stream-driven memory simulation, and for every synthetic generator, a
 // threaded replay is bit-identical to the serial replay of the same file.
 // Threads > 1 overlaps the demand-only cache pass with the profile shards
-// and the prefetched pass, so this also holds the schedule to the result.
+// and the prefetched pass, and from 3 threads on runs the prefetched pass
+// set-sharded, so this also holds the schedule to the result.
 TEST(TraceReplay, ParallelReplayMatchesSerialAcrossMethods) {
   const auto ReplayAtEveryThreadCount = [](const std::string &Path,
                                            TraceReplayOptions Opts) {
@@ -1252,8 +1295,9 @@ TEST(TraceReplay, ParallelReplayMatchesSerialAcrossMethods) {
     std::remove(Path.c_str());
   }
 
-  // Every synthetic generator, attribution on for the prefetched pass; a
-  // small index interval gives the parallel decode many chunks.
+  // Every synthetic generator; a small index interval gives the parallel
+  // decode many chunks. Attribution is requested, but stream replay reports
+  // none, so the flag must not change either cache pass.
   SyntheticTraceConfig Config;
   Config.Events = 60000;
   Config.Seed = 3;
@@ -1410,4 +1454,125 @@ TEST(ParallelReplay, NonContiguousSourceMatchesVectorSource) {
     }
   }
   std::remove(Path.c_str());
+}
+
+namespace {
+
+/// A small hierarchy of \p NumLevels levels drawn at random: 1-8 ways,
+/// set counts both powers of two and not (CacheLevel rounds those up), and
+/// a memory latency below every hit latency when \p FastMemory, else above.
+MemoryConfig randomHierarchy(Rng &R, size_t NumLevels, bool FastMemory) {
+  MemoryConfig MC;
+  MC.Levels.clear();
+  const unsigned LineBytes = R.chancePercent(50) ? 32 : 64;
+  uint32_t MinHit = ~0u, MaxHit = 0;
+  for (size_t L = 0; L != NumLevels; ++L) {
+    CacheLevelConfig C;
+    C.Name = "L";
+    C.Name += std::to_string(L + 1);
+    C.Associativity = 1 + static_cast<unsigned>(R.below(8));
+    C.LineBytes = LineBytes;
+    const uint64_t Sets = R.chancePercent(50) ? uint64_t(1) << R.below(5)
+                                              : 3 + R.below(14);
+    C.SizeBytes = Sets * C.Associativity * LineBytes;
+    C.HitLatency = 1 + static_cast<uint32_t>(R.below(30));
+    MinHit = std::min(MinHit, C.HitLatency);
+    MaxHit = std::max(MaxHit, C.HitLatency);
+    MC.Levels.push_back(C);
+  }
+  MC.MemoryLatency = FastMemory
+                         ? static_cast<uint32_t>(R.below(MinHit))
+                         : MaxHit + 1 + static_cast<uint32_t>(R.below(200));
+  return MC;
+}
+
+} // namespace
+
+// The decoupled prefetched pass against its spec, the inline pass on one
+// MemoryHierarchy: identical StreamReplayStats and MemoryStats for random
+// small hierarchies and the shipped one, every synthetic generator plus a
+// stream dense in prefetch-kind events, random per-site strides, issue
+// costs of 1 and 3, and every shard count up to the maximum. Streams span
+// more windows than the pipeline holds, so shard buffers are reused. The
+// runs must reach every branch of the timing scan at least once.
+TEST(ParallelReplay, DecoupledCacheMatchesInline) {
+  SyntheticTraceConfig GenConfig;
+  GenConfig.Events = 33000;
+  GenConfig.Seed = 5;
+  struct Stream {
+    std::string Name;
+    std::vector<AccessEvent> Events;
+    uint32_t NumSites;
+  };
+  std::vector<Stream> Streams;
+  for (const std::string &Name : syntheticTraceNames()) {
+    auto Gen = makeSyntheticTrace(Name, GenConfig);
+    ASSERT_NE(Gen, nullptr);
+    Streams.push_back({Name, drainAll(*Gen), Gen->numSites()});
+  }
+  // Prefetch-kind heavy: two of every three loads of stream-seq are
+  // preceded by a prefetch of a line a few strides ahead.
+  {
+    const Stream &Seq = Streams.front();
+    Stream Heavy{"prefetch-heavy", {}, Seq.NumSites};
+    for (size_t I = 0; I != Seq.Events.size(); ++I) {
+      AccessEvent E = Seq.Events[I];
+      if (I % 3 != 0) {
+        AccessEvent P = E;
+        P.Kind = AccessKind::Prefetch;
+        P.Address += 64 * (1 + I % 4);
+        Heavy.Events.push_back(P);
+      }
+      Heavy.Events.push_back(E);
+    }
+    Streams.push_back(std::move(Heavy));
+  }
+
+  Rng R(20021);
+  std::vector<MemoryConfig> Configs = {MemoryConfig()};
+  for (size_t Levels = 1; Levels <= 4; ++Levels)
+    Configs.push_back(randomHierarchy(R, Levels, Levels % 2 == 1));
+
+  uint64_t Late = 0, InFlight = 0, Refresh = 0, Unused = 0;
+  for (size_t CI = 0; CI != Configs.size(); ++CI) {
+    const MemoryConfig &MC = Configs[CI];
+    StreamReplayConfig SC;
+    SC.IssueCost = CI % 2 ? 3 : 1;
+    const unsigned Max = maxDecoupledShards(MC, SC);
+    ASSERT_NE(Max, 0u);
+    for (const Stream &St : Streams) {
+      SCOPED_TRACE("hierarchy " + std::to_string(CI) + ", " + St.Name);
+      std::vector<int64_t> Strides(St.NumSites);
+      for (int64_t &Stride : Strides) {
+        static constexpr int64_t Choices[] = {0, 0, 8, 64, -64, 192, 4096};
+        Stride = Choices[R.below(std::size(Choices))];
+      }
+      MemoryHierarchy MH(MC);
+      VectorSource Src(St.Events, St.NumSites);
+      const StreamReplayStats Want =
+          replayWithSyntheticPrefetch(MH, Src, SC, Strides, 4);
+      const std::string WantMem = memoryStatsToJson(MH.stats()).str();
+      for (unsigned Shards : {1u, 2u, 4u, 8u, Max}) {
+        if (Shards > Max)
+          continue;
+        SCOPED_TRACE("shards " + std::to_string(Shards));
+        const DecoupledReplayResult Got = replaySyntheticPrefetchDecoupled(
+            St.Events, MC, SC, Strides, 4, Shards);
+        EXPECT_EQ(Got.Stream.Events, Want.Events);
+        EXPECT_EQ(Got.Stream.Loads, Want.Loads);
+        EXPECT_EQ(Got.Stream.Prefetches, Want.Prefetches);
+        EXPECT_EQ(Got.Stream.Cycles, Want.Cycles);
+        EXPECT_EQ(Got.Stream.StallCycles, Want.StallCycles);
+        EXPECT_EQ(memoryStatsToJson(Got.Mem).str(), WantMem);
+        Late += Got.Mem.LatePrefetchHits;
+        InFlight += Got.InFlightHits;
+        Refresh += Got.RefreshFills;
+        Unused += Got.Mem.PrefetchesUnused;
+      }
+    }
+  }
+  EXPECT_GT(Late, 0u);
+  EXPECT_GT(InFlight, Late); // in-flight hits on demand-filled lines too
+  EXPECT_GT(Refresh, 0u);
+  EXPECT_GT(Unused, 0u);
 }
