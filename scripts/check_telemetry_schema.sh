@@ -178,25 +178,25 @@ check(isinstance(capture, dict), "report missing profile_run.trace")
 if isinstance(capture, dict):
     for key in ("path", "schema", "events", "bytes"):
         check(key in capture, f"profile_run.trace missing {key!r}")
-    check(capture.get("schema") in ("sprof.trace/1", "sprof.trace/2",
-                                    "sprof.trace.text/1"),
-          f"unexpected trace schema: {capture.get('schema')!r}")
+    check(capture.get("schema") == "sprof.trace/2",
+          f"trace capture schema is {capture.get('schema')!r}, "
+          "want 'sprof.trace/2'")
     check(capture.get("events", 0) ==
           report.get("profile_run", {}).get("stride_invocations"),
           "trace events != profile_run.stride_invocations")
 
-# -- sprof.trace/1 + /2 binary framing -------------------------------------
+# -- sprof.trace/2 binary framing ------------------------------------------
 
 with open(capture_path, "rb") as f:
     raw = f.read()
 check(raw[:8] == b"SPROFTRC",
       f"trace capture magic is {raw[:8]!r}, want b'SPROFTRC'")
 version = int.from_bytes(raw[8:12], "little")
-check(version in (1, 2), f"trace capture version {version}, want 1 or 2")
+check(version == 2, f"trace capture version {version}, want 2")
 check(raw[-8:] == b"SPROFEND",
       f"trace capture end magic is {raw[-8:]!r}, want b'SPROFEND'")
 
-if version >= 2:
+if version == 2:
     # /2 seekable tail: the 8 bytes before the end magic are the absolute
     # offset of the footer, which must land on the end-of-events marker.
     footer_start = int.from_bytes(raw[-16:-8], "little")

@@ -30,7 +30,7 @@ ExperimentEngine::ExperimentEngine(EngineOptions Opts)
     this->Opts.Threads = 1;
   if (this->Opts.Obs.Enabled)
     Session = std::make_unique<ObsSession>(this->Opts.Obs);
-  if (Session && this->Opts.Obs.CollectMetrics && this->Opts.ShardedMetrics)
+  if (Session)
     Shards = std::make_unique<ShardedMetricsRegistry>(this->Opts.Threads);
   if (this->Opts.Obs.FlightRecorder) {
     Recorder = std::make_unique<FlightRecorder>(
@@ -74,10 +74,9 @@ JobId ExperimentEngine::addJob(std::string Name, std::string Category,
         // Sharded aggregation: fold this job's counters/histograms into
         // the executing worker's private shard while still on the worker
         // thread -- single shard owner, so no lock is ever contended. The
-        // fold must also run when the job throws, mirroring the direct
-        // path (which merges failed jobs' partial metrics too).
-        MetricsRegistry *Shard =
-            Scope && Shards ? &Shards->shard(Worker) : nullptr;
+        // fold also runs when the job throws, so failed jobs' partial
+        // metrics count too.
+        MetricsRegistry *Shard = Scope ? &Shards->shard(Worker) : nullptr;
         try {
           Fn(Scope);
         } catch (const JobPending &) {
@@ -146,15 +145,12 @@ void ExperimentEngine::run() {
   // Fold per-job telemetry in JobId order so the session registry, the
   // trace, and the "jobs" array never depend on completion order.
   if (Session) {
-    if (Shards) {
-      // Counters and histograms already aggregated lock-free into the
-      // worker shards; fold those in shard order (commutative, so the
-      // totals are bit-identical to the per-job merge below). Gauges are
-      // last-write-wins and get replayed deterministically in the JobId
-      // loop.
-      Shards->mergeInto(Session->registry());
-      Shards->clear();
-    }
+    // Counters and histograms already aggregated lock-free into the worker
+    // shards; fold those in shard order (commutative, so the totals do not
+    // depend on which worker ran which job). Gauges are last-write-wins and
+    // get replayed deterministically in the JobId loop.
+    Shards->mergeInto(Session->registry());
+    Shards->clear();
     // Job records get session-wide ids: this drain's JobId 0 lands at
     // jobs().size(), so dependency edges stay valid across drains.
     const size_t Base = Session->jobs().size();
@@ -175,10 +171,7 @@ void ExperimentEngine::run() {
       if (!O.Ok)
         R.Error = O.Error;
       if (ObsSession *Scope = JobObs[Id].get()) {
-        if (Shards)
-          Session->registry().setGaugesFrom(Scope->registry());
-        else
-          Session->registry().merge(Scope->registry());
+        Session->registry().setGaugesFrom(Scope->registry());
         if (EngineSelfProfiler *SessionSP = Session->selfProfiler())
           if (const EngineSelfProfiler *JobSP = Scope->selfProfiler())
             SessionSP->merge(*JobSP);

@@ -58,13 +58,6 @@ struct EngineOptions {
   /// Session-level telemetry; jobs get derived scopes (ObsSession's
   /// jobConfig).
   ObsConfig Obs;
-  /// Aggregate job metrics through per-worker shards: each worker folds
-  /// its finished job scopes into its own shard lock-free, and the shards
-  /// fold into the session registry after the graph drains. Totals are
-  /// bit-identical to the direct per-job merge (counter addition and
-  /// histogram merging are commutative; gauges are replayed in JobId
-  /// order), so this is purely a contention knob.
-  bool ShardedMetrics = true;
   /// When nonzero (and the flight recorder is armed via
   /// ObsConfig::FlightRecorder), a watchdog thread dumps the recorder and
   /// exits the process (FlightRecorder::WatchdogExitCode) when no job
@@ -186,7 +179,10 @@ private:
   std::unique_ptr<FlightRecorder> Recorder;
   SweepSchedulerStats SchedStats;
   RunMemo Memo;
-  /// Per-worker metric shards (EngineOptions::ShardedMetrics); cleared
+  /// Per-worker metric shards: each worker folds its finished job scopes
+  /// into its own shard lock-free, and the shards fold into the session
+  /// registry after the graph drains (counter addition and histogram
+  /// merging are commutative; gauges are replayed in JobId order). Cleared
   /// after every drain so the engine stays reusable.
   std::unique_ptr<ShardedMetricsRegistry> Shards;
   JobGraph Graph;

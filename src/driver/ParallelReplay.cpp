@@ -8,7 +8,6 @@
 #include "driver/ParallelReplay.h"
 
 #include "driver/JobGraph.h"
-#include "obs/Obs.h"
 
 #include <algorithm>
 #include <bit>
@@ -18,10 +17,6 @@
 #include <mutex>
 #include <span>
 #include <thread>
-
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
 
 namespace sprof {
 
@@ -38,12 +33,11 @@ struct ShardRun {
 
 } // namespace
 
-ShardedProfileResult profileEventsSharded(AccessSource &Src,
+ShardedProfileResult profileEventsSharded(std::span<const AccessEvent> Events,
+                                          uint32_t NumSites,
                                           const StrideProfilerConfig &PC,
-                                          unsigned Threads, unsigned Shards,
-                                          ObsSession *Obs) {
+                                          unsigned Threads, unsigned Shards) {
   ShardedProfileResult R;
-  const uint32_t NumSites = Src.numSites();
   if (Threads == 0)
     Threads = 1;
   if (Shards == 0)
@@ -52,39 +46,17 @@ ShardedProfileResult profileEventsSharded(AccessSource &Src,
     Shards = NumSites;
   if (Shards == 0)
     Shards = 1;
-  R.ShardsUsed = Shards;
-
-  // Every shard scans one contiguous buffer: a VectorSource's own
-  // storage, or any other source drained into a vector first.
-  std::vector<AccessEvent> Drained;
-  std::span<const AccessEvent> Events;
-  if (auto *VS = dynamic_cast<VectorSource *>(&Src)) {
-    Events = VS->pullRest();
-  } else {
-    std::vector<AccessEvent> Buf(4096);
-    while (size_t N = Src.pull(Buf.data(), Buf.size()))
-      Drained.insert(Drained.end(), Buf.begin(), Buf.begin() + N);
-    Events = Drained;
-  }
 
   // One job per shard: a private full-size profiler (sites index directly)
-  // fed its sites' loads in order, against a private obs scope. Each shard
-  // counts every load's 0-based global position itself, so the shards
-  // share nothing but the read-only buffer.
-  const uint64_t SessionStartUs = Obs ? Obs->trace().nowUs() : 0;
+  // fed its sites' loads in order. Each shard counts every load's 0-based
+  // global position itself, so the shards share nothing but the read-only
+  // buffer.
   std::vector<ShardRun> Runs(Shards);
-  std::vector<std::unique_ptr<ObsSession>> ShardObs(Shards);
   JobGraph G;
   for (unsigned S = 0; S != Shards; ++S) {
     G.add("profile-shard-" + std::to_string(S), "replay-profile-job",
           [&, S](uint32_t) {
-            ObsSession *Scope = nullptr;
-            if (Obs) {
-              ShardObs[S] = std::make_unique<ObsSession>(Obs->jobConfig());
-              Scope = ShardObs[S].get();
-            }
             StrideProfiler P(NumSites, PC);
-            P.attachObs(Scope);
             ShardRun &Out = Runs[S];
             uint64_t LoadIndex = 0;
             for (const AccessEvent &E : Events) {
@@ -110,7 +82,6 @@ ShardedProfileResult profileEventsSharded(AccessSource &Src,
   // shards own disjoint site sets, so the fold is a verbatim ordered copy
   // of each shard's tables and no re-sort or truncation is needed.
   R.Strides = StrideProfile(NumSites);
-  const size_t JobBase = Obs ? Obs->jobs().size() : 0;
   for (unsigned S = 0; S != Shards; ++S) {
     const JobOutcome &O = Outcomes[S];
     if (!O.Ok) {
@@ -123,31 +94,17 @@ ShardedProfileResult profileEventsSharded(AccessSource &Src,
     R.Processed += Runs[S].Processed;
     R.LfuCalls += Runs[S].LfuCalls;
     mergeStrideProfile(R.Strides, Runs[S].Strides);
-    if (ObsSession *Scope = ShardObs[S].get()) {
-      Obs->registry().merge(Scope->registry());
-      JobRecord Rec;
-      Rec.Id = JobBase + S;
-      Rec.Name = G.name(S);
-      Rec.Category = G.category(S);
-      Rec.ReadyUs = SessionStartUs + O.ReadyUs;
-      Rec.StartUs = SessionStartUs + O.StartUs;
-      Rec.DurationUs = O.DurationUs;
-      Rec.Worker = O.Worker;
-      Rec.Ok = true;
-      Rec.Metrics = Scope->registry();
-      Obs->trace().appendCompletedSpan(Rec.Name, Rec.Category, Rec.StartUs,
-                                       O.DurationUs, O.Worker, /*Depth=*/0);
-      Obs->recordJob(std::move(Rec));
-    }
-  }
-  if (Obs) {
-    if (Counter *C = Obs->counter("replay.parallel_runs"))
-      C->inc();
-    if (Counter *C = Obs->counter("replay.profile_shards"))
-      C->inc(Shards);
   }
   R.Ok = true;
   return R;
+}
+
+ShardedProfileResult profileEventsSharded(AccessSource &Src,
+                                          const StrideProfilerConfig &PC,
+                                          unsigned Threads, unsigned Shards) {
+  std::vector<AccessEvent> Storage;
+  return profileEventsSharded(bufferRest(Src, Storage), Src.numSites(), PC,
+                              Threads, Shards);
 }
 
 bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
@@ -642,67 +599,6 @@ replaySyntheticPrefetchDecoupled(std::span<const AccessEvent> Events,
   R.Stream.StallCycles = Stalls;
   R.InFlightHits = InFlight;
   R.RefreshFills = PrefetchesAt[NumLevels];
-  return R;
-}
-
-TraceReplayResult replayTraceFileParallel(const std::string &Path,
-                                          const TraceReplayOptions &Opts) {
-  auto Reader = TraceReader::openFileIndexed(Path);
-  if (!Reader->ok()) {
-    TraceReplayResult R;
-    R.Source = Path;
-    R.Error = Reader->error();
-    R.ErrorCode = Reader->errorCode();
-    return R;
-  }
-
-  std::vector<AccessEvent> Events;
-  if (Reader->index().Present) {
-    std::string DecErr;
-    TraceError DecCode = TraceError::None;
-    if (!decodeTraceParallel(Path, *Reader, Opts.Threads, Events, DecErr,
-                             DecCode)) {
-      TraceReplayResult R;
-      R.Source = Path;
-      R.Error = DecErr;
-      R.ErrorCode = DecCode;
-      return R;
-    }
-  } else {
-    // /1 and text traces carry no index: serial decode on the already-open
-    // reader (positioned right after the header). The profile phase still
-    // shards across Opts.Threads.
-    std::vector<AccessEvent> Buf(4096);
-    while (size_t N = Reader->pull(Buf.data(), Buf.size()))
-      Events.insert(Events.end(), Buf.begin(), Buf.begin() + N);
-    if (!Reader->ok()) {
-      TraceReplayResult R;
-      R.Source = Path;
-      R.Error = Reader->error();
-      R.ErrorCode = Reader->errorCode();
-      return R;
-    }
-  }
-
-  TraceReplayOptions O = Opts;
-  if (!O.Method && !Reader->provenance().Method.empty()) {
-    ProfilingMethod M;
-    if (profilingMethodFromName(Reader->provenance().Method, M))
-      O.Method = M;
-  }
-
-  const uint64_t Total = Events.size();
-  VectorSource Src(std::move(Events), Reader->numSites(), Path);
-  TraceReplayResult R = replayStream(Src, O, Path, &Reader->edgeSection(),
-                                     &Reader->provenance());
-  R.Events = Total;
-#ifdef __GLIBC__
-  // The shard profilers are freed by several threads. glibc raises its
-  // mmap threshold on such frees and then keeps freed heap resident, so
-  // without a trim the RSS that repeated replays leave behind depends on
-  // thread timing.
-  malloc_trim(0);
-#endif
   return R;
 }
 

@@ -43,11 +43,6 @@
 ///     simulated time, so the split is exact (docs/TRACE.md, "Decoupled
 ///     prefetched pass").
 ///
-/// Telemetry: each profile shard runs against a child ObsSession
-/// (ObsSession::jobConfig) whose registry is merged into the parent in
-/// job-id order and recorded as a JobRecord, so sweep reports show shard
-/// stragglers and queue wait exactly like engine jobs.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPROF_DRIVER_PARALLELREPLAY_H
@@ -61,8 +56,6 @@
 
 namespace sprof {
 
-class ObsSession;
-
 /// Outcome of a sharded profile phase; the scalar fields mirror what the
 /// serial StrideProfiler accumulators would hold after the same stream.
 struct ShardedProfileResult {
@@ -73,23 +66,27 @@ struct ShardedProfileResult {
   uint64_t Processed = 0;
   uint64_t LfuCalls = 0;
   StrideProfile Strides;
-  unsigned ShardsUsed = 0;
 };
 
-/// Profiles \p Src's load events under \p PC with \p Threads workers over
-/// \p Shards site-partitions (0 = one shard per thread; clamped to the
-/// site count). A VectorSource's unread events are scanned in place; any
-/// other source is drained into one vector first. Either way \p Src is
-/// left exhausted. The merged profile and the scalar accumulators are
-/// bit-identical to a serial StrideProfiler::consume() over the same
-/// stream -- for any shard count, any thread count, all eight profiling
-/// methods. \p Obs, when non-null, receives per-shard JobRecords and the
-/// job-id-ordered metric fold.
+/// Profiles the load events in \p Events (site ids below \p NumSites)
+/// under \p PC with \p Threads workers over \p Shards site-partitions
+/// (0 = one shard per thread; clamped to the site count). The merged
+/// profile and the scalar accumulators are bit-identical to a serial
+/// StrideProfiler::consume() over the same stream -- for any shard count,
+/// any thread count, all eight profiling methods.
+ShardedProfileResult profileEventsSharded(std::span<const AccessEvent> Events,
+                                          uint32_t NumSites,
+                                          const StrideProfilerConfig &PC,
+                                          unsigned Threads,
+                                          unsigned Shards = 0);
+
+/// The same over \p Src's unread events (bufferRest): a VectorSource's
+/// are scanned in place, any other source is drained once. Either way
+/// \p Src is left exhausted.
 ShardedProfileResult profileEventsSharded(AccessSource &Src,
                                           const StrideProfilerConfig &PC,
                                           unsigned Threads,
-                                          unsigned Shards = 0,
-                                          ObsSession *Obs = nullptr);
+                                          unsigned Shards = 0);
 
 /// Decodes the indexed trace \p Path (whose reader \p R came from
 /// TraceReader::openFileIndexed with index().Present) into \p Events with
@@ -143,18 +140,6 @@ replaySyntheticPrefetchDecoupled(std::span<const AccessEvent> Events,
                                  const StreamReplayConfig &SC,
                                  std::span<const int64_t> SiteStride,
                                  unsigned Distance, unsigned Shards);
-
-/// replayTraceFile's parallel engine: opens \p Path through the seekable
-/// tail, decodes /2 traces with decodeTraceParallel (/1 and text traces
-/// fall back to serial decode -- they carry no index), then feeds
-/// replayStream, whose profile phase shards across Opts.Threads while the
-/// demand-only memory pass runs beside it, and whose prefetched pass runs
-/// set-sharded when decoupledShardCount allows. The whole result is
-/// bit-identical to Opts.Threads == 1.
-/// Callers normally go through replayTraceFile(), which dispatches here
-/// when Opts.Threads > 1.
-TraceReplayResult replayTraceFileParallel(const std::string &Path,
-                                          const TraceReplayOptions &Opts);
 
 } // namespace sprof
 

@@ -7,7 +7,6 @@
 
 #include "driver/Pipeline.h"
 
-#include "driver/ParallelReplay.h"
 #include "driver/RunMemo.h"
 #include "driver/TraceReplay.h"
 #include "interp/ProgramCache.h"
@@ -66,8 +65,7 @@ ProfileRunResult Pipeline::runProfile(ProfilingMethod Method, DataSet DS,
                          profilingMethodName(Method)};
     std::string CapErr;
     Capture = TraceWriter::open(Config.TraceCapturePath, Prog.M.NumLoadSites,
-                                std::move(Prov), Config.TraceCaptureText,
-                                &CapErr);
+                                std::move(Prov), /*Text=*/false, &CapErr);
     if (Capture)
       I.attachEventSink(Capture.get());
     else if (Obs)
@@ -122,62 +120,6 @@ ProfileRunResult Pipeline::runProfile(ProfilingMethod Method, DataSet DS,
   if (Obs) {
     Obs->counter("pipeline.profile_runs")->inc();
     Obs->counter("pipeline.profile_cycles")->inc(Result.Stats.Cycles);
-    Obs->counter("strideprof.invocations")->inc(Result.StrideInvocations);
-    Obs->counter("strideprof.processed")->inc(Result.StrideProcessed);
-    Obs->counter("strideprof.lfu_calls")->inc(Result.LfuCalls);
-  }
-  return Result;
-}
-
-ProfileRunResult Pipeline::profileFromStream(AccessSource &Src,
-                                             ProfilingMethod Method,
-                                             unsigned Threads) const {
-  ObsSession *Obs = Session;
-  TraceSpan Span(Obs, "profile-from-stream", "pipeline", /*Level=*/1);
-
-  ProfileRunResult Result;
-  Result.Method = Method;
-
-  StrideProfilerConfig PC = Config.Profiler;
-  PC.Sampling.Enabled = methodUsesSampling(Method);
-
-  if (Threads > 1) {
-    // Site-sharded parallel profile (driver/ParallelReplay.h): merged
-    // results bit-identical to the serial branch below; per-shard metric
-    // scopes fold into this session in job-id order.
-    TraceSpan ES(Obs, "consume-stream-sharded", "profile", /*Level=*/1);
-    ShardedProfileResult SP = profileEventsSharded(Src, PC, Threads,
-                                                   /*Shards=*/0, Obs);
-    Result.Stats.RuntimeCycles = SP.RuntimeCycles;
-    Result.Stats.Cycles = SP.RuntimeCycles;
-    Result.Stats.Completed = SP.Ok;
-    Result.Strides = std::move(SP.Strides);
-    Result.StrideInvocations = SP.Invocations;
-    Result.StrideProcessed = SP.Processed;
-    Result.LfuCalls = SP.LfuCalls;
-  } else {
-    StrideProfiler Profiler(Src.numSites(), PC);
-    Profiler.attachObs(Obs);
-
-    {
-      TraceSpan ES(Obs, "consume-stream", "profile", /*Level=*/1);
-      Result.Stats.RuntimeCycles =
-          Profiler.consume(Src, Config.Interp.StrideBatchWindow);
-    }
-    Result.Stats.Cycles = Result.Stats.RuntimeCycles;
-    Result.Stats.Completed = true;
-
-    {
-      TraceSpan HS(Obs, "strideprof-harvest", "profile", /*Level=*/1);
-      Result.Strides = StrideProfile::fromProfiler(Profiler);
-    }
-    Result.StrideInvocations = Profiler.totalInvocations();
-    Result.StrideProcessed = Profiler.totalProcessed();
-    Result.LfuCalls = Profiler.totalLfuCalls();
-  }
-
-  if (Obs) {
-    Obs->counter("pipeline.stream_profile_runs")->inc();
     Obs->counter("strideprof.invocations")->inc(Result.StrideInvocations);
     Obs->counter("strideprof.processed")->inc(Result.StrideProcessed);
     Obs->counter("strideprof.lfu_calls")->inc(Result.LfuCalls);

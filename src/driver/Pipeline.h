@@ -65,8 +65,6 @@ struct PipelineConfig {
   /// tees off the engines' existing stride-event ring, so profiles and
   /// cycle accounting are bit-identical with or without it.
   std::string TraceCapturePath;
-  /// Write the human-readable sprof.trace.text/1 twin instead.
-  bool TraceCaptureText = false;
 };
 
 /// Accounting of a profile run's trace capture (PipelineConfig::
@@ -75,7 +73,7 @@ struct PipelineConfig {
 struct TraceCaptureInfo {
   bool Enabled = false;
   std::string Path;
-  std::string Schema; ///< sprof.trace/2 or sprof.trace.text/1
+  std::string Schema; ///< sprof.trace/2
   uint64_t Events = 0;
   uint64_t Bytes = 0;
 };
@@ -137,19 +135,6 @@ public:
   /// for speed, while overhead measurements (Figure 20) keep it on.
   ProfileRunResult runProfile(ProfilingMethod Method, DataSet DS,
                               bool WithMemorySystem = true) const;
-
-  /// Stream-driven profile phase: drives the stride-profiling runtime from
-  /// \p Src instead of a live interpreter run -- this is how captured and
-  /// external traces are profiled. The returned Strides (and runtime-cycle
-  /// accounting) are bit-identical to a live run that produced the same
-  /// event stream under the same method; Edges are empty (edge counters
-  /// live in the program, not the access stream -- captured traces carry
-  /// them in the trace's edge section, see driver/TraceReplay.h).
-  /// \p Threads > 1 shards the profile across site-partitioned workers
-  /// (driver/ParallelReplay.h) with bit-identical results; per-shard job
-  /// telemetry lands in this pipeline's session like engine jobs.
-  ProfileRunResult profileFromStream(AccessSource &Src, ProfilingMethod Method,
-                                     unsigned Threads = 1) const;
 
   /// Baseline timed run (no instrumentation, no prefetching).
   RunStats runBaseline(DataSet DS) const;

@@ -13,6 +13,10 @@
 #include <cassert>
 #include <future>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 namespace sprof {
 
 TraceEdgeSection edgeSectionFromProfile(const EdgeProfile &EP) {
@@ -77,6 +81,49 @@ StreamReplayStats replayWithSyntheticPrefetch(
   return S;
 }
 
+namespace {
+
+/// The stream profile phase over \p Events under \p Method: serial
+/// StrideProfiler::consume at one thread -- the reference -- and the
+/// site-sharded profileEventsSharded otherwise, bit-identical to it. Edges
+/// stay empty: edge counters live in the program, not the access stream.
+/// Returns false with \p Error set when a profile shard failed.
+bool profileStream(std::span<const AccessEvent> Events, uint32_t NumSites,
+                   const PipelineConfig &Config, ProfilingMethod Method,
+                   unsigned Threads, ProfileRunResult &Out,
+                   std::string &Error) {
+  StrideProfilerConfig PC = Config.Profiler;
+  PC.Sampling.Enabled = methodUsesSampling(Method);
+  Out.Method = Method;
+  if (Threads > 1) {
+    ShardedProfileResult SP =
+        profileEventsSharded(Events, NumSites, PC, Threads);
+    if (!SP.Ok) {
+      Error = SP.Error;
+      return false;
+    }
+    Out.Stats.RuntimeCycles = SP.RuntimeCycles;
+    Out.Strides = std::move(SP.Strides);
+    Out.StrideInvocations = SP.Invocations;
+    Out.StrideProcessed = SP.Processed;
+    Out.LfuCalls = SP.LfuCalls;
+  } else {
+    StrideProfiler P(NumSites, PC);
+    SpanSource Cursor(Events, NumSites);
+    Out.Stats.RuntimeCycles =
+        P.consume(Cursor, Config.Interp.StrideBatchWindow);
+    Out.Strides = StrideProfile::fromProfiler(P);
+    Out.StrideInvocations = P.totalInvocations();
+    Out.StrideProcessed = P.totalProcessed();
+    Out.LfuCalls = P.totalLfuCalls();
+  }
+  Out.Stats.Cycles = Out.Stats.RuntimeCycles;
+  Out.Stats.Completed = true;
+  return true;
+}
+
+} // namespace
+
 TraceReplayResult replayStream(AccessSource &Src,
                                const TraceReplayOptions &Opts,
                                const std::string &SourceName,
@@ -86,9 +133,14 @@ TraceReplayResult replayStream(AccessSource &Src,
   R.Source = SourceName;
   if (Prov)
     R.Prov = *Prov;
-  R.NumSites = Src.numSites();
   R.Method = Opts.Method.value_or(ProfilingMethod::EdgeCheck);
   R.Ok = true;
+
+  // Every pass below reads this one buffer on a cursor of its own.
+  const uint32_t NumSites = Src.numSites();
+  R.NumSites = NumSites;
+  std::vector<AccessEvent> Storage;
+  const std::span<const AccessEvent> Events = bufferRest(Src, Storage);
 
   // Workload resolution: a trace that names a workload we can rebuild
   // gets the full live-pipeline evaluation (builds are deterministic, so
@@ -102,62 +154,26 @@ TraceReplayResult replayStream(AccessSource &Src,
   SC.BatchSize = Opts.Config.Interp.StrideBatchWindow;
   StreamReplayStats DemandStats;
   MemoryStats DemandMem;
-  auto DemandPass = [&](AccessSource &Cursor) {
+  auto DemandPass = [&] {
     MemoryHierarchy Base(Opts.Config.Memory);
+    SpanSource Cursor(Events, NumSites);
     DemandStats = replayAccessStream(Base, Cursor, SC);
     DemandMem = Base.stats();
   };
   // The demand-only cache pass depends on nothing but the events. With
-  // Threads > 1 and the events in one buffer it runs as its own job, on its
-  // own cursor (never Src's), beside the profile, the classification and
-  // the prefetched pass; it is joined after the prefetched pass. Other
-  // sources run it serially, before the prefetched pass.
-  auto *Buffered = dynamic_cast<VectorSource *>(&Src);
-  const bool Overlap = Opts.SimulateMemory && Opts.Threads > 1 && Buffered;
+  // Threads > 1 it runs as its own job beside the profile, the
+  // classification and the prefetched pass, and is joined after the
+  // prefetched pass; at one thread it runs before the prefetched pass.
+  const bool Overlap = Opts.SimulateMemory && Opts.Threads > 1;
   std::future<void> DemandJob;
   if (Overlap)
-    DemandJob = std::async(std::launch::async, [&] {
-      SpanSource Cursor(Buffered->events(), Buffered->numSites());
-      DemandPass(Cursor);
-    });
+    DemandJob = std::async(std::launch::async, DemandPass);
 
   // Pass 1 -- stream-driven profile phase.
-  if (W) {
-    Pipeline PL(*W, Opts.Config);
-    R.Profile = PL.profileFromStream(Src, R.Method, Opts.Threads);
-  } else if (Opts.Threads > 1) {
-    // Site-sharded parallel profile (driver/ParallelReplay.h);
-    // bit-identical to the serial branch below.
-    StrideProfilerConfig PC = Opts.Config.Profiler;
-    PC.Sampling.Enabled = methodUsesSampling(R.Method);
-    ShardedProfileResult SP =
-        profileEventsSharded(Src, PC, Opts.Threads, Opts.ProfileShards);
-    R.Profile.Method = R.Method;
-    R.Profile.Stats.RuntimeCycles = SP.RuntimeCycles;
-    R.Profile.Stats.Cycles = SP.RuntimeCycles;
-    R.Profile.Stats.Completed = SP.Ok;
-    R.Profile.Strides = std::move(SP.Strides);
-    R.Profile.StrideInvocations = SP.Invocations;
-    R.Profile.StrideProcessed = SP.Processed;
-    R.Profile.LfuCalls = SP.LfuCalls;
-    if (!SP.Ok) {
-      R.Ok = false;
-      R.Error = SP.Error;
-      return R;
-    }
-  } else {
-    StrideProfilerConfig PC = Opts.Config.Profiler;
-    PC.Sampling.Enabled = methodUsesSampling(R.Method);
-    StrideProfiler P(Src.numSites(), PC);
-    R.Profile.Method = R.Method;
-    R.Profile.Stats.RuntimeCycles =
-        P.consume(Src, Opts.Config.Interp.StrideBatchWindow);
-    R.Profile.Stats.Cycles = R.Profile.Stats.RuntimeCycles;
-    R.Profile.Stats.Completed = true;
-    R.Profile.Strides = StrideProfile::fromProfiler(P);
-    R.Profile.StrideInvocations = P.totalInvocations();
-    R.Profile.StrideProcessed = P.totalProcessed();
-    R.Profile.LfuCalls = P.totalLfuCalls();
+  if (!profileStream(Events, NumSites, Opts.Config, R.Method, Opts.Threads,
+                     R.Profile, R.Error)) {
+    R.Ok = false;
+    return R;
   }
   if (Edges && Edges->Present)
     R.Profile.Edges = edgeProfileFromSection(*Edges);
@@ -188,45 +204,39 @@ TraceReplayResult replayStream(AccessSource &Src,
 
   // Passes 3/4 -- cache model driven straight from the stream: demand
   // replay, then demand + synthesized prefetches for classified sites.
-  if (Opts.SimulateMemory && Src.reset()) {
-    bool Rewound = true;
-    if (!Overlap) {
-      DemandPass(Src);
-      Rewound = Src.reset();
+  if (Opts.SimulateMemory) {
+    if (!Overlap)
+      DemandPass();
+    std::vector<int64_t> SiteStride(R.SiteClass.size(), 0);
+    for (uint32_t S = 0; S != R.SiteClass.size(); ++S) {
+      const StrideClass C = R.SiteClass[S];
+      const bool Prefetchable =
+          C == StrideClass::SSST || C == StrideClass::PMST ||
+          (C == StrideClass::WSST &&
+           Opts.Config.Classifier.EnableWsstPrefetch);
+      if (Prefetchable)
+        SiteStride[S] = R.Profile.Strides.site(S).top1Stride();
     }
-    if (Rewound) {
-      std::vector<int64_t> SiteStride(R.SiteClass.size(), 0);
-      for (uint32_t S = 0; S != R.SiteClass.size(); ++S) {
-        const StrideClass C = R.SiteClass[S];
-        const bool Prefetchable =
-            C == StrideClass::SSST || C == StrideClass::PMST ||
-            (C == StrideClass::WSST &&
-             Opts.Config.Classifier.EnableWsstPrefetch);
-        if (Prefetchable)
-          SiteStride[S] = R.Profile.Strides.site(S).top1Stride();
-      }
-      // With the events in one buffer and threads to spare, the pass runs
-      // set-sharded beside an in-order timing scan (ParallelReplay.h);
-      // otherwise inline on one hierarchy. Both give identical results.
-      const unsigned Shards =
-          Overlap ? decoupledShardCount(Opts.Config.Memory, SC, Opts.Threads)
-                  : 0;
-      if (Shards != 0) {
-        DecoupledReplayResult D = replaySyntheticPrefetchDecoupled(
-            Buffered->pullRest(), Opts.Config.Memory, SC, SiteStride,
-            Opts.StreamPrefetchDistance, Shards);
-        R.MemPrefetched = D.Stream;
-        R.MemPrefetchedStats = std::move(D.Mem);
-      } else {
-        MemoryHierarchy Pf(Opts.Config.Memory);
-        R.MemPrefetched = replayWithSyntheticPrefetch(
-            Pf, Src, SC, SiteStride, Opts.StreamPrefetchDistance);
-        R.MemPrefetchedStats = Pf.stats();
-      }
-      R.HasMemSim = true;
+    // With threads to spare, the pass runs set-sharded beside an in-order
+    // timing scan (ParallelReplay.h); otherwise inline on one hierarchy.
+    // Both give identical results.
+    if (const unsigned Shards =
+            decoupledShardCount(Opts.Config.Memory, SC, Opts.Threads)) {
+      DecoupledReplayResult D = replaySyntheticPrefetchDecoupled(
+          Events, Opts.Config.Memory, SC, SiteStride,
+          Opts.StreamPrefetchDistance, Shards);
+      R.MemPrefetched = D.Stream;
+      R.MemPrefetchedStats = std::move(D.Mem);
+    } else {
+      MemoryHierarchy Pf(Opts.Config.Memory);
+      SpanSource Cursor(Events, NumSites);
+      R.MemPrefetched = replayWithSyntheticPrefetch(
+          Pf, Cursor, SC, SiteStride, Opts.StreamPrefetchDistance);
+      R.MemPrefetchedStats = Pf.stats();
     }
     if (DemandJob.valid())
       DemandJob.get();
+    R.HasMemSim = true;
     R.MemBaseline = DemandStats;
     R.MemBaselineStats = DemandMem;
   }
@@ -235,25 +245,33 @@ TraceReplayResult replayStream(AccessSource &Src,
 
 TraceReplayResult replayTraceFile(const std::string &Path,
                                   const TraceReplayOptions &Opts) {
-  if (Opts.Threads > 1)
-    return replayTraceFileParallel(Path, Opts);
-
-  auto Reader = TraceReader::openFile(Path);
-
-  // Buffer the whole event stream up front: replay needs several passes,
-  // and the decode error surface (truncation, corruption) is cleanest
-  // reported before any profiling state exists.
-  std::vector<AccessEvent> Events;
-  std::vector<AccessEvent> Buf(4096);
-  while (size_t N = Reader->pull(Buf.data(), Buf.size()))
-    Events.insert(Events.end(), Buf.begin(), Buf.begin() + N);
-
-  if (!Reader->ok()) {
+  auto Failed = [&](std::string Error, TraceError Code) {
     TraceReplayResult R;
     R.Source = Path;
-    R.Error = Reader->error();
-    R.ErrorCode = Reader->errorCode();
+    R.Error = std::move(Error);
+    R.ErrorCode = Code;
     return R;
+  };
+
+  // The whole event stream is decoded up front: the decode error surface
+  // (truncation, corruption) is cleanest reported before any profiling
+  // state exists.
+  auto Reader = TraceReader::openFileIndexed(Path);
+  if (!Reader->ok())
+    return Failed(Reader->error(), Reader->errorCode());
+  std::vector<AccessEvent> Events;
+  if (Reader->index().Present) {
+    std::string Error;
+    TraceError Code = TraceError::None;
+    if (!decodeTraceParallel(Path, *Reader, Opts.Threads, Events, Error,
+                             Code))
+      return Failed(std::move(Error), Code);
+  } else {
+    // /1 and text traces: sequential decode on the already-open reader,
+    // which sits right after the header.
+    bufferRest(*Reader, Events);
+    if (!Reader->ok())
+      return Failed(Reader->error(), Reader->errorCode());
   }
 
   TraceReplayOptions O = Opts;
@@ -268,6 +286,13 @@ TraceReplayResult replayTraceFile(const std::string &Path,
   TraceReplayResult R = replayStream(Src, O, Path, &Reader->edgeSection(),
                                      &Reader->provenance());
   R.Events = Total;
+#ifdef __GLIBC__
+  // The shard profilers are freed by several threads. glibc raises its
+  // mmap threshold on such frees and then keeps freed heap resident, so
+  // without a trim the RSS that repeated replays leave behind depends on
+  // thread timing.
+  malloc_trim(0);
+#endif
   return R;
 }
 

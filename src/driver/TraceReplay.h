@@ -70,13 +70,10 @@ struct TraceReplayOptions {
   /// (driver/ParallelReplay.h), and runs the demand-only memory pass as
   /// its own job beside the profile, the classification and the
   /// prefetched pass, with results bit-identical to serial. The demand
-  /// pass is serial in itself; with buffered events and 3 or more
-  /// threads, the prefetched pass splits into cache-set shards and an
-  /// in-order timing scan (decoupledShardCount).
+  /// pass is serial in itself; with 3 or more threads, the prefetched
+  /// pass splits into cache-set shards and an in-order timing scan
+  /// (decoupledShardCount).
   unsigned Threads = 1;
-  /// Site-shard count of the parallel profile phase; 0 means one shard
-  /// per thread. The merged profile is identical for any value.
-  unsigned ProfileShards = 0;
 };
 
 /// Everything a replay produces.
@@ -119,12 +116,11 @@ struct TraceReplayResult {
 /// Replays \p Src (any access source) under \p Opts. \p SourceName labels
 /// the result; \p Edges, when non-null, plays the role of the trace's
 /// edge section, and \p Prov of its provenance header (which is what
-/// names the workload to rebuild). The source must support reset() for
-/// the passes beyond the first (profile, then the optional memory
-/// passes). The demand-only memory pass overlaps the rest only when \p Src
-/// is a VectorSource, whose storage it reads on its own cursor; other
-/// sources run it serially. Only a VectorSource's prefetched pass runs
-/// set-sharded, too (decoupledShardCount, driver/ParallelReplay.h).
+/// names the workload to rebuild). The source is read once (bufferRest: a
+/// VectorSource's unread events in place, any other source drained), and
+/// every pass -- the profile, the demand-only and the prefetched memory
+/// passes -- runs over that one buffer on its own cursor; \p Src is left
+/// exhausted.
 TraceReplayResult replayStream(AccessSource &Src,
                                const TraceReplayOptions &Opts = {},
                                const std::string &SourceName = "<stream>",
@@ -142,9 +138,12 @@ StreamReplayStats replayWithSyntheticPrefetch(
     MemoryHierarchy &MH, AccessSource &Src, const StreamReplayConfig &Config,
     std::span<const int64_t> SiteStride, unsigned Distance);
 
-/// Opens \p Path as a sprof.trace file and replays it. Read errors
-/// (unreadable, truncated, version mismatch, corrupt) come back in the
-/// result with Ok == false.
+/// Opens \p Path as a sprof.trace file and replays it. /2 traces decode
+/// over their shard index with Opts.Threads workers (decodeTraceParallel,
+/// driver/ParallelReplay.h; inline at one thread); /1 and text traces
+/// carry no index and decode sequentially. Read errors (unreadable,
+/// truncated, version mismatch, corrupt) come back in the result with
+/// Ok == false.
 TraceReplayResult replayTraceFile(const std::string &Path,
                                   const TraceReplayOptions &Opts = {});
 

@@ -139,9 +139,9 @@ RunStats Interpreter::runReference(uint64_t MaxInstructions,
     Stack.push_back(std::move(Entry));
   }
 
-  // Event-sink capture buffer (trace capture / InterpreterSource): the
-  // reference engine has no stride ring, so it batches sink deliveries
-  // here. Empty and untouched when no sink is attached.
+  // Event-sink capture buffer (trace capture): the reference engine has
+  // no stride ring, so it batches sink deliveries here. Empty and
+  // untouched when no sink is attached.
   std::vector<AccessEvent> Cap;
   size_t CapN = 0;
   if (EventSink)

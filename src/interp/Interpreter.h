@@ -142,7 +142,7 @@ public:
   void attachProfiler(StrideProfiler *SP) { Profiler = SP; }
   /// Mirrors the run's ProfStride trap stream -- the exact event sequence
   /// a StrideProfiler would observe, whether or not one is attached --
-  /// into \p Sink in ring-sized batches (trace capture, InterpreterSource).
+  /// into \p Sink in ring-sized batches (trace capture).
   /// nullptr detaches. The sink is not finish()ed here: one sink may span
   /// several runs, so the owner finishes it. With no sink attached (the
   /// default) the engines' hot paths are unchanged.

@@ -47,4 +47,14 @@ size_t SpanSource::pull(AccessEvent *Buf, size_t Max) {
   return pullFrom(Events, Pos, Buf, Max);
 }
 
+std::span<const AccessEvent> bufferRest(AccessSource &Src,
+                                        std::vector<AccessEvent> &Storage) {
+  if (auto *VS = dynamic_cast<VectorSource *>(&Src))
+    return VS->pullRest();
+  std::vector<AccessEvent> Buf(4096);
+  while (size_t N = Src.pull(Buf.data(), Buf.size()))
+    Storage.insert(Storage.end(), Buf.begin(), Buf.begin() + N);
+  return Storage;
+}
+
 } // namespace sprof

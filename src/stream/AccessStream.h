@@ -7,14 +7,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The access-event stream layer. Every consumer of memory-access events --
-/// the stride-profiling runtime, the cache model, prefetch attribution --
-/// is driven from an AccessSource, a pull interface producing batched
-/// AccessEvent records, instead of reaching into the interpreter directly.
-/// The interpreters are one source among several: captured trace files
+/// The access-event stream layer. The stream consumers -- the
+/// stride-profiling runtime and the cache model -- can be driven from an
+/// AccessSource, a pull interface producing batched AccessEvent records,
+/// instead of from a live interpreter run. The interpreters push their
+/// events into an AccessSink (trace capture); captured trace files
 /// (TraceFile.h), synthetic generators (SyntheticTrace.h), and external
-/// traces feed the exact same profile -> classify -> prefetch-evaluation
-/// pipeline, so programs we did not write become first-class workloads.
+/// traces then feed the exact same profile -> classify ->
+/// prefetch-evaluation pipeline, so programs we did not write become
+/// first-class workloads.
 ///
 /// This library sits at the bottom of the dependency graph (it links only
 /// sprof_support), so profile, memsys, and interp can all speak its types.
@@ -106,14 +107,10 @@ public:
   }
   std::string describe() const override { return Name; }
 
-  /// Every event, independent of the pull cursor: lets other readers run
-  /// their own cursors over the storage (SpanSource) while this one pulls.
-  std::span<const AccessEvent> events() const { return Events; }
-
   /// The zero-copy pull: returns the events pull() has not yet returned
   /// and leaves the source exhausted, as if pulled to the end.
   std::span<const AccessEvent> pullRest() {
-    const std::span<const AccessEvent> Rest = events().subspan(Pos);
+    const auto Rest = std::span<const AccessEvent>(Events).subspan(Pos);
     Pos = Events.size();
     return Rest;
   }
@@ -145,8 +142,14 @@ private:
   size_t Pos = 0;
 };
 
-/// A sink that collects every event into a vector (tests, the
-/// InterpreterSource internal buffer).
+/// Buffers what \p Src has not yet produced, once, as one span: a
+/// VectorSource's unread events in place (pullRest()), any other source
+/// drained into \p Storage, which must outlive the span. \p Src is left
+/// exhausted either way.
+std::span<const AccessEvent> bufferRest(AccessSource &Src,
+                                        std::vector<AccessEvent> &Storage);
+
+/// A sink that collects every event into a vector (tests).
 class CollectSink final : public AccessSink {
 public:
   void onBatch(const AccessEvent *Events, size_t N) override {

@@ -284,16 +284,16 @@ TEST(ExperimentEngine, FoldsJobTelemetryIntoSession) {
   EXPECT_TRUE(Engine.obs()->trace().hasSpan("tick5"));
 }
 
-// EngineOptions::ShardedMetrics is purely a contention knob: whatever
-// worker folded whatever job scope into whatever shard, the session
-// registry after the drain is bit-identical to the direct serial merge,
-// gauges included (replayed in job-id order after the fold).
-TEST(ExperimentEngine, ShardedFoldMatchesDirectMergeBitIdentical) {
-  auto RunEngine = [](unsigned Threads, bool Sharded) {
+// Job metrics fold through per-worker shards: whatever worker folded
+// whatever job scope into whatever shard, the session registry after the
+// drain holds the closed-form totals at every thread count, gauges included
+// (replayed in job-id order after the fold).
+TEST(ExperimentEngine, ShardedFoldMatchesClosedFormTotals) {
+  for (unsigned Threads : {1u, 4u, 8u}) {
+    SCOPED_TRACE(Threads);
     EngineOptions Opts;
     Opts.Threads = Threads;
     Opts.Obs.Enabled = true;
-    Opts.ShardedMetrics = Sharded;
     ExperimentEngine Engine(Opts);
     for (int J = 0; J != 16; ++J)
       Engine.addJob("job" + std::to_string(J), "test-job",
@@ -304,31 +304,12 @@ TEST(ExperimentEngine, ShardedFoldMatchesDirectMergeBitIdentical) {
                     });
     Engine.run();
 
-    std::vector<std::pair<std::string, uint64_t>> Counters;
-    std::vector<std::pair<std::string, double>> Gauges;
-    Engine.obs()->registry().snapshotScalars(Counters, Gauges);
-    // The engine's own scheduler telemetry (engine.*) is intentionally
-    // outside the determinism contract: wakeup retries, queue high-water,
-    // and wait-time histograms depend on worker interleaving. Job-scope
-    // metrics must still fold bit-identically.
-    auto IsEngine = [](const auto &KV) {
-      return KV.first.rfind("engine.", 0) == 0;
-    };
-    Counters.erase(
-        std::remove_if(Counters.begin(), Counters.end(), IsEngine),
-        Counters.end());
-    Gauges.erase(std::remove_if(Gauges.begin(), Gauges.end(), IsEngine),
-                 Gauges.end());
-    const Histogram &H =
-        Engine.obs()->registry().histograms().at("fold.sizes");
-    return std::make_tuple(Counters, Gauges, H.count(), H.sum(),
-                           H.bucketCounts());
-  };
-
-  auto Direct = RunEngine(1, /*Sharded=*/false);
-  for (unsigned Threads : {1u, 4u, 8u}) {
-    SCOPED_TRACE(Threads);
-    EXPECT_EQ(RunEngine(Threads, /*Sharded=*/true), Direct);
+    const MetricsRegistry &Reg = Engine.obs()->registry();
+    EXPECT_EQ(Reg.counters().at("fold.events").value(), 136u); // 1 + ... + 16
+    EXPECT_EQ(Reg.gauges().at("fold.last").value(), 15.0);     // job 15 last
+    const Histogram &H = Reg.histograms().at("fold.sizes");
+    EXPECT_EQ(H.count(), 16u);
+    EXPECT_EQ(H.sum(), 200u); // sum of J * 3 % 32 over J < 16
   }
 }
 

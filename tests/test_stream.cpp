@@ -18,21 +18,16 @@
 #include "driver/ParallelReplay.h"
 #include "driver/Pipeline.h"
 #include "driver/TraceReplay.h"
-#include "instrument/Instrumentation.h"
 #include "interp/Interpreter.h"
 #include "obs/Report.h"
 #include "profile/ProfileData.h"
 #include "profile/ProfileStore.h"
 #include "profile/StrideProfiler.h"
 #include "stream/AccessStream.h"
-#include "stream/InterpreterSource.h"
 #include "stream/SyntheticTrace.h"
 #include "stream/TraceFile.h"
 #include "support/Random.h"
-#include "workloads/TraceWorkload.h"
 #include "workloads/Workload.h"
-
-#include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
@@ -954,22 +949,6 @@ TEST(Stream, SyntheticGeneratorsAreDeterministic) {
   EXPECT_GT(Prefetches, 0u);
 }
 
-TEST(Stream, TraceWorkloadRegistry) {
-  EXPECT_EQ(traceWorkloadNames(), syntheticTraceNames());
-  EXPECT_TRUE(isTraceWorkloadName("stream-seq"));
-  EXPECT_TRUE(isTraceWorkloadName("trace:/tmp/whatever.sprof.trace"));
-  EXPECT_FALSE(isTraceWorkloadName("181.mcf"));
-  EXPECT_EQ(makeAccessSourceByName("no-such-stream"), nullptr);
-  auto Src = makeAccessSourceByName("stream-chase");
-  ASSERT_NE(Src, nullptr);
-  EXPECT_GT(drainAll(*Src).size(), 0u);
-  // A "trace:" name with an unreadable file still resolves (the error
-  // lives in the reader), it just produces no events.
-  auto Bad = makeAccessSourceByName("trace:" + tmpPath("missing.sprof.trace"));
-  ASSERT_NE(Bad, nullptr);
-  EXPECT_EQ(drainAll(*Bad).size(), 0u);
-}
-
 TEST(Stream, ProfilerConsumeDropsPrefetchKindEvents) {
   std::vector<AccessEvent> Events;
   for (size_t I = 0; I != 15; ++I) {
@@ -998,57 +977,6 @@ TEST(Stream, ReplayAccessStreamAccountsEveryEvent) {
   EXPECT_EQ(S.Prefetches, Events.size() - Loads);
   EXPECT_EQ(MH.stats().DemandAccesses, Loads);
   EXPECT_GT(S.Cycles, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// InterpreterSource: the engines as one source among several
-//===----------------------------------------------------------------------===//
-
-TEST(Stream, InterpreterSourceMatchesLiveProfiler) {
-  for (auto Engine : {InterpreterConfig::Engine::Reference,
-                      InterpreterConfig::Engine::Decoded}) {
-    SCOPED_TRACE(Engine == InterpreterConfig::Engine::Reference
-                     ? "reference"
-                     : "decoded");
-    uint32_t D, N;
-    StrideProfilerConfig PC;
-    PC.Sampling.Enabled = false;
-
-    // Live: profiler attached to the run.
-    Module MLive = test::makeChaseModule(D, N);
-    instrumentModule(MLive, ProfilingMethod::EdgeCheck);
-    SimMemory MemLive;
-    test::fillChaseList(MemLive, 4096, 64);
-    StrideProfiler Live(MLive.NumLoadSites, PC);
-    InterpreterConfig IC;
-    IC.Exec = Engine;
-    Interpreter ILive(MLive, std::move(MemLive), TimingModel(), IC);
-    ILive.attachProfiler(&Live);
-    const RunStats LiveStats = ILive.run();
-    ASSERT_TRUE(LiveStats.Completed);
-
-    // Streamed: the same run wrapped as an AccessSource, consumed by a
-    // fresh profiler.
-    Module MSrc = test::makeChaseModule(D, N);
-    instrumentModule(MSrc, ProfilingMethod::EdgeCheck);
-    SimMemory MemSrc;
-    test::fillChaseList(MemSrc, 4096, 64);
-    Interpreter ISrc(MSrc, std::move(MemSrc), TimingModel(), IC);
-    InterpreterSource Src(ISrc, MSrc.NumLoadSites);
-    StrideProfiler Streamed(MSrc.NumLoadSites, PC);
-    const uint64_t Cost = Streamed.consume(Src);
-
-    ASSERT_TRUE(Src.ran());
-    EXPECT_EQ(Src.stats().LoadRefs, LiveStats.LoadRefs);
-    // The stream-driven profiler charges exactly what the live run booked
-    // as runtime cycles, and harvests the identical profile.
-    EXPECT_EQ(Cost, LiveStats.RuntimeCycles);
-    EXPECT_EQ(Streamed.totalInvocations(), Live.totalInvocations());
-    EXPECT_EQ(Streamed.totalProcessed(), Live.totalProcessed());
-    EXPECT_EQ(Streamed.totalLfuCalls(), Live.totalLfuCalls());
-    EXPECT_EQ(strideProfileToJson(StrideProfile::fromProfiler(Streamed)).str(),
-              strideProfileToJson(StrideProfile::fromProfiler(Live)).str());
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -1098,6 +1026,9 @@ TEST(TraceReplay, ReplayedProfilesMatchLiveAcrossMethodsAndEngines) {
     EXPECT_EQ(Replay.Profile.StrideInvocations, Live.StrideInvocations);
     EXPECT_EQ(Replay.Profile.StrideProcessed, Live.StrideProcessed);
     EXPECT_EQ(Replay.Profile.LfuCalls, Live.LfuCalls);
+    // The stream-driven profiler charges exactly what the live run booked
+    // as runtime cycles.
+    EXPECT_EQ(Replay.Profile.Stats.RuntimeCycles, Live.Stats.RuntimeCycles);
     // The serialized store -- what experiments persist -- is identical.
     const ProfileStore LiveStore({W.info().Name, profilingMethodName(Method),
                                   dataSetName(DataSet::Train)},
@@ -1364,34 +1295,49 @@ TEST(TraceReplay, ParallelWorkloadEvaluationMatchesSerial) {
   std::remove(Path.c_str());
 }
 
-// The shard count is an implementation knob, not an observable: any value,
-// on any method, produces the identical profile as the serial replay --
-// the commutative-merge contract at the options level.
-TEST(TraceReplay, ProfileShardCountIsObservationallyInvisible) {
+namespace {
+
+/// A source that cannot rewind: forwards a generator's events and keeps
+/// AccessSource's default reset(), which returns false.
+class OneShotSource final : public AccessSource {
+public:
+  explicit OneShotSource(std::unique_ptr<AccessSource> Inner)
+      : Inner(std::move(Inner)) {}
+  size_t pull(AccessEvent *Buf, size_t Max) override {
+    return Inner->pull(Buf, Max);
+  }
+  uint32_t numSites() const override { return Inner->numSites(); }
+
+private:
+  std::unique_ptr<AccessSource> Inner;
+};
+
+} // namespace
+
+// SimulateMemory works for any source: one that cannot rewind is read once
+// and still gets both cache passes, identical to replaying the same events
+// from a buffer, serial and threaded.
+TEST(TraceReplay, OneShotSourceStillSimulatesMemory) {
   SyntheticTraceConfig Config;
   Config.Events = 30000;
   Config.Seed = 11;
-  auto Src = makeSyntheticTrace("stream-mixed", Config);
-  ASSERT_NE(Src, nullptr);
+  auto Gen = makeSyntheticTrace("stream-mixed", Config);
+  ASSERT_NE(Gen, nullptr);
+  const uint32_t NumSites = Gen->numSites();
+  const std::vector<AccessEvent> Events = drainAll(*Gen);
 
-  for (ProfilingMethod Method : allProfilingMethods()) {
-    SCOPED_TRACE(profilingMethodName(Method));
-    TraceReplayOptions Base;
-    Base.Method = Method;
-    Base.EvaluateWorkload = false;
-    Base.SimulateMemory = false;
-    ASSERT_TRUE(Src->reset());
-    const TraceReplayResult Serial = replayStream(*Src, Base, "mixed");
-    ASSERT_TRUE(Serial.Ok) << Serial.Error;
-    for (unsigned Shards : {1u, 2u, 5u, 16u}) {
-      SCOPED_TRACE("shards " + std::to_string(Shards));
-      TraceReplayOptions O = Base;
-      O.Threads = 3;
-      O.ProfileShards = Shards;
-      ASSERT_TRUE(Src->reset());
-      const TraceReplayResult R = replayStream(*Src, O, "mixed");
-      expectSameReplay(Serial, R);
-    }
+  for (const unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    TraceReplayOptions Opts;
+    Opts.EvaluateWorkload = false;
+    Opts.Threads = Threads;
+    VectorSource Buffered(Events, NumSites);
+    const TraceReplayResult Want = replayStream(Buffered, Opts, "mixed");
+    OneShotSource OneShot(makeSyntheticTrace("stream-mixed", Config));
+    const TraceReplayResult Got = replayStream(OneShot, Opts, "mixed");
+    ASSERT_TRUE(Want.HasMemSim);
+    ASSERT_TRUE(Got.HasMemSim);
+    expectSameReplay(Want, Got);
   }
 }
 
@@ -1428,7 +1374,7 @@ TEST(ParallelReplay, NonContiguousSourceMatchesVectorSource) {
         strideProfileToJson(StrideProfile::fromProfiler(Serial)).str();
 
     for (const unsigned Threads : {1u, 3u}) {
-      for (const unsigned Shards : {0u, 2u, 7u}) {
+      for (const unsigned Shards : {0u, 1u, 2u, 5u, 7u, 16u}) {
         SCOPED_TRACE("threads " + std::to_string(Threads) + " shards " +
                      std::to_string(Shards));
         auto Reader = TraceReader::openFile(Path);
