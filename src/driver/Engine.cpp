@@ -9,6 +9,9 @@
 #include "obs/FlightRecorder.h"
 #include "obs/SelfProfiler.h"
 
+#include <deque>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -242,7 +245,72 @@ void ExperimentEngine::run() {
       std::rethrow_exception(O.Exception);
 }
 
+void sprof::requireSharableConfig(const PipelineConfig &Config,
+                                  const char *Caller) {
+  if (!Config.TraceCapturePath.empty())
+    throw std::invalid_argument(
+        std::string(Caller) + ": PipelineConfig::TraceCapturePath '" +
+        Config.TraceCapturePath +
+        "' would have every concurrent profile job truncate and write that "
+        "one file; capture from a single Pipeline::runProfile instead");
+}
+
+namespace {
+
+/// Memsys-free sweep cells whose methods share one base method, on one
+/// workload, seed offset and profile input: the first cell's run job
+/// executes the program once for all of them (Pipeline::runProfiles), and
+/// each other cell's run job publishes its share.
+struct ProfileGroup {
+  std::vector<SweepCell *> Cells;
+  JobId Leader = 0;
+  /// Filled by the leader for Cells[1..]: the profile, and the metrics
+  /// that cell's own runProfile would have recorded.
+  std::vector<ProfileRunResult> Results;
+  std::vector<MetricsRegistry> Metrics;
+};
+
+/// The leader's job body: one profile execution for every cell of \p G.
+/// The other cells' metrics collect apart, in trace-free sessions of the
+/// job scope's configuration, so each cell's job can fold in its own.
+void runProfileGroup(ProfileGroup &G, const SweepSpec &Spec,
+                     ObsSession *JobObs) {
+  SweepCell &Lead = *G.Cells.front();
+  PipelineConfig C = Spec.Config;
+  C.WorkloadSeedOffset = Lead.SeedOffset;
+  Pipeline P(*Lead.W, C, JobObs);
+  if (G.Cells.size() == 1) {
+    Lead.Profile =
+        P.runProfile(Lead.Method, Lead.ProfileDS, Spec.WithMemorySystem);
+    return;
+  }
+
+  std::vector<ProfilingMethod> Methods;
+  std::vector<ObsSession *> MethodObs;
+  std::vector<std::unique_ptr<ObsSession>> Deltas;
+  for (const SweepCell *Cell : G.Cells) {
+    Methods.push_back(Cell->Method);
+    if (!JobObs || MethodObs.empty()) {
+      MethodObs.push_back(JobObs);
+      continue;
+    }
+    ObsConfig DeltaConfig = JobObs->config();
+    DeltaConfig.CollectTrace = false;
+    Deltas.push_back(std::make_unique<ObsSession>(DeltaConfig));
+    MethodObs.push_back(Deltas.back().get());
+  }
+  G.Results = P.runProfiles(Methods, Lead.ProfileDS, MethodObs);
+  Lead.Profile = std::move(G.Results.front());
+  G.Metrics.resize(G.Cells.size());
+  for (size_t K = 1; K < G.Cells.size(); ++K)
+    if (JobObs)
+      G.Metrics[K] = Deltas[K - 1]->registry();
+}
+
+} // namespace
+
 SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
+  requireSharableConfig(Spec.Config, "runSweep");
   SweepResult Result;
   const size_t CellsPerWorkload = Spec.SeedOffsets.size() *
                                   Spec.Methods.size() *
@@ -250,6 +318,13 @@ SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
   Result.Cells.resize(Spec.Workloads.size() * CellsPerWorkload);
   if (Spec.Baseline)
     Result.BaselineCycles.assign(Spec.Workloads.size(), 0);
+
+  // Profile runs share one execution per group only without a cache model
+  // (a memsys run times every access after the previous trap's cost), and
+  // not under the self-profiler, whose samples belong to the run's own job.
+  const bool Share = !Spec.WithMemorySystem &&
+                     !(Session && Session->selfProfiler());
+  std::deque<ProfileGroup> Groups;
 
   size_t Idx = 0;
   for (size_t WI = 0; WI != Spec.Workloads.size(); ++WI) {
@@ -266,6 +341,8 @@ SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
     }
 
     for (uint64_t Seed : Spec.SeedOffsets) {
+      // This (workload, seed offset) slice's groups by (input, base).
+      std::map<std::pair<DataSet, ProfilingMethod>, ProfileGroup *> SliceGroups;
       for (ProfilingMethod Method : Spec.Methods) {
         for (DataSet DS : Spec.ProfileInputs) {
           SweepCell *Cell = &Result.Cells[Idx++];
@@ -280,15 +357,28 @@ SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
           if (Seed != 0)
             Tag += "/seed" + std::to_string(Seed);
 
-          JobId RunId = addJob(
-              "profile:" + Tag, "run-job",
-              [Cell, &Spec](ObsSession *JobObs) {
-                PipelineConfig C = Spec.Config;
-                C.WorkloadSeedOffset = Cell->SeedOffset;
-                Pipeline P(*Cell->W, C, JobObs);
-                Cell->Profile = P.runProfile(Cell->Method, Cell->ProfileDS,
-                                             Spec.WithMemorySystem);
-              });
+          ProfileGroup *&Group = SliceGroups[{DS, baseMethod(Method)}];
+          JobId RunId;
+          if (!Share || !Group) {
+            Group = &Groups.emplace_back();
+            Group->Cells.push_back(Cell);
+            RunId = Group->Leader = addJob(
+                "profile:" + Tag, "run-job",
+                [Group, &Spec](ObsSession *JobObs) {
+                  runProfileGroup(*Group, Spec, JobObs);
+                });
+          } else {
+            const size_t K = Group->Cells.size();
+            Group->Cells.push_back(Cell);
+            RunId = addJob(
+                "profile:" + Tag, "run-job",
+                [Group, K](ObsSession *JobObs) {
+                  Group->Cells[K]->Profile = std::move(Group->Results[K]);
+                  if (JobObs)
+                    JobObs->registry().merge(Group->Metrics[K]);
+                },
+                {Group->Leader});
+          }
 
           if (Spec.Feedback)
             addJob(

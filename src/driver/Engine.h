@@ -11,10 +11,11 @@
 /// workload × method × input × seed grid — on a JobGraph thread pool with
 /// per-job isolation:
 ///
-///   * every job constructs its own Pipeline (and therefore rebuilds its
-///     own Program) and owns its RNG seed via PipelineConfig's
-///     WorkloadSeedOffset, so jobs share no mutable state and an N-thread
-///     sweep is bit-identical to the serial one;
+///   * every job that executes a program constructs its own Pipeline
+///     (and therefore rebuilds its own Program) and owns its RNG seed via
+///     PipelineConfig's WorkloadSeedOffset; jobs hand results on only
+///     along dependency edges, so an N-thread sweep is bit-identical to
+///     the serial one;
 ///   * every job runs against a private ObsSession (when session telemetry
 ///     is on); after the graph drains, job scopes fold into the session
 ///     registry/trace in deterministic JobId order, one span per job lands
@@ -26,9 +27,11 @@
 ///
 /// Two levels of API: addJob()/run() schedules arbitrary closures with
 /// dependencies (the suite helpers in Experiments.h use this), and
-/// runSweep() expands a declarative SweepSpec into independent RunJobs
+/// runSweep() expands a declarative SweepSpec into one RunJob per cell
 /// (instrument → interpret → profile) plus dependent FeedbackJobs
-/// (classify → prefetch → timed run).
+/// (classify → prefetch → timed run). Without a cache model, cells whose
+/// methods share a base method share one execution (profile fan-out, see
+/// runSweep).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,8 +70,8 @@ struct EngineOptions {
 };
 
 /// A declarative sweep: the cross product of workloads × seed offsets ×
-/// profiling methods × profile inputs, each cell one independent RunJob,
-/// optionally followed by a dependent FeedbackJob on the feedback input.
+/// profiling methods × profile inputs, each cell one RunJob, optionally
+/// followed by a dependent FeedbackJob on the feedback input.
 struct SweepSpec {
   std::vector<const Workload *> Workloads;
   std::vector<ProfilingMethod> Methods = {ProfilingMethod::EdgeCheck};
@@ -118,6 +121,12 @@ struct SweepResult {
                         uint64_t SeedOffset = 0) const;
 };
 
+/// Throws std::invalid_argument, naming \p Caller, when \p Config cannot
+/// be handed to concurrent jobs: a non-empty TraceCapturePath names one
+/// file that every profile job would truncate and write at once.
+/// runSweep and the Experiments.h suite drivers check this up front.
+void requireSharableConfig(const PipelineConfig &Config, const char *Caller);
+
 /// Schedules experiment jobs over a fixed-size thread pool. Reusable: each
 /// run() executes the jobs added since the previous run().
 class ExperimentEngine {
@@ -154,6 +163,17 @@ public:
   const std::vector<JobOutcome> &lastOutcomes() const { return Outcomes; }
 
   /// Expands \p Spec into jobs, runs them, and assembles the grid.
+  ///
+  /// Profile fan-out: with WithMemorySystem off, the cells of one
+  /// workload, seed offset and profile input whose methods share a
+  /// baseMethod (naive-all and sample-naive-all, ...) form a group. The
+  /// first cell's RunJob executes the program once for the whole group
+  /// (Pipeline::runProfiles); every other cell keeps its own RunJob,
+  /// which depends on the first and only publishes its profile and folds
+  /// in its metrics. Cells, job names and per-job metrics equal those of
+  /// one runProfile per cell. A session with the self-profiler attached
+  /// runs every cell alone. Throws std::invalid_argument for a config
+  /// requireSharableConfig rejects, before scheduling anything.
   SweepResult runSweep(const SweepSpec &Spec);
 
   /// Scheduler and run-memo accounting accumulated over every drain of

@@ -75,6 +75,7 @@ sprof::measureSuite(ExperimentEngine &Engine,
                     const std::vector<const Workload *> &Workloads,
                     const PipelineConfig &Config,
                     const std::vector<ProfilingMethod> &Methods) {
+  requireSharableConfig(Config, "measureSuite");
   std::vector<BenchMeasurement> Results(Workloads.size());
   // Profiles flow from each RunJob to its FeedbackJob through these
   // preallocated slots; nothing is shared between (workload, method)
@@ -158,6 +159,7 @@ sprof::measureBenchmark(const Workload &W, const PipelineConfig &Config,
 std::vector<PopulationRow> sprof::classifySuitePopulation(
     ExperimentEngine &Engine, const std::vector<const Workload *> &Workloads,
     bool InLoopWanted, const PipelineConfig &Config) {
+  requireSharableConfig(Config, "classifySuitePopulation");
   std::vector<PopulationRow> Results(Workloads.size());
   for (size_t WI = 0; WI != Workloads.size(); ++WI) {
     const Workload *W = Workloads[WI];
@@ -175,6 +177,7 @@ std::vector<PopulationRow> sprof::classifySuitePopulation(
 std::vector<SensitivityMeasurement> sprof::measureSuiteSensitivity(
     ExperimentEngine &Engine, const std::vector<const Workload *> &Workloads,
     const PipelineConfig &Config) {
+  requireSharableConfig(Config, "measureSuiteSensitivity");
   std::vector<SensitivityMeasurement> Results(Workloads.size());
   struct Slot {
     ProfileRunResult Train, Ref;

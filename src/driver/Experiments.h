@@ -89,7 +89,8 @@ struct SensitivityMeasurement {
 // identical to looping the single-workload helpers above, for any thread
 // count (every job rebuilds its own Program and owns its seed). Timed runs
 // go through the engine's run memo (driver/RunMemo.h), so identical ones
-// within one call execute once.
+// within one call execute once. The drivers that profile reject a config
+// with a TraceCapturePath up front (requireSharableConfig).
 
 /// Borrow raw pointers from an owning suite (makeSpecIntSuite) for the
 /// duration of an engine call.

@@ -16,6 +16,7 @@
 #include "stream/TraceFile.h"
 
 #include <cassert>
+#include <stdexcept>
 #include <tuple>
 
 using namespace sprof;
@@ -29,9 +30,65 @@ static void labelSelfProfile(ObsSession *Obs, const Workload &W,
       SP->setContext(W.info().Name, Phase);
 }
 
+namespace {
+
+/// Feeds one execution's ProfStride batches to the profilers of every
+/// method after the first (which the interpreter drives itself), summing
+/// each one's simulated cost.
+class ProfilerFanOut final : public AccessSink {
+public:
+  explicit ProfilerFanOut(std::span<StrideProfiler> Profilers)
+      : Profilers(Profilers), Costs(Profilers.size(), 0) {}
+
+  void onBatch(const AccessEvent *Events, size_t N) override {
+    for (size_t K = 0; K != Profilers.size(); ++K)
+      Costs[K] += Profilers[K].profileBatch(Events, N);
+  }
+
+  std::span<StrideProfiler> Profilers;
+  std::vector<uint64_t> Costs;
+};
+
+} // namespace
+
 ProfileRunResult Pipeline::runProfile(ProfilingMethod Method, DataSet DS,
                                       bool WithMemorySystem) const {
-  ObsSession *Obs = Session;
+  return std::move(profileRuns({&Method, 1}, DS, {}, WithMemorySystem)[0]);
+}
+
+std::vector<ProfileRunResult>
+Pipeline::runProfiles(std::span<const ProfilingMethod> Methods, DataSet DS,
+                      std::span<ObsSession *const> MethodObs) const {
+  for (ProfilingMethod M : Methods)
+    if (baseMethod(M) != baseMethod(Methods[0]))
+      throw std::invalid_argument(
+          std::string("runProfiles: ") + profilingMethodName(M) +
+          " and " + profilingMethodName(Methods[0]) +
+          " instrument differently and cannot share a run");
+  if (!MethodObs.empty() && MethodObs.size() != Methods.size())
+    throw std::invalid_argument(
+        "runProfiles: MethodObs needs one session per method");
+  if (Methods.size() > 1 && !Config.TraceCapturePath.empty())
+    throw std::invalid_argument(
+        "runProfiles: trace capture records one method's run; profile "
+        "methods one at a time to capture");
+  return profileRuns(Methods, DS, MethodObs, /*WithMemorySystem=*/false);
+}
+
+std::vector<ProfileRunResult>
+Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
+                      std::span<ObsSession *const> MethodObs,
+                      bool WithMemorySystem) const {
+  const size_t N = Methods.size();
+  if (N == 0)
+    return {};
+  // With a cache model each trap's cost must reach the cycle count before
+  // the next access is timed, so one execution serves one method only.
+  assert((!WithMemorySystem || N == 1) && "memsys runs profile one method");
+  auto ObsOf = [&](size_t K) {
+    return MethodObs.empty() ? Session : MethodObs[K];
+  };
+  ObsSession *Obs = ObsOf(0);
   TraceSpan Span(Obs, "run-profile", "pipeline", /*Level=*/1);
 
   Program Prog = [&] {
@@ -40,29 +97,37 @@ ProfileRunResult Pipeline::runProfile(ProfilingMethod Method, DataSet DS,
   }();
   assert(isWellFormed(Prog.M) && "workload built a malformed module");
 
-  ProfileRunResult Result;
-  Result.Method = Method;
-  Result.Instr = instrumentModule(Prog.M, Method, Config.Instrument, Obs);
+  InstrumentationResult Instr =
+      instrumentModule(Prog.M, Methods[0], Config.Instrument, Obs);
   assert(isWellFormed(Prog.M) && "instrumentation broke the module");
 
-  StrideProfilerConfig PC = Config.Profiler;
-  PC.Sampling.Enabled = methodUsesSampling(Method);
-  StrideProfiler Profiler(Prog.M.NumLoadSites, PC);
-  Profiler.attachObs(Obs);
+  std::vector<StrideProfiler> Profilers;
+  Profilers.reserve(N);
+  for (size_t K = 0; K != N; ++K) {
+    StrideProfilerConfig PC = Config.Profiler;
+    PC.Sampling.Enabled = methodUsesSampling(Methods[K]);
+    Profilers.emplace_back(Prog.M.NumLoadSites, PC);
+    Profilers.back().attachObs(ObsOf(K));
+  }
 
+  // Method 0's profiler rides in the interpreter exactly as a lone run's
+  // would; the others take the same event batches through the fan-out.
   Interpreter I(Prog.M, std::move(Prog.Memory), Config.Timing, Config.Interp);
   MemoryHierarchy MH(Config.Memory);
   if (WithMemorySystem)
     I.attachMemory(&MH);
-  I.attachProfiler(&Profiler);
+  I.attachProfiler(&Profilers[0]);
   I.attachObs(Obs);
+  ProfilerFanOut FanOut(std::span<StrideProfiler>(Profilers).subspan(1));
+  if (N > 1)
+    I.attachEventSink(&FanOut);
 
   // Optional trace capture: tee the ProfStride event stream into a
   // sprof.trace file while the profiler consumes it live.
   std::unique_ptr<TraceWriter> Capture;
   if (!Config.TraceCapturePath.empty()) {
     TraceProvenance Prov{W.info().Name, dataSetName(DS),
-                         profilingMethodName(Method)};
+                         profilingMethodName(Methods[0])};
     std::string CapErr;
     Capture = TraceWriter::open(Config.TraceCapturePath, Prog.M.NumLoadSites,
                                 std::move(Prov), /*Text=*/false, &CapErr);
@@ -73,35 +138,66 @@ ProfileRunResult Pipeline::runProfile(ProfilingMethod Method, DataSet DS,
   }
 
   labelSelfProfile(Obs, W, "profile");
+  RunStats Stats;
   {
     TraceSpan ES(Obs, "execute", "interp", /*Level=*/1);
-    Result.Stats = I.run();
+    Stats = I.run();
   }
-  assert(Result.Stats.Completed && "profile run did not complete");
+  assert(Stats.Completed && "profile run did not complete");
 
   // Harvest the edge profile from the counters.
-  Result.Edges = EdgeProfile(Prog.M.Functions.size());
+  EdgeProfile Edges(Prog.M.Functions.size());
   const std::vector<uint64_t> &Counters = I.counters();
   for (uint32_t FI = 0, FE = static_cast<uint32_t>(Prog.M.Functions.size());
        FI != FE; ++FI) {
-    for (const auto &[E, CtrId] : Result.Instr.EdgeCounters[FI])
-      Result.Edges.setFrequency(FI, E, Counters[CtrId]);
-    if (Result.Instr.EntryCounters[FI] != NoId)
-      Result.Edges.setEntryCount(FI,
-                                 Counters[Result.Instr.EntryCounters[FI]]);
+    for (const auto &[E, CtrId] : Instr.EdgeCounters[FI])
+      Edges.setFrequency(FI, E, Counters[CtrId]);
+    if (Instr.EntryCounters[FI] != NoId)
+      Edges.setEntryCount(FI, Counters[Instr.EntryCounters[FI]]);
   }
 
-  {
-    TraceSpan HS(Obs, "strideprof-harvest", "profile", /*Level=*/1);
-    Result.Strides = StrideProfile::fromProfiler(Profiler);
+  // Every result but the last copies the shared parts; the last moves them.
+  const uint64_t ExecCycles = Stats.Cycles - Stats.RuntimeCycles;
+  std::vector<ProfileRunResult> Results(N);
+  for (size_t K = 0; K != N; ++K) {
+    ProfileRunResult &Result = Results[K];
+    ObsSession *MObs = ObsOf(K);
+    const bool Last = K + 1 == N;
+    Result.Method = Methods[K];
+    Result.Instr = Last ? std::move(Instr) : Instr;
+    Result.Instr.Method = Methods[K];
+    Result.Edges = Last ? std::move(Edges) : Edges;
+    Result.Stats = Last ? std::move(Stats) : Stats;
+    if (K != 0) {
+      // The execution's accounting with this method's runtime cost in
+      // place of method 0's, and the telemetry a lone run would record.
+      const uint64_t Runtime = FanOut.Costs[K - 1];
+      Result.Stats.Cycles = ExecCycles + Runtime;
+      Result.Stats.RuntimeCycles = Runtime;
+      recordInstrumentation(MObs, Result.Instr);
+      I.recordRun(MObs, Result.Stats);
+    }
+    const StrideProfiler &Profiler = Profilers[K];
+    {
+      TraceSpan HS(MObs, "strideprof-harvest", "profile", /*Level=*/1);
+      Result.Strides = StrideProfile::fromProfiler(Profiler);
+    }
+    Result.StrideInvocations = Profiler.totalInvocations();
+    Result.StrideProcessed = Profiler.totalProcessed();
+    Result.LfuCalls = Profiler.totalLfuCalls();
+    if (MObs) {
+      MObs->counter("pipeline.profile_runs")->inc();
+      MObs->counter("pipeline.profile_cycles")->inc(Result.Stats.Cycles);
+      MObs->counter("strideprof.invocations")->inc(Result.StrideInvocations);
+      MObs->counter("strideprof.processed")->inc(Result.StrideProcessed);
+      MObs->counter("strideprof.lfu_calls")->inc(Result.LfuCalls);
+    }
   }
-  Result.StrideInvocations = Profiler.totalInvocations();
-  Result.StrideProcessed = Profiler.totalProcessed();
-  Result.LfuCalls = Profiler.totalLfuCalls();
 
   if (Capture) {
     // The edge section makes the trace self-contained: replay rebuilds
     // the classifier's full input without re-executing the program.
+    ProfileRunResult &Result = Results[0];
     Capture->setEdgeSection(edgeSectionFromProfile(Result.Edges));
     Capture->finish();
     Result.Capture.Enabled = Capture->ok();
@@ -116,15 +212,7 @@ ProfileRunResult Pipeline::runProfile(ProfilingMethod Method, DataSet DS,
           ->inc(Result.Capture.Bytes);
     }
   }
-
-  if (Obs) {
-    Obs->counter("pipeline.profile_runs")->inc();
-    Obs->counter("pipeline.profile_cycles")->inc(Result.Stats.Cycles);
-    Obs->counter("strideprof.invocations")->inc(Result.StrideInvocations);
-    Obs->counter("strideprof.processed")->inc(Result.StrideProcessed);
-    Obs->counter("strideprof.lfu_calls")->inc(Result.LfuCalls);
-  }
-  return Result;
+  return Results;
 }
 
 RunStats Pipeline::runBaseline(DataSet DS) const {

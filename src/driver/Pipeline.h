@@ -33,7 +33,9 @@
 #include "workloads/Workload.h"
 
 #include <memory>
+#include <span>
 #include <utility>
+#include <vector>
 
 namespace sprof {
 
@@ -132,9 +134,28 @@ public:
   /// Steps 1-2: instrument for \p Method and run on \p DS.
   /// \p WithMemorySystem selects whether the cache hierarchy is simulated;
   /// profiles do not depend on it, so profile-only callers can turn it off
-  /// for speed, while overhead measurements (Figure 20) keep it on.
+  /// for speed, while overhead measurements (Figure 20) keep it on. Without
+  /// it this is the one-method case of runProfiles.
   ProfileRunResult runProfile(ProfilingMethod Method, DataSet DS,
                               bool WithMemorySystem = true) const;
+
+  /// Steps 1-2 without a cache model for several methods that share one
+  /// baseMethod (a method and its sample- variant): one build, one
+  /// instrumentation and one interpreter run, whose ProfStride batches
+  /// feed one StrideProfiler per method. Result K equals
+  /// runProfile(Methods[K], DS, false): its RunStats are the execution's
+  /// plus that profiler's RuntimeCycles, which is exact because nothing
+  /// reads the cycle count between traps when no cache is simulated.
+  ///
+  /// Method K's telemetry goes to \p MethodObs[K], or to obs() for every
+  /// method when \p MethodObs is empty, and its metrics equal that
+  /// runProfile's. The shared phases' trace spans land once, in method 0's
+  /// session. Throws std::invalid_argument when the base methods differ,
+  /// \p MethodObs has the wrong size, or trace capture is on with more
+  /// than one method (the capture names one method).
+  std::vector<ProfileRunResult>
+  runProfiles(std::span<const ProfilingMethod> Methods, DataSet DS,
+              std::span<ObsSession *const> MethodObs = {}) const;
 
   /// Baseline timed run (no instrumentation, no prefetching).
   RunStats runBaseline(DataSet DS) const;
@@ -165,6 +186,12 @@ public:
   ObsSession *obs() const { return Session; }
 
 private:
+  /// runProfiles, plus the one-method cache-model run of runProfile.
+  std::vector<ProfileRunResult>
+  profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
+              std::span<ObsSession *const> MethodObs,
+              bool WithMemorySystem) const;
+
   /// The execute step of a timed run: runs \p Prog, built for \p DS, with
   /// the cache hierarchy attached, through the memo when there is one.
   std::pair<RunStats, AttributionData> executeTimed(Program &Prog, DataSet DS,

@@ -553,20 +553,25 @@ InstrumentationResult sprof::instrumentModule(Module &M,
     FIr.run();
   }
 
-  if (Obs) {
-    uint64_t NumEdge = 0, NumBlock = 0, NumEntry = 0;
-    for (const auto &Map : Result.EdgeCounters)
-      NumEdge += Map.size();
-    for (const auto &Map : Result.BlockCounters)
-      NumBlock += Map.size();
-    for (uint32_t C : Result.EntryCounters)
-      NumEntry += C != NoId;
-    Obs->counter("instrument.modules")->inc();
-    Obs->counter("instrument.edge_counters")->inc(NumEdge);
-    Obs->counter("instrument.block_counters")->inc(NumBlock);
-    Obs->counter("instrument.entry_counters")->inc(NumEntry);
-    Obs->counter("instrument.profiled_sites")
-        ->inc(Result.ProfiledSites.size());
-  }
+  recordInstrumentation(Obs, Result);
   return Result;
+}
+
+void sprof::recordInstrumentation(ObsSession *Obs,
+                                  const InstrumentationResult &Result) {
+  if (!Obs)
+    return;
+  uint64_t NumEdge = 0, NumBlock = 0, NumEntry = 0;
+  for (const auto &Map : Result.EdgeCounters)
+    NumEdge += Map.size();
+  for (const auto &Map : Result.BlockCounters)
+    NumBlock += Map.size();
+  for (uint32_t C : Result.EntryCounters)
+    NumEntry += C != NoId;
+  Obs->counter("instrument.modules")->inc();
+  Obs->counter("instrument.edge_counters")->inc(NumEdge);
+  Obs->counter("instrument.block_counters")->inc(NumBlock);
+  Obs->counter("instrument.entry_counters")->inc(NumEntry);
+  Obs->counter("instrument.profiled_sites")
+      ->inc(Result.ProfiledSites.size());
 }

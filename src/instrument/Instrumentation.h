@@ -119,6 +119,12 @@ InstrumentationResult instrumentModule(Module &M, ProfilingMethod Method,
                                        const InstrumentConfig &Config = {},
                                        ObsSession *Obs = nullptr);
 
+/// The counter-insertion metrics instrumentModule records for \p Result,
+/// added to \p Obs (nullptr records nothing). Lets one instrumentation
+/// serve several methods' telemetry (Pipeline::runProfiles).
+void recordInstrumentation(ObsSession *Obs,
+                           const InstrumentationResult &Result);
+
 } // namespace sprof
 
 #endif // SPROF_INSTRUMENT_INSTRUMENTATION_H

@@ -38,35 +38,44 @@ Interpreter::Interpreter(const Module &M, SimMemory Memory,
 Interpreter::~Interpreter() = default;
 
 void Interpreter::attachObs(ObsSession *Session) {
-  Sinks = ObsSinks();
   // The session's self-profiler (if configured) rides along with the
   // metric sinks, so enabling ObsConfig::SelfProfile is all a driver
   // needs to do. Only the Decoded engine samples; Reference ignores it.
   SelfProf = Session ? Session->selfProfiler() : nullptr;
-  if (!Session)
-    return;
-  Sinks.Runs = Session->counter("interp.runs");
-  Sinks.Instructions = Session->counter("interp.instructions");
-  Sinks.Loads = Session->counter("interp.loads");
-  Sinks.Stores = Session->counter("interp.stores");
-  Sinks.Prefetches = Session->counter("interp.prefetches");
-  Sinks.SpecLoads = Session->counter("interp.spec_loads");
-  Sinks.Calls = Session->counter("interp.calls");
-  Sinks.Branches = Session->counter("interp.branches");
-  Sinks.PredSquashed = Session->counter("interp.predicated_off");
-  Sinks.CounterOps = Session->counter("interp.counter_ops");
-  Sinks.StrideTraps = Session->counter("interp.stride_traps");
-  Sinks.Cycles = Session->counter("interp.cycles");
-  Sinks.MemStallCycles = Session->counter("interp.mem_stall_cycles");
-  Sinks.InstrumentationCycles =
-      Session->counter("interp.instrumentation_cycles");
-  Sinks.RuntimeCycles = Session->counter("interp.runtime_cycles");
-  Sinks.MaxStackDepth = Session->gauge("interp.max_stack_depth");
-  Sinks.RunCycles = Session->histogram("interp.run_cycles",
-                                       Histogram::exponentialBounds(1024, 24));
+  Sinks = resolveSinks(Session);
 }
 
-void Interpreter::flushObs(const RunStats &Stats, const ExecTally &Tally) {
+void Interpreter::recordRun(ObsSession *Session, const RunStats &Stats) const {
+  flushObs(resolveSinks(Session), Stats, LastTally);
+}
+
+Interpreter::ObsSinks Interpreter::resolveSinks(ObsSession *Session) {
+  ObsSinks S;
+  if (!Session)
+    return S;
+  S.Runs = Session->counter("interp.runs");
+  S.Instructions = Session->counter("interp.instructions");
+  S.Loads = Session->counter("interp.loads");
+  S.Stores = Session->counter("interp.stores");
+  S.Prefetches = Session->counter("interp.prefetches");
+  S.SpecLoads = Session->counter("interp.spec_loads");
+  S.Calls = Session->counter("interp.calls");
+  S.Branches = Session->counter("interp.branches");
+  S.PredSquashed = Session->counter("interp.predicated_off");
+  S.CounterOps = Session->counter("interp.counter_ops");
+  S.StrideTraps = Session->counter("interp.stride_traps");
+  S.Cycles = Session->counter("interp.cycles");
+  S.MemStallCycles = Session->counter("interp.mem_stall_cycles");
+  S.InstrumentationCycles = Session->counter("interp.instrumentation_cycles");
+  S.RuntimeCycles = Session->counter("interp.runtime_cycles");
+  S.MaxStackDepth = Session->gauge("interp.max_stack_depth");
+  S.RunCycles = Session->histogram("interp.run_cycles",
+                                   Histogram::exponentialBounds(1024, 24));
+  return S;
+}
+
+void Interpreter::flushObs(const ObsSinks &Sinks, const RunStats &Stats,
+                           const ExecTally &Tally) {
   if (Sinks.Runs)
     Sinks.Runs->inc();
   if (Sinks.Instructions)
@@ -119,7 +128,8 @@ RunStats Interpreter::run(uint64_t MaxInstructions) {
   } else {
     Stats = runReference(MaxInstructions, Tally);
   }
-  flushObs(Stats, Tally);
+  LastTally = Tally;
+  flushObs(Sinks, Stats, Tally);
   return Stats;
 }
 

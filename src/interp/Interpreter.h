@@ -153,6 +153,12 @@ public:
   /// tallies, so the hot path is unchanged either way.
   void attachObs(ObsSession *Session);
 
+  /// Adds the last run()'s interp.* telemetry to \p Session as if that
+  /// run had returned \p Stats (nullptr records nothing). One execution
+  /// serving several profilers (Pipeline::runProfiles) reports each
+  /// method's cycle accounting this way; the opcode tallies are the run's.
+  void recordRun(ObsSession *Session, const RunStats &Stats) const;
+
   /// Runs the entry function to completion (or until \p MaxInstructions).
   RunStats run(uint64_t MaxInstructions = 4ull << 30);
 
@@ -178,7 +184,9 @@ private:
   /// The structure-walking baseline engine.
   RunStats runReference(uint64_t MaxInstructions, ExecTally &Tally);
 
-  void flushObs(const RunStats &Stats, const ExecTally &Tally);
+  static ObsSinks resolveSinks(ObsSession *Session);
+  static void flushObs(const ObsSinks &Sinks, const RunStats &Stats,
+                       const ExecTally &Tally);
 
   const Module &M;
   SimMemory Memory;
@@ -191,6 +199,8 @@ private:
   /// engine each run (Reference runs ignore it).
   EngineSelfProfiler *SelfProf = nullptr;
   ObsSinks Sinks;
+  /// The last run()'s opcode tallies, for recordRun.
+  ExecTally LastTally;
   std::vector<uint64_t> Counters;
 
   /// Lazily-built decoded form and its execution core (Engine::Decoded);

@@ -29,11 +29,11 @@ CacheLevel::CacheLevel(const CacheLevelConfig &Config) : Config(Config) {
   SetMask = NumSets - 1;
   Assoc = Config.Associativity;
   BlockStride = 4 * static_cast<size_t>(Assoc);
-  // Carve the lane storage from 2MB-aligned memory and advise huge pages
-  // for lanes of a huge page or more (see the member comment in Cache.h):
-  // the L3 block array is indexed randomly, so 4KB pages would cost a dTLB
-  // walk per probe. Smaller lanes stay on 4KB pages, so an 8KB L1 does not
-  // take a whole huge page.
+  // Carve the lane storage from 2MB-aligned memory, rounded up to whole
+  // 2MB blocks, and advise huge pages only for lanes of a huge page or
+  // more (see the member comment in Cache.h). Smaller lanes -- every
+  // shipped level, the 1MB L3 lanes included -- stay on 4KB pages, so a
+  // level touches only the pages its lanes use.
   size_t Words = NumSets * BlockStride;
   size_t Bytes = (Words * sizeof(uint64_t) + BlockAlign - 1) &
                  ~(BlockAlign - 1);

@@ -313,11 +313,12 @@ private:
   unsigned Assoc;
   /// BlockStride = 4 * Assoc u64 words per set.
   size_t BlockStride;
-  /// Lane storage is aligned to 2MB transparent huge pages, and advised
-  /// toward them when it fills at least one: a large level's
-  /// randomly-indexed blocks would otherwise pay a host-dTLB walk on nearly
-  /// every probe, the same problem SimMemory's slab pool solves for the
-  /// simulated image.
+  /// Lane storage is a 2MB-aligned allocation rounded up to whole 2MB
+  /// blocks, advised toward transparent huge pages only when the lanes
+  /// fill at least one block: a level that large would otherwise pay a
+  /// host-dTLB walk on nearly every randomly-indexed probe, the problem
+  /// SimMemory's slab pool solves for the simulated image. No shipped
+  /// level qualifies: the default L3's lanes are 1MB (8192 sets x 128B).
   static constexpr size_t BlockAlign = 2ull << 20;
   struct BlockDeleter {
     void operator()(uint64_t *P) const {

@@ -7,9 +7,12 @@
 #ifndef SPROF_TESTS_TESTHELPERS_H
 #define SPROF_TESTS_TESTHELPERS_H
 
+#include "interp/Interpreter.h"
 #include "interp/SimMemory.h"
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
+
+#include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
@@ -110,6 +113,28 @@ inline void fillChaseList(SimMemory &Mem, uint64_t Count, uint64_t Stride) {
     Mem.write64(Addr + 8, static_cast<int64_t>(I));
     Addr += Stride;
   }
+}
+
+/// Every RunStats field, so a divergence names the broken bucket instead
+/// of failing on an opaque aggregate.
+inline void expectSameStats(const RunStats &Ref, const RunStats &Dec) {
+  EXPECT_EQ(Ref.Completed, Dec.Completed);
+  EXPECT_EQ(Ref.Instructions, Dec.Instructions);
+  EXPECT_EQ(Ref.Cycles, Dec.Cycles);
+  EXPECT_EQ(Ref.BaseCycles, Dec.BaseCycles);
+  EXPECT_EQ(Ref.MemStallCycles, Dec.MemStallCycles);
+  EXPECT_EQ(Ref.InstrumentationCycles, Dec.InstrumentationCycles);
+  EXPECT_EQ(Ref.RuntimeCycles, Dec.RuntimeCycles);
+  EXPECT_EQ(Ref.LoadRefs, Dec.LoadRefs);
+  EXPECT_EQ(Ref.SiteCounts, Dec.SiteCounts);
+  EXPECT_EQ(Ref.ExitValue, Dec.ExitValue);
+  ASSERT_EQ(Ref.Mem.Levels.size(), Dec.Mem.Levels.size());
+  for (size_t L = 0; L != Ref.Mem.Levels.size(); ++L) {
+    EXPECT_EQ(Ref.Mem.Levels[L].Hits, Dec.Mem.Levels[L].Hits);
+    EXPECT_EQ(Ref.Mem.Levels[L].Misses, Dec.Mem.Levels[L].Misses);
+  }
+  EXPECT_EQ(Ref.Mem.DemandAccesses, Dec.Mem.DemandAccesses);
+  EXPECT_EQ(Ref.Mem.PrefetchesIssued, Dec.Mem.PrefetchesIssued);
 }
 
 } // namespace test

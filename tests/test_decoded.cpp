@@ -32,8 +32,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <memory>
 #include <string>
 #include <thread>
@@ -54,28 +56,6 @@ InterpreterConfig interpConfig(InterpreterConfig::Engine E) {
   InterpreterConfig C;
   C.Exec = E;
   return C;
-}
-
-/// Every RunStats field, so a divergence names the broken bucket instead
-/// of failing on an opaque aggregate.
-void expectSameStats(const RunStats &Ref, const RunStats &Dec) {
-  EXPECT_EQ(Ref.Completed, Dec.Completed);
-  EXPECT_EQ(Ref.Instructions, Dec.Instructions);
-  EXPECT_EQ(Ref.Cycles, Dec.Cycles);
-  EXPECT_EQ(Ref.BaseCycles, Dec.BaseCycles);
-  EXPECT_EQ(Ref.MemStallCycles, Dec.MemStallCycles);
-  EXPECT_EQ(Ref.InstrumentationCycles, Dec.InstrumentationCycles);
-  EXPECT_EQ(Ref.RuntimeCycles, Dec.RuntimeCycles);
-  EXPECT_EQ(Ref.LoadRefs, Dec.LoadRefs);
-  EXPECT_EQ(Ref.SiteCounts, Dec.SiteCounts);
-  EXPECT_EQ(Ref.ExitValue, Dec.ExitValue);
-  ASSERT_EQ(Ref.Mem.Levels.size(), Dec.Mem.Levels.size());
-  for (size_t L = 0; L != Ref.Mem.Levels.size(); ++L) {
-    EXPECT_EQ(Ref.Mem.Levels[L].Hits, Dec.Mem.Levels[L].Hits);
-    EXPECT_EQ(Ref.Mem.Levels[L].Misses, Dec.Mem.Levels[L].Misses);
-  }
-  EXPECT_EQ(Ref.Mem.DemandAccesses, Dec.Mem.DemandAccesses);
-  EXPECT_EQ(Ref.Mem.PrefetchesIssued, Dec.Mem.PrefetchesIssued);
 }
 
 std::string profileText(const Workload &W, ProfilingMethod Method,
@@ -617,4 +597,79 @@ TEST(DecodedEngine, TinyStrideRingMatchesReferenceAcrossMethods) {
     EXPECT_EQ(RR.StrideProcessed, RD.StrideProcessed);
     EXPECT_EQ(RR.LfuCalls, RD.LfuCalls);
   }
+}
+
+// Profile fan-out: one execution serving a base method and its sample-
+// variant gives each method exactly the run it would have had alone, on
+// every workload, both inputs and both engines. The lone runs execute on
+// the Decoded engine only: Reference equals Decoded (pinned above), and
+// Reference runs are the slow part. The ref input lists the sampled
+// method first, so both orders drive the fan-out. The (workload, input)
+// cases spread over four threads to keep the suite quick.
+TEST(RunProfiles, MatchSeparateRunsAcrossSuiteInputsAndEngines) {
+  const std::pair<ProfilingMethod, ProfilingMethod> Pairs[] = {
+      {ProfilingMethod::NaiveAll, ProfilingMethod::SampleNaiveAll},
+      {ProfilingMethod::NaiveLoop, ProfilingMethod::SampleNaiveLoop},
+      {ProfilingMethod::EdgeCheck, ProfilingMethod::SampleEdgeCheck},
+  };
+  auto Check = [&](const Workload &W, DataSet DS) {
+    for (auto [Base, Sampled] : Pairs) {
+      const std::vector<ProfilingMethod> Methods =
+          DS == DataSet::Train ? std::vector{Base, Sampled}
+                               : std::vector{Sampled, Base};
+      Pipeline Dec(W, engineConfig(InterpreterConfig::Engine::Decoded));
+      Pipeline Ref(W, engineConfig(InterpreterConfig::Engine::Reference));
+      std::vector<ProfileRunResult> Alone;
+      for (ProfilingMethod M : Methods)
+        Alone.push_back(Dec.runProfile(M, DS, /*WithMemorySystem=*/false));
+      for (const Pipeline *P : {&Dec, &Ref}) {
+        std::vector<ProfileRunResult> Fused = P->runProfiles(Methods, DS);
+        ASSERT_EQ(Fused.size(), 2u);
+        for (size_t K = 0; K != 2; ++K) {
+          SCOPED_TRACE(W.info().Name + "/" + dataSetName(DS) + "/" +
+                       profilingMethodName(Methods[K]) +
+                       (P == &Ref ? " on reference" : " on decoded"));
+          EXPECT_EQ(Fused[K].Method, Methods[K]);
+          EXPECT_EQ(Fused[K].Instr.Method, Methods[K]);
+          expectSameStats(Alone[K].Stats, Fused[K].Stats);
+          EXPECT_EQ(profileText(W, Methods[K], Alone[K]),
+                    profileText(W, Methods[K], Fused[K]));
+          EXPECT_EQ(Alone[K].StrideInvocations, Fused[K].StrideInvocations);
+          EXPECT_EQ(Alone[K].StrideProcessed, Fused[K].StrideProcessed);
+          EXPECT_EQ(Alone[K].LfuCalls, Fused[K].LfuCalls);
+        }
+      }
+    }
+  };
+  const std::vector<std::unique_ptr<Workload>> Suite = makeSpecIntSuite();
+  std::atomic<size_t> Next{0};
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T != 4; ++T)
+    Workers.emplace_back([&] {
+      for (size_t I; (I = Next.fetch_add(1)) < 2 * Suite.size();)
+        Check(*Suite[I / 2], I % 2 ? DataSet::Ref : DataSet::Train);
+    });
+  for (std::thread &T : Workers)
+    T.join();
+}
+
+TEST(RunProfiles, RejectsMixedBasesMissizedSessionsAndCapture) {
+  std::unique_ptr<Workload> W = makeWorkloadByName("181.mcf");
+  ASSERT_NE(W, nullptr);
+  Pipeline P(*W);
+  const std::vector<ProfilingMethod> Mixed = {ProfilingMethod::NaiveAll,
+                                              ProfilingMethod::EdgeCheck};
+  EXPECT_THROW(P.runProfiles(Mixed, DataSet::Train), std::invalid_argument);
+
+  const std::vector<ProfilingMethod> Pair = {ProfilingMethod::EdgeCheck,
+                                             ProfilingMethod::SampleEdgeCheck};
+  ObsSession *One[] = {nullptr};
+  EXPECT_THROW(P.runProfiles(Pair, DataSet::Train, One),
+               std::invalid_argument);
+
+  PipelineConfig Capture;
+  Capture.TraceCapturePath = "unwritten.sprof.trace";
+  EXPECT_THROW(Pipeline(*W, Capture).runProfiles(Pair, DataSet::Train),
+               std::invalid_argument);
+  EXPECT_TRUE(P.runProfiles({}, DataSet::Train).empty());
 }

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -990,6 +991,179 @@ TEST(RunMemo, SelfProfiledSessionBypassesTheMemo) {
   measureSuite(Engine, {&W}, {}, {ProfilingMethod::EdgeCheck});
   EXPECT_EQ(Engine.schedStats().RunMemoHits, 0u);
   EXPECT_EQ(Engine.schedStats().RunMemoMisses, 0u);
+}
+
+// -- Profile fan-out ---------------------------------------------------------
+
+std::string cellTag(const SweepCell &Cell) {
+  std::string Tag = Cell.W->info().Name + "/" +
+                    profilingMethodName(Cell.Method) + "/" +
+                    dataSetName(Cell.ProfileDS);
+  if (Cell.SeedOffset != 0)
+    Tag += "/seed" + std::to_string(Cell.SeedOffset);
+  return Tag;
+}
+
+/// A memsys-free sweep with the sampled methods' cells sharing their base
+/// method's execution gives every cell, job name and per-job metric scope
+/// that one runProfile (and one runPrefetched) per cell would.
+TEST(ExperimentEngine, ProfileFanOutMatchesPerCellRunsAtAnyThreadCount) {
+  ChaseWorkload Chase;
+  PassesChaseWorkload Passes;
+  SweepSpec Spec;
+  Spec.Workloads = {&Chase, &Passes};
+  Spec.Methods = allProfilingMethods();
+  Spec.ProfileInputs = {DataSet::Train, DataSet::Ref};
+  Spec.SeedOffsets = {0, 3};
+  Spec.WithMemorySystem = false;
+  Spec.Feedback = true;
+
+  ObsConfig Plain;
+  Plain.Enabled = true;
+  for (unsigned Threads : {1u, 4u, 8u}) {
+    SCOPED_TRACE(Threads);
+    EngineOptions Opts = withThreads(Threads);
+    Opts.Obs.Enabled = true;
+    ExperimentEngine Engine(Opts);
+    SweepResult R = Engine.runSweep(Spec);
+    ASSERT_EQ(R.Cells.size(), 2u * 2u * Spec.Methods.size() * 2u);
+
+    // One run job and one feedback job per cell, in cell order.
+    const std::vector<JobRecord> &Records = Engine.obs()->jobs();
+    ASSERT_EQ(Records.size(), 2 * R.Cells.size());
+    size_t Shared = 0;
+    for (size_t I = 0; I != R.Cells.size(); ++I) {
+      const SweepCell &Cell = R.Cells[I];
+      const std::string Tag = cellTag(Cell);
+      SCOPED_TRACE(Tag);
+      const JobRecord &Run = Records[2 * I];
+      const JobRecord &Feedback = Records[2 * I + 1];
+      EXPECT_EQ(Run.Name, "profile:" + Tag);
+      EXPECT_EQ(Feedback.Name, "feedback:" + Tag);
+      EXPECT_TRUE(Run.Ok);
+      EXPECT_EQ(Run.Category, "run-job");
+
+      // A sampled method's cell waits on its base method's cell, which
+      // ran the execution; every other run job stands alone.
+      if (methodUsesSampling(Cell.Method)) {
+        ++Shared;
+        std::string BaseTag = Tag;
+        BaseTag.replace(BaseTag.find("/sample-") + 1, 7, "");
+        ASSERT_EQ(Run.Deps.size(), 1u);
+        EXPECT_EQ(Records[Run.Deps[0]].Name, "profile:" + BaseTag);
+      } else {
+        EXPECT_TRUE(Run.Deps.empty());
+      }
+
+      PipelineConfig C = Spec.Config;
+      C.WorkloadSeedOffset = Cell.SeedOffset;
+      ObsSession RunObs(Plain);
+      ProfileRunResult Alone = Pipeline(*Cell.W, C, &RunObs)
+                                   .runProfile(Cell.Method, Cell.ProfileDS,
+                                               /*WithMemorySystem=*/false);
+      expectSameStats(Cell.Profile.Stats, Alone.Stats);
+      EXPECT_EQ(profileText(Cell), profileText(SweepCell{
+                                       .W = Cell.W,
+                                       .Method = Cell.Method,
+                                       .ProfileDS = Cell.ProfileDS,
+                                       .Profile = Alone}));
+      EXPECT_EQ(Cell.Profile.StrideInvocations, Alone.StrideInvocations);
+      EXPECT_EQ(Cell.Profile.StrideProcessed, Alone.StrideProcessed);
+      EXPECT_EQ(Cell.Profile.LfuCalls, Alone.LfuCalls);
+      EXPECT_EQ(registryText(Run.Metrics), registryText(RunObs.registry()));
+
+      ObsSession FeedbackObs(Plain);
+      TimedRunResult Timed =
+          Pipeline(*Cell.W, C, &FeedbackObs)
+              .runPrefetched(Spec.FeedbackInput, Alone.Edges, Alone.Strides);
+      ASSERT_TRUE(Cell.HasFeedback);
+      EXPECT_EQ(Cell.Timed.Stats.Cycles, Timed.Stats.Cycles);
+      EXPECT_EQ(Cell.Timed.Feedback.SiteClass, Timed.Feedback.SiteClass);
+      EXPECT_EQ(registryText(Feedback.Metrics),
+                registryText(FeedbackObs.registry()));
+    }
+    // Three sampled methods per (workload, seed offset, input).
+    EXPECT_EQ(Shared, 3u * 2u * 2u * 2u);
+  }
+}
+
+/// With a cache model every profile run times its own accesses, and under
+/// the self-profiler every run's samples belong to its own job: neither
+/// sweep shares an execution.
+TEST(ExperimentEngine, ProfileFanOutOnlyWithoutMemsysOrSelfProfiler) {
+  ChaseWorkload W;
+  SweepSpec Spec;
+  Spec.Workloads = {&W};
+  Spec.Methods = {ProfilingMethod::NaiveAll, ProfilingMethod::SampleNaiveAll};
+  for (bool Memsys : {true, false}) {
+    SCOPED_TRACE(Memsys ? "memsys" : "self-profiler");
+    Spec.WithMemorySystem = Memsys;
+    EngineOptions Opts = withThreads(2);
+    Opts.Obs.Enabled = true;
+    Opts.Obs.SelfProfile = !Memsys;
+    ExperimentEngine Engine(Opts);
+    SweepResult R = Engine.runSweep(Spec);
+    ASSERT_EQ(R.Cells.size(), 2u);
+    for (const JobRecord &Job : Engine.obs()->jobs())
+      EXPECT_TRUE(Job.Deps.empty()) << Job.Name;
+    for (const SweepCell &Cell : R.Cells) {
+      ProfileRunResult Alone =
+          Pipeline(W).runProfile(Cell.Method, Cell.ProfileDS, Memsys);
+      expectSameStats(Cell.Profile.Stats, Alone.Stats);
+      EXPECT_EQ(Cell.Profile.Stats.Mem.DemandAccesses != 0, Memsys);
+    }
+  }
+}
+
+/// runProfiles reporting every method into one session records what the
+/// separate runProfile calls would, metric for metric.
+TEST(ExperimentEngine, RunProfilesIntoOneSessionMatchesSeparateRuns) {
+  PassesChaseWorkload W;
+  ObsConfig Config;
+  Config.Enabled = true;
+  const std::vector<ProfilingMethod> Methods = {
+      ProfilingMethod::EdgeCheck, ProfilingMethod::SampleEdgeCheck};
+  ObsSession Fused(Config), Separate(Config);
+  Pipeline(W, {}, &Fused).runProfiles(Methods, DataSet::Train);
+  for (ProfilingMethod M : Methods)
+    Pipeline(W, {}, &Separate).runProfile(M, DataSet::Train, false);
+  EXPECT_EQ(registryText(Fused.registry()), registryText(Separate.registry()));
+}
+
+/// Every concurrent job of a sweep or suite driver gets the same config, so
+/// a trace-capture path would have them all truncate and write one file.
+TEST(ExperimentEngine, RejectsTraceCaptureForConcurrentJobs) {
+  ChaseWorkload W;
+  const std::string Path =
+      ::testing::TempDir() + "sprof_engine_rejected.sprof.trace";
+  std::remove(Path.c_str());
+  PipelineConfig Capture;
+  Capture.TraceCapturePath = Path;
+  SweepSpec Spec;
+  Spec.Workloads = {&W};
+  Spec.Config = Capture;
+  Spec.WithMemorySystem = false;
+
+  ExperimentEngine Engine(withThreads(2));
+  try {
+    Engine.runSweep(Spec);
+    ADD_FAILURE() << "runSweep accepted a TraceCapturePath";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find("runSweep"), std::string::npos);
+    EXPECT_NE(std::string(E.what()).find(Path), std::string::npos);
+  }
+  EXPECT_THROW(measureSuite(Engine, {&W}, Capture), std::invalid_argument);
+  EXPECT_THROW(classifySuitePopulation(Engine, {&W}, true, Capture),
+               std::invalid_argument);
+  EXPECT_THROW(measureSuiteSensitivity(Engine, {&W}, Capture),
+               std::invalid_argument);
+  EXPECT_FALSE(std::ifstream(Path).good());
+
+  // Nothing was scheduled: the next sweep runs only its own jobs.
+  Spec.Config = {};
+  SweepResult R = Engine.runSweep(Spec);
+  ASSERT_EQ(R.Cells.size(), 1u);
+  EXPECT_EQ(Engine.lastOutcomes().size(), 1u);
 }
 
 } // namespace
