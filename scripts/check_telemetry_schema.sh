@@ -4,13 +4,14 @@
 # "sprof.run_report/5" schema, the attribution exact-sum invariant, the
 # profile_diff, self_profile, and profile_run.trace sections, the
 # "sprof.timeseries/1" sampler artifact, the folded-stack self-profile file, the binary
-# "sprof.trace/1" or /2 capture's framing (for /2 also the seekable tail
-# and the shard index's invariants), and the Chrome trace
+# "sprof.trace/2" capture's framing (seekable tail and shard-index
+# invariants included), and the Chrome trace
 # for the pipeline's phase spans plus the sampler's counter ("C") events.
 # When given the sprof-inspect binary it also smoke-tests its summary,
 # diff, timeseries, hotspots, and trace modes against the fresh artifacts
 # — including that unknown subcommands, malformed JSON, truncated traces,
-# and trace version mismatches exit nonzero. When given the sweep_demo
+# trace version mismatches (the retired sprof.trace/1 included), and an
+# imported access log naming a site id beyond the site bound exit nonzero. When given the sweep_demo
 # example it also validates the "sprof.sweep_report/1" document (per-job
 # queue-wait vs run split, dependency edges referencing earlier ids, the critical
 # path's sum-of-durations <= wall invariant, and the scheduler section
@@ -482,6 +483,22 @@ EOF
         echo "FAIL: version-mismatch diagnostic missing" >&2
         exit 1
     }
+    # The retired index-free /1 container is a version mismatch too.
+    cp "$CAPTURE" "$WORKDIR/v1.sprof.trace"
+    printf '\x01' | dd of="$WORKDIR/v1.sprof.trace" bs=1 seek=8 \
+        count=1 conv=notrunc status=none
+    set +e
+    "$INSPECT" trace "$WORKDIR/v1.sprof.trace" 2> "$WORKDIR/inspect_err.txt"
+    rc=$?
+    set -e
+    if [ "$rc" -ne 1 ]; then
+        echo "FAIL: sprof-inspect trace on a /1 trace exited $rc, want 1" >&2
+        exit 1
+    fi
+    grep -q "version-mismatch: .*version 1 " "$WORKDIR/inspect_err.txt" || {
+        echo "FAIL: /1 trace diagnostic lacks version-mismatch naming 1" >&2
+        exit 1
+    }
     echo '{"not": "a trace"}' > "$WORKDIR/not-a-trace.sprof.trace"
     if "$INSPECT" trace "$WORKDIR/not-a-trace.sprof.trace" \
             2> "$WORKDIR/inspect_err.txt"; then
@@ -490,6 +507,24 @@ EOF
     fi
     grep -q "bad-magic: " "$WORKDIR/inspect_err.txt" || {
         echo "FAIL: bad-magic diagnostic missing" >&2
+        exit 1
+    }
+    # A site id of 2^32 - 1 would wrap the imported site count to 0; the
+    # import must refuse it, naming the line.
+    printf '0x10, 0, L\n0x20, 4294967295, L\n' > "$WORKDIR/wide_site.log"
+    set +e
+    "$INSPECT" import "$WORKDIR/wide_site.log" \
+        "$WORKDIR/wide_site.sprof.trace" > /dev/null \
+        2> "$WORKDIR/inspect_err.txt"
+    rc=$?
+    set -e
+    if [ "$rc" -ne 1 ]; then
+        echo "FAIL: sprof-inspect import of site 4294967295 exited $rc," \
+             "want 1" >&2
+        exit 1
+    fi
+    grep -q "line 2: site id 4294967295" "$WORKDIR/inspect_err.txt" || {
+        echo "FAIL: over-bound site id diagnostic missing" >&2
         exit 1
     }
     echo "sprof-inspect error paths OK"

@@ -13,12 +13,13 @@
 /// running beside them as its own job), then the prefetched memory pass's
 /// cache shards:
 ///
-///   * Decode sharding (time partition). The sprof.trace/2 shard index
-///     records, every IndexInterval events, the chunk's byte offset and the
-///     carried delta-decoder state, so contiguous chunk ranges decode
-///     independently. decodeTraceParallel() fans the ranges out and writes
-///     each job's events into its precomputed slot of one flat buffer --
-///     the finished buffer is byte-for-byte the serial decode.
+///   * Decode sharding (time partition). Every sprof.trace/2 file carries a
+///     shard index that records, every IndexInterval events, the chunk's
+///     byte offset and the carried delta-decoder state, so contiguous chunk
+///     ranges decode independently. decodeTraceParallel() fans the ranges
+///     out and writes each job's events into its precomputed slot of one
+///     flat buffer -- the finished buffer is byte-for-byte the serial
+///     decode.
 ///
 ///   * Profile sharding (site partition). The global chunk-sampling phase
 ///     of Figure 9 is a pure function of the load's position in the run
@@ -88,11 +89,11 @@ ShardedProfileResult profileEventsSharded(AccessSource &Src,
                                           unsigned Threads,
                                           unsigned Shards = 0);
 
-/// Decodes the indexed trace \p Path (whose reader \p R came from
-/// TraceReader::openFileIndexed with index().Present) into \p Events with
-/// \p Threads workers, one JobGraph job per contiguous chunk range. On
-/// failure returns false and reports the first failing shard's error
-/// through \p Error / \p Code. The buffer is identical to a serial decode.
+/// Decodes the trace \p Path (whose reader \p R came from a successful
+/// TraceReader::openFileIndexed) into \p Events with \p Threads workers,
+/// one JobGraph job per contiguous chunk range. On failure returns false
+/// and reports the first failing shard's error through \p Error /
+/// \p Code. The buffer is identical to a serial decode.
 bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
                          unsigned Threads, std::vector<AccessEvent> &Events,
                          std::string &Error, TraceError &Code);

@@ -128,9 +128,8 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
   if (!Config.TraceCapturePath.empty()) {
     TraceProvenance Prov{W.info().Name, dataSetName(DS),
                          profilingMethodName(Methods[0])};
-    std::string CapErr;
     Capture = TraceWriter::open(Config.TraceCapturePath, Prog.M.NumLoadSites,
-                                std::move(Prov), /*Text=*/false, &CapErr);
+                                std::move(Prov));
     if (Capture)
       I.attachEventSink(Capture.get());
     else if (Obs)
@@ -202,7 +201,7 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
     Capture->finish();
     Result.Capture.Enabled = Capture->ok();
     Result.Capture.Path = Config.TraceCapturePath;
-    Result.Capture.Schema = Capture->schema();
+    Result.Capture.Schema = TraceSchemaV2;
     Result.Capture.Events = Capture->eventsWritten();
     Result.Capture.Bytes = Capture->bytesWritten();
     if (Obs) {

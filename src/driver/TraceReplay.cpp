@@ -260,19 +260,10 @@ TraceReplayResult replayTraceFile(const std::string &Path,
   if (!Reader->ok())
     return Failed(Reader->error(), Reader->errorCode());
   std::vector<AccessEvent> Events;
-  if (Reader->index().Present) {
-    std::string Error;
-    TraceError Code = TraceError::None;
-    if (!decodeTraceParallel(Path, *Reader, Opts.Threads, Events, Error,
-                             Code))
-      return Failed(std::move(Error), Code);
-  } else {
-    // /1 and text traces: sequential decode on the already-open reader,
-    // which sits right after the header.
-    bufferRest(*Reader, Events);
-    if (!Reader->ok())
-      return Failed(Reader->error(), Reader->errorCode());
-  }
+  std::string Error;
+  TraceError Code = TraceError::None;
+  if (!decodeTraceParallel(Path, *Reader, Opts.Threads, Events, Error, Code))
+    return Failed(std::move(Error), Code);
 
   TraceReplayOptions O = Opts;
   if (!O.Method && !Reader->provenance().Method.empty()) {

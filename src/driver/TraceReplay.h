@@ -138,12 +138,11 @@ StreamReplayStats replayWithSyntheticPrefetch(
     MemoryHierarchy &MH, AccessSource &Src, const StreamReplayConfig &Config,
     std::span<const int64_t> SiteStride, unsigned Distance);
 
-/// Opens \p Path as a sprof.trace file and replays it. /2 traces decode
-/// over their shard index with Opts.Threads workers (decodeTraceParallel,
-/// driver/ParallelReplay.h; inline at one thread); /1 and text traces
-/// carry no index and decode sequentially. Read errors (unreadable,
-/// truncated, version mismatch, corrupt) come back in the result with
-/// Ok == false.
+/// Opens \p Path as a sprof.trace/2 file and replays it. The events decode
+/// over the trace's shard index with Opts.Threads workers
+/// (decodeTraceParallel, driver/ParallelReplay.h; inline at one thread).
+/// Read errors (unreadable, truncated, version mismatch, corrupt) come
+/// back in the result with Ok == false.
 TraceReplayResult replayTraceFile(const std::string &Path,
                                   const TraceReplayOptions &Opts = {});
 

@@ -163,29 +163,6 @@ private:
   std::vector<AccessEvent> Buffer;
 };
 
-/// Fan-out sink: forwards every batch (and finish) to each attached sink.
-/// Attached sinks are borrowed, not owned.
-class TeeSink final : public AccessSink {
-public:
-  void add(AccessSink *S) {
-    if (S)
-      Sinks.push_back(S);
-  }
-
-  void onBatch(const AccessEvent *Events, size_t N) override {
-    for (AccessSink *S : Sinks)
-      S->onBatch(Events, N);
-  }
-
-  void finish() override {
-    for (AccessSink *S : Sinks)
-      S->finish();
-  }
-
-private:
-  std::vector<AccessSink *> Sinks;
-};
-
 } // namespace sprof
 
 #endif // SPROF_STREAM_ACCESSSTREAM_H

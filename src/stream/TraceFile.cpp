@@ -27,8 +27,7 @@
 // partial file ends mid-varint or before the footer, never silently. The
 // fixed-size tail is what makes the index reachable without decoding: seek
 // to EOF-16, verify the end magic, follow the offset to the end-of-events
-// marker, and parse the sections from there. Version-1 files are the same
-// layout without the index section and without the u64 tail word.
+// marker, and parse the sections from there.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,17 +35,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 namespace sprof {
 
 static const char TraceMagic[8] = {'S', 'P', 'R', 'O', 'F', 'T', 'R', 'C'};
 static const char TraceEndMagic[8] = {'S', 'P', 'R', 'O', 'F', 'E', 'N', 'D'};
-static const char *TraceTextPrefix = "sprof.trace.text/";
 
 static constexpr uint8_t TagEnd = 0x00;
 static constexpr uint8_t TagLoad = 0x01;
@@ -55,7 +51,7 @@ static constexpr uint8_t SectionEnd = 0x00;
 static constexpr uint8_t SectionEdges = 0x01;
 static constexpr uint8_t SectionIndex = 0x02;
 
-/// Bytes of the /2 seekable tail: u64 LE footer-start + "SPROFEND".
+/// Bytes of the seekable tail: u64 LE footer-start + "SPROFEND".
 static constexpr uint64_t TraceTailBytes = 16;
 
 const char *traceErrorName(TraceError E) {
@@ -121,20 +117,44 @@ static const uint8_t *decodeVarint(const uint8_t *P, uint64_t &V) {
 // TraceWriter
 //===----------------------------------------------------------------------===//
 
+/// Why a writer with these parameters would write a trace the reader
+/// rejects; empty when they are valid.
+static std::string writerParamError(uint32_t NumSites,
+                                    uint64_t IndexInterval) {
+  if (IndexInterval == 0)
+    return "shard-index interval must be > 0";
+  if (NumSites > TraceMaxSites)
+    return std::to_string(NumSites) + " sites exceed the limit of " +
+           std::to_string(TraceMaxSites);
+  return {};
+}
+
 TraceWriter::TraceWriter(std::ostream &OS, uint32_t NumSites,
-                         TraceProvenance Prov, bool Text,
-                         uint64_t IndexInterval)
-    : OS(&OS), Text(Text),
-      Version(Text || IndexInterval == 0 ? 1 : TraceFormatVersion),
-      IndexInterval(Text ? 0 : IndexInterval) {
+                         TraceProvenance Prov, uint64_t IndexInterval)
+    : OS(&OS), IndexInterval(IndexInterval) {
+  Err = writerParamError(NumSites, IndexInterval);
+  if (!Err.empty()) {
+    Failed = true;
+    return;
+  }
   writeHeader(NumSites, Prov);
 }
 
 std::unique_ptr<TraceWriter> TraceWriter::open(const std::string &Path,
                                                uint32_t NumSites,
-                                               TraceProvenance Prov, bool Text,
+                                               TraceProvenance Prov,
+                                               bool Reserved,
                                                std::string *Error,
                                                uint64_t IndexInterval) {
+  const std::string ParamErr =
+      Reserved ? "the text trace format is retired; convert text access "
+                 "logs with importAccessLog (sprof-inspect import)"
+               : writerParamError(NumSites, IndexInterval);
+  if (!ParamErr.empty()) {
+    if (Error)
+      *Error = "cannot write '" + Path + "': " + ParamErr;
+    return nullptr;
+  }
   auto File = std::make_unique<std::ofstream>(
       Path, std::ios::out | std::ios::trunc | std::ios::binary);
   if (!*File) {
@@ -145,7 +165,7 @@ std::unique_ptr<TraceWriter> TraceWriter::open(const std::string &Path,
   // Borrow-constructor against the stream we are about to own; the moved
   // pointer keeps the stream alive for the writer's lifetime.
   std::ostream &Ref = *File;
-  auto W = std::make_unique<TraceWriter>(Ref, NumSites, std::move(Prov), Text,
+  auto W = std::make_unique<TraceWriter>(Ref, NumSites, std::move(Prov),
                                          IndexInterval);
   W->OwnedFile = File.get();
   W->OwnedOS = std::move(File);
@@ -153,12 +173,6 @@ std::unique_ptr<TraceWriter> TraceWriter::open(const std::string &Path,
 }
 
 TraceWriter::~TraceWriter() { finish(); }
-
-const char *TraceWriter::schema() const {
-  if (Text)
-    return TraceTextSchemaV1;
-  return Version >= 2 ? TraceSchemaV2 : TraceSchemaV1;
-}
 
 void TraceWriter::putByte(uint8_t B) { Buf.push_back(B); }
 
@@ -189,27 +203,14 @@ void TraceWriter::flushBuf() {
 }
 
 void TraceWriter::writeHeader(uint32_t NumSites, const TraceProvenance &Prov) {
-  if (Text) {
-    std::string H = std::string(TraceTextSchemaV1) + "\n" +
-                    "sites " + std::to_string(NumSites) + "\n";
-    if (!Prov.Workload.empty())
-      H += "workload " + Prov.Workload + "\n";
-    if (!Prov.DataSet.empty())
-      H += "dataset " + Prov.DataSet + "\n";
-    if (!Prov.Method.empty())
-      H += "method " + Prov.Method + "\n";
-    putBytes(H.data(), H.size());
-  } else {
-    putBytes(TraceMagic, sizeof(TraceMagic));
-    const uint32_t Words[2] = {Version, NumSites};
-    for (uint32_t W : Words)
-      for (int I = 0; I < 4; ++I)
-        putByte(static_cast<uint8_t>(W >> (8 * I)));
-    for (const std::string *S :
-         {&Prov.Workload, &Prov.DataSet, &Prov.Method}) {
-      putVarint(S->size());
-      putBytes(S->data(), S->size());
-    }
+  putBytes(TraceMagic, sizeof(TraceMagic));
+  const uint32_t Words[2] = {TraceFormatVersion, NumSites};
+  for (uint32_t W : Words)
+    for (int I = 0; I < 4; ++I)
+      putByte(static_cast<uint8_t>(W >> (8 * I)));
+  for (const std::string *S : {&Prov.Workload, &Prov.DataSet, &Prov.Method}) {
+    putVarint(S->size());
+    putBytes(S->data(), S->size());
   }
   flushBuf();
 }
@@ -217,52 +218,36 @@ void TraceWriter::writeHeader(uint32_t NumSites, const TraceProvenance &Prov) {
 void TraceWriter::onBatch(const AccessEvent *Events, size_t N) {
   if (Finished || Failed)
     return;
-  if (Text) {
-    char Line[96];
-    for (size_t I = 0; I < N; ++I) {
-      const AccessEvent &E = Events[I];
-      const int Len = std::snprintf(
-          Line, sizeof(Line), "%c %u %llu %llu\n",
-          E.Kind == AccessKind::Prefetch ? 'P' : 'L', E.SiteId,
-          static_cast<unsigned long long>(E.Address),
-          static_cast<unsigned long long>(E.GlobalRefIndex));
-      putBytes(Line, static_cast<size_t>(Len));
+  // Encode through a pointer into room for the worst case, then trim.
+  const size_t Start = Buf.size();
+  Buf.resize(Start + N * TraceMaxEventBytes);
+  uint8_t *const Base = Buf.data();
+  uint8_t *P = Base + Start;
+  for (size_t I = 0; I < N; ++I) {
+    const AccessEvent &E = Events[I];
+    if (UntilChunk == 0) {
+      // Chunk boundary: remember where this event starts and the decoder
+      // state carried into it. NumBytes counts flushed bytes, so the
+      // pending buffer is part of the offset.
+      Index.push_back({NumBytes + static_cast<uint64_t>(P - Base),
+                       NumEvents + I, NumLoads, PrevAddr, PrevRef, PrevSite});
+      UntilChunk = IndexInterval;
     }
-  } else {
-    // Encode through a pointer into room for the worst case, then trim.
-    const size_t Start = Buf.size();
-    Buf.resize(Start + N * TraceMaxEventBytes);
-    uint8_t *const Base = Buf.data();
-    uint8_t *P = Base + Start;
-    for (size_t I = 0; I < N; ++I) {
-      const AccessEvent &E = Events[I];
-      if (IndexInterval != 0) {
-        if (UntilChunk == 0) {
-          // Chunk boundary: remember where this event starts and the
-          // decoder state carried into it. NumBytes counts flushed bytes,
-          // so the pending buffer is part of the offset.
-          Index.push_back({NumBytes + static_cast<uint64_t>(P - Base),
-                           NumEvents + I, NumLoads, PrevAddr, PrevRef,
-                           PrevSite});
-          UntilChunk = IndexInterval;
-        }
-        --UntilChunk;
-        if (E.Kind != AccessKind::Prefetch)
-          ++NumLoads;
-      }
-      *P++ = E.Kind == AccessKind::Prefetch ? TagPrefetch : TagLoad;
-      P = encodeVarint(P, zigzagEncode(static_cast<int64_t>(E.SiteId) -
-                                       static_cast<int64_t>(PrevSite)));
-      P = encodeVarint(P,
-                       zigzagEncode(static_cast<int64_t>(E.Address - PrevAddr)));
-      P = encodeVarint(
-          P, zigzagEncode(static_cast<int64_t>(E.GlobalRefIndex - PrevRef)));
-      PrevSite = E.SiteId;
-      PrevAddr = E.Address;
-      PrevRef = E.GlobalRefIndex;
-    }
-    Buf.resize(static_cast<size_t>(P - Base));
+    --UntilChunk;
+    if (E.Kind != AccessKind::Prefetch)
+      ++NumLoads;
+    *P++ = E.Kind == AccessKind::Prefetch ? TagPrefetch : TagLoad;
+    P = encodeVarint(P, zigzagEncode(static_cast<int64_t>(E.SiteId) -
+                                     static_cast<int64_t>(PrevSite)));
+    P = encodeVarint(P,
+                     zigzagEncode(static_cast<int64_t>(E.Address - PrevAddr)));
+    P = encodeVarint(
+        P, zigzagEncode(static_cast<int64_t>(E.GlobalRefIndex - PrevRef)));
+    PrevSite = E.SiteId;
+    PrevAddr = E.Address;
+    PrevRef = E.GlobalRefIndex;
   }
+  Buf.resize(static_cast<size_t>(P - Base));
   NumEvents += N;
   flushBuf();
 }
@@ -273,61 +258,41 @@ void TraceWriter::finish() {
   Finished = true;
   if (Failed)
     return;
-  if (Text) {
-    std::string T = "end " + std::to_string(NumEvents) + "\n";
-    if (EdgeSec.Present) {
-      T += "edges " + std::to_string(EdgeSec.NumFunctions) + "\n";
-      for (const TraceEntryRecord &R : EdgeSec.Entries)
-        T += "entry " + std::to_string(R.Func) + " " +
-             std::to_string(R.Count) + "\n";
-      for (const TraceEdgeRecord &R : EdgeSec.Edges)
-        T += "edge " + std::to_string(R.Func) + " " +
-             std::to_string(R.From) + " " + std::to_string(R.Slot) + " " +
-             std::to_string(R.Count) + "\n";
-      T += "endedges\n";
+  const uint64_t FooterStart = NumBytes + Buf.size();
+  putByte(TagEnd);
+  if (EdgeSec.Present) {
+    putByte(SectionEdges);
+    putVarint(EdgeSec.NumFunctions);
+    putVarint(EdgeSec.Entries.size());
+    for (const TraceEntryRecord &R : EdgeSec.Entries) {
+      putVarint(R.Func);
+      putVarint(R.Count);
     }
-    T += "endtrace\n";
-    putBytes(T.data(), T.size());
-  } else {
-    const uint64_t FooterStart = NumBytes + Buf.size();
-    putByte(TagEnd);
-    if (EdgeSec.Present) {
-      putByte(SectionEdges);
-      putVarint(EdgeSec.NumFunctions);
-      putVarint(EdgeSec.Entries.size());
-      for (const TraceEntryRecord &R : EdgeSec.Entries) {
-        putVarint(R.Func);
-        putVarint(R.Count);
-      }
-      putVarint(EdgeSec.Edges.size());
-      for (const TraceEdgeRecord &R : EdgeSec.Edges) {
-        putVarint(R.Func);
-        putVarint(R.From);
-        putVarint(R.Slot);
-        putVarint(R.Count);
-      }
+    putVarint(EdgeSec.Edges.size());
+    for (const TraceEdgeRecord &R : EdgeSec.Edges) {
+      putVarint(R.Func);
+      putVarint(R.From);
+      putVarint(R.Slot);
+      putVarint(R.Count);
     }
-    if (Version >= 2) {
-      putByte(SectionIndex);
-      putVarint(IndexInterval);
-      putVarint(Index.size());
-      for (const TraceShardEntry &E : Index) {
-        putVarint(E.ByteOffset);
-        putVarint(E.CumEvents);
-        putVarint(E.CumLoads);
-        putVarint(E.PrevSite);
-        putVarint(E.PrevAddr);
-        putVarint(E.PrevRef);
-      }
-      putVarint(NumLoads);
-    }
-    putByte(SectionEnd);
-    putVarint(NumEvents);
-    if (Version >= 2)
-      for (int I = 0; I < 8; ++I)
-        putByte(static_cast<uint8_t>(FooterStart >> (8 * I)));
-    putBytes(TraceEndMagic, sizeof(TraceEndMagic));
   }
+  putByte(SectionIndex);
+  putVarint(IndexInterval);
+  putVarint(Index.size());
+  for (const TraceShardEntry &E : Index) {
+    putVarint(E.ByteOffset);
+    putVarint(E.CumEvents);
+    putVarint(E.CumLoads);
+    putVarint(E.PrevSite);
+    putVarint(E.PrevAddr);
+    putVarint(E.PrevRef);
+  }
+  putVarint(NumLoads);
+  putByte(SectionEnd);
+  putVarint(NumEvents);
+  for (int I = 0; I < 8; ++I)
+    putByte(static_cast<uint8_t>(FooterStart >> (8 * I)));
+  putBytes(TraceEndMagic, sizeof(TraceEndMagic));
   flushBuf();
   OS->flush();
   if (!*OS && !Failed) {
@@ -372,7 +337,6 @@ std::unique_ptr<TraceReader> TraceReader::openFile(const std::string &Path) {
   // first so an unreadable file reports Io instead of BadMagic.
   auto R = std::unique_ptr<TraceReader>(new TraceReader(Ref, Path));
   R->OwnedIS = std::move(File);
-  R->Path = Path;
   if (!Open) {
     // Overrides whatever the header parse diagnosed on the dead stream.
     R->ErrCode = TraceError::Io;
@@ -384,11 +348,8 @@ std::unique_ptr<TraceReader> TraceReader::openFile(const std::string &Path) {
 std::unique_ptr<TraceReader>
 TraceReader::openFileIndexed(const std::string &Path) {
   auto R = openFile(Path);
-  // /1 and text traces carry no seekable tail; hand them back positioned
-  // for sequential decode, index().Present == false.
-  if (!R->ok() || R->text() || R->version() < 2)
-    return R;
-  R->loadIndexFromTail();
+  if (R->ok())
+    R->loadIndexFromTail();
   return R;
 }
 
@@ -414,7 +375,6 @@ std::unique_ptr<TraceReader> TraceReader::openShard(const std::string &Path,
   R->IS = R->OwnedIS.get();
   const TraceShardEntry &E = Idx.Chunks[FirstChunk];
   const size_t LastChunk = FirstChunk + NumChunks - 1;
-  R->Version = TraceFormatVersion;
   R->Sites = Idx.NumSites;
   R->PrevSite = E.PrevSite;
   R->PrevAddr = E.PrevAddr;
@@ -519,25 +479,7 @@ bool TraceReader::getZigzag(int64_t &V) {
   return true;
 }
 
-bool TraceReader::readLine(std::string &Line) {
-  if (HasPending) {
-    Line = std::move(PendingLine);
-    HasPending = false;
-    return true;
-  }
-  Line.clear();
-  int B = getByte();
-  if (B < 0)
-    return false;
-  while (B >= 0 && B != '\n') {
-    Line.push_back(static_cast<char>(B));
-    B = getByte();
-  }
-  return true;
-}
-
 bool TraceReader::parseHeader() {
-  // Sniff: 8 magic bytes decide binary vs text vs foreign.
   char Head[8];
   size_t Got = 0;
   while (Got < sizeof(Head)) {
@@ -555,27 +497,10 @@ bool TraceReader::parseHeader() {
          "not an sprof trace (shorter than the 8-byte magic)");
     return false;
   }
-  if (std::memcmp(Head, TraceMagic, sizeof(TraceMagic)) == 0)
-    return parseBinaryHeader();
-  // Text form: the magic-sized prefix is the start of the schema line.
-  std::string First(Head, sizeof(Head));
-  {
-    int B;
-    while ((B = getByte()) >= 0 && B != '\n')
-      First.push_back(static_cast<char>(B));
-    if (B < 0) {
-      fail(TraceError::BadMagic, "not an sprof trace (bad magic)");
-      return false;
-    }
+  if (std::memcmp(Head, TraceMagic, sizeof(TraceMagic)) != 0) {
+    fail(TraceError::BadMagic, "not an sprof trace (bad magic)");
+    return false;
   }
-  if (First.rfind(TraceTextPrefix, 0) == 0)
-    return parseTextHeader(First);
-  fail(TraceError::BadMagic, "not an sprof trace (bad magic)");
-  return false;
-}
-
-bool TraceReader::parseBinaryHeader() {
-  IsText = false;
   uint32_t Words[2];
   for (uint32_t &W : Words) {
     W = 0;
@@ -588,15 +513,21 @@ bool TraceReader::parseBinaryHeader() {
       W |= static_cast<uint32_t>(B) << (8 * I);
     }
   }
-  Version = Words[0];
-  Sites = Words[1];
-  if (Version == 0 || Version > TraceFormatVersion) {
+  if (Words[0] != TraceFormatVersion) {
     fail(TraceError::VersionMismatch,
-         "sprof.trace version " + std::to_string(Version) +
-             " is not supported (newest supported is " +
-             std::to_string(TraceFormatVersion) + ")");
+         "sprof.trace version " + std::to_string(Words[0]) +
+             " is not supported (only version " +
+             std::to_string(TraceFormatVersion) + " is read)");
     return false;
   }
+  // Bounded before anything is sized by it, like the strings below.
+  if (Words[1] > TraceMaxSites) {
+    fail(TraceError::Corrupt, "header declares " + std::to_string(Words[1]) +
+                                  " sites; the limit is " +
+                                  std::to_string(TraceMaxSites));
+    return false;
+  }
+  Sites = Words[1];
   for (std::string *S : {&Prov.Workload, &Prov.DataSet, &Prov.Method}) {
     uint64_t Len;
     if (!getVarint(Len))
@@ -616,46 +547,6 @@ bool TraceReader::parseBinaryHeader() {
     }
   }
   return true;
-}
-
-bool TraceReader::parseTextHeader(const std::string &FirstLine) {
-  IsText = true;
-  const std::string Suffix = FirstLine.substr(std::strlen(TraceTextPrefix));
-  Version = static_cast<uint32_t>(std::strtoul(Suffix.c_str(), nullptr, 10));
-  if (Suffix != "1") {
-    fail(TraceError::VersionMismatch,
-         "sprof.trace.text version '" + Suffix + "' is not supported " +
-             "(expected 1)");
-    return false;
-  }
-  std::string Line;
-  if (!readLine(Line) || Line.rfind("sites ", 0) != 0) {
-    fail(TraceError::Corrupt, "text trace missing 'sites <n>' line");
-    return false;
-  }
-  Sites = static_cast<uint32_t>(std::strtoul(Line.c_str() + 6, nullptr, 10));
-  // Optional provenance lines; the first non-provenance line is pushed
-  // back for the event decoder.
-  while (readLine(Line)) {
-    if (Line.rfind("workload ", 0) == 0)
-      Prov.Workload = Line.substr(9);
-    else if (Line.rfind("dataset ", 0) == 0)
-      Prov.DataSet = Line.substr(8);
-    else if (Line.rfind("method ", 0) == 0)
-      Prov.Method = Line.substr(7);
-    else {
-      PendingLine = std::move(Line);
-      HasPending = true;
-      break;
-    }
-  }
-  return true;
-}
-
-size_t TraceReader::pull(AccessEvent *Buf, size_t Max) {
-  if (!ok() || SawFooter || Max == 0)
-    return 0;
-  return IsText ? pullText(Buf, Max) : pullBinary(Buf, Max);
 }
 
 size_t TraceReader::decodeBuffered(AccessEvent *Buf, size_t Max) {
@@ -699,7 +590,9 @@ size_t TraceReader::decodeBuffered(AccessEvent *Buf, size_t Max) {
   return N;
 }
 
-size_t TraceReader::pullBinary(AccessEvent *Buf, size_t Max) {
+size_t TraceReader::pull(AccessEvent *Buf, size_t Max) {
+  if (!ok() || SawFooter)
+    return 0;
   size_t N = 0;
   while (N < Max) {
     if (ShardMode && DecodedEvents == ShardMaxEvents) {
@@ -744,7 +637,6 @@ size_t TraceReader::pullBinary(AccessEvent *Buf, size_t Max) {
                  std::to_string(ShardMaxEvents) + " events");
         return 0;
       }
-      SawEndMarker = true;
       FooterStart = tellAbs() - 1;
       parseFooter();
       break;
@@ -775,10 +667,6 @@ size_t TraceReader::pullBinary(AccessEvent *Buf, size_t Max) {
 }
 
 bool TraceReader::parseIndexSection() {
-  if (Version < 2) {
-    fail(TraceError::Corrupt, "shard-index section in a version-1 trace");
-    return false;
-  }
   if (Index.Present) {
     fail(TraceError::Corrupt, "duplicate shard-index section");
     return false;
@@ -790,20 +678,19 @@ bool TraceReader::parseIndexSection() {
     fail(TraceError::Corrupt, "shard index with a zero chunk interval");
     return false;
   }
-  if (NumChunks > (1u << 28)) {
-    fail(TraceError::Corrupt, "unreasonable shard-index chunk count");
-    return false;
-  }
   Index.Present = true;
   Index.Interval = Interval;
-  Index.Chunks.resize(NumChunks);
-  for (TraceShardEntry &E : Index.Chunks) {
+  // The count is untrusted: entries are appended one at a time, as in the
+  // edge section, so a lying count ends at Truncated.
+  for (uint64_t I = 0; I != NumChunks; ++I) {
+    TraceShardEntry E;
     uint64_t Site;
     if (!getVarint(E.ByteOffset) || !getVarint(E.CumEvents) ||
         !getVarint(E.CumLoads) || !getVarint(Site) ||
         !getVarint(E.PrevAddr) || !getVarint(E.PrevRef))
       return false;
     E.PrevSite = static_cast<uint32_t>(Site);
+    Index.Chunks.push_back(E);
   }
   if (!getVarint(Index.TotalLoads))
     return false;
@@ -879,8 +766,8 @@ bool TraceReader::validateIndex() {
 }
 
 bool TraceReader::parseFooter() {
-  // Sections until SectionEnd, then the event count, the /2 seekable
-  // tail, and the end magic.
+  // Sections until SectionEnd, then the event count, the seekable tail,
+  // and the end magic.
   for (;;) {
     const int Tag = getByte();
     if (Tag < 0) {
@@ -938,25 +825,23 @@ bool TraceReader::parseFooter() {
              " decoded events");
     return false;
   }
-  if (Version >= 2) {
-    // The seekable tail's offset word; it must agree with where the
-    // end-of-events marker actually was.
-    uint64_t W = 0;
-    for (int I = 0; I < 8; ++I) {
-      const int B = getByte();
-      if (B < 0) {
-        fail(TraceError::Truncated, "file ends inside the seekable tail");
-        return false;
-      }
-      W |= static_cast<uint64_t>(B) << (8 * I);
-    }
-    if (W != FooterStart) {
-      fail(TraceError::Corrupt,
-           "seekable-tail offset " + std::to_string(W) +
-               " does not match the end-of-events marker at byte " +
-               std::to_string(FooterStart));
+  // The seekable tail's offset word; it must agree with where the
+  // end-of-events marker actually was.
+  uint64_t W = 0;
+  for (int I = 0; I < 8; ++I) {
+    const int B = getByte();
+    if (B < 0) {
+      fail(TraceError::Truncated, "file ends inside the seekable tail");
       return false;
     }
+    W |= static_cast<uint64_t>(B) << (8 * I);
+  }
+  if (W != FooterStart) {
+    fail(TraceError::Corrupt,
+         "seekable-tail offset " + std::to_string(W) +
+             " does not match the end-of-events marker at byte " +
+             std::to_string(FooterStart));
+    return false;
   }
   char End[8];
   for (char &C : End) {
@@ -971,8 +856,8 @@ bool TraceReader::parseFooter() {
     fail(TraceError::Corrupt, "bad end magic");
     return false;
   }
-  if (Version >= 2 && !Index.Present) {
-    fail(TraceError::Corrupt, "version-2 trace without a shard index");
+  if (!Index.Present) {
+    fail(TraceError::Corrupt, "trace without a shard index");
     return false;
   }
   if (!validateIndex())
@@ -990,10 +875,10 @@ bool TraceReader::loadIndexFromTail() {
     return false;
   }
   const uint64_t Size = static_cast<uint64_t>(IS->tellg());
-  // Smallest possible /2 footer: end marker, index section (tag +
+  // Smallest possible footer: end marker, index section (tag +
   // interval + count + totalLoads), section end, count varint, tail.
   if (Size < EventsStart + 6 + TraceTailBytes) {
-    fail(TraceError::Truncated, "file too short for a version-2 footer");
+    fail(TraceError::Truncated, "file too short for a trace footer");
     return false;
   }
   if (!seekTo(Size - TraceTailBytes)) {
@@ -1034,146 +919,8 @@ bool TraceReader::loadIndexFromTail() {
     return false;
   }
   FooterStart = Off;
-  SawEndMarker = true;
   IndexedOpen = true;
   return parseFooter();
-}
-
-bool TraceReader::parseTextLine(const std::string &Line, AccessEvent &E,
-                                bool &IsEvent) {
-  IsEvent = false;
-  if (Line.empty() || Line[0] == '#')
-    return true; // blank/comment lines are tolerated in the text form
-  if (Line.size() > 2 && (Line[0] == 'L' || Line[0] == 'P') &&
-      Line[1] == ' ') {
-    unsigned long long Site, Addr, Ref;
-    if (std::sscanf(Line.c_str() + 2, "%llu %llu %llu", &Site, &Addr, &Ref) !=
-        3) {
-      fail(TraceError::Corrupt, "malformed event line: '" + Line + "'");
-      return false;
-    }
-    if (!checkSite(Site))
-      return false;
-    E.SiteId = static_cast<uint32_t>(Site);
-    E.Address = Addr;
-    E.GlobalRefIndex = Ref;
-    E.Kind = Line[0] == 'P' ? AccessKind::Prefetch : AccessKind::Load;
-    IsEvent = true;
-    return true;
-  }
-  if (Line.rfind("end ", 0) == 0) {
-    FooterEvents = std::strtoull(Line.c_str() + 4, nullptr, 10);
-    if (FooterEvents != DecodedEvents) {
-      fail(TraceError::Corrupt,
-           "end-line event count " + std::to_string(FooterEvents) +
-               " does not match the " + std::to_string(DecodedEvents) +
-               " decoded events");
-      return false;
-    }
-    SawEndMarker = true;
-    // Optional edges block, then the required endtrace line.
-    std::string L;
-    if (!readLine(L)) {
-      fail(TraceError::Truncated, "file ends before 'endtrace'");
-      return false;
-    }
-    if (L.rfind("edges ", 0) == 0) {
-      EdgeSec.Present = true;
-      EdgeSec.NumFunctions =
-          static_cast<uint32_t>(std::strtoul(L.c_str() + 6, nullptr, 10));
-      for (;;) {
-        if (!readLine(L)) {
-          fail(TraceError::Truncated, "file ends inside the edges block");
-          return false;
-        }
-        if (L == "endedges")
-          break;
-        unsigned long long A, B, C, D;
-        if (std::sscanf(L.c_str(), "entry %llu %llu", &A, &B) == 2) {
-          EdgeSec.Entries.push_back(
-              {static_cast<uint32_t>(A), static_cast<uint64_t>(B)});
-        } else if (std::sscanf(L.c_str(), "edge %llu %llu %llu %llu", &A, &B,
-                               &C, &D) == 4) {
-          EdgeSec.Edges.push_back({static_cast<uint32_t>(A),
-                                   static_cast<uint32_t>(B),
-                                   static_cast<uint32_t>(C),
-                                   static_cast<uint64_t>(D)});
-        } else {
-          fail(TraceError::Corrupt, "malformed edges line: '" + L + "'");
-          return false;
-        }
-      }
-      if (!readLine(L)) {
-        fail(TraceError::Truncated, "file ends before 'endtrace'");
-        return false;
-      }
-    }
-    if (L != "endtrace") {
-      fail(TraceError::Corrupt, "expected 'endtrace', got '" + L + "'");
-      return false;
-    }
-    SawFooter = true;
-    return true;
-  }
-  fail(TraceError::Corrupt, "unrecognized line: '" + Line + "'");
-  return false;
-}
-
-size_t TraceReader::pullText(AccessEvent *Buf, size_t Max) {
-  size_t N = 0;
-  std::string Line;
-  while (N < Max && !SawFooter) {
-    if (!readLine(Line)) {
-      fail(TraceError::Truncated,
-           "file ends before the 'end' marker (decoded " +
-               std::to_string(DecodedEvents) + " events)");
-      return 0;
-    }
-    bool IsEvent = false;
-    if (!parseTextLine(Line, Buf[N], IsEvent))
-      return 0;
-    if (IsEvent) {
-      ++N;
-      ++DecodedEvents;
-    }
-  }
-  return ok() ? N : 0;
-}
-
-bool TraceReader::reset() {
-  if (ShardMode)
-    return false;
-  if (!Path.empty()) {
-    auto File =
-        std::make_unique<std::ifstream>(Path, std::ios::in | std::ios::binary);
-    if (!*File)
-      return false;
-    OwnedIS = std::move(File);
-    IS = OwnedIS.get();
-  } else {
-    IS->clear();
-    IS->seekg(0);
-    if (!*IS)
-      return false;
-  }
-  ErrCode = TraceError::None;
-  Err.clear();
-  Prov = TraceProvenance();
-  SawEndMarker = SawFooter = false;
-  IndexedOpen = false;
-  DecodedEvents = FooterEvents = 0;
-  EdgeSec = TraceEdgeSection();
-  Index = TraceShardIndex();
-  EventsStart = FooterStart = 0;
-  PrevAddr = PrevRef = 0;
-  PrevSite = 0;
-  InPos = InLen = 0;
-  SeekBase = BufBase = 0;
-  HasPending = false;
-  PendingLine.clear();
-  const bool Ok = parseHeader();
-  EventsStart = tellAbs();
-  return Ok;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1229,9 +976,14 @@ importAccessLog(std::istream &In, const std::string &OutPath,
       return Fail("line " + std::to_string(LineNo) + ": bad address '" +
                   AddrS + "'");
     const unsigned long long Site = std::strtoull(SiteS.c_str(), &EndP, 10);
-    if (SiteS.empty() || *EndP != '\0' || Site > 0xffffffffull)
+    if (SiteS.empty() || !std::isdigit(static_cast<unsigned char>(SiteS[0])) ||
+        *EndP != '\0')
       return Fail("line " + std::to_string(LineNo) + ": bad site id '" +
                   SiteS + "'");
+    if (Site >= TraceMaxSites)
+      return Fail("line " + std::to_string(LineNo) + ": site id " + SiteS +
+                  " is at or above the limit of " +
+                  std::to_string(TraceMaxSites) + " sites");
     AccessKind Kind;
     if (KindS == "l" || KindS == "load")
       Kind = AccessKind::Load;
@@ -1262,8 +1014,8 @@ importAccessLog(std::istream &In, const std::string &OutPath,
   R.NumSites = Events.empty() ? 0 : MaxSite + 1;
 
   std::string OpenErr;
-  auto W = TraceWriter::open(OutPath, R.NumSites, TraceProvenance{}, false,
-                             &OpenErr);
+  auto W = TraceWriter::open(OutPath, R.NumSites, TraceProvenance{},
+                             /*Reserved=*/false, &OpenErr);
   if (!W)
     return Fail(OpenErr);
   if (!Events.empty())

@@ -8,8 +8,8 @@
 /// \file
 /// The versioned trace container `sprof.trace/2`: a compact, dependency-free
 /// binary encoding of an access-event stream (docs/TRACE.md is the format
-/// spec), plus a line-oriented text twin `sprof.trace.text/1` for
-/// hand-written and externally generated traces.
+/// spec). It is the only container written or read; hand-written and
+/// externally generated traces come in through importAccessLog().
 ///
 ///   * TraceWriter is an AccessSink with a streaming encoder: events are
 ///     delta-encoded against the previous event (zigzag varints for the
@@ -21,14 +21,13 @@
 ///     unknown version as a version mismatch -- each with a distinct
 ///     TraceError code so tools can exit nonzero with a precise message.
 ///
-/// Version 2 adds the *shard index*: every IndexInterval events the writer
-/// records the chunk's byte offset together with the carried delta-decoder
-/// state (previous site/address/global-ref), so any chunk can be decoded
-/// independently of the ones before it. The index lives in a trailer
-/// section and is reachable without scanning the event stream through a
-/// fixed 16-byte seekable tail, which is what lets ParallelReplay fan one
-/// trace out across cores (driver/ParallelReplay.h). Version-1 files stay
-/// fully readable; they simply have no index.
+/// Every trace carries a *shard index*: every IndexInterval events the
+/// writer records the chunk's byte offset together with the carried
+/// delta-decoder state (previous site/address/global-ref), so any chunk can
+/// be decoded independently of the ones before it. The index lives in a
+/// trailer section and is reachable without scanning the event stream
+/// through a fixed 16-byte seekable tail, which is what lets ParallelReplay
+/// fan one trace out across cores (driver/ParallelReplay.h).
 ///
 /// A trace optionally carries an edge-profile section (opaque counter
 /// tuples, written after the event stream) so that replaying a captured
@@ -52,15 +51,20 @@
 
 namespace sprof {
 
-/// Schema identifiers of the trace container (mirrored in run reports and
+/// Schema identifier of the trace container (mirrored in run reports and
 /// validated by scripts/check_telemetry_schema.sh).
-inline const char *const TraceSchemaV1 = "sprof.trace/1";
 inline const char *const TraceSchemaV2 = "sprof.trace/2";
-inline const char *const TraceTextSchemaV1 = "sprof.trace.text/1";
 
-/// Newest container version TraceWriter emits and TraceReader accepts;
-/// readers keep accepting every version down to 1.
+/// The container version TraceWriter emits and the only one TraceReader
+/// accepts; any other version word is a VersionMismatch.
 inline constexpr uint32_t TraceFormatVersion = 2;
+
+/// Most load sites a trace may declare. Replay builds per-site profiler
+/// state for every declared site, so the reader rejects a larger header
+/// count as Corrupt before it allocates anything, the writer refuses to
+/// write one, and importAccessLog rejects a site id at or above it. The
+/// suite's largest workload declares 12 sites.
+inline constexpr uint32_t TraceMaxSites = 1u << 16;
 
 /// Default shard-index granularity (events per chunk). At the encoder's
 /// ~6 B/event a chunk is ~200 KB of file, small enough that a thread pool
@@ -115,8 +119,8 @@ struct TraceShardEntry {
   uint32_t PrevSite = 0;
 };
 
-/// The /2 shard index: chunk table plus the framing offsets a seeking
-/// reader needs. Present == false on /1 and text traces.
+/// The shard index: chunk table plus the framing offsets a seeking reader
+/// needs. Present once the reader has parsed it from the footer.
 struct TraceShardIndex {
   bool Present = false;
   uint64_t Interval = 0;    ///< nominal events per chunk (> 0 when Present)
@@ -148,7 +152,7 @@ struct TraceShardIndex {
 enum class TraceError : uint8_t {
   None = 0,
   Io,              ///< unreadable file / stream failure
-  BadMagic,        ///< not an sprof trace at all
+  BadMagic,        ///< not a binary sprof trace at all
   VersionMismatch, ///< sprof trace, but an unsupported container version
   Truncated,       ///< ends before the end marker / footer
   Corrupt,         ///< structurally invalid (bad tag, count mismatch, ...)
@@ -161,22 +165,23 @@ const char *traceErrorName(TraceError E);
 /// it to an engine's event-sink slot or drainStream() into it), then call
 /// finish() to write the end marker, optional edge section, and footer.
 ///
-/// \p IndexInterval selects the shard-index granularity; 0 disables the
-/// index and writes a version-1 container (byte-identical to what earlier
-/// revisions produced), which is how /1 compatibility fixtures are made.
-/// Text traces never carry an index.
+/// \p IndexInterval sets the shard-index granularity (tests use small ones
+/// to get many chunks from a small trace). It must be > 0 and \p NumSites
+/// at most TraceMaxSites; otherwise the writer fails without writing.
 class TraceWriter final : public AccessSink {
 public:
   /// Writes to a borrowed stream (tests use string streams).
   TraceWriter(std::ostream &OS, uint32_t NumSites, TraceProvenance Prov = {},
-              bool Text = false,
               uint64_t IndexInterval = DefaultTraceIndexInterval);
 
   /// Opens \p Path for writing. Returns nullptr (and sets \p Error) when
-  /// the file cannot be created.
+  /// the file cannot be created or the writer's parameters are invalid.
+  /// \p Reserved selects nothing and must be false: it keeps the parameter
+  /// list of callers that still pass the retired text-format flag; true
+  /// fails, pointing at importAccessLog.
   static std::unique_ptr<TraceWriter>
   open(const std::string &Path, uint32_t NumSites, TraceProvenance Prov = {},
-       bool Text = false, std::string *Error = nullptr,
+       bool Reserved = false, std::string *Error = nullptr,
        uint64_t IndexInterval = DefaultTraceIndexInterval);
 
   ~TraceWriter() override;
@@ -197,10 +202,6 @@ public:
 
   bool ok() const { return !Failed; }
   const std::string &error() const { return Err; }
-  /// Container version being written (2, or 1 when the index is disabled).
-  uint32_t version() const { return Version; }
-  /// Schema string of the container being written (for run reports).
-  const char *schema() const;
   uint64_t eventsWritten() const { return NumEvents; }
   uint64_t bytesWritten() const { return NumBytes; }
 
@@ -216,8 +217,6 @@ private:
   /// The owned stream as a file, when open() created it; finish() closes
   /// it explicitly so close-time write failures are reported, not lost.
   std::ofstream *OwnedFile = nullptr;
-  bool Text;
-  uint32_t Version;
   bool Finished = false;
   bool Failed = false;
   std::string Err;
@@ -225,7 +224,7 @@ private:
   TraceEdgeSection EdgeSec;
   uint64_t NumEvents = 0;
   uint64_t NumBytes = 0;
-  // Shard-index accumulation (binary /2 only).
+  // Shard-index accumulation.
   uint64_t IndexInterval;
   uint64_t UntilChunk = 0; ///< events until the next chunk boundary
   uint64_t NumLoads = 0;
@@ -249,15 +248,13 @@ public:
   /// through the reader's own error state so callers have one error path.
   static std::unique_ptr<TraceReader> openFile(const std::string &Path);
 
-  /// Opens \p Path and, for /2 files, loads the shard index and footer by
-  /// seeking to the fixed tail -- no event is decoded, so this is O(index)
-  /// even on multi-gigabyte traces. On success index().Present is true,
+  /// Opens \p Path and loads the shard index and footer by seeking to the
+  /// fixed tail -- no event is decoded, so this is O(index) even on
+  /// multi-gigabyte traces. On success index().Present is true,
   /// eventCount() and edgeSection() are valid, and the reader is
   /// exhausted (pull() returns 0); decode the events through openShard().
-  /// /1 and text files come back with index().Present == false and the
-  /// reader positioned for normal sequential pull() -- the caller decides
-  /// whether to fall back to serial decode. A /2 file with a missing or
-  /// damaged tail/index fails with Truncated/Corrupt, never silently.
+  /// A missing or damaged tail/index fails with Truncated/Corrupt, never
+  /// silently.
   static std::unique_ptr<TraceReader> openFileIndexed(const std::string &Path);
 
   /// A decoder over chunks [\p FirstChunk, \p FirstChunk + \p NumChunks)
@@ -266,7 +263,6 @@ public:
   /// the chunks' events. After the last event the reader cross-checks
   /// that decoding consumed precisely the bytes the index promised
   /// (Corrupt otherwise), so a damaged chunk cannot leak into a merge.
-  /// reset() is unsupported on shard readers.
   static std::unique_ptr<TraceReader> openShard(const std::string &Path,
                                                 const TraceShardIndex &Index,
                                                 size_t FirstChunk,
@@ -276,18 +272,13 @@ public:
 
   size_t pull(AccessEvent *Buf, size_t Max) override;
   uint32_t numSites() const override { return Sites; }
-  /// Rewinds and re-parses the header. Works for file-backed and seekable
-  /// borrowed streams; unsupported (returns false) for shard readers.
-  bool reset() override;
   std::string describe() const override;
 
   bool ok() const { return ErrCode == TraceError::None; }
   TraceError errorCode() const { return ErrCode; }
   const std::string &error() const { return Err; }
 
-  /// Header fields (valid when the constructor left ok() true).
-  uint32_t version() const { return Version; }
-  bool text() const { return IsText; }
+  /// Header field (valid when the constructor left ok() true).
   const TraceProvenance &provenance() const { return Prov; }
 
   /// Footer fields; valid only once the stream is exhausted cleanly
@@ -295,8 +286,8 @@ public:
   bool atEnd() const { return SawFooter; }
   uint64_t eventCount() const { return FooterEvents; }
   const TraceEdgeSection &edgeSection() const { return EdgeSec; }
-  /// The shard index (Present only for /2 binary traces, populated once
-  /// the footer has been parsed -- immediately for openFileIndexed()).
+  /// The shard index, populated once the footer has been parsed --
+  /// immediately for openFileIndexed().
   const TraceShardIndex &index() const { return Index; }
 
 private:
@@ -315,37 +306,27 @@ private:
   uint64_t tellAbs() const { return SeekBase + BufBase + InPos; }
   bool seekTo(uint64_t AbsOffset);
   bool parseHeader();
-  bool parseBinaryHeader();
-  bool parseTextHeader(const std::string &FirstLine);
-  bool parseFooter();      ///< binary: sections + count + tail + end magic
+  bool parseFooter(); ///< sections + count + tail + end magic
   bool parseIndexSection();
   bool validateIndex();
   bool loadIndexFromTail();
-  bool parseTextLine(const std::string &Line, AccessEvent &E, bool &IsEvent);
-  bool readLine(std::string &Line);
-  size_t pullBinary(AccessEvent *Buf, size_t Max);
-  /// pullBinary's unchecked decoder: decodes up to \p Max well-formed
+  /// pull()'s unchecked decoder: decodes up to \p Max well-formed
   /// events straight from the buffer while a worst-case record is
   /// buffered. Stops short of anything else (a buffer end, the end marker,
   /// a malformed record, a site out of range), which the checked
   /// getByte() path then takes.
   size_t decodeBuffered(AccessEvent *Buf, size_t Max);
-  size_t pullText(AccessEvent *Buf, size_t Max);
 
   std::unique_ptr<std::istream> OwnedIS;
   std::istream *IS;
   std::string Name;
-  std::string Path; ///< non-empty when file-backed (enables reset())
 
   TraceError ErrCode = TraceError::None;
   std::string Err;
 
-  bool IsText = false;
-  uint32_t Version = 0;
   uint32_t Sites = 0;
   TraceProvenance Prov;
 
-  bool SawEndMarker = false;
   bool SawFooter = false;
   bool IndexedOpen = false; ///< footer reached by seeking, not decoding
   uint64_t DecodedEvents = 0;
@@ -366,18 +347,13 @@ private:
   uint64_t PrevRef = 0;
   uint32_t PrevSite = 0;
 
-  // Buffered binary input; SeekBase + BufBase + InPos is the absolute
+  // Buffered input; SeekBase + BufBase + InPos is the absolute
   // offset of the next unconsumed byte (see tellAbs()).
   std::vector<uint8_t> InBuf;
   size_t InPos = 0;
   size_t InLen = 0;
   uint64_t SeekBase = 0;
   uint64_t BufBase = 0;
-
-  // Text mode: one pushed-back line (the header parser reads one line too
-  // many to find where provenance ends).
-  std::string PendingLine;
-  bool HasPending = false;
 };
 
 /// What importAccessLog() produced.
@@ -395,9 +371,9 @@ struct TraceImportResult {
 /// site id, kind is L/load or P/prefetch (case-insensitive). Blank lines
 /// and '#' comments are skipped. The log carries no global-ref counter, so
 /// GlobalRefIndex is synthesized as the running 1-based event count, and
-/// the site count is the highest site id seen plus one. Returns nullopt
-/// and sets \p Error (naming the offending line) on malformed input or a
-/// write failure.
+/// the site count is the highest site id seen plus one; a site id at or
+/// above TraceMaxSites is rejected. Returns nullopt and sets \p Error
+/// (naming the offending line) on malformed input or a write failure.
 std::optional<TraceImportResult> importAccessLog(std::istream &In,
                                                  const std::string &OutPath,
                                                  std::string *Error = nullptr);

@@ -6,12 +6,12 @@
 ///
 /// \file
 /// The stream layer's contract: trace files round-trip every event bit for
-/// bit (binary and text, including the ring-boundary batch sizes), read
-/// errors come back as precise TraceError codes, the synthetic generators
-/// are deterministic, and -- the load-bearing guarantee -- replaying a
-/// capture of a live profile run reproduces the stride profile, classifier
-/// verdicts, timed-run accounting, and attribution counters bit-identically
-/// to the run that produced it, for every profiling method on both engines.
+/// bit (including the ring-boundary batch sizes), read errors come back as
+/// precise TraceError codes, the synthetic generators are deterministic,
+/// and -- the load-bearing guarantee -- replaying a capture of a live
+/// profile run reproduces the stride profile, classifier verdicts, timed-run
+/// accounting, and attribution counters bit-identically to the run that
+/// produced it, for every profiling method on both engines.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,14 +95,41 @@ std::vector<AccessEvent> patternEvents(size_t N) {
   return Events;
 }
 
+/// The trace file \p Events encode to, one batch, no edge section.
+std::string encodeTrace(const std::vector<AccessEvent> &Events,
+                        uint32_t NumSites) {
+  std::stringstream SS;
+  TraceWriter W(SS, NumSites);
+  W.onBatch(Events.data(), Events.size());
+  W.finish();
+  EXPECT_TRUE(W.ok()) << W.error();
+  return SS.str();
+}
+
+void writeBytes(const std::string &Path, const std::string &Bytes) {
+  std::ofstream F(Path, std::ios::binary | std::ios::trunc);
+  F.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
+
+/// The absolute offset of \p Bytes' end-of-events marker, read from the
+/// seekable tail's u64 word.
+uint64_t footerStart(const std::string &Bytes) {
+  uint64_t Off = 0;
+  for (int I = 0; I != 8; ++I)
+    Off |= static_cast<uint64_t>(static_cast<uint8_t>(
+               Bytes[Bytes.size() - 16 + static_cast<size_t>(I)]))
+           << (8 * I);
+  return Off;
+}
+
 /// Writes \p Events through a string-backed TraceWriter and decodes them
 /// back, checking header and footer metadata along the way.
 std::vector<AccessEvent> roundTrip(const std::vector<AccessEvent> &Events,
-                                   uint32_t NumSites, bool Text) {
+                                   uint32_t NumSites) {
   std::stringstream SS;
   const TraceProvenance Prov{"unit.workload", "train", "edge-check"};
   {
-    TraceWriter W(SS, NumSites, Prov, Text);
+    TraceWriter W(SS, NumSites, Prov);
     W.onBatch(Events.data(), Events.size());
     W.finish();
     EXPECT_TRUE(W.ok()) << W.error();
@@ -111,8 +138,6 @@ std::vector<AccessEvent> roundTrip(const std::vector<AccessEvent> &Events,
   }
   TraceReader R(SS);
   EXPECT_TRUE(R.ok()) << R.error();
-  EXPECT_EQ(R.text(), Text);
-  EXPECT_EQ(R.version(), Text ? 1u : TraceFormatVersion);
   EXPECT_EQ(R.numSites(), NumSites);
   EXPECT_EQ(R.provenance().Workload, Prov.Workload);
   EXPECT_EQ(R.provenance().DataSet, Prov.DataSet);
@@ -151,12 +176,7 @@ void expectSameStats(const RunStats &Live, const RunStats &Replayed) {
 // Trace-file round-trips
 //===----------------------------------------------------------------------===//
 
-TEST(TraceFile, EmptyRoundTrip) {
-  for (bool Text : {false, true}) {
-    SCOPED_TRACE(Text ? "text" : "binary");
-    expectSameEvents({}, roundTrip({}, 4, Text));
-  }
-}
+TEST(TraceFile, EmptyRoundTrip) { expectSameEvents({}, roundTrip({}, 4)); }
 
 TEST(TraceFile, SingleEventRoundTrip) {
   AccessEvent E;
@@ -164,21 +184,16 @@ TEST(TraceFile, SingleEventRoundTrip) {
   E.GlobalRefIndex = 42;
   E.SiteId = 7;
   E.Kind = AccessKind::Prefetch;
-  for (bool Text : {false, true}) {
-    SCOPED_TRACE(Text ? "text" : "binary");
-    expectSameEvents({E}, roundTrip({E}, 8, Text));
-  }
+  expectSameEvents({E}, roundTrip({E}, 8));
 }
 
 // The sizes that straddle the engines' stride-event ring (and the writer's
 // internal batch): one below, exactly at, one above the default 256 window.
 TEST(TraceFile, RingBoundaryRoundTrip) {
   for (size_t N : {size_t(255), size_t(256), size_t(257), size_t(1000)}) {
+    SCOPED_TRACE(N);
     const std::vector<AccessEvent> Events = patternEvents(N);
-    for (bool Text : {false, true}) {
-      SCOPED_TRACE((Text ? "text/" : "binary/") + std::to_string(N));
-      expectSameEvents(Events, roundTrip(Events, 5, Text));
-    }
+    expectSameEvents(Events, roundTrip(Events, 5));
   }
 }
 
@@ -191,51 +206,28 @@ TEST(TraceFile, EdgeSectionRoundTrip) {
   EP.setFrequency(1, Edge{1, 0}, 9);
   const TraceEdgeSection S = edgeSectionFromProfile(EP);
 
-  for (bool Text : {false, true}) {
-    SCOPED_TRACE(Text ? "text" : "binary");
-    std::stringstream SS;
-    {
-      TraceWriter W(SS, 1, {}, Text);
-      W.setEdgeSection(S);
-      AccessEvent E;
-      E.Address = 0x2000;
-      W.onBatch(&E, 1);
-      W.finish();
-      ASSERT_TRUE(W.ok()) << W.error();
-    }
-    TraceReader R(SS);
-    AccessEvent Buf[8];
-    EXPECT_EQ(R.pull(Buf, 8), 1u);
-    EXPECT_EQ(R.pull(Buf, 8), 0u);
-    ASSERT_TRUE(R.ok()) << R.error();
-    ASSERT_TRUE(R.edgeSection().Present);
-    const EdgeProfile Back = edgeProfileFromSection(R.edgeSection());
-    EXPECT_EQ(edgeProfileToJson(Back).str(), edgeProfileToJson(EP).str());
-  }
-}
-
-TEST(TraceFile, FileBackedResetReplaysTheStream) {
-  const std::string Path = tmpPath("reset.sprof.trace");
-  const std::vector<AccessEvent> Events = patternEvents(300);
+  std::stringstream SS;
   {
-    std::string Err;
-    auto W = TraceWriter::open(Path, 5, {}, /*Text=*/false, &Err);
-    ASSERT_NE(W, nullptr) << Err;
-    W->onBatch(Events.data(), Events.size());
-    W->finish();
-    ASSERT_TRUE(W->ok()) << W->error();
+    TraceWriter W(SS, 1);
+    W.setEdgeSection(S);
+    AccessEvent E;
+    E.Address = 0x2000;
+    W.onBatch(&E, 1);
+    W.finish();
+    ASSERT_TRUE(W.ok()) << W.error();
   }
-  auto R = TraceReader::openFile(Path);
-  ASSERT_TRUE(R->ok()) << R->error();
-  expectSameEvents(Events, drainAll(*R));
-  ASSERT_TRUE(R->reset());
-  expectSameEvents(Events, drainAll(*R));
-  EXPECT_TRUE(R->ok()) << R->error();
-  std::remove(Path.c_str());
+  TraceReader R(SS);
+  AccessEvent Buf[8];
+  EXPECT_EQ(R.pull(Buf, 8), 1u);
+  EXPECT_EQ(R.pull(Buf, 8), 0u);
+  ASSERT_TRUE(R.ok()) << R.error();
+  ASSERT_TRUE(R.edgeSection().Present);
+  const EdgeProfile Back = edgeProfileFromSection(R.edgeSection());
+  EXPECT_EQ(edgeProfileToJson(Back).str(), edgeProfileToJson(EP).str());
 }
 
 //===----------------------------------------------------------------------===//
-// The /2 shard index: seekable open and independent chunk decode
+// The shard index: seekable open and independent chunk decode
 //===----------------------------------------------------------------------===//
 
 TEST(TraceFile, ShardIndexRoundTripAndShardDecode) {
@@ -246,11 +238,9 @@ TEST(TraceFile, ShardIndexRoundTripAndShardDecode) {
     Loads += E.Kind == AccessKind::Load;
   {
     std::string Err;
-    auto W = TraceWriter::open(Path, 5, {}, /*Text=*/false, &Err,
+    auto W = TraceWriter::open(Path, 5, {}, /*Reserved=*/false, &Err,
                                /*IndexInterval=*/64);
     ASSERT_NE(W, nullptr) << Err;
-    EXPECT_EQ(W->version(), 2u);
-    EXPECT_STREQ(W->schema(), TraceSchemaV2);
     W->onBatch(Events.data(), Events.size());
     W->finish();
     ASSERT_TRUE(W->ok()) << W->error();
@@ -293,8 +283,6 @@ TEST(TraceFile, ShardIndexRoundTripAndShardDecode) {
     ASSERT_EQ(Got.size(), Want);
     expectSameEvents({Events.begin() + Base, Events.begin() + Base + Want},
                      Got);
-    // Shard readers cannot rewind: the carried state is gone.
-    EXPECT_FALSE(SR->reset());
   }
 
   // A shard range outside the index is rejected, not clamped.
@@ -304,38 +292,66 @@ TEST(TraceFile, ShardIndexRoundTripAndShardDecode) {
   std::remove(Path.c_str());
 }
 
-// IndexInterval 0 turns the index off and produces a version-1 container:
-// the compatibility escape hatch, and the regression proof that /1 files
-// remain readable unchanged.
-TEST(TraceFile, IndexIntervalZeroWritesVersion1) {
-  const std::string Path = tmpPath("v1compat.sprof.trace");
-  const std::vector<AccessEvent> Events = patternEvents(300);
-  {
-    std::string Err;
-    auto W = TraceWriter::open(Path, 5, {}, /*Text=*/false, &Err,
-                               /*IndexInterval=*/0);
-    ASSERT_NE(W, nullptr) << Err;
-    EXPECT_EQ(W->version(), 1u);
-    EXPECT_STREQ(W->schema(), TraceSchemaV1);
-    W->onBatch(Events.data(), Events.size());
-    W->finish();
-    ASSERT_TRUE(W->ok()) << W->error();
+// sprof.trace/2 is the only container read. The retired index-free /1
+// container is a version mismatch that names its version, on both opens,
+// and the retired text twin is not an sprof trace at all.
+TEST(TraceFile, RetiredContainersAreRejected) {
+  std::string V1 = encodeTrace(patternEvents(300), 5);
+  V1[8] = 0x01; // first byte of the little-endian version word
+  const std::string Text = "sprof.trace.text/1\nsites 1\nL 0 4096 1\n"
+                           "end 1\nendtrace\n";
+  const std::string Path = tmpPath("retired.sprof.trace");
+  for (const bool Indexed : {false, true}) {
+    SCOPED_TRACE(Indexed ? "openFileIndexed" : "openFile");
+    auto Open = [&] {
+      return Indexed ? TraceReader::openFileIndexed(Path)
+                     : TraceReader::openFile(Path);
+    };
+    writeBytes(Path, V1);
+    auto R1 = Open();
+    EXPECT_EQ(R1->errorCode(), TraceError::VersionMismatch);
+    EXPECT_EQ(R1->error(), Path + ": sprof.trace version 1 is not supported "
+                                  "(only version 2 is read)");
+    writeBytes(Path, Text);
+    auto RT = Open();
+    EXPECT_EQ(RT->errorCode(), TraceError::BadMagic) << RT->error();
   }
-  auto R = TraceReader::openFile(Path);
-  ASSERT_TRUE(R->ok()) << R->error();
-  EXPECT_EQ(R->version(), 1u);
-  expectSameEvents(Events, drainAll(*R));
-  ASSERT_TRUE(R->ok()) << R->error();
-  EXPECT_TRUE(R->atEnd());
-  EXPECT_FALSE(R->index().Present);
-
-  // Indexed open hands a /1 file back positioned for sequential decode.
-  auto RI = TraceReader::openFileIndexed(Path);
-  ASSERT_TRUE(RI->ok()) << RI->error();
-  EXPECT_FALSE(RI->index().Present);
-  expectSameEvents(Events, drainAll(*RI));
-  EXPECT_TRUE(RI->ok()) << RI->error();
   std::remove(Path.c_str());
+}
+
+// The writer writes only what the reader reads: a zero index interval, a
+// site count above TraceMaxSites, and the reserved open() flag each fail it
+// before a byte is written.
+TEST(TraceFile, WriterRejectsParametersTheReaderWouldNot) {
+  std::stringstream SS;
+  {
+    TraceWriter Zero(SS, 5, {}, /*IndexInterval=*/0);
+    EXPECT_FALSE(Zero.ok());
+    TraceWriter Wide(SS, TraceMaxSites + 1);
+    EXPECT_FALSE(Wide.ok());
+    EXPECT_NE(Wide.error().find("exceed the limit"), std::string::npos)
+        << Wide.error();
+  }
+  EXPECT_TRUE(SS.str().empty());
+
+  const std::string Path = tmpPath("rejected.sprof.trace");
+  std::remove(Path.c_str());
+  std::string Err;
+  EXPECT_EQ(TraceWriter::open(Path, 5, {}, /*Reserved=*/true, &Err), nullptr);
+  EXPECT_NE(Err.find("importAccessLog"), std::string::npos) << Err;
+  EXPECT_EQ(TraceWriter::open(Path, 5, {}, /*Reserved=*/false, &Err,
+                              /*IndexInterval=*/0),
+            nullptr);
+  EXPECT_NE(Err.find("interval"), std::string::npos) << Err;
+  EXPECT_EQ(TraceWriter::open(Path, TraceMaxSites + 1, {}, false, &Err),
+            nullptr);
+  EXPECT_FALSE(std::ifstream(Path).good()) << "a rejected open created "
+                                           << Path;
+
+  // The bound itself is a valid header.
+  AccessEvent E;
+  E.SiteId = TraceMaxSites - 1;
+  expectSameEvents({E}, roundTrip({E}, TraceMaxSites));
 }
 
 //===----------------------------------------------------------------------===//
@@ -432,8 +448,9 @@ std::string encodeWithEnds(const std::vector<AccessEvent> &Events,
 }
 
 /// Records of every size the encoder produces, up to the widest real one:
-/// small strides, 32-bit site jumps, and address and ref deltas that need
-/// all ten varint bytes (a 10th byte of 0x01, the largest legal one).
+/// small strides, site jumps across the whole TraceMaxSites range, and
+/// address and ref deltas that need all ten varint bytes (a 10th byte of
+/// 0x01, the largest legal one).
 std::vector<AccessEvent> mixedWidthEvents(size_t N) {
   std::vector<AccessEvent> Events;
   Events.reserve(N);
@@ -459,7 +476,7 @@ std::vector<AccessEvent> mixedWidthEvents(size_t N) {
     Ref = I % 5 == 4 ? Ref ^ 0x8000000000000000ULL : Ref + 1;
     E.Address = Addr;
     E.GlobalRefIndex = Ref;
-    E.SiteId = I % 11 == 10 ? 0xfffffff0u : static_cast<uint32_t>(I % 4);
+    E.SiteId = I % 11 == 10 ? TraceMaxSites - 1 : static_cast<uint32_t>(I % 4);
     E.Kind = I % 13 == 6 ? AccessKind::Prefetch : AccessKind::Load;
     Events.push_back(E);
   }
@@ -511,7 +528,7 @@ TEST(TraceFile, FastPathStraddlesRefills) {
     SCOPED_TRACE("header pad " + std::to_string(Pad));
     std::vector<uint64_t> Ends;
     const std::string Bytes = encodeWithEnds(
-        Events, 0xfffffff1u, {std::string(Pad, 'w'), "", ""}, Ends);
+        Events, TraceMaxSites, {std::string(Pad, 'w'), "", ""}, Ends);
     for (const uint64_t End : Ends)
       for (const uint64_t Refill :
            {TraceReadBufferBytes, 2 * TraceReadBufferBytes})
@@ -605,45 +622,97 @@ TEST(TraceFile, OverflowingVarintIsCorrupt) {
 }
 
 // The AccessSource contract promises SiteId < numSites(). A trace whose
-// events name sites beyond its header's count is corrupt -- binary (the
-// buffered fast path hands the record to the checked path) and text alike
-// -- so replay never indexes per-site profiler state out of bounds.
+// events name sites beyond its header's count is corrupt (the buffered
+// fast path hands the record to the checked path), so replay never indexes
+// per-site profiler state out of bounds.
 TEST(TraceFile, SiteIdBeyondHeaderIsCorrupt) {
   std::vector<AccessEvent> Events = patternEvents(64);
   for (size_t I = 0; I != Events.size(); ++I)
     Events[I].SiteId = I < 32 ? 0 : static_cast<uint32_t>(100000 + I);
-  for (bool Text : {false, true}) {
-    SCOPED_TRACE(Text ? "text" : "binary");
-    const std::string Path =
-        tmpPath(Text ? "bad_site_text.sprof.trace" : "bad_site.sprof.trace");
-    {
-      std::string Err;
-      auto W = TraceWriter::open(Path, /*NumSites=*/1, {}, Text, &Err);
-      ASSERT_NE(W, nullptr) << Err;
-      W->onBatch(Events.data(), Events.size());
-      W->finish();
-      ASSERT_TRUE(W->ok()) << W->error();
+  const std::string Path = tmpPath("bad_site.sprof.trace");
+  writeBytes(Path, encodeTrace(Events, /*NumSites=*/1));
+  TraceReplayOptions Opts;
+  Opts.EvaluateWorkload = false;
+  Opts.SimulateMemory = false;
+  const TraceReplayResult Replay = replayTraceFile(Path, Opts);
+  EXPECT_FALSE(Replay.Ok);
+  EXPECT_EQ(Replay.ErrorCode, TraceError::Corrupt);
+
+  auto R = TraceReader::openFile(Path);
+  ASSERT_TRUE(R->ok()) << R->error();
+  AccessEvent E;
+  size_t Decoded = 0;
+  while (R->pull(&E, 1) != 0)
+    ++Decoded;
+  EXPECT_EQ(Decoded, 32u);
+  EXPECT_EQ(R->errorCode(), TraceError::Corrupt);
+  EXPECT_EQ(R->error(),
+            Path + ": event 32 names site 100032 but the header declares "
+                   "1 sites");
+  std::remove(Path.c_str());
+}
+
+// The header's site count sizes per-site state in every consumer (replay
+// builds a StrideProfiler per declared site in every profile shard), so it
+// is bounded before anything is allocated from it: a count above
+// TraceMaxSites is Corrupt at open on every path.
+TEST(TraceFile, SiteCountAboveTheBoundIsCorrupt) {
+  std::string Bytes = encodeTrace(patternEvents(10), 5);
+  const std::string Path = tmpPath("wide_header.sprof.trace");
+  for (const uint32_t Sites : {TraceMaxSites + 1, 10000000u, 0xffffffffu}) {
+    SCOPED_TRACE(Sites);
+    for (int I = 0; I != 4; ++I)
+      Bytes[12 + static_cast<size_t>(I)] = static_cast<char>(Sites >> (8 * I));
+    writeBytes(Path, Bytes);
+    const std::string Want = Path + ": header declares " +
+                             std::to_string(Sites) + " sites; the limit is " +
+                             std::to_string(TraceMaxSites);
+    for (const bool Indexed : {false, true}) {
+      auto R = Indexed ? TraceReader::openFileIndexed(Path)
+                       : TraceReader::openFile(Path);
+      EXPECT_EQ(R->errorCode(), TraceError::Corrupt);
+      EXPECT_EQ(R->error(), Want);
+      EXPECT_EQ(R->numSites(), 0u);
     }
     TraceReplayOptions Opts;
     Opts.EvaluateWorkload = false;
-    Opts.SimulateMemory = false;
+    Opts.Threads = 4;
     const TraceReplayResult Replay = replayTraceFile(Path, Opts);
     EXPECT_FALSE(Replay.Ok);
-    EXPECT_EQ(Replay.ErrorCode, TraceError::Corrupt);
-
-    auto R = TraceReader::openFile(Path);
-    ASSERT_TRUE(R->ok()) << R->error();
-    AccessEvent E;
-    size_t Decoded = 0;
-    while (R->pull(&E, 1) != 0)
-      ++Decoded;
-    EXPECT_EQ(Decoded, 32u);
-    EXPECT_EQ(R->errorCode(), TraceError::Corrupt);
-    EXPECT_EQ(R->error(),
-              Path + ": event 32 names site 100032 but the header declares "
-                     "1 sites");
-    std::remove(Path.c_str());
+    EXPECT_EQ(Replay.ErrorCode, TraceError::Corrupt) << Replay.Error;
   }
+  std::remove(Path.c_str());
+}
+
+// The shard index's chunk count is untrusted like the edge section's
+// counts: 2^28 chunks over a one-chunk index ends in Truncated once the
+// bytes run out, with the chunk table grown only by the entries actually
+// read -- not a 12.9 GB table sized from the count.
+TEST(TraceFile, HugeShardIndexChunkCountIsTruncated) {
+  const std::string Data = encodeTrace(patternEvents(4), 5);
+  const size_t Footer = static_cast<size_t>(footerStart(Data));
+  // End-of-events marker, index section tag, interval 32768, one chunk.
+  ASSERT_EQ(Data.substr(Footer, 6),
+            std::string("\x00\x02\x80\x80\x02\x01", 6));
+  std::string Bytes = Data;
+  Bytes.replace(Footer + 5, 1, std::string("\x80\x80\x80\x80\x01", 5));
+  const std::string Path = tmpPath("huge_chunks.sprof.trace");
+  writeBytes(Path, Bytes);
+  for (const bool Indexed : {false, true}) {
+    SCOPED_TRACE(Indexed ? "openFileIndexed" : "openFile");
+    auto R = Indexed ? TraceReader::openFileIndexed(Path)
+                     : TraceReader::openFile(Path);
+    drainAll(*R);
+    EXPECT_EQ(R->errorCode(), TraceError::Truncated) << R->error();
+    EXPECT_LT(R->index().Chunks.capacity(), 64u);
+  }
+  TraceReplayOptions Opts;
+  Opts.EvaluateWorkload = false;
+  Opts.Threads = 4;
+  const TraceReplayResult Replay = replayTraceFile(Path, Opts);
+  EXPECT_FALSE(Replay.Ok);
+  EXPECT_EQ(Replay.ErrorCode, TraceError::Truncated) << Replay.Error;
+  std::remove(Path.c_str());
 }
 
 // The edge section's record counts are untrusted varints. A count far
@@ -656,30 +725,37 @@ TEST(TraceFile, HugeEdgeSectionCountIsTruncated) {
   S.Entries.push_back({0, 42});
   std::stringstream SS;
   {
-    TraceWriter W(SS, 1, {}, /*Text=*/false, /*IndexInterval=*/0);
+    TraceWriter W(SS, 1);
     W.setEdgeSection(S);
     W.finish();
     ASSERT_TRUE(W.ok()) << W.error();
   }
   const std::string Data = SS.str();
-  // The /1 footer: end-of-events marker; edges section with 1 function,
-  // 1 entry {func 0, count 42} and 0 edges; section end; 0 events; magic.
-  const std::string Footer =
-      std::string("\x00\x01\x01\x01\x00\x2a\x00\x00\x00", 9) + "SPROFEND";
-  ASSERT_EQ(Data.substr(Data.size() - Footer.size()), Footer);
+  // The footer: end-of-events marker; edges section with 1 function,
+  // 1 entry {func 0, count 42} and 0 edges; then the shard-index section.
+  const size_t Footer = static_cast<size_t>(footerStart(Data));
+  ASSERT_EQ(Data.substr(Footer, 8),
+            std::string("\x00\x01\x01\x01\x00\x2a\x00\x02", 8));
   std::string Huge(9, '\x80'); // 2^63 as a varint
   Huge.push_back('\x01');
+  const std::string Path = tmpPath("huge_edges.sprof.trace");
   for (const size_t CountAt : {size_t(3), size_t(6)}) {
     SCOPED_TRACE(CountAt == 3 ? "entry count" : "edge count");
     std::string Bytes = Data;
-    Bytes.replace(Data.size() - Footer.size() + CountAt, 1, Huge);
+    Bytes.replace(Footer + CountAt, 1, Huge);
     std::istringstream In(Bytes);
     TraceReader R(In);
     ASSERT_TRUE(R.ok()) << R.error();
     AccessEvent E;
     EXPECT_EQ(R.pull(&E, 1), 0u);
     EXPECT_EQ(R.errorCode(), TraceError::Truncated) << R.error();
+    // The seekable tail still names the marker, so the indexed open parses
+    // the same sections and runs out the same way.
+    writeBytes(Path, Bytes);
+    auto RI = TraceReader::openFileIndexed(Path);
+    EXPECT_EQ(RI->errorCode(), TraceError::Truncated) << RI->error();
   }
+  std::remove(Path.c_str());
 }
 
 // The footer's event count is untrusted too: parallel decode allocates its
@@ -691,7 +767,7 @@ TEST(TraceFile, FooterEventCountBeyondEventBytesIsCorrupt) {
   std::stringstream SS;
   {
     // One chunk: the index stays consistent with any count below 2^40.
-    TraceWriter W(SS, 5, {}, /*Text=*/false, /*IndexInterval=*/1ull << 40);
+    TraceWriter W(SS, 5, {}, /*IndexInterval=*/1ull << 40);
     W.onBatch(Events.data(), Events.size());
     W.finish();
     ASSERT_TRUE(W.ok()) << W.error();
@@ -728,7 +804,7 @@ TEST(TraceFile, FooterEventCountBeyondEventBytesIsCorrupt) {
 TEST(TraceFile, IndexedOpenRejectsDamagedTails) {
   std::stringstream SS;
   {
-    TraceWriter W(SS, 5, {}, /*Text=*/false, /*IndexInterval=*/32);
+    TraceWriter W(SS, 5, {}, /*IndexInterval=*/32);
     const std::vector<AccessEvent> Events = patternEvents(200);
     W.onBatch(Events.data(), Events.size());
     W.finish();
@@ -856,7 +932,6 @@ TEST(TraceFile, ImportAccessLogRoundTrip) {
 
   auto R = TraceReader::openFile(Path);
   ASSERT_TRUE(R->ok()) << R->error();
-  EXPECT_EQ(R->version(), TraceFormatVersion);
   const std::vector<AccessEvent> Events = drainAll(*R);
   ASSERT_TRUE(R->ok()) << R->error();
   ASSERT_EQ(Events.size(), 4u);
@@ -886,6 +961,37 @@ TEST(TraceFile, ImportAccessLogRoundTrip) {
   EXPECT_NE(Err.find("line 1"), std::string::npos) << Err;
 }
 
+// A log's site count is its highest site id plus one, so an id at or above
+// TraceMaxSites is rejected with its line: 4294967295 would otherwise wrap
+// the count to 0 and write a trace its own reader rejects.
+TEST(TraceFile, ImportRejectsSiteIdsAtTheBound) {
+  const std::string Path = tmpPath("import_bound.sprof.trace");
+  for (const std::string &Site :
+       {std::string("4294967295"), std::to_string(TraceMaxSites),
+        std::string("18446744073709551616")}) {
+    SCOPED_TRACE(Site);
+    std::istringstream Log("0x10, 0, L\n0x20, " + Site + ", L\n");
+    std::string Err;
+    EXPECT_FALSE(importAccessLog(Log, Path, &Err));
+    EXPECT_NE(Err.find("line 2: site id " + Site), std::string::npos) << Err;
+  }
+  std::istringstream Negative("0x10, -1, L\n");
+  std::string Err;
+  EXPECT_FALSE(importAccessLog(Negative, Path, &Err));
+  EXPECT_NE(Err.find("line 1: bad site id"), std::string::npos) << Err;
+
+  // The largest accepted id declares exactly TraceMaxSites sites.
+  std::istringstream Top("0x10, " + std::to_string(TraceMaxSites - 1) +
+                         ", L\n");
+  auto Res = importAccessLog(Top, Path, &Err);
+  ASSERT_TRUE(Res.has_value()) << Err;
+  EXPECT_EQ(Res->NumSites, TraceMaxSites);
+  auto R = TraceReader::openFile(Path);
+  ASSERT_EQ(drainAll(*R).size(), 1u);
+  EXPECT_TRUE(R->ok()) << R->error();
+  std::remove(Path.c_str());
+}
+
 TEST(TraceReplay, ReadErrorsSurfaceThroughTheResult) {
   TraceReplayResult R =
       replayTraceFile(tmpPath("no_such_replay.sprof.trace"));
@@ -898,16 +1004,12 @@ TEST(TraceReplay, ReadErrorsSurfaceThroughTheResult) {
 // Stream primitives and synthetic generators
 //===----------------------------------------------------------------------===//
 
-TEST(Stream, VectorSourceDrainAndTee) {
+TEST(Stream, VectorSourceDrainAndReset) {
   const std::vector<AccessEvent> Events = patternEvents(300);
   VectorSource Src(Events, 5, "unit");
-  CollectSink A, B;
-  TeeSink Tee;
-  Tee.add(&A);
-  Tee.add(&B);
-  EXPECT_EQ(drainStream(Src, Tee, 64), Events.size());
-  expectSameEvents(Events, A.events());
-  expectSameEvents(Events, B.events());
+  CollectSink Sink;
+  EXPECT_EQ(drainStream(Src, Sink, 64), Events.size());
+  expectSameEvents(Events, Sink.events());
   // A drained source stays empty until reset().
   AccessEvent Buf[4];
   EXPECT_EQ(Src.pull(Buf, 4), 0u);
@@ -1238,7 +1340,8 @@ TEST(TraceReplay, ParallelReplayMatchesSerialAcrossMethods) {
     ASSERT_NE(Src, nullptr);
     const std::string Path = tmpPath("par_" + Name + ".sprof.trace");
     std::string Err;
-    auto Writer = TraceWriter::open(Path, Src->numSites(), {}, false, &Err,
+    auto Writer = TraceWriter::open(Path, Src->numSites(), {},
+                                    /*Reserved=*/false, &Err,
                                     /*IndexInterval=*/4096);
     ASSERT_NE(Writer, nullptr) << Err;
     drainStream(*Src, *Writer);
@@ -1356,7 +1459,7 @@ TEST(ParallelReplay, NonContiguousSourceMatchesVectorSource) {
   const std::string Path = tmpPath("sharded_source.sprof.trace");
   {
     std::string Err;
-    auto W = TraceWriter::open(Path, NumSites, {}, false, &Err);
+    auto W = TraceWriter::open(Path, NumSites, {}, /*Reserved=*/false, &Err);
     ASSERT_NE(W, nullptr) << Err;
     W->onBatch(Events.data(), Events.size());
     W->finish();

@@ -33,17 +33,17 @@
 ///       report's self_profile section, hottest first.
 ///
 ///   sprof-inspect trace <file.sprof.trace> [--top=N]
-///       Decodes a sprof.trace/1 or /2 (binary or text) capture:
-///       provenance header, per-kind event histogram, decode throughput,
-///       shard-index summary (/2), address span, edge-section summary,
-///       and the busiest sites. Unreadable, truncated, corrupt, or
-///       wrong-version traces diagnose the precise failure and exit 1.
+///       Decodes a sprof.trace/2 capture: provenance header, per-kind
+///       event histogram, decode throughput, shard-index summary, address
+///       span, edge-section summary, and the busiest sites. Unreadable,
+///       truncated, corrupt, or wrong-version traces (sprof.trace/1
+///       included) diagnose the precise failure and exit 1.
 ///
 ///   sprof-inspect import <log.txt> <out.sprof.trace>
 ///       Converts a cacheSight-style "addr,site,kind" text access log
 ///       ('-' reads stdin) into an indexed binary sprof.trace/2 file and
-///       prints the import summary. Malformed lines diagnose with their
-///       line number and exit 1.
+///       prints the import summary. Malformed lines and site ids at or
+///       above TraceMaxSites diagnose with their line number and exit 1.
 ///
 ///   sprof-inspect sweep <sweep_report.json> [--top=N]
 ///       The engine's causal sweep view (sprof.sweep_report/1): per-job
@@ -605,11 +605,7 @@ int runTrace(const std::string &Path, size_t TopN) {
 
   const TraceProvenance &Prov = Reader->provenance();
   std::cout << "trace:    " << Path << "\n";
-  std::cout << "schema:   "
-            << (Reader->text() ? TraceTextSchemaV1
-                               : Reader->version() >= 2 ? TraceSchemaV2
-                                                        : TraceSchemaV1)
-            << "\n";
+  std::cout << "schema:   " << TraceSchemaV2 << "\n";
   std::cout << "workload: " << (Prov.Workload.empty() ? "?" : Prov.Workload)
             << " / " << (Prov.DataSet.empty() ? "?" : Prov.DataSet) << " / "
             << (Prov.Method.empty() ? "?" : Prov.Method) << "\n";
@@ -626,22 +622,18 @@ int runTrace(const std::string &Path, size_t TopN) {
               << Table::fmt(static_cast<double>(Total) / DecodeSeconds / 1e6,
                             2)
               << " Mev/s (" << Table::fmt(DecodeSeconds, 4) << " s)\n";
-  // The /2 shard index is parsed from the footer once the sequential
-  // decode reaches it; /1 and text traces have none.
+  // The shard index is parsed from the footer once the sequential decode
+  // reaches it; a clean decode has one.
   const TraceShardIndex &Idx = Reader->index();
-  if (Idx.Present) {
-    const uint64_t Span = Idx.FooterStart - Idx.EventsStart;
-    std::cout << "index:    " << Idx.numChunks() << " chunks, "
-              << Table::fmtInt(Idx.Interval) << " events/chunk, event area "
-              << Table::fmtInt(Span) << " bytes";
-    if (Idx.numChunks() != 0)
-      std::cout << " (~"
-                << Table::fmtInt(Span / static_cast<uint64_t>(Idx.numChunks()))
-                << " B/chunk)";
-    std::cout << "\n";
-  } else {
-    std::cout << "index:    (no shard index)\n";
-  }
+  const uint64_t Span = Idx.FooterStart - Idx.EventsStart;
+  std::cout << "index:    " << Idx.numChunks() << " chunks, "
+            << Table::fmtInt(Idx.Interval) << " events/chunk, event area "
+            << Table::fmtInt(Span) << " bytes";
+  if (Idx.numChunks() != 0)
+    std::cout << " (~"
+              << Table::fmtInt(Span / static_cast<uint64_t>(Idx.numChunks()))
+              << " B/chunk)";
+  std::cout << "\n";
   if (Total != 0)
     std::cout << "addrs:    [0x" << std::hex << MinAddr << ", 0x" << MaxAddr
               << std::dec << "]\n";
