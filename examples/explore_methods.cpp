@@ -33,7 +33,8 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  BenchMeasurement BM = measureBenchmark(*W);
+  ExperimentEngine Engine;
+  BenchMeasurement BM = measureSuite(Engine, {W.get()}).front();
   Table T(Name + ": profiling methods compared (profile=train, run=ref)");
   T.row({"method", "overhead", "refs in strideProf", "refs in LFU",
          "speedup"});

@@ -146,7 +146,6 @@ int main(int Argc, char **Argv) {
   Opts.Threads = O.Threads;
   Opts.WatchdogSec = O.WatchdogSec;
   Opts.Obs.Enabled = true;
-  Opts.Obs.TraceDetail = 2;
   Opts.Obs.TraceOutputPath = O.TracePath;
   Opts.Obs.SweepReportOutputPath = O.ReportPath;
   Opts.Obs.FlightRecorder = true;
@@ -243,9 +242,8 @@ int main(int Argc, char **Argv) {
                   MemoJson->get("misses")->asUInt() == 1 &&
                   MemoJson->get("hits")->asUInt() == 2,
               "the run memo executed the shared baseline once");
-  if (TraceCollector *TC = Engine.obs()->traceAtLevel(1))
-    Ok &= check(TC->flowEdges().size() >= 5,
-                "flow events recorded along dependency edges");
+  Ok &= check(Engine.obs()->trace().flowEdges().size() >= 5,
+              "flow events recorded along dependency edges");
   if (!Ok)
     return 1;
 

@@ -121,9 +121,7 @@ int main(int Argc, char **Argv) {
   ChaseDemo Demo;
   PipelineConfig Config;
   Config.Obs.Enabled = true;
-  Config.Obs.TraceDetail = 2;
   Config.Obs.TraceOutputPath = TracePath;
-  Config.Obs.ReportOutputPath = ReportPath;
   // Background time-series sampling: snapshot every counter/gauge every
   // 200us into a bounded ring, emitted both as Chrome-trace "C" events and
   // as the standalone sprof.timeseries/1 artifact.
@@ -168,7 +166,7 @@ int main(int Argc, char **Argv) {
             << Suite.Cycles << " cycles total\n";
 
   JsonValue Report = buildRunReport(Demo.info().Name, P.config(), &Prof,
-                                    &Timed, &Baseline, P.obs(), {}, &Diff);
+                                    &Timed, &Baseline, P.obs(), &Diff);
   if (!writeJsonFile(ReportPath, Report)) {
     std::cerr << "error: cannot write " << ReportPath << "\n";
     return 1;

@@ -11,7 +11,8 @@
 # diff, timeseries, hotspots, and trace modes against the fresh artifacts
 # — including that unknown subcommands, malformed JSON, truncated traces,
 # trace version mismatches (the retired sprof.trace/1 included), and an
-# imported access log naming a site id beyond the site bound exit nonzero. When given the sweep_demo
+# imported access log naming a site id beyond the site bound, and JSON
+# nested past the parser's depth bound exit nonzero. When given the sweep_demo
 # example it also validates the "sprof.sweep_report/1" document (per-job
 # queue-wait vs run split, dependency edges referencing earlier ids, the critical
 # path's sum-of-durations <= wall invariant, and the scheduler section
@@ -527,6 +528,31 @@ EOF
         echo "FAIL: over-bound site id diagnostic missing" >&2
         exit 1
     }
+    # JSON nested far past the parser's depth bound must be a parse error,
+    # not a stack overflow: bare, and under a run report's key. Grepping
+    # the diagnostic tells a clean exit 1 apart from a crash.
+    python3 -c 'import sys; sys.stdout.write("[" * 20000 + "]" * 20000)' \
+        > "$WORKDIR/deep.json"
+    python3 -c 'import sys; sys.stdout.write(
+        "{\"schema\": \"sprof.run_report/5\", \"summary\": "
+        + "[" * 200000 + "]" * 200000 + "}")' > "$WORKDIR/deep_report.json"
+    check_deep() {
+        set +e
+        "$INSPECT" "$1" "$2" > /dev/null 2> "$WORKDIR/inspect_err.txt"
+        rc=$?
+        set -e
+        if [ "$rc" -ne 1 ]; then
+            echo "FAIL: sprof-inspect $1 on $2 exited $rc, want 1" >&2
+            exit 1
+        fi
+        grep -q "parse error: arrays and objects nested deeper than" \
+            "$WORKDIR/inspect_err.txt" || {
+            echo "FAIL: deep-nesting diagnostic missing ($1 $2)" >&2
+            exit 1
+        }
+    }
+    check_deep sweep "$WORKDIR/deep.json"
+    check_deep summary "$WORKDIR/deep_report.json"
     echo "sprof-inspect error paths OK"
 fi
 

@@ -17,6 +17,9 @@
 
 using namespace sprof;
 
+/// Flight-recorder events retained per worker lane.
+static constexpr size_t FlightRecorderRingSize = 64;
+
 const SweepCell *SweepResult::find(const Workload *W, ProfilingMethod Method,
                                    DataSet ProfileDS,
                                    uint64_t SeedOffset) const {
@@ -33,11 +36,9 @@ ExperimentEngine::ExperimentEngine(EngineOptions Opts)
     this->Opts.Threads = 1;
   if (this->Opts.Obs.Enabled)
     Session = std::make_unique<ObsSession>(this->Opts.Obs);
-  if (Session)
-    Shards = std::make_unique<ShardedMetricsRegistry>(this->Opts.Threads);
   if (this->Opts.Obs.FlightRecorder) {
-    Recorder = std::make_unique<FlightRecorder>(
-        this->Opts.Threads, this->Opts.Obs.FlightRecorderRingSize);
+    Recorder = std::make_unique<FlightRecorder>(this->Opts.Threads,
+                                                FlightRecorderRingSize);
     if (this->Opts.Obs.FlightRecorderSignals)
       Recorder->installSignalDump(this->Opts.Obs.FlightRecorderDumpPath);
   }
@@ -74,17 +75,11 @@ JobId ExperimentEngine::addJob(std::string Name, std::string Category,
           JobObs[Index] = std::make_unique<ObsSession>(S->jobConfig());
           Scope = JobObs[Index].get();
         }
-        // Sharded aggregation: fold this job's counters/histograms into
-        // the executing worker's private shard while still on the worker
-        // thread -- single shard owner, so no lock is ever contended. The
-        // fold also runs when the job throws, so failed jobs' partial
-        // metrics count too.
-        MetricsRegistry *Shard = Scope ? &Shards->shard(Worker) : nullptr;
         try {
           Fn(Scope);
         } catch (const JobPending &) {
           // Parked: the re-run starts over in a fresh scope, so this
-          // attempt's telemetry is dropped, never merged.
+          // attempt's telemetry is dropped, never folded.
           JobObs[Index].reset();
           if (FR) {
             FR->jobParked(Worker, FRName.c_str());
@@ -92,16 +87,13 @@ JobId ExperimentEngine::addJob(std::string Name, std::string Category,
           }
           throw;
         } catch (...) {
-          if (Shard)
-            Shard->merge(Scope->registry());
+          // A failed job keeps its scope: run() folds its partial metrics.
           if (FR) {
             FR->jobFinish(Worker, FRName.c_str(), /*Ok=*/false);
             FlightRecorder::unbindThread();
           }
           throw;
         }
-        if (Shard)
-          Shard->merge(Scope->registry());
         if (FR) {
           FR->jobFinish(Worker, FRName.c_str(), /*Ok=*/true);
           FlightRecorder::unbindThread();
@@ -146,14 +138,10 @@ void ExperimentEngine::run() {
   SchedStats.RunMemoParks += GS.Parks;
 
   // Fold per-job telemetry in JobId order so the session registry, the
-  // trace, and the "jobs" array never depend on completion order.
+  // trace, and the "jobs" array never depend on completion order. Counter
+  // and histogram totals come out the same in any order; gauges are
+  // last-write-wins, so the highest JobId that set one decides its value.
   if (Session) {
-    // Counters and histograms already aggregated lock-free into the worker
-    // shards; fold those in shard order (commutative, so the totals do not
-    // depend on which worker ran which job). Gauges are last-write-wins and
-    // get replayed deterministically in the JobId loop.
-    Shards->mergeInto(Session->registry());
-    Shards->clear();
     // Job records get session-wide ids: this drain's JobId 0 lands at
     // jobs().size(), so dependency edges stay valid across drains.
     const size_t Base = Session->jobs().size();
@@ -174,7 +162,7 @@ void ExperimentEngine::run() {
       if (!O.Ok)
         R.Error = O.Error;
       if (ObsSession *Scope = JobObs[Id].get()) {
-        Session->registry().setGaugesFrom(Scope->registry());
+        Session->registry().merge(Scope->registry());
         if (EngineSelfProfiler *SessionSP = Session->selfProfiler())
           if (const EngineSelfProfiler *JobSP = Scope->selfProfiler())
             SessionSP->merge(*JobSP);
@@ -208,30 +196,27 @@ void ExperimentEngine::run() {
     // except the timing histograms and the retry and park counters, which
     // are inherently wall-clock/schedule dependent (tests comparing
     // serial-vs-N-thread snapshots filter the engine.* namespace).
-    if (Session->config().CollectMetrics) {
-      MetricsRegistry &Reg = Session->registry();
-      Reg.counter("engine.jobs.enqueued").inc(Outcomes.size());
-      Reg.counter("engine.jobs.started").inc(Started);
-      Reg.counter("engine.jobs.finished").inc(Started);
-      Reg.counter("engine.jobs.failed").inc(Failed);
-      Reg.counter("engine.jobs.skipped").inc(Skipped);
-      Reg.counter("engine.run_memo.hits").inc(MemoCounts.Hits);
-      Reg.counter("engine.run_memo.misses").inc(MemoCounts.Misses);
-      Reg.counter("engine.run_memo.saved_instructions")
-          .inc(MemoCounts.SavedInstructions);
-      Reg.counter("engine.run_memo.parks").inc(GS.Parks);
-      Reg.counter("engine.sched.wakeup_retries").inc(GS.DequeueRetries);
-      Reg.gauge("engine.sched.queue_depth_high_water")
-          .set(static_cast<double>(SchedStats.QueueDepthHighWater));
-      Histogram &QueueWait = Reg.histogram("engine.job.queue_wait_us");
-      Histogram &RunTime = Reg.histogram("engine.job.run_us");
-      for (const JobOutcome &O : Outcomes) {
-        if (!O.Ran)
-          continue;
-        QueueWait.record(O.StartUs > O.ReadyUs ? O.StartUs - O.ReadyUs
-                                               : 0);
-        RunTime.record(O.DurationUs);
-      }
+    MetricsRegistry &Reg = Session->registry();
+    Reg.counter("engine.jobs.enqueued").inc(Outcomes.size());
+    Reg.counter("engine.jobs.started").inc(Started);
+    Reg.counter("engine.jobs.finished").inc(Started);
+    Reg.counter("engine.jobs.failed").inc(Failed);
+    Reg.counter("engine.jobs.skipped").inc(Skipped);
+    Reg.counter("engine.run_memo.hits").inc(MemoCounts.Hits);
+    Reg.counter("engine.run_memo.misses").inc(MemoCounts.Misses);
+    Reg.counter("engine.run_memo.saved_instructions")
+        .inc(MemoCounts.SavedInstructions);
+    Reg.counter("engine.run_memo.parks").inc(GS.Parks);
+    Reg.counter("engine.sched.wakeup_retries").inc(GS.DequeueRetries);
+    Reg.gauge("engine.sched.queue_depth_high_water")
+        .set(static_cast<double>(SchedStats.QueueDepthHighWater));
+    Histogram &QueueWait = Reg.histogram("engine.job.queue_wait_us");
+    Histogram &RunTime = Reg.histogram("engine.job.run_us");
+    for (const JobOutcome &O : Outcomes) {
+      if (!O.Ran)
+        continue;
+      QueueWait.record(O.StartUs > O.ReadyUs ? O.StartUs - O.ReadyUs : 0);
+      RunTime.record(O.DurationUs);
     }
   }
 
@@ -312,12 +297,8 @@ void runProfileGroup(ProfileGroup &G, const SweepSpec &Spec,
 SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
   requireSharableConfig(Spec.Config, "runSweep");
   SweepResult Result;
-  const size_t CellsPerWorkload = Spec.SeedOffsets.size() *
-                                  Spec.Methods.size() *
-                                  Spec.ProfileInputs.size();
-  Result.Cells.resize(Spec.Workloads.size() * CellsPerWorkload);
-  if (Spec.Baseline)
-    Result.BaselineCycles.assign(Spec.Workloads.size(), 0);
+  Result.Cells.resize(Spec.Workloads.size() * Spec.SeedOffsets.size() *
+                      Spec.Methods.size() * Spec.ProfileInputs.size());
 
   // Profile runs share one execution per group only without a cache model
   // (a memsys run times every access after the previous trap's cost), and
@@ -327,19 +308,8 @@ SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
   std::deque<ProfileGroup> Groups;
 
   size_t Idx = 0;
-  for (size_t WI = 0; WI != Spec.Workloads.size(); ++WI) {
-    const Workload *W = Spec.Workloads[WI];
+  for (const Workload *W : Spec.Workloads) {
     const std::string WName = W->info().Name;
-
-    if (Spec.Baseline) {
-      uint64_t *BaseOut = &Result.BaselineCycles[WI];
-      addJob("baseline:" + WName, "baseline-job",
-             [this, W, &Spec, BaseOut](ObsSession *JobObs) {
-               Pipeline P(*W, Spec.Config, JobObs, &Memo);
-               *BaseOut = P.runBaseline(Spec.FeedbackInput).Cycles;
-             });
-    }
-
     for (uint64_t Seed : Spec.SeedOffsets) {
       // This (workload, seed offset) slice's groups by (input, base).
       std::map<std::pair<DataSet, ProfilingMethod>, ProfileGroup *> SliceGroups;
@@ -358,19 +328,17 @@ SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
             Tag += "/seed" + std::to_string(Seed);
 
           ProfileGroup *&Group = SliceGroups[{DS, baseMethod(Method)}];
-          JobId RunId;
           if (!Share || !Group) {
             Group = &Groups.emplace_back();
             Group->Cells.push_back(Cell);
-            RunId = Group->Leader = addJob(
-                "profile:" + Tag, "run-job",
-                [Group, &Spec](ObsSession *JobObs) {
-                  runProfileGroup(*Group, Spec, JobObs);
-                });
+            Group->Leader = addJob("profile:" + Tag, "run-job",
+                                   [Group, &Spec](ObsSession *JobObs) {
+                                     runProfileGroup(*Group, Spec, JobObs);
+                                   });
           } else {
             const size_t K = Group->Cells.size();
             Group->Cells.push_back(Cell);
-            RunId = addJob(
+            addJob(
                 "profile:" + Tag, "run-job",
                 [Group, K](ObsSession *JobObs) {
                   Group->Cells[K]->Profile = std::move(Group->Results[K]);
@@ -379,46 +347,19 @@ SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
                 },
                 {Group->Leader});
           }
-
-          if (Spec.Feedback)
-            addJob(
-                "feedback:" + Tag, "feedback-job",
-                [this, Cell, &Spec](ObsSession *JobObs) {
-                  PipelineConfig C = Spec.Config;
-                  C.WorkloadSeedOffset = Cell->SeedOffset;
-                  Pipeline P(*Cell->W, C, JobObs, &Memo);
-                  Cell->Timed = P.runPrefetched(Spec.FeedbackInput,
-                                                Cell->Profile.Edges,
-                                                Cell->Profile.Strides);
-                  Cell->HasFeedback = true;
-                },
-                {RunId});
         }
       }
     }
   }
 
   run();
-
-  if (Spec.Baseline && Spec.Feedback) {
-    Idx = 0;
-    for (size_t WI = 0; WI != Spec.Workloads.size(); ++WI)
-      for (size_t CI = 0; CI != CellsPerWorkload; ++CI, ++Idx) {
-        SweepCell &Cell = Result.Cells[Idx];
-        if (Cell.HasFeedback && Cell.Timed.Stats.Cycles != 0)
-          Cell.Speedup =
-              static_cast<double>(Result.BaselineCycles[WI]) /
-              static_cast<double>(Cell.Timed.Stats.Cycles);
-      }
-  }
   return Result;
 }
 
-JsonValue ExperimentEngine::sweepReport(size_t StragglerTopN) const {
+JsonValue ExperimentEngine::sweepReport() const {
   return buildSweepReport(Session ? Session->jobs()
                                   : std::vector<JobRecord>{},
-                          Opts.Threads, SchedStats, /*WallUs=*/0,
-                          StragglerTopN);
+                          Opts.Threads, SchedStats);
 }
 
 bool ExperimentEngine::writeArtifacts() const {

@@ -26,12 +26,11 @@
 ///     the wave drains.
 ///
 /// Two levels of API: addJob()/run() schedules arbitrary closures with
-/// dependencies (the suite helpers in Experiments.h use this), and
-/// runSweep() expands a declarative SweepSpec into one RunJob per cell
-/// (instrument → interpret → profile) plus dependent FeedbackJobs
-/// (classify → prefetch → timed run). Without a cache model, cells whose
-/// methods share a base method share one execution (profile fan-out, see
-/// runSweep).
+/// dependencies (the suite helpers in Experiments.h use this, and build
+/// every baseline → profile → feedback graph), and runSweep() expands a
+/// declarative SweepSpec into one profile RunJob per cell (instrument →
+/// interpret → profile). Without a cache model, cells whose methods share
+/// a base method share one execution (profile fan-out, see runSweep).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +40,6 @@
 #include "driver/JobGraph.h"
 #include "driver/Pipeline.h"
 #include "driver/RunMemo.h"
-#include "obs/Sharded.h"
 #include "obs/SweepReport.h"
 
 #include <functional>
@@ -69,9 +67,8 @@ struct EngineOptions {
   uint64_t WatchdogSec = 0;
 };
 
-/// A declarative sweep: the cross product of workloads × seed offsets ×
-/// profiling methods × profile inputs, each cell one RunJob, optionally
-/// followed by a dependent FeedbackJob on the feedback input.
+/// A declarative profile sweep: the cross product of workloads × seed
+/// offsets × profiling methods × profile inputs, each cell one RunJob.
 struct SweepSpec {
   std::vector<const Workload *> Workloads;
   std::vector<ProfilingMethod> Methods = {ProfilingMethod::EdgeCheck};
@@ -83,13 +80,6 @@ struct SweepSpec {
   /// Simulate the cache hierarchy during profile runs (profiles do not
   /// depend on it; overhead measurements keep it on).
   bool WithMemorySystem = true;
-  /// Add one FeedbackJob per cell: classify the cell's profiles, insert
-  /// prefetches, and time the result on FeedbackInput.
-  bool Feedback = false;
-  DataSet FeedbackInput = DataSet::Ref;
-  /// Add one baseline timed run per workload on FeedbackInput (denominator
-  /// for per-cell speedups).
-  bool Baseline = false;
 };
 
 /// One grid cell of a finished sweep.
@@ -99,21 +89,12 @@ struct SweepCell {
   DataSet ProfileDS = DataSet::Train;
   uint64_t SeedOffset = 0;
   ProfileRunResult Profile;
-  /// Set by the cell's FeedbackJob (SweepSpec::Feedback).
-  bool HasFeedback = false;
-  TimedRunResult Timed;
-  /// Baseline cycles / prefetched cycles; 0 unless both Baseline and
-  /// Feedback were requested.
-  double Speedup = 0.0;
 };
 
 /// All cells in deterministic order: workload-major, then seed offset,
 /// then method, then profile input.
 struct SweepResult {
   std::vector<SweepCell> Cells;
-  /// Per-workload baseline cycles (parallel to SweepSpec::Workloads);
-  /// empty unless SweepSpec::Baseline.
-  std::vector<uint64_t> BaselineCycles;
 
   /// The first cell matching the coordinates, or nullptr.
   const SweepCell *find(const Workload *W, ProfilingMethod Method,
@@ -182,7 +163,7 @@ public:
 
   /// Builds the "sprof.sweep_report/1" document over every job this
   /// engine's session recorded. Requires an active session (Obs.Enabled).
-  JsonValue sweepReport(size_t StragglerTopN = 5) const;
+  JsonValue sweepReport() const;
 
   /// The flight recorder, or nullptr unless ObsConfig::FlightRecorder
   /// armed it. Independent of Obs.Enabled: the black box records nothing
@@ -199,15 +180,11 @@ private:
   std::unique_ptr<FlightRecorder> Recorder;
   SweepSchedulerStats SchedStats;
   RunMemo Memo;
-  /// Per-worker metric shards: each worker folds its finished job scopes
-  /// into its own shard lock-free, and the shards fold into the session
-  /// registry after the graph drains (counter addition and histogram
-  /// merging are commutative; gauges are replayed in JobId order). Cleared
-  /// after every drain so the engine stays reusable.
-  std::unique_ptr<ShardedMetricsRegistry> Shards;
   JobGraph Graph;
   /// One slot per pending job; the job's wrapper fills it at job start.
   /// Preallocated in addJob so worker threads never resize the vector.
+  /// run() folds each surviving scope into the session in JobId order; a
+  /// parked attempt's scope is reset and never folds.
   std::vector<std::unique_ptr<ObsSession>> JobObs;
   std::vector<JobOutcome> Outcomes;
 };

@@ -149,13 +149,6 @@ sprof::measureSuite(ExperimentEngine &Engine,
   return Results;
 }
 
-BenchMeasurement
-sprof::measureBenchmark(const Workload &W, const PipelineConfig &Config,
-                        const std::vector<ProfilingMethod> &Methods) {
-  ExperimentEngine Engine;
-  return std::move(measureSuite(Engine, {&W}, Config, Methods).front());
-}
-
 std::vector<PopulationRow> sprof::classifySuitePopulation(
     ExperimentEngine &Engine, const std::vector<const Workload *> &Workloads,
     bool InLoopWanted, const PipelineConfig &Config) {

@@ -49,15 +49,6 @@ struct BenchMeasurement {
   std::map<ProfilingMethod, MethodMeasurement> Methods;
 };
 
-/// Runs the Figure 16/20/21/22 measurement set for one workload: an
-/// edge-only train run, a baseline ref run, and per stride method one
-/// instrumented train run plus one prefetched ref run.
-///
-/// \p Methods defaults to the paper's six stride methods.
-BenchMeasurement measureBenchmark(
-    const Workload &W, const PipelineConfig &Config = {},
-    const std::vector<ProfilingMethod> &Methods = paperStrideMethods());
-
 /// One row of Figures 18/19: shares of *all* dynamic load references that
 /// come from loads of each stride class, restricted to out-loop (Figure
 /// 18) or in-loop (Figure 19) loads. Classified from a naive-all profile
@@ -97,6 +88,11 @@ struct SensitivityMeasurement {
 std::vector<const Workload *>
 workloadPointers(const std::vector<std::unique_ptr<Workload>> &Suite);
 
+/// Runs the Figure 16/20/21/22 measurement set for each workload: an
+/// edge-only train run, a baseline ref run, and per stride method one
+/// instrumented train run plus one prefetched ref run.
+///
+/// \p Methods defaults to the paper's six stride methods.
 std::vector<BenchMeasurement> measureSuite(
     ExperimentEngine &Engine, const std::vector<const Workload *> &Workloads,
     const PipelineConfig &Config = {},

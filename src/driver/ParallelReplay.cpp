@@ -77,7 +77,7 @@ ShardedProfileResult profileEventsSharded(std::span<const AccessEvent> Events,
   }
   const std::vector<JobOutcome> Outcomes = G.run(Threads);
 
-  // Job-id-ordered fold (the ShardedMetricsRegistry discipline): profile
+  // Job-id-ordered fold, as ExperimentEngine folds job metrics: profile
   // scalars sum, per-site stride tables union into an empty profile --
   // shards own disjoint site sets, so the fold is a verbatim ordered copy
   // of each shard's tables and no re-sort or truncation is needed.

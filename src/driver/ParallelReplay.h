@@ -31,7 +31,7 @@
 ///     the shard count is its own -- per-site program order is preserved
 ///     and no load is copied. Per-site results are bit-identical to the
 ///     serial profiler's, so folding the disjoint shards in job-id order
-///     (the ShardedMetricsRegistry discipline) through ProfileData's
+///     (as ExperimentEngine folds job metrics) through ProfileData's
 ///     order-preserving merge reproduces the serial profile verbatim: same
 ///     values, same bytes. The determinism contract is spelled out in
 ///     docs/TRACE.md.

@@ -89,10 +89,10 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
     return MethodObs.empty() ? Session : MethodObs[K];
   };
   ObsSession *Obs = ObsOf(0);
-  TraceSpan Span(Obs, "run-profile", "pipeline", /*Level=*/1);
+  TraceSpan Span(Obs, "run-profile", "pipeline");
 
   Program Prog = [&] {
-    TraceSpan BS(Obs, "build-workload", "pipeline", /*Level=*/1);
+    TraceSpan BS(Obs, "build-workload", "pipeline");
     return W.build({DS, Config.WorkloadSeedOffset});
   }();
   assert(isWellFormed(Prog.M) && "workload built a malformed module");
@@ -139,7 +139,7 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
   labelSelfProfile(Obs, W, "profile");
   RunStats Stats;
   {
-    TraceSpan ES(Obs, "execute", "interp", /*Level=*/1);
+    TraceSpan ES(Obs, "execute", "interp");
     Stats = I.run();
   }
   assert(Stats.Completed && "profile run did not complete");
@@ -178,7 +178,7 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
     }
     const StrideProfiler &Profiler = Profilers[K];
     {
-      TraceSpan HS(MObs, "strideprof-harvest", "profile", /*Level=*/1);
+      TraceSpan HS(MObs, "strideprof-harvest", "profile");
       Result.Strides = StrideProfile::fromProfiler(Profiler);
     }
     Result.StrideInvocations = Profiler.totalInvocations();
@@ -216,10 +216,10 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
 
 RunStats Pipeline::runBaseline(DataSet DS) const {
   ObsSession *Obs = Session;
-  TraceSpan Span(Obs, "run-baseline", "pipeline", /*Level=*/1);
+  TraceSpan Span(Obs, "run-baseline", "pipeline");
 
   Program Prog = [&] {
-    TraceSpan BS(Obs, "build-workload", "pipeline", /*Level=*/1);
+    TraceSpan BS(Obs, "build-workload", "pipeline");
     return W.build({DS, Config.WorkloadSeedOffset});
   }();
   assert(isWellFormed(Prog.M) && "workload built a malformed module");
@@ -237,10 +237,10 @@ RunStats Pipeline::runBaseline(DataSet DS) const {
 TimedRunResult Pipeline::runPrefetched(DataSet DS, const EdgeProfile &Edges,
                                        const StrideProfile &Strides) const {
   ObsSession *Obs = Session;
-  TraceSpan Span(Obs, "timed-run", "pipeline", /*Level=*/1);
+  TraceSpan Span(Obs, "timed-run", "pipeline");
 
   Program Prog = [&] {
-    TraceSpan BS(Obs, "build-workload", "pipeline", /*Level=*/1);
+    TraceSpan BS(Obs, "build-workload", "pipeline");
     return W.build({DS, Config.WorkloadSeedOffset});
   }();
   TimedRunResult Result;
@@ -298,7 +298,7 @@ Pipeline::executeTimed(Program &Prog, DataSet DS, bool Attribution,
   };
 
   labelSelfProfile(Obs, W, Phase);
-  TraceSpan ES(Obs, "execute", "interp", /*Level=*/1);
+  TraceSpan ES(Obs, "execute", "interp");
   // Self-profiler samples belong to the run that took them, so a profiled
   // session always executes.
   if (!Memo || (Obs && Obs->selfProfiler())) {
@@ -324,7 +324,7 @@ Pipeline::executeTimed(Program &Prog, DataSet DS, bool Attribution,
     R.Metrics = Delta.registry();
     return R;
   });
-  if (Obs && Obs->config().CollectMetrics)
+  if (Obs)
     Obs->registry().merge(Run->Metrics);
   return {Run->Stats, Run->Attribution};
 }
@@ -335,11 +335,4 @@ double Pipeline::speedup(DataSet RunDS, const EdgeProfile &Edges,
   TimedRunResult Pf = runPrefetched(RunDS, Edges, Strides);
   return static_cast<double>(Base.Cycles) /
          static_cast<double>(Pf.Stats.Cycles);
-}
-
-double Pipeline::speedup(ProfilingMethod Method, DataSet ProfileDS,
-                         DataSet RunDS) const {
-  ProfileRunResult P = runProfile(Method, ProfileDS,
-                                  /*WithMemorySystem=*/false);
-  return speedup(RunDS, P.Edges, P.Strides);
 }

@@ -172,12 +172,6 @@ public:
   double speedup(DataSet RunDS, const EdgeProfile &Edges,
                  const StrideProfile &Strides) const;
 
-  /// Convenience: profile with \p Method on \p ProfileDS (no cache
-  /// simulation), then measure speedup on \p RunDS. Each call performs a
-  /// fresh instrumented run; use the profile-taking overload to amortize.
-  double speedup(ProfilingMethod Method, DataSet ProfileDS,
-                 DataSet RunDS) const;
-
   const PipelineConfig &config() const { return Config; }
   const Workload &workload() const { return W; }
 

@@ -88,7 +88,7 @@ FeedbackResult sprof::runFeedback(const Module &M, const EdgeProfile &EP,
                                   const StrideProfile &SP,
                                   const ClassifierConfig &Config,
                                   ObsSession *Obs) {
-  TraceSpan Span(Obs, "classify", "feedback", /*Level=*/1);
+  TraceSpan Span(Obs, "classify", "feedback");
   uint64_t FreqFiltered = 0, TripFiltered = 0, GapFiltered = 0;
   FeedbackResult Result;
   Result.SiteClass.assign(M.NumLoadSites, StrideClass::None);

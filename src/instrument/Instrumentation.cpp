@@ -539,7 +539,7 @@ InstrumentationResult sprof::instrumentModule(Module &M,
                                               ProfilingMethod Method,
                                               const InstrumentConfig &Config,
                                               ObsSession *Obs) {
-  TraceSpan Span(Obs, "instrument", "instrument", /*Level=*/1);
+  TraceSpan Span(Obs, "instrument", "instrument");
   InstrumentationResult Result;
   Result.Method = Method;
   Result.EdgeCounters.resize(M.Functions.size());

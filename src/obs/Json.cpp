@@ -211,10 +211,16 @@ private:
     if (Pos == Text.size())
       return fail("unexpected end of input");
     char C = Text[Pos];
-    if (C == '{')
-      return parseObject(Out);
-    if (C == '[')
-      return parseArray(Out);
+    if (C == '{' || C == '[') {
+      if (Depth == JsonMaxDepth)
+        return fail(("arrays and objects nested deeper than " +
+                     std::to_string(JsonMaxDepth) + " levels")
+                        .c_str());
+      ++Depth;
+      const bool Ok = C == '{' ? parseObject(Out) : parseArray(Out);
+      --Depth;
+      return Ok;
+    }
     if (C == '"') {
       std::string S;
       if (!parseString(S))
@@ -388,6 +394,7 @@ private:
   std::string_view Text;
   std::string *Error;
   size_t Pos = 0;
+  unsigned Depth = 0; ///< arrays and objects open at Pos
 };
 
 } // namespace

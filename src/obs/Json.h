@@ -27,6 +27,12 @@
 
 namespace sprof {
 
+/// The deepest nesting of arrays and objects JsonValue::parse accepts. The
+/// parser recurses once per level, so the bound keeps hostile input from
+/// exhausting the stack. The deepest artifact the writers produce nests 8
+/// levels (a sprof.bench_report/1).
+inline constexpr unsigned JsonMaxDepth = 256;
+
 /// One JSON value: null, boolean, number (integer or double), string,
 /// array, or object. Build with the static factories and set/push, read
 /// back with the as*/get accessors.
@@ -100,7 +106,8 @@ public:
   std::string str(unsigned Indent = 2) const;
 
   /// Parses \p Text into \p Out. Returns false (and fills \p Error when
-  /// given) on malformed input.
+  /// given) on malformed input, including arrays and objects nested more
+  /// than JsonMaxDepth deep.
   static bool parse(std::string_view Text, JsonValue &Out,
                     std::string *Error = nullptr);
 

@@ -121,11 +121,6 @@ void MetricsRegistry::merge(const MetricsRegistry &Other) {
     histogram(Name, H.bounds()).merge(H);
 }
 
-void MetricsRegistry::setGaugesFrom(const MetricsRegistry &Other) {
-  for (const auto &[Name, G] : Other.Gauges)
-    gauge(Name).set(G.value());
-}
-
 void MetricsRegistry::snapshotScalars(
     std::vector<std::pair<std::string, uint64_t>> &CountersOut,
     std::vector<std::pair<std::string, double>> &GaugesOut) const {

@@ -177,11 +177,6 @@ public:
   /// merge order over a set of scopes yields bit-identical totals.
   void merge(const MetricsRegistry &Other);
 
-  /// Copies \p Other's gauge values into this registry (creating missing
-  /// gauges). Used after a sharded fold to replay gauges in a
-  /// deterministic order, since gauge merging is last-write-wins.
-  void setGaugesFrom(const MetricsRegistry &Other);
-
   /// Consistent point-in-time copy of every counter and gauge, sorted by
   /// name. Safe to call from a sampler thread while producers update
   /// resolved metrics and create new ones.

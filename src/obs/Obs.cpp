@@ -13,11 +13,9 @@
 using namespace sprof;
 
 ObsSession::ObsSession(ObsConfig InConfig) : Config(std::move(InConfig)) {
-  if (Config.Enabled && Config.CollectMetrics &&
-      Config.SampleIntervalUs > 0) {
-    Sampler = std::make_unique<TelemetrySampler>(Registry, Trace,
-                                                 Config.SampleIntervalUs,
-                                                 Config.SampleRingCapacity);
+  if (Config.Enabled && Config.SampleIntervalUs > 0) {
+    Sampler = std::make_unique<TelemetrySampler>(
+        Registry, Trace, Config.SampleIntervalUs, SampleRingCapacity);
     Sampler->start();
   }
   if (Config.Enabled && Config.SelfProfile)

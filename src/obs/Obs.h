@@ -30,29 +30,22 @@ namespace sprof {
 class TelemetrySampler;
 class EngineSelfProfiler;
 
+/// Sampler ring capacity: the oldest snapshots drop once this many are
+/// held.
+inline constexpr size_t SampleRingCapacity = 512;
+
 /// Everything configurable about telemetry collection.
 struct ObsConfig {
   /// Master switch; off reproduces the seed pipeline bit for bit.
   bool Enabled = false;
 
-  /// Collect counters/gauges/histograms.
-  bool CollectMetrics = true;
-
   /// Collect phase trace spans.
   bool CollectTrace = true;
 
-  /// Trace verbosity: 0 = nothing, 1 = pipeline phases (instrument,
-  /// execute, classify, prefetch-insert, ...), 2 = fine-grained spans
-  /// inside the phases.
-  unsigned TraceDetail = 1;
-
-  /// When nonzero (and metrics are on), the session runs a background
-  /// TelemetrySampler that snapshots every counter/gauge at this interval
-  /// into a bounded time-series ring.
+  /// When nonzero, the session runs a background TelemetrySampler that
+  /// snapshots every counter/gauge at this interval into a bounded
+  /// time-series ring of SampleRingCapacity snapshots.
   uint64_t SampleIntervalUs = 0;
-
-  /// Ring capacity of the sampler (oldest snapshots drop when full).
-  size_t SampleRingCapacity = 512;
 
   /// When non-empty, writeArtifacts dumps the "sprof.timeseries/1"
   /// document here (requires SampleIntervalUs > 0).
@@ -73,23 +66,16 @@ struct ObsConfig {
   /// here.
   std::string TraceOutputPath;
 
-  /// When non-empty, report writers (examples, benches) put the JSON run
-  /// report here.
-  std::string ReportOutputPath;
-
   /// When non-empty, ExperimentEngine::writeArtifacts dumps the
   /// "sprof.sweep_report/1" document (per-job causal timeline, critical
   /// path, scheduler section) here.
   std::string SweepReportOutputPath;
 
   /// Arm the engine flight recorder: a bounded lock-free per-worker ring
-  /// of job/phase transitions that a SIGSEGV/SIGABRT handler (and the
-  /// engine watchdog) dumps as JSON, so a crashed or hung sweep leaves a
-  /// post-mortem naming the jobs in flight.
+  /// of job/phase transitions (64 per worker lane) that a SIGSEGV/SIGABRT
+  /// handler (and the engine watchdog) dumps as JSON, so a crashed or hung
+  /// sweep leaves a post-mortem naming the jobs in flight.
   bool FlightRecorder = false;
-
-  /// Events retained per worker lane (rounded up to a power of two).
-  size_t FlightRecorderRingSize = 64;
 
   /// Where the flight recorder dumps ("sprof.flightrec/1"); empty means
   /// stderr.
@@ -130,8 +116,8 @@ struct JobRecord {
 class ObsSession {
 public:
   /// Starts the background sampler when Config enables it
-  /// (SampleIntervalUs > 0 with metrics on) and creates the engine
-  /// self-profiler when Config.SelfProfile is set.
+  /// (SampleIntervalUs > 0) and creates the engine self-profiler when
+  /// Config.SelfProfile is set.
   explicit ObsSession(ObsConfig Config);
   ~ObsSession();
 
@@ -145,26 +131,13 @@ public:
   TraceCollector &trace() { return Trace; }
   const TraceCollector &trace() const { return Trace; }
 
-  /// Metric handles for producers: nullptr when metric collection is off,
-  /// so hot paths can gate on a single cached pointer.
-  Counter *counter(std::string_view Name) {
-    return Config.CollectMetrics ? &Registry.counter(Name) : nullptr;
-  }
-  Gauge *gauge(std::string_view Name) {
-    return Config.CollectMetrics ? &Registry.gauge(Name) : nullptr;
-  }
+  /// Metric handles for producers; never null. Hot paths resolve them
+  /// once and gate on whether they hold a session at all.
+  Counter *counter(std::string_view Name) { return &Registry.counter(Name); }
+  Gauge *gauge(std::string_view Name) { return &Registry.gauge(Name); }
   Histogram *histogram(std::string_view Name,
                        std::vector<uint64_t> UpperBounds = {}) {
-    return Config.CollectMetrics
-               ? &Registry.histogram(Name, std::move(UpperBounds))
-               : nullptr;
-  }
-
-  /// The trace collector if spans at \p Level should be recorded, else
-  /// nullptr (used by TraceSpan's session constructor).
-  TraceCollector *traceAtLevel(unsigned Level) {
-    return Config.CollectTrace && Level <= Config.TraceDetail ? &Trace
-                                                              : nullptr;
+    return &Registry.histogram(Name, std::move(UpperBounds));
   }
 
   /// The background sampler, or nullptr when not configured. Ring
@@ -189,7 +162,6 @@ public:
   ObsConfig jobConfig() const {
     ObsConfig C = Config;
     C.TraceOutputPath.clear();
-    C.ReportOutputPath.clear();
     C.TimeSeriesOutputPath.clear();
     C.FoldedProfilePath.clear();
     C.SweepReportOutputPath.clear();

@@ -8,8 +8,6 @@
 
 #include "obs/SelfProfiler.h"
 
-#include <ostream>
-
 using namespace sprof;
 
 JsonValue sprof::runStatsToJson(const RunStats &Stats) {
@@ -73,14 +71,13 @@ JsonValue sprof::edgeProfileToJson(const EdgeProfile &EP) {
   return J;
 }
 
-JsonValue sprof::strideProfileToJson(const StrideProfile &SP,
-                                     const ReportOptions &Options) {
+JsonValue sprof::strideProfileToJson(const StrideProfile &SP) {
   JsonValue J = JsonValue::object();
   J.set("num_sites", SP.numSites());
   JsonValue Sites = JsonValue::array();
   for (uint32_t S = 0; S != SP.numSites(); ++S) {
     const StrideSiteSummary &Sum = SP.site(S);
-    if (Options.OnlyActiveSites && Sum.TotalStrides == 0)
+    if (Sum.TotalStrides == 0)
       continue;
     JsonValue SJ = JsonValue::object();
     SJ.set("site", S);
@@ -91,9 +88,7 @@ JsonValue sprof::strideProfileToJson(const StrideProfile &SP,
     SJ.set("top4_freq", Sum.top4Freq());
     SJ.set("avg_ref_gap", Sum.avgRefGap());
     JsonValue Top = JsonValue::array();
-    for (size_t T = 0; T != Sum.TopStrides.size() &&
-                       T != Options.TopStridesPerSite;
-         ++T) {
+    for (size_t T = 0; T != Sum.TopStrides.size() && T != 4; ++T) {
       JsonValue TJ = JsonValue::object();
       TJ.set("stride", Sum.TopStrides[T].Value);
       TJ.set("count", Sum.TopStrides[T].Count);
@@ -224,12 +219,14 @@ JsonValue sprof::pipelineConfigToJson(const PipelineConfig &Config) {
 
   JsonValue Obs = JsonValue::object();
   Obs.set("enabled", Config.Obs.Enabled);
-  Obs.set("collect_metrics", Config.Obs.CollectMetrics);
+  // Every session collects metrics and traces pipeline phases only; the
+  // schema keeps both fields at those fixed values.
+  Obs.set("collect_metrics", true);
   Obs.set("collect_trace", Config.Obs.CollectTrace);
-  Obs.set("trace_detail", Config.Obs.TraceDetail);
+  Obs.set("trace_detail", 1u);
   Obs.set("sample_interval_us", Config.Obs.SampleIntervalUs);
   Obs.set("sample_ring_capacity",
-          static_cast<uint64_t>(Config.Obs.SampleRingCapacity));
+          static_cast<uint64_t>(SampleRingCapacity));
   Obs.set("self_profile", Config.Obs.SelfProfile);
   Obs.set("self_profile_window", Config.Obs.SelfProfileWindow);
   J.set("obs", std::move(Obs));
@@ -450,13 +447,12 @@ JsonValue sprof::traceCaptureToJson(const TraceCaptureInfo &Capture) {
   return J;
 }
 
-JsonValue sprof::profileRunToJson(const ProfileRunResult &R,
-                                  const ReportOptions &Options) {
+JsonValue sprof::profileRunToJson(const ProfileRunResult &R) {
   JsonValue J = JsonValue::object();
   J.set("method", profilingMethodName(R.Method));
   J.set("stats", runStatsToJson(R.Stats));
   J.set("edge_profile", edgeProfileToJson(R.Edges));
-  J.set("stride_profile", strideProfileToJson(R.Strides, Options));
+  J.set("stride_profile", strideProfileToJson(R.Strides));
   J.set("profiled_sites",
         static_cast<uint64_t>(R.Instr.ProfiledSites.size()));
   J.set("stride_invocations", R.StrideInvocations);
@@ -469,13 +465,11 @@ JsonValue sprof::profileRunToJson(const ProfileRunResult &R,
 
 JsonValue sprof::timedRunToJson(const TimedRunResult &R,
                                 const StrideProfile &SP,
-                                const ClassifierConfig &Config,
-                                const ReportOptions &Options) {
+                                const ClassifierConfig &Config) {
   JsonValue J = JsonValue::object();
   J.set("stats", runStatsToJson(R.Stats));
   J.set("prefetches", prefetchStatsToJson(R.Prefetches));
   J.set("classification", feedbackToJson(R.Feedback, SP, Config));
-  (void)Options;
   return J;
 }
 
@@ -485,14 +479,13 @@ JsonValue sprof::buildRunReport(const std::string &WorkloadName,
                                 const TimedRunResult *Timed,
                                 const RunStats *Baseline,
                                 const ObsSession *Obs,
-                                const ReportOptions &Options,
                                 const ProfileDiffResult *Diff) {
   JsonValue J = JsonValue::object();
   J.set("schema", RunReportSchemaV5);
   J.set("workload", WorkloadName);
   J.set("config", pipelineConfigToJson(Config));
   if (Profile)
-    J.set("profile_run", profileRunToJson(*Profile, Options));
+    J.set("profile_run", profileRunToJson(*Profile));
   if (Baseline)
     J.set("baseline_run", runStatsToJson(*Baseline));
   if (Timed) {
@@ -501,7 +494,7 @@ JsonValue sprof::buildRunReport(const std::string &WorkloadName,
     static const StrideProfile EmptySP;
     const StrideProfile &SP = Profile ? Profile->Strides : EmptySP;
     J.set("timed_run",
-          timedRunToJson(*Timed, SP, Config.Classifier, Options));
+          timedRunToJson(*Timed, SP, Config.Classifier));
     if (Baseline && Timed->Stats.Cycles != 0)
       J.set("speedup", static_cast<double>(Baseline->Cycles) /
                            static_cast<double>(Timed->Stats.Cycles));
@@ -521,18 +514,4 @@ JsonValue sprof::buildRunReport(const std::string &WorkloadName,
         J.set("self_profile", selfProfileToJson(*SP));
   }
   return J;
-}
-
-void sprof::writeRunReport(std::ostream &OS,
-                           const std::string &WorkloadName,
-                           const PipelineConfig &Config,
-                           const ProfileRunResult *Profile,
-                           const TimedRunResult *Timed,
-                           const RunStats *Baseline, const ObsSession *Obs,
-                           const ReportOptions &Options,
-                           const ProfileDiffResult *Diff) {
-  buildRunReport(WorkloadName, Config, Profile, Timed, Baseline, Obs,
-                 Options, Diff)
-      .write(OS);
-  OS << '\n';
 }

@@ -30,7 +30,6 @@
 #include "obs/Obs.h"
 #include "profile/ProfileDiff.h"
 
-#include <iosfwd>
 #include <string>
 
 namespace sprof {
@@ -38,20 +37,13 @@ namespace sprof {
 /// Schema identifier stamped into every run report.
 inline constexpr const char *RunReportSchemaV5 = "sprof.run_report/5";
 
-/// Shaping knobs for the per-site sections.
-struct ReportOptions {
-  /// Top strides emitted per load site (the paper's classifier reads 4).
-  unsigned TopStridesPerSite = 4;
-  /// Skip sites with no observed strides (never-profiled or never-hit).
-  bool OnlyActiveSites = true;
-};
-
 // -- Section builders (each returns one JSON object) ----------------------
 JsonValue runStatsToJson(const RunStats &Stats);
 JsonValue memoryStatsToJson(const MemoryStats &Stats);
 JsonValue edgeProfileToJson(const EdgeProfile &EP);
-JsonValue strideProfileToJson(const StrideProfile &SP,
-                              const ReportOptions &Options = {});
+/// The sites with at least one observed stride, each with its top 4
+/// strides (the paper's classifier reads 4).
+JsonValue strideProfileToJson(const StrideProfile &SP);
 JsonValue prefetchStatsToJson(const PrefetchInsertionStats &Stats);
 /// Classification verdicts per site plus the thresholds they were judged
 /// against; \p SP supplies the ratios each verdict fired on.
@@ -83,14 +75,12 @@ JsonValue jobsToJson(const ObsSession &Session);
 
 /// The profile-generation half: method, run accounting, both profiles, and
 /// the strideProf call statistics (Figures 20-22 raw data).
-JsonValue profileRunToJson(const ProfileRunResult &R,
-                           const ReportOptions &Options = {});
+JsonValue profileRunToJson(const ProfileRunResult &R);
 
 /// The timed half: run accounting, inserted prefetches, and the feedback
 /// verdicts. \p SP must be the stride profile the feedback pass consumed.
 JsonValue timedRunToJson(const TimedRunResult &R, const StrideProfile &SP,
-                         const ClassifierConfig &Config,
-                         const ReportOptions &Options = {});
+                         const ClassifierConfig &Config);
 
 /// Assembles the full versioned report. Null sections are omitted, so the
 /// same schema serves profile-only and end-to-end runs. When \p Timed
@@ -101,16 +91,7 @@ JsonValue buildRunReport(const std::string &WorkloadName,
                          const ProfileRunResult *Profile,
                          const TimedRunResult *Timed,
                          const RunStats *Baseline, const ObsSession *Obs,
-                         const ReportOptions &Options = {},
                          const ProfileDiffResult *Diff = nullptr);
-
-/// buildRunReport + pretty-printed write.
-void writeRunReport(std::ostream &OS, const std::string &WorkloadName,
-                    const PipelineConfig &Config,
-                    const ProfileRunResult *Profile,
-                    const TimedRunResult *Timed, const RunStats *Baseline,
-                    const ObsSession *Obs, const ReportOptions &Options = {},
-                    const ProfileDiffResult *Diff = nullptr);
 
 } // namespace sprof
 

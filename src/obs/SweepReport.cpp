@@ -50,14 +50,13 @@ CriticalPath sprof::computeCriticalPath(const std::vector<JobRecord> &Jobs) {
 
 JsonValue sprof::buildSweepReport(const std::vector<JobRecord> &Jobs,
                                   unsigned Threads,
-                                  const SweepSchedulerStats &Sched,
-                                  uint64_t WallUs, size_t TopN) {
+                                  const SweepSchedulerStats &Sched) {
   if (Threads == 0)
     Threads = 1;
 
-  // Wall clock: first job ready to last job finished, unless the caller
-  // measured a wider window itself.
-  if (WallUs == 0 && !Jobs.empty()) {
+  // Wall clock: first job ready to last job finished.
+  uint64_t WallUs = 0;
+  if (!Jobs.empty()) {
     uint64_t MinReady = UINT64_MAX, MaxFinish = 0;
     for (const JobRecord &J : Jobs) {
       MinReady = std::min(MinReady, J.ReadyUs);
@@ -157,7 +156,7 @@ JsonValue sprof::buildSweepReport(const std::vector<JobRecord> &Jobs,
     return Jobs[A].DurationUs > Jobs[B].DurationUs;
   });
   JsonValue Stragglers = JsonValue::array();
-  for (size_t I = 0; I != ByRun.size() && I != TopN; ++I) {
+  for (size_t I = 0; I != ByRun.size() && I != 5; ++I) {
     const JobRecord &J = Jobs[ByRun[I]];
     JsonValue SJ = JsonValue::object();
     SJ.set("id", static_cast<uint64_t>(J.Id));

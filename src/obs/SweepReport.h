@@ -82,13 +82,12 @@ struct CriticalPath {
 /// keeping the result deterministic for identical durations.
 CriticalPath computeCriticalPath(const std::vector<JobRecord> &Jobs);
 
-/// Assembles the full "sprof.sweep_report/1" document. \p WallUs is the
-/// sweep's wall clock (max finish - min ready over the jobs when zero is
-/// passed); \p TopN bounds the straggler list.
+/// Assembles the full "sprof.sweep_report/1" document. Its wall clock runs
+/// from the first job ready to the last job finished, and its straggler
+/// list names the 5 longest-running jobs.
 JsonValue buildSweepReport(const std::vector<JobRecord> &Jobs,
                            unsigned Threads,
-                           const SweepSchedulerStats &Sched,
-                           uint64_t WallUs = 0, size_t TopN = 5);
+                           const SweepSchedulerStats &Sched);
 
 } // namespace sprof
 

@@ -179,8 +179,7 @@ bool TraceCollector::writeChromeTraceFile(const std::string &Path) const {
 }
 
 TraceSpan::TraceSpan(ObsSession *Session, std::string_view Name,
-                     std::string_view Category, unsigned Level) {
-  if (TraceCollector *Collector =
-          Session ? Session->traceAtLevel(Level) : nullptr)
-    open(*Collector, Name, Category);
+                     std::string_view Category) {
+  if (Session && Session->config().CollectTrace)
+    open(Session->trace(), Name, Category);
 }

@@ -135,8 +135,8 @@ private:
 };
 
 /// RAII span. Constructed against a collector (always active) or against an
-/// ObsSession (active only when the session exists, trace collection is on,
-/// and \p Level does not exceed the configured trace detail).
+/// ObsSession (active only when the session exists and trace collection is
+/// on).
 class TraceSpan {
 public:
   TraceSpan(TraceCollector *Collector, std::string_view Name,
@@ -145,7 +145,7 @@ public:
       open(*Collector, Name, Category);
   }
   TraceSpan(ObsSession *Session, std::string_view Name,
-            std::string_view Category = "", unsigned Level = 1);
+            std::string_view Category = "");
   ~TraceSpan() {
     if (C)
       C->endSpan(Id);

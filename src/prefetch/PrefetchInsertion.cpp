@@ -177,7 +177,7 @@ void flushObs(ObsSession *Obs, const PrefetchInsertionStats &Stats) {
 PrefetchInsertionStats
 sprof::insertPrefetches(Module &M, const FeedbackResult &Feedback,
                         ObsSession *Obs) {
-  TraceSpan Span(Obs, "prefetch-insert", "prefetch", /*Level=*/1);
+  TraceSpan Span(Obs, "prefetch-insert", "prefetch");
   PrefetchInsertionStats Stats = insertPrefetches(M, Feedback.Decisions);
 
   // Dependent prefetches are inserted in a second pass; site ids survive

@@ -7,6 +7,8 @@
 
 #include "profile/ProfileStore.h"
 
+#include "stream/TraceFile.h"
+
 #include <algorithm>
 #include <fstream>
 #include <sstream>
@@ -76,6 +78,13 @@ bool ProfileStore::load(std::istream &IS, ProfileStore &Out,
     } else if (Key == "shape") {
       if (!(LS >> NumFunctions >> NumSites)) {
         setError(Error, "malformed shape line: \"" + Line + "\"");
+        return false;
+      }
+      if (NumFunctions > ProfileMaxFunctions || NumSites > TraceMaxSites) {
+        setError(Error, "shape line declares more than " +
+                            std::to_string(ProfileMaxFunctions) +
+                            " functions or " + std::to_string(TraceMaxSites) +
+                            " sites: \"" + Line + "\"");
         return false;
       }
       SawShape = true;

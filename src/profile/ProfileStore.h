@@ -36,6 +36,12 @@ namespace sprof {
 /// Schema line at the top of every profile file.
 inline constexpr const char *ProfileFileSchemaV1 = "sprof.profile/1";
 
+/// Most functions a profile file's shape line may declare. load() sizes
+/// the edge profile from the shape line before it reads an entry, so it
+/// rejects a larger count (and a site count above TraceMaxSites) before
+/// allocating anything. The suite's largest workload has 3 functions.
+inline constexpr size_t ProfileMaxFunctions = size_t{1} << 16;
+
 /// Provenance stamped into the file header. Free-form single-line strings;
 /// merge() requires Workload (and the profile shapes) to match so shards
 /// from different programs cannot combine silently.

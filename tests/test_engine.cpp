@@ -285,11 +285,11 @@ TEST(ExperimentEngine, FoldsJobTelemetryIntoSession) {
   EXPECT_TRUE(Engine.obs()->trace().hasSpan("tick5"));
 }
 
-// Job metrics fold through per-worker shards: whatever worker folded
-// whatever job scope into whatever shard, the session registry after the
-// drain holds the closed-form totals at every thread count, gauges included
-// (replayed in job-id order after the fold).
-TEST(ExperimentEngine, ShardedFoldMatchesClosedFormTotals) {
+// Job metrics fold into the session in job-id order after the drain:
+// whatever worker ran whatever job, the session registry holds the
+// closed-form totals at every thread count, and a gauge holds the value of
+// the highest job id that set it.
+TEST(ExperimentEngine, JobIdFoldMatchesClosedFormTotals) {
   for (unsigned Threads : {1u, 4u, 8u}) {
     SCOPED_TRACE(Threads);
     EngineOptions Opts;
@@ -311,6 +311,50 @@ TEST(ExperimentEngine, ShardedFoldMatchesClosedFormTotals) {
     const Histogram &H = Reg.histograms().at("fold.sizes");
     EXPECT_EQ(H.count(), 16u);
     EXPECT_EQ(H.sum(), 200u); // sum of J * 3 % 32 over J < 16
+  }
+}
+
+// Each job scope folds exactly once: a failed job's partial metrics count
+// once, and a parked attempt's scope is dropped, so only the finished
+// re-run's metrics reach the session.
+TEST(ExperimentEngine, FailedJobFoldsOnceAndParkedAttemptNever) {
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(Threads);
+    EngineOptions Opts = withThreads(Threads);
+    Opts.Obs.Enabled = true;
+    ExperimentEngine Engine(Opts);
+    std::atomic<int> Attempts{0};
+    Engine.addJob("ok", "test-job", [](ObsSession *JobObs) {
+      JobObs->counter("fold.events")->inc(1);
+    });
+    Engine.addJob("fails", "test-job", [](ObsSession *JobObs) {
+      JobObs->counter("fold.events")->inc(10);
+      JobObs->gauge("fold.failed")->set(1);
+      throw std::runtime_error("partial");
+    });
+    Engine.addJob("parks", "test-job", [&Attempts](ObsSession *JobObs) {
+      const int Attempt = ++Attempts;
+      JobObs->counter("fold.events")->inc(100 * Attempt);
+      JobObs->counter("fold.attempt" + std::to_string(Attempt))->inc();
+      if (Attempt == 1)
+        throw JobPending{[](JobPending::WakeFn Wake) { Wake(); }};
+    });
+    EXPECT_THROW(Engine.run(), std::runtime_error);
+    EXPECT_EQ(Attempts.load(), 2);
+
+    const MetricsRegistry &Reg = Engine.obs()->registry();
+    EXPECT_EQ(Reg.counters().at("fold.events").value(), 1u + 10u + 200u);
+    EXPECT_EQ(Reg.gauges().at("fold.failed").value(), 1.0);
+    EXPECT_EQ(Reg.counters().count("fold.attempt1"), 0u);
+    EXPECT_EQ(Reg.counters().at("fold.attempt2").value(), 1u);
+    EXPECT_EQ(Reg.counters().at("engine.run_memo.parks").value(), 1u);
+
+    const std::vector<JobRecord> &Jobs = Engine.obs()->jobs();
+    ASSERT_EQ(Jobs.size(), 3u);
+    EXPECT_FALSE(Jobs[1].Ok);
+    EXPECT_EQ(Jobs[1].Metrics.counters().at("fold.events").value(), 10u);
+    EXPECT_TRUE(Jobs[2].Ok);
+    EXPECT_EQ(Jobs[2].Metrics.counters().at("fold.events").value(), 200u);
   }
 }
 
@@ -528,18 +572,15 @@ TEST(FlightRecorder, ConcurrentLanesAndDumpsStayConsistent) {
   }
 }
 
-// The acceptance criterion: for every profiling method, profiles,
-// classification verdicts, and timed runs from a 4-thread sweep are byte-
-// identical to the 1-thread sweep.
+// For every profiling method, the profiles of a 4-thread sweep are
+// byte-identical to the 1-thread sweep's (the timed half is
+// ParallelSuiteMatchesSerialForAllMethods).
 TEST(ExperimentEngine, ParallelSweepMatchesSerialForAllMethods) {
   ChaseWorkload W;
   SweepSpec Spec;
   Spec.Workloads = {&W};
   Spec.Methods = allProfilingMethods();
   Spec.WithMemorySystem = false;
-  Spec.Feedback = true;
-  Spec.FeedbackInput = DataSet::Train;
-  Spec.Baseline = true;
 
   ExperimentEngine Serial(withThreads(1));
   ExperimentEngine Parallel(withThreads(4));
@@ -548,8 +589,6 @@ TEST(ExperimentEngine, ParallelSweepMatchesSerialForAllMethods) {
 
   ASSERT_EQ(RS.Cells.size(), Spec.Methods.size());
   ASSERT_EQ(RP.Cells.size(), RS.Cells.size());
-  ASSERT_EQ(RS.BaselineCycles.size(), 1u);
-  EXPECT_EQ(RP.BaselineCycles, RS.BaselineCycles);
 
   for (size_t I = 0; I != RS.Cells.size(); ++I) {
     const SweepCell &S = RS.Cells[I];
@@ -561,16 +600,6 @@ TEST(ExperimentEngine, ParallelSweepMatchesSerialForAllMethods) {
     EXPECT_EQ(profileText(P), profileText(S));
     EXPECT_EQ(P.Profile.Stats.Instructions, S.Profile.Stats.Instructions);
     EXPECT_EQ(P.Profile.StrideInvocations, S.Profile.StrideInvocations);
-
-    // Identical classification verdicts and timed runs.
-    ASSERT_TRUE(S.HasFeedback);
-    ASSERT_TRUE(P.HasFeedback);
-    EXPECT_EQ(P.Timed.Feedback.SiteClass, S.Timed.Feedback.SiteClass);
-    EXPECT_EQ(P.Timed.Feedback.Decisions.size(),
-              S.Timed.Feedback.Decisions.size());
-    EXPECT_EQ(P.Timed.Stats.Cycles, S.Timed.Stats.Cycles);
-    EXPECT_EQ(P.Speedup, S.Speedup);
-    EXPECT_GT(S.Speedup, 0.0);
   }
 }
 
@@ -655,6 +684,28 @@ std::string measurementsText(const std::vector<BenchMeasurement> &BMs) {
   for (const BenchMeasurement &BM : BMs)
     Text += benchMeasurementToJson(BM).str(0) + "\n";
   return Text;
+}
+
+// For every profiling method, the timed half -- prefetches inserted per
+// verdict class, prefetched cycles and speedups -- of a 4-thread suite is
+// byte-identical to the 1-thread suite's.
+TEST(ExperimentEngine, ParallelSuiteMatchesSerialForAllMethods) {
+  ChaseWorkload Chase;
+  PassesChaseWorkload Passes;
+  const std::vector<const Workload *> WL = {&Chase, &Passes};
+  ExperimentEngine Serial(withThreads(1));
+  ExperimentEngine Parallel(withThreads(4));
+  std::vector<BenchMeasurement> S =
+      measureSuite(Serial, WL, {}, allProfilingMethods());
+  std::vector<BenchMeasurement> P =
+      measureSuite(Parallel, WL, {}, allProfilingMethods());
+  ASSERT_EQ(S.size(), WL.size());
+  EXPECT_EQ(measurementsText(P), measurementsText(S));
+  for (const BenchMeasurement &BM : S) {
+    ASSERT_EQ(BM.Methods.size(), allProfilingMethods().size());
+    for (const auto &[M, MM] : BM.Methods)
+      EXPECT_GT(MM.Speedup, 0.0) << BM.Name << " " << profilingMethodName(M);
+  }
 }
 
 /// measureSuite's calls, in its job order, through one memo-free Pipeline
@@ -1006,7 +1057,7 @@ std::string cellTag(const SweepCell &Cell) {
 
 /// A memsys-free sweep with the sampled methods' cells sharing their base
 /// method's execution gives every cell, job name and per-job metric scope
-/// that one runProfile (and one runPrefetched) per cell would.
+/// that one runProfile per cell would.
 TEST(ExperimentEngine, ProfileFanOutMatchesPerCellRunsAtAnyThreadCount) {
   ChaseWorkload Chase;
   PassesChaseWorkload Passes;
@@ -1016,7 +1067,6 @@ TEST(ExperimentEngine, ProfileFanOutMatchesPerCellRunsAtAnyThreadCount) {
   Spec.ProfileInputs = {DataSet::Train, DataSet::Ref};
   Spec.SeedOffsets = {0, 3};
   Spec.WithMemorySystem = false;
-  Spec.Feedback = true;
 
   ObsConfig Plain;
   Plain.Enabled = true;
@@ -1028,18 +1078,16 @@ TEST(ExperimentEngine, ProfileFanOutMatchesPerCellRunsAtAnyThreadCount) {
     SweepResult R = Engine.runSweep(Spec);
     ASSERT_EQ(R.Cells.size(), 2u * 2u * Spec.Methods.size() * 2u);
 
-    // One run job and one feedback job per cell, in cell order.
+    // One run job per cell, in cell order.
     const std::vector<JobRecord> &Records = Engine.obs()->jobs();
-    ASSERT_EQ(Records.size(), 2 * R.Cells.size());
+    ASSERT_EQ(Records.size(), R.Cells.size());
     size_t Shared = 0;
     for (size_t I = 0; I != R.Cells.size(); ++I) {
       const SweepCell &Cell = R.Cells[I];
       const std::string Tag = cellTag(Cell);
       SCOPED_TRACE(Tag);
-      const JobRecord &Run = Records[2 * I];
-      const JobRecord &Feedback = Records[2 * I + 1];
+      const JobRecord &Run = Records[I];
       EXPECT_EQ(Run.Name, "profile:" + Tag);
-      EXPECT_EQ(Feedback.Name, "feedback:" + Tag);
       EXPECT_TRUE(Run.Ok);
       EXPECT_EQ(Run.Category, "run-job");
 
@@ -1071,16 +1119,6 @@ TEST(ExperimentEngine, ProfileFanOutMatchesPerCellRunsAtAnyThreadCount) {
       EXPECT_EQ(Cell.Profile.StrideProcessed, Alone.StrideProcessed);
       EXPECT_EQ(Cell.Profile.LfuCalls, Alone.LfuCalls);
       EXPECT_EQ(registryText(Run.Metrics), registryText(RunObs.registry()));
-
-      ObsSession FeedbackObs(Plain);
-      TimedRunResult Timed =
-          Pipeline(*Cell.W, C, &FeedbackObs)
-              .runPrefetched(Spec.FeedbackInput, Alone.Edges, Alone.Strides);
-      ASSERT_TRUE(Cell.HasFeedback);
-      EXPECT_EQ(Cell.Timed.Stats.Cycles, Timed.Stats.Cycles);
-      EXPECT_EQ(Cell.Timed.Feedback.SiteClass, Timed.Feedback.SiteClass);
-      EXPECT_EQ(registryText(Feedback.Metrics),
-                registryText(FeedbackObs.registry()));
     }
     // Three sampled methods per (workload, seed offset, input).
     EXPECT_EQ(Shared, 3u * 2u * 2u * 2u);

@@ -19,7 +19,6 @@
 #include "obs/Report.h"
 #include "obs/Sampler.h"
 #include "obs/SelfProfiler.h"
-#include "obs/Sharded.h"
 #include "obs/Trace.h"
 #include "profile/ProfileData.h"
 
@@ -116,106 +115,17 @@ TEST(ObsMetrics, RegistryReturnsStableObjects) {
   EXPECT_EQ(R.histogram("h", {999}).bounds(), H.bounds());
 }
 
-TEST(ObsMetrics, SessionHandlesAreNullWhenMetricsOff) {
+TEST(ObsMetrics, SessionHandlesResolveIntoTheRegistry) {
   ObsConfig Config;
   Config.Enabled = true;
-  Config.CollectMetrics = false;
   ObsSession Session(Config);
-  EXPECT_EQ(Session.counter("x"), nullptr);
-  EXPECT_EQ(Session.gauge("x"), nullptr);
-  EXPECT_EQ(Session.histogram("x"), nullptr);
-
-  Config.CollectMetrics = true;
-  ObsSession On(Config);
-  EXPECT_NE(On.counter("x"), nullptr);
-}
-
-// -- Sharded registry ------------------------------------------------------
-
-// The concurrency contract (and the TSan target): N workers hammer their
-// own shards in parallel, and the fold still produces exact totals.
-TEST(ShardedMetrics, ConcurrentShardWritesFoldExactly) {
-  constexpr unsigned NumWorkers = 8;
-  constexpr unsigned IncsPerWorker = 20000;
-  ShardedMetricsRegistry Shards(NumWorkers);
-  ASSERT_EQ(Shards.numShards(), NumWorkers);
-
-  std::vector<std::thread> Workers;
-  for (unsigned W = 0; W != NumWorkers; ++W)
-    Workers.emplace_back([&Shards, W] {
-      MetricsRegistry &Shard = Shards.shard(W);
-      Counter &C = Shard.counter("shared.events");
-      Histogram &H = Shard.histogram("shared.sizes", {16, 64});
-      for (unsigned I = 0; I != IncsPerWorker; ++I) {
-        C.inc();
-        H.record(I % 128);
-      }
-      Shard.counter("worker." + std::to_string(W)).inc(W + 1);
-    });
-  for (std::thread &T : Workers)
-    T.join();
-
-  MetricsRegistry Total;
-  Shards.mergeInto(Total);
-  EXPECT_EQ(Total.counter("shared.events").value(),
-            uint64_t{NumWorkers} * IncsPerWorker);
-  EXPECT_EQ(Total.histogram("shared.sizes").count(),
-            uint64_t{NumWorkers} * IncsPerWorker);
-  for (unsigned W = 0; W != NumWorkers; ++W)
-    EXPECT_EQ(Total.counter("worker." + std::to_string(W)).value(), W + 1u);
-
-  // clear() resets the shards for the next engine drain.
-  Shards.clear();
-  MetricsRegistry Empty;
-  Shards.mergeInto(Empty);
-  EXPECT_TRUE(Empty.counters().empty());
-}
-
-// The determinism contract: folding job scopes through shards -- whatever
-// worker got whatever scope -- is bit-identical to a direct serial merge,
-// with gauges replayed in a fixed order afterwards (as the engine does).
-TEST(ShardedMetrics, FoldIsBitIdenticalToSerialMerge) {
-  std::vector<MetricsRegistry> Scopes(12);
-  for (size_t J = 0; J != Scopes.size(); ++J) {
-    Scopes[J].counter("jobs.done").inc(J + 1);
-    Scopes[J].histogram("jobs.cost").record(J * 7 % 50, J + 1);
-    Scopes[J].gauge("jobs.last").set(static_cast<double>(J));
-  }
-
-  MetricsRegistry Serial;
-  for (const MetricsRegistry &S : Scopes)
-    Serial.merge(S);
-
-  constexpr unsigned NumWorkers = 4;
-  ShardedMetricsRegistry Shards(NumWorkers);
-  std::vector<std::thread> Workers;
-  for (unsigned W = 0; W != NumWorkers; ++W)
-    Workers.emplace_back([&, W] {
-      for (size_t J = W; J < Scopes.size(); J += NumWorkers)
-        Shards.shard(W).merge(Scopes[J]);
-    });
-  for (std::thread &T : Workers)
-    T.join();
-
-  MetricsRegistry Folded;
-  Shards.mergeInto(Folded);
-  // Gauges are last-write-wins and therefore shard-order dependent; the
-  // engine replays them per job id after the fold.
-  Folded.setGaugesFrom(Serial);
-
-  std::vector<std::pair<std::string, uint64_t>> SC, FC;
-  std::vector<std::pair<std::string, double>> SG, FG;
-  Serial.snapshotScalars(SC, SG);
-  Folded.snapshotScalars(FC, FG);
-  EXPECT_EQ(FC, SC);
-  EXPECT_EQ(FG, SG);
-  const Histogram &HS = Serial.histograms().at("jobs.cost");
-  const Histogram &HF = Folded.histograms().at("jobs.cost");
-  EXPECT_EQ(HF.count(), HS.count());
-  EXPECT_EQ(HF.sum(), HS.sum());
-  EXPECT_EQ(HF.min(), HS.min());
-  EXPECT_EQ(HF.max(), HS.max());
-  EXPECT_EQ(HF.bucketCounts(), HS.bucketCounts());
+  Counter *C = Session.counter("x");
+  ASSERT_NE(C, nullptr);
+  C->inc(3);
+  EXPECT_EQ(C, &Session.registry().counter("x"));
+  EXPECT_EQ(Session.registry().counter("x").value(), 3u);
+  EXPECT_EQ(Session.gauge("g"), &Session.registry().gauge("g"));
+  EXPECT_EQ(Session.histogram("h"), &Session.registry().histogram("h"));
 }
 
 // -- Time-series sampler ---------------------------------------------------
@@ -442,24 +352,23 @@ TEST(ObsTrace, ChromeTraceIsValidJson) {
   EXPECT_EQ(Counters, 1u);
 }
 
-TEST(ObsTrace, TraceDetailGatesSessionSpans) {
+TEST(ObsTrace, CollectTraceGatesSessionSpans) {
   ObsConfig Config;
   Config.Enabled = true;
-  Config.TraceDetail = 1;
   ObsSession Session(Config);
   {
-    TraceSpan Coarse(&Session, "coarse", "test", /*Level=*/1);
-    TraceSpan Fine(&Session, "fine", "test", /*Level=*/2);
-    EXPECT_TRUE(Coarse.active());
-    EXPECT_FALSE(Fine.active());
+    TraceSpan S(&Session, "phase", "test");
+    EXPECT_TRUE(S.active());
   }
-  EXPECT_TRUE(Session.trace().hasSpan("coarse"));
-  EXPECT_FALSE(Session.trace().hasSpan("fine"));
+  EXPECT_TRUE(Session.trace().hasSpan("phase"));
 
   Config.CollectTrace = false;
   ObsSession NoTrace(Config);
-  TraceSpan S(&NoTrace, "coarse", "test", /*Level=*/1);
-  EXPECT_FALSE(S.active());
+  {
+    TraceSpan S(&NoTrace, "phase", "test");
+    EXPECT_FALSE(S.active());
+  }
+  EXPECT_TRUE(NoTrace.trace().events().empty());
 
   // A null session is always inert.
   TraceSpan Null(static_cast<ObsSession *>(nullptr), "x");
@@ -508,13 +417,36 @@ TEST(ObsJson, ParserRejectsMalformedInput) {
   EXPECT_TRUE(JsonValue::parse("  [1, 2, 3]  ", Out));
 }
 
+// The parser recurses once per nesting level; input nested past
+// JsonMaxDepth is a parse error, never a stack overflow.
+TEST(ObsJson, NestingDeeperThanTheBoundIsAParseError) {
+  auto Nested = [](unsigned Depth) {
+    return std::string(Depth, '[') + std::string(Depth, ']');
+  };
+  JsonValue Out;
+  std::string Error;
+  EXPECT_TRUE(JsonValue::parse(Nested(JsonMaxDepth), Out, &Error)) << Error;
+
+  const std::string Diagnostic = "nested deeper than " +
+                                 std::to_string(JsonMaxDepth) + " levels";
+  EXPECT_FALSE(JsonValue::parse(Nested(JsonMaxDepth + 1), Out, &Error));
+  EXPECT_NE(Error.find(Diagnostic), std::string::npos) << Error;
+
+  // Deep enough to overflow the stack of an unbounded recursive parser,
+  // in an array and under an object key.
+  EXPECT_FALSE(JsonValue::parse(Nested(20000), Out, &Error));
+  EXPECT_NE(Error.find(Diagnostic), std::string::npos) << Error;
+  std::string Object = "{\"summary\": " + Nested(100000) + "}";
+  EXPECT_FALSE(JsonValue::parse(Object, Out, &Error));
+  EXPECT_NE(Error.find(Diagnostic), std::string::npos) << Error;
+}
+
 // -- Run reports -----------------------------------------------------------
 
 TEST(ObsReport, RunReportRoundTripsWithStableSchema) {
   ChaseWorkload W;
   PipelineConfig Config;
   Config.Obs.Enabled = true;
-  Config.Obs.TraceDetail = 2;
   Config.Memory.EnableAttribution = true;
   Pipeline P(W, Config);
 
@@ -622,7 +554,7 @@ TEST(ObsReport, ReportV2ParsesUnderV1Reader) {
 
   JsonValue Report =
       buildRunReport(W.info().Name, P.config(), &Prof, &Timed, &Baseline,
-                     P.obs(), ReportOptions{}, &Diff);
+                     P.obs(), &Diff);
   JsonValue Back;
   ASSERT_TRUE(JsonValue::parse(Report.str(), Back));
 
@@ -667,7 +599,6 @@ TEST(ObsTrace, DecodedEngineSpansNestInsidePipelinePhases) {
   ChaseWorkload W;
   PipelineConfig Config;
   Config.Obs.Enabled = true;
-  Config.Obs.TraceDetail = 2;
   Config.Interp.Exec = InterpreterConfig::Engine::Decoded;
   Pipeline P(W, Config);
 
@@ -722,7 +653,6 @@ TEST(ObsReport, DisabledTelemetryLeavesProfilesBitIdentical) {
 
   PipelineConfig On;
   On.Obs.Enabled = true;
-  On.Obs.TraceDetail = 2;
   Pipeline POn(W, On);
 
   ProfileRunResult ROff =

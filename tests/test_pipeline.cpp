@@ -82,8 +82,9 @@ TEST(Pipeline, ProfileRunProducesEdgeAndStrideProfiles) {
 TEST(Pipeline, McfGetsLargeSpeedup) {
   auto W = makeMcfLike();
   Pipeline P(*W);
-  double S = P.speedup(ProfilingMethod::EdgeCheck, DataSet::Train,
-                       DataSet::Train);
+  ProfileRunResult R = P.runProfile(ProfilingMethod::EdgeCheck,
+                                    DataSet::Train, false);
+  double S = P.speedup(DataSet::Train, R.Edges, R.Strides);
   EXPECT_GT(S, 1.15);
 }
 
@@ -105,8 +106,9 @@ TEST(Pipeline, StrideFreeWorkloadIsNotSlowedDown) {
   // harmless.
   auto W = makeCraftyLike();
   Pipeline P(*W);
-  double S = P.speedup(ProfilingMethod::EdgeCheck, DataSet::Train,
-                       DataSet::Train);
+  ProfileRunResult R = P.runProfile(ProfilingMethod::EdgeCheck,
+                                    DataSet::Train, false);
+  double S = P.speedup(DataSet::Train, R.Edges, R.Strides);
   EXPECT_GT(S, 0.97);
   EXPECT_LT(S, 1.03);
 }

@@ -14,6 +14,7 @@
 #include "driver/Pipeline.h"
 #include "profile/ProfileStore.h"
 #include "profile/StrideProfiler.h"
+#include "stream/TraceFile.h"
 
 #include "TestHelpers.h"
 
@@ -242,6 +243,34 @@ TEST(ProfileStore, LoadRejectsMalformedFiles) {
 
   // Empty input.
   EXPECT_FALSE(ProfileStore::loadString("", Ignored, &Error));
+}
+
+// The shape line sizes both profiles before any entry is read, so counts
+// above the bounds are an error, not an allocation the input never backs.
+TEST(ProfileStore, OversizedShapeIsRejectedBeforeAllocating) {
+  auto Load = [](const std::string &Shape, std::string &Error) {
+    ProfileStore Out;
+    return ProfileStore::loadString(
+        std::string(ProfileFileSchemaV1) + "\nshape " + Shape + "\n", Out,
+        &Error);
+  };
+  const std::string MaxFuncs = std::to_string(ProfileMaxFunctions);
+  const std::string MaxSites = std::to_string(TraceMaxSites);
+  for (const std::string &Shape :
+       {std::string("2 4000000000"), std::string("100000000000 2"),
+        std::to_string(ProfileMaxFunctions + 1) + " 2",
+        "2 " + std::to_string(TraceMaxSites + 1)}) {
+    SCOPED_TRACE(Shape);
+    std::string Error;
+    EXPECT_FALSE(Load(Shape, Error));
+    EXPECT_NE(Error.find("shape line declares more than " + MaxFuncs +
+                         " functions or " + MaxSites + " sites"),
+              std::string::npos)
+        << Error;
+  }
+  // The bounds themselves are accepted.
+  std::string Error;
+  EXPECT_TRUE(Load(MaxFuncs + " " + MaxSites, Error)) << Error;
 }
 
 TEST(ProfileStore, SaveLoadFeedbackEquivalence) {

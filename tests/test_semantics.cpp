@@ -120,8 +120,9 @@ TEST_P(WorkloadSweep, BuildsAreDeterministic) {
 TEST_P(WorkloadSweep, PrefetchingNeverHurts) {
   auto W = workloadByIndex(GetParam());
   Pipeline P(*W);
-  double S = P.speedup(ProfilingMethod::EdgeCheck, DataSet::Train,
-                       DataSet::Train);
+  ProfileRunResult R = P.runProfile(ProfilingMethod::EdgeCheck,
+                                    DataSet::Train, false);
+  double S = P.speedup(DataSet::Train, R.Edges, R.Strides);
   EXPECT_GT(S, 0.99) << W->info().Name;
 }
 
