@@ -17,30 +17,16 @@ Histogram::Histogram(std::vector<uint64_t> UpperBounds)
                         this->UpperBounds.end()) &&
          "histogram bounds must be ascending");
   Buckets.assign(this->UpperBounds.size() + 1, 0);
+  Pow2Bounds = this->UpperBounds.size() <= 64 &&
+               this->UpperBounds ==
+                   exponentialBounds(1, static_cast<unsigned>(
+                                            this->UpperBounds.size()));
 }
 
-void Histogram::record(uint64_t Sample) {
-  size_t Idx = static_cast<size_t>(
+size_t Histogram::searchBucket(uint64_t Sample) const {
+  return static_cast<size_t>(
       std::lower_bound(UpperBounds.begin(), UpperBounds.end(), Sample) -
       UpperBounds.begin());
-  ++Buckets[Idx];
-  ++Count;
-  Sum += Sample;
-  Min = std::min(Min, Sample);
-  Max = std::max(Max, Sample);
-}
-
-void Histogram::record(uint64_t Sample, uint64_t N) {
-  if (N == 0)
-    return;
-  size_t Idx = static_cast<size_t>(
-      std::lower_bound(UpperBounds.begin(), UpperBounds.end(), Sample) -
-      UpperBounds.begin());
-  Buckets[Idx] += N;
-  Count += N;
-  Sum += Sample * N;
-  Min = std::min(Min, Sample);
-  Max = std::max(Max, Sample);
 }
 
 void Histogram::merge(const Histogram &Other) {

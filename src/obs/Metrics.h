@@ -32,6 +32,8 @@
 #define SPROF_OBS_METRICS_H
 
 #include <atomic>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -96,13 +98,21 @@ public:
   Histogram() : Histogram(exponentialBounds(1, 20)) {}
   explicit Histogram(std::vector<uint64_t> UpperBounds);
 
-  void record(uint64_t Sample);
+  void record(uint64_t Sample) { record(Sample, 1); }
 
   /// Records \p N occurrences of \p Sample in one update; final state is
   /// identical to N single record(Sample) calls. Lets batched producers
-  /// (StrideProfiler::profileBatch) report a whole block of equal-cost
-  /// events with one bucket lookup.
-  void record(uint64_t Sample, uint64_t N);
+  /// (StrideProfiler) report a whole tally of equal samples with one
+  /// bucket lookup.
+  void record(uint64_t Sample, uint64_t N) {
+    if (N == 0)
+      return;
+    Buckets[bucketOf(Sample)] += N;
+    Count += N;
+    Sum += Sample * N;
+    Min = Sample < Min ? Sample : Min;
+    Max = Sample > Max ? Sample : Max;
+  }
 
   uint64_t count() const { return Count; }
   uint64_t sum() const { return Sum; }
@@ -128,8 +138,20 @@ public:
   void merge(const Histogram &Other);
 
 private:
+  /// Index of the bucket counting \p Sample: the first bound >= Sample,
+  /// or the overflow bucket. Bounds 1, 2, ..., 2^(N-1) (the default, and
+  /// the empty dummy) compute it in O(1); others search.
+  size_t bucketOf(uint64_t Sample) const {
+    if (!Pow2Bounds)
+      return searchBucket(Sample);
+    const size_t Idx = std::bit_width(Sample - (Sample != 0));
+    return Idx < UpperBounds.size() ? Idx : UpperBounds.size();
+  }
+  size_t searchBucket(uint64_t Sample) const;
+
   std::vector<uint64_t> UpperBounds;
   std::vector<uint64_t> Buckets;
+  bool Pow2Bounds = false;
   uint64_t Count = 0;
   uint64_t Sum = 0;
   uint64_t Min = UINT64_MAX;

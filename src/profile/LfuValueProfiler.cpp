@@ -10,72 +10,52 @@
 #include "obs/Metrics.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 using namespace sprof;
 
+namespace {
+
+bool byCountThenValue(const ValueCount &A, const ValueCount &B) {
+  if (A.Count != B.Count)
+    return A.Count > B.Count;
+  return A.Value < B.Value;
+}
+
+} // namespace
+
 LfuValueProfiler::LfuValueProfiler(const LfuConfig &Config)
-    : Config(Config), ObsWork(&dummyHistogram()), ObsMerges(&dummyCounter()) {
-  assert(Config.TempSize > 0 && "temp buffer must have at least one entry");
-  assert(Config.FinalSize > 0 && "final buffer must have at least one entry");
-  Temp.reserve(Config.TempSize);
+    : Config(Config), NumFpWords((Config.TempSize + 7) / 8),
+      NextMergeAt(std::max(Config.MergeInterval, 1u)),
+      ObsMerges(&dummyCounter()) {
+  if (Config.TempSize == 0 || Config.TempSize > MaxTempSize)
+    throw std::invalid_argument(
+        "LfuConfig::TempSize must be in [1, " + std::to_string(MaxTempSize) +
+        "], got " + std::to_string(Config.TempSize));
+  if (Config.FinalSize == 0)
+    throw std::invalid_argument("LfuConfig::FinalSize must be at least 1");
+  Temp.assign(NumFpWords + 3 * size_t(Config.TempSize), 0);
   Final.reserve(Config.FinalSize + Config.TempSize);
   TopScratch.reserve(Config.FinalSize + Config.TempSize);
 }
 
-void LfuValueProfiler::attachObs(Histogram *WorkHistogram,
-                                 Counter *MergeCounter) {
-  ObsWork = WorkHistogram ? WorkHistogram : &dummyHistogram();
+void LfuValueProfiler::attachObs(Counter *MergeCounter) {
   ObsMerges = MergeCounter ? MergeCounter : &dummyCounter();
-}
-
-unsigned LfuValueProfiler::add(int64_t Value) {
-  unsigned Work = addImpl(Value);
-  ObsWork->record(Work);
-  return Work;
-}
-
-unsigned LfuValueProfiler::addImpl(int64_t Value) {
-  ++TotalAdded;
-  unsigned Work = 0;
-
-  // Linear scan of the temp buffer for a (coarsened) match.
-  for (ValueCount &E : Temp) {
-    ++Work;
-    if (sameValue(E.Value, Value)) {
-      ++E.Count;
-      if (++UpdatesSinceMerge >= Config.MergeInterval)
-        Work += merge();
-      return Work;
-    }
-  }
-
-  if (Temp.size() < Config.TempSize) {
-    Temp.push_back(ValueCount{Value, 1});
-  } else {
-    // Replace the least frequently used entry.
-    auto LfuIt = std::min_element(Temp.begin(), Temp.end(),
-                                  [](const ValueCount &A,
-                                     const ValueCount &B) {
-                                    return A.Count < B.Count;
-                                  });
-    Work += static_cast<unsigned>(Temp.size());
-    *LfuIt = ValueCount{Value, 1};
-  }
-  if (++UpdatesSinceMerge >= Config.MergeInterval)
-    Work += merge();
-  return Work;
 }
 
 unsigned LfuValueProfiler::merge() {
   ++NumMerges;
   ObsMerges->inc();
-  UpdatesSinceMerge = 0;
+  NextMergeAt = TotalAdded + std::max(Config.MergeInterval, 1u);
 
-  // Combine: fold temp entries into the final buffer, coalescing values
-  // that compare equal under the coarsening shift.
+  // Combine: fold temp entries, in slot order, into the final buffer,
+  // coalescing values that compare equal under the coarsening shift.
+  const uint64_t *Counts = counts();
+  const uint64_t *Values = values();
   unsigned Work = 0;
-  for (const ValueCount &T : Temp) {
+  for (unsigned I = 0; I != TempN; ++I) {
+    const ValueCount T{static_cast<int64_t>(Values[I]), Counts[I]};
     bool Found = false;
     for (ValueCount &F : Final) {
       ++Work;
@@ -88,15 +68,12 @@ unsigned LfuValueProfiler::merge() {
     if (!Found)
       Final.push_back(T);
   }
-  Temp.clear();
+  TempN = 0;
+  MinCount = NoMinCount;
+  MinMask = 0;
 
   // Keep the highest-frequency entries.
-  std::sort(Final.begin(), Final.end(),
-            [](const ValueCount &A, const ValueCount &B) {
-              if (A.Count != B.Count)
-                return A.Count > B.Count;
-              return A.Value < B.Value;
-            });
+  std::sort(Final.begin(), Final.end(), byCountThenValue);
   if (Final.size() > Config.FinalSize)
     Final.resize(Config.FinalSize);
   Work += static_cast<unsigned>(Final.size());
@@ -108,7 +85,10 @@ std::vector<ValueCount> LfuValueProfiler::topValues() const {
   // construction, retained across calls); ordering is unchanged.
   TopScratch.clear();
   TopScratch.insert(TopScratch.end(), Final.begin(), Final.end());
-  for (const ValueCount &T : Temp) {
+  const uint64_t *Counts = counts();
+  const uint64_t *Values = values();
+  for (unsigned I = 0; I != TempN; ++I) {
+    const ValueCount T{static_cast<int64_t>(Values[I]), Counts[I]};
     bool Found = false;
     for (ValueCount &F : TopScratch)
       if (sameValue(F.Value, T.Value)) {
@@ -119,12 +99,7 @@ std::vector<ValueCount> LfuValueProfiler::topValues() const {
     if (!Found)
       TopScratch.push_back(T);
   }
-  std::sort(TopScratch.begin(), TopScratch.end(),
-            [](const ValueCount &A, const ValueCount &B) {
-              if (A.Count != B.Count)
-                return A.Count > B.Count;
-              return A.Value < B.Value;
-            });
+  std::sort(TopScratch.begin(), TopScratch.end(), byCountThenValue);
   if (TopScratch.size() > Config.FinalSize)
     TopScratch.resize(Config.FinalSize);
   return TopScratch;

@@ -11,24 +11,30 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <utility>
 
 using namespace sprof;
 
 StrideProfiler::StrideProfiler(uint32_t NumSites,
                                const StrideProfilerConfig &Config)
     : Config(Config) {
+  if (Config.Sampling.FineInterval == 0)
+    throw std::invalid_argument(
+        "SamplingConfig::FineInterval must be at least 1");
+  // Each LFU's constructor validates the geometry; with no sites, one is
+  // built only to check it.
+  if (NumSites == 0)
+    LfuValueProfiler Check(Config.Lfu);
   Hot.assign(NumSites, HotSite());
   Sites.reserve(NumSites);
-  for (uint32_t I = 0; I != NumSites; ++I) {
-    StrideSiteData D;
-    D.Lfu = LfuValueProfiler(Config.Lfu);
-    Sites.push_back(std::move(D));
-  }
+  for (uint32_t I = 0; I != NumSites; ++I)
+    Sites.push_back(StrideSiteData{.Lfu = LfuValueProfiler(Config.Lfu)});
+  WorkCounts.assign(2 * size_t(Config.Lfu.TempSize) + 1, 0);
   attachObs(nullptr);
 }
 
 void StrideProfiler::attachObs(ObsSession *Session) {
-  Histogram *LfuWork = nullptr;
   Counter *LfuMerges = nullptr;
   if (Session) {
     Obs.ChunkSkipped = Session->counter("strideprof.chunk_skipped");
@@ -36,7 +42,7 @@ void StrideProfiler::attachObs(ObsSession *Session) {
     Obs.ZeroStrideFast = Session->counter("strideprof.zero_stride_fast");
     Obs.Reanchored = Session->counter("strideprof.reanchored");
     Obs.InvocationCost = Session->histogram("strideprof.invocation_cost");
-    LfuWork = Session->histogram("lfu.add_work");
+    Obs.LfuWork = Session->histogram("lfu.add_work");
     LfuMerges = Session->counter("lfu.merges");
   } else {
     Obs = ObsSinks();
@@ -54,8 +60,10 @@ void StrideProfiler::attachObs(ObsSession *Session) {
     Obs.Reanchored = &dummyCounter();
   if (!Obs.InvocationCost)
     Obs.InvocationCost = &dummyHistogram();
+  if (!Obs.LfuWork)
+    Obs.LfuWork = &dummyHistogram();
   for (StrideSiteData &D : Sites)
-    D.Lfu.attachObs(LfuWork, LfuMerges);
+    D.Lfu.attachObs(LfuMerges);
 }
 
 const StrideSiteData &StrideProfiler::site(uint32_t SiteId) const {
@@ -63,143 +71,208 @@ const StrideSiteData &StrideProfiler::site(uint32_t SiteId) const {
   const HotSite &H = Hot[SiteId];
   StrideSiteData &D = Sites[SiteId];
   D.PrevAddress = H.PrevAddress;
-  D.HasPrevAddress = H.HasPrevAddress != 0;
+  D.HasPrevAddress = H.HasPrevAddress;
   D.PrevStride = H.PrevStride;
-  D.HasPrevStride = H.HasPrevStride != 0;
+  D.HasPrevStride = H.HasPrevStride;
   D.NumberToSkip = H.NumberToSkip;
   D.LastChunkEpoch = H.LastChunkEpoch;
   D.PrevGlobalRef = H.PrevGlobalRef;
-  D.RefGapSum = H.RefGapSum;
-  D.RefGapCount = H.RefGapCount;
+  D.RefGapSum = H.PrevGlobalRef + H.GapOffset;
+  D.RefGapCount = H.Invocations - H.Uncounted;
   D.Invocations = H.Invocations;
+  // Every non-zero stride makes exactly one LFU call.
+  D.NumNonZeroStride = D.Lfu.totalAdded();
+  D.NumZeroStride = H.NumZeroStride;
+  D.NumZeroDiff = H.NumZeroDiff;
+  D.Processed = H.Anchors + H.NumZeroStride + D.NumNonZeroStride;
+  D.LfuCalls = D.NumNonZeroStride;
   return D;
-}
-
-uint64_t StrideProfiler::profile(uint32_t SiteId, uint64_t Address,
-                                 uint64_t GlobalRefIndex) {
-  uint64_t Cost = profileImpl(SiteId, Address, GlobalRefIndex);
-  Obs.InvocationCost->record(Cost);
-  return Cost;
 }
 
 namespace {
 
 /// Use-distance statistic (Section 6): gap in global memory references
-/// between successive visits to a site. Tracked before sampling so the
-/// average is unbiased.
+/// between successive visits to a site, counted when the visit's (known)
+/// index exceeds the previous (known) one. Tracked before sampling so the
+/// average is unbiased; the caller counts the visit in H.Invocations.
 template <typename HotT>
 inline void updateRefGap(HotT &H, uint64_t GlobalRefIndex) {
+  if (H.PrevGlobalRef != 0 && GlobalRefIndex > H.PrevGlobalRef) {
+    H.PrevGlobalRef = GlobalRefIndex;
+    return;
+  }
+  ++H.Uncounted;
   if (GlobalRefIndex != 0) {
-    if (H.PrevGlobalRef != 0 && GlobalRefIndex > H.PrevGlobalRef) {
-      H.RefGapSum += GlobalRefIndex - H.PrevGlobalRef;
-      ++H.RefGapCount;
-    }
+    // Keeps PrevGlobalRef + GapOffset, the gap sum, unchanged.
+    H.GapOffset += H.PrevGlobalRef - GlobalRefIndex;
     H.PrevGlobalRef = GlobalRefIndex;
   }
 }
 
+/// Simulated cost of a processed reference that calls the LFU with
+/// \p Work units: the sampling checks it passed, the stride core and the
+/// LFU call.
+uint64_t lfuCallCost(const StrideProfilerConfig &Config, unsigned Work) {
+  const StrideCostModel &C = Config.Costs;
+  const uint64_t Checks =
+      Config.Sampling.Enabled ? C.ChunkCheckCost + C.FineCheckCost : 0;
+  return C.CallOverhead + Checks + C.CoreCost + C.LfuBaseCost +
+         static_cast<uint64_t>(C.LfuPerWorkCost) * Work;
+}
+
 } // namespace
 
-uint64_t StrideProfiler::processedTail(uint32_t SiteId, HotSite &H,
-                                       uint64_t Address, uint64_t Epoch) {
-  StrideSiteData &D = Sites[SiteId];
-  const StrideCostModel &C = Config.Costs;
-
-  ++TotalProcessed;
-  ++D.Processed;
-
+// Inlined into each entry point, so the per-event loops make no call.
+[[gnu::always_inline]] inline void
+StrideProfiler::processedTail(uint32_t SiteId, HotSite &H, uint64_t Address,
+                              uint64_t Epoch, CallTally &T, bool Sampled) {
   // Re-anchor at chunk boundaries: a "stride" spanning a skipped chunk is
   // not a stride (see StrideSiteData::LastChunkEpoch).
-  if (Config.Sampling.Enabled && H.LastChunkEpoch != Epoch) {
+  if (Sampled && H.LastChunkEpoch != Epoch) {
     H.LastChunkEpoch = Epoch;
-    H.HasPrevAddress = 0;
-    H.HasPrevStride = 0;
-    Obs.Reanchored->inc();
+    H.HasPrevAddress = false;
+    H.HasPrevStride = false;
+    ++T.Reanchored;
   }
 
   // First observation of this site: just remember the address.
   if (!H.HasPrevAddress) {
     H.PrevAddress = Address;
-    H.HasPrevAddress = 1;
-    return C.ZeroStrideCost;
+    H.HasPrevAddress = true;
+    ++H.Anchors;
+    return;
   }
 
   // Zero-stride shortcut (Figure 7): addresses equal under the coarsening
   // shift bypass the heavy LFU path entirely.
   if (sameAddress(Address, H.PrevAddress)) {
-    ++D.NumZeroStride;
-    Obs.ZeroStrideFast->inc();
-    return C.ZeroStrideCost;
+    ++H.NumZeroStride;
+    ++T.ZeroStride;
+    return;
   }
 
   int64_t Stride = static_cast<int64_t>(Address) -
                    static_cast<int64_t>(H.PrevAddress);
-  uint64_t Cost = C.CoreCost;
 
   // Stride-difference bookkeeping: a high share of zero differences marks
   // a *phased* stride sequence (Figure 4), which PMST classification needs.
   if (H.HasPrevStride) {
     if (Stride - H.PrevStride == 0)
-      ++D.NumZeroDiff;
+      ++H.NumZeroDiff;
     else
       H.PrevStride = Stride;
   } else {
     H.PrevStride = Stride;
-    H.HasPrevStride = 1;
+    H.HasPrevStride = true;
   }
 
   H.PrevAddress = Address;
-  ++D.NumNonZeroStride;
 
-  ++TotalLfuCalls;
-  ++D.LfuCalls;
-  unsigned Work = D.Lfu.add(Stride);
-  Cost += C.LfuBaseCost + static_cast<uint64_t>(C.LfuPerWorkCost) * Work;
+  const unsigned Work = Sites[SiteId].Lfu.add(Stride);
+  if (Work < WorkCounts.size()) {
+    ++WorkCounts[Work];
+    T.MinWork = std::min(T.MinWork, Work);
+    T.MaxWork = std::max(T.MaxWork, Work);
+  } else {
+    // A merge's work: rare enough to record directly.
+    const uint64_t Cost = lfuCallCost(Config, Work);
+    Obs.LfuWork->record(Work);
+    Obs.InvocationCost->record(Cost);
+    ++T.WideCalls;
+    T.WideCost += Cost;
+  }
+}
+
+uint64_t StrideProfiler::fold(const CallTally &T) {
+  const StrideCostModel &C = Config.Costs;
+  const uint64_t SkipCost = C.CallOverhead + C.ChunkCheckCost;
+  const uint64_t CheckCost = SkipCost + C.FineCheckCost;
+  Histogram &Costs = *Obs.InvocationCost;
+  uint64_t Total = T.WideCost;
+  auto Charge = [&](uint64_t Cost, uint64_t N) {
+    Costs.record(Cost, N);
+    Total += Cost * N;
+  };
+  Charge(SkipCost, T.ChunkSkipped);
+  Charge(CheckCost, T.FineSkipped);
+  uint64_t LfuCalls = T.WideCalls;
+  for (unsigned W = T.MinWork; W <= T.MaxWork; ++W)
+    if (const uint64_t N = std::exchange(WorkCounts[W], 0)) {
+      LfuCalls += N;
+      Obs.LfuWork->record(W, N);
+      Charge(lfuCallCost(Config, W), N);
+    }
+  // The rest took the first-address or zero-stride path.
+  Charge((Config.Sampling.Enabled ? CheckCost : C.CallOverhead) +
+             C.ZeroStrideCost,
+         T.Processed - LfuCalls);
+
+  auto Count = [](Counter *Sink, uint64_t N) {
+    if (N)
+      Sink->inc(N);
+  };
+  Count(Obs.ChunkSkipped, T.ChunkSkipped);
+  Count(Obs.FineSkipped, T.FineSkipped);
+  Count(Obs.ZeroStrideFast, T.ZeroStride);
+  Count(Obs.Reanchored, T.Reanchored);
+  TotalProcessed += T.Processed;
+  TotalLfuCalls += LfuCalls;
+  return Total;
+}
+
+uint64_t StrideProfiler::chargeSkip(Counter *Sink, uint64_t Cost) {
+  Sink->inc();
+  Obs.InvocationCost->record(Cost);
   return Cost;
 }
 
-uint64_t StrideProfiler::profileImpl(uint32_t SiteId, uint64_t Address,
-                                     uint64_t GlobalRefIndex) {
+// Out of line, so the single-reference entry points' skip paths do not
+// pay for the tail's registers and tally.
+[[gnu::noinline]] uint64_t StrideProfiler::processOne(uint32_t SiteId,
+                                                      HotSite &H,
+                                                      uint64_t Address,
+                                                      uint64_t Epoch,
+                                                      bool Sampled) {
+  CallTally T;
+  T.Processed = 1;
+  processedTail(SiteId, H, Address, Epoch, T, Sampled);
+  return fold(T);
+}
+
+uint64_t StrideProfiler::profile(uint32_t SiteId, uint64_t Address,
+                                 uint64_t GlobalRefIndex) {
   assert(SiteId < Hot.size() && "site id out of range");
   HotSite &H = Hot[SiteId];
   const StrideCostModel &C = Config.Costs;
 
   ++TotalInvocations;
   ++H.Invocations;
-  uint64_t Cost = C.CallOverhead;
-
   updateRefGap(H, GlobalRefIndex);
 
-  if (Config.Sampling.Enabled) {
-    // Chunk sampling (Figure 9): global skip/profile phases.
-    Cost += C.ChunkCheckCost;
-    if (NumberSkipped < Config.Sampling.ChunkSkip) {
-      ++NumberSkipped;
-      Obs.ChunkSkipped->inc();
-      return Cost;
-    }
-    if (NumberProfiled == Config.Sampling.ChunkProfile) {
-      // Phase flip: reset both counters; this reference is skipped too,
-      // exactly as in Figure 9. The next profiled chunk is a new epoch.
-      NumberProfiled = 0;
-      NumberSkipped = 0;
-      ++ChunkEpoch;
-      Obs.ChunkSkipped->inc();
-      return Cost;
-    }
-    ++NumberProfiled;
-
-    // Fine sampling: 1 of every FineInterval references per site.
-    Cost += C.FineCheckCost;
-    if (H.NumberToSkip > 0) {
-      --H.NumberToSkip;
-      Obs.FineSkipped->inc();
-      return Cost;
-    }
-    H.NumberToSkip = Config.Sampling.FineInterval - 1;
+  if (!Config.Sampling.Enabled)
+    return processOne(SiteId, H, Address, ChunkEpoch, false);
+  // Chunk sampling (Figure 9): global skip/profile phases.
+  const uint64_t SkipCost = C.CallOverhead + C.ChunkCheckCost;
+  if (NumberSkipped < Config.Sampling.ChunkSkip) {
+    ++NumberSkipped;
+    return chargeSkip(Obs.ChunkSkipped, SkipCost);
   }
-
-  return Cost + processedTail(SiteId, H, Address, ChunkEpoch);
+  if (NumberProfiled == Config.Sampling.ChunkProfile) {
+    // Phase flip: reset both counters; this reference is skipped too,
+    // exactly as in Figure 9. The next profiled chunk is a new epoch.
+    NumberProfiled = 0;
+    NumberSkipped = 0;
+    ++ChunkEpoch;
+    return chargeSkip(Obs.ChunkSkipped, SkipCost);
+  }
+  ++NumberProfiled;
+  // Fine sampling: 1 of every FineInterval references per site.
+  if (H.NumberToSkip > 0) {
+    --H.NumberToSkip;
+    return chargeSkip(Obs.FineSkipped, SkipCost + C.FineCheckCost);
+  }
+  H.NumberToSkip = Config.Sampling.FineInterval - 1;
+  return processOne(SiteId, H, Address, ChunkEpoch, true);
 }
 
 uint64_t StrideProfiler::profileAt(uint32_t SiteId, uint64_t Address,
@@ -211,49 +284,29 @@ uint64_t StrideProfiler::profileAt(uint32_t SiteId, uint64_t Address,
 
   ++TotalInvocations;
   ++H.Invocations;
-  uint64_t Cost = C.CallOverhead;
-
   updateRefGap(H, GlobalRefIndex);
 
-  if (Config.Sampling.Enabled) {
-    // The chunk phase as a pure function of the position (see the header
-    // comment): one cycle is ChunkSkip skips, ChunkProfile profiled
-    // references, and the flip reference -- which Figure 9 also skips.
-    Cost += C.ChunkCheckCost;
-    const uint64_t Cycle =
-        Config.Sampling.ChunkSkip + Config.Sampling.ChunkProfile + 1;
-    const uint64_t Phase = LoadIndex % Cycle;
-    if (Phase < Config.Sampling.ChunkSkip || Phase == Cycle - 1) {
-      Obs.ChunkSkipped->inc();
-      Obs.InvocationCost->record(Cost);
-      return Cost;
-    }
-    Cost += C.FineCheckCost;
-    if (H.NumberToSkip > 0) {
-      --H.NumberToSkip;
-      Obs.FineSkipped->inc();
-      Obs.InvocationCost->record(Cost);
-      return Cost;
-    }
-    H.NumberToSkip = Config.Sampling.FineInterval - 1;
-    Cost += processedTail(SiteId, H, Address, LoadIndex / Cycle + 1);
-    Obs.InvocationCost->record(Cost);
-    return Cost;
+  if (!Config.Sampling.Enabled)
+    return processOne(SiteId, H, Address, ChunkEpoch, false);
+  // The chunk phase as a pure function of the position (see the header
+  // comment): one cycle is ChunkSkip skips, ChunkProfile profiled
+  // references, and the flip reference -- which Figure 9 also skips.
+  const uint64_t SkipCost = C.CallOverhead + C.ChunkCheckCost;
+  const uint64_t Cycle =
+      Config.Sampling.ChunkSkip + Config.Sampling.ChunkProfile + 1;
+  const uint64_t Phase = LoadIndex % Cycle;
+  if (Phase < Config.Sampling.ChunkSkip || Phase == Cycle - 1)
+    return chargeSkip(Obs.ChunkSkipped, SkipCost);
+  if (H.NumberToSkip > 0) {
+    --H.NumberToSkip;
+    return chargeSkip(Obs.FineSkipped, SkipCost + C.FineCheckCost);
   }
-
-  Cost += processedTail(SiteId, H, Address, ChunkEpoch);
-  Obs.InvocationCost->record(Cost);
-  return Cost;
+  H.NumberToSkip = Config.Sampling.FineInterval - 1;
+  return processOne(SiteId, H, Address, LoadIndex / Cycle + 1, true);
 }
 
 uint64_t StrideProfiler::profileBatch(const StrideEvent *Events, size_t N) {
-  const StrideCostModel &C = Config.Costs;
-  uint64_t Total = 0;
-  // Resolve the sinks once per drain (they are members, but pinning them
-  // in locals keeps the loops free of repeated this-> loads).
-  Counter *ChunkSkipped = Obs.ChunkSkipped;
-  Counter *FineSkipped = Obs.FineSkipped;
-  Histogram *InvocationCost = Obs.InvocationCost;
+  CallTally T;
 
   if (!Config.Sampling.Enabled) {
     // No sampling: every event runs the full core.
@@ -263,26 +316,22 @@ uint64_t StrideProfiler::profileBatch(const StrideEvent *Events, size_t N) {
       HotSite &H = Hot[E.SiteId];
       ++H.Invocations;
       updateRefGap(H, E.GlobalRefIndex);
-      uint64_t Cost =
-          C.CallOverhead + processedTail(E.SiteId, H, E.Address, ChunkEpoch);
-      InvocationCost->record(Cost);
-      Total += Cost;
+      processedTail(E.SiteId, H, E.Address, ChunkEpoch, T, false);
     }
     TotalInvocations += N;
-    return Total;
+    T.Processed = N;
+    return fold(T);
   }
 
   // Sampling: the global chunk phase is constant across a run of events,
   // so walk the block in phase-length segments and hoist the phase
-  // decision (and its fixed cost) out of the per-event loop. State after
-  // the walk is exactly what N successive profile() calls would leave.
-  const uint64_t SkipCost = C.CallOverhead + C.ChunkCheckCost;
-  const uint64_t CheckCost = SkipCost + C.FineCheckCost;
+  // decision out of the per-event loop. State after the walk is exactly
+  // what N successive profile() calls would leave.
   size_t I = 0;
   while (I != N) {
     if (NumberSkipped < Config.Sampling.ChunkSkip) {
       // Skip phase: each event only touches its site's invocation count
-      // and use-distance state; cost and telemetry are block-bulk.
+      // and use-distance state.
       size_t K = static_cast<size_t>(
           std::min<uint64_t>(N - I, Config.Sampling.ChunkSkip - NumberSkipped));
       for (size_t End = I + K; I != End; ++I) {
@@ -294,9 +343,7 @@ uint64_t StrideProfiler::profileBatch(const StrideEvent *Events, size_t N) {
       }
       NumberSkipped += K;
       TotalInvocations += K;
-      ChunkSkipped->inc(K);
-      InvocationCost->record(SkipCost, K);
-      Total += SkipCost * K;
+      T.ChunkSkipped += K;
       continue;
     }
     if (NumberProfiled == Config.Sampling.ChunkProfile) {
@@ -310,9 +357,7 @@ uint64_t StrideProfiler::profileBatch(const StrideEvent *Events, size_t N) {
       NumberSkipped = 0;
       ++ChunkEpoch;
       ++TotalInvocations;
-      ChunkSkipped->inc();
-      InvocationCost->record(SkipCost);
-      Total += SkipCost;
+      ++T.ChunkSkipped;
       ++I;
       continue;
     }
@@ -320,27 +365,26 @@ uint64_t StrideProfiler::profileBatch(const StrideEvent *Events, size_t N) {
     // the shared core per event.
     size_t K = static_cast<size_t>(std::min<uint64_t>(
         N - I, Config.Sampling.ChunkProfile - NumberProfiled));
+    const uint64_t FineSkippedBefore = T.FineSkipped;
     for (size_t End = I + K; I != End; ++I) {
       const StrideEvent &E = Events[I];
       assert(E.SiteId < Hot.size() && "site id out of range");
       HotSite &H = Hot[E.SiteId];
       ++H.Invocations;
       updateRefGap(H, E.GlobalRefIndex);
-      uint64_t Cost = CheckCost;
       if (H.NumberToSkip > 0) {
         --H.NumberToSkip;
-        FineSkipped->inc();
+        ++T.FineSkipped;
       } else {
         H.NumberToSkip = Config.Sampling.FineInterval - 1;
-        Cost += processedTail(E.SiteId, H, E.Address, ChunkEpoch);
+        processedTail(E.SiteId, H, E.Address, ChunkEpoch, T, true);
       }
-      InvocationCost->record(Cost);
-      Total += Cost;
     }
     NumberProfiled += K;
     TotalInvocations += K;
+    T.Processed += K - (T.FineSkipped - FineSkippedBefore);
   }
-  return Total;
+  return fold(T);
 }
 
 uint64_t StrideProfiler::consume(AccessSource &Src, size_t BatchSize) {
@@ -351,14 +395,10 @@ uint64_t StrideProfiler::consume(AccessSource &Src, size_t BatchSize) {
   while (size_t N = Src.pull(Buf.data(), Buf.size())) {
     // Compact out non-load events (prefetches in mixed external traces);
     // strideProf only ever sees demand loads.
-    size_t M = 0;
-    for (size_t I = 0; I < N; ++I)
-      if (Buf[I].Kind == AccessKind::Load) {
-        if (M != I)
-          Buf[M] = Buf[I];
-        ++M;
-      }
-    Total += profileBatch(Buf.data(), M);
+    const auto End = std::remove_if(
+        Buf.begin(), Buf.begin() + N,
+        [](const StrideEvent &E) { return E.Kind != AccessKind::Load; });
+    Total += profileBatch(Buf.data(), static_cast<size_t>(End - Buf.begin()));
   }
   return Total;
 }

@@ -24,13 +24,29 @@
 /// charge Figure-20-style profiling overhead; the cost model constants are
 /// configurable (StrideCostModel).
 ///
-/// Two entry points share one semantic core: profile() handles a single
-/// reference (the executable specification, used by the reference engine
-/// and by engines with a memory system attached, where the returned cost
-/// feeds the current cycle of the *next* access), and profileBatch()
-/// drains a block of queued events over packed per-site hot state with the
-/// chunk-sampling phase decisions hoisted out of the per-event loop --
-/// bit-identical to calling profile() once per event, in order.
+/// Three entry points share one semantic core (processedTail): profile()
+/// handles a single reference (the executable specification, used by the
+/// reference engine and by engines with a memory system attached, where
+/// the returned cost feeds the current cycle of the *next* access),
+/// profileBatch() drains a block of queued events with the chunk-sampling
+/// phase decisions hoisted out of the per-event loop -- bit-identical to
+/// calling profile() once per event, in order -- and profileAt() serves
+/// site-sharded replay.
+///
+/// Layout. Each event touches one per-site record (HotSite: stride and
+/// sampling state, use-distance state and the per-site counters) and,
+/// on a non-zero stride, that site's LFU (LfuValueProfiler.h), whose
+/// inlined add() reports the work of the paper's linear-scan routine and
+/// whose add count is the site's non-zero stride count.
+/// StrideSiteData is the reporting view, synced from HotSite in site().
+/// profileBatch() counts its events' outcomes in a CallTally -- skips,
+/// zero strides, re-anchors and one slot per LFU work value -- and fold()
+/// turns the tally into the batch's simulated cost, the totals and the
+/// telemetry once, at the end. The single-reference entry points record a
+/// skipped reference directly and fold a processed one's tally. The cost
+/// of a reference follows from its outcome (and, on the LFU path, its
+/// work), so the charged cycles and every counter and histogram are
+/// exactly what per-event accounting would give.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,11 +111,11 @@ using StrideEvent = AccessEvent;
 
 /// Per-load-site profiling state ("prof_data" in the paper's figures).
 ///
-/// This is the *reporting* view: the profiler keeps the per-event fields
+/// This is the *reporting* view: the profiler keeps every per-event field
 /// (previous address/stride, sampling countdown, chunk epoch, use-distance
-/// accumulators, invocation count) in a packed internal hot lane and syncs
-/// them into this struct on demand in site(). The cold statistics and the
-/// LFU buffers live here directly.
+/// state and the per-site counters) in an internal per-site record and
+/// syncs them into this struct on demand in site(). The LFU buffers live
+/// here directly.
 struct StrideSiteData {
   uint64_t PrevAddress = 0;
   bool HasPrevAddress = false;
@@ -143,6 +159,8 @@ struct StrideSiteData {
 /// The profiling runtime: one instance per instrumented program run.
 class StrideProfiler {
 public:
+  /// \throws std::invalid_argument for an invalid LFU geometry (see
+  /// LfuValueProfiler's constructor) or a zero Sampling.FineInterval.
   StrideProfiler(uint32_t NumSites, const StrideProfilerConfig &Config);
 
   /// The strideProf entry point (Figures 6/7/9). \p Address is the load's
@@ -216,35 +234,78 @@ private:
     Counter *ZeroStrideFast; ///< zero-stride shortcut hits
     Counter *Reanchored;     ///< chunk-boundary re-anchors
     Histogram *InvocationCost; ///< simulated cycles per call
+    Histogram *LfuWork;        ///< LFU work units per add
   };
 
-  /// Packed per-site hot state: everything the per-event paths touch,
-  /// one cache line per site, separate from the cold statistics and LFU
-  /// buffers in StrideSiteData.
+  /// One entry-point call's outcome counts, folded into the totals and
+  /// the ObsSinks when the call returns (see fold()).
+  struct CallTally {
+    uint64_t ChunkSkipped = 0;
+    uint64_t FineSkipped = 0;
+    uint64_t Processed = 0;
+    uint64_t ZeroStride = 0;
+    uint64_t Reanchored = 0;
+    /// LFU calls whose work is beyond WorkCounts, and their summed cost.
+    uint64_t WideCalls = 0;
+    uint64_t WideCost = 0;
+    /// Range of WorkCounts entries this call touched.
+    unsigned MinWork = ~0u;
+    unsigned MaxWork = 0;
+  };
+
+  /// The one per-site record the per-event paths touch besides the
+  /// site's LFU: stride and sampling state, use-distance state and the
+  /// per-site counters. StrideSiteData mirrors these fields on demand
+  /// (site()); only the LFU lives there.
   struct HotSite {
     uint64_t PrevAddress = 0;
     int64_t PrevStride = 0;
     uint64_t LastChunkEpoch = 0;
+    /// Use-distance state, kept so that the common visit (a later global
+    /// reference than the previous one) writes only PrevGlobalRef: the
+    /// gap sum telescopes to PrevGlobalRef + GapOffset, and the gap count
+    /// is Invocations - Uncounted.
     uint64_t PrevGlobalRef = 0;
-    uint64_t RefGapSum = 0;
-    uint64_t RefGapCount = 0;
+    uint64_t GapOffset = 0;
+    uint64_t Uncounted = 0;
     uint64_t Invocations = 0;
+    /// Processed references that only recorded the address (first
+    /// reference, chunk re-anchor). site() derives the rest: every
+    /// non-zero stride makes one LFU add, so NumNonZeroStride and LfuCalls
+    /// are the LFU's totalAdded(), and Processed is Anchors +
+    /// NumZeroStride + NumNonZeroStride.
+    uint64_t Anchors = 0;
+    uint64_t NumZeroStride = 0;
+    uint64_t NumZeroDiff = 0;
     uint32_t NumberToSkip = 0;
-    uint8_t HasPrevAddress = 0;
-    uint8_t HasPrevStride = 0;
+    bool HasPrevAddress = false;
+    bool HasPrevStride = false;
   };
-
-  uint64_t profileImpl(uint32_t SiteId, uint64_t Address,
-                       uint64_t GlobalRefIndex);
 
   /// The post-sampling core shared verbatim by profile(), profileBatch(),
   /// and profileAt(): epoch re-anchor (against \p Epoch -- the member
   /// ChunkEpoch for the counter-driven paths, the position-derived epoch
   /// for profileAt), first-address path, zero-stride shortcut, stride/diff
-  /// bookkeeping, LFU call. \returns the cost of this tail (caller adds
-  /// call/check overheads).
-  uint64_t processedTail(uint32_t SiteId, HotSite &H, uint64_t Address,
-                         uint64_t Epoch);
+  /// bookkeeping, LFU call. Counts its outcome into \p T (the caller
+  /// counts T.Processed); the cost follows from the outcome and is charged
+  /// by fold(). \p Sampled is Config.Sampling.Enabled, passed as the
+  /// constant each caller's branch already knows.
+  void processedTail(uint32_t SiteId, HotSite &H, uint64_t Address,
+                     uint64_t Epoch, CallTally &T, bool Sampled);
+
+  /// Folds one entry-point call's tally into the totals and the telemetry
+  /// sinks, and zeroes the WorkCounts entries it used. \returns the
+  /// call's summed simulated cost.
+  uint64_t fold(const CallTally &T);
+
+  /// A single-reference entry point's skipped reference: counts it in
+  /// \p Sink and records \p Cost directly. \returns \p Cost.
+  uint64_t chargeSkip(Counter *Sink, uint64_t Cost);
+
+  /// A single-reference entry point's processed reference: processedTail
+  /// and fold() for it. \returns its cost.
+  uint64_t processOne(uint32_t SiteId, HotSite &H, uint64_t Address,
+                      uint64_t Epoch, bool Sampled);
 
   bool sameAddress(uint64_t A, uint64_t B) const {
     return (A >> Config.AddrCoarsenShift) == (B >> Config.AddrCoarsenShift);
@@ -264,6 +325,10 @@ private:
   uint64_t TotalInvocations = 0;
   uint64_t TotalProcessed = 0;
   uint64_t TotalLfuCalls = 0;
+
+  /// LFU calls per work value in the current call, for works up to
+  /// 2 * TempSize (every add without a merge); all zero between calls.
+  std::vector<uint64_t> WorkCounts;
 
   ObsSinks Obs;
 };

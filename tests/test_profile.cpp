@@ -6,16 +6,24 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "LinearScanLfu.h"
+
 #include "instrument/Instrumentation.h"
+#include "interp/Interpreter.h"
 #include "obs/Report.h"
 #include "profile/LfuValueProfiler.h"
 #include "profile/ProfileData.h"
 #include "profile/StrideProfiler.h"
+#include "stream/AccessStream.h"
+#include "support/Random.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -430,7 +438,7 @@ TEST(Lfu, WorksWithoutObsSinks) {
     P.add(I % 7);
   EXPECT_EQ(P.totalAdded(), 3000u);
   EXPECT_GT(P.numMerges(), 0u);
-  P.attachObs(nullptr, nullptr);
+  P.attachObs(nullptr);
   P.add(42);
   EXPECT_EQ(P.totalAdded(), 3001u);
 }
@@ -640,4 +648,302 @@ TEST(ProfileData, MergeIsCommutativeAssociativeAndLossless) {
     mergeStrideProfile(E, A);
     EXPECT_EQ(strideProfileToJson(E).str(), strideProfileToJson(A).str());
   }
+}
+
+//===----------------------------------------------------------------------===//
+// LfuOracle: the O(1) LFU kernel against the linear-scan routine it replaced
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Feeds \p Values to the kernel and to the linear-scan oracle, expecting
+/// the same work on every add and the same merge count, add count and top
+/// values at checkpoints.
+void expectMatchesOracle(const LfuConfig &C,
+                         const std::vector<int64_t> &Values) {
+  LfuValueProfiler L(C);
+  test::LinearScanLfu Oracle(C);
+  auto ExpectSameState = [&](size_t At) {
+    SCOPED_TRACE("after add " + std::to_string(At));
+    EXPECT_EQ(L.numMerges(), Oracle.numMerges());
+    EXPECT_EQ(L.totalAdded(), Oracle.totalAdded());
+    const std::vector<ValueCount> Got = L.topValues();
+    const std::vector<ValueCount> Want = Oracle.topValues();
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I != Got.size(); ++I) {
+      EXPECT_EQ(Got[I].Value, Want[I].Value) << "rank " << I;
+      EXPECT_EQ(Got[I].Count, Want[I].Count) << "rank " << I;
+    }
+  };
+  for (size_t I = 0; I != Values.size(); ++I) {
+    const unsigned Work = L.add(Values[I]);
+    const unsigned OracleWork = Oracle.add(Values[I]);
+    ASSERT_EQ(Work, OracleWork) << "add " << I << " value " << Values[I];
+    if (I % 97 == 96)
+      ExpectSameState(I);
+  }
+  ExpectSameState(Values.size());
+}
+
+/// Keys whose fingerprints are all equal, so the kernel's fingerprint
+/// match must fall through to the full-key check.
+std::vector<int64_t> collidingKeys(size_t Count, uint64_t Seed) {
+  Rng R(Seed);
+  const uint8_t Target = LfuValueProfiler::fingerprint(
+      static_cast<int64_t>(R.below(1u << 20)));
+  std::vector<int64_t> Keys;
+  for (int64_t K = 0; Keys.size() != Count; ++K)
+    if (LfuValueProfiler::fingerprint(K) == Target)
+      Keys.push_back(K);
+  return Keys;
+}
+
+/// The stream shapes the oracle comparison runs, for temp size \p T and
+/// coarsening shift \p Shift.
+std::vector<std::vector<int64_t>> oracleStreams(unsigned T, unsigned Shift,
+                                                uint64_t Seed) {
+  constexpr size_t Len = 3000;
+  Rng R(Seed);
+  std::vector<std::vector<int64_t>> Streams(5);
+  for (size_t I = 0; I != Len; ++I) {
+    const int64_t Step = int64_t(1) << 8;
+    // All distinct, negative values included.
+    Streams[0].push_back((static_cast<int64_t>(I) - 1500) * Step);
+    // Round-robin over one value more than the temp buffer holds: every
+    // add misses once the buffer is full.
+    Streams[1].push_back(static_cast<int64_t>(I % (T + 1)) * Step);
+    // A dominant value plus noise.
+    Streams[2].push_back(R.chancePercent(65)
+                             ? 4096
+                             : R.range(-1000, 1000) * 16 + 8192);
+    // Values equal only under coarsening: a few 16-byte buckets, random
+    // low bits.
+    Streams[3].push_back(R.range(0, T + T / 2) * 16 + R.range(0, 15));
+  }
+  // Keys with one fingerprint, shifted back into values; more keys than
+  // slots so collisions meet hits, misses and replacements.
+  const std::vector<int64_t> Keys = collidingKeys(T + 3, Seed);
+  for (size_t I = 0; I != Len; ++I) {
+    const int64_t Key = Keys[R.chancePercent(50) ? R.below(2)
+                                                 : R.below(Keys.size())];
+    Streams[4].push_back(Key * (int64_t(1) << Shift) +
+                         R.range(0, (int64_t(1) << Shift) - 1));
+  }
+  return Streams;
+}
+
+} // namespace
+
+TEST(LfuOracle, KernelMatchesLinearScanAddByAdd) {
+  Rng R(0x0AC1E);
+  const unsigned MergeIntervals[] = {1, 7, 1024, 1000000};
+  for (unsigned G = 0; G != 24; ++G) {
+    LfuConfig C;
+    C.TempSize = static_cast<unsigned>(R.range(1, 64));
+    C.FinalSize = static_cast<unsigned>(R.range(1, 24));
+    C.MergeInterval = MergeIntervals[G % 4];
+    C.CoarsenShift = (G / 4) % 2 ? 4 : 0;
+    const std::vector<std::vector<int64_t>> Streams =
+        oracleStreams(C.TempSize, C.CoarsenShift, 0x5EED + G);
+    for (size_t S = 0; S != Streams.size(); ++S) {
+      SCOPED_TRACE("temp " + std::to_string(C.TempSize) + " final " +
+                   std::to_string(C.FinalSize) + " merge " +
+                   std::to_string(C.MergeInterval) + " shift " +
+                   std::to_string(C.CoarsenShift) + " stream " +
+                   std::to_string(S));
+      expectMatchesOracle(C, Streams[S]);
+      if (HasFatalFailure())
+        return;
+    }
+  }
+}
+
+TEST(LfuOracle, EdgeGeometriesMatchLinearScan) {
+  // The extremes of the supported range, each stream shape.
+  for (unsigned T : {1u, 8u, 9u, 63u, LfuValueProfiler::MaxTempSize})
+    for (unsigned Merge : {1u, 7u, 1000000u}) {
+      LfuConfig C;
+      C.TempSize = T;
+      C.FinalSize = 1;
+      C.MergeInterval = Merge;
+      C.CoarsenShift = 4;
+      for (const std::vector<int64_t> &Stream : oracleStreams(T, 4, T))
+        expectMatchesOracle(C, Stream);
+    }
+}
+
+TEST(LfuOracle, FingerprintCollisionsAreResolvedByTheFullKey) {
+  // Every key shares one fingerprint: a lookup sees a candidate in every
+  // occupied slot and must take the one whose key matches.
+  const std::vector<int64_t> Keys = collidingKeys(20, 7);
+  LfuConfig C = exactLfu();
+  C.TempSize = 16;
+  C.MergeInterval = 1000000;
+  LfuValueProfiler L(C);
+  for (unsigned I = 0; I != 16; ++I)
+    EXPECT_EQ(L.add(Keys[I]), I) << "insert " << I;
+  for (unsigned I = 0; I != 16; ++I)
+    EXPECT_EQ(L.add(Keys[I]), I + 1) << "hit " << I;
+  // A colliding key not in temp misses: a full scan plus a replacement.
+  EXPECT_EQ(L.add(Keys[16]), 32u);
+}
+
+//===----------------------------------------------------------------------===//
+// Invalid profiler geometry is rejected at construction
+//===----------------------------------------------------------------------===//
+
+TEST(LfuGeometryCheck, RejectsInvalidTempAndFinalSizes) {
+  LfuConfig C;
+  C.TempSize = 0;
+  EXPECT_THROW(LfuValueProfiler{C}, std::invalid_argument);
+  C.TempSize = LfuValueProfiler::MaxTempSize + 1;
+  EXPECT_THROW(LfuValueProfiler{C}, std::invalid_argument);
+  C.TempSize = LfuValueProfiler::MaxTempSize;
+  EXPECT_NO_THROW(LfuValueProfiler{C});
+  C.TempSize = 16;
+  C.FinalSize = 0;
+  EXPECT_THROW(LfuValueProfiler{C}, std::invalid_argument);
+}
+
+TEST(LfuGeometryCheck, StrideProfilerRejectsInvalidConfigs) {
+  StrideProfilerConfig C;
+  C.Lfu.TempSize = 0;
+  EXPECT_THROW(StrideProfiler(4, C), std::invalid_argument);
+  // Also with no sites to build an LFU for.
+  EXPECT_THROW(StrideProfiler(0, C), std::invalid_argument);
+  C = StrideProfilerConfig();
+  C.Lfu.FinalSize = 0;
+  EXPECT_THROW(StrideProfiler(4, C), std::invalid_argument);
+  C = StrideProfilerConfig();
+  C.Sampling.FineInterval = 0;
+  EXPECT_THROW(StrideProfiler(4, C), std::invalid_argument);
+  C.Sampling.FineInterval = 1;
+  EXPECT_NO_THROW(StrideProfiler(4, C));
+}
+
+//===----------------------------------------------------------------------===//
+// StrideOracle: strideProf against an exact per-site stride histogram
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One site's exact stride statistics, in the manner of the LoadStride
+/// profiler (SNIPPETS.md snippet 1): every stride counted, none sampled or
+/// evicted, under strideProf's definitions -- addresses equal under
+/// AddrCoarsenShift are a zero stride and do not move the previous
+/// address; strides are keyed by value >> Lfu.CoarsenShift, each key
+/// represented by its first stride. Also charges each reference the cost
+/// model's cycles, with the LFU work taken from the linear-scan routine.
+struct ExactSite {
+  explicit ExactSite(const StrideProfilerConfig &C) : Lfu(C.Lfu) {}
+
+  test::LinearScanLfu Lfu;
+  uint64_t Cost = 0;
+  bool HasPrevAddress = false;
+  uint64_t PrevAddress = 0;
+  bool HasPrevStride = false;
+  int64_t PrevStride = 0;
+  uint64_t ZeroStride = 0;
+  uint64_t ZeroDiff = 0;
+  uint64_t NonZero = 0;
+  /// Coarsened key -> (first stride, count).
+  std::map<int64_t, ValueCount> Strides;
+
+  void add(uint64_t Address, const StrideProfilerConfig &C) {
+    const StrideCostModel &M = C.Costs;
+    if (!HasPrevAddress) {
+      HasPrevAddress = true;
+      PrevAddress = Address;
+      Cost += M.CallOverhead + M.ZeroStrideCost;
+      return;
+    }
+    if ((Address >> C.AddrCoarsenShift) ==
+        (PrevAddress >> C.AddrCoarsenShift)) {
+      ++ZeroStride;
+      Cost += M.CallOverhead + M.ZeroStrideCost;
+      return;
+    }
+    const int64_t Stride =
+        static_cast<int64_t>(Address) - static_cast<int64_t>(PrevAddress);
+    if (HasPrevStride && Stride == PrevStride)
+      ++ZeroDiff;
+    HasPrevStride = true;
+    PrevStride = Stride;
+    PrevAddress = Address;
+    ++NonZero;
+    ValueCount &VC = Strides[Stride >> C.Lfu.CoarsenShift];
+    if (VC.Count++ == 0)
+      VC.Value = Stride;
+    Cost += M.CallOverhead + M.CoreCost + M.LfuBaseCost +
+            uint64_t(M.LfuPerWorkCost) * Lfu.add(Stride);
+  }
+
+  /// The exact top \p N: descending count, ties by ascending stride.
+  std::vector<ValueCount> top(size_t N) const {
+    std::vector<ValueCount> Out;
+    for (const auto &[Key, VC] : Strides)
+      Out.push_back(VC);
+    std::sort(Out.begin(), Out.end(),
+              [](const ValueCount &A, const ValueCount &B) {
+                if (A.Count != B.Count)
+                  return A.Count > B.Count;
+                return A.Value < B.Value;
+              });
+    if (Out.size() > N)
+      Out.resize(N);
+    return Out;
+  }
+};
+
+} // namespace
+
+TEST(StrideOracle, NaiveAllProfilesMatchExactHistogramsAndCosts) {
+  StrideProfilerConfig PC;
+  PC.Sampling.Enabled = false;
+  size_t TopChecked = 0, Sites = 0;
+  for (const std::unique_ptr<Workload> &W : makeSpecIntSuite()) {
+    SCOPED_TRACE(W->info().Name);
+    Program P = W->build({DataSet::Train});
+    instrumentModule(P.M, ProfilingMethod::NaiveAll, InstrumentConfig());
+    StrideProfiler Profiler(P.M.NumLoadSites, PC);
+    CollectSink Events;
+    Interpreter I(P.M, std::move(P.Memory));
+    I.attachProfiler(&Profiler);
+    I.attachEventSink(&Events);
+    const RunStats Stats = I.run();
+    ASSERT_TRUE(Stats.Completed);
+
+    std::vector<ExactSite> Exact(P.M.NumLoadSites, ExactSite(PC));
+    for (const AccessEvent &E : Events.events())
+      Exact[E.SiteId].add(E.Address, PC);
+    uint64_t ExactCost = 0;
+    for (const ExactSite &X : Exact)
+      ExactCost += X.Cost;
+    EXPECT_EQ(Stats.RuntimeCycles, ExactCost);
+    for (uint32_t S = 0; S != P.M.NumLoadSites; ++S) {
+      SCOPED_TRACE("site " + std::to_string(S));
+      const StrideSiteData &D = Profiler.site(S);
+      const ExactSite &X = Exact[S];
+      EXPECT_EQ(D.NumZeroStride, X.ZeroStride);
+      EXPECT_EQ(D.NumZeroDiff, X.ZeroDiff);
+      EXPECT_EQ(D.totalStrides(), X.ZeroStride + X.NonZero);
+      ++Sites;
+      // With no more distinct strides than the final buffer keeps, the
+      // LFU never evicts one, so its top values are exact.
+      if (X.Strides.size() > PC.Lfu.FinalSize)
+        continue;
+      const std::vector<ValueCount> Got = D.Lfu.topValues();
+      const std::vector<ValueCount> Want = X.top(PC.Lfu.FinalSize);
+      ASSERT_EQ(Got.size(), Want.size());
+      for (size_t R = 0; R != Got.size(); ++R) {
+        EXPECT_EQ(Got[R].Value, Want[R].Value) << "rank " << R;
+        EXPECT_EQ(Got[R].Count, Want[R].Count) << "rank " << R;
+      }
+      ++TopChecked;
+    }
+  }
+  // The suite has sites of both kinds; the exact top-N check must not be
+  // vacuous.
+  EXPECT_GT(TopChecked, 0u);
+  EXPECT_LT(TopChecked, Sites);
 }
