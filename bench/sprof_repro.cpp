@@ -19,8 +19,9 @@
 ///
 /// Figures render from suite bundles that are computed on first use, on
 /// one ExperimentEngine, and shared by every later figure: Figs. 16, 20,
-/// 21, 22 and the prefetch-quality table read one measureSuite run, and
-/// Figs. 23-25 one measureSuiteSensitivity run. Tables are byte-identical
+/// 21, 22 and the prefetch-quality table read one measureSuite run,
+/// Figs. 18 and 19 one classifySuitePopulations run, and Figs. 23-25 one
+/// measureSuiteSensitivity run. Tables are byte-identical
 /// for any --threads value and any set of figures sharing the process.
 ///
 /// Exit status: 0 ok, 1 a report could not be written, 2 usage error.
@@ -84,10 +85,15 @@ public:
                 [&] { return measureSuiteSensitivity(Engine, WL); });
   }
 
-  const std::vector<PopulationRow> &population(bool InLoop) {
-    return once(Population[InLoop], [&] {
-      return classifySuitePopulation(Engine, WL, InLoop);
-    });
+  /// Figure 18's (out-loop) or Figure 19's (in-loop) rows; both come
+  /// from one naive-all ref run per workload.
+  std::vector<PopulationRow> population(bool InLoop) {
+    const PopulationRows &Rows = once(
+        Population, [&] { return classifySuitePopulations(Engine, WL); });
+    std::vector<PopulationRow> Figure;
+    for (const auto &[OutLoop, InLoopRow] : Rows)
+      Figure.push_back(InLoop ? InLoopRow : OutLoop);
+    return Figure;
   }
 
   /// Figure 17: per benchmark, the in-loop share (%) of the reference
@@ -133,7 +139,7 @@ private:
   std::optional<std::vector<BaselineMeasurement>> Baselines;
   std::optional<std::vector<BenchMeasurement>> Measurements;
   std::optional<std::vector<SensitivityMeasurement>> Sensitivity;
-  std::optional<std::vector<PopulationRow>> Population[2];
+  std::optional<PopulationRows> Population;
   std::optional<std::vector<double>> LoadMix;
 };
 

@@ -9,8 +9,6 @@
 #include "obs/FlightRecorder.h"
 #include "obs/SelfProfiler.h"
 
-#include <deque>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -240,43 +238,64 @@ void sprof::requireSharableConfig(const PipelineConfig &Config,
         "one file; capture from a single Pipeline::runProfile instead");
 }
 
-namespace {
+ProfileGroups::ProfileGroups(ExperimentEngine &Engine, PipelineConfig Config,
+                             bool WithMemorySystem)
+    : Engine(Engine), Config(std::move(Config)),
+      WithMemorySystem(WithMemorySystem),
+      Share(!(Engine.obs() && Engine.obs()->selfProfiler())) {}
 
-/// Memsys-free sweep cells whose methods share one base method, on one
-/// workload, seed offset and profile input: the first cell's run job
-/// executes the program once for all of them (Pipeline::runProfiles), and
-/// each other cell's run job publishes its share.
-struct ProfileGroup {
-  std::vector<SweepCell *> Cells;
-  JobId Leader = 0;
-  /// Filled by the leader for Cells[1..]: the profile, and the metrics
-  /// that cell's own runProfile would have recorded.
-  std::vector<ProfileRunResult> Results;
-  std::vector<MetricsRegistry> Metrics;
-};
+JobId ProfileGroups::add(std::string Name, const Workload *W,
+                         uint64_t SeedOffset, ProfilingMethod Method,
+                         DataSet DS, CellFn Done) {
+  Group *&Slot = Open[{W, SeedOffset, DS, baseMethod(Method)}];
+  if (!Share || !Slot) {
+    Group *G = &Groups.emplace_back();
+    Slot = G;
+    G->W = W;
+    G->SeedOffset = SeedOffset;
+    G->DS = DS;
+    G->Methods.push_back(Method);
+    G->Done.push_back(std::move(Done));
+    G->Leader = Engine.addJob(std::move(Name), "run-job",
+                              [this, G](ObsSession *JobObs) {
+                                runGroup(*G, JobObs);
+                                G->Done[0](G->Results[0]);
+                              });
+    return G->Leader;
+  }
+  Group *G = Slot;
+  const size_t K = G->Methods.size();
+  G->Methods.push_back(Method);
+  G->Done.push_back(std::move(Done));
+  return Engine.addJob(
+      std::move(Name), "run-job",
+      [G, K](ObsSession *JobObs) {
+        if (JobObs)
+          JobObs->registry().merge(G->Metrics[K]);
+        G->Done[K](G->Results[K]);
+      },
+      {G->Leader});
+}
 
-/// The leader's job body: one profile execution for every cell of \p G.
-/// The other cells' metrics collect apart, in trace-free sessions of the
-/// job scope's configuration, so each cell's job can fold in its own.
-void runProfileGroup(ProfileGroup &G, const SweepSpec &Spec,
-                     ObsSession *JobObs) {
-  SweepCell &Lead = *G.Cells.front();
-  PipelineConfig C = Spec.Config;
-  C.WorkloadSeedOffset = Lead.SeedOffset;
-  Pipeline P(*Lead.W, C, JobObs);
-  if (G.Cells.size() == 1) {
-    Lead.Profile =
-        P.runProfile(Lead.Method, Lead.ProfileDS, Spec.WithMemorySystem);
+// The leader's job body: one profile execution for every cell of \p G.
+// The other cells' metrics collect apart, in trace-free sessions of the
+// job scope's configuration, so each cell's job can fold in its own.
+void ProfileGroups::runGroup(Group &G, ObsSession *JobObs) const {
+  PipelineConfig C = Config;
+  C.WorkloadSeedOffset = G.SeedOffset;
+  Pipeline P(*G.W, C, JobObs);
+  if (G.Methods.size() == 1) {
+    G.Results.push_back(
+        P.runProfile(G.Methods[0], G.DS, WithMemorySystem));
     return;
   }
 
-  std::vector<ProfilingMethod> Methods;
   std::vector<ObsSession *> MethodObs;
   std::vector<std::unique_ptr<ObsSession>> Deltas;
-  for (const SweepCell *Cell : G.Cells) {
-    Methods.push_back(Cell->Method);
-    if (!JobObs || MethodObs.empty()) {
-      MethodObs.push_back(JobObs);
+  MethodObs.push_back(JobObs);
+  for (size_t K = 1; K != G.Methods.size(); ++K) {
+    if (!JobObs) {
+      MethodObs.push_back(nullptr);
       continue;
     }
     ObsConfig DeltaConfig = JobObs->config();
@@ -284,35 +303,24 @@ void runProfileGroup(ProfileGroup &G, const SweepSpec &Spec,
     Deltas.push_back(std::make_unique<ObsSession>(DeltaConfig));
     MethodObs.push_back(Deltas.back().get());
   }
-  G.Results = P.runProfiles(Methods, Lead.ProfileDS, MethodObs);
-  Lead.Profile = std::move(G.Results.front());
-  G.Metrics.resize(G.Cells.size());
-  for (size_t K = 1; K < G.Cells.size(); ++K)
+  G.Results = P.runProfiles(G.Methods, G.DS, MethodObs, WithMemorySystem);
+  G.Metrics.resize(G.Methods.size());
+  for (size_t K = 1; K < G.Methods.size(); ++K)
     if (JobObs)
       G.Metrics[K] = Deltas[K - 1]->registry();
 }
-
-} // namespace
 
 SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
   requireSharableConfig(Spec.Config, "runSweep");
   SweepResult Result;
   Result.Cells.resize(Spec.Workloads.size() * Spec.SeedOffsets.size() *
                       Spec.Methods.size() * Spec.ProfileInputs.size());
-
-  // Profile runs share one execution per group only without a cache model
-  // (a memsys run times every access after the previous trap's cost), and
-  // not under the self-profiler, whose samples belong to the run's own job.
-  const bool Share = !Spec.WithMemorySystem &&
-                     !(Session && Session->selfProfiler());
-  std::deque<ProfileGroup> Groups;
+  ProfileGroups Groups(*this, Spec.Config, Spec.WithMemorySystem);
 
   size_t Idx = 0;
   for (const Workload *W : Spec.Workloads) {
     const std::string WName = W->info().Name;
     for (uint64_t Seed : Spec.SeedOffsets) {
-      // This (workload, seed offset) slice's groups by (input, base).
-      std::map<std::pair<DataSet, ProfilingMethod>, ProfileGroup *> SliceGroups;
       for (ProfilingMethod Method : Spec.Methods) {
         for (DataSet DS : Spec.ProfileInputs) {
           SweepCell *Cell = &Result.Cells[Idx++];
@@ -326,27 +334,10 @@ SweepResult ExperimentEngine::runSweep(const SweepSpec &Spec) {
                             dataSetName(DS);
           if (Seed != 0)
             Tag += "/seed" + std::to_string(Seed);
-
-          ProfileGroup *&Group = SliceGroups[{DS, baseMethod(Method)}];
-          if (!Share || !Group) {
-            Group = &Groups.emplace_back();
-            Group->Cells.push_back(Cell);
-            Group->Leader = addJob("profile:" + Tag, "run-job",
-                                   [Group, &Spec](ObsSession *JobObs) {
-                                     runProfileGroup(*Group, Spec, JobObs);
-                                   });
-          } else {
-            const size_t K = Group->Cells.size();
-            Group->Cells.push_back(Cell);
-            addJob(
-                "profile:" + Tag, "run-job",
-                [Group, K](ObsSession *JobObs) {
-                  Group->Cells[K]->Profile = std::move(Group->Results[K]);
-                  if (JobObs)
-                    JobObs->registry().merge(Group->Metrics[K]);
-                },
-                {Group->Leader});
-          }
+          Groups.add("profile:" + Tag, W, Seed, Method, DS,
+                     [Cell](ProfileRunResult &R) {
+                       Cell->Profile = std::move(R);
+                     });
         }
       }
     }

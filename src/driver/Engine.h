@@ -29,8 +29,8 @@
 /// dependencies (the suite helpers in Experiments.h use this, and build
 /// every baseline → profile → feedback graph), and runSweep() expands a
 /// declarative SweepSpec into one profile RunJob per cell (instrument →
-/// interpret → profile). Without a cache model, cells whose methods share
-/// a base method share one execution (profile fan-out, see runSweep).
+/// interpret → profile). In both, cells whose methods share a base method
+/// share one execution (profile fan-out, see ProfileGroups).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,9 +42,12 @@
 #include "driver/RunMemo.h"
 #include "obs/SweepReport.h"
 
+#include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace sprof {
@@ -143,18 +146,12 @@ public:
   /// Outcomes of the most recent run(), indexed by the JobIds it drained.
   const std::vector<JobOutcome> &lastOutcomes() const { return Outcomes; }
 
-  /// Expands \p Spec into jobs, runs them, and assembles the grid.
-  ///
-  /// Profile fan-out: with WithMemorySystem off, the cells of one
-  /// workload, seed offset and profile input whose methods share a
-  /// baseMethod (naive-all and sample-naive-all, ...) form a group. The
-  /// first cell's RunJob executes the program once for the whole group
-  /// (Pipeline::runProfiles); every other cell keeps its own RunJob,
-  /// which depends on the first and only publishes its profile and folds
-  /// in its metrics. Cells, job names and per-job metrics equal those of
-  /// one runProfile per cell. A session with the self-profiler attached
-  /// runs every cell alone. Throws std::invalid_argument for a config
-  /// requireSharableConfig rejects, before scheduling anything.
+  /// Expands \p Spec into jobs, runs them, and assembles the grid. The
+  /// cells' run jobs go through ProfileGroups, so cells that share a base
+  /// method share one execution. Cells, job names and per-job metrics
+  /// equal those of one runProfile per cell. Throws std::invalid_argument
+  /// for a config requireSharableConfig rejects, before scheduling
+  /// anything.
   SweepResult runSweep(const SweepSpec &Spec);
 
   /// Scheduler and run-memo accounting accumulated over every drain of
@@ -187,6 +184,58 @@ private:
   /// parked attempt's scope is reset and never folds.
   std::vector<std::unique_ptr<ObsSession>> JobObs;
   std::vector<JobOutcome> Outcomes;
+};
+
+/// Profile fan-out (docs/ENGINE.md): schedules the run jobs of profile
+/// cells on an engine so that the cells of one workload, seed offset and
+/// profile input whose methods share a baseMethod (naive-all and
+/// sample-naive-all, ...) form a group that executes once
+/// (Pipeline::runProfiles), with or without a cache model. The first
+/// cell's run job executes for the whole group; every other cell keeps
+/// its own run job under its own name, which depends on the first and
+/// only publishes its profile and folds in the metrics its lone
+/// runProfile would have recorded. A session with the self-profiler
+/// attached runs every cell alone: its samples belong to each run's own
+/// job. The object must outlive the engine's next run().
+class ProfileGroups {
+public:
+  /// Receives a cell's finished profile, inside that cell's run job.
+  using CellFn = std::function<void(ProfileRunResult &)>;
+
+  /// Every cell's pipeline uses \p Config with the cell's seed offset.
+  ProfileGroups(ExperimentEngine &Engine, PipelineConfig Config,
+                bool WithMemorySystem);
+
+  /// Adds the run job, named \p Name, of the cell profiling \p Method on
+  /// \p DS of \p W built with \p SeedOffset; \p Done gets its result.
+  /// \returns the job's id, for dependent jobs to wait on.
+  JobId add(std::string Name, const Workload *W, uint64_t SeedOffset,
+            ProfilingMethod Method, DataSet DS, CellFn Done);
+
+private:
+  struct Group {
+    const Workload *W = nullptr;
+    uint64_t SeedOffset = 0;
+    DataSet DS = DataSet::Train;
+    std::vector<ProfilingMethod> Methods;
+    std::vector<CellFn> Done;
+    JobId Leader = 0;
+    /// Filled by the leader: every cell's profile, and for Methods[1..]
+    /// the metrics that cell's own runProfile would have recorded.
+    std::vector<ProfileRunResult> Results;
+    std::vector<MetricsRegistry> Metrics;
+  };
+
+  void runGroup(Group &G, ObsSession *JobObs) const;
+
+  ExperimentEngine &Engine;
+  PipelineConfig Config;
+  bool WithMemorySystem;
+  bool Share;
+  std::deque<Group> Groups;
+  std::map<std::tuple<const Workload *, uint64_t, DataSet, ProfilingMethod>,
+           Group *>
+      Open;
 };
 
 } // namespace sprof

@@ -15,12 +15,12 @@
 
 using namespace sprof;
 
-/// classifyLoadPopulation body, parameterized over the telemetry scope so
-/// engine jobs can run it against their job session.
-static PopulationRow classifyPopulationImpl(const Workload &W,
-                                            bool InLoopWanted,
-                                            const PipelineConfig &Config,
-                                            ObsSession *Obs) {
+/// Both population rows of \p W (out-loop, in-loop) from one naive-all
+/// ref run, against the telemetry scope \p Obs so engine jobs can run it
+/// against their job session.
+static PopulationRows::value_type
+classifyPopulationImpl(const Workload &W, const PipelineConfig &Config,
+                       ObsSession *Obs) {
   Pipeline P(W, Config, Obs);
   // Naive-all profiles every load; run on the reference input so the
   // population weights match the performance runs.
@@ -31,34 +31,35 @@ static PopulationRow classifyPopulationImpl(const Workload &W,
   Program Prog = W.build({DataSet::Ref, Config.WorkloadSeedOffset});
   std::vector<bool> SiteInLoop = loadSitesInLoop(Prog.M);
 
-  PopulationRow Row;
-  Row.Bench = W.info().Name;
   uint64_t Total = 0;
-  uint64_t ByClass[4] = {0, 0, 0, 0}; // None, SSST, PMST, WSST
+  // Per in-loop flag: None, SSST, PMST, WSST.
+  uint64_t ByClass[2][4] = {};
   for (uint32_t Site = 0; Site != Prog.M.NumLoadSites; ++Site) {
     uint64_t Refs = PR.Stats.SiteCounts[Site];
     Total += Refs;
-    if (SiteInLoop[Site] != InLoopWanted)
-      continue;
     StrideClass C =
         classifyStrideSummary(PR.Strides.site(Site), Config.Classifier);
-    ByClass[static_cast<unsigned>(C)] += Refs;
+    ByClass[SiteInLoop[Site]][static_cast<unsigned>(C)] += Refs;
   }
-  Row.NonePct = percent(static_cast<double>(ByClass[0]),
-                        static_cast<double>(Total));
-  Row.SsstPct = percent(static_cast<double>(ByClass[1]),
-                        static_cast<double>(Total));
-  Row.PmstPct = percent(static_cast<double>(ByClass[2]),
-                        static_cast<double>(Total));
-  Row.WsstPct = percent(static_cast<double>(ByClass[3]),
-                        static_cast<double>(Total));
-  return Row;
+  auto Row = [&](const uint64_t(&Counts)[4]) {
+    PopulationRow R;
+    R.Bench = W.info().Name;
+    const double T = static_cast<double>(Total);
+    R.NonePct = percent(static_cast<double>(Counts[0]), T);
+    R.SsstPct = percent(static_cast<double>(Counts[1]), T);
+    R.PmstPct = percent(static_cast<double>(Counts[2]), T);
+    R.WsstPct = percent(static_cast<double>(Counts[3]), T);
+    return R;
+  };
+  return {Row(ByClass[0]), Row(ByClass[1])};
 }
 
 PopulationRow sprof::classifyLoadPopulation(const Workload &W,
                                             bool InLoopWanted,
                                             const PipelineConfig &Config) {
-  return classifyPopulationImpl(W, InLoopWanted, Config, /*Obs=*/nullptr);
+  PopulationRows::value_type Rows =
+      classifyPopulationImpl(W, Config, /*Obs=*/nullptr);
+  return InLoopWanted ? Rows.second : Rows.first;
 }
 
 std::vector<const Workload *> sprof::workloadPointers(
@@ -82,6 +83,8 @@ sprof::measureSuite(ExperimentEngine &Engine,
   // pairs.
   std::vector<ProfileRunResult> Profiles(Workloads.size() * Methods.size());
   RunMemo *Memo = Engine.runMemo();
+  // Each method and its sample- variant share one memsys-on execution.
+  ProfileGroups Groups(Engine, Config, /*WithMemorySystem=*/true);
 
   for (size_t WI = 0; WI != Workloads.size(); ++WI) {
     const Workload *W = Workloads[WI];
@@ -114,11 +117,10 @@ sprof::measureSuite(ExperimentEngine &Engine,
       std::string Tag =
           BM.Name + "/" + profilingMethodName(M) + "/train";
 
-      JobId Run = Engine.addJob(
-          "profile:" + Tag, "run-job",
-          [W, &Config, M, MM, PR](ObsSession *JobObs) {
-            Pipeline P(*W, Config, JobObs);
-            *PR = P.runProfile(M, DataSet::Train);
+      JobId Run = Groups.add(
+          "profile:" + Tag, W, Config.WorkloadSeedOffset, M, DataSet::Train,
+          [MM, PR](ProfileRunResult &R) {
+            *PR = std::move(R);
             MM->ProfiledCycles = PR->Stats.Cycles;
             MM->StrideInvocations = PR->StrideInvocations;
             MM->StrideProcessed = PR->StrideProcessed;
@@ -149,22 +151,32 @@ sprof::measureSuite(ExperimentEngine &Engine,
   return Results;
 }
 
-std::vector<PopulationRow> sprof::classifySuitePopulation(
-    ExperimentEngine &Engine, const std::vector<const Workload *> &Workloads,
-    bool InLoopWanted, const PipelineConfig &Config) {
-  requireSharableConfig(Config, "classifySuitePopulation");
-  std::vector<PopulationRow> Results(Workloads.size());
+PopulationRows
+sprof::classifySuitePopulations(ExperimentEngine &Engine,
+                                const std::vector<const Workload *> &Workloads,
+                                const PipelineConfig &Config) {
+  requireSharableConfig(Config, "classifySuitePopulations");
+  PopulationRows Results(Workloads.size());
   for (size_t WI = 0; WI != Workloads.size(); ++WI) {
     const Workload *W = Workloads[WI];
-    PopulationRow *Row = &Results[WI];
+    PopulationRows::value_type *Rows = &Results[WI];
     Engine.addJob("classify:" + W->info().Name, "run-job",
-                  [W, InLoopWanted, &Config, Row](ObsSession *JobObs) {
-                    *Row = classifyPopulationImpl(*W, InLoopWanted, Config,
-                                                  JobObs);
+                  [W, &Config, Rows](ObsSession *JobObs) {
+                    *Rows = classifyPopulationImpl(*W, Config, JobObs);
                   });
   }
   Engine.run();
   return Results;
+}
+
+std::vector<PopulationRow> sprof::classifySuitePopulation(
+    ExperimentEngine &Engine, const std::vector<const Workload *> &Workloads,
+    bool InLoopWanted, const PipelineConfig &Config) {
+  std::vector<PopulationRow> Rows;
+  for (auto &[OutLoop, InLoop] :
+       classifySuitePopulations(Engine, Workloads, Config))
+    Rows.push_back(std::move(InLoopWanted ? InLoop : OutLoop));
+  return Rows;
 }
 
 std::vector<SensitivityMeasurement> sprof::measureSuiteSensitivity(

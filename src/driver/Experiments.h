@@ -22,6 +22,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sprof {
@@ -90,7 +91,9 @@ workloadPointers(const std::vector<std::unique_ptr<Workload>> &Suite);
 
 /// Runs the Figure 16/20/21/22 measurement set for each workload: an
 /// edge-only train run, a baseline ref run, and per stride method one
-/// instrumented train run plus one prefetched ref run.
+/// instrumented train run plus one prefetched ref run. A method and its
+/// sample- variant share one train execution (ProfileGroups), each with
+/// its own clock, so their profile jobs and results are a lone run's.
 ///
 /// \p Methods defaults to the paper's six stride methods.
 std::vector<BenchMeasurement> measureSuite(
@@ -98,6 +101,17 @@ std::vector<BenchMeasurement> measureSuite(
     const PipelineConfig &Config = {},
     const std::vector<ProfilingMethod> &Methods = paperStrideMethods());
 
+/// Per workload, its Figure 18 (out-loop) and Figure 19 (in-loop) rows.
+using PopulationRows = std::vector<std::pair<PopulationRow, PopulationRow>>;
+
+/// Both population figures from one naive-all ref run per workload: one
+/// "classify:<workload>" job each.
+PopulationRows
+classifySuitePopulations(ExperimentEngine &Engine,
+                         const std::vector<const Workload *> &Workloads,
+                         const PipelineConfig &Config = {});
+
+/// One population figure's rows (classifySuitePopulations' jobs).
 std::vector<PopulationRow>
 classifySuitePopulation(ExperimentEngine &Engine,
                         const std::vector<const Workload *> &Workloads,

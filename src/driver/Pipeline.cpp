@@ -15,6 +15,7 @@
 #include "obs/Trace.h"
 #include "stream/TraceFile.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <tuple>
@@ -58,7 +59,8 @@ ProfileRunResult Pipeline::runProfile(ProfilingMethod Method, DataSet DS,
 
 std::vector<ProfileRunResult>
 Pipeline::runProfiles(std::span<const ProfilingMethod> Methods, DataSet DS,
-                      std::span<ObsSession *const> MethodObs) const {
+                      std::span<ObsSession *const> MethodObs,
+                      bool WithMemorySystem) const {
   for (ProfilingMethod M : Methods)
     if (baseMethod(M) != baseMethod(Methods[0]))
       throw std::invalid_argument(
@@ -72,7 +74,7 @@ Pipeline::runProfiles(std::span<const ProfilingMethod> Methods, DataSet DS,
     throw std::invalid_argument(
         "runProfiles: trace capture records one method's run; profile "
         "methods one at a time to capture");
-  return profileRuns(Methods, DS, MethodObs, /*WithMemorySystem=*/false);
+  return profileRuns(Methods, DS, MethodObs, WithMemorySystem);
 }
 
 std::vector<ProfileRunResult>
@@ -82,9 +84,29 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
   const size_t N = Methods.size();
   if (N == 0)
     return {};
-  // With a cache model each trap's cost must reach the cycle count before
-  // the next access is timed, so one execution serves one method only.
-  assert((!WithMemorySystem || N == 1) && "memsys runs profile one method");
+  // With a cache model each method's trap costs shift its own clock, so
+  // the execution keeps one clock per method (Interpreter::runClocks), at
+  // most MemoryHierarchy::MaxClocks of them; larger groups run in slices.
+  // The Reference engine, the executable spec, times one clock per run:
+  // there each method runs alone.
+  const bool Clocked = WithMemorySystem && N > 1;
+  const size_t Slice =
+      Config.Interp.Exec == InterpreterConfig::Engine::Reference
+          ? 1
+          : MemoryHierarchy::MaxClocks;
+  if (Clocked && N > Slice) {
+    std::vector<ProfileRunResult> Results;
+    for (size_t K = 0; K < N; K += Slice) {
+      const size_t Len = std::min(Slice, N - K);
+      for (ProfileRunResult &R :
+           profileRuns(Methods.subspan(K, Len), DS,
+                       MethodObs.empty() ? MethodObs
+                                         : MethodObs.subspan(K, Len),
+                       /*WithMemorySystem=*/true))
+        Results.push_back(std::move(R));
+    }
+    return Results;
+  }
   auto ObsOf = [&](size_t K) {
     return MethodObs.empty() ? Session : MethodObs[K];
   };
@@ -110,17 +132,24 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
     Profilers.back().attachObs(ObsOf(K));
   }
 
-  // Method 0's profiler rides in the interpreter exactly as a lone run's
-  // would; the others take the same event batches through the fan-out.
+  // Without a cache model, method 0's profiler rides in the interpreter
+  // exactly as a lone run's would, and the others take the same event
+  // batches through the fan-out. With one, every profiler rides a clock.
   Interpreter I(Prog.M, std::move(Prog.Memory), Config.Timing, Config.Interp);
-  MemoryHierarchy MH(Config.Memory);
+  MemoryHierarchy MH(Config.Memory, Clocked ? static_cast<unsigned>(N) : 1);
   if (WithMemorySystem)
     I.attachMemory(&MH);
-  I.attachProfiler(&Profilers[0]);
   I.attachObs(Obs);
+  std::vector<StrideProfiler *> ClockProfilers;
   ProfilerFanOut FanOut(std::span<StrideProfiler>(Profilers).subspan(1));
-  if (N > 1)
-    I.attachEventSink(&FanOut);
+  if (Clocked) {
+    for (StrideProfiler &P : Profilers)
+      ClockProfilers.push_back(&P);
+  } else {
+    I.attachProfiler(&Profilers[0]);
+    if (N > 1)
+      I.attachEventSink(&FanOut);
+  }
 
   // Optional trace capture: tee the ProfStride event stream into a
   // sprof.trace file while the profiler consumes it live.
@@ -137,12 +166,15 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
   }
 
   labelSelfProfile(Obs, W, "profile");
-  RunStats Stats;
+  std::vector<RunStats> PerClock;
   {
     TraceSpan ES(Obs, "execute", "interp");
-    Stats = I.run();
+    if (Clocked)
+      PerClock = I.runClocks(ClockProfilers);
+    else
+      PerClock.push_back(I.run());
   }
-  assert(Stats.Completed && "profile run did not complete");
+  assert(PerClock[0].Completed && "profile run did not complete");
 
   // Harvest the edge profile from the counters.
   EdgeProfile Edges(Prog.M.Functions.size());
@@ -156,7 +188,7 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
   }
 
   // Every result but the last copies the shared parts; the last moves them.
-  const uint64_t ExecCycles = Stats.Cycles - Stats.RuntimeCycles;
+  const uint64_t ExecCycles = PerClock[0].Cycles - PerClock[0].RuntimeCycles;
   std::vector<ProfileRunResult> Results(N);
   for (size_t K = 0; K != N; ++K) {
     ProfileRunResult &Result = Results[K];
@@ -166,13 +198,20 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
     Result.Instr = Last ? std::move(Instr) : Instr;
     Result.Instr.Method = Methods[K];
     Result.Edges = Last ? std::move(Edges) : Edges;
-    Result.Stats = Last ? std::move(Stats) : Stats;
+    if (Clocked)
+      Result.Stats = std::move(PerClock[K]);
+    else
+      Result.Stats = Last ? std::move(PerClock[0]) : PerClock[0];
     if (K != 0) {
-      // The execution's accounting with this method's runtime cost in
-      // place of method 0's, and the telemetry a lone run would record.
-      const uint64_t Runtime = FanOut.Costs[K - 1];
-      Result.Stats.Cycles = ExecCycles + Runtime;
-      Result.Stats.RuntimeCycles = Runtime;
+      // Without a cache model, the execution's accounting with this
+      // method's runtime cost in place of method 0's (exact: nothing reads
+      // the cycle count between traps); and the telemetry a lone run would
+      // record.
+      if (!Clocked) {
+        const uint64_t Runtime = FanOut.Costs[K - 1];
+        Result.Stats.Cycles = ExecCycles + Runtime;
+        Result.Stats.RuntimeCycles = Runtime;
+      }
       recordInstrumentation(MObs, Result.Instr);
       I.recordRun(MObs, Result.Stats);
     }

@@ -134,18 +134,24 @@ public:
   /// Steps 1-2: instrument for \p Method and run on \p DS.
   /// \p WithMemorySystem selects whether the cache hierarchy is simulated;
   /// profiles do not depend on it, so profile-only callers can turn it off
-  /// for speed, while overhead measurements (Figure 20) keep it on. Without
-  /// it this is the one-method case of runProfiles.
+  /// for speed, while overhead measurements (Figure 20) keep it on. This
+  /// is the one-method case of runProfiles.
   ProfileRunResult runProfile(ProfilingMethod Method, DataSet DS,
                               bool WithMemorySystem = true) const;
 
-  /// Steps 1-2 without a cache model for several methods that share one
-  /// baseMethod (a method and its sample- variant): one build, one
-  /// instrumentation and one interpreter run, whose ProfStride batches
-  /// feed one StrideProfiler per method. Result K equals
-  /// runProfile(Methods[K], DS, false): its RunStats are the execution's
-  /// plus that profiler's RuntimeCycles, which is exact because nothing
-  /// reads the cycle count between traps when no cache is simulated.
+  /// Steps 1-2 for several methods that share one baseMethod (a method and
+  /// its sample- variant): one build, one instrumentation and one
+  /// interpreter run, whose ProfStride traps feed one StrideProfiler per
+  /// method. Result K equals runProfile(Methods[K], DS, WithMemorySystem)
+  /// bit for bit.
+  ///
+  /// Without a cache model, result K's RunStats are the execution's plus
+  /// that profiler's RuntimeCycles, which is exact because nothing reads
+  /// the cycle count between traps. With one, the methods' trap costs
+  /// shift their clocks apart while their access stream stays the same,
+  /// so the run keeps one clock per method on a K-clock hierarchy
+  /// (Interpreter::runClocks); under the Reference engine each method
+  /// runs alone instead.
   ///
   /// Method K's telemetry goes to \p MethodObs[K], or to obs() for every
   /// method when \p MethodObs is empty, and its metrics equal that
@@ -155,7 +161,8 @@ public:
   /// than one method (the capture names one method).
   std::vector<ProfileRunResult>
   runProfiles(std::span<const ProfilingMethod> Methods, DataSet DS,
-              std::span<ObsSession *const> MethodObs = {}) const;
+              std::span<ObsSession *const> MethodObs = {},
+              bool WithMemorySystem = false) const;
 
   /// Baseline timed run (no instrumentation, no prefetching).
   RunStats runBaseline(DataSet DS) const;
@@ -180,7 +187,8 @@ public:
   ObsSession *obs() const { return Session; }
 
 private:
-  /// runProfiles, plus the one-method cache-model run of runProfile.
+  /// runProfiles after its argument checks (runProfile's one method
+  /// needs none).
   std::vector<ProfileRunResult>
   profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
               std::span<ObsSession *const> MethodObs,

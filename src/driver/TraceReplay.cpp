@@ -109,9 +109,7 @@ bool profileStream(std::span<const AccessEvent> Events, uint32_t NumSites,
     Out.LfuCalls = SP.LfuCalls;
   } else {
     StrideProfiler P(NumSites, PC);
-    SpanSource Cursor(Events, NumSites);
-    Out.Stats.RuntimeCycles =
-        P.consume(Cursor, Config.Interp.StrideBatchWindow);
+    Out.Stats.RuntimeCycles = P.consume(Events);
     Out.Strides = StrideProfile::fromProfiler(P);
     Out.StrideInvocations = P.totalInvocations();
     Out.StrideProcessed = P.totalProcessed();

@@ -387,18 +387,33 @@ uint64_t StrideProfiler::profileBatch(const StrideEvent *Events, size_t N) {
   return fold(T);
 }
 
+uint64_t StrideProfiler::consume(std::span<const StrideEvent> Events) {
+  // Each run of loads goes to profileBatch where it lies; other events
+  // (prefetches in mixed external traces) are stepped over, since
+  // strideProf only ever sees demand loads.
+  uint64_t Total = 0;
+  const StrideEvent *P = Events.data();
+  const StrideEvent *const End = P + Events.size();
+  while (P != End) {
+    while (P != End && P->Kind != AccessKind::Load)
+      ++P;
+    const StrideEvent *Run = P;
+    while (P != End && P->Kind == AccessKind::Load)
+      ++P;
+    if (P != Run)
+      Total += profileBatch(Run, static_cast<size_t>(P - Run));
+  }
+  return Total;
+}
+
 uint64_t StrideProfiler::consume(AccessSource &Src, size_t BatchSize) {
+  if (std::optional<std::span<const StrideEvent>> Rest = pullRestInPlace(Src))
+    return consume(*Rest);
   if (BatchSize == 0)
     BatchSize = 1;
   std::vector<StrideEvent> Buf(BatchSize);
   uint64_t Total = 0;
-  while (size_t N = Src.pull(Buf.data(), Buf.size())) {
-    // Compact out non-load events (prefetches in mixed external traces);
-    // strideProf only ever sees demand loads.
-    const auto End = std::remove_if(
-        Buf.begin(), Buf.begin() + N,
-        [](const StrideEvent &E) { return E.Kind != AccessKind::Load; });
-    Total += profileBatch(Buf.data(), static_cast<size_t>(End - Buf.begin()));
-  }
+  while (size_t N = Src.pull(Buf.data(), Buf.size()))
+    Total += consume(std::span<const StrideEvent>(Buf.data(), N));
   return Total;
 }

@@ -58,6 +58,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace sprof {
@@ -200,15 +201,19 @@ public:
   uint64_t profileAt(uint32_t SiteId, uint64_t Address,
                      uint64_t GlobalRefIndex, uint64_t LoadIndex);
 
-  /// Drives the runtime from an abstract access stream: pulls batches out
-  /// of \p Src and profileBatch()es them until the stream ends. Events of
-  /// kind other than Load are dropped (a strideProf invocation is a demand
-  /// load by definition); the live engine paths never emit them, so this
-  /// filter costs nothing there, and trace replay of mixed streams gets
-  /// the same view a live profiled run would have had.
-  /// \returns the summed simulated cost, exactly what the equivalent live
-  /// run would have charged to RunStats::RuntimeCycles.
+  /// Drives the runtime from an abstract access stream until it ends: an
+  /// in-memory source (pullRestInPlace) is profiled where its events lie,
+  /// any other one pulled in batches of \p BatchSize. Events of kind other
+  /// than Load are dropped (a strideProf invocation is a demand load by
+  /// definition); the live engine paths never emit them, and trace replay
+  /// of mixed streams gets the same view a live profiled run would have
+  /// had. \returns the summed simulated cost, exactly what the equivalent
+  /// live run would have charged to RunStats::RuntimeCycles.
   uint64_t consume(AccessSource &Src, size_t BatchSize = 256);
+
+  /// consume over events in memory: each run of Load events goes to
+  /// profileBatch in place.
+  uint64_t consume(std::span<const StrideEvent> Events);
 
   /// Reporting view of one site's state (hot lane synced on demand).
   const StrideSiteData &site(uint32_t SiteId) const;

@@ -47,10 +47,19 @@ size_t SpanSource::pull(AccessEvent *Buf, size_t Max) {
   return pullFrom(Events, Pos, Buf, Max);
 }
 
-std::span<const AccessEvent> bufferRest(AccessSource &Src,
-                                        std::vector<AccessEvent> &Storage) {
+std::optional<std::span<const AccessEvent>>
+pullRestInPlace(AccessSource &Src) {
   if (auto *VS = dynamic_cast<VectorSource *>(&Src))
     return VS->pullRest();
+  if (auto *SS = dynamic_cast<SpanSource *>(&Src))
+    return SS->pullRest();
+  return std::nullopt;
+}
+
+std::span<const AccessEvent> bufferRest(AccessSource &Src,
+                                        std::vector<AccessEvent> &Storage) {
+  if (std::optional<std::span<const AccessEvent>> Rest = pullRestInPlace(Src))
+    return *Rest;
   std::vector<AccessEvent> Buf(4096);
   while (size_t N = Src.pull(Buf.data(), Buf.size()))
     Storage.insert(Storage.end(), Buf.begin(), Buf.begin() + N);

@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -136,16 +137,28 @@ public:
     return true;
   }
 
+  /// The zero-copy pull, as VectorSource::pullRest.
+  std::span<const AccessEvent> pullRest() {
+    const auto Rest = Events.subspan(Pos);
+    Pos = Events.size();
+    return Rest;
+  }
+
 private:
   std::span<const AccessEvent> Events;
   uint32_t Sites;
   size_t Pos = 0;
 };
 
-/// Buffers what \p Src has not yet produced, once, as one span: a
-/// VectorSource's unread events in place (pullRest()), any other source
-/// drained into \p Storage, which must outlive the span. \p Src is left
-/// exhausted either way.
+/// The unread events of an in-memory source (VectorSource, SpanSource), in
+/// place, leaving it exhausted; nullopt, with \p Src untouched, for any
+/// other source.
+std::optional<std::span<const AccessEvent>> pullRestInPlace(AccessSource &Src);
+
+/// Buffers what \p Src has not yet produced, once, as one span: an
+/// in-memory source's unread events in place (pullRestInPlace), any other
+/// source drained into \p Storage, which must outlive the span. \p Src is
+/// left exhausted either way.
 std::span<const AccessEvent> bufferRest(AccessSource &Src,
                                         std::vector<AccessEvent> &Storage);
 

@@ -135,6 +135,11 @@ inline void expectSameStats(const RunStats &Ref, const RunStats &Dec) {
   }
   EXPECT_EQ(Ref.Mem.DemandAccesses, Dec.Mem.DemandAccesses);
   EXPECT_EQ(Ref.Mem.PrefetchesIssued, Dec.Mem.PrefetchesIssued);
+  EXPECT_EQ(Ref.Mem.PrefetchesRedundant, Dec.Mem.PrefetchesRedundant);
+  EXPECT_EQ(Ref.Mem.LatePrefetchHits, Dec.Mem.LatePrefetchHits);
+  EXPECT_EQ(Ref.Mem.PrefetchesUseful, Dec.Mem.PrefetchesUseful);
+  EXPECT_EQ(Ref.Mem.PrefetchesUnused, Dec.Mem.PrefetchesUnused);
+  EXPECT_EQ(Ref.Mem.StallCycles, Dec.Mem.StallCycles);
 }
 
 } // namespace test

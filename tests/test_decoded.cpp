@@ -673,3 +673,53 @@ TEST(RunProfiles, RejectsMixedBasesMissizedSessionsAndCapture) {
                std::invalid_argument);
   EXPECT_TRUE(P.runProfiles({}, DataSet::Train).empty());
 }
+
+// With a cache model, an execution keeps MemoryHierarchy::MaxClocks clocks;
+// a larger group runs in slices, and every method still gets its lone run
+// bit for bit, on the ref input too.
+TEST(RunProfiles, MemsysGroupsRunInSlicesOfMaxClocks) {
+  std::unique_ptr<Workload> W = makeWorkloadByName("181.mcf");
+  ASSERT_NE(W, nullptr);
+  const std::vector<ProfilingMethod> Methods = {
+      ProfilingMethod::SampleNaiveAll, ProfilingMethod::NaiveAll,
+      ProfilingMethod::SampleNaiveAll};
+  Pipeline P(*W);
+  std::vector<ProfileRunResult> Fused =
+      P.runProfiles(Methods, DataSet::Ref, {}, /*WithMemorySystem=*/true);
+  ASSERT_EQ(Fused.size(), Methods.size());
+  for (size_t K = 0; K != Methods.size(); ++K) {
+    SCOPED_TRACE(K);
+    ProfileRunResult Alone = P.runProfile(Methods[K], DataSet::Ref, true);
+    EXPECT_EQ(Fused[K].Method, Methods[K]);
+    expectSameStats(Alone.Stats, Fused[K].Stats);
+    EXPECT_NE(Fused[K].Stats.Mem.DemandAccesses, 0u);
+    EXPECT_EQ(profileText(*W, Methods[K], Alone),
+              profileText(*W, Methods[K], Fused[K]));
+    EXPECT_EQ(Alone.StrideInvocations, Fused[K].StrideInvocations);
+    EXPECT_EQ(Alone.LfuCalls, Fused[K].LfuCalls);
+  }
+}
+
+// runClocks takes one profiler per clock of a MaxClocks-clock hierarchy,
+// and only on the Decoded engine.
+TEST(DecodedEngine, RunClocksRejectsMismatchesAndTheReferenceEngine) {
+  uint32_t DataSite = 0, NextSite = 0;
+  Module M = makeChaseModule(DataSite, NextSite);
+  StrideProfiler A(M.NumLoadSites, {}), B(M.NumLoadSites, {});
+  StrideProfiler *Both[] = {&A, &B};
+  MemoryHierarchy OneClock{MemoryConfig()};
+  MemoryHierarchy TwoClocks(MemoryConfig(), MemoryHierarchy::MaxClocks);
+
+  Interpreter Dec(M, SimMemory());
+  EXPECT_THROW(Dec.runClocks(Both), std::invalid_argument); // no hierarchy
+  Dec.attachMemory(&OneClock);
+  EXPECT_THROW(Dec.runClocks(Both), std::invalid_argument);
+  Dec.attachMemory(&TwoClocks);
+  EXPECT_THROW(Dec.runClocks(std::span(Both, 1)), std::invalid_argument);
+  EXPECT_EQ(Dec.runClocks(Both).size(), 2u);
+
+  Interpreter Ref(M, SimMemory(), TimingModel(),
+                  interpConfig(InterpreterConfig::Engine::Reference));
+  Ref.attachMemory(&TwoClocks);
+  EXPECT_THROW(Ref.runClocks(Both), std::logic_error);
+}

@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -1125,20 +1126,120 @@ TEST(ExperimentEngine, ProfileFanOutMatchesPerCellRunsAtAnyThreadCount) {
   }
 }
 
-/// With a cache model every profile run times its own accesses, and under
-/// the self-profiler every run's samples belong to its own job: neither
-/// sweep shares an execution.
-TEST(ExperimentEngine, ProfileFanOutOnlyWithoutMemsysOrSelfProfiler) {
+/// With a cache model, a sampled method's cell still shares its base
+/// method's execution, which keeps one clock per method. Over every suite
+/// workload's train runs of the paper's three base/sample pairs, each
+/// cell's RunStats (cache statistics included), profile, job name,
+/// dependency and per-job metric scope equal a lone memsys-on runProfile,
+/// at any thread count. Under the Reference engine, the executable spec,
+/// each group's methods run alone, with the same cells, jobs and metrics.
+TEST(ExperimentEngine, MemsysProfileFanOutMatchesLoneRuns) {
+  const std::vector<std::unique_ptr<Workload>> Suite = makeSpecIntSuite();
+  SweepSpec Spec;
+  Spec.Workloads = workloadPointers(Suite);
+  Spec.Methods = paperStrideMethods();
+  Spec.WithMemorySystem = true;
+
+  ObsConfig Plain;
+  Plain.Enabled = true;
+  struct Lone {
+    ProfileRunResult Run;
+    std::string Metrics;
+  };
+  // The lone runs spread over four threads to keep the suite quick; each
+  // fills its own preallocated entry.
+  std::map<std::pair<const Workload *, ProfilingMethod>, Lone> Alone;
+  std::vector<std::pair<const std::pair<const Workload *, ProfilingMethod>,
+                        Lone> *>
+      Entries;
+  for (const Workload *W : Spec.Workloads)
+    for (ProfilingMethod M : Spec.Methods)
+      Entries.push_back(&*Alone.try_emplace({W, M}).first);
+  std::atomic<size_t> Next{0};
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T != 4; ++T)
+    Workers.emplace_back([&] {
+      for (size_t I; (I = Next.fetch_add(1)) < Entries.size();) {
+        auto &[Key, L] = *Entries[I];
+        ObsSession RunObs(Plain);
+        L.Run = Pipeline(*Key.first, {}, &RunObs)
+                    .runProfile(Key.second, DataSet::Train,
+                                /*WithMemorySystem=*/true);
+        L.Metrics = registryText(RunObs.registry());
+      }
+    });
+  for (std::thread &T : Workers)
+    T.join();
+
+  auto Check = [&](const SweepSpec &S, unsigned Threads) {
+    EngineOptions Opts = withThreads(Threads);
+    Opts.Obs.Enabled = true;
+    ExperimentEngine Engine(Opts);
+    SweepResult R = Engine.runSweep(S);
+    ASSERT_EQ(R.Cells.size(), S.Workloads.size() * S.Methods.size());
+    const std::vector<JobRecord> &Records = Engine.obs()->jobs();
+    ASSERT_EQ(Records.size(), R.Cells.size());
+    size_t Shared = 0;
+    for (size_t I = 0; I != R.Cells.size(); ++I) {
+      const SweepCell &Cell = R.Cells[I];
+      const std::string Tag = cellTag(Cell);
+      SCOPED_TRACE(Tag);
+      const JobRecord &Run = Records[I];
+      EXPECT_EQ(Run.Name, "profile:" + Tag);
+      EXPECT_TRUE(Run.Ok);
+      if (methodUsesSampling(Cell.Method)) {
+        ++Shared;
+        std::string BaseTag = Tag;
+        BaseTag.replace(BaseTag.find("/sample-") + 1, 7, "");
+        ASSERT_EQ(Run.Deps.size(), 1u);
+        EXPECT_EQ(Records[Run.Deps[0]].Name, "profile:" + BaseTag);
+      } else {
+        EXPECT_TRUE(Run.Deps.empty());
+      }
+
+      const Lone &L = Alone.at({Cell.W, Cell.Method});
+      expectSameStats(Cell.Profile.Stats, L.Run.Stats);
+      EXPECT_NE(Cell.Profile.Stats.Mem.DemandAccesses, 0u);
+      EXPECT_EQ(profileText(Cell), profileText(SweepCell{
+                                       .W = Cell.W,
+                                       .Method = Cell.Method,
+                                       .ProfileDS = Cell.ProfileDS,
+                                       .Profile = L.Run}));
+      EXPECT_EQ(Cell.Profile.StrideInvocations, L.Run.StrideInvocations);
+      EXPECT_EQ(Cell.Profile.StrideProcessed, L.Run.StrideProcessed);
+      EXPECT_EQ(Cell.Profile.LfuCalls, L.Run.LfuCalls);
+      EXPECT_EQ(registryText(Run.Metrics), L.Metrics);
+    }
+    EXPECT_EQ(Shared, S.Workloads.size() * S.Methods.size() / 2);
+  };
+  for (unsigned Threads : {1u, 4u, 8u}) {
+    SCOPED_TRACE(Threads);
+    Check(Spec, Threads);
+  }
+
+  // Reference runs are slow: two workloads and one pair suffice there.
+  SweepSpec RefSpec = Spec;
+  RefSpec.Config.Interp.Exec = InterpreterConfig::Engine::Reference;
+  RefSpec.Workloads = {Spec.Workloads[0], Spec.Workloads[3]};
+  RefSpec.Methods = {ProfilingMethod::NaiveLoop,
+                     ProfilingMethod::SampleNaiveLoop};
+  SCOPED_TRACE("reference");
+  Check(RefSpec, 2);
+}
+
+/// Under the self-profiler every run's samples belong to its own job, so
+/// no sweep shares an execution there, with or without a cache model.
+TEST(ExperimentEngine, ProfileFanOutNotUnderSelfProfiler) {
   ChaseWorkload W;
   SweepSpec Spec;
   Spec.Workloads = {&W};
   Spec.Methods = {ProfilingMethod::NaiveAll, ProfilingMethod::SampleNaiveAll};
   for (bool Memsys : {true, false}) {
-    SCOPED_TRACE(Memsys ? "memsys" : "self-profiler");
+    SCOPED_TRACE(Memsys ? "memsys" : "memsys-free");
     Spec.WithMemorySystem = Memsys;
     EngineOptions Opts = withThreads(2);
     Opts.Obs.Enabled = true;
-    Opts.Obs.SelfProfile = !Memsys;
+    Opts.Obs.SelfProfile = true;
     ExperimentEngine Engine(Opts);
     SweepResult R = Engine.runSweep(Spec);
     ASSERT_EQ(R.Cells.size(), 2u);
@@ -1166,6 +1267,32 @@ TEST(ExperimentEngine, RunProfilesIntoOneSessionMatchesSeparateRuns) {
   for (ProfilingMethod M : Methods)
     Pipeline(W, {}, &Separate).runProfile(M, DataSet::Train, false);
   EXPECT_EQ(registryText(Fused.registry()), registryText(Separate.registry()));
+}
+
+/// Figures 18 and 19 come from one naive-all ref run per workload: one
+/// classify job each, whose two rows equal the one-figure drivers' rows.
+TEST(ExperimentEngine, PopulationFiguresShareOneRunPerWorkload) {
+  ChaseWorkload Chase;
+  PassesChaseWorkload Passes;
+  const std::vector<const Workload *> WL = {&Chase, &Passes};
+  ExperimentEngine Engine(withThreads(2));
+  const PopulationRows Both = classifySuitePopulations(Engine, WL);
+  ASSERT_EQ(Engine.lastOutcomes().size(), WL.size());
+  ASSERT_EQ(Both.size(), WL.size());
+  for (bool InLoop : {false, true}) {
+    const std::vector<PopulationRow> One =
+        classifySuitePopulation(Engine, WL, InLoop);
+    ASSERT_EQ(One.size(), WL.size());
+    for (size_t WI = 0; WI != WL.size(); ++WI) {
+      const PopulationRow &Shared =
+          InLoop ? Both[WI].second : Both[WI].first;
+      EXPECT_EQ(populationRowToJson(Shared).str(0),
+                populationRowToJson(One[WI]).str(0));
+      EXPECT_EQ(populationRowToJson(Shared).str(0),
+                populationRowToJson(classifyLoadPopulation(*WL[WI], InLoop))
+                    .str(0));
+    }
+  }
 }
 
 /// Every concurrent job of a sweep or suite driver gets the same config, so

@@ -135,8 +135,9 @@ TEST(Instrumentation, NaiveLoopProfilesInLoopLoads) {
   for (const Function &F : M.Functions)
     for (const BasicBlock &BB : F.Blocks)
       for (const Instruction &I : BB.Insts)
-        if (I.Op == Opcode::ProfStride)
+        if (I.Op == Opcode::ProfStride) {
           EXPECT_EQ(I.Pred, NoReg);
+        }
 }
 
 TEST(Instrumentation, NaiveAllProfilesOutLoopLoads) {
@@ -180,8 +181,9 @@ TEST(Instrumentation, EdgeCheckGuardsWithPredicate) {
   for (const Function &F : M.Functions)
     for (const BasicBlock &BB : F.Blocks)
       for (const Instruction &I : BB.Insts)
-        if (I.Op == Opcode::ProfStride)
+        if (I.Op == Opcode::ProfStride) {
           EXPECT_NE(I.Pred, NoReg);
+        }
   // Trip-check code exists: counter reads plus a shift and compare.
   EXPECT_GT(countOps(M, Opcode::ProfCounterRead), 0u);
   EXPECT_GT(countOps(M, Opcode::Shr), 0u);

@@ -5,8 +5,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "memsys/Cache.h"
+#include "obs/Report.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <deque>
 
 using namespace sprof;
 
@@ -342,4 +346,86 @@ TEST(MemoryHierarchy, PrefetchFullMissDoubleFillKeepsAccounting) {
   MH.finalizeAttribution();
   EXPECT_EQ(MH.attribution().PerSite[2].Late, 1u);
   EXPECT_EQ(MH.attribution().Total.issued(), 1u);
+}
+
+namespace {
+
+/// Drives a K-clock hierarchy and K lone one-clock hierarchies with one
+/// random stream of demand loads and prefetches, clock I issuing each
+/// access at its own cycle Now[I]. The clocks advance by different random
+/// issue costs plus each load's own stall, so they drift apart the way a
+/// method's and its sample- variant's clocks do. The addresses mix a hot
+/// set, an L2-sized set and a memory-sized one, and prefetches run ahead
+/// of their uses, so lines are often still in flight when demanded.
+void expectClocksMatchLoneHierarchies(uint64_t Seed) {
+  constexpr unsigned K = MemoryHierarchy::MaxClocks;
+  SCOPED_TRACE(::testing::Message() << "seed " << Seed);
+  MemoryHierarchy Shared(tinyConfig(), K);
+  std::deque<MemoryHierarchy> Lone;
+  for (unsigned I = 0; I != K; ++I)
+    Lone.emplace_back(tinyConfig());
+
+  Rng R(Seed);
+  uint64_t Now[K] = {};
+  uint64_t Latency[K];
+  uint64_t InFlightHits = 0;
+  for (unsigned Event = 0; Event != 40000; ++Event) {
+    for (unsigned I = 0; I != K; ++I)
+      Now[I] += 1 + R.below(2 + 3 * I);
+    const uint64_t Pick = R.below(100);
+    uint64_t Addr = Pick < 50   ? R.below(16) * 64
+                    : Pick < 85 ? 0x10000 + R.below(256) * 64
+                                : 0x100000 + R.below(8192) * 64;
+    if (R.below(4) == 0) {
+      // Prefetch a line a few lines ahead, as inserted prefetches do.
+      Addr += 64 * (1 + R.below(4));
+      Shared.prefetchClocks(Addr, Now);
+      for (unsigned I = 0; I != K; ++I)
+        Lone[I].prefetch(Addr, Now[I]);
+      continue;
+    }
+    Shared.demandAccessClocks(Addr, Now, Latency);
+    for (unsigned I = 0; I != K; ++I) {
+      const uint64_t Expected = Lone[I].demandAccess(Addr, Now[I]);
+      ASSERT_EQ(Latency[I], Expected) << "clock " << I << ", event " << Event;
+      if (Expected != 2 && Expected != 9 && Expected != 24 && Expected != 160)
+        ++InFlightHits;
+      Now[I] += Expected > 2 ? Expected - 2 : 0;
+    }
+  }
+  for (unsigned I = 0; I != K; ++I)
+    EXPECT_EQ(memoryStatsToJson(Shared.clockStats(I)).str(0),
+              memoryStatsToJson(Lone[I].stats()).str(0))
+        << "clock " << I;
+
+  // The stream reached the paths that tell the clocks apart.
+  EXPECT_GT(InFlightHits, 0u);
+  for (unsigned I = 0; I != K; ++I) {
+    EXPECT_GT(Lone[I].stats().LatePrefetchHits, 0u);
+    EXPECT_GT(Lone[I].stats().PrefetchesRedundant, 0u);
+    EXPECT_GT(Lone[I].stats().PrefetchesUnused, 0u);
+  }
+  EXPECT_NE(Lone[0].stats().StallCycles, Lone[K - 1].stats().StallCycles);
+}
+
+} // namespace
+
+// A K-clock hierarchy simulates tags, LRU and prefetch marks once and
+// keeps each clock's ready stamps apart: every clock's latencies and
+// statistics equal those of a lone hierarchy fed the same stream at that
+// clock's cycles.
+TEST(MemoryHierarchy, ClocksMatchLoneHierarchies) {
+  for (uint64_t Seed : {1u, 2u, 3u, 4u})
+    expectClocksMatchLoneHierarchies(Seed);
+}
+
+// A one-clock hierarchy's clockStats(0) is its stats().
+TEST(MemoryHierarchy, OneClockStatsAreTheStats) {
+  MemoryHierarchy MH(tinyConfig());
+  MH.demandAccess(0x1000, 0);
+  MH.prefetch(0x2000, 5);
+  MH.demandAccess(0x2000, 20);
+  EXPECT_EQ(MH.clocks(), 1u);
+  EXPECT_EQ(memoryStatsToJson(MH.clockStats(0)).str(0),
+            memoryStatsToJson(MH.stats()).str(0));
 }

@@ -1066,6 +1066,70 @@ TEST(Stream, ProfilerConsumeDropsPrefetchKindEvents) {
   EXPECT_EQ(P.totalInvocations(), 10u);
 }
 
+// consume profiles an in-memory source's runs of loads where they lie and
+// pulls any other source in batches; both give the profile, the cost and
+// the counts that per-batch profiling of the loads alone gives, and leave
+// the source exhausted.
+TEST(Stream, ProfilerConsumeInPlaceMatchesPulledBatches) {
+  SyntheticTraceConfig Config;
+  Config.Events = 30000;
+  Config.Seed = 11;
+  auto Gen = makeSyntheticTrace("stream-mixed", Config);
+  ASSERT_NE(Gen, nullptr);
+  const uint32_t NumSites = Gen->numSites();
+  const std::vector<AccessEvent> Events = drainAll(*Gen);
+
+  /// A source that is not in memory as far as consume can tell.
+  class Pulled final : public AccessSource {
+  public:
+    explicit Pulled(AccessSource &Inner) : Inner(Inner) {}
+    size_t pull(AccessEvent *Buf, size_t Max) override {
+      return Inner.pull(Buf, Max);
+    }
+    uint32_t numSites() const override { return Inner.numSites(); }
+    AccessSource &Inner;
+  };
+
+  for (const bool Sampling : {false, true}) {
+    SCOPED_TRACE(Sampling ? "sampling" : "no sampling");
+    StrideProfilerConfig PC;
+    PC.Sampling.Enabled = Sampling;
+    std::vector<AccessEvent> Loads;
+    for (const AccessEvent &E : Events)
+      if (E.Kind == AccessKind::Load)
+        Loads.push_back(E);
+    StrideProfiler Want(NumSites, PC);
+    const uint64_t WantCycles = Want.profileBatch(Loads.data(), Loads.size());
+    const std::string WantText =
+        strideProfileToJson(StrideProfile::fromProfiler(Want)).str();
+
+    auto Check = [&](StrideProfiler &P, uint64_t Cycles) {
+      EXPECT_EQ(Cycles, WantCycles);
+      EXPECT_EQ(P.totalInvocations(), Want.totalInvocations());
+      EXPECT_EQ(P.totalProcessed(), Want.totalProcessed());
+      EXPECT_EQ(P.totalLfuCalls(), Want.totalLfuCalls());
+      EXPECT_EQ(strideProfileToJson(StrideProfile::fromProfiler(P)).str(),
+                WantText);
+    };
+    VectorSource Vec(Events, NumSites);
+    StrideProfiler InPlace(NumSites, PC);
+    Check(InPlace, InPlace.consume(Vec));
+    AccessEvent Probe;
+    EXPECT_EQ(Vec.pull(&Probe, 1), 0u);
+    SpanSource Span(Events, NumSites);
+    StrideProfiler FromSpan(NumSites, PC);
+    Check(FromSpan, FromSpan.consume(Span));
+    EXPECT_EQ(Span.pull(&Probe, 1), 0u);
+    for (size_t Batch : {1u, 7u, 256u}) {
+      SCOPED_TRACE(Batch);
+      VectorSource Inner(Events, NumSites);
+      Pulled Src(Inner);
+      StrideProfiler P(NumSites, PC);
+      Check(P, P.consume(Src, Batch));
+    }
+  }
+}
+
 TEST(Stream, ReplayAccessStreamAccountsEveryEvent) {
   const std::vector<AccessEvent> Events = patternEvents(1000);
   size_t Loads = 0;
