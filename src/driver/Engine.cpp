@@ -283,7 +283,7 @@ JobId ProfileGroups::add(std::string Name, const Workload *W,
 void ProfileGroups::runGroup(Group &G, ObsSession *JobObs) const {
   PipelineConfig C = Config;
   C.WorkloadSeedOffset = G.SeedOffset;
-  Pipeline P(*G.W, C, JobObs);
+  Pipeline P(*G.W, C, JobObs, Engine.runMemo());
   if (G.Methods.size() == 1) {
     G.Results.push_back(
         P.runProfile(G.Methods[0], G.DS, WithMemorySystem));

@@ -190,7 +190,10 @@ private:
 /// cells on an engine so that the cells of one workload, seed offset and
 /// profile input whose methods share a baseMethod (naive-all and
 /// sample-naive-all, ...) form a group that executes once
-/// (Pipeline::runProfiles), with or without a cache model. The first
+/// (Pipeline::runProfiles), with or without a cache model; with one, the
+/// group's memory stall comes from its un-instrumented program's run
+/// through the engine's run memo, so every group of a workload and input
+/// shares one such execution per wave. The first
 /// cell's run job executes for the whole group; every other cell keeps
 /// its own run job under its own name, which depends on the first and
 /// only publishes its profile and folds in the metrics its lone

@@ -83,7 +83,9 @@ sprof::measureSuite(ExperimentEngine &Engine,
   // pairs.
   std::vector<ProfileRunResult> Profiles(Workloads.size() * Methods.size());
   RunMemo *Memo = Engine.runMemo();
-  // Each method and its sample- variant share one memsys-on execution.
+  // Each method and its sample- variant share one execution, and every
+  // train profile run of a workload takes its memory stall from one
+  // memoized un-instrumented train run.
   ProfileGroups Groups(Engine, Config, /*WithMemorySystem=*/true);
 
   for (size_t WI = 0; WI != Workloads.size(); ++WI) {
@@ -102,8 +104,8 @@ sprof::measureSuite(ExperimentEngine &Engine,
                         P.runBaseline(DataSet::Ref).Cycles;
                   });
     Engine.addJob("profile:" + BM.Name + "/edge-only/train", "run-job",
-                  [W, &Config, &BM](ObsSession *JobObs) {
-                    Pipeline P(*W, Config, JobObs);
+                  [W, &Config, &BM, Memo](ObsSession *JobObs) {
+                    Pipeline P(*W, Config, JobObs, Memo);
                     BM.EdgeOnlyTrainCycles =
                         P.runProfile(ProfilingMethod::EdgeOnly,
                                      DataSet::Train)

@@ -15,8 +15,8 @@
 #include "obs/Trace.h"
 #include "stream/TraceFile.h"
 
-#include <algorithm>
 #include <cassert>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 
@@ -81,32 +81,55 @@ std::vector<ProfileRunResult>
 Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
                       std::span<ObsSession *const> MethodObs,
                       bool WithMemorySystem) const {
+  if (!WithMemorySystem)
+    return executeProfiles(Methods, DS, MethodObs, /*TimeMemory=*/false,
+                           /*Stall=*/nullptr);
+  ObsSession *Obs = MethodObs.empty() ? Session : MethodObs.front();
+  if (std::optional<RunStats> Stall = memsysStall(DS, Obs))
+    return executeProfiles(Methods, DS, MethodObs, /*TimeMemory=*/false,
+                           &*Stall);
+  // The cache model times each method's own execution.
+  std::vector<ProfileRunResult> Results;
+  for (size_t K = 0; K != Methods.size(); ++K)
+    Results.push_back(std::move(executeProfiles(
+        Methods.subspan(K, 1), DS,
+        MethodObs.empty() ? MethodObs : MethodObs.subspan(K, 1),
+        /*TimeMemory=*/true, /*Stall=*/nullptr)[0]));
+  return Results;
+}
+
+std::optional<RunStats> Pipeline::memsysStall(DataSet DS,
+                                              ObsSession *Obs) const {
+  // The Reference engine, the executable spec, times every run itself,
+  // and a self-profiled session samples the run whose cycles it reports.
+  if (Config.Interp.Exec == InterpreterConfig::Engine::Reference ||
+      (Obs && Obs->selfProfiler()))
+    return std::nullopt;
+  for (const CacheLevelConfig &L : Config.Memory.Levels)
+    if (Config.Timing.FlatLoadLatency > L.HitLatency)
+      return std::nullopt;
+  TraceSpan Span(Obs, "memsys-stall", "pipeline");
+  Program Prog = W.build({DS, Config.WorkloadSeedOffset});
+  // Instrumentation adds no memory op, so this is the instrumented
+  // module's property too.
+  for (const Function &F : Prog.M.Functions)
+    for (const BasicBlock &BB : F.Blocks)
+      for (const Instruction &I : BB.Insts)
+        if (I.Op == Opcode::Prefetch || I.Op == Opcode::SpecLoad)
+          return std::nullopt;
+  // Its telemetry stays out of the profile run's: the run memo counts it.
+  return executeTimed(Prog, DS, /*Attribution=*/false, "memsys-stall",
+                      /*Obs=*/nullptr)
+      .first;
+}
+
+std::vector<ProfileRunResult>
+Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
+                          DataSet DS, std::span<ObsSession *const> MethodObs,
+                          bool TimeMemory, const RunStats *Stall) const {
   const size_t N = Methods.size();
   if (N == 0)
     return {};
-  // With a cache model each method's trap costs shift its own clock, so
-  // the execution keeps one clock per method (Interpreter::runClocks), at
-  // most MemoryHierarchy::MaxClocks of them; larger groups run in slices.
-  // The Reference engine, the executable spec, times one clock per run:
-  // there each method runs alone.
-  const bool Clocked = WithMemorySystem && N > 1;
-  const size_t Slice =
-      Config.Interp.Exec == InterpreterConfig::Engine::Reference
-          ? 1
-          : MemoryHierarchy::MaxClocks;
-  if (Clocked && N > Slice) {
-    std::vector<ProfileRunResult> Results;
-    for (size_t K = 0; K < N; K += Slice) {
-      const size_t Len = std::min(Slice, N - K);
-      for (ProfileRunResult &R :
-           profileRuns(Methods.subspan(K, Len), DS,
-                       MethodObs.empty() ? MethodObs
-                                         : MethodObs.subspan(K, Len),
-                       /*WithMemorySystem=*/true))
-        Results.push_back(std::move(R));
-    }
-    return Results;
-  }
   auto ObsOf = [&](size_t K) {
     return MethodObs.empty() ? Session : MethodObs[K];
   };
@@ -132,24 +155,20 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
     Profilers.back().attachObs(ObsOf(K));
   }
 
-  // Without a cache model, method 0's profiler rides in the interpreter
-  // exactly as a lone run's would, and the others take the same event
-  // batches through the fan-out. With one, every profiler rides a clock.
+  // Method 0's profiler rides in the interpreter exactly as a lone run's
+  // would; the others take the same event batches through the fan-out. A
+  // run given its stall reports every method's interp.* below, once the
+  // stall is in its cycle count (its session has no self-profiler to
+  // attach, see memsysStall).
   Interpreter I(Prog.M, std::move(Prog.Memory), Config.Timing, Config.Interp);
-  MemoryHierarchy MH(Config.Memory, Clocked ? static_cast<unsigned>(N) : 1);
-  if (WithMemorySystem)
-    I.attachMemory(&MH);
-  I.attachObs(Obs);
-  std::vector<StrideProfiler *> ClockProfilers;
+  std::optional<MemoryHierarchy> MH;
+  if (TimeMemory)
+    I.attachMemory(&MH.emplace(Config.Memory));
+  I.attachProfiler(&Profilers[0]);
+  I.attachObs(Stall ? nullptr : Obs);
   ProfilerFanOut FanOut(std::span<StrideProfiler>(Profilers).subspan(1));
-  if (Clocked) {
-    for (StrideProfiler &P : Profilers)
-      ClockProfilers.push_back(&P);
-  } else {
-    I.attachProfiler(&Profilers[0]);
-    if (N > 1)
-      I.attachEventSink(&FanOut);
-  }
+  if (N > 1)
+    I.attachEventSink(&FanOut);
 
   // Optional trace capture: tee the ProfStride event stream into a
   // sprof.trace file while the profiler consumes it live.
@@ -166,15 +185,12 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
   }
 
   labelSelfProfile(Obs, W, "profile");
-  std::vector<RunStats> PerClock;
+  RunStats Stats;
   {
     TraceSpan ES(Obs, "execute", "interp");
-    if (Clocked)
-      PerClock = I.runClocks(ClockProfilers);
-    else
-      PerClock.push_back(I.run());
+    Stats = I.run();
   }
-  assert(PerClock[0].Completed && "profile run did not complete");
+  assert(Stats.Completed && "profile run did not complete");
 
   // Harvest the edge profile from the counters.
   EdgeProfile Edges(Prog.M.Functions.size());
@@ -187,8 +203,16 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
       Edges.setEntryCount(FI, Counters[Instr.EntryCounters[FI]]);
   }
 
+  // A prefetch-free run's memory accounting is its un-instrumented
+  // program's (see MemoryHierarchy): the memsys-free run plus its stall.
+  if (Stall) {
+    Stats.MemStallCycles = Stall->MemStallCycles;
+    Stats.Cycles += Stall->MemStallCycles;
+    Stats.Mem = Stall->Mem;
+  }
+
   // Every result but the last copies the shared parts; the last moves them.
-  const uint64_t ExecCycles = PerClock[0].Cycles - PerClock[0].RuntimeCycles;
+  const uint64_t ExecCycles = Stats.Cycles - Stats.RuntimeCycles;
   std::vector<ProfileRunResult> Results(N);
   for (size_t K = 0; K != N; ++K) {
     ProfileRunResult &Result = Results[K];
@@ -198,23 +222,18 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
     Result.Instr = Last ? std::move(Instr) : Instr;
     Result.Instr.Method = Methods[K];
     Result.Edges = Last ? std::move(Edges) : Edges;
-    if (Clocked)
-      Result.Stats = std::move(PerClock[K]);
-    else
-      Result.Stats = Last ? std::move(PerClock[0]) : PerClock[0];
+    Result.Stats = Last ? std::move(Stats) : Stats;
     if (K != 0) {
-      // Without a cache model, the execution's accounting with this
-      // method's runtime cost in place of method 0's (exact: nothing reads
-      // the cycle count between traps); and the telemetry a lone run would
-      // record.
-      if (!Clocked) {
-        const uint64_t Runtime = FanOut.Costs[K - 1];
-        Result.Stats.Cycles = ExecCycles + Runtime;
-        Result.Stats.RuntimeCycles = Runtime;
-      }
+      // The execution's accounting with this method's runtime cost in
+      // place of method 0's (exact: nothing reads the cycle count between
+      // traps), and the telemetry a lone run would record.
+      const uint64_t Runtime = FanOut.Costs[K - 1];
+      Result.Stats.Cycles = ExecCycles + Runtime;
+      Result.Stats.RuntimeCycles = Runtime;
       recordInstrumentation(MObs, Result.Instr);
-      I.recordRun(MObs, Result.Stats);
     }
+    if (K != 0 || Stall)
+      I.recordRun(MObs, Result.Stats);
     const StrideProfiler &Profiler = Profilers[K];
     {
       TraceSpan HS(MObs, "strideprof-harvest", "profile");
@@ -226,6 +245,8 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
     if (MObs) {
       MObs->counter("pipeline.profile_runs")->inc();
       MObs->counter("pipeline.profile_cycles")->inc(Result.Stats.Cycles);
+      if (Stall)
+        MObs->counter("pipeline.profile_memsys_derived")->inc();
       MObs->counter("strideprof.invocations")->inc(Result.StrideInvocations);
       MObs->counter("strideprof.processed")->inc(Result.StrideProcessed);
       MObs->counter("strideprof.lfu_calls")->inc(Result.LfuCalls);
@@ -263,7 +284,7 @@ RunStats Pipeline::runBaseline(DataSet DS) const {
   }();
   assert(isWellFormed(Prog.M) && "workload built a malformed module");
   RunStats Stats =
-      executeTimed(Prog, DS, /*Attribution=*/false, "baseline").first;
+      executeTimed(Prog, DS, /*Attribution=*/false, "baseline", Obs).first;
   assert(Stats.Completed && "baseline run did not complete");
 
   if (Obs) {
@@ -289,7 +310,7 @@ TimedRunResult Pipeline::runPrefetched(DataSet DS, const EdgeProfile &Edges,
   assert(isWellFormed(Prog.M) && "prefetch insertion broke the module");
 
   std::tie(Result.Stats, Result.Attribution) =
-      executeTimed(Prog, DS, Config.Memory.EnableAttribution, "timed");
+      executeTimed(Prog, DS, Config.Memory.EnableAttribution, "timed", Obs);
   assert(Result.Stats.Completed && "prefetched run did not complete");
 
   if (Obs) {
@@ -319,8 +340,7 @@ TimedRunResult Pipeline::runPrefetched(DataSet DS, const EdgeProfile &Edges,
 
 std::pair<RunStats, AttributionData>
 Pipeline::executeTimed(Program &Prog, DataSet DS, bool Attribution,
-                       const char *Phase) const {
-  ObsSession *Obs = Session;
+                       const char *Phase, ObsSession *Obs) const {
   auto Execute = [&](ObsSession *RunObs) {
     Interpreter I(Prog.M, std::move(Prog.Memory), Config.Timing,
                   Config.Interp);

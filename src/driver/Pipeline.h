@@ -33,6 +33,7 @@
 #include "workloads/Workload.h"
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -123,9 +124,9 @@ public:
   /// Runs against an externally owned telemetry session (nullptr disables
   /// telemetry). Config.Obs is not consulted; the experiment engine uses
   /// this so every job's pipeline phases land in the job's metric scope.
-  /// With \p Memo (the engine's, see driver/RunMemo.h), runBaseline and
-  /// runPrefetched execute through it, so identical timed runs in one
-  /// engine wave execute once; results and telemetry are unchanged. A
+  /// With \p Memo (the engine's, see driver/RunMemo.h), runBaseline,
+  /// runPrefetched and the memory stall of runProfiles execute through it,
+  /// so identical timed runs in one engine wave execute once; results and telemetry are unchanged. A
   /// session with the self-profiler attached bypasses the memo.
   Pipeline(const Workload &W, PipelineConfig Config, ObsSession *External,
            RunMemo *Memo = nullptr)
@@ -147,18 +148,24 @@ public:
   ///
   /// Without a cache model, result K's RunStats are the execution's plus
   /// that profiler's RuntimeCycles, which is exact because nothing reads
-  /// the cycle count between traps. With one, the methods' trap costs
-  /// shift their clocks apart while their access stream stays the same,
-  /// so the run keeps one clock per method on a K-clock hierarchy
-  /// (Interpreter::runClocks); under the Reference engine each method
-  /// runs alone instead.
+  /// the cycle count between traps. With one, the run still executes
+  /// without it: instrumentation issues no memory op, so a prefetch-free
+  /// program's stalls and MemoryStats are those of its un-instrumented
+  /// run (see MemoryHierarchy), which runBaseline's execution supplies,
+  /// through the run memo when there is one. That needs the Decoded
+  /// engine, a module without Prefetch or SpecLoad, a FlatLoadLatency no
+  /// larger than any level's HitLatency, and a session without the
+  /// self-profiler (whose samples belong to the run they describe);
+  /// otherwise each method runs alone with the cache model attached, as
+  /// under the Reference engine, the executable spec.
   ///
   /// Method K's telemetry goes to \p MethodObs[K], or to obs() for every
   /// method when \p MethodObs is empty, and its metrics equal that
   /// runProfile's. The shared phases' trace spans land once, in method 0's
-  /// session. Throws std::invalid_argument when the base methods differ,
-  /// \p MethodObs has the wrong size, or trace capture is on with more
-  /// than one method (the capture names one method).
+  /// session; the un-instrumented run records no metrics there. Throws
+  /// std::invalid_argument when the base methods differ, \p MethodObs has
+  /// the wrong size, or trace capture is on with more than one method (the
+  /// capture names one method).
   std::vector<ProfileRunResult>
   runProfiles(std::span<const ProfilingMethod> Methods, DataSet DS,
               std::span<ObsSession *const> MethodObs = {},
@@ -194,11 +201,27 @@ private:
               std::span<ObsSession *const> MethodObs,
               bool WithMemorySystem) const;
 
+  /// The un-instrumented program's timed run on \p DS, whose stalls and
+  /// MemoryStats every profile run of it shares, with a span in \p Obs;
+  /// nullopt when the run's conditions for that do not hold (see
+  /// runProfiles).
+  std::optional<RunStats> memsysStall(DataSet DS, ObsSession *Obs) const;
+
+  /// One instrumented execution for \p Methods: with a cache hierarchy
+  /// attached when \p TimeMemory (one method only), or without one, plus
+  /// \p Stall's memory accounting when given.
+  std::vector<ProfileRunResult>
+  executeProfiles(std::span<const ProfilingMethod> Methods, DataSet DS,
+                  std::span<ObsSession *const> MethodObs, bool TimeMemory,
+                  const RunStats *Stall) const;
+
   /// The execute step of a timed run: runs \p Prog, built for \p DS, with
-  /// the cache hierarchy attached, through the memo when there is one.
+  /// the cache hierarchy attached, through the memo when there is one, and
+  /// records its telemetry in \p Obs.
   std::pair<RunStats, AttributionData> executeTimed(Program &Prog, DataSet DS,
                                                     bool Attribution,
-                                                    const char *Phase) const;
+                                                    const char *Phase,
+                                                    ObsSession *Obs) const;
 
   const Workload &W;
   PipelineConfig Config;

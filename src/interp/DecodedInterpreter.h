@@ -23,7 +23,6 @@
 #include "interp/Interpreter.h"
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace sprof {
@@ -60,21 +59,11 @@ public:
 
   RunStats run(uint64_t MaxInstructions, ExecTally &Tally);
 
-  /// One execution timed on every clock of the attached
-  /// MemoryHierarchy::MaxClocks-clock hierarchy (see
-  /// Interpreter::runClocks):
-  /// \p Profilers[K] takes every trap and charges clock K. \returns one
-  /// RunStats per clock.
-  std::vector<RunStats> runClocks(std::span<StrideProfiler *const> Profilers,
-                                  uint64_t MaxInstructions, ExecTally &Tally);
-
 private:
   /// The dispatch loop, specialized on whether a cache hierarchy is
   /// attached -- the HasMem=false instance folds the latency branch and the
-  /// (always-zero) stall arithmetic out of every Load/Prefetch/SpecLoad --
-  /// and on whether it keeps K clocks (runClocks), which the single-clock
-  /// instances never look at.
-  template <bool HasMem, unsigned NumClocks = 1>
+  /// (always-zero) stall arithmetic out of every Load/Prefetch/SpecLoad.
+  template <bool HasMem>
   RunStats runImpl(uint64_t MaxInstructions, ExecTally &Tally);
 
   /// One pooled call frame: where to resume in the caller and which slice
@@ -106,12 +95,6 @@ private:
   /// and for event-sink capture (both specializations); capacity retained
   /// across runs like the pools above.
   std::vector<StrideEvent> StrideRing;
-
-  /// runClocks state: clock K's profiler, and its memory-stall and
-  /// runtime cycles when the run ends.
-  std::span<StrideProfiler *const> ClockProfilers;
-  uint64_t ClockMemStall[MemoryHierarchy::MaxClocks] = {};
-  uint64_t ClockRuntime[MemoryHierarchy::MaxClocks] = {};
 };
 
 } // namespace sprof

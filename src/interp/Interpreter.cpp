@@ -13,7 +13,6 @@
 #include "obs/Obs.h"
 
 #include <cassert>
-#include <stdexcept>
 
 using namespace sprof;
 
@@ -113,43 +112,19 @@ void Interpreter::flushObs(const ObsSinks &Sinks, const RunStats &Stats,
     Sinks.RunCycles->record(Stats.Cycles);
 }
 
-DecodedInterpreter &Interpreter::decodedEngine() {
-  if (!Decoded) {
-    Decoded = ProgramCache::global().get(M);
-    DecodedExec = std::make_unique<DecodedInterpreter>(
-        *Decoded, M.NumLoadSites, Timing, Memory, Counters,
-        Config.StrideBatchWindow);
-  }
-  DecodedExec->attach(Mem, Profiler, EventSink);
-  DecodedExec->attachSelfProfiler(SelfProf);
-  return *DecodedExec;
-}
-
-std::vector<RunStats>
-Interpreter::runClocks(std::span<StrideProfiler *const> Profilers,
-                       uint64_t MaxInstructions) {
-  if (Config.Exec != InterpreterConfig::Engine::Decoded)
-    throw std::logic_error(
-        "Interpreter::runClocks: the Reference engine times one clock per "
-        "run");
-  constexpr unsigned MaxClocks = MemoryHierarchy::MaxClocks;
-  if (Profilers.size() != MaxClocks || !Mem || Mem->clocks() != MaxClocks)
-    throw std::invalid_argument(
-        "Interpreter::runClocks: needs one profiler per clock and a "
-        "hierarchy with MaxClocks clocks");
-  ExecTally Tally;
-  std::vector<RunStats> PerClock =
-      decodedEngine().runClocks(Profilers, MaxInstructions, Tally);
-  LastTally = Tally;
-  flushObs(Sinks, PerClock.front(), Tally);
-  return PerClock;
-}
-
 RunStats Interpreter::run(uint64_t MaxInstructions) {
   ExecTally Tally;
   RunStats Stats;
   if (Config.Exec == InterpreterConfig::Engine::Decoded) {
-    Stats = decodedEngine().run(MaxInstructions, Tally);
+    if (!Decoded) {
+      Decoded = ProgramCache::global().get(M);
+      DecodedExec = std::make_unique<DecodedInterpreter>(
+          *Decoded, M.NumLoadSites, Timing, Memory, Counters,
+          Config.StrideBatchWindow);
+    }
+    DecodedExec->attach(Mem, Profiler, EventSink);
+    DecodedExec->attachSelfProfiler(SelfProf);
+    Stats = DecodedExec->run(MaxInstructions, Tally);
   } else {
     Stats = runReference(MaxInstructions, Tally);
   }

@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 namespace sprof {
@@ -84,7 +83,9 @@ struct InterpreterConfig {
   /// flips). Used only when no MemoryHierarchy is attached: with a cache
   /// attached, each trap's simulated cost must land in the running cycle
   /// count *before* the next access is timed, so the engine stays on the
-  /// per-event path. 0 behaves as 1.
+  /// per-event path. Profile runs with the cache model on mostly take the
+  /// ring too, since Pipeline::runProfiles executes them without a
+  /// hierarchy and adds the un-instrumented run's stalls. 0 behaves as 1.
   uint32_t StrideBatchWindow = 256;
 
   bool operator==(const InterpreterConfig &) const = default;
@@ -163,21 +164,6 @@ public:
   /// Runs the entry function to completion (or until \p MaxInstructions).
   RunStats run(uint64_t MaxInstructions = 4ull << 30);
 
-  /// One execution serving MemoryHierarchy::MaxClocks profiled runs of
-  /// one instrumented module (Pipeline::runProfiles with a cache model):
-  /// the attached hierarchy has one clock per profiler, every ProfStride
-  /// trap calls each profiler, and clock K is charged \p Profilers[K]'s
-  /// cost and its own memory stalls. \returns one RunStats per profiler,
-  /// each equal to a lone run() with that profiler and a one-clock
-  /// hierarchy. The instance's own profiler is not used, and telemetry
-  /// records result 0 (recordRun reports the others). Throws
-  /// std::invalid_argument unless there are MaxClocks profilers and a
-  /// hierarchy with as many clocks, and std::logic_error under the
-  /// Reference engine, the executable spec, which times one clock per
-  /// run.
-  std::vector<RunStats> runClocks(std::span<StrideProfiler *const> Profilers,
-                                  uint64_t MaxInstructions = 4ull << 30);
-
   /// Profiling counters (edge/block frequencies) after the run.
   const std::vector<uint64_t> &counters() const { return Counters; }
 
@@ -199,10 +185,6 @@ private:
 
   /// The structure-walking baseline engine.
   RunStats runReference(uint64_t MaxInstructions, ExecTally &Tally);
-
-  /// The Decoded core (decoded and built on first use), with this run's
-  /// attachments.
-  DecodedInterpreter &decodedEngine();
 
   static ObsSinks resolveSinks(ObsSession *Session);
   static void flushObs(const ObsSinks &Sinks, const RunStats &Stats,

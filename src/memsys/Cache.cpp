@@ -17,8 +17,7 @@
 
 using namespace sprof;
 
-CacheLevel::CacheLevel(const CacheLevelConfig &Config, unsigned Clocks)
-    : Config(Config), Clocks(Clocks) {
+CacheLevel::CacheLevel(const CacheLevelConfig &Config) : Config(Config) {
   assert(Config.SizeBytes % (Config.LineBytes * Config.Associativity) == 0 &&
          "cache size must be a whole number of sets");
   uint64_t RawSets = Config.SizeBytes / (Config.LineBytes * Config.Associativity);
@@ -29,7 +28,7 @@ CacheLevel::CacheLevel(const CacheLevelConfig &Config, unsigned Clocks)
   NumSets = std::bit_ceil(RawSets);
   SetMask = NumSets - 1;
   Assoc = Config.Associativity;
-  BlockStride = (Clocks > 1 ? 2 + Clocks : 4) * static_cast<size_t>(Assoc);
+  BlockStride = 4 * static_cast<size_t>(Assoc);
   // Carve the lane storage from 2MB-aligned memory, rounded up to whole
   // 2MB blocks, and advise huge pages only for lanes of a huge page or
   // more (see the member comment in Cache.h). Smaller lanes -- every
@@ -50,55 +49,60 @@ CacheLevel::CacheLevel(const CacheLevelConfig &Config, unsigned Clocks)
     uint64_t *B = Blocks.get() + Set * BlockStride;
     for (unsigned W = 0; W != Assoc; ++W) {
       B[W] = InvalidTag;
-      if (Clocks == 1)
-        B[3 * Assoc + W] = NoSiteId;
+      B[3 * Assoc + W] = NoSiteId;
     }
   }
   Mru.assign(NumSets, 0);
 }
 
-inline unsigned CacheLevel::hitWay(uint64_t Set, uint64_t LineAddr,
-                                   bool *WasUnusedPrefetch,
-                                   uint32_t *PrefetchSite) {
+bool CacheLevel::probe(uint64_t LineAddr, uint64_t &ReadyTime,
+                       bool *WasUnusedPrefetch, uint32_t *PrefetchSite) {
+  uint64_t Set = LineAddr & SetMask;
   uint64_t *B = Blocks.get() + Set * BlockStride;
   for (unsigned W = 0; W != Assoc; ++W) {
     uint64_t T = B[W];
     if ((T & ~MarkBit) == LineAddr) {
       B[Assoc + W] = ++UseClock;
       Mru[Set] = W;
+      ReadyTime = B[2 * Assoc + W];
       if (WasUnusedPrefetch) {
         *WasUnusedPrefetch = (T & MarkBit) != 0;
         B[W] = LineAddr; // clear the mark; the site word is left stale
       }
       if (PrefetchSite)
         *PrefetchSite = static_cast<uint32_t>(B[3 * Assoc + W]);
-      return W;
+      return true;
     }
   }
-  return Assoc;
+  return false;
 }
 
-inline unsigned CacheLevel::refreshWay(uint64_t Set, uint64_t LineAddr) {
+void CacheLevel::fill(uint64_t LineAddr, uint64_t ReadyTime, bool Prefetched,
+                      uint32_t PrefetchSite) {
+  uint64_t Set = LineAddr & SetMask;
   uint64_t *B = Blocks.get() + Set * BlockStride;
-  // An existing entry for the same line takes a fresh LRU touch, and its
-  // prefetch mark/site stay untouched (the original prefetch still owns
-  // the line's outcome). See the header comment for when this path is
-  // reached: right after the same line's fillMiss, which left it in the
-  // set's MRU way, so look there first.
+  // Refresh an existing entry for the same line: earliest ready time wins,
+  // the touch bumps LRU recency, and the prefetch mark/site stay untouched
+  // (the original prefetch still owns the line's outcome). See the header
+  // comment for when this path is reached: right after the same line's
+  // fillMiss, which left it in the set's MRU way, so look there first.
   unsigned W = Mru[Set];
   if ((B[W] & ~MarkBit) != LineAddr)
     for (W = 0; W != Assoc && (B[W] & ~MarkBit) != LineAddr; ++W) {
     }
   if (W != Assoc) {
+    B[2 * Assoc + W] = std::min(B[2 * Assoc + W], ReadyTime);
     B[Assoc + W] = ++UseClock;
     Mru[Set] = W;
+    return;
   }
-  return W;
+  fillMiss(LineAddr, ReadyTime, Prefetched, PrefetchSite);
 }
 
-inline unsigned CacheLevel::installWay(uint64_t Set, uint64_t LineAddr,
-                                       bool Prefetched) {
+void CacheLevel::fillMiss(uint64_t LineAddr, uint64_t ReadyTime,
+                          bool Prefetched, uint32_t PrefetchSite) {
   assert(LineAddr < MarkBit && "line address collides with the mark bit");
+  uint64_t Set = LineAddr & SetMask;
   uint64_t *B = Blocks.get() + Set * BlockStride;
   // Victim: first invalid way, else LRU. An invalid way's use stamp is
   // still the constructor's 0 and every fill or hit stamps ++UseClock >= 1,
@@ -120,64 +124,10 @@ inline unsigned CacheLevel::installWay(uint64_t Set, uint64_t LineAddr,
       Attr->recordEarly(static_cast<uint32_t>(B[3 * Assoc + Victim]));
   }
   B[Victim] = Prefetched ? (LineAddr | MarkBit) : LineAddr;
+  B[2 * Assoc + Victim] = ReadyTime;
   B[Assoc + Victim] = ++UseClock;
+  B[3 * Assoc + Victim] = PrefetchSite;
   Mru[Set] = Victim;
-  return Victim;
-}
-
-bool CacheLevel::probe(uint64_t LineAddr, uint64_t &ReadyTime,
-                       bool *WasUnusedPrefetch, uint32_t *PrefetchSite) {
-  uint64_t Set = LineAddr & SetMask;
-  unsigned W = hitWay(Set, LineAddr, WasUnusedPrefetch, PrefetchSite);
-  if (W == Assoc)
-    return false;
-  ReadyTime = Blocks[Set * BlockStride + 2 * Assoc + W];
-  return true;
-}
-
-void CacheLevel::fill(uint64_t LineAddr, uint64_t ReadyTime, bool Prefetched,
-                      uint32_t PrefetchSite) {
-  uint64_t Set = LineAddr & SetMask;
-  unsigned W = refreshWay(Set, LineAddr);
-  if (W == Assoc)
-    return fillMiss(LineAddr, ReadyTime, Prefetched, PrefetchSite);
-  // Refresh: the earliest ready time wins.
-  uint64_t &Ready = Blocks[Set * BlockStride + 2 * Assoc + W];
-  Ready = std::min(Ready, ReadyTime);
-}
-
-void CacheLevel::fillMiss(uint64_t LineAddr, uint64_t ReadyTime,
-                          bool Prefetched, uint32_t PrefetchSite) {
-  uint64_t Set = LineAddr & SetMask;
-  unsigned W = installWay(Set, LineAddr, Prefetched);
-  uint64_t *B = Blocks.get() + Set * BlockStride;
-  B[2 * Assoc + W] = ReadyTime;
-  B[3 * Assoc + W] = PrefetchSite;
-}
-
-const uint64_t *CacheLevel::probeClocks(uint64_t LineAddr,
-                                        bool *WasUnusedPrefetch) {
-  uint64_t Set = LineAddr & SetMask;
-  unsigned W = hitWay(Set, LineAddr, WasUnusedPrefetch, nullptr);
-  return W == Assoc ? nullptr : clockReady(Set, W);
-}
-
-void CacheLevel::fillClocks(uint64_t LineAddr, const uint64_t *ReadyTimes,
-                            bool Prefetched) {
-  uint64_t Set = LineAddr & SetMask;
-  unsigned W = refreshWay(Set, LineAddr);
-  if (W == Assoc)
-    return fillMissClocks(LineAddr, ReadyTimes, Prefetched);
-  uint64_t *Ready = clockReady(Set, W);
-  for (unsigned K = 0; K != Clocks; ++K)
-    Ready[K] = std::min(Ready[K], ReadyTimes[K]);
-}
-
-void CacheLevel::fillMissClocks(uint64_t LineAddr, const uint64_t *ReadyTimes,
-                                bool Prefetched) {
-  uint64_t Set = LineAddr & SetMask;
-  unsigned W = installWay(Set, LineAddr, Prefetched);
-  std::copy(ReadyTimes, ReadyTimes + Clocks, clockReady(Set, W));
 }
 
 void CacheLevel::drainUnusedPrefetches(AttributionData &A) {
@@ -193,9 +143,8 @@ void CacheLevel::drainUnusedPrefetches(AttributionData &A) {
   }
 }
 
-MemoryHierarchy::MemoryHierarchy(const MemoryConfig &Config, unsigned Clocks)
-    : Config(Config), NumClocks(Clocks) {
-  assert((Clocks == 1 || Clocks == MaxClocks) && "unsupported clock count");
+MemoryHierarchy::MemoryHierarchy(const MemoryConfig &Config)
+    : Config(Config) {
   assert(!Config.Levels.empty() && "hierarchy needs at least one level");
   LineBytes = Config.Levels.front().LineBytes;
   LineBytesPow2 = std::has_single_bit(static_cast<uint64_t>(LineBytes));
@@ -205,7 +154,7 @@ MemoryHierarchy::MemoryHierarchy(const MemoryConfig &Config, unsigned Clocks)
   for (const CacheLevelConfig &L : Config.Levels) {
     assert(L.LineBytes == LineBytes &&
            "all levels must share one line size");
-    Levels.emplace_back(L, Clocks);
+    Levels.emplace_back(L);
   }
   L1HitLatency = Config.Levels.front().HitLatency;
   Stats.Levels.resize(Levels.size());
@@ -327,106 +276,7 @@ void MemoryHierarchy::prefetch(uint64_t Addr, uint64_t Now, uint32_t SiteId) {
                      L == 0 ? SiteId : NoSiteId);
 }
 
-// The K-clock twin of demandAccessSlow: every order-only step (probes,
-// counts, fills and their victims) happens once, and each clock derives
-// its latency, stall, late-hit count and fill time from its own stamps.
-void MemoryHierarchy::demandAccessClocksSlow(uint64_t Line,
-                                             const uint64_t *Now,
-                                             uint64_t *Latency) {
-  for (size_t L = 1; L < Levels.size(); ++L)
-    Levels[L].prefetchSet(Line);
-  size_t Hit;
-  bool FirstPrefetchUse = false;
-  const uint64_t *Ready = Levels[0].probeClocks(Line, &FirstPrefetchUse);
-  if (Ready) {
-    Hit = 0;
-    if (FirstPrefetchUse)
-      ++Stats.PrefetchesUseful;
-  } else {
-    Hit = Levels.size();
-    for (size_t L = 1; L != Levels.size(); ++L)
-      if ((Ready = Levels[L].probeClocks(Line))) {
-        Hit = L;
-        break;
-      }
-  }
-
-  uint64_t Fill[MaxClocks];
-  if (Hit == Levels.size()) {
-    const uint64_t MemLatency = Config.MemoryLatency;
-    for (unsigned I = 0; I != MaxClocks; ++I) {
-      Latency[I] = MemLatency;
-      Fill[I] = Now[I] + MemLatency;
-    }
-    ++Stats.Levels.back().Misses;
-  } else {
-    const uint64_t HitLatency = Levels[Hit].config().HitLatency;
-    for (unsigned I = 0; I != MaxClocks; ++I) {
-      uint64_t Lat = HitLatency;
-      if (Ready[I] > Now[I]) {
-        Lat = std::max<uint64_t>(Lat, Ready[I] - Now[I]);
-        if (FirstPrefetchUse)
-          ++ClockLate[I];
-      }
-      Latency[I] = Lat;
-      Fill[I] = Now[I] + Lat;
-    }
-    ++Stats.Levels[Hit].Hits;
-  }
-  for (size_t L = 0; L != Hit && L != Levels.size(); ++L) {
-    if (L < Levels.size() - 1)
-      ++Stats.Levels[L].Misses;
-    Levels[L].fillMissClocks(Line, Fill);
-  }
-  for (unsigned I = 0; I != MaxClocks; ++I)
-    ClockStall[I] += Latency[I];
-}
-
-
-void MemoryHierarchy::prefetchClocks(uint64_t Addr, const uint64_t *Now) {
-  ++Stats.PrefetchesIssued;
-  uint64_t Line = lineAddr(Addr);
-  size_t Hit = Levels.size();
-  const uint64_t *Ready = nullptr;
-  for (size_t L = 0; L != Levels.size(); ++L)
-    if ((Ready = Levels[L].probeClocks(Line))) {
-      Hit = L;
-      break;
-    }
-  if (Hit == 0) {
-    ++Stats.PrefetchesRedundant;
-    return;
-  }
-  const uint64_t Latency = Hit == Levels.size()
-                               ? Config.MemoryLatency
-                               : Levels[Hit].config().HitLatency;
-  uint64_t Fill[MaxClocks];
-  for (unsigned K = 0; K != MaxClocks; ++K) {
-    Fill[K] = Now[K] + Latency;
-    if (Ready && Ready[K] > Now[K])
-      Fill[K] = std::max(Fill[K], Ready[K]);
-  }
-  // As prefetch(): fill the levels below the provider, and on a full miss
-  // re-fill every level through the refresh path.
-  for (size_t L = 0; L != Hit && L != Levels.size(); ++L)
-    Levels[L].fillMissClocks(Line, Fill, /*Prefetched=*/L == 0);
-  if (Hit == Levels.size())
-    for (size_t L = 0; L != Levels.size(); ++L)
-      Levels[L].fillClocks(Line, Fill, /*Prefetched=*/L == 0);
-}
-
-MemoryStats MemoryHierarchy::clockStats(unsigned K) const {
-  assert(K < NumClocks && "clock index out of range");
-  MemoryStats S = Stats;
-  if (NumClocks > 1) {
-    S.StallCycles = ClockStall[K];
-    S.LatePrefetchHits = ClockLate[K];
-  }
-  return S;
-}
-
 void MemoryHierarchy::enableAttribution(uint32_t NumSites) {
-  assert(NumClocks == 1 && "a K-clock hierarchy does not attribute");
   Attr.Enabled = true;
   Attr.Finalized = false;
   Attr.NumSites = NumSites;

@@ -35,7 +35,6 @@
 
 #include "stream/AccessStream.h"
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <new>
@@ -208,17 +207,9 @@ struct MemoryStats {
 /// set index is `LineAddr & SetMask` -- behaviour-identical for any config
 /// whose raw set count is already a power of two (all shipped ones), and a
 /// documented capacity round-up otherwise.
-///
-/// A level built with Clocks = K > 1 serves K runs that issue one access
-/// stream but keep K simulated clocks (a profiled method and its sample-
-/// variant, see MemoryHierarchy): tags, marks, LRU stamps and the MRU way
-/// change once per access, and each way keeps K ready stamps where a
-/// one-clock block keeps its ready and site lanes. Such a level is driven
-/// through the *Clocks members only; the one-clock members and their lane
-/// layout are unchanged.
 class CacheLevel {
 public:
-  explicit CacheLevel(const CacheLevelConfig &Config, unsigned Clocks = 1);
+  explicit CacheLevel(const CacheLevelConfig &Config);
 
   /// Probes for \p LineAddr. On hit, refreshes LRU state and returns the
   /// cycle at which the line is (or was) ready; on miss returns false.
@@ -247,32 +238,6 @@ public:
     ReadyTime = B[2 * Assoc + W];
     return true;
   }
-
-  /// K-clock probeMru: the same LRU/MRU effect, and on a plain hit the
-  /// way's K ready stamps (nullptr means "take the slow path").
-  const uint64_t *probeMruClocks(uint64_t LineAddr) {
-    uint64_t Set = LineAddr & SetMask;
-    uint64_t *B = Blocks.get() + Set * BlockStride;
-    uint32_t W = Mru[Set];
-    if (B[W] != LineAddr)
-      return nullptr;
-    B[Assoc + W] = ++UseClock;
-    return B + 2 * Assoc + W * Clocks;
-  }
-
-  /// K-clock probe: the same tag, mark and LRU effect as probe(); returns
-  /// the hit way's K ready stamps, or nullptr on a miss.
-  const uint64_t *probeClocks(uint64_t LineAddr,
-                              bool *WasUnusedPrefetch = nullptr);
-
-  /// K-clock fill and fillMiss: the same tag, mark, LRU and eviction
-  /// effect as the single-clock calls, with clock K's ready time
-  /// \p ReadyTimes[K] (the refresh path keeps each clock's earlier one).
-  /// No issuing site is kept: a K-clock level never attributes.
-  void fillClocks(uint64_t LineAddr, const uint64_t *ReadyTimes,
-                  bool Prefetched = false);
-  void fillMissClocks(uint64_t LineAddr, const uint64_t *ReadyTimes,
-                      bool Prefetched = false);
 
   /// Inserts \p LineAddr with the given ready time, evicting the LRU way.
   /// \p Prefetched marks the line as an as-yet-unused prefetch issued by
@@ -331,25 +296,6 @@ public:
   uint64_t numSets() const { return NumSets; }
 
 private:
-  /// The order-only halves every probe and fill shares, single-clock or
-  /// K-clock; each returns the way it touched (Assoc when none).
-  /// hitWay: on a hit, stamps LRU, sets the MRU way and reports (and
-  /// clears, when asked) the unused-prefetch mark and its site.
-  unsigned hitWay(uint64_t Set, uint64_t LineAddr, bool *WasUnusedPrefetch,
-                  uint32_t *PrefetchSite);
-  /// refreshWay: the way already holding the line (MRU first), stamped as
-  /// a fresh touch; its mark and site are left alone.
-  unsigned refreshWay(uint64_t Set, uint64_t LineAddr);
-  /// installWay: evicts the LRU way (crediting an unused prefetch) and
-  /// installs the line there with its mark; the caller writes its ready
-  /// stamps (and, on a one-clock level, its site).
-  unsigned installWay(uint64_t Set, uint64_t LineAddr, bool Prefetched);
-
-  /// Way \p W's K ready stamps on a K-clock level.
-  uint64_t *clockReady(uint64_t Set, unsigned W) const {
-    return Blocks.get() + Set * BlockStride + 2 * Assoc + W * Clocks;
-  }
-
   /// Tag-word bit carrying the unused-prefetch mark. Line addresses are
   /// byte addresses divided by the line size; fillMiss asserts they stay
   /// below it.
@@ -365,8 +311,7 @@ private:
   uint64_t NumSets;
   uint64_t SetMask;
   unsigned Assoc;
-  /// BlockStride = 4 * Assoc u64 words per set, (2 + K) * Assoc on a
-  /// K-clock level.
+  /// BlockStride = 4 * Assoc u64 words per set.
   size_t BlockStride;
   /// Lane storage is a 2MB-aligned allocation rounded up to whole 2MB
   /// blocks, advised toward transparent huge pages only when the lanes
@@ -390,42 +335,29 @@ private:
   /// the block's first host cache line at 4-way; ready/site in the tail
   /// are written (store-buffered, non-stalling) on a fill and loaded only
   /// on a hit. NumSets * BlockStride words total.
-  /// A K-clock level has no site lane (it never attributes) and keeps K
-  /// ready stamps per way from word 2A on, way-major:
-  ///   words [2A, 2A + K*A)  way W's clock I at 2A + W*K + I
-  /// so a 4-way two-clock block is 128 bytes like a one-clock one.
   std::unique_ptr<uint64_t[], BlockDeleter> Blocks;
   /// Per-set index of the most-recently-hit (or -filled) way.
   std::vector<uint32_t> Mru;
   uint64_t UseClock = 0;
-  /// Ready stamps per way: 1, or K on a K-clock level.
-  unsigned Clocks;
 };
 
 /// The full hierarchy. All timing is in CPU cycles; the caller supplies the
 /// current cycle on each access.
 ///
-/// Built with \p Clocks = MaxClocks, one hierarchy serves runs that issue
-/// the same access stream but keep their own clocks (Pipeline::runProfiles
-/// times a method and its sample- variant in one execution). No access
-/// reads time
-/// to decide where a line lives: tags, LRU stamps and prefetch marks change
-/// in stream order only, so hit levels, the hit/miss counts and the
-/// useful, unused and redundant prefetch counts are the same on every
-/// clock and are simulated once per access. Each clock keeps its own ready
-/// stamps, latencies, StallCycles and LatePrefetchHits (clockStats).
-/// Such a hierarchy is driven through demandAccessClocks/prefetchClocks
-/// only and does not attribute (a prefetch's useful-or-late outcome is a
-/// per-clock fact).
+/// Without prefetches (no prefetch() call, so no SpecLoad either) a demand
+/// access's latency does not depend on the clock. A fill at cycle Now is
+/// ready at Now + L; the interpreter then stalls L - FlatLoadLatency and
+/// charges at least LoadBaseCost before the next access, so a later hit
+/// finds its line at most FlatLoadLatency cycles from ready. While
+/// TimingModel::FlatLoadLatency <= every level's HitLatency, each access
+/// therefore costs its serving level's HitLatency (or MemoryLatency), and
+/// the stalls and MemoryStats of a prefetch-free run are a function of its
+/// access stream alone. Pipeline::runProfiles relies on this to take a
+/// profile run's stalls from its un-instrumented program's run; the
+/// PrefetchFreeLatencyIsTheServingLevels test pins it.
 class MemoryHierarchy {
 public:
-  /// The most clocks one hierarchy keeps: a profiled method and its
-  /// sample- variant. A compile-time count lets the interpreter keep
-  /// every clock's accumulators in registers.
-  static constexpr unsigned MaxClocks = 2;
-
-  /// \p Clocks is 1 or MaxClocks.
-  explicit MemoryHierarchy(const MemoryConfig &Config, unsigned Clocks = 1);
+  explicit MemoryHierarchy(const MemoryConfig &Config);
 
   /// The L1 level points into this object (its unused-prefetch counter and
   /// attribution), so a copy or a move would leave it writing to the old
@@ -481,40 +413,6 @@ public:
   /// providing level).
   void prefetch(uint64_t Addr, uint64_t Now, uint32_t SiteId = NoSiteId);
 
-  /// demandAccess on every clock of a MaxClocks-clock hierarchy: clock I
-  /// issues the load at cycle \p Now[I] and gets its latency in
-  /// \p Latency[I], exactly what demandAccess returns to a lone one-clock
-  /// hierarchy fed the same stream at clock I's cycles.
-  void demandAccessClocks(uint64_t Addr, const uint64_t *Now,
-                          uint64_t *Latency) {
-    assert(NumClocks == MaxClocks && "not a MaxClocks-clock hierarchy");
-    ++Stats.DemandAccesses;
-    uint64_t Line = lineAddr(Addr);
-    if (const uint64_t *Ready = Levels[0].probeMruClocks(Line)) {
-      ++Stats.Levels[0].Hits;
-      for (unsigned I = 0; I != MaxClocks; ++I) {
-        uint64_t L = L1HitLatency;
-        if (Ready[I] > Now[I] && Ready[I] - Now[I] > L)
-          L = Ready[I] - Now[I];
-        Latency[I] = L;
-        ClockStall[I] += L;
-      }
-      return;
-    }
-    demandAccessClocksSlow(Line, Now, Latency);
-  }
-
-  /// prefetch on every clock of a MaxClocks-clock hierarchy, clock I
-  /// issuing at cycle \p Now[I].
-  void prefetchClocks(uint64_t Addr, const uint64_t *Now);
-
-  /// Clock \p K's statistics: the shared counts with that clock's
-  /// StallCycles and LatePrefetchHits. Equals stats() on a one-clock
-  /// hierarchy.
-  MemoryStats clockStats(unsigned K) const;
-
-  unsigned clocks() const { return NumClocks; }
-
   /// Stream-driven entry point: applies one access event at cycle \p Now.
   /// Load events are demand accesses and return their load-to-use latency;
   /// Prefetch events issue a non-blocking prefetch and return 0. This is
@@ -530,8 +428,7 @@ public:
 
   /// Turns on prefetch-outcome and per-site demand-miss attribution for
   /// sites [0, NumSites). Must be called before any traffic; resets any
-  /// previously collected attribution. MemoryStats is unaffected. One-clock
-  /// hierarchies only.
+  /// previously collected attribution. MemoryStats is unaffected.
   void enableAttribution(uint32_t NumSites);
 
   /// Classifies still-resident prefetched lines as Early so the outcome
@@ -555,10 +452,6 @@ private:
   /// demandAccess continuation once the L1 fast probe has failed.
   uint64_t demandAccessSlow(uint64_t Line, uint64_t Now, uint32_t SiteId);
 
-  /// demandAccessClocks continuation once the L1 fast probe has failed.
-  void demandAccessClocksSlow(uint64_t Line, const uint64_t *Now,
-                              uint64_t *Latency);
-
   /// Finds the first level holding the line. Returns the level index and
   /// its ready time, or Levels.size() on full miss.
   size_t findLine(uint64_t Line, uint64_t &ReadyTime);
@@ -572,11 +465,6 @@ private:
   uint64_t L1HitLatency;
   MemoryStats Stats;
   AttributionData Attr;
-  /// K-clock state: per-clock StallCycles and LatePrefetchHits (Stats
-  /// holds them for a one-clock hierarchy).
-  unsigned NumClocks;
-  uint64_t ClockStall[MaxClocks] = {};
-  uint64_t ClockLate[MaxClocks] = {};
 };
 
 /// Timing convention for replaying a bare access stream against a

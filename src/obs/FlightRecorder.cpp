@@ -58,19 +58,19 @@ void copyStr(char *Dst, size_t Cap, const char *Src) {
   Dst[N] = '\0';
 }
 
-/// copyStr into a seqlock-guarded buffer.
+/// copyStr into a seqlock-guarded buffer, each byte a release store.
 void storeStr(std::atomic<char> *Dst, size_t Cap, const char *Src) {
   size_t N = 0;
   if (Src)
     for (; Src[N] && N + 1 < Cap; ++N)
-      Dst[N].store(Src[N], std::memory_order_relaxed);
-  Dst[N].store('\0', std::memory_order_relaxed);
+      Dst[N].store(Src[N], std::memory_order_release);
+  Dst[N].store('\0', std::memory_order_release);
 }
 
 /// Snapshot of a seqlock-guarded buffer, always NUL-terminated.
 void loadStr(char *Dst, const std::atomic<char> *Src, size_t Cap) {
   for (size_t N = 0; N != Cap; ++N)
-    Dst[N] = Src[N].load(std::memory_order_relaxed);
+    Dst[N] = Src[N].load(std::memory_order_acquire);
   Dst[Cap - 1] = '\0';
 }
 
@@ -206,7 +206,6 @@ void FlightRecorder::jobStart(uint32_t Worker, const char *Name,
   // never reads a half-copied name.
   uint64_t Seq = L.JobSeq.load(std::memory_order_relaxed);
   L.JobSeq.store(Seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   storeStr(L.CurrentJob, NameCap, Name);
   L.JobSeq.store(Seq + 2, std::memory_order_release);
   L.InFlight.store(true, std::memory_order_release);
@@ -244,10 +243,9 @@ void FlightRecorder::record(uint32_t Worker, FlightEventKind Kind,
   // the sequence to the event index lets readers reject slots that a
   // lapped writer has already reused for a newer event.
   S.Seq.store(2 * Idx + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  S.TsUs.store(nowUs(), std::memory_order_relaxed);
-  S.Kind.store(Kind, std::memory_order_relaxed);
-  S.Ok.store(Ok, std::memory_order_relaxed);
+  S.TsUs.store(nowUs(), std::memory_order_release);
+  S.Kind.store(Kind, std::memory_order_release);
+  S.Ok.store(Ok, std::memory_order_release);
   storeStr(S.Name, NameCap, Name);
   storeStr(S.Detail, DetailCap, Detail);
   S.Seq.store(2 * Idx + 2, std::memory_order_release);
@@ -274,7 +272,6 @@ bool FlightRecorder::dumpFd(int Fd, const char *Reason) const {
     char Job[NameCap];
     uint64_t S1 = L.JobSeq.load(std::memory_order_acquire);
     loadStr(Job, L.CurrentJob, NameCap);
-    std::atomic_thread_fence(std::memory_order_acquire);
     if ((S1 & 1) != 0 || L.JobSeq.load(std::memory_order_relaxed) != S1)
       Job[0] = '\0'; // torn copy; drop rather than mislead
     W.raw(",\"current_job\":");
@@ -288,13 +285,12 @@ bool FlightRecorder::dumpFd(int Fd, const char *Reason) const {
       uint64_t Want = 2 * Idx + 2;
       if (S.Seq.load(std::memory_order_acquire) != Want)
         continue; // mid-write or already lapped
-      uint64_t TsUs = S.TsUs.load(std::memory_order_relaxed);
-      FlightEventKind Kind = S.Kind.load(std::memory_order_relaxed);
-      bool Ok = S.Ok.load(std::memory_order_relaxed);
+      uint64_t TsUs = S.TsUs.load(std::memory_order_acquire);
+      FlightEventKind Kind = S.Kind.load(std::memory_order_acquire);
+      bool Ok = S.Ok.load(std::memory_order_acquire);
       char Name[NameCap], Detail[DetailCap];
       loadStr(Name, S.Name, NameCap);
       loadStr(Detail, S.Detail, DetailCap);
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (S.Seq.load(std::memory_order_relaxed) != Want)
         continue; // changed under us
       if (!First)

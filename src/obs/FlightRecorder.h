@@ -20,9 +20,10 @@
 /// slot is being written, even when stable). Readers (the signal handler,
 /// possibly interrupting a write on the same thread; the watchdog on its
 /// own thread) skip slots whose sequence is odd or changes under them.
-/// The payload moves through relaxed atomics, fenced the standard seqlock
-/// way (a release fence after the odd store, an acquire fence before the
-/// reader's re-check), so a torn read is detected, never a data race.
+/// The payload moves through release stores and acquire loads, so a reader
+/// that sees any payload byte of a write also sees its odd sequence on
+/// the re-check: a torn read is detected, never a data race. (No
+/// standalone fences: ThreadSanitizer does not model them.)
 /// The dump path allocates nothing and calls only async-signal-safe
 /// functions (write, open, clock_gettime), formatting numbers by hand.
 ///

@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "driver/RunMemo.h"
 #include "instrument/Instrumentation.h"
 #include "interp/DecodedProgram.h"
 #include "interp/Interpreter.h"
@@ -35,6 +36,8 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <optional>
 #include <stdexcept>
 #include <memory>
 #include <string>
@@ -599,13 +602,36 @@ TEST(DecodedEngine, TinyStrideRingMatchesReferenceAcrossMethods) {
   }
 }
 
+/// Expects \p Got to be \p Spec's run bit for bit: RunStats with the cache
+/// statistics, profiles and strideProf counts.
+void expectSameProfileResult(const Workload &W, const ProfileRunResult &Spec,
+                             const ProfileRunResult &Got) {
+  EXPECT_EQ(Got.Method, Spec.Method);
+  EXPECT_EQ(Got.Instr.Method, Spec.Method);
+  expectSameStats(Spec.Stats, Got.Stats);
+  EXPECT_EQ(profileText(W, Spec.Method, Spec),
+            profileText(W, Spec.Method, Got));
+  EXPECT_EQ(Spec.StrideInvocations, Got.StrideInvocations);
+  EXPECT_EQ(Spec.StrideProcessed, Got.StrideProcessed);
+  EXPECT_EQ(Spec.LfuCalls, Got.LfuCalls);
+}
+
 // Profile fan-out: one execution serving a base method and its sample-
 // variant gives each method exactly the run it would have had alone, on
 // every workload, both inputs and both engines. The lone runs execute on
 // the Decoded engine only: Reference equals Decoded (pinned above), and
 // Reference runs are the slow part. The ref input lists the sampled
-// method first, so both orders drive the fan-out. The (workload, input)
-// cases spread over four threads to keep the suite quick.
+// method first, so both orders drive the fan-out.
+//
+// With the cache model on, the Decoded engine runs the instrumented
+// program without it and takes the stalls and cache statistics from the
+// un-instrumented run (here through a per-workload run memo, as in an
+// engine wave); the Reference engine executes every run directly and is
+// the spec. Every method on train, lone and in its pair, and the
+// edge-check pair on ref.
+//
+// The (workload, input) cases spread over four threads to keep the suite
+// quick.
 TEST(RunProfiles, MatchSeparateRunsAcrossSuiteInputsAndEngines) {
   const std::pair<ProfilingMethod, ProfilingMethod> Pairs[] = {
       {ProfilingMethod::NaiveAll, ProfilingMethod::SampleNaiveAll},
@@ -629,25 +655,56 @@ TEST(RunProfiles, MatchSeparateRunsAcrossSuiteInputsAndEngines) {
           SCOPED_TRACE(W.info().Name + "/" + dataSetName(DS) + "/" +
                        profilingMethodName(Methods[K]) +
                        (P == &Ref ? " on reference" : " on decoded"));
-          EXPECT_EQ(Fused[K].Method, Methods[K]);
-          EXPECT_EQ(Fused[K].Instr.Method, Methods[K]);
-          expectSameStats(Alone[K].Stats, Fused[K].Stats);
-          EXPECT_EQ(profileText(W, Methods[K], Alone[K]),
-                    profileText(W, Methods[K], Fused[K]));
-          EXPECT_EQ(Alone[K].StrideInvocations, Fused[K].StrideInvocations);
-          EXPECT_EQ(Alone[K].StrideProcessed, Fused[K].StrideProcessed);
-          EXPECT_EQ(Alone[K].LfuCalls, Fused[K].LfuCalls);
+          expectSameProfileResult(W, Alone[K], Fused[K]);
         }
       }
     }
+  };
+  auto CheckMemsys = [&](const Workload &W) {
+    RunMemo Memo;
+    Pipeline Dec(W, engineConfig(InterpreterConfig::Engine::Decoded),
+                 /*External=*/nullptr, &Memo);
+    Pipeline Ref(W, engineConfig(InterpreterConfig::Engine::Reference));
+    auto Expect = [&](DataSet DS, const std::vector<ProfilingMethod> &Methods,
+                      const std::vector<ProfileRunResult> &Spec) {
+      std::vector<ProfileRunResult> Fused =
+          Dec.runProfiles(Methods, DS, {}, /*WithMemorySystem=*/true);
+      ASSERT_EQ(Fused.size(), Methods.size());
+      for (size_t K = 0; K != Methods.size(); ++K) {
+        SCOPED_TRACE(W.info().Name + "/" + dataSetName(DS) + "/" +
+                     profilingMethodName(Methods[K]) + " with memsys");
+        EXPECT_NE(Fused[K].Stats.Mem.DemandAccesses, 0u);
+        expectSameProfileResult(W, Spec[K], Fused[K]);
+      }
+    };
+    std::map<ProfilingMethod, ProfileRunResult> Spec;
+    for (ProfilingMethod M : allProfilingMethods()) {
+      Spec[M] = Ref.runProfile(M, DataSet::Train, /*WithMemorySystem=*/true);
+      Expect(DataSet::Train, {M}, {Spec[M]});
+    }
+    for (auto [Base, Sampled] : Pairs)
+      Expect(DataSet::Train, {Base, Sampled}, {Spec[Base], Spec[Sampled]});
+    // On ref, the pair cheapest to run under Reference: the ref input is
+    // several times the train input.
+    const auto [Base, Sampled] = Pairs[2];
+    Expect(DataSet::Ref, {Sampled, Base},
+           {Ref.runProfile(Sampled, DataSet::Ref, true),
+            Ref.runProfile(Base, DataSet::Ref, true)});
   };
   const std::vector<std::unique_ptr<Workload>> Suite = makeSpecIntSuite();
   std::atomic<size_t> Next{0};
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T != 4; ++T)
     Workers.emplace_back([&] {
-      for (size_t I; (I = Next.fetch_add(1)) < 2 * Suite.size();)
-        Check(*Suite[I / 2], I % 2 ? DataSet::Ref : DataSet::Train);
+      // The memsys cases, the slowest, go first.
+      for (size_t I; (I = Next.fetch_add(1)) < 3 * Suite.size();) {
+        const size_t WI = I % Suite.size();
+        if (I < Suite.size())
+          CheckMemsys(*Suite[WI]);
+        else
+          Check(*Suite[WI], I < 2 * Suite.size() ? DataSet::Train
+                                                 : DataSet::Ref);
+      }
     });
   for (std::thread &T : Workers)
     T.join();
@@ -674,52 +731,93 @@ TEST(RunProfiles, RejectsMixedBasesMissizedSessionsAndCapture) {
   EXPECT_TRUE(P.runProfiles({}, DataSet::Train).empty());
 }
 
-// With a cache model, an execution keeps MemoryHierarchy::MaxClocks clocks;
-// a larger group runs in slices, and every method still gets its lone run
-// bit for bit, on the ref input too.
-TEST(RunProfiles, MemsysGroupsRunInSlicesOfMaxClocks) {
-  std::unique_ptr<Workload> W = makeWorkloadByName("181.mcf");
-  ASSERT_NE(W, nullptr);
-  const std::vector<ProfilingMethod> Methods = {
-      ProfilingMethod::SampleNaiveAll, ProfilingMethod::NaiveAll,
-      ProfilingMethod::SampleNaiveAll};
-  Pipeline P(*W);
-  std::vector<ProfileRunResult> Fused =
-      P.runProfiles(Methods, DataSet::Ref, {}, /*WithMemorySystem=*/true);
-  ASSERT_EQ(Fused.size(), Methods.size());
-  for (size_t K = 0; K != Methods.size(); ++K) {
-    SCOPED_TRACE(K);
-    ProfileRunResult Alone = P.runProfile(Methods[K], DataSet::Ref, true);
-    EXPECT_EQ(Fused[K].Method, Methods[K]);
-    expectSameStats(Alone.Stats, Fused[K].Stats);
-    EXPECT_NE(Fused[K].Stats.Mem.DemandAccesses, 0u);
-    EXPECT_EQ(profileText(*W, Methods[K], Alone),
-              profileText(*W, Methods[K], Fused[K]));
-    EXPECT_EQ(Alone.StrideInvocations, Fused[K].StrideInvocations);
-    EXPECT_EQ(Alone.LfuCalls, Fused[K].LfuCalls);
+namespace {
+
+/// The chase list of makeChaseModule, optionally with one more op at the
+/// top of the loop body touching the node \p Ahead nodes on: a Prefetch or
+/// a SpecLoad.
+class ChaseWithOpWorkload : public Workload {
+public:
+  explicit ChaseWithOpWorkload(std::optional<Opcode> Op) : Op(Op) {}
+  WorkloadInfo info() const override {
+    return {"test.chase.op", "c", "pointer chase with a prefetching op"};
   }
-}
+  Program build(const BuildRequest &Req) const override {
+    Program P;
+    uint32_t DataSite = 0, NextSite = 0;
+    P.M = makeChaseModule(DataSite, NextSite);
+    if (Op) {
+      Function &F = P.M.Functions[0];
+      for (BasicBlock &BB : F.Blocks) {
+        if (BB.Name != "body")
+          continue;
+        Instruction I;
+        I.Op = *Op;
+        I.A = BB.Insts.front().A; // the node pointer
+        I.Imm = 4 * 64;
+        if (*Op == Opcode::SpecLoad)
+          I.Dst = F.newReg();
+        BB.Insts.insert(BB.Insts.begin(), I);
+      }
+    }
+    fillChaseList(P.Memory, Req.DS == DataSet::Train ? 300 : 400, 64);
+    return P;
+  }
 
-// runClocks takes one profiler per clock of a MaxClocks-clock hierarchy,
-// and only on the Decoded engine.
-TEST(DecodedEngine, RunClocksRejectsMismatchesAndTheReferenceEngine) {
-  uint32_t DataSite = 0, NextSite = 0;
-  Module M = makeChaseModule(DataSite, NextSite);
-  StrideProfiler A(M.NumLoadSites, {}), B(M.NumLoadSites, {});
-  StrideProfiler *Both[] = {&A, &B};
-  MemoryHierarchy OneClock{MemoryConfig()};
-  MemoryHierarchy TwoClocks(MemoryConfig(), MemoryHierarchy::MaxClocks);
+private:
+  std::optional<Opcode> Op;
+};
 
-  Interpreter Dec(M, SimMemory());
-  EXPECT_THROW(Dec.runClocks(Both), std::invalid_argument); // no hierarchy
-  Dec.attachMemory(&OneClock);
-  EXPECT_THROW(Dec.runClocks(Both), std::invalid_argument);
-  Dec.attachMemory(&TwoClocks);
-  EXPECT_THROW(Dec.runClocks(std::span(Both, 1)), std::invalid_argument);
-  EXPECT_EQ(Dec.runClocks(Both).size(), 2u);
+} // namespace
 
-  Interpreter Ref(M, SimMemory(), TimingModel(),
-                  interpConfig(InterpreterConfig::Engine::Reference));
-  Ref.attachMemory(&TwoClocks);
-  EXPECT_THROW(Ref.runClocks(Both), std::logic_error);
+// Memsys-on profile runs whose stalls the un-instrumented run cannot
+// stand for run directly, one method per execution with the cache model
+// attached, and still equal the Reference engine bit for bit: a module
+// with a Prefetch or a SpecLoad (a prefetched line's ready stamp makes a
+// latency depend on the clock), and a FlatLoadLatency above the L1
+// HitLatency. The plain chase derives.
+TEST(RunProfiles, MemsysRunsDirectlyWhereStallsDependOnTheClock) {
+  const ChaseWithOpWorkload Plain(std::nullopt), Prefetching(Opcode::Prefetch),
+      Speculating(Opcode::SpecLoad);
+  PipelineConfig SlowHits;
+  SlowHits.Timing.FlatLoadLatency = 5;
+  struct Case {
+    const char *Name;
+    const Workload *W;
+    PipelineConfig Config;
+    bool Derives;
+  };
+  const Case Cases[] = {{"prefetch", &Prefetching, {}, false},
+                        {"spec-load", &Speculating, {}, false},
+                        {"flat latency", &Plain, SlowHits, false},
+                        {"plain", &Plain, {}, true}};
+  const std::vector<ProfilingMethod> Pair = {ProfilingMethod::NaiveAll,
+                                             ProfilingMethod::SampleNaiveAll};
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    PipelineConfig RefConfig = C.Config;
+    RefConfig.Interp.Exec = InterpreterConfig::Engine::Reference;
+    Pipeline Ref(*C.W, RefConfig);
+    ObsConfig OC;
+    OC.Enabled = true;
+    ObsSession Obs(OC);
+    Pipeline Dec(*C.W, C.Config, &Obs);
+    std::vector<ProfileRunResult> Runs =
+        Dec.runProfiles(Pair, DataSet::Train, {}, /*WithMemorySystem=*/true);
+    Runs.push_back(Dec.runProfile(Pair[0], DataSet::Train, true));
+    ASSERT_EQ(Runs.size(), 3u);
+    for (size_t K = 0; K != Runs.size(); ++K) {
+      SCOPED_TRACE(K);
+      expectSameProfileResult(
+          *C.W, Ref.runProfile(Pair[K % 2], DataSet::Train, true), Runs[K]);
+      EXPECT_NE(Runs[K].Stats.MemStallCycles, 0u);
+    }
+    if (C.W != &Plain) {
+      EXPECT_NE(Runs[0].Stats.Mem.PrefetchesIssued, 0u);
+    }
+    const auto &Counters = Obs.registry().counters();
+    const auto Derived = Counters.find("pipeline.profile_memsys_derived");
+    EXPECT_EQ(Derived == Counters.end() ? 0 : Derived->second.value(),
+              C.Derives ? 3u : 0u);
+  }
 }

@@ -10,6 +10,7 @@
 #include "ir/Verifier.h"
 #include "profile/ProfileData.h"
 #include "profile/StrideProfiler.h"
+#include "workloads/Workload.h"
 
 #include "TestHelpers.h"
 #include <gtest/gtest.h>
@@ -283,4 +284,32 @@ TEST(Instrumentation, SampledMethodsShareInstrumentationShape) {
             countOps(M2, Opcode::ProfStride));
   EXPECT_EQ(countOps(M1, Opcode::ProfCounterInc),
             countOps(M2, Opcode::ProfCounterInc));
+}
+
+// Instrumentation never touches simulated memory: no instruction it adds
+// is a Load, Store, SpecLoad or Prefetch, on any workload under any
+// method. So an instrumented program issues its un-instrumented
+// program's access stream, which lets Pipeline::runProfiles take a
+// profile run's memory stalls from the un-instrumented run.
+TEST(Instrumentation, AddsNoMemoryOps) {
+  for (const std::unique_ptr<Workload> &W : makeSpecIntSuite()) {
+    const Program P = W->build({DataSet::Train});
+    for (ProfilingMethod Method : allProfilingMethods()) {
+      SCOPED_TRACE(W->info().Name + "/" + profilingMethodName(Method));
+      Module M = P.M;
+      instrumentModule(M, Method);
+      uint64_t Added = 0;
+      for (const Function &F : M.Functions)
+        for (const BasicBlock &BB : F.Blocks)
+          for (const Instruction &I : BB.Insts) {
+            if (!I.IsInstrumentation)
+              continue;
+            ++Added;
+            EXPECT_TRUE(I.Op != Opcode::Load && I.Op != Opcode::Store &&
+                        I.Op != Opcode::SpecLoad && I.Op != Opcode::Prefetch)
+                << opcodeName(I.Op);
+          }
+      EXPECT_GT(Added, 0u);
+    }
+  }
 }

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
+#include <algorithm>
+#include <string>
+#include <vector>
 
 using namespace sprof;
 
@@ -350,82 +352,107 @@ TEST(MemoryHierarchy, PrefetchFullMissDoubleFillKeepsAccounting) {
 
 namespace {
 
-/// Drives a K-clock hierarchy and K lone one-clock hierarchies with one
-/// random stream of demand loads and prefetches, clock I issuing each
-/// access at its own cycle Now[I]. The clocks advance by different random
-/// issue costs plus each load's own stall, so they drift apart the way a
-/// method's and its sample- variant's clocks do. The addresses mix a hot
-/// set, an L2-sized set and a memory-sized one, and prefetches run ahead
-/// of their uses, so lines are often still in flight when demanded.
-void expectClocksMatchLoneHierarchies(uint64_t Seed) {
-  constexpr unsigned K = MemoryHierarchy::MaxClocks;
-  SCOPED_TRACE(::testing::Message() << "seed " << Seed);
-  MemoryHierarchy Shared(tinyConfig(), K);
-  std::deque<MemoryHierarchy> Lone;
-  for (unsigned I = 0; I != K; ++I)
-    Lone.emplace_back(tinyConfig());
+/// One access of a replayed stream.
+struct StreamAccess {
+  uint64_t Addr;
+  bool Prefetch = false;
+};
 
+/// A seeded demand stream over a hot set, an L2-sized set and a
+/// memory-sized one, so every level of tinyConfig() serves some loads.
+std::vector<StreamAccess> demandStream(uint64_t Seed, size_t Length) {
   Rng R(Seed);
-  uint64_t Now[K] = {};
-  uint64_t Latency[K];
-  uint64_t InFlightHits = 0;
-  for (unsigned Event = 0; Event != 40000; ++Event) {
-    for (unsigned I = 0; I != K; ++I)
-      Now[I] += 1 + R.below(2 + 3 * I);
+  std::vector<StreamAccess> Stream;
+  for (size_t I = 0; I != Length; ++I) {
     const uint64_t Pick = R.below(100);
-    uint64_t Addr = Pick < 50   ? R.below(16) * 64
-                    : Pick < 85 ? 0x10000 + R.below(256) * 64
-                                : 0x100000 + R.below(8192) * 64;
-    if (R.below(4) == 0) {
-      // Prefetch a line a few lines ahead, as inserted prefetches do.
-      Addr += 64 * (1 + R.below(4));
-      Shared.prefetchClocks(Addr, Now);
-      for (unsigned I = 0; I != K; ++I)
-        Lone[I].prefetch(Addr, Now[I]);
+    Stream.push_back({Pick < 50   ? R.below(16) * 64
+                      : Pick < 85 ? 0x10000 + R.below(256) * 64
+                                  : 0x100000 + R.below(8192) * 64});
+  }
+  return Stream;
+}
+
+/// What one schedule of a stream saw: each demand access's latency and the
+/// latency of the level that served it (read off the hit counts), and the
+/// final statistics.
+struct ScheduledRun {
+  std::vector<uint64_t> Latencies;
+  std::vector<uint64_t> ServingLatencies;
+  std::string Stats;
+};
+
+/// Feeds \p Stream to a fresh hierarchy under the interpreter's stall
+/// convention: each access issues a seeded random gap in [MinGap, MaxGap]
+/// after the previous one (LoadBaseCost and the work between loads), and
+/// a load stalls for the part of its latency beyond Hidden, the flat
+/// latency the pipeline hides (TimingModel::FlatLoadLatency, here the L1
+/// HitLatency).
+ScheduledRun runScheduled(const std::vector<StreamAccess> &Stream,
+                          uint64_t GapSeed, uint64_t MinGap,
+                          uint64_t MaxGap) {
+  constexpr uint64_t Hidden = 2;
+  const MemoryConfig Config = tinyConfig();
+  MemoryHierarchy MH(Config);
+  Rng Gaps(GapSeed);
+  ScheduledRun Run;
+  uint64_t Now = 0;
+  for (const StreamAccess &A : Stream) {
+    Now += MinGap + Gaps.below(MaxGap - MinGap + 1);
+    if (A.Prefetch) {
+      MH.prefetch(A.Addr, Now);
       continue;
     }
-    Shared.demandAccessClocks(Addr, Now, Latency);
-    for (unsigned I = 0; I != K; ++I) {
-      const uint64_t Expected = Lone[I].demandAccess(Addr, Now[I]);
-      ASSERT_EQ(Latency[I], Expected) << "clock " << I << ", event " << Event;
-      if (Expected != 2 && Expected != 9 && Expected != 24 && Expected != 160)
-        ++InFlightHits;
-      Now[I] += Expected > 2 ? Expected - 2 : 0;
-    }
+    const MemoryStats Before = MH.stats();
+    const uint64_t Latency = MH.demandAccess(A.Addr, Now);
+    uint64_t Serving = Config.MemoryLatency;
+    for (size_t L = 0; L != Config.Levels.size(); ++L)
+      if (MH.stats().Levels[L].Hits != Before.Levels[L].Hits)
+        Serving = Config.Levels[L].HitLatency;
+    Run.Latencies.push_back(Latency);
+    Run.ServingLatencies.push_back(Serving);
+    Now += Latency > Hidden ? Latency - Hidden : 0;
   }
-  for (unsigned I = 0; I != K; ++I)
-    EXPECT_EQ(memoryStatsToJson(Shared.clockStats(I)).str(0),
-              memoryStatsToJson(Lone[I].stats()).str(0))
-        << "clock " << I;
-
-  // The stream reached the paths that tell the clocks apart.
-  EXPECT_GT(InFlightHits, 0u);
-  for (unsigned I = 0; I != K; ++I) {
-    EXPECT_GT(Lone[I].stats().LatePrefetchHits, 0u);
-    EXPECT_GT(Lone[I].stats().PrefetchesRedundant, 0u);
-    EXPECT_GT(Lone[I].stats().PrefetchesUnused, 0u);
-  }
-  EXPECT_NE(Lone[0].stats().StallCycles, Lone[K - 1].stats().StallCycles);
+  Run.Stats = memoryStatsToJson(MH.stats()).str(0);
+  return Run;
 }
 
 } // namespace
 
-// A K-clock hierarchy simulates tags, LRU and prefetch marks once and
-// keeps each clock's ready stamps apart: every clock's latencies and
-// statistics equal those of a lone hierarchy fed the same stream at that
-// clock's cycles.
-TEST(MemoryHierarchy, ClocksMatchLoneHierarchies) {
-  for (uint64_t Seed : {1u, 2u, 3u, 4u})
-    expectClocksMatchLoneHierarchies(Seed);
-}
+// Without prefetches, a demand access's latency is its serving level's
+// HitLatency (or the MemoryLatency), whatever the clock reads, as long as
+// the stalled pipeline hides no more than the L1 hit latency: two issue-gap
+// schedules of one stream, one as tight as the stall convention allows
+// and one loose, see the same latencies and statistics. Pipeline::
+// runProfiles relies on this to take a profile run's stalls from its
+// un-instrumented program's run.
+TEST(MemoryHierarchy, PrefetchFreeLatencyIsTheServingLevels) {
+  for (uint64_t Seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << Seed);
+    const std::vector<StreamAccess> Stream = demandStream(Seed, 40000);
+    const ScheduledRun Tight = runScheduled(Stream, 2 * Seed, 0, 1);
+    const ScheduledRun Loose = runScheduled(Stream, 2 * Seed + 1, 0, 300);
+    EXPECT_EQ(Tight.Latencies, Tight.ServingLatencies);
+    EXPECT_EQ(Loose.Latencies, Loose.ServingLatencies);
+    EXPECT_EQ(Tight.Latencies, Loose.Latencies);
+    EXPECT_EQ(Tight.Stats, Loose.Stats);
+    // Every level and memory served some load.
+    for (uint64_t Latency : {2u, 9u, 24u, 160u})
+      EXPECT_NE(std::count(Tight.Latencies.begin(), Tight.Latencies.end(),
+                           Latency),
+                0)
+          << "latency " << Latency;
+  }
 
-// A one-clock hierarchy's clockStats(0) is its stats().
-TEST(MemoryHierarchy, OneClockStatsAreTheStats) {
-  MemoryHierarchy MH(tinyConfig());
-  MH.demandAccess(0x1000, 0);
-  MH.prefetch(0x2000, 5);
-  MH.demandAccess(0x2000, 20);
-  EXPECT_EQ(MH.clocks(), 1u);
-  EXPECT_EQ(memoryStatsToJson(MH.clockStats(0)).str(0),
-            memoryStatsToJson(MH.stats()).str(0));
+  // One prefetch breaks it: its line is demanded while the fill is in
+  // flight on the tight schedule and after it on the loose one, so that
+  // load's latency depends on the clock.
+  std::vector<StreamAccess> Stream = demandStream(1, 2000);
+  const size_t Demand = 1000;
+  Stream.insert(Stream.begin() + Demand, {{0x900000, true}, {0x900000}});
+  const ScheduledRun Tight = runScheduled(Stream, 5, 0, 1);
+  const ScheduledRun Loose = runScheduled(Stream, 6, 200, 300);
+  EXPECT_EQ(Loose.Latencies[Demand], 2u);
+  EXPECT_GT(Tight.Latencies[Demand], 2u);
+  EXPECT_NE(Tight.Latencies[Demand], Tight.ServingLatencies[Demand]);
+  EXPECT_NE(Tight.Stats, Loose.Stats);
 }
