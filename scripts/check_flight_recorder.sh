@@ -20,6 +20,7 @@ set -uo pipefail
 
 DEMO="${1:?usage: check_flight_recorder.sh /path/to/sweep_demo [workdir] [sprof-inspect]}"
 WORKDIR="${2:-$(mktemp -d)}"
+mkdir -p "$WORKDIR"
 INSPECT="${3:-}"
 
 fail() {

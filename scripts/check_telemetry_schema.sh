@@ -29,6 +29,7 @@ set -euo pipefail
 
 DEMO="${1:?usage: check_telemetry_schema.sh /path/to/telemetry_demo [workdir] [sprof-inspect] [sweep_demo]}"
 WORKDIR="${2:-$(mktemp -d)}"
+mkdir -p "$WORKDIR"
 INSPECT="${3:-}"
 SWEEP_DEMO="${4:-}"
 # "-" skips an optional slot (ctest can't pass empty arguments portably).

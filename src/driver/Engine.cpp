@@ -247,7 +247,7 @@ ProfileGroups::ProfileGroups(ExperimentEngine &Engine, PipelineConfig Config,
 JobId ProfileGroups::add(std::string Name, const Workload *W,
                          uint64_t SeedOffset, ProfilingMethod Method,
                          DataSet DS, CellFn Done) {
-  Group *&Slot = Open[{W, SeedOffset, DS, baseMethod(Method)}];
+  Group *&Slot = Open[{W, SeedOffset, DS, instrumentationFamily(Method)}];
   if (!Share || !Slot) {
     Group *G = &Groups.emplace_back();
     Slot = G;

@@ -29,8 +29,9 @@
 /// dependencies (the suite helpers in Experiments.h use this, and build
 /// every baseline → profile → feedback graph), and runSweep() expands a
 /// declarative SweepSpec into one profile RunJob per cell (instrument →
-/// interpret → profile). In both, cells whose methods share a base method
-/// share one execution (profile fan-out, see ProfileGroups).
+/// interpret → profile). In both, cells whose methods share an
+/// instrumentation family share one execution (profile fan-out, see
+/// ProfileGroups).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -147,9 +148,10 @@ public:
   const std::vector<JobOutcome> &lastOutcomes() const { return Outcomes; }
 
   /// Expands \p Spec into jobs, runs them, and assembles the grid. The
-  /// cells' run jobs go through ProfileGroups, so cells that share a base
-  /// method share one execution. Cells, job names and per-job metrics
-  /// equal those of one runProfile per cell. Throws std::invalid_argument
+  /// cells' run jobs go through ProfileGroups, so cells whose methods share
+  /// an instrumentation family share one execution. Cells and job names
+  /// equal those of one runProfile per cell, and so do per-job metrics but
+  /// for pipeline.profile_sliced. Throws std::invalid_argument
   /// for a config requireSharableConfig rejects, before scheduling
   /// anything.
   SweepResult runSweep(const SweepSpec &Spec);
@@ -188,18 +190,20 @@ private:
 
 /// Profile fan-out (docs/ENGINE.md): schedules the run jobs of profile
 /// cells on an engine so that the cells of one workload, seed offset and
-/// profile input whose methods share a baseMethod (naive-all and
-/// sample-naive-all, ...) form a group that executes once
-/// (Pipeline::runProfiles), with or without a cache model; with one, the
+/// profile input whose methods share an instrumentationFamily (the four
+/// naive methods; edge-check and sample-edge-check; ...) form a group that
+/// executes once (Pipeline::runProfiles, which slices naive-loop's events
+/// from the naive-all run), with or without a cache model; with one, the
 /// group's memory stall comes from its un-instrumented program's run
 /// through the engine's run memo, so every group of a workload and input
 /// shares one such execution per wave. The first
 /// cell's run job executes for the whole group; every other cell keeps
 /// its own run job under its own name, which depends on the first and
 /// only publishes its profile and folds in the metrics its lone
-/// runProfile would have recorded. A session with the self-profiler
-/// attached runs every cell alone: its samples belong to each run's own
-/// job. The object must outlive the engine's next run().
+/// runProfile would have recorded (plus pipeline.profile_sliced when
+/// sliced). A session with the self-profiler attached runs every cell
+/// alone: its samples belong to each run's own job. The object must
+/// outlive the engine's next run().
 class ProfileGroups {
 public:
   /// Receives a cell's finished profile, inside that cell's run job.

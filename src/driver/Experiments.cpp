@@ -83,8 +83,8 @@ sprof::measureSuite(ExperimentEngine &Engine,
   // pairs.
   std::vector<ProfileRunResult> Profiles(Workloads.size() * Methods.size());
   RunMemo *Memo = Engine.runMemo();
-  // Each method and its sample- variant share one execution, and every
-  // train profile run of a workload takes its memory stall from one
+  // The methods of one instrumentation family share one execution, and
+  // every train profile run of a workload takes its memory stall from one
   // memoized un-instrumented train run.
   ProfileGroups Groups(Engine, Config, /*WithMemorySystem=*/true);
 

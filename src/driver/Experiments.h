@@ -91,8 +91,9 @@ workloadPointers(const std::vector<std::unique_ptr<Workload>> &Suite);
 
 /// Runs the Figure 16/20/21/22 measurement set for each workload: an
 /// edge-only train run, a baseline ref run, and per stride method one
-/// instrumented train run plus one prefetched ref run. A method and its
-/// sample- variant share one train execution (ProfileGroups), and the
+/// instrumented train run plus one prefetched ref run. The methods of one
+/// instrumentation family share one train execution (ProfileGroups: the
+/// four naive methods, and edge-check with its sample- variant), and the
 /// train runs take their memory stall from one memoized un-instrumented
 /// train run per workload (Pipeline::runProfiles); profile jobs and
 /// results are a lone run's.

@@ -7,6 +7,7 @@
 
 #include "driver/Pipeline.h"
 
+#include "analysis/LoopInfo.h"
 #include "driver/RunMemo.h"
 #include "driver/TraceReplay.h"
 #include "interp/ProgramCache.h"
@@ -15,6 +16,7 @@
 #include "obs/Trace.h"
 #include "stream/TraceFile.h"
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
 #include <stdexcept>
@@ -34,19 +36,44 @@ static void labelSelfProfile(ObsSession *Obs, const Workload &W,
 namespace {
 
 /// Feeds one execution's ProfStride batches to the profilers of every
-/// method after the first (which the interpreter drives itself), summing
-/// each one's simulated cost.
+/// method but the one the interpreter drives itself, summing each one's
+/// simulated cost. A sliced profiler sees only the events of in-loop load
+/// sites: in a naive-all execution, exactly the trap stream of the
+/// naive-loop run.
 class ProfilerFanOut final : public AccessSink {
 public:
-  explicit ProfilerFanOut(std::span<StrideProfiler> Profilers)
-      : Profilers(Profilers), Costs(Profilers.size(), 0) {}
+  /// \p Rider's profiler takes no batches here; \p InLoop (per load site)
+  /// is empty when no method in \p Sliced is.
+  ProfilerFanOut(std::span<StrideProfiler> Profilers, size_t Rider,
+                 std::vector<bool> Sliced, std::vector<uint8_t> InLoop)
+      : Profilers(Profilers), Rider(Rider), Sliced(std::move(Sliced)),
+        InLoop(std::move(InLoop)), Costs(Profilers.size(), 0) {}
 
   void onBatch(const AccessEvent *Events, size_t N) override {
-    for (size_t K = 0; K != Profilers.size(); ++K)
-      Costs[K] += Profilers[K].profileBatch(Events, N);
+    size_t NIn = 0;
+    if (!InLoop.empty()) {
+      if (Slice.size() < N)
+        Slice.resize(N);
+      for (size_t I = 0; I != N; ++I) {
+        Slice[NIn] = Events[I];
+        NIn += InLoop[Events[I].SiteId];
+      }
+    }
+    for (size_t K = 0; K != Profilers.size(); ++K) {
+      if (K == Rider)
+        continue;
+      if (!Sliced[K])
+        Costs[K] += Profilers[K].profileBatch(Events, N);
+      else if (NIn != 0)
+        Costs[K] += Profilers[K].profileBatch(Slice.data(), NIn);
+    }
   }
 
   std::span<StrideProfiler> Profilers;
+  size_t Rider;
+  std::vector<bool> Sliced;
+  std::vector<uint8_t> InLoop;
+  std::vector<AccessEvent> Slice;
   std::vector<uint64_t> Costs;
 };
 
@@ -62,7 +89,7 @@ Pipeline::runProfiles(std::span<const ProfilingMethod> Methods, DataSet DS,
                       std::span<ObsSession *const> MethodObs,
                       bool WithMemorySystem) const {
   for (ProfilingMethod M : Methods)
-    if (baseMethod(M) != baseMethod(Methods[0]))
+    if (instrumentationFamily(M) != instrumentationFamily(Methods[0]))
       throw std::invalid_argument(
           std::string("runProfiles: ") + profilingMethodName(M) +
           " and " + profilingMethodName(Methods[0]) +
@@ -142,8 +169,32 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
   }();
   assert(isWellFormed(Prog.M) && "workload built a malformed module");
 
-  InstrumentationResult Instr =
-      instrumentModule(Prog.M, Methods[0], Config.Instrument, Obs);
+  // The module is instrumented for the family's widest base method when a
+  // method needs it (naive-all), and the first method of that base rides
+  // in the interpreter. A method of a narrower base (naive-loop) is sliced:
+  // it profiles the in-loop events of that execution, which are exactly
+  // its own run's trap stream.
+  const ProfilingMethod Family = instrumentationFamily(Methods[0]);
+  const auto Widest = std::find_if(
+      Methods.begin(), Methods.end(),
+      [&](ProfilingMethod M) { return baseMethod(M) == Family; });
+  const size_t Rider = Widest == Methods.end()
+                           ? 0
+                           : static_cast<size_t>(Widest - Methods.begin());
+  const ProfilingMethod Instrumented = baseMethod(Methods[Rider]);
+  std::vector<bool> Sliced(N);
+  std::vector<uint8_t> InLoop;
+  for (size_t K = 0; K != N; ++K)
+    Sliced[K] = baseMethod(Methods[K]) != Instrumented;
+  if (std::find(Sliced.begin(), Sliced.end(), true) != Sliced.end()) {
+    const std::vector<bool> Sites = loadSitesInLoop(Prog.M);
+    InLoop.assign(Sites.begin(), Sites.end());
+  }
+
+  InstrumentationResult Instr = [&] {
+    TraceSpan IS(Obs, "instrument", "instrument");
+    return instrumentModule(Prog.M, Instrumented, Config.Instrument);
+  }();
   assert(isWellFormed(Prog.M) && "instrumentation broke the module");
 
   std::vector<StrideProfiler> Profilers;
@@ -155,7 +206,7 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
     Profilers.back().attachObs(ObsOf(K));
   }
 
-  // Method 0's profiler rides in the interpreter exactly as a lone run's
+  // The rider's profiler runs in the interpreter exactly as a lone run's
   // would; the others take the same event batches through the fan-out. A
   // run given its stall reports every method's interp.* below, once the
   // stall is in its cycle count (its session has no self-profiler to
@@ -164,9 +215,9 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
   std::optional<MemoryHierarchy> MH;
   if (TimeMemory)
     I.attachMemory(&MH.emplace(Config.Memory));
-  I.attachProfiler(&Profilers[0]);
-  I.attachObs(Stall ? nullptr : Obs);
-  ProfilerFanOut FanOut(std::span<StrideProfiler>(Profilers).subspan(1));
+  I.attachProfiler(&Profilers[Rider]);
+  I.attachObs(Stall ? nullptr : ObsOf(Rider));
+  ProfilerFanOut FanOut(Profilers, Rider, Sliced, std::move(InLoop));
   if (N > 1)
     I.attachEventSink(&FanOut);
 
@@ -184,7 +235,7 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
       Obs->counter("pipeline.trace_capture_failures")->inc();
   }
 
-  labelSelfProfile(Obs, W, "profile");
+  labelSelfProfile(ObsOf(Rider), W, "profile");
   RunStats Stats;
   {
     TraceSpan ES(Obs, "execute", "interp");
@@ -213,28 +264,36 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
 
   // Every result but the last copies the shared parts; the last moves them.
   const uint64_t ExecCycles = Stats.Cycles - Stats.RuntimeCycles;
+  const uint64_t ExecTraps = Profilers[Rider].totalInvocations();
   std::vector<ProfileRunResult> Results(N);
   for (size_t K = 0; K != N; ++K) {
     ProfileRunResult &Result = Results[K];
     ObsSession *MObs = ObsOf(K);
+    const StrideProfiler &Profiler = Profilers[K];
     const bool Last = K + 1 == N;
     Result.Method = Methods[K];
     Result.Instr = Last ? std::move(Instr) : Instr;
     Result.Instr.Method = Methods[K];
     Result.Edges = Last ? std::move(Edges) : Edges;
     Result.Stats = Last ? std::move(Stats) : Stats;
-    if (K != 0) {
+    if (Sliced[K]) {
+      // The in-loop slice: the execution without its out-loop traps, each
+      // one instruction that charges only runtime cycles.
+      std::erase_if(Result.Instr.ProfiledSites,
+                    [&](uint32_t Site) { return !FanOut.InLoop[Site]; });
+      Result.Stats.Instructions -= ExecTraps - Profiler.totalInvocations();
+    }
+    if (K != Rider) {
       // The execution's accounting with this method's runtime cost in
-      // place of method 0's (exact: nothing reads the cycle count between
-      // traps), and the telemetry a lone run would record.
-      const uint64_t Runtime = FanOut.Costs[K - 1];
+      // place of the rider's (exact: nothing reads the cycle count between
+      // traps).
+      const uint64_t Runtime = FanOut.Costs[K];
       Result.Stats.Cycles = ExecCycles + Runtime;
       Result.Stats.RuntimeCycles = Runtime;
-      recordInstrumentation(MObs, Result.Instr);
     }
-    if (K != 0 || Stall)
-      I.recordRun(MObs, Result.Stats);
-    const StrideProfiler &Profiler = Profilers[K];
+    recordInstrumentation(MObs, Result.Instr);
+    if (K != Rider || Stall)
+      I.recordRun(MObs, Result.Stats, Profiler.totalInvocations());
     {
       TraceSpan HS(MObs, "strideprof-harvest", "profile");
       Result.Strides = StrideProfile::fromProfiler(Profiler);
@@ -247,6 +306,8 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
       MObs->counter("pipeline.profile_cycles")->inc(Result.Stats.Cycles);
       if (Stall)
         MObs->counter("pipeline.profile_memsys_derived")->inc();
+      if (Sliced[K])
+        MObs->counter("pipeline.profile_sliced")->inc();
       MObs->counter("strideprof.invocations")->inc(Result.StrideInvocations);
       MObs->counter("strideprof.processed")->inc(Result.StrideProcessed);
       MObs->counter("strideprof.lfu_calls")->inc(Result.LfuCalls);

@@ -126,8 +126,9 @@ public:
   /// this so every job's pipeline phases land in the job's metric scope.
   /// With \p Memo (the engine's, see driver/RunMemo.h), runBaseline,
   /// runPrefetched and the memory stall of runProfiles execute through it,
-  /// so identical timed runs in one engine wave execute once; results and telemetry are unchanged. A
-  /// session with the self-profiler attached bypasses the memo.
+  /// so identical timed runs in one engine wave execute once; results and
+  /// telemetry are unchanged. A session with the self-profiler attached
+  /// bypasses the memo.
   Pipeline(const Workload &W, PipelineConfig Config, ObsSession *External,
            RunMemo *Memo = nullptr)
       : W(W), Config(std::move(Config)), Session(External), Memo(Memo) {}
@@ -140,11 +141,20 @@ public:
   ProfileRunResult runProfile(ProfilingMethod Method, DataSet DS,
                               bool WithMemorySystem = true) const;
 
-  /// Steps 1-2 for several methods that share one baseMethod (a method and
-  /// its sample- variant): one build, one instrumentation and one
+  /// Steps 1-2 for several methods of one instrumentation family
+  /// (instrumentationFamily: a method and its sample- variant, or any of
+  /// the four naive methods): one build, one instrumentation and one
   /// interpreter run, whose ProfStride traps feed one StrideProfiler per
   /// method. Result K equals runProfile(Methods[K], DS, WithMemorySystem)
   /// bit for bit.
+  ///
+  /// A group with a naive-all-based method instruments for naive-all, and
+  /// its naive-loop-based methods are sliced: their profilers see only the
+  /// events of in-loop load sites (loadSitesInLoop of the un-instrumented
+  /// module), which is the naive-loop run's trap stream, because the two
+  /// instrumentations differ only in the out-loop ProfStrides. A sliced
+  /// result's Instructions drop those traps and its ProfiledSites keep the
+  /// in-loop ones; everything else is derived as for any other method.
   ///
   /// Without a cache model, result K's RunStats are the execution's plus
   /// that profiler's RuntimeCycles, which is exact because nothing reads
@@ -156,16 +166,19 @@ public:
   /// engine, a module without Prefetch or SpecLoad, a FlatLoadLatency no
   /// larger than any level's HitLatency, and a session without the
   /// self-profiler (whose samples belong to the run they describe);
-  /// otherwise each method runs alone with the cache model attached, as
-  /// under the Reference engine, the executable spec.
+  /// otherwise each method runs alone with the cache model attached and
+  /// its own instrumentation, as under the Reference engine, the
+  /// executable spec.
   ///
   /// Method K's telemetry goes to \p MethodObs[K], or to obs() for every
   /// method when \p MethodObs is empty, and its metrics equal that
-  /// runProfile's. The shared phases' trace spans land once, in method 0's
-  /// session; the un-instrumented run records no metrics there. Throws
-  /// std::invalid_argument when the base methods differ, \p MethodObs has
-  /// the wrong size, or trace capture is on with more than one method (the
-  /// capture names one method).
+  /// runProfile's, plus pipeline.profile_sliced for a sliced method. The
+  /// shared phases' trace spans land once, in method 0's session; the
+  /// execution's self-profiler samples land in the session of the method
+  /// whose profiler rides in the interpreter; the un-instrumented run
+  /// records no metrics there. Throws std::invalid_argument when the
+  /// families differ, \p MethodObs has the wrong size, or trace capture is
+  /// on with more than one method (the capture names one method).
   std::vector<ProfileRunResult>
   runProfiles(std::span<const ProfilingMethod> Methods, DataSet DS,
               std::span<ObsSession *const> MethodObs = {},

@@ -75,6 +75,12 @@ ProfilingMethod sprof::baseMethod(ProfilingMethod Method) {
   }
 }
 
+ProfilingMethod sprof::instrumentationFamily(ProfilingMethod Method) {
+  ProfilingMethod Base = baseMethod(Method);
+  return Base == ProfilingMethod::NaiveLoop ? ProfilingMethod::NaiveAll
+                                            : Base;
+}
+
 bool sprof::profilingMethodFromName(const std::string &Name,
                                     ProfilingMethod &Method) {
   for (ProfilingMethod M : allProfilingMethods())

@@ -77,6 +77,13 @@ bool methodProfilesOutLoop(ProfilingMethod Method);
 /// Strips the sampling wrapper: SampleEdgeCheck -> EdgeCheck etc.
 ProfilingMethod baseMethod(ProfilingMethod Method);
 
+/// The instrumentation family of \p Method, named by its widest base
+/// method: NaiveAll for the four naive methods (naive-loop's ProfStrides
+/// are naive-all's in-loop ones, and their counters are the same), and
+/// baseMethod(Method) for every other method. Methods of one family can
+/// share an instrumented execution (Pipeline::runProfiles).
+ProfilingMethod instrumentationFamily(ProfilingMethod Method);
+
 /// All eight methods in the order the paper's figures list them.
 std::vector<ProfilingMethod> allProfilingMethods();
 

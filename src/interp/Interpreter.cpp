@@ -45,8 +45,11 @@ void Interpreter::attachObs(ObsSession *Session) {
   Sinks = resolveSinks(Session);
 }
 
-void Interpreter::recordRun(ObsSession *Session, const RunStats &Stats) const {
-  flushObs(resolveSinks(Session), Stats, LastTally);
+void Interpreter::recordRun(ObsSession *Session, const RunStats &Stats,
+                            uint64_t StrideTraps) const {
+  ExecTally Tally = LastTally;
+  Tally.StrideTraps = StrideTraps;
+  flushObs(resolveSinks(Session), Stats, Tally);
 }
 
 Interpreter::ObsSinks Interpreter::resolveSinks(ObsSession *Session) {

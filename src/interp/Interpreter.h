@@ -156,10 +156,12 @@ public:
   void attachObs(ObsSession *Session);
 
   /// Adds the last run()'s interp.* telemetry to \p Session as if that
-  /// run had returned \p Stats (nullptr records nothing). One execution
-  /// serving several profilers (Pipeline::runProfiles) reports each
-  /// method's cycle accounting this way; the opcode tallies are the run's.
-  void recordRun(ObsSession *Session, const RunStats &Stats) const;
+  /// run had returned \p Stats and trapped \p StrideTraps times (nullptr
+  /// records nothing). One execution serving several profilers
+  /// (Pipeline::runProfiles) reports each method's cycle accounting and
+  /// strideProf calls this way; the other opcode tallies are the run's.
+  void recordRun(ObsSession *Session, const RunStats &Stats,
+                 uint64_t StrideTraps) const;
 
   /// Runs the entry function to completion (or until \p MaxInstructions).
   RunStats run(uint64_t MaxInstructions = 4ull << 30);

@@ -608,6 +608,7 @@ void expectSameProfileResult(const Workload &W, const ProfileRunResult &Spec,
                              const ProfileRunResult &Got) {
   EXPECT_EQ(Got.Method, Spec.Method);
   EXPECT_EQ(Got.Instr.Method, Spec.Method);
+  EXPECT_EQ(Got.Instr.ProfiledSites, Spec.Instr.ProfiledSites);
   expectSameStats(Spec.Stats, Got.Stats);
   EXPECT_EQ(profileText(W, Spec.Method, Spec),
             profileText(W, Spec.Method, Got));
@@ -616,19 +617,22 @@ void expectSameProfileResult(const Workload &W, const ProfileRunResult &Spec,
   EXPECT_EQ(Spec.LfuCalls, Got.LfuCalls);
 }
 
-// Profile fan-out: one execution serving a base method and its sample-
-// variant gives each method exactly the run it would have had alone, on
-// every workload, both inputs and both engines. The lone runs execute on
-// the Decoded engine only: Reference equals Decoded (pinned above), and
-// Reference runs are the slow part. The ref input lists the sampled
-// method first, so both orders drive the fan-out.
+// Profile fan-out: one execution serving a family of methods gives each
+// method exactly the run it would have had alone, on every workload, both
+// inputs and both engines. The families are the edge-check pair and the
+// four naive methods, whose naive-loop members profile the in-loop slice
+// of the naive-all execution; the family runs in two orders, naive-loop
+// last and naive-loop leading. The lone runs execute on the Decoded engine
+// only: Reference equals Decoded (pinned above), and Reference runs are
+// the slow part, so on the ref input, about ten times the train input,
+// Reference runs only the edge-check pair (sampled method first).
 //
 // With the cache model on, the Decoded engine runs the instrumented
 // program without it and takes the stalls and cache statistics from the
 // un-instrumented run (here through a per-workload run memo, as in an
 // engine wave); the Reference engine executes every run directly and is
-// the spec. Every method on train, lone and in its pair, and the
-// edge-check pair on ref.
+// the spec. Every method on train, lone, in its pair and in the naive
+// family, and the edge-check pair on ref.
 //
 // The (workload, input) cases spread over four threads to keep the suite
 // quick.
@@ -638,26 +642,39 @@ TEST(RunProfiles, MatchSeparateRunsAcrossSuiteInputsAndEngines) {
       {ProfilingMethod::NaiveLoop, ProfilingMethod::SampleNaiveLoop},
       {ProfilingMethod::EdgeCheck, ProfilingMethod::SampleEdgeCheck},
   };
+  const std::vector<ProfilingMethod> Families[] = {
+      {ProfilingMethod::NaiveAll, ProfilingMethod::SampleNaiveAll,
+       ProfilingMethod::SampleNaiveLoop, ProfilingMethod::NaiveLoop},
+      {ProfilingMethod::NaiveLoop, ProfilingMethod::SampleNaiveAll,
+       ProfilingMethod::NaiveAll, ProfilingMethod::SampleNaiveLoop},
+  };
   auto Check = [&](const Workload &W, DataSet DS) {
-    for (auto [Base, Sampled] : Pairs) {
-      const std::vector<ProfilingMethod> Methods =
-          DS == DataSet::Train ? std::vector{Base, Sampled}
-                               : std::vector{Sampled, Base};
-      Pipeline Dec(W, engineConfig(InterpreterConfig::Engine::Decoded));
-      Pipeline Ref(W, engineConfig(InterpreterConfig::Engine::Reference));
-      std::vector<ProfileRunResult> Alone;
-      for (ProfilingMethod M : Methods)
-        Alone.push_back(Dec.runProfile(M, DS, /*WithMemorySystem=*/false));
-      for (const Pipeline *P : {&Dec, &Ref}) {
-        std::vector<ProfileRunResult> Fused = P->runProfiles(Methods, DS);
-        ASSERT_EQ(Fused.size(), 2u);
-        for (size_t K = 0; K != 2; ++K) {
-          SCOPED_TRACE(W.info().Name + "/" + dataSetName(DS) + "/" +
-                       profilingMethodName(Methods[K]) +
-                       (P == &Ref ? " on reference" : " on decoded"));
-          expectSameProfileResult(W, Alone[K], Fused[K]);
-        }
+    Pipeline Dec(W, engineConfig(InterpreterConfig::Engine::Decoded));
+    Pipeline Ref(W, engineConfig(InterpreterConfig::Engine::Reference));
+    std::map<ProfilingMethod, ProfileRunResult> Alone;
+    for (auto [Base, Sampled] : Pairs)
+      for (ProfilingMethod M : {Base, Sampled})
+        Alone[M] = Dec.runProfile(M, DS, /*WithMemorySystem=*/false);
+    auto Expect = [&](const Pipeline &P,
+                      const std::vector<ProfilingMethod> &Methods) {
+      std::vector<ProfileRunResult> Fused = P.runProfiles(Methods, DS);
+      ASSERT_EQ(Fused.size(), Methods.size());
+      for (size_t K = 0; K != Methods.size(); ++K) {
+        SCOPED_TRACE(W.info().Name + "/" + dataSetName(DS) + "/" +
+                     profilingMethodName(Methods[K]) + " of " +
+                     profilingMethodName(Methods[0]) + "'s group" +
+                     (&P == &Ref ? " on reference" : " on decoded"));
+        expectSameProfileResult(W, Alone.at(Methods[K]), Fused[K]);
       }
+    };
+    const auto [Base, Sampled] = Pairs[2];
+    for (const Pipeline *P : {&Dec, &Ref})
+      Expect(*P, DS == DataSet::Train ? std::vector{Base, Sampled}
+                                      : std::vector{Sampled, Base});
+    for (const std::vector<ProfilingMethod> &Family : Families) {
+      Expect(Dec, Family);
+      if (DS == DataSet::Train)
+        Expect(Ref, Family);
     }
   };
   auto CheckMemsys = [&](const Workload &W) {
@@ -672,7 +689,9 @@ TEST(RunProfiles, MatchSeparateRunsAcrossSuiteInputsAndEngines) {
       ASSERT_EQ(Fused.size(), Methods.size());
       for (size_t K = 0; K != Methods.size(); ++K) {
         SCOPED_TRACE(W.info().Name + "/" + dataSetName(DS) + "/" +
-                     profilingMethodName(Methods[K]) + " with memsys");
+                     profilingMethodName(Methods[K]) + " of " +
+                     profilingMethodName(Methods[0]) +
+                     "'s group with memsys");
         EXPECT_NE(Fused[K].Stats.Mem.DemandAccesses, 0u);
         expectSameProfileResult(W, Spec[K], Fused[K]);
       }
@@ -684,6 +703,12 @@ TEST(RunProfiles, MatchSeparateRunsAcrossSuiteInputsAndEngines) {
     }
     for (auto [Base, Sampled] : Pairs)
       Expect(DataSet::Train, {Base, Sampled}, {Spec[Base], Spec[Sampled]});
+    for (const std::vector<ProfilingMethod> &Family : Families) {
+      std::vector<ProfileRunResult> FamilySpec;
+      for (ProfilingMethod M : Family)
+        FamilySpec.push_back(Spec[M]);
+      Expect(DataSet::Train, Family, FamilySpec);
+    }
     // On ref, the pair cheapest to run under Reference: the ref input is
     // several times the train input.
     const auto [Base, Sampled] = Pairs[2];
@@ -717,6 +742,10 @@ TEST(RunProfiles, RejectsMixedBasesMissizedSessionsAndCapture) {
   const std::vector<ProfilingMethod> Mixed = {ProfilingMethod::NaiveAll,
                                               ProfilingMethod::EdgeCheck};
   EXPECT_THROW(P.runProfiles(Mixed, DataSet::Train), std::invalid_argument);
+  // Naive-loop and naive-all are one instrumentation family.
+  const std::vector<ProfilingMethod> Naive = {ProfilingMethod::NaiveLoop,
+                                              ProfilingMethod::NaiveAll};
+  EXPECT_NO_THROW(P.runProfiles(Naive, DataSet::Train));
 
   const std::vector<ProfilingMethod> Pair = {ProfilingMethod::EdgeCheck,
                                              ProfilingMethod::SampleEdgeCheck};

@@ -686,6 +686,17 @@ std::string registryText(const MetricsRegistry &Reg) {
   return OS.str();
 }
 
+/// \p Text, the registryText of runs that profiled alone, with the
+/// pipeline.profile_sliced count \p Sliced of the same runs sliced from
+/// their family's execution (the counter sorts after profile_runs).
+std::string withSliced(std::string Text, uint64_t Sliced = 1) {
+  const size_t Runs = Text.find("counter pipeline.profile_runs ");
+  if (Runs != std::string::npos)
+    Text.insert(Text.find('\n', Runs) + 1,
+                numbered("counter pipeline.profile_sliced ", Sliced) + "\n");
+  return Text;
+}
+
 std::string measurementsText(const std::vector<BenchMeasurement> &BMs) {
   std::string Text;
   for (const BenchMeasurement &BM : BMs)
@@ -770,16 +781,19 @@ TEST(RunMemo, SuiteMatchesMemoFreePipelines) {
   ObsSession Ref(RefConfig);
   std::vector<BenchMeasurement> Plain = measureWithoutMemo(WL, Methods, &Ref);
 
+  // The suite's naive-loop and sample-naive-loop runs are sliced from the
+  // naive family's execution.
   EXPECT_EQ(measurementsText(Memoized), measurementsText(Plain));
   EXPECT_EQ(registryText(Engine.obs()->registry()),
-            registryText(Ref.registry()));
+            withSliced(registryText(Ref.registry()), 2 * WL.size()));
 
   // The suite did repeat runs, and the memo caught them: per workload one
   // baseline plus one prefetched run per method, and the un-instrumented
-  // train run behind the edge-only run and each base/sample pair's.
+  // train run behind the edge-only run and each family's execution (the
+  // naive family and the edge-check pair).
   const SweepSchedulerStats &S = Engine.schedStats();
   EXPECT_EQ(S.RunMemoHits + S.RunMemoMisses,
-            WL.size() * (1 + Methods.size() + 1 + Methods.size() / 2));
+            WL.size() * (1 + Methods.size() + 1 + 2));
   EXPECT_GT(S.RunMemoHits, 0u);
   EXPECT_GT(S.RunMemoSavedInstructions, 0u);
   const MetricsRegistry &Reg = Engine.obs()->registry();
@@ -1064,86 +1078,143 @@ std::string cellTag(const SweepCell &Cell) {
   return Tag;
 }
 
-/// A memsys-free sweep with the sampled methods' cells sharing their base
-/// method's execution gives every cell, job name and per-job metric scope
-/// that one runProfile per cell would.
+// The chase behind one out-loop load, of the list head's data word, so
+// naive-loop's trap stream is a proper slice of naive-all's.
+class OutLoopChaseWorkload : public Workload {
+public:
+  WorkloadInfo info() const override {
+    return {"test.chase.outloop", "c", "pointer chase after an out-loop load"};
+  }
+  Program build(const BuildRequest &Req) const override {
+    Program P = ChaseWorkload().build(Req);
+    Function &F = P.M.Functions[0];
+    std::vector<Instruction> &Entry = F.Blocks[F.entryBlock()].Insts;
+    Instruction Load;
+    Load.Op = Opcode::Load;
+    Load.Dst = F.newReg();
+    Load.A = Operand::reg(Entry.front().Dst); // the list head
+    Load.Imm = 8;
+    Load.SiteId = P.M.newLoadSite();
+    Entry.insert(Entry.begin() + 1, Load);
+    return P;
+  }
+};
+
+/// The fan-out group of a cell: cells of one workload, seed offset and
+/// input whose methods share an instrumentation family.
+using GroupKey =
+    std::tuple<const Workload *, uint64_t, DataSet, ProfilingMethod>;
+
+GroupKey groupKey(const SweepCell &Cell) {
+  return {Cell.W, Cell.SeedOffset, Cell.ProfileDS,
+          instrumentationFamily(Cell.Method)};
+}
+
+/// A memsys-free sweep whose cells share their family's execution gives
+/// every cell, job name and per-job metric scope that one runProfile per
+/// cell would, but for the profile_sliced count of each naive-loop cell,
+/// which profiles the in-loop slice of the naive-all run. Both with
+/// naive-all leading the naive family (every method) and with naive-loop
+/// leading it (the paper's order).
 TEST(ExperimentEngine, ProfileFanOutMatchesPerCellRunsAtAnyThreadCount) {
   ChaseWorkload Chase;
   PassesChaseWorkload Passes;
+  OutLoopChaseWorkload OutLoop;
   SweepSpec Spec;
-  Spec.Workloads = {&Chase, &Passes};
-  Spec.Methods = allProfilingMethods();
+  Spec.Workloads = {&Chase, &Passes, &OutLoop};
   Spec.ProfileInputs = {DataSet::Train, DataSet::Ref};
   Spec.SeedOffsets = {0, 3};
   Spec.WithMemorySystem = false;
+  // (workload, seed offset, input) triples.
+  const size_t Triples = Spec.Workloads.size() * Spec.SeedOffsets.size() *
+                         Spec.ProfileInputs.size();
 
   ObsConfig Plain;
   Plain.Enabled = true;
-  for (unsigned Threads : {1u, 4u, 8u}) {
-    SCOPED_TRACE(Threads);
-    EngineOptions Opts = withThreads(Threads);
-    Opts.Obs.Enabled = true;
-    ExperimentEngine Engine(Opts);
-    SweepResult R = Engine.runSweep(Spec);
-    ASSERT_EQ(R.Cells.size(), 2u * 2u * Spec.Methods.size() * 2u);
+  for (const std::vector<ProfilingMethod> &Methods :
+       {allProfilingMethods(), paperStrideMethods()}) {
+    Spec.Methods = Methods;
+    for (unsigned Threads : {1u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(profilingMethodName(Methods[0])) + " first, " +
+                   std::to_string(Threads) + " threads");
+      EngineOptions Opts = withThreads(Threads);
+      Opts.Obs.Enabled = true;
+      ExperimentEngine Engine(Opts);
+      SweepResult R = Engine.runSweep(Spec);
+      ASSERT_EQ(R.Cells.size(), Triples * Spec.Methods.size());
 
-    // One run job per cell, in cell order.
-    const std::vector<JobRecord> &Records = Engine.obs()->jobs();
-    ASSERT_EQ(Records.size(), R.Cells.size());
-    size_t Shared = 0;
-    for (size_t I = 0; I != R.Cells.size(); ++I) {
-      const SweepCell &Cell = R.Cells[I];
-      const std::string Tag = cellTag(Cell);
-      SCOPED_TRACE(Tag);
-      const JobRecord &Run = Records[I];
-      EXPECT_EQ(Run.Name, "profile:" + Tag);
-      EXPECT_TRUE(Run.Ok);
-      EXPECT_EQ(Run.Category, "run-job");
+      // One run job per cell, in cell order.
+      const std::vector<JobRecord> &Records = Engine.obs()->jobs();
+      ASSERT_EQ(Records.size(), R.Cells.size());
+      std::map<GroupKey, size_t> Leaders;
+      size_t Shared = 0, Sliced = 0;
+      for (size_t I = 0; I != R.Cells.size(); ++I) {
+        const SweepCell &Cell = R.Cells[I];
+        const std::string Tag = cellTag(Cell);
+        SCOPED_TRACE(Tag);
+        const JobRecord &Run = Records[I];
+        EXPECT_EQ(Run.Name, "profile:" + Tag);
+        EXPECT_TRUE(Run.Ok);
+        EXPECT_EQ(Run.Category, "run-job");
 
-      // A sampled method's cell waits on its base method's cell, which
-      // ran the execution; every other run job stands alone.
-      if (methodUsesSampling(Cell.Method)) {
-        ++Shared;
-        std::string BaseTag = Tag;
-        BaseTag.replace(BaseTag.find("/sample-") + 1, 7, "");
-        ASSERT_EQ(Run.Deps.size(), 1u);
-        EXPECT_EQ(Records[Run.Deps[0]].Name, "profile:" + BaseTag);
-      } else {
-        EXPECT_TRUE(Run.Deps.empty());
+        // The first cell of a family ran the execution; every other cell
+        // of it waits on that cell's run job.
+        const auto [Leader, First] = Leaders.try_emplace(groupKey(Cell), I);
+        if (First) {
+          EXPECT_TRUE(Run.Deps.empty());
+        } else {
+          ++Shared;
+          ASSERT_EQ(Run.Deps.size(), 1u);
+          EXPECT_EQ(Records[Run.Deps[0]].Name, Records[Leader->second].Name);
+        }
+
+        PipelineConfig C = Spec.Config;
+        C.WorkloadSeedOffset = Cell.SeedOffset;
+        ObsSession RunObs(Plain);
+        ProfileRunResult Alone = Pipeline(*Cell.W, C, &RunObs)
+                                     .runProfile(Cell.Method, Cell.ProfileDS,
+                                                 /*WithMemorySystem=*/false);
+        expectSameStats(Cell.Profile.Stats, Alone.Stats);
+        EXPECT_EQ(profileText(Cell), profileText(SweepCell{
+                                         .W = Cell.W,
+                                         .Method = Cell.Method,
+                                         .ProfileDS = Cell.ProfileDS,
+                                         .Profile = Alone}));
+        EXPECT_EQ(Cell.Profile.Instr.ProfiledSites, Alone.Instr.ProfiledSites);
+        EXPECT_EQ(Cell.Profile.StrideInvocations, Alone.StrideInvocations);
+        EXPECT_EQ(Cell.Profile.StrideProcessed, Alone.StrideProcessed);
+        EXPECT_EQ(Cell.Profile.LfuCalls, Alone.LfuCalls);
+        const bool IsSliced =
+            baseMethod(Cell.Method) == ProfilingMethod::NaiveLoop;
+        Sliced += IsSliced;
+        const std::string Lone = registryText(RunObs.registry());
+        EXPECT_EQ(registryText(Run.Metrics),
+                  IsSliced ? withSliced(Lone) : Lone);
       }
-
-      PipelineConfig C = Spec.Config;
-      C.WorkloadSeedOffset = Cell.SeedOffset;
-      ObsSession RunObs(Plain);
-      ProfileRunResult Alone = Pipeline(*Cell.W, C, &RunObs)
-                                   .runProfile(Cell.Method, Cell.ProfileDS,
-                                               /*WithMemorySystem=*/false);
-      expectSameStats(Cell.Profile.Stats, Alone.Stats);
-      EXPECT_EQ(profileText(Cell), profileText(SweepCell{
-                                       .W = Cell.W,
-                                       .Method = Cell.Method,
-                                       .ProfileDS = Cell.ProfileDS,
-                                       .Profile = Alone}));
-      EXPECT_EQ(Cell.Profile.StrideInvocations, Alone.StrideInvocations);
-      EXPECT_EQ(Cell.Profile.StrideProcessed, Alone.StrideProcessed);
-      EXPECT_EQ(Cell.Profile.LfuCalls, Alone.LfuCalls);
-      EXPECT_EQ(registryText(Run.Metrics), registryText(RunObs.registry()));
+      // Per (workload, seed offset, input): three followers in the naive
+      // family and one in the edge-check pair; two sliced naive-loop cells.
+      EXPECT_EQ(Shared, 4 * Triples);
+      EXPECT_EQ(Sliced, 2 * Triples);
+      EXPECT_EQ(
+          Engine.obs()->registry().counter("pipeline.profile_sliced").value(),
+          Sliced);
     }
-    // Three sampled methods per (workload, seed offset, input).
-    EXPECT_EQ(Shared, 3u * 2u * 2u * 2u);
   }
 }
 
-/// With a cache model, a sampled method's cell still shares its base
-/// method's execution, which runs without the cache model and takes its
-/// stalls from the workload's un-instrumented train run (one memoized
-/// execution per workload). Over every suite workload's train runs of the
-/// paper's three base/sample pairs, each cell's RunStats (cache statistics
-/// included), profile, job name, dependency and per-job metric scope equal
-/// a lone memsys-on runProfile, at any thread count, and every cell counts
-/// one derived run. Under the Reference engine, the executable spec, each
-/// group's methods run alone, with the same cells, jobs and metrics, and
-/// none is derived.
+/// With a cache model, the cells of one instrumentation family still share
+/// one execution, which runs without the cache model and takes its stalls
+/// from the workload's un-instrumented train run (one memoized execution
+/// per workload); naive-loop's cells profile the in-loop slice of the
+/// naive-all run, in the paper's order, where naive-loop leads the naive
+/// family. Over every suite workload's train runs of the paper's six
+/// methods, each cell's RunStats (cache statistics included), profile, job
+/// name, dependency and per-job metric scope equal a lone memsys-on
+/// runProfile (plus profile_sliced for a sliced cell), at any thread
+/// count, and every cell counts one derived run. Under the Reference
+/// engine, the executable spec, each group's methods run alone with their
+/// own instrumentation, with the same cells, jobs and metrics, and none is
+/// derived or sliced.
 TEST(ExperimentEngine, MemsysProfileFanOutMatchesLoneRuns) {
   const std::vector<std::unique_ptr<Workload>> Suite = makeSpecIntSuite();
   SweepSpec Spec;
@@ -1183,7 +1254,9 @@ TEST(ExperimentEngine, MemsysProfileFanOutMatchesLoneRuns) {
     T.join();
 
   const std::string DerivedLine = "counter pipeline.profile_memsys_derived 1\n";
-  auto Check = [&](const SweepSpec &S, unsigned Threads) {
+  // Per workload: the followers of the cells' groups, and the sliced cells.
+  auto Check = [&](const SweepSpec &S, unsigned Threads, size_t Followers,
+                   size_t Slices) {
     const bool Derives =
         S.Config.Interp.Exec == InterpreterConfig::Engine::Decoded;
     EngineOptions Opts = withThreads(Threads);
@@ -1193,7 +1266,8 @@ TEST(ExperimentEngine, MemsysProfileFanOutMatchesLoneRuns) {
     ASSERT_EQ(R.Cells.size(), S.Workloads.size() * S.Methods.size());
     const std::vector<JobRecord> &Records = Engine.obs()->jobs();
     ASSERT_EQ(Records.size(), R.Cells.size());
-    size_t Shared = 0;
+    std::map<GroupKey, size_t> Leaders;
+    size_t Shared = 0, Sliced = 0;
     for (size_t I = 0; I != R.Cells.size(); ++I) {
       const SweepCell &Cell = R.Cells[I];
       const std::string Tag = cellTag(Cell);
@@ -1201,14 +1275,13 @@ TEST(ExperimentEngine, MemsysProfileFanOutMatchesLoneRuns) {
       const JobRecord &Run = Records[I];
       EXPECT_EQ(Run.Name, "profile:" + Tag);
       EXPECT_TRUE(Run.Ok);
-      if (methodUsesSampling(Cell.Method)) {
-        ++Shared;
-        std::string BaseTag = Tag;
-        BaseTag.replace(BaseTag.find("/sample-") + 1, 7, "");
-        ASSERT_EQ(Run.Deps.size(), 1u);
-        EXPECT_EQ(Records[Run.Deps[0]].Name, "profile:" + BaseTag);
-      } else {
+      const auto [Leader, First] = Leaders.try_emplace(groupKey(Cell), I);
+      if (First) {
         EXPECT_TRUE(Run.Deps.empty());
+      } else {
+        ++Shared;
+        ASSERT_EQ(Run.Deps.size(), 1u);
+        EXPECT_EQ(Records[Run.Deps[0]].Name, Records[Leader->second].Name);
       }
 
       const Lone &L = Alone.at({Cell.W, Cell.Method});
@@ -1219,6 +1292,7 @@ TEST(ExperimentEngine, MemsysProfileFanOutMatchesLoneRuns) {
                                        .Method = Cell.Method,
                                        .ProfileDS = Cell.ProfileDS,
                                        .Profile = L.Run}));
+      EXPECT_EQ(Cell.Profile.Instr.ProfiledSites, L.Run.Instr.ProfiledSites);
       EXPECT_EQ(Cell.Profile.StrideInvocations, L.Run.StrideInvocations);
       EXPECT_EQ(Cell.Profile.StrideProcessed, L.Run.StrideProcessed);
       EXPECT_EQ(Cell.Profile.LfuCalls, L.Run.LfuCalls);
@@ -1227,33 +1301,40 @@ TEST(ExperimentEngine, MemsysProfileFanOutMatchesLoneRuns) {
       std::string Expected = L.Metrics;
       if (!Derives)
         Expected.erase(At, DerivedLine.size());
-      EXPECT_EQ(registryText(Run.Metrics), Expected);
+      const bool IsSliced =
+          Derives && baseMethod(Cell.Method) == ProfilingMethod::NaiveLoop;
+      Sliced += IsSliced;
+      EXPECT_EQ(registryText(Run.Metrics),
+                IsSliced ? withSliced(Expected) : Expected);
     }
-    EXPECT_EQ(Shared, S.Workloads.size() * S.Methods.size() / 2);
+    EXPECT_EQ(Shared, S.Workloads.size() * Followers);
+    EXPECT_EQ(Sliced, S.Workloads.size() * Slices);
+    MetricsRegistry &Reg = Engine.obs()->registry();
+    EXPECT_EQ(Reg.counter("pipeline.profile_sliced").value(), Sliced);
     // Every memsys-on profile run on the suite is derived, from one
     // un-instrumented train run per workload, whichever of its groups asked
     // first.
-    EXPECT_EQ(Engine.obs()
-                  ->registry()
-                  .counter("pipeline.profile_memsys_derived")
-                  .value(),
+    EXPECT_EQ(Reg.counter("pipeline.profile_memsys_derived").value(),
               Derives ? R.Cells.size() : 0u);
     EXPECT_EQ(Engine.schedStats().RunMemoMisses,
               Derives ? S.Workloads.size() : 0u);
   };
+  // Per workload, the naive family's three followers and sample-edge-
+  // check; naive-loop and sample-naive-loop sliced.
   for (unsigned Threads : {1u, 4u, 8u}) {
     SCOPED_TRACE(Threads);
-    Check(Spec, Threads);
+    Check(Spec, Threads, 4, 2);
   }
 
-  // Reference runs are slow: two workloads and one pair suffice there.
+  // Reference runs are slow: two workloads and three naive methods suffice
+  // there.
   SweepSpec RefSpec = Spec;
   RefSpec.Config.Interp.Exec = InterpreterConfig::Engine::Reference;
   RefSpec.Workloads = {Spec.Workloads[0], Spec.Workloads[3]};
-  RefSpec.Methods = {ProfilingMethod::NaiveLoop,
+  RefSpec.Methods = {ProfilingMethod::NaiveLoop, ProfilingMethod::NaiveAll,
                      ProfilingMethod::SampleNaiveLoop};
   SCOPED_TRACE("reference");
-  Check(RefSpec, 2);
+  Check(RefSpec, 2, 2, 0);
 }
 
 /// Under the self-profiler every run's samples belong to its own job, so

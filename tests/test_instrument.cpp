@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/LoopInfo.h"
 #include "instrument/Instrumentation.h"
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
@@ -14,6 +15,8 @@
 
 #include "TestHelpers.h"
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 using namespace sprof;
 
@@ -311,5 +314,45 @@ TEST(Instrumentation, AddsNoMemoryOps) {
           }
       EXPECT_GT(Added, 0u);
     }
+  }
+}
+
+// Naive-loop's instrumentation is naive-all's without the out-loop
+// ProfStrides: the same printed module once those are removed, the same
+// edge and entry counters, and naive-all's profiled sites filtered by
+// loadSitesInLoop. Pipeline::runProfiles relies on this to profile
+// naive-loop from the in-loop events of a naive-all run.
+TEST(Instrumentation, NaiveLoopIsNaiveAllWithoutOutLoopStrides) {
+  for (const std::unique_ptr<Workload> &W : makeSpecIntSuite()) {
+    SCOPED_TRACE(W->info().Name);
+    const Program P = W->build({DataSet::Train});
+    const std::vector<bool> InLoop = loadSitesInLoop(P.M);
+    Module All = P.M, Loop = P.M;
+    const InstrumentationResult AllInstr =
+        instrumentModule(All, ProfilingMethod::NaiveAll);
+    const InstrumentationResult LoopInstr =
+        instrumentModule(Loop, ProfilingMethod::NaiveLoop);
+
+    size_t Removed = 0;
+    for (Function &F : All.Functions)
+      for (BasicBlock &BB : F.Blocks)
+        Removed += std::erase_if(BB.Insts, [&](const Instruction &I) {
+          return I.Op == Opcode::ProfStride && !InLoop[I.SiteId];
+        });
+    EXPECT_GT(Removed, 0u);
+    std::ostringstream AllText, LoopText;
+    All.print(AllText);
+    Loop.print(LoopText);
+    EXPECT_EQ(AllText.str(), LoopText.str());
+
+    EXPECT_EQ(AllInstr.EdgeCounters, LoopInstr.EdgeCounters);
+    EXPECT_EQ(AllInstr.EntryCounters, LoopInstr.EntryCounters);
+    EXPECT_EQ(AllInstr.BlockCounters, LoopInstr.BlockCounters);
+    std::vector<uint32_t> InLoopSites;
+    for (uint32_t Site : AllInstr.ProfiledSites)
+      if (InLoop[Site])
+        InLoopSites.push_back(Site);
+    EXPECT_EQ(InLoopSites, LoopInstr.ProfiledSites);
+    EXPECT_LT(LoopInstr.ProfiledSites.size(), AllInstr.ProfiledSites.size());
   }
 }
