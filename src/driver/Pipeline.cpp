@@ -127,27 +127,48 @@ Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
 
 std::optional<RunStats> Pipeline::memsysStall(DataSet DS,
                                               ObsSession *Obs) const {
-  // The Reference engine, the executable spec, times every run itself,
-  // and a self-profiled session samples the run whose cycles it reports.
-  if (Config.Interp.Exec == InterpreterConfig::Engine::Reference ||
-      (Obs && Obs->selfProfiler()))
+  // A self-profiled session samples the run whose cycles it reports.
+  if (Obs && Obs->selfProfiler())
     return std::nullopt;
-  for (const CacheLevelConfig &L : Config.Memory.Levels)
-    if (Config.Timing.FlatLoadLatency > L.HitLatency)
-      return std::nullopt;
   TraceSpan Span(Obs, "memsys-stall", "pipeline");
-  Program Prog = W.build({DS, Config.WorkloadSeedOffset});
+  std::optional<SimMemory> Image;
+  const std::shared_ptr<const Module> M = baseModule(DS, Image, Obs);
   // Instrumentation adds no memory op, so this is the instrumented
   // module's property too.
-  for (const Function &F : Prog.M.Functions)
+  if (!runsClockFree(*M))
+    return std::nullopt;
+  // Its telemetry stays out of the profile run's: the run memo counts it.
+  return executeTimed(*M, std::move(Image), DS, /*Attribution=*/false,
+                      "memsys-stall", /*Obs=*/nullptr)
+      .first;
+}
+
+bool Pipeline::runsClockFree(const Module &M) const {
+  // The Reference engine, the executable spec, keeps the timed model.
+  if (Config.Interp.Exec == InterpreterConfig::Engine::Reference)
+    return false;
+  for (const CacheLevelConfig &L : Config.Memory.Levels)
+    if (Config.Timing.FlatLoadLatency > L.HitLatency)
+      return false;
+  for (const Function &F : M.Functions)
     for (const BasicBlock &BB : F.Blocks)
       for (const Instruction &I : BB.Insts)
         if (I.Op == Opcode::Prefetch || I.Op == Opcode::SpecLoad)
-          return std::nullopt;
-  // Its telemetry stays out of the profile run's: the run memo counts it.
-  return executeTimed(Prog, DS, /*Attribution=*/false, "memsys-stall",
-                      /*Obs=*/nullptr)
-      .first;
+          return false;
+  return true;
+}
+
+std::shared_ptr<const Module>
+Pipeline::baseModule(DataSet DS, std::optional<SimMemory> &Image,
+                     ObsSession *Obs) const {
+  TraceSpan BS(Obs, "build-workload", "pipeline");
+  const BuildRequest Req(DS, Config.WorkloadSeedOffset);
+  if (Memo)
+    return Memo->module(W, Req);
+  Program Prog = W.build(Req);
+  assert(isWellFormed(Prog.M) && "workload built a malformed module");
+  Image = std::move(Prog.Memory);
+  return std::make_shared<const Module>(std::move(Prog.M));
 }
 
 std::vector<ProfileRunResult>
@@ -339,13 +360,11 @@ RunStats Pipeline::runBaseline(DataSet DS) const {
   ObsSession *Obs = Session;
   TraceSpan Span(Obs, "run-baseline", "pipeline");
 
-  Program Prog = [&] {
-    TraceSpan BS(Obs, "build-workload", "pipeline");
-    return W.build({DS, Config.WorkloadSeedOffset});
-  }();
-  assert(isWellFormed(Prog.M) && "workload built a malformed module");
-  RunStats Stats =
-      executeTimed(Prog, DS, /*Attribution=*/false, "baseline", Obs).first;
+  std::optional<SimMemory> Image;
+  const std::shared_ptr<const Module> M = baseModule(DS, Image, Obs);
+  RunStats Stats = executeTimed(*M, std::move(Image), DS,
+                                /*Attribution=*/false, "baseline", Obs)
+                       .first;
   assert(Stats.Completed && "baseline run did not complete");
 
   if (Obs) {
@@ -360,18 +379,16 @@ TimedRunResult Pipeline::runPrefetched(DataSet DS, const EdgeProfile &Edges,
   ObsSession *Obs = Session;
   TraceSpan Span(Obs, "timed-run", "pipeline");
 
-  Program Prog = [&] {
-    TraceSpan BS(Obs, "build-workload", "pipeline");
-    return W.build({DS, Config.WorkloadSeedOffset});
-  }();
+  std::optional<SimMemory> Image;
+  Module M = *baseModule(DS, Image, Obs);
   TimedRunResult Result;
-  Result.Feedback =
-      runFeedback(Prog.M, Edges, Strides, Config.Classifier, Obs);
-  Result.Prefetches = insertPrefetches(Prog.M, Result.Feedback, Obs);
-  assert(isWellFormed(Prog.M) && "prefetch insertion broke the module");
+  Result.Feedback = runFeedback(M, Edges, Strides, Config.Classifier, Obs);
+  Result.Prefetches = insertPrefetches(M, Result.Feedback, Obs);
+  assert(isWellFormed(M) && "prefetch insertion broke the module");
 
   std::tie(Result.Stats, Result.Attribution) =
-      executeTimed(Prog, DS, Config.Memory.EnableAttribution, "timed", Obs);
+      executeTimed(M, std::move(Image), DS, Config.Memory.EnableAttribution,
+                   "timed", Obs);
   assert(Result.Stats.Completed && "prefetched run did not complete");
 
   if (Obs) {
@@ -400,20 +417,28 @@ TimedRunResult Pipeline::runPrefetched(DataSet DS, const EdgeProfile &Edges,
 }
 
 std::pair<RunStats, AttributionData>
-Pipeline::executeTimed(Program &Prog, DataSet DS, bool Attribution,
-                       const char *Phase, ObsSession *Obs) const {
+Pipeline::executeTimed(const Module &M, std::optional<SimMemory> Image,
+                       DataSet DS, bool Attribution, const char *Phase,
+                       ObsSession *Obs) const {
   auto Execute = [&](ObsSession *RunObs) {
-    Interpreter I(Prog.M, std::move(Prog.Memory), Config.Timing,
-                  Config.Interp);
-    MemoryHierarchy MH(Config.Memory);
+    if (!Image) {
+      TraceSpan BS(Obs, "build-image", "pipeline");
+      Image = Memo->image(W, {DS, Config.WorkloadSeedOffset});
+    }
+    const bool ClockFree = runsClockFree(M);
+    Interpreter I(M, std::move(*Image), Config.Timing, Config.Interp);
+    MemoryHierarchy MH(Config.Memory,
+                       ClockFree ? CacheModel::ClockFree : CacheModel::Timed);
     if (Attribution)
-      MH.enableAttribution(Prog.M.NumLoadSites);
+      MH.enableAttribution(M.NumLoadSites);
     I.attachMemory(&MH);
     I.attachObs(RunObs);
     MemoizedRun Run;
     Run.Stats = I.run();
     MH.finalizeAttribution();
     Run.Attribution = MH.attribution();
+    if (RunObs && ClockFree)
+      RunObs->counter("memsys.clock_free_runs")->inc();
     return Run;
   };
 
@@ -429,7 +454,7 @@ Pipeline::executeTimed(Program &Prog, DataSet DS, bool Attribution,
   RunMemoKey Key{.W = &W,
                  .DS = DS,
                  .SeedOffset = Config.WorkloadSeedOffset,
-                 .ModuleHash = ProgramCache::hashModule(Prog.M),
+                 .ModuleHash = ProgramCache::hashModule(M),
                  .Timing = Config.Timing,
                  .Memory = Config.Memory,
                  .Interp = Config.Interp};

@@ -125,9 +125,10 @@ public:
   /// telemetry). Config.Obs is not consulted; the experiment engine uses
   /// this so every job's pipeline phases land in the job's metric scope.
   /// With \p Memo (the engine's, see driver/RunMemo.h), runBaseline,
-  /// runPrefetched and the memory stall of runProfiles execute through it,
-  /// so identical timed runs in one engine wave execute once; results and
-  /// telemetry are unchanged. A session with the self-profiler attached
+  /// runPrefetched and the memory stall of runProfiles take their module
+  /// from it and execute through it, so identical timed runs in one engine
+  /// wave execute once and only an executing run takes a memory image;
+  /// results and telemetry are unchanged. A session with the self-profiler attached
   /// bypasses the memo.
   Pipeline(const Workload &W, PipelineConfig Config, ObsSession *External,
            RunMemo *Memo = nullptr)
@@ -220,6 +221,22 @@ private:
   /// runProfiles).
   std::optional<RunStats> memsysStall(DataSet DS, ObsSession *Obs) const;
 
+  /// Whether a run of \p M has its serving levels' latencies (see
+  /// MemoryHierarchy): the Decoded engine, no Prefetch or SpecLoad in \p M,
+  /// and a FlatLoadLatency no larger than any level's HitLatency. Such a
+  /// timed run uses the clock-free cache model, and memsysStall derives
+  /// profile runs' stalls only under it.
+  bool runsClockFree(const Module &M) const;
+
+  /// The module a timed run on \p DS starts from, untransformed, with a
+  /// build-workload span in \p Obs. With a memo it is the memo's
+  /// (RunMemo::module) and \p Image stays empty: executeTimed takes the
+  /// image (RunMemo::image) only when the run executes. Without one it is
+  /// a fresh build, whose image goes to \p Image.
+  std::shared_ptr<const Module>
+  baseModule(DataSet DS, std::optional<SimMemory> &Image,
+             ObsSession *Obs) const;
+
   /// One instrumented execution for \p Methods: with a cache hierarchy
   /// attached when \p TimeMemory (one method only), or without one, plus
   /// \p Stall's memory accounting when given.
@@ -228,13 +245,13 @@ private:
                   std::span<ObsSession *const> MethodObs, bool TimeMemory,
                   const RunStats *Stall) const;
 
-  /// The execute step of a timed run: runs \p Prog, built for \p DS, with
-  /// the cache hierarchy attached, through the memo when there is one, and
-  /// records its telemetry in \p Obs.
-  std::pair<RunStats, AttributionData> executeTimed(Program &Prog, DataSet DS,
-                                                    bool Attribution,
-                                                    const char *Phase,
-                                                    ObsSession *Obs) const;
+  /// The execute step of a timed run: runs \p M on \p DS's image
+  /// (\p Image, or the memo's when it is empty) with the cache hierarchy
+  /// attached, through the memo when there is one, and records its
+  /// telemetry in \p Obs.
+  std::pair<RunStats, AttributionData>
+  executeTimed(const Module &M, std::optional<SimMemory> Image, DataSet DS,
+               bool Attribution, const char *Phase, ObsSession *Obs) const;
 
   const Workload &W;
   PipelineConfig Config;

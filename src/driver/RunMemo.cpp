@@ -9,73 +9,125 @@
 
 using namespace sprof;
 
-std::shared_ptr<const MemoizedRun>
-RunMemo::run(const RunMemoKey &K,
-             const std::function<MemoizedRun()> &Execute) {
-  size_t Index = 0;
-  std::shared_ptr<const MemoizedRun> Run;
+template <class T> JobPending RunMemo::parkOn(Slot<T> &S) {
+  return JobPending{[this, &S](JobPending::WakeFn Wake) {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      if (!S.Done) {
+        S.Waiters.push_back(std::move(Wake));
+        return;
+      }
+    }
+    Wake(); // published between the throw and this call
+  }};
+}
+
+template <class T, class MakeFn>
+void RunMemo::fill(Slot<T> &S, MakeFn &&Make) {
+  std::shared_ptr<const T> Value;
   std::exception_ptr Error;
-  bool Hit = false;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    while (Index != Entries.size() && !(Entries[Index].Key == K))
-      ++Index;
-    if (Index == Entries.size()) {
-      Entries.emplace_back().Key = K;
-    } else if (!Entries[Index].Done) {
-      // Executing on another worker: park this job until it publishes.
-      throw JobPending{[this, Index](JobPending::WakeFn Wake) {
-        subscribe(Index, std::move(Wake));
-      }};
-    } else {
-      Hit = true;
-      Run = Entries[Index].Value;
-      Error = Entries[Index].Error;
-    }
-    ++Entries[Index].Requests;
+  try {
+    Value = std::make_shared<const T>(Make());
+  } catch (...) {
+    Error = std::current_exception();
   }
-  JobGraph::onPark([this, Index] {
-    std::lock_guard<std::mutex> Lock(Mu);
-    --Entries[Index].Requests;
-  });
-
-  if (!Hit) {
-    try {
-      Run = std::make_shared<const MemoizedRun>(Execute());
-    } catch (...) {
-      Error = std::current_exception();
-    }
-    publish(Index, Run, Error);
-  }
-  if (Error)
-    std::rethrow_exception(Error);
-  return Run;
-}
-
-void RunMemo::subscribe(size_t Index, JobPending::WakeFn Wake) {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (!Entries[Index].Done) {
-      Entries[Index].Waiters.push_back(std::move(Wake));
-      return;
-    }
-  }
-  Wake(); // published between the throw and this call
-}
-
-void RunMemo::publish(size_t Index, std::shared_ptr<const MemoizedRun> Value,
-                      std::exception_ptr Error) {
   std::vector<JobPending::WakeFn> Waiters;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    Entry &E = Entries[Index];
-    E.Value = std::move(Value);
-    E.Error = std::move(Error);
-    E.Done = true;
-    Waiters.swap(E.Waiters);
+    S.Value = std::move(Value);
+    S.Error = std::move(Error);
+    S.Done = true;
+    Waiters.swap(S.Waiters);
   }
   for (JobPending::WakeFn &Wake : Waiters)
     Wake();
+}
+
+std::shared_ptr<const MemoizedRun>
+RunMemo::run(const RunMemoKey &K,
+             const std::function<MemoizedRun()> &Execute) {
+  Entry *E = nullptr;
+  bool Hit = false;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    for (Entry &Candidate : Entries)
+      if (Candidate.Key == K) {
+        E = &Candidate;
+        break;
+      }
+    if (!E) {
+      E = &Entries.emplace_back();
+      E->Key = K;
+    } else if (!E->Done) {
+      // Executing on another worker: park this job until it publishes.
+      throw parkOn(*E);
+    } else {
+      Hit = true;
+    }
+    ++E->Requests;
+  }
+  JobGraph::onPark([this, E] {
+    std::lock_guard<std::mutex> Lock(Mu);
+    --E->Requests;
+  });
+
+  if (!Hit)
+    fill(*E, Execute);
+  // Published, so no longer written.
+  if (E->Error)
+    std::rethrow_exception(E->Error);
+  return E->Value;
+}
+
+RunMemo::ModuleEntry *RunMemo::findModule(const Workload &W,
+                                          const BuildRequest &Req) {
+  for (ModuleEntry &E : Modules)
+    if (E.W == &W && E.DS == Req.DS && E.SeedOffset == Req.SeedOffset)
+      return &E;
+  return nullptr;
+}
+
+std::shared_ptr<const Module> RunMemo::module(const Workload &W,
+                                              const BuildRequest &Req) {
+  ModuleEntry *E = nullptr;
+  bool Hit = false;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    E = findModule(W, Req);
+    if (!E) {
+      E = &Modules.emplace_back();
+      E->W = &W;
+      E->DS = Req.DS;
+      E->SeedOffset = Req.SeedOffset;
+    } else if (!E->Done) {
+      throw parkOn(*E);
+    } else {
+      Hit = true;
+    }
+  }
+  if (!Hit)
+    fill(*E, [&] {
+      Program P = W.build(Req);
+      // Read only once the entry is published.
+      E->Image = std::move(P.Memory);
+      return std::move(P.M);
+    });
+  if (E->Error)
+    std::rethrow_exception(E->Error);
+  return E->Value;
+}
+
+SimMemory RunMemo::image(const Workload &W, const BuildRequest &Req) {
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    ModuleEntry *E = findModule(W, Req);
+    if (E && E->Done && E->Image) {
+      SimMemory Image = std::move(*E->Image);
+      E->Image.reset();
+      return Image;
+    }
+  }
+  return W.build(Req).Memory;
 }
 
 RunMemo::Counts RunMemo::counts() const {
@@ -95,4 +147,5 @@ RunMemo::Counts RunMemo::counts() const {
 void RunMemo::clear() {
   std::lock_guard<std::mutex> Lock(Mu);
   Entries.clear();
+  Modules.clear();
 }

@@ -32,6 +32,15 @@
 /// requests of job attempts that did not park) are the same at any thread
 /// count.
 ///
+/// The memo also holds each (workload, data set, seed offset)'s
+/// un-transformed module, built once per wave by its first request (the
+/// module cache). A timed run copies it, transforms the copy and hashes
+/// it for its key, and takes its memory image only inside the execute
+/// callback: the image that module's build left, for the first run that
+/// executes, else a fresh build. So a hit builds nothing, and a wave
+/// builds one program per execution. A request for a module still being
+/// built parks like a request for a run in flight.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPROF_DRIVER_RUNMEMO_H
@@ -43,10 +52,12 @@
 #include "obs/Metrics.h"
 #include "workloads/Workload.h"
 
+#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -94,29 +105,59 @@ public:
 
   Counts counts() const;
 
-  /// Drops every entry. Callers must have drained every request first.
+  /// The module \p W builds for \p Req, before any transformation: built
+  /// by the first request since clear(), which keeps the build's image for
+  /// image(), and shared by every later one. A request made while another builds it
+  /// throws JobPending, as run() does; a failed build's exception
+  /// propagates to every request.
+  std::shared_ptr<const Module> module(const Workload &W,
+                                       const BuildRequest &Req);
+
+  /// The initial memory image of \p W built for \p Req: the one the
+  /// module's build left, for the first call after it, else a fresh
+  /// build. Call it only for a run that executes.
+  SimMemory image(const Workload &W, const BuildRequest &Req);
+
+  /// Drops every entry and module. Callers must have drained every request
+  /// first.
   void clear();
 
 private:
-  struct Entry {
-    RunMemoKey Key;
+  /// What parking and publishing need of an entry of either table.
+  template <class T> struct Slot {
     bool Done = false; ///< Value or Error is published
-    std::shared_ptr<const MemoizedRun> Value;
+    std::shared_ptr<const T> Value;
     std::exception_ptr Error;
     /// Wake callbacks of the jobs parked on this entry.
     std::vector<JobPending::WakeFn> Waiters;
+  };
+  struct Entry : Slot<MemoizedRun> {
+    RunMemoKey Key;
     /// Requests from job attempts that did not park; a parked attempt
     /// withdraws its own, as its re-run makes them again.
     uint64_t Requests = 0;
   };
+  struct ModuleEntry : Slot<Module> {
+    const Workload *W = nullptr;
+    DataSet DS = DataSet::Train;
+    uint64_t SeedOffset = 0;
+    /// The image of the module's build, until image() takes it.
+    std::optional<SimMemory> Image;
+  };
 
-  void subscribe(size_t Index, JobPending::WakeFn Wake);
-  void publish(size_t Index, std::shared_ptr<const MemoizedRun> Value,
-               std::exception_ptr Error);
+  /// The entry for (\p W, \p Req), or nullptr. Call with Mu held.
+  ModuleEntry *findModule(const Workload &W, const BuildRequest &Req);
+
+  /// Calls \p Make for \p S, which this request created, and publishes its
+  /// value or exception.
+  template <class T, class MakeFn> void fill(Slot<T> &S, MakeFn &&Make);
+  /// The JobPending that parks a request until \p S is published.
+  template <class T> JobPending parkOn(Slot<T> &S);
 
   mutable std::mutex Mu;
-  /// Addressed by index, which stays valid until clear().
-  std::vector<Entry> Entries;
+  /// Deques, so entries stay put until clear().
+  std::deque<Entry> Entries;
+  std::deque<ModuleEntry> Modules;
 };
 
 } // namespace sprof

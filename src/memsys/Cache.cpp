@@ -10,6 +10,7 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -17,15 +18,19 @@
 
 using namespace sprof;
 
-CacheLevel::CacheLevel(const CacheLevelConfig &Config) : Config(Config) {
+/// A level's set count, rounded up to a power of two so set selection is a
+/// mask. Every shipped configuration is already a power of two; a non-pow2
+/// config gains capacity rather than aliasing sets.
+static uint64_t setCount(const CacheLevelConfig &Config) {
   assert(Config.SizeBytes % (Config.LineBytes * Config.Associativity) == 0 &&
          "cache size must be a whole number of sets");
   uint64_t RawSets = Config.SizeBytes / (Config.LineBytes * Config.Associativity);
   assert(RawSets > 0 && "cache must have at least one set");
-  // Round the set count up to a power of two so set selection is a mask.
-  // Every shipped configuration is already a power of two; a non-pow2
-  // config gains capacity rather than aliasing sets.
-  NumSets = std::bit_ceil(RawSets);
+  return std::bit_ceil(RawSets);
+}
+
+CacheLevel::CacheLevel(const CacheLevelConfig &Config) : Config(Config) {
+  NumSets = setCount(Config);
   SetMask = NumSets - 1;
   Assoc = Config.Associativity;
   BlockStride = 4 * static_cast<size_t>(Assoc);
@@ -143,8 +148,30 @@ void CacheLevel::drainUnusedPrefetches(AttributionData &A) {
   }
 }
 
-MemoryHierarchy::MemoryHierarchy(const MemoryConfig &Config)
-    : Config(Config) {
+RecencyLevel::RecencyLevel(const CacheLevelConfig &Config)
+    : SetMask(setCount(Config) - 1), Assoc(Config.Associativity),
+      HitLatency(Config.HitLatency),
+      Tags((SetMask + 1) * Assoc, InvalidTag) {}
+
+bool RecencyLevel::touch(uint64_t LineAddr) {
+  assert(LineAddr != InvalidTag && "line address collides with an empty way");
+  uint64_t *Row = Tags.data() + (LineAddr & SetMask) * Assoc;
+  unsigned W = 0;
+  while (W != Assoc && Row[W] != LineAddr)
+    ++W;
+  const bool Hit = W != Assoc;
+  // A miss drops the last way: an empty one while any is left, else the
+  // least recently used line.
+  if (!Hit)
+    W = Assoc - 1;
+  for (; W != 0; --W)
+    Row[W] = Row[W - 1];
+  Row[0] = LineAddr;
+  return Hit;
+}
+
+MemoryHierarchy::MemoryHierarchy(const MemoryConfig &Config, CacheModel Model)
+    : Config(Config), ClockFree(Model == CacheModel::ClockFree) {
   assert(!Config.Levels.empty() && "hierarchy needs at least one level");
   LineBytes = Config.Levels.front().LineBytes;
   LineBytesPow2 = std::has_single_bit(static_cast<uint64_t>(LineBytes));
@@ -154,12 +181,16 @@ MemoryHierarchy::MemoryHierarchy(const MemoryConfig &Config)
   for (const CacheLevelConfig &L : Config.Levels) {
     assert(L.LineBytes == LineBytes &&
            "all levels must share one line size");
-    Levels.emplace_back(L);
+    if (ClockFree)
+      Recency.emplace_back(L);
+    else
+      Levels.emplace_back(L);
   }
   L1HitLatency = Config.Levels.front().HitLatency;
-  Stats.Levels.resize(Levels.size());
+  Stats.Levels.resize(Config.Levels.size());
   // Prefetch usefulness is accounted at the L1 level.
-  Levels.front().setEvictUnusedCounter(&Stats.PrefetchesUnused);
+  if (!ClockFree)
+    Levels.front().setEvictUnusedCounter(&Stats.PrefetchesUnused);
 }
 
 size_t MemoryHierarchy::findLine(uint64_t Line, uint64_t &ReadyTime) {
@@ -247,7 +278,39 @@ uint64_t MemoryHierarchy::demandAccessSlow(uint64_t Line, uint64_t Now,
   return Latency;
 }
 
+uint64_t MemoryHierarchy::demandAccessClockFree(uint64_t Line,
+                                                uint32_t SiteId) {
+  // Every level above the serving one misses and takes the line; the
+  // levels below it are not touched, as in demandAccessSlow.
+  const size_t N = Recency.size();
+  size_t Hit = 0;
+  while (Hit != N && !Recency[Hit].touch(Line))
+    ++Hit;
+  for (size_t L = 0; L != Hit; ++L)
+    ++Stats.Levels[L].Misses;
+  uint64_t Latency = Config.MemoryLatency;
+  if (Hit != N) {
+    Latency = Recency[Hit].hitLatency();
+    ++Stats.Levels[Hit].Hits;
+  }
+  Stats.StallCycles += Latency;
+  if (Attr.Enabled) {
+    SiteMissStats &SM = Attr.SiteMiss[Attr.indexFor(SiteId)];
+    ++SM.Accesses;
+    if (Hit != 0)
+      ++SM.L1Misses;
+    if (Hit == N)
+      ++SM.FullMisses;
+    SM.StallCycles += Latency;
+  }
+  return Latency;
+}
+
 void MemoryHierarchy::prefetch(uint64_t Addr, uint64_t Now, uint32_t SiteId) {
+  if (ClockFree)
+    throw std::logic_error(
+        "MemoryHierarchy::prefetch: a clock-free hierarchy times "
+        "prefetch-free runs only");
   ++Stats.PrefetchesIssued;
   uint64_t Line = lineAddr(Addr);
   uint64_t ReadyTime = 0;
@@ -283,7 +346,8 @@ void MemoryHierarchy::enableAttribution(uint32_t NumSites) {
   Attr.Total = PrefetchOutcomeCounts();
   Attr.PerSite.assign(NumSites + 1, PrefetchOutcomeCounts());
   Attr.SiteMiss.assign(NumSites + 1, SiteMissStats());
-  Levels.front().setAttribution(&Attr);
+  if (!ClockFree)
+    Levels.front().setAttribution(&Attr);
 }
 
 void MemoryHierarchy::finalizeAttribution() {
@@ -292,8 +356,10 @@ void MemoryHierarchy::finalizeAttribution() {
   // A non-redundant prefetch marks exactly one L1 line; every mark is
   // cleared by first demand use (Useful/Late) or eviction (Early). Marks
   // still resident now never helped anyone: drain them into Early so the
-  // four classes partition PrefetchesIssued exactly.
-  Levels.front().drainUnusedPrefetches(Attr);
+  // four classes partition PrefetchesIssued exactly. A clock-free
+  // hierarchy issued no prefetch, so it has no mark to drain.
+  if (!ClockFree)
+    Levels.front().drainUnusedPrefetches(Attr);
   Attr.Finalized = true;
 }
 

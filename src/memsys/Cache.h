@@ -341,6 +341,56 @@ private:
   uint64_t UseClock = 0;
 };
 
+/// One set-associative LRU level of a clock-free hierarchy: each set is a
+/// row of Associativity tags kept in recency order, most recent first, and
+/// nothing else -- no ready time, use stamp, prefetch mark or site. A hit
+/// moves its tag to the front; a miss shifts the row down one way, dropping
+/// the last tag, and inserts at the front. Empty ways hold InvalidTag and,
+/// as the row only ever grows from the front, sit at its end, so the
+/// dropped tag is an empty way while there is one and the least recently
+/// used line otherwise: CacheLevel's victim ("first invalid way, else
+/// smallest stamp") up to which physical way holds a line, which no
+/// outcome depends on. The set count is CacheLevel's, power-of-two
+/// round-up included.
+class RecencyLevel {
+public:
+  explicit RecencyLevel(const CacheLevelConfig &Config);
+
+  /// Whether \p LineAddr is its set's most recent line: a hit that leaves
+  /// the row as it is.
+  bool isFront(uint64_t LineAddr) const {
+    return Tags[(LineAddr & SetMask) * Assoc] == LineAddr;
+  }
+
+  /// Demand touch of \p LineAddr (see the class comment). \returns
+  /// whether it hit.
+  bool touch(uint64_t LineAddr);
+
+  /// Hints the host CPU to pull \p LineAddr's tag row into its cache (see
+  /// CacheLevel::prefetchSet).
+  void prefetchSet(uint64_t LineAddr) const {
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(Tags.data() + (LineAddr & SetMask) * Assoc);
+#else
+    (void)LineAddr;
+#endif
+  }
+
+  uint32_t hitLatency() const { return HitLatency; }
+
+private:
+  static constexpr uint64_t InvalidTag = ~0ull;
+
+  uint64_t SetMask;
+  unsigned Assoc;
+  uint32_t HitLatency;
+  /// NumSets rows of Assoc tags.
+  std::vector<uint64_t> Tags;
+};
+
+/// The two representations a MemoryHierarchy can keep (see its comment).
+enum class CacheModel { Timed, ClockFree };
+
 /// The full hierarchy. All timing is in CPU cycles; the caller supplies the
 /// current cycle on each access.
 ///
@@ -355,9 +405,23 @@ private:
 /// access stream alone. Pipeline::runProfiles relies on this to take a
 /// profile run's stalls from its un-instrumented program's run; the
 /// PrefetchFreeLatencyIsTheServingLevels test pins it.
+///
+/// So the hierarchy has two representations, chosen at construction. The
+/// timed one (CacheModel::Timed, CacheLevel) keeps each line's ready time,
+/// LRU stamp, prefetch mark and issuing site, and serves every run: the
+/// prefetched ones, replayed traces and every Reference-engine run, the
+/// executable spec. The clock-free one (CacheModel::ClockFree,
+/// RecencyLevel) keeps only each set's tags in recency order and charges
+/// every access its serving level's latency. It serves exactly the runs
+/// whose latency that is: Pipeline's timed runs of a module without
+/// Prefetch or SpecLoad on the Decoded engine, with FlatLoadLatency no
+/// larger than any HitLatency. Its latencies, MemoryStats and SiteMiss
+/// attribution equal the timed model's on any such run
+/// (ClockFreeHierarchy tests); prefetch() on it throws std::logic_error.
 class MemoryHierarchy {
 public:
-  explicit MemoryHierarchy(const MemoryConfig &Config);
+  explicit MemoryHierarchy(const MemoryConfig &Config,
+                           CacheModel Model = CacheModel::Timed);
 
   /// The L1 level points into this object (its unused-prefetch counter and
   /// attribution), so a copy or a move would leave it writing to the old
@@ -374,6 +438,8 @@ public:
     uint64_t Line = lineAddr(Addr);
     for (const CacheLevel &L : Levels)
       L.prefetchSet(Line);
+    for (const RecencyLevel &L : Recency)
+      L.prefetchSet(Line);
   }
 
   /// Demand load of \p Addr at cycle \p Now, attributed to load site
@@ -387,30 +453,35 @@ public:
   /// out-of-line slow path. The fast path is the general path specialised
   /// for Hit == 0 and FirstPrefetchUse == false (prefetch-marked lines
   /// fail probeMru by design so attribution observes their first touch).
+  /// A clock-free hierarchy's fast path is a hit on its L1 set's front tag.
   uint64_t demandAccess(uint64_t Addr, uint64_t Now,
                         uint32_t SiteId = NoSiteId) {
     ++Stats.DemandAccesses;
     uint64_t Line = lineAddr(Addr);
-    uint64_t ReadyTime;
-    if (Levels[0].probeMru(Line, ReadyTime)) {
-      uint64_t Latency = L1HitLatency;
+    uint64_t Latency = L1HitLatency;
+    if (ClockFree) {
+      if (!Recency[0].isFront(Line))
+        return demandAccessClockFree(Line, SiteId);
+    } else {
+      uint64_t ReadyTime;
+      if (!Levels[0].probeMru(Line, ReadyTime))
+        return demandAccessSlow(Line, Now, SiteId);
       if (ReadyTime > Now && ReadyTime - Now > Latency)
         Latency = ReadyTime - Now;
-      ++Stats.Levels[0].Hits;
-      Stats.StallCycles += Latency;
-      if (Attr.Enabled) {
-        SiteMissStats &SM = Attr.SiteMiss[Attr.indexFor(SiteId)];
-        ++SM.Accesses;
-        SM.StallCycles += Latency;
-      }
-      return Latency;
     }
-    return demandAccessSlow(Line, Now, SiteId);
+    ++Stats.Levels[0].Hits;
+    Stats.StallCycles += Latency;
+    if (Attr.Enabled) {
+      SiteMissStats &SM = Attr.SiteMiss[Attr.indexFor(SiteId)];
+      ++SM.Accesses;
+      SM.StallCycles += Latency;
+    }
+    return Latency;
   }
 
   /// Non-blocking prefetch of \p Addr issued at cycle \p Now by load site
   /// \p SiteId. Fills every level with ready time Now + (latency of the
-  /// providing level).
+  /// providing level). Throws std::logic_error on a clock-free hierarchy.
   void prefetch(uint64_t Addr, uint64_t Now, uint32_t SiteId = NoSiteId);
 
   /// Stream-driven entry point: applies one access event at cycle \p Now.
@@ -452,12 +523,18 @@ private:
   /// demandAccess continuation once the L1 fast probe has failed.
   uint64_t demandAccessSlow(uint64_t Line, uint64_t Now, uint32_t SiteId);
 
+  /// The clock-free demandAccess once the L1 front tag has missed.
+  uint64_t demandAccessClockFree(uint64_t Line, uint32_t SiteId);
+
   /// Finds the first level holding the line. Returns the level index and
   /// its ready time, or Levels.size() on full miss.
   size_t findLine(uint64_t Line, uint64_t &ReadyTime);
 
   MemoryConfig Config;
+  bool ClockFree;
+  /// The timed levels, or the clock-free ones; the other vector is empty.
   std::vector<CacheLevel> Levels;
+  std::vector<RecencyLevel> Recency;
   unsigned LineBytes;
   bool LineBytesPow2;
   unsigned LineShift;

@@ -130,9 +130,6 @@ TEST(DecodedEngine, ClassifierAndTimedRunMatch) {
     ProfileRunResult PD = Dec.runProfile(ProfilingMethod::EdgeCheck,
                                          DataSet::Train, false);
 
-    EXPECT_EQ(Ref.runBaseline(DataSet::Train).Cycles,
-              Dec.runBaseline(DataSet::Train).Cycles);
-
     TimedRunResult TR = Ref.runPrefetched(DataSet::Train, PR.Edges,
                                           PR.Strides);
     TimedRunResult TD = Dec.runPrefetched(DataSet::Train, PD.Edges,
@@ -142,6 +139,20 @@ TEST(DecodedEngine, ClassifierAndTimedRunMatch) {
     EXPECT_EQ(TR.Feedback.Decisions.size(), TD.Feedback.Decisions.size());
     EXPECT_EQ(TR.Prefetches.InstructionsAdded,
               TD.Prefetches.InstructionsAdded);
+  }
+}
+
+// Baseline runs are prefetch-free, so the Decoded engine times them on the
+// clock-free cache model and Reference on the timed one: every RunStats
+// field agrees on every workload of the suite.
+TEST(DecodedEngine, BaselineRunsMatchReferenceAcrossSuite) {
+  for (const std::unique_ptr<Workload> &W : makeSpecIntSuite()) {
+    SCOPED_TRACE(W->info().Name);
+    Pipeline Ref(*W, engineConfig(InterpreterConfig::Engine::Reference));
+    Pipeline Dec(*W, engineConfig(InterpreterConfig::Engine::Decoded));
+    const RunStats RD = Dec.runBaseline(DataSet::Train);
+    expectSameStats(Ref.runBaseline(DataSet::Train), RD);
+    EXPECT_NE(RD.Mem.DemandAccesses, 0u);
   }
 }
 
@@ -849,4 +860,74 @@ TEST(RunProfiles, MemsysRunsDirectlyWhereStallsDependOnTheClock) {
     EXPECT_EQ(Derived == Counters.end() ? 0 : Derived->second.value(),
               C.Derives ? 3u : 0u);
   }
+}
+
+namespace {
+
+uint64_t counterValue(const ObsSession &Obs, const char *Name) {
+  const auto &Counters = Obs.registry().counters();
+  const auto It = Counters.find(Name);
+  return It == Counters.end() ? 0 : It->second.value();
+}
+
+} // namespace
+
+// A timed run takes the clock-free cache model only where every latency is
+// its serving level's (see MemoryHierarchy). A module with a Prefetch or a
+// SpecLoad, and a FlatLoadLatency of 10 against the L1's HitLatency of 2,
+// keep the timed model; memsys.clock_free_runs counts the runs that did
+// not, and every run equals the Reference engine's.
+TEST(DecodedEngine, TimedModelServesWhereLatencyDependsOnTheClock) {
+  const ChaseWithOpWorkload Plain(std::nullopt), Prefetching(Opcode::Prefetch),
+      Speculating(Opcode::SpecLoad);
+  PipelineConfig SlowHits;
+  SlowHits.Timing.FlatLoadLatency = 10;
+  struct Case {
+    const char *Name;
+    const Workload *W;
+    PipelineConfig Config;
+    bool ClockFree;
+  };
+  const Case Cases[] = {{"prefetch", &Prefetching, {}, false},
+                        {"spec-load", &Speculating, {}, false},
+                        {"flat latency", &Plain, SlowHits, false},
+                        {"plain", &Plain, {}, true}};
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    for (DataSet DS : {DataSet::Train, DataSet::Ref}) {
+      PipelineConfig RefConfig = C.Config;
+      RefConfig.Interp.Exec = InterpreterConfig::Engine::Reference;
+      PipelineConfig DecConfig = C.Config;
+      DecConfig.Obs.Enabled = true;
+      RefConfig.Obs.Enabled = true;
+      Pipeline Ref(*C.W, RefConfig);
+      Pipeline Dec(*C.W, DecConfig);
+      const RunStats RD = Dec.runBaseline(DS);
+      expectSameStats(Ref.runBaseline(DS), RD);
+      if (C.W != &Plain) {
+        EXPECT_NE(RD.Mem.PrefetchesIssued, 0u);
+      }
+      EXPECT_EQ(counterValue(*Dec.obs(), "memsys.clock_free_runs"),
+                C.ClockFree ? 1u : 0u);
+      EXPECT_EQ(counterValue(*Ref.obs(), "memsys.clock_free_runs"), 0u);
+    }
+  }
+
+  // Prefetches inserted by feedback keep the timed model too.
+  std::unique_ptr<Workload> Mcf = makeWorkloadByName("181.mcf");
+  ASSERT_NE(Mcf, nullptr);
+  PipelineConfig RefConfig = engineConfig(InterpreterConfig::Engine::Reference);
+  PipelineConfig DecConfig;
+  DecConfig.Obs.Enabled = true;
+  Pipeline Ref(*Mcf, RefConfig);
+  Pipeline Dec(*Mcf, DecConfig);
+  const ProfileRunResult PR =
+      Dec.runProfile(ProfilingMethod::EdgeCheck, DataSet::Train, false);
+  const TimedRunResult TR =
+      Ref.runPrefetched(DataSet::Train, PR.Edges, PR.Strides);
+  const TimedRunResult TD =
+      Dec.runPrefetched(DataSet::Train, PR.Edges, PR.Strides);
+  EXPECT_NE(TD.Stats.Mem.PrefetchesIssued, 0u);
+  expectSameStats(TR.Stats, TD.Stats);
+  EXPECT_EQ(counterValue(*Dec.obs(), "memsys.clock_free_runs"), 0u);
 }

@@ -1067,6 +1067,88 @@ TEST(RunMemo, SelfProfiledSessionBypassesTheMemo) {
   EXPECT_EQ(Engine.schedStats().RunMemoMisses, 0u);
 }
 
+/// Counts the programs the wrapped workload builds.
+class CountingWorkload : public Workload {
+public:
+  explicit CountingWorkload(const Workload &Inner) : Inner(Inner) {}
+  WorkloadInfo info() const override { return Inner.info(); }
+  Program build(const BuildRequest &Req) const override {
+    ++Builds;
+    return Inner.build(Req);
+  }
+
+  mutable std::atomic<uint64_t> Builds{0};
+
+private:
+  const Workload &Inner;
+};
+
+// The module cache: a timed run takes its module from the wave's memo and
+// its memory image only when it executes, the first one the image its
+// module's build left, so a memo hit builds nothing. Per workload, a
+// one-method measureSuite wave builds one program for each profile
+// execution (the edge-only run and the edge-check run); every other build
+// is a memo miss's. Builds, counts and results agree at 1 and 4 threads.
+TEST(RunMemo, ModuleCacheBuildsImagesOnlyOnMisses) {
+  ChaseWorkload Chase;
+  PassesChaseWorkload Passes;
+  auto Run = [&](unsigned Threads) {
+    CountingWorkload CountedChase(Chase), CountedPasses(Passes);
+    const std::vector<const Workload *> WL = {&CountedChase, &CountedPasses};
+    ExperimentEngine Engine(withThreads(Threads));
+    const std::string Text = measurementsText(
+        measureSuite(Engine, WL, {}, {ProfilingMethod::EdgeCheck}));
+    const SweepSchedulerStats &S = Engine.schedStats();
+    const uint64_t Builds = CountedChase.Builds + CountedPasses.Builds;
+    EXPECT_EQ(Builds, S.RunMemoMisses + WL.size() * 2);
+    EXPECT_GT(S.RunMemoHits, 0u);
+    return std::make_tuple(Text, Builds, S.RunMemoHits, S.RunMemoMisses);
+  };
+  EXPECT_EQ(Run(4), Run(1));
+}
+
+// A request for a module another job is still building parks, and every
+// job gets the one module built. The first image request takes the image
+// that build left; the next one builds.
+TEST(RunMemo, ModuleCacheParksConcurrentRequests) {
+  ChaseWorkload Chase;
+  CountingWorkload Counted(Chase);
+  ExperimentEngine Engine(withThreads(4));
+  RunMemo *Memo = Engine.runMemo();
+  constexpr unsigned Jobs = 8;
+  std::vector<std::shared_ptr<const Module>> Seen(Jobs);
+  std::vector<JobId> Requests;
+  for (unsigned J = 0; J != Jobs; ++J)
+    Requests.push_back(Engine.addJob(
+        "module" + std::to_string(J), "test", [&, J](ObsSession *) {
+          Seen[J] = Memo->module(Counted, DataSet::Ref);
+        }));
+  uint64_t BuildsAfterModules = 0, BuildsAfterImages = 0;
+  size_t LeftPages = 0, BuiltPages = 0;
+  Engine.addJob(
+      "images", "test",
+      [&](ObsSession *) {
+        BuildsAfterModules = Counted.Builds;
+        LeftPages = Memo->image(Counted, DataSet::Ref).numPages();
+        BuiltPages = Memo->image(Counted, DataSet::Ref).numPages();
+        BuildsAfterImages = Counted.Builds;
+      },
+      Requests);
+  Engine.run();
+  EXPECT_EQ(BuildsAfterModules, 1u);
+  for (const std::shared_ptr<const Module> &M : Seen)
+    EXPECT_EQ(M, Seen[0]);
+  EXPECT_EQ(BuildsAfterImages, 2u);
+  EXPECT_NE(LeftPages, 0u);
+  EXPECT_EQ(LeftPages, BuiltPages);
+
+  // The next wave starts empty.
+  Engine.addJob("module", "test",
+                [&](ObsSession *) { Memo->module(Counted, DataSet::Ref); });
+  Engine.run();
+  EXPECT_EQ(Counted.Builds.load(), 3u);
+}
+
 // -- Profile fan-out ---------------------------------------------------------
 
 std::string cellTag(const SweepCell &Cell) {

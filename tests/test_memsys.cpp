@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace sprof;
@@ -374,36 +376,42 @@ std::vector<StreamAccess> demandStream(uint64_t Seed, size_t Length) {
 
 /// What one schedule of a stream saw: each demand access's latency and the
 /// latency of the level that served it (read off the hit counts), and the
-/// final statistics.
+/// final statistics and attribution.
 struct ScheduledRun {
   std::vector<uint64_t> Latencies;
   std::vector<uint64_t> ServingLatencies;
   std::string Stats;
+  std::string Attribution;
 };
 
-/// Feeds \p Stream to a fresh hierarchy under the interpreter's stall
-/// convention: each access issues a seeded random gap in [MinGap, MaxGap]
-/// after the previous one (LoadBaseCost and the work between loads), and
-/// a load stalls for the part of its latency beyond Hidden, the flat
-/// latency the pipeline hides (TimingModel::FlatLoadLatency, here the L1
-/// HitLatency).
+/// Feeds \p Stream to a fresh hierarchy of \p Model under the
+/// interpreter's stall convention: each access issues a seeded random gap
+/// in [MinGap, MaxGap] after the previous one (LoadBaseCost and the work
+/// between loads), and a load stalls for the part of its latency beyond
+/// Hidden, the flat latency the pipeline hides (TimingModel::
+/// FlatLoadLatency, here the smallest HitLatency of every config used).
+/// Access I comes from load site I % 7 of 6 attributed sites, so the
+/// unattributed bucket collects some too.
 ScheduledRun runScheduled(const std::vector<StreamAccess> &Stream,
-                          uint64_t GapSeed, uint64_t MinGap,
-                          uint64_t MaxGap) {
+                          uint64_t GapSeed, uint64_t MinGap, uint64_t MaxGap,
+                          const MemoryConfig &Config = tinyConfig(),
+                          CacheModel Model = CacheModel::Timed) {
   constexpr uint64_t Hidden = 2;
-  const MemoryConfig Config = tinyConfig();
-  MemoryHierarchy MH(Config);
+  MemoryHierarchy MH(Config, Model);
+  MH.enableAttribution(6);
   Rng Gaps(GapSeed);
   ScheduledRun Run;
   uint64_t Now = 0;
-  for (const StreamAccess &A : Stream) {
+  for (size_t I = 0; I != Stream.size(); ++I) {
+    const StreamAccess &A = Stream[I];
+    const uint32_t Site = static_cast<uint32_t>(I % 7);
     Now += MinGap + Gaps.below(MaxGap - MinGap + 1);
     if (A.Prefetch) {
-      MH.prefetch(A.Addr, Now);
+      MH.prefetch(A.Addr, Now, Site);
       continue;
     }
     const MemoryStats Before = MH.stats();
-    const uint64_t Latency = MH.demandAccess(A.Addr, Now);
+    const uint64_t Latency = MH.demandAccess(A.Addr, Now, Site);
     uint64_t Serving = Config.MemoryLatency;
     for (size_t L = 0; L != Config.Levels.size(); ++L)
       if (MH.stats().Levels[L].Hits != Before.Levels[L].Hits)
@@ -412,7 +420,9 @@ ScheduledRun runScheduled(const std::vector<StreamAccess> &Stream,
     Run.ServingLatencies.push_back(Serving);
     Now += Latency > Hidden ? Latency - Hidden : 0;
   }
+  MH.finalizeAttribution();
   Run.Stats = memoryStatsToJson(MH.stats()).str(0);
+  Run.Attribution = attributionToJson(MH.attribution()).str(0);
   return Run;
 }
 
@@ -455,4 +465,71 @@ TEST(MemoryHierarchy, PrefetchFreeLatencyIsTheServingLevels) {
   EXPECT_GT(Tight.Latencies[Demand], 2u);
   EXPECT_NE(Tight.Latencies[Demand], Tight.ServingLatencies[Demand]);
   EXPECT_NE(Tight.Stats, Loose.Stats);
+}
+
+// The clock-free representation is the timed one on every prefetch-free
+// run: the same per-access latencies, MemoryStats and per-site demand-miss
+// attribution, on tight and loose schedules, for the shipped geometry, a
+// level whose set count is rounded up to a power of two (3 sets of 4
+// ways), and a one-level hierarchy.
+TEST(ClockFreeHierarchy, MatchesTimedModelOnPrefetchFreeStreams) {
+  MemoryConfig OddSets = tinyConfig();
+  OddSets.Levels[1] = {"L2", 3 * 4 * 64, 4, 64, 9};
+  MemoryConfig OneLevel = tinyConfig();
+  OneLevel.Levels.resize(1);
+  const std::pair<const char *, MemoryConfig> Configs[] = {
+      {"tiny", tinyConfig()},
+      {"odd-sets", OddSets},
+      {"one-level", OneLevel},
+      {"itanium", MemoryConfig()}};
+  for (const auto &[Name, Config] : Configs)
+    for (uint64_t Seed : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message() << Name << " seed " << Seed);
+      const std::vector<StreamAccess> Stream = demandStream(Seed, 20000);
+      for (auto [MinGap, MaxGap] : {std::pair<uint64_t, uint64_t>{0, 1},
+                                    std::pair<uint64_t, uint64_t>{0, 300}}) {
+        const ScheduledRun Timed =
+            runScheduled(Stream, Seed, MinGap, MaxGap, Config);
+        const ScheduledRun Free = runScheduled(Stream, Seed, MinGap, MaxGap,
+                                               Config, CacheModel::ClockFree);
+        EXPECT_EQ(Free.Latencies, Timed.Latencies);
+        EXPECT_EQ(Free.Latencies, Free.ServingLatencies);
+        EXPECT_EQ(Free.Stats, Timed.Stats);
+        EXPECT_EQ(Free.Attribution, Timed.Attribution);
+        // Something missed every level, so the victim choice mattered.
+        EXPECT_NE(std::count(Free.Latencies.begin(), Free.Latencies.end(),
+                             Config.MemoryLatency),
+                  0);
+      }
+    }
+}
+
+// A clock-free hierarchy models prefetch-free runs only: a prefetch, direct
+// or through the stream entry point, is a caller's bug.
+TEST(ClockFreeHierarchy, PrefetchThrows) {
+  MemoryHierarchy MH(tinyConfig(), CacheModel::ClockFree);
+  EXPECT_THROW(MH.prefetch(0x1000, 0), std::logic_error);
+  AccessEvent E;
+  E.Kind = AccessKind::Prefetch;
+  E.Address = 0x1000;
+  EXPECT_THROW(MH.access(E, 0), std::logic_error);
+  EXPECT_EQ(MH.demandAccess(0x1000, 0), 160u);
+}
+
+// With attribution on, finalizeAttribution has no prefetch marks to drain
+// and no timed lanes to walk: it finalizes, twice, without touching the
+// demand-miss attribution.
+TEST(ClockFreeHierarchy, FinalizeAttributionIsSafe) {
+  MemoryHierarchy MH(tinyConfig(), CacheModel::ClockFree);
+  MH.enableAttribution(2);
+  MH.demandAccess(0x1000, 0, 1);
+  MH.demandAccess(0x1000, 200, 1);
+  MH.finalizeAttribution();
+  MH.finalizeAttribution();
+  const AttributionData &A = MH.attribution();
+  EXPECT_TRUE(A.Finalized);
+  EXPECT_EQ(A.Total.issued(), 0u);
+  EXPECT_EQ(A.SiteMiss[1].Accesses, 2u);
+  EXPECT_EQ(A.SiteMiss[1].FullMisses, 1u);
+  EXPECT_EQ(A.SiteMiss[1].StallCycles, 162u);
 }
