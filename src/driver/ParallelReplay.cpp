@@ -18,9 +18,17 @@
 #include <span>
 #include <thread>
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
+
 namespace sprof {
 
 namespace {
+
+/// Loads a profile shard hands StrideProfiler::profileIndexed at once:
+/// 8 KB, so the batch stays in L1 beside the shard's site records.
+constexpr size_t ShardBatchLoads = 256;
 
 /// What one profile shard produced; folded in job-id order.
 struct ShardRun {
@@ -58,17 +66,28 @@ ShardedProfileResult profileEventsSharded(std::span<const AccessEvent> Events,
           [&, S](uint32_t) {
             StrideProfiler P(NumSites, PC);
             ShardRun &Out = Runs[S];
+            std::vector<uint8_t> Mine(NumSites, 0);
+            for (uint32_t Site = S; Site < NumSites; Site += Shards)
+              Mine[Site] = 1;
+            // The scan has no branch per event: every event is written to
+            // the batch's next slot, which only a load of one of this
+            // shard's sites claims. strideProf only ever sees demand loads
+            // (see StrideProfiler::consume, whose filter this mirrors).
+            IndexedLoad Batch[ShardBatchLoads];
+            size_t N = 0;
             uint64_t LoadIndex = 0;
             for (const AccessEvent &E : Events) {
-              // strideProf only ever sees demand loads (see
-              // StrideProfiler::consume, whose filter this mirrors).
-              if (E.Kind != AccessKind::Load)
-                continue;
-              if (E.SiteId % Shards == S)
-                Out.Cycles += P.profileAt(E.SiteId, E.Address,
-                                          E.GlobalRefIndex, LoadIndex);
-              ++LoadIndex;
+              assert(E.SiteId < NumSites && "site id out of range");
+              const bool IsLoad = E.Kind == AccessKind::Load;
+              Batch[N] = {E.Address, E.GlobalRefIndex, LoadIndex, E.SiteId};
+              N += IsLoad & Mine[E.SiteId];
+              LoadIndex += IsLoad;
+              if (N == ShardBatchLoads) {
+                Out.Cycles += P.profileIndexed(Batch, N);
+                N = 0;
+              }
             }
+            Out.Cycles += P.profileIndexed(Batch, N);
             Out.Invocations = P.totalInvocations();
             Out.Processed = P.totalProcessed();
             Out.LfuCalls = P.totalLfuCalls();
@@ -107,13 +126,38 @@ ShardedProfileResult profileEventsSharded(AccessSource &Src,
                               Threads, Shards);
 }
 
-bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
-                         unsigned Threads, std::vector<AccessEvent> &Events,
-                         std::string &Error, TraceError &Code) {
-  const TraceShardIndex &Idx = R.index();
-  assert(Idx.Present && "decodeTraceParallel needs an indexed reader");
-  Events.clear();
-  Events.resize(Idx.TotalEvents);
+TraceEventBuffer::TraceEventBuffer(size_t N) : Size(N) {
+  if (N == 0)
+    return;
+  // A buffer of a huge page or more is 2 MB-aligned and advised toward
+  // transparent huge pages, as SimMemory's slabs are, so a first touch
+  // faults in 2 MB at a time. Its size is not rounded up: the partial
+  // huge page at its end stays on ordinary pages, so the resident size is
+  // what the events use. A smaller buffer stays on ordinary pages.
+  const size_t Bytes = N * sizeof(AccessEvent);
+  const size_t Align =
+      Bytes >= HugePageBytes ? HugePageBytes : alignof(AccessEvent);
+  void *Raw = ::operator new(Bytes, std::align_val_t(Align));
+#if defined(__linux__)
+  if (Align == HugePageBytes)
+    ::madvise(Raw, Bytes, MADV_HUGEPAGE);
+#endif
+  Data = std::unique_ptr<AccessEvent, Release>(static_cast<AccessEvent *>(Raw),
+                                               Release{Align});
+}
+
+void TraceEventBuffer::Release::operator()(AccessEvent *P) const {
+  ::operator delete(P, std::align_val_t(Align));
+}
+
+namespace {
+
+/// decodeTraceParallel's core: decodes the trace \p Path, whose shard
+/// index is \p Idx, into \p Events, which holds Idx.TotalEvents events
+/// that need not be initialized. Each job writes its own chunk range.
+bool decodeInto(const std::string &Path, const TraceShardIndex &Idx,
+                unsigned Threads, AccessEvent *Events, std::string &Error,
+                TraceError &Code) {
   const size_t NumChunks = Idx.numChunks();
   if (NumChunks == 0)
     return true;
@@ -147,7 +191,7 @@ bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
                 (First + N < NumChunks ? Idx.Chunks[First + N].CumEvents
                                        : Idx.TotalEvents) -
                 Base;
-            AccessEvent *Out = Events.data() + Base;
+            AccessEvent *Out = Events + Base;
             uint64_t Got = 0;
             while (Got < Want) {
               const size_t K = SR->pull(Out + Got, Want - Got);
@@ -215,6 +259,27 @@ bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
     }
   }
   return true;
+}
+
+} // namespace
+
+bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
+                         unsigned Threads, std::vector<AccessEvent> &Events,
+                         std::string &Error, TraceError &Code) {
+  const TraceShardIndex &Idx = R.index();
+  assert(Idx.Present && "decodeTraceParallel needs an indexed reader");
+  Events.clear();
+  Events.resize(Idx.TotalEvents);
+  return decodeInto(Path, Idx, Threads, Events.data(), Error, Code);
+}
+
+bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
+                         unsigned Threads, TraceEventBuffer &Events,
+                         std::string &Error, TraceError &Code) {
+  const TraceShardIndex &Idx = R.index();
+  assert(Idx.Present && "decodeTraceParallel needs an indexed reader");
+  Events = TraceEventBuffer(Idx.TotalEvents);
+  return decodeInto(Path, Idx, Threads, Events.data(), Error, Code);
 }
 
 //===----------------------------------------------------------------------===//

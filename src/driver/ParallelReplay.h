@@ -19,17 +19,20 @@
 ///     ranges decode independently. decodeTraceParallel() fans the ranges
 ///     out and writes each job's events into its precomputed slot of one
 ///     flat buffer -- the finished buffer is byte-for-byte the serial
-///     decode.
+///     decode. replayTraceFile decodes into a TraceEventBuffer, which
+///     nothing initializes first, so each job also first-touches its own
+///     slot's pages.
 ///
 ///   * Profile sharding (site partition). The global chunk-sampling phase
 ///     of Figure 9 is a pure function of the load's position in the run
-///     (StrideProfiler::profileAt), and every other piece of profiler
+///     (StrideProfiler::profileIndexed), and every other piece of profiler
 ///     state is strictly per-site. profileEventsSharded() therefore runs
 ///     one full-size StrideProfiler per shard, and each shard scans the
 ///     whole contiguous event buffer, counting every load's global
-///     position itself and profiling only the loads whose SiteId modulo
-///     the shard count is its own -- per-site program order is preserved
-///     and no load is copied. Per-site results are bit-identical to the
+///     position itself and gathering the loads whose SiteId modulo the
+///     shard count is its own, each with that position, into a fixed-size
+///     batch that it drains through profileIndexed -- per-site program
+///     order is preserved. Per-site results are bit-identical to the
 ///     serial profiler's, so folding the disjoint shards in job-id order
 ///     (as ExperimentEngine folds job metrics) through ProfileData's
 ///     order-preserving merge reproduces the serial profile verbatim: same
@@ -51,6 +54,7 @@
 
 #include "driver/TraceReplay.h"
 
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -89,13 +93,49 @@ ShardedProfileResult profileEventsSharded(AccessSource &Src,
                                           unsigned Threads,
                                           unsigned Shards = 0);
 
+/// Storage for events that nothing initializes first. A std::vector
+/// value-initializes all of its events on one thread before the decode
+/// jobs run; here each decode job's writes are the first touch of its own
+/// chunk range, so the pages fault in on every decode thread at once. A
+/// buffer of 2 MB or more is 2 MB-aligned and advised toward transparent
+/// huge pages. AccessEvent is an aggregate, so the storage implicitly
+/// holds its events (C++20 implicit object creation), but an event must
+/// be written before it is read.
+class TraceEventBuffer {
+public:
+  TraceEventBuffer() = default;
+  /// Room for \p N events.
+  explicit TraceEventBuffer(size_t N);
+
+  AccessEvent *data() const { return Data.get(); }
+  size_t size() const { return Size; }
+  std::span<const AccessEvent> events() const { return {Data.get(), Size}; }
+
+private:
+  static constexpr size_t HugePageBytes = 2ull << 20;
+  /// Frees a block allocated at alignment Align.
+  struct Release {
+    size_t Align;
+    void operator()(AccessEvent *P) const;
+  };
+  std::unique_ptr<AccessEvent, Release> Data;
+  size_t Size = 0;
+};
+
 /// Decodes the trace \p Path (whose reader \p R came from a successful
 /// TraceReader::openFileIndexed) into \p Events with \p Threads workers,
 /// one JobGraph job per contiguous chunk range. On failure returns false
 /// and reports the first failing shard's error through \p Error /
-/// \p Code. The buffer is identical to a serial decode.
+/// \p Code. The buffer is identical to a serial decode. This overload
+/// value-initializes the vector first; the TraceEventBuffer one does not.
 bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
                          unsigned Threads, std::vector<AccessEvent> &Events,
+                         std::string &Error, TraceError &Code);
+
+/// The same into a fresh TraceEventBuffer of the trace's event count,
+/// which replaces \p Events.
+bool decodeTraceParallel(const std::string &Path, const TraceReader &R,
+                         unsigned Threads, TraceEventBuffer &Events,
                          std::string &Error, TraceError &Code);
 
 /// What the decoupled prefetched pass produces: exactly what the inline

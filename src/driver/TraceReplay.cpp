@@ -120,9 +120,11 @@ bool profileStream(std::span<const AccessEvent> Events, uint32_t NumSites,
   return true;
 }
 
-} // namespace
-
-TraceReplayResult replayStream(AccessSource &Src,
+/// The replay of \p Events, whose site ids lie below \p NumSites:
+/// replayStream over its buffered source and replayTraceFile over its
+/// decoded trace. Every pass reads \p Events on a cursor of its own.
+TraceReplayResult replayEvents(std::span<const AccessEvent> Events,
+                               uint32_t NumSites,
                                const TraceReplayOptions &Opts,
                                const std::string &SourceName,
                                const TraceEdgeSection *Edges,
@@ -133,12 +135,7 @@ TraceReplayResult replayStream(AccessSource &Src,
     R.Prov = *Prov;
   R.Method = Opts.Method.value_or(ProfilingMethod::EdgeCheck);
   R.Ok = true;
-
-  // Every pass below reads this one buffer on a cursor of its own.
-  const uint32_t NumSites = Src.numSites();
   R.NumSites = NumSites;
-  std::vector<AccessEvent> Storage;
-  const std::span<const AccessEvent> Events = bufferRest(Src, Storage);
 
   // Workload resolution: a trace that names a workload we can rebuild
   // gets the full live-pipeline evaluation (builds are deterministic, so
@@ -241,6 +238,18 @@ TraceReplayResult replayStream(AccessSource &Src,
   return R;
 }
 
+} // namespace
+
+TraceReplayResult replayStream(AccessSource &Src,
+                               const TraceReplayOptions &Opts,
+                               const std::string &SourceName,
+                               const TraceEdgeSection *Edges,
+                               const TraceProvenance *Prov) {
+  std::vector<AccessEvent> Storage;
+  const std::span<const AccessEvent> Events = bufferRest(Src, Storage);
+  return replayEvents(Events, Src.numSites(), Opts, SourceName, Edges, Prov);
+}
+
 TraceReplayResult replayTraceFile(const std::string &Path,
                                   const TraceReplayOptions &Opts) {
   auto Failed = [&](std::string Error, TraceError Code) {
@@ -253,11 +262,11 @@ TraceReplayResult replayTraceFile(const std::string &Path,
 
   // The whole event stream is decoded up front: the decode error surface
   // (truncation, corruption) is cleanest reported before any profiling
-  // state exists.
+  // state exists. The decode jobs are the first to touch the buffer.
   auto Reader = TraceReader::openFileIndexed(Path);
   if (!Reader->ok())
     return Failed(Reader->error(), Reader->errorCode());
-  std::vector<AccessEvent> Events;
+  TraceEventBuffer Events;
   std::string Error;
   TraceError Code = TraceError::None;
   if (!decodeTraceParallel(Path, *Reader, Opts.Threads, Events, Error, Code))
@@ -270,11 +279,10 @@ TraceReplayResult replayTraceFile(const std::string &Path,
       O.Method = M;
   }
 
-  const uint64_t Total = Events.size();
-  VectorSource Src(std::move(Events), Reader->numSites(), Path);
-  TraceReplayResult R = replayStream(Src, O, Path, &Reader->edgeSection(),
-                                     &Reader->provenance());
-  R.Events = Total;
+  TraceReplayResult R =
+      replayEvents(Events.events(), Reader->numSites(), O, Path,
+                   &Reader->edgeSection(), &Reader->provenance());
+  R.Events = Events.size();
 #ifdef __GLIBC__
   // The shard profilers are freed by several threads. glibc raises its
   // mmap threshold on such frees and then keeps freed heap resident, so

@@ -140,7 +140,9 @@ StreamReplayStats replayWithSyntheticPrefetch(
 
 /// Opens \p Path as a sprof.trace/2 file and replays it. The events decode
 /// over the trace's shard index with Opts.Threads workers
-/// (decodeTraceParallel, driver/ParallelReplay.h; inline at one thread).
+/// (decodeTraceParallel, driver/ParallelReplay.h; inline at one thread)
+/// into a TraceEventBuffer, which the decode jobs are the first to touch,
+/// and every pass of replayStream reads that buffer in place.
 /// Read errors (unreadable, truncated, version mismatch, corrupt) come
 /// back in the result with Ok == false.
 TraceReplayResult replayTraceFile(const std::string &Path,

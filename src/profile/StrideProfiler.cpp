@@ -226,8 +226,8 @@ uint64_t StrideProfiler::chargeSkip(Counter *Sink, uint64_t Cost) {
   return Cost;
 }
 
-// Out of line, so the single-reference entry points' skip paths do not
-// pay for the tail's registers and tally.
+// Out of line, so profile()'s skip paths do not pay for the tail's
+// registers and tally.
 [[gnu::noinline]] uint64_t StrideProfiler::processOne(uint32_t SiteId,
                                                       HotSite &H,
                                                       uint64_t Address,
@@ -273,36 +273,6 @@ uint64_t StrideProfiler::profile(uint32_t SiteId, uint64_t Address,
   }
   H.NumberToSkip = Config.Sampling.FineInterval - 1;
   return processOne(SiteId, H, Address, ChunkEpoch, true);
-}
-
-uint64_t StrideProfiler::profileAt(uint32_t SiteId, uint64_t Address,
-                                   uint64_t GlobalRefIndex,
-                                   uint64_t LoadIndex) {
-  assert(SiteId < Hot.size() && "site id out of range");
-  HotSite &H = Hot[SiteId];
-  const StrideCostModel &C = Config.Costs;
-
-  ++TotalInvocations;
-  ++H.Invocations;
-  updateRefGap(H, GlobalRefIndex);
-
-  if (!Config.Sampling.Enabled)
-    return processOne(SiteId, H, Address, ChunkEpoch, false);
-  // The chunk phase as a pure function of the position (see the header
-  // comment): one cycle is ChunkSkip skips, ChunkProfile profiled
-  // references, and the flip reference -- which Figure 9 also skips.
-  const uint64_t SkipCost = C.CallOverhead + C.ChunkCheckCost;
-  const uint64_t Cycle =
-      Config.Sampling.ChunkSkip + Config.Sampling.ChunkProfile + 1;
-  const uint64_t Phase = LoadIndex % Cycle;
-  if (Phase < Config.Sampling.ChunkSkip || Phase == Cycle - 1)
-    return chargeSkip(Obs.ChunkSkipped, SkipCost);
-  if (H.NumberToSkip > 0) {
-    --H.NumberToSkip;
-    return chargeSkip(Obs.FineSkipped, SkipCost + C.FineCheckCost);
-  }
-  H.NumberToSkip = Config.Sampling.FineInterval - 1;
-  return processOne(SiteId, H, Address, LoadIndex / Cycle + 1, true);
 }
 
 uint64_t StrideProfiler::profileBatch(const StrideEvent *Events, size_t N) {
@@ -383,6 +353,57 @@ uint64_t StrideProfiler::profileBatch(const StrideEvent *Events, size_t N) {
     NumberProfiled += K;
     TotalInvocations += K;
     T.Processed += K - (T.FineSkipped - FineSkippedBefore);
+  }
+  return fold(T);
+}
+
+uint64_t StrideProfiler::profileIndexed(const IndexedLoad *Loads, size_t N) {
+  CallTally T;
+  TotalInvocations += N;
+
+  if (!Config.Sampling.Enabled) {
+    // No sampling: the position plays no part, as in profileBatch.
+    for (size_t I = 0; I != N; ++I) {
+      const IndexedLoad &L = Loads[I];
+      assert(L.SiteId < Hot.size() && "site id out of range");
+      HotSite &H = Hot[L.SiteId];
+      ++H.Invocations;
+      updateRefGap(H, L.GlobalRefIndex);
+      processedTail(L.SiteId, H, L.Address, ChunkEpoch, T, false);
+    }
+    T.Processed = N;
+    return fold(T);
+  }
+
+  // The chunk phase as a pure function of the position (see the header
+  // comment): one cycle is ChunkSkip skips, ChunkProfile profiled loads,
+  // and the flip load -- which Figure 9 also skips. The current cycle's
+  // start and epoch, the first cycle's to begin with, are recomputed only
+  // when a load falls outside it.
+  const uint64_t Skip = Config.Sampling.ChunkSkip;
+  const uint64_t Cycle = Skip + Config.Sampling.ChunkProfile + 1;
+  uint64_t CycleStart = 0, Epoch = 1;
+  for (size_t I = 0; I != N; ++I) {
+    const IndexedLoad &L = Loads[I];
+    assert(L.SiteId < Hot.size() && "site id out of range");
+    HotSite &H = Hot[L.SiteId];
+    ++H.Invocations;
+    updateRefGap(H, L.GlobalRefIndex);
+    if (L.LoadIndex - CycleStart >= Cycle) {
+      Epoch = L.LoadIndex / Cycle + 1;
+      CycleStart = (Epoch - 1) * Cycle;
+    }
+    const uint64_t Phase = L.LoadIndex - CycleStart;
+    if (Phase < Skip || Phase == Cycle - 1) {
+      ++T.ChunkSkipped;
+    } else if (H.NumberToSkip > 0) {
+      --H.NumberToSkip;
+      ++T.FineSkipped;
+    } else {
+      H.NumberToSkip = Config.Sampling.FineInterval - 1;
+      ++T.Processed;
+      processedTail(L.SiteId, H, L.Address, Epoch, T, true);
+    }
   }
   return fold(T);
 }

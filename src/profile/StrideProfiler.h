@@ -30,8 +30,9 @@
 /// the returned cost feeds the current cycle of the *next* access),
 /// profileBatch() drains a block of queued events with the chunk-sampling
 /// phase decisions hoisted out of the per-event loop -- bit-identical to
-/// calling profile() once per event, in order -- and profileAt() serves
-/// site-sharded replay.
+/// calling profile() once per event, in order -- and profileIndexed()
+/// drains a block of loads that carry their global load indexes, which is
+/// what site-sharded replay feeds each shard.
 ///
 /// Layout. Each event touches one per-site record (HotSite: stride and
 /// sampling state, use-distance state and the per-site counters) and,
@@ -42,11 +43,12 @@
 /// profileBatch() counts its events' outcomes in a CallTally -- skips,
 /// zero strides, re-anchors and one slot per LFU work value -- and fold()
 /// turns the tally into the batch's simulated cost, the totals and the
-/// telemetry once, at the end. The single-reference entry points record a
-/// skipped reference directly and fold a processed one's tally. The cost
-/// of a reference follows from its outcome (and, on the LFU path, its
-/// work), so the charged cycles and every counter and histogram are
-/// exactly what per-event accounting would give.
+/// telemetry once, at the end; profileIndexed() does the same per block.
+/// The single-reference entry point records a skipped reference directly
+/// and folds a processed one's tally. The cost of a reference follows
+/// from its outcome (and, on the LFU path, its work), so the charged
+/// cycles and every counter and histogram are exactly what per-event
+/// accounting would give.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,6 +111,16 @@ struct StrideProfilerConfig {
 /// capture/replay events, so TraceCaptureSinks tee off the ring and
 /// trace replay feeds profileBatch without any conversion.
 using StrideEvent = AccessEvent;
+
+/// One load as site-sharded replay hands it to profileIndexed(): the
+/// event's address, global reference index and site, plus its 0-based
+/// position among all of the run's loads, every site's.
+struct IndexedLoad {
+  uint64_t Address;
+  uint64_t GlobalRefIndex;
+  uint64_t LoadIndex;
+  uint32_t SiteId;
+};
 
 /// Per-load-site profiling state ("prof_data" in the paper's figures).
 ///
@@ -184,22 +196,23 @@ public:
   /// telemetry update, and obs sinks are resolved once per drain.
   uint64_t profileBatch(const StrideEvent *Events, size_t N);
 
-  /// Positionally-addressed strideProf: processes the reference knowing it
-  /// is the \p LoadIndex'th dynamic load (0-based, counted across *all*
-  /// sites) of the run, instead of relying on the profiler's own running
-  /// counters. The global chunk-sampling phase of Figure 9 is a pure
-  /// function of that position -- with Cycle = ChunkSkip + ChunkProfile + 1
-  /// the reference is skipped iff LoadIndex % Cycle < ChunkSkip or hits the
-  /// flip slot Cycle - 1, and profiled references belong to chunk epoch
-  /// LoadIndex / Cycle + 1 -- so feeding each site its references in
-  /// program order, with their original load indexes, leaves that site's
-  /// observable state (and the summed costs and telemetry) bit-identical
-  /// to a serial profile() sweep over the interleaved whole. That is the
-  /// contract ParallelReplay's site-sharded workers build on; see
-  /// docs/TRACE.md "Determinism contract".
-  /// \returns the simulated cycle cost of this invocation.
-  uint64_t profileAt(uint32_t SiteId, uint64_t Address,
-                     uint64_t GlobalRefIndex, uint64_t LoadIndex);
+  /// Positionally-addressed batched strideProf: processes \p Loads[0..N),
+  /// each knowing it is the LoadIndex'th dynamic load (0-based, counted
+  /// across *all* sites) of the run, instead of relying on the profiler's
+  /// own running counters. The global chunk-sampling phase of Figure 9 is a
+  /// pure function of that position -- with Cycle = ChunkSkip +
+  /// ChunkProfile + 1 the load is skipped iff LoadIndex % Cycle < ChunkSkip
+  /// or hits the flip slot Cycle - 1, and profiled loads belong to chunk
+  /// epoch LoadIndex / Cycle + 1 -- so feeding each site its loads in
+  /// program order, with their original load indexes, in blocks of any
+  /// size, leaves that site's observable state (and the summed costs and
+  /// telemetry) bit-identical to a serial profile() sweep over the
+  /// interleaved whole. That is the contract ParallelReplay's site-sharded
+  /// workers build on; see docs/TRACE.md "Determinism contract". Loads of
+  /// different sites may come in any order; in ascending LoadIndex order
+  /// the phase costs one division per chunk cycle the block touches.
+  /// \returns the summed simulated cost.
+  uint64_t profileIndexed(const IndexedLoad *Loads, size_t N);
 
   /// Drives the runtime from an abstract access stream until it ends: an
   /// in-memory source (pullRestInPlace) is profiled where its events lie,
@@ -288,12 +301,12 @@ private:
   };
 
   /// The post-sampling core shared verbatim by profile(), profileBatch(),
-  /// and profileAt(): epoch re-anchor (against \p Epoch -- the member
+  /// and profileIndexed(): epoch re-anchor (against \p Epoch -- the member
   /// ChunkEpoch for the counter-driven paths, the position-derived epoch
-  /// for profileAt), first-address path, zero-stride shortcut, stride/diff
-  /// bookkeeping, LFU call. Counts its outcome into \p T (the caller
-  /// counts T.Processed); the cost follows from the outcome and is charged
-  /// by fold(). \p Sampled is Config.Sampling.Enabled, passed as the
+  /// for profileIndexed), first-address path, zero-stride shortcut,
+  /// stride/diff bookkeeping, LFU call. Counts its outcome into \p T (the
+  /// caller counts T.Processed); the cost follows from the outcome and is
+  /// charged by fold(). \p Sampled is Config.Sampling.Enabled, passed as the
   /// constant each caller's branch already knows.
   void processedTail(uint32_t SiteId, HotSite &H, uint64_t Address,
                      uint64_t Epoch, CallTally &T, bool Sampled);
@@ -303,12 +316,12 @@ private:
   /// call's summed simulated cost.
   uint64_t fold(const CallTally &T);
 
-  /// A single-reference entry point's skipped reference: counts it in
-  /// \p Sink and records \p Cost directly. \returns \p Cost.
+  /// profile()'s skipped reference: counts it in \p Sink and records
+  /// \p Cost directly. \returns \p Cost.
   uint64_t chargeSkip(Counter *Sink, uint64_t Cost);
 
-  /// A single-reference entry point's processed reference: processedTail
-  /// and fold() for it. \returns its cost.
+  /// profile()'s processed reference: processedTail and fold() for it.
+  /// \returns its cost.
   uint64_t processOne(uint32_t SiteId, HotSite &H, uint64_t Address,
                       uint64_t Epoch, bool Sampled);
 

@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -541,9 +542,13 @@ TEST(FlightRecorder, ConcurrentLanesAndDumpsStayConsistent) {
   constexpr unsigned Lanes = 4;
   FlightRecorder R(Lanes, 16);
   std::atomic<bool> Stop{false};
+  // Every writer records its first job before the dumps begin, so no lane
+  // is still empty when the writers are stopped, however late the
+  // scheduler starts a writer thread.
+  std::latch Started(Lanes);
   std::vector<std::thread> Writers;
   for (unsigned W = 0; W != Lanes; ++W)
-    Writers.emplace_back([&R, W, &Stop] {
+    Writers.emplace_back([&R, W, &Stop, &Started] {
       R.bindThread(W);
       for (int I = 0; !Stop.load(std::memory_order_relaxed) && I != 4000;
            ++I) {
@@ -551,12 +556,15 @@ TEST(FlightRecorder, ConcurrentLanesAndDumpsStayConsistent) {
         R.jobStart(W, Name.c_str(), "race-job");
         FlightRecorder::notePhase("execute");
         R.jobFinish(W, Name.c_str(), true);
+        if (I == 0)
+          Started.count_down();
       }
       FlightRecorder::unbindThread();
     });
 
   // Dump repeatedly while the writers are spinning; a reader must never
   // block a writer or tear an event.
+  Started.wait();
   std::string Path = testing::TempDir() + "flightrec_race.json";
   for (int D = 0; D != 20; ++D)
     ASSERT_TRUE(R.dumpFile(Path.c_str(), "request"));

@@ -444,7 +444,8 @@ TEST(Lfu, WorksWithoutObsSinks) {
 }
 
 //===----------------------------------------------------------------------===//
-// profileAt: the positionally-addressed entry point ParallelReplay shards on
+// profileIndexed: the positionally-addressed entry point ParallelReplay
+// shards on
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -480,16 +481,48 @@ std::vector<SyntheticRef> syntheticRefs(size_t N, uint32_t NumSites,
   return Out;
 }
 
+/// The position-ordered references of \p Refs that \p Mine accepts, each
+/// with its 0-based position among all of \p Refs -- a shard's loads as
+/// ParallelReplay gathers them. \p SiteMajor regroups them site by site
+/// (program order within each site), an order profileIndexed also takes.
+template <typename Pred>
+std::vector<IndexedLoad> shardLoads(const std::vector<SyntheticRef> &Refs,
+                                    Pred Mine, bool SiteMajor = false) {
+  std::vector<IndexedLoad> Out;
+  for (uint64_t I = 0; I != Refs.size(); ++I)
+    if (Mine(Refs[I].Site))
+      Out.push_back({Refs[I].Addr, Refs[I].Ref, I, Refs[I].Site});
+  if (SiteMajor)
+    std::stable_sort(Out.begin(), Out.end(),
+                     [](const IndexedLoad &A, const IndexedLoad &B) {
+                       return A.SiteId < B.SiteId;
+                     });
+  return Out;
+}
+
+/// Feeds \p Loads to \p P through profileIndexed in blocks of \p Block
+/// loads (the last one short). \returns the summed cost.
+uint64_t profileInBlocks(StrideProfiler &P,
+                         const std::vector<IndexedLoad> &Loads, size_t Block) {
+  uint64_t Cost = 0;
+  for (size_t I = 0; I < Loads.size(); I += Block)
+    Cost += P.profileIndexed(Loads.data() + I,
+                             std::min(Block, Loads.size() - I));
+  return Cost;
+}
+
 } // namespace
 
 // The determinism contract (docs/TRACE.md): feeding each site its
 // references in program order with their original 0-based load indexes
-// through profileAt(), across any site partition, reproduces a serial
-// profile() sweep bit for bit -- per-site state, totals, and summed cost.
-// Chunk phases are deliberately tiny so the run crosses many epoch flips,
-// and the degenerate ChunkSkip == 0 / ChunkProfile == 0 configs are
-// covered too.
-TEST(StrideProfiler, ProfileAtShardedBySiteMatchesSerialSweep) {
+// through profileIndexed(), across any site partition and in blocks of any
+// size, reproduces a serial profile() sweep bit for bit -- per-site state,
+// totals, and summed cost. Chunk phases are deliberately tiny so the run
+// crosses many epoch flips, and the degenerate ChunkSkip == 0 /
+// ChunkProfile == 0 configs are covered too. Block sizes around the chunk
+// cycle put block boundaries on both sides of the flips, and a site-major
+// feed makes the position jump backwards between sites.
+TEST(StrideProfiler, ProfileIndexedShardedBySiteMatchesSerialSweep) {
   struct SampleCase {
     bool Enabled;
     uint64_t Skip, Prof;
@@ -512,6 +545,7 @@ TEST(StrideProfiler, ProfileAtShardedBySiteMatchesSerialSweep) {
     C.Sampling.ChunkSkip = SC.Skip;
     C.Sampling.ChunkProfile = SC.Prof;
     C.Sampling.FineInterval = SC.Fine;
+    const size_t Cycle = static_cast<size_t>(SC.Skip + SC.Prof + 1);
 
     StrideProfiler Serial(NumSites, C);
     uint64_t SerialCost = 0;
@@ -525,33 +559,42 @@ TEST(StrideProfiler, ProfileAtShardedBySiteMatchesSerialSweep) {
     // plain modulo one.
     for (unsigned Round = 0; Round != 3; ++Round) {
       for (unsigned Shards : {1u, 2u, 4u}) {
-        SCOPED_TRACE("round " + std::to_string(Round) + " shards " +
-                     std::to_string(Shards));
         std::vector<unsigned> ShardOf(NumSites);
         for (uint32_t S = 0; S != NumSites; ++S)
           ShardOf[S] = static_cast<unsigned>(
               (S * 2654435761u + Round * 97u) % Shards);
-
-        uint64_t Cost = 0, Inv = 0, Proc = 0, Lfu = 0;
-        StrideProfile Merged(NumSites);
-        for (unsigned W = 0; W != Shards; ++W) {
-          StrideProfiler P(NumSites, C);
-          uint64_t LoadIndex = 0;
-          for (const SyntheticRef &R : Refs) {
-            if (ShardOf[R.Site] == W)
-              Cost += P.profileAt(R.Site, R.Addr, R.Ref, LoadIndex);
-            ++LoadIndex;
+        for (const bool SiteMajor : {false, true}) {
+          for (const size_t Block :
+               {size_t(1), size_t(7), Cycle - 1, Cycle, Cycle + 1,
+                Refs.size()}) {
+            if (Block == 0)
+              continue;
+            SCOPED_TRACE("round " + std::to_string(Round) + " shards " +
+                         std::to_string(Shards) + " block " +
+                         std::to_string(Block) +
+                         (SiteMajor ? " site-major" : ""));
+            uint64_t Cost = 0, Inv = 0, Proc = 0, Lfu = 0;
+            StrideProfile Merged(NumSites);
+            for (unsigned W = 0; W != Shards; ++W) {
+              StrideProfiler P(NumSites, C);
+              Cost += profileInBlocks(
+                  P,
+                  shardLoads(
+                      Refs, [&](uint32_t S) { return ShardOf[S] == W; },
+                      SiteMajor),
+                  Block);
+              Inv += P.totalInvocations();
+              Proc += P.totalProcessed();
+              Lfu += P.totalLfuCalls();
+              mergeStrideProfile(Merged, StrideProfile::fromProfiler(P));
+            }
+            EXPECT_EQ(Cost, SerialCost);
+            EXPECT_EQ(Inv, Serial.totalInvocations());
+            EXPECT_EQ(Proc, Serial.totalProcessed());
+            EXPECT_EQ(Lfu, Serial.totalLfuCalls());
+            EXPECT_EQ(strideProfileToJson(Merged).str(), SerialJson);
           }
-          Inv += P.totalInvocations();
-          Proc += P.totalProcessed();
-          Lfu += P.totalLfuCalls();
-          mergeStrideProfile(Merged, StrideProfile::fromProfiler(P));
         }
-        EXPECT_EQ(Cost, SerialCost);
-        EXPECT_EQ(Inv, Serial.totalInvocations());
-        EXPECT_EQ(Proc, Serial.totalProcessed());
-        EXPECT_EQ(Lfu, Serial.totalLfuCalls());
-        EXPECT_EQ(strideProfileToJson(Merged).str(), SerialJson);
       }
     }
   }
@@ -576,12 +619,12 @@ TEST(StrideProfiler, ShardedMergeMatchesUnshardedForAllMethods) {
     const unsigned Shards = 3;
     for (unsigned W = 0; W != Shards; ++W) {
       StrideProfiler P(NumSites, C);
-      uint64_t LoadIndex = 0;
-      for (const SyntheticRef &R : Refs) {
-        if ((R.Site * 2654435761u) % Shards == W)
-          P.profileAt(R.Site, R.Addr, R.Ref, LoadIndex);
-        ++LoadIndex;
-      }
+      profileInBlocks(P,
+                      shardLoads(Refs,
+                                 [&](uint32_t S) {
+                                   return (S * 2654435761u) % Shards == W;
+                                 }),
+                      256);
       mergeStrideProfile(Merged, StrideProfile::fromProfiler(P));
     }
     EXPECT_EQ(strideProfileToJson(Merged).str(),

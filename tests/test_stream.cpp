@@ -1000,6 +1000,97 @@ TEST(TraceReplay, ReadErrorsSurfaceThroughTheResult) {
   EXPECT_FALSE(R.Error.empty());
 }
 
+// A trace that opens but fails its decode, and one that fails at the open,
+// report through replayTraceFile the code and message the reader or the
+// decode job produced, at one thread and at four: a truncated tail, an
+// invalid event tag inside the fourth shard-index chunk, and a footer event
+// count one above (over-promising) and one below the events present.
+TEST(TraceReplay, DecodeErrorsKeepTheirCodesAndMessages) {
+  const std::vector<AccessEvent> Events = patternEvents(200);
+  std::string Data, BadTag;
+  {
+    std::stringstream SS;
+    TraceWriter W(SS, 5, {}, /*IndexInterval=*/32);
+    uint64_t Event100Start = 0;
+    for (size_t I = 0; I != Events.size(); ++I) {
+      if (I == 100)
+        Event100Start = W.bytesWritten();
+      W.onBatch(&Events[I], 1); // the writer flushes every batch
+    }
+    W.finish();
+    ASSERT_TRUE(W.ok()) << W.error();
+    Data = SS.str();
+    BadTag = Data;
+    BadTag[Event100Start] = '\x7f';
+  }
+  std::string Short;
+  {
+    std::stringstream SS;
+    TraceWriter W(SS, 5, {}, /*IndexInterval=*/1ull << 40); // one chunk
+    const std::vector<AccessEvent> Ten = patternEvents(10);
+    W.onBatch(Ten.data(), Ten.size());
+    W.finish();
+    ASSERT_TRUE(W.ok()) << W.error();
+    Short = SS.str();
+  }
+  // The footer's event count, the 1-byte varint before the 16-byte tail.
+  ASSERT_EQ(Short[Short.size() - 17], '\x0a');
+  std::string Over = Short, Under = Short;
+  Over[Short.size() - 17] = '\x0b';
+  Under[Short.size() - 17] = '\x09';
+
+  struct ErrorCase {
+    const char *Name;
+    std::string Bytes;
+    TraceError Code;
+    std::string Want[2]; // the message after the path, at 1 and 4 threads
+  };
+  const ErrorCase Cases[] = {
+      {"truncated",
+       Data.substr(0, Data.size() - 4),
+       TraceError::Truncated,
+       {": missing the seekable tail (truncated or unfinished capture)",
+        ": missing the seekable tail (truncated or unfinished capture)"}},
+      {"corrupt",
+       BadTag,
+       TraceError::Corrupt,
+       {"[chunks 2..4): invalid event tag 127 after event 36",
+        "[chunks 3..4): invalid event tag 127 after event 4"}},
+      {"over-promising",
+       Over,
+       TraceError::Corrupt,
+       {"[chunks 0..1): end-of-events marker inside a shard after 10 of 11 "
+        "events",
+        "[chunks 0..1): end-of-events marker inside a shard after 10 of 11 "
+        "events"}},
+      {"under-promising",
+       Under,
+       TraceError::Corrupt,
+       {"[chunks 0..1): shard decode ends at byte 63 but the index places "
+        "the boundary at byte 67",
+        "[chunks 0..1): shard decode ends at byte 63 but the index places "
+        "the boundary at byte 67"}},
+  };
+  for (const ErrorCase &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    const std::string Path =
+        tmpPath(std::string("decode_error_") + C.Name + ".sprof.trace");
+    writeBytes(Path, C.Bytes);
+    for (const unsigned Threads : {1u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(Threads));
+      TraceReplayOptions Opts;
+      Opts.EvaluateWorkload = false;
+      Opts.Threads = Threads;
+      const TraceReplayResult R = replayTraceFile(Path, Opts);
+      EXPECT_FALSE(R.Ok);
+      EXPECT_EQ(R.ErrorCode, C.Code);
+      EXPECT_EQ(R.Error, Path + C.Want[Threads == 1 ? 0 : 1]);
+      EXPECT_EQ(R.Source, Path);
+    }
+    std::remove(Path.c_str());
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Stream primitives and synthetic generators
 //===----------------------------------------------------------------------===//
@@ -1567,6 +1658,56 @@ TEST(ParallelReplay, NonContiguousSourceMatchesVectorSource) {
     }
   }
   std::remove(Path.c_str());
+}
+
+// The site-sharded profile against serial StrideProfiler::consume for all
+// eight profiling methods, on a trace where one site holds most loads (so
+// one shard does most of the work) and prefetch-kind events are mixed in
+// (they take no load index). Shard counts run past the site count, where
+// they are clamped to one site per shard.
+TEST(ParallelReplay, ShardedProfileMatchesSerialConsumeForAllMethods) {
+  const uint32_t NumSites = 9;
+  Rng R(2024);
+  std::vector<uint64_t> Addr(NumSites);
+  for (uint32_t S = 0; S != NumSites; ++S)
+    Addr[S] = 0x100000 * (S + 1);
+  std::vector<AccessEvent> Events(50000);
+  for (size_t I = 0; I != Events.size(); ++I) {
+    AccessEvent &E = Events[I];
+    // Site 0 takes ~80% of the events; it strides by 8 with a phase
+    // change every 1000 of its loads, the rest by site-specific strides.
+    E.SiteId = R.chancePercent(80)
+                   ? 0
+                   : 1 + static_cast<uint32_t>(R.below(NumSites - 1));
+    const int64_t Stride =
+        E.SiteId == 0 ? ((I / 1000) % 2 ? 8 : -24)
+                      : static_cast<int64_t>(16 * E.SiteId);
+    Addr[E.SiteId] += static_cast<uint64_t>(Stride);
+    E.Address = Addr[E.SiteId] + (R.chancePercent(5) ? 4096 : 0);
+    E.GlobalRefIndex = R.chancePercent(10) ? 0 : I + 1;
+    E.Kind = R.chancePercent(6) ? AccessKind::Prefetch : AccessKind::Load;
+  }
+
+  for (ProfilingMethod Method : allProfilingMethods()) {
+    SCOPED_TRACE(profilingMethodName(Method));
+    StrideProfilerConfig PC;
+    PC.Sampling.Enabled = methodUsesSampling(Method);
+    StrideProfiler Serial(NumSites, PC);
+    const uint64_t SerialCycles = Serial.consume(Events);
+    const std::string Want =
+        strideProfileToJson(StrideProfile::fromProfiler(Serial)).str();
+    for (const unsigned Shards : {1u, 2u, 3u, 5u, 7u, 16u}) {
+      SCOPED_TRACE("shards " + std::to_string(Shards));
+      const ShardedProfileResult Got =
+          profileEventsSharded(Events, NumSites, PC, /*Threads=*/4, Shards);
+      ASSERT_TRUE(Got.Ok) << Got.Error;
+      EXPECT_EQ(strideProfileToJson(Got.Strides).str(), Want);
+      EXPECT_EQ(Got.RuntimeCycles, SerialCycles);
+      EXPECT_EQ(Got.Invocations, Serial.totalInvocations());
+      EXPECT_EQ(Got.Processed, Serial.totalProcessed());
+      EXPECT_EQ(Got.LfuCalls, Serial.totalLfuCalls());
+    }
+  }
 }
 
 namespace {
