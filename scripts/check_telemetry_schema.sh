@@ -643,7 +643,8 @@ check(sched.get("jobs_enqueued") == len(jobs),
 # exactly one request executes and two replay it, each replay saving the
 # executed run's instructions.
 memo = sched.get("run_memo", {})
-for key in ("hits", "misses", "saved_instructions", "parks"):
+for key in ("hits", "misses", "saved_instructions", "parks", "image_builds",
+            "image_shares"):
     check(isinstance(memo.get(key), int) and memo.get(key) >= 0,
           f"scheduler.run_memo.{key} missing or not a count")
 check(memo.get("misses") == 1 and memo.get("hits") == 2,

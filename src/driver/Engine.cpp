@@ -132,6 +132,8 @@ void ExperimentEngine::run() {
   SchedStats.RunMemoHits += MemoCounts.Hits;
   SchedStats.RunMemoMisses += MemoCounts.Misses;
   SchedStats.RunMemoSavedInstructions += MemoCounts.SavedInstructions;
+  SchedStats.RunMemoImageBuilds += MemoCounts.ImageBuilds;
+  SchedStats.RunMemoImageShares += MemoCounts.ImageShares;
   // Only memo requests park engine jobs.
   SchedStats.RunMemoParks += GS.Parks;
 
@@ -191,8 +193,8 @@ void ExperimentEngine::run() {
 
     // Scheduler telemetry, recorded once per drain after the fold so the
     // values are identical whether the drain ran serial or threaded —
-    // except the timing histograms and the retry and park counters, which
-    // are inherently wall-clock/schedule dependent (tests comparing
+    // except the timing histograms and the retry, park and image counters,
+    // which are inherently wall-clock/schedule dependent (tests comparing
     // serial-vs-N-thread snapshots filter the engine.* namespace).
     MetricsRegistry &Reg = Session->registry();
     Reg.counter("engine.jobs.enqueued").inc(Outcomes.size());
@@ -205,6 +207,8 @@ void ExperimentEngine::run() {
     Reg.counter("engine.run_memo.saved_instructions")
         .inc(MemoCounts.SavedInstructions);
     Reg.counter("engine.run_memo.parks").inc(GS.Parks);
+    Reg.counter("engine.run_memo.image_builds").inc(MemoCounts.ImageBuilds);
+    Reg.counter("engine.run_memo.image_shares").inc(MemoCounts.ImageShares);
     Reg.counter("engine.sched.wakeup_retries").inc(GS.DequeueRetries);
     Reg.gauge("engine.sched.queue_depth_high_water")
         .set(static_cast<double>(SchedStats.QueueDepthHighWater));

@@ -17,24 +17,25 @@ using namespace sprof;
 
 /// Both population rows of \p W (out-loop, in-loop) from one naive-all
 /// ref run, against the telemetry scope \p Obs so engine jobs can run it
-/// against their job session.
+/// against their job session, taking the program from \p Memo.
 static PopulationRows::value_type
 classifyPopulationImpl(const Workload &W, const PipelineConfig &Config,
-                       ObsSession *Obs) {
-  Pipeline P(W, Config, Obs);
+                       ObsSession *Obs, RunMemo &Memo) {
+  Pipeline P(W, Config, Obs, &Memo);
   // Naive-all profiles every load; run on the reference input so the
   // population weights match the performance runs.
   ProfileRunResult PR = P.runProfile(ProfilingMethod::NaiveAll, DataSet::Ref,
                                      /*WithMemorySystem=*/false);
 
   // In-loop classification per site on the original module.
-  Program Prog = W.build({DataSet::Ref, Config.WorkloadSeedOffset});
-  std::vector<bool> SiteInLoop = loadSitesInLoop(Prog.M);
+  const std::shared_ptr<const Module> M =
+      Memo.module(W, {DataSet::Ref, Config.WorkloadSeedOffset});
+  std::vector<bool> SiteInLoop = loadSitesInLoop(*M);
 
   uint64_t Total = 0;
   // Per in-loop flag: None, SSST, PMST, WSST.
   uint64_t ByClass[2][4] = {};
-  for (uint32_t Site = 0; Site != Prog.M.NumLoadSites; ++Site) {
+  for (uint32_t Site = 0; Site != M->NumLoadSites; ++Site) {
     uint64_t Refs = PR.Stats.SiteCounts[Site];
     Total += Refs;
     StrideClass C =
@@ -57,8 +58,9 @@ classifyPopulationImpl(const Workload &W, const PipelineConfig &Config,
 PopulationRow sprof::classifyLoadPopulation(const Workload &W,
                                             bool InLoopWanted,
                                             const PipelineConfig &Config) {
+  RunMemo Memo;
   PopulationRows::value_type Rows =
-      classifyPopulationImpl(W, Config, /*Obs=*/nullptr);
+      classifyPopulationImpl(W, Config, /*Obs=*/nullptr, Memo);
   return InLoopWanted ? Rows.second : Rows.first;
 }
 
@@ -159,12 +161,13 @@ sprof::classifySuitePopulations(ExperimentEngine &Engine,
                                 const PipelineConfig &Config) {
   requireSharableConfig(Config, "classifySuitePopulations");
   PopulationRows Results(Workloads.size());
+  RunMemo *Memo = Engine.runMemo();
   for (size_t WI = 0; WI != Workloads.size(); ++WI) {
     const Workload *W = Workloads[WI];
     PopulationRows::value_type *Rows = &Results[WI];
     Engine.addJob("classify:" + W->info().Name, "run-job",
-                  [W, &Config, Rows](ObsSession *JobObs) {
-                    *Rows = classifyPopulationImpl(*W, Config, JobObs);
+                  [W, &Config, Rows, Memo](ObsSession *JobObs) {
+                    *Rows = classifyPopulationImpl(*W, Config, JobObs, *Memo);
                   });
   }
   Engine.run();
@@ -207,16 +210,16 @@ std::vector<SensitivityMeasurement> sprof::measureSuiteSensitivity(
                   });
     JobId TrainJob = Engine.addJob(
         "profile:" + Name + "/sample-edge-check/train", "run-job",
-        [W, &Config, S](ObsSession *JobObs) {
-          Pipeline P(*W, Config, JobObs);
+        [W, &Config, S, Memo](ObsSession *JobObs) {
+          Pipeline P(*W, Config, JobObs, Memo);
           S->Train = P.runProfile(ProfilingMethod::SampleEdgeCheck,
                                   DataSet::Train,
                                   /*WithMemorySystem=*/false);
         });
     JobId RefJob = Engine.addJob(
         "profile:" + Name + "/sample-edge-check/ref", "run-job",
-        [W, &Config, S](ObsSession *JobObs) {
-          Pipeline P(*W, Config, JobObs);
+        [W, &Config, S, Memo](ObsSession *JobObs) {
+          Pipeline P(*W, Config, JobObs, Memo);
           S->Ref = P.runProfile(ProfilingMethod::SampleEdgeCheck,
                                 DataSet::Ref,
                                 /*WithMemorySystem=*/false);

@@ -108,38 +108,40 @@ std::vector<ProfileRunResult>
 Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
                       std::span<ObsSession *const> MethodObs,
                       bool WithMemorySystem) const {
+  // One base image serves the stall run and every execution below.
+  std::shared_ptr<const MemoryImage> Image;
   if (!WithMemorySystem)
     return executeProfiles(Methods, DS, MethodObs, /*TimeMemory=*/false,
-                           /*Stall=*/nullptr);
+                           /*Stall=*/nullptr, Image);
   ObsSession *Obs = MethodObs.empty() ? Session : MethodObs.front();
-  if (std::optional<RunStats> Stall = memsysStall(DS, Obs))
+  if (std::optional<RunStats> Stall = memsysStall(DS, Image, Obs))
     return executeProfiles(Methods, DS, MethodObs, /*TimeMemory=*/false,
-                           &*Stall);
+                           &*Stall, Image);
   // The cache model times each method's own execution.
   std::vector<ProfileRunResult> Results;
   for (size_t K = 0; K != Methods.size(); ++K)
     Results.push_back(std::move(executeProfiles(
         Methods.subspan(K, 1), DS,
         MethodObs.empty() ? MethodObs : MethodObs.subspan(K, 1),
-        /*TimeMemory=*/true, /*Stall=*/nullptr)[0]));
+        /*TimeMemory=*/true, /*Stall=*/nullptr, Image)[0]));
   return Results;
 }
 
-std::optional<RunStats> Pipeline::memsysStall(DataSet DS,
-                                              ObsSession *Obs) const {
+std::optional<RunStats>
+Pipeline::memsysStall(DataSet DS, std::shared_ptr<const MemoryImage> &Image,
+                      ObsSession *Obs) const {
   // A self-profiled session samples the run whose cycles it reports.
   if (Obs && Obs->selfProfiler())
     return std::nullopt;
   TraceSpan Span(Obs, "memsys-stall", "pipeline");
-  std::optional<SimMemory> Image;
   const std::shared_ptr<const Module> M = baseModule(DS, Image, Obs);
   // Instrumentation adds no memory op, so this is the instrumented
   // module's property too.
   if (!runsClockFree(*M))
     return std::nullopt;
   // Its telemetry stays out of the profile run's: the run memo counts it.
-  return executeTimed(*M, std::move(Image), DS, /*Attribution=*/false,
-                      "memsys-stall", /*Obs=*/nullptr)
+  return executeTimed(*M, Image, DS, /*Attribution=*/false, "memsys-stall",
+                      /*Obs=*/nullptr)
       .first;
 }
 
@@ -159,7 +161,7 @@ bool Pipeline::runsClockFree(const Module &M) const {
 }
 
 std::shared_ptr<const Module>
-Pipeline::baseModule(DataSet DS, std::optional<SimMemory> &Image,
+Pipeline::baseModule(DataSet DS, std::shared_ptr<const MemoryImage> &Image,
                      ObsSession *Obs) const {
   TraceSpan BS(Obs, "build-workload", "pipeline");
   const BuildRequest Req(DS, Config.WorkloadSeedOffset);
@@ -167,14 +169,23 @@ Pipeline::baseModule(DataSet DS, std::optional<SimMemory> &Image,
     return Memo->module(W, Req);
   Program Prog = W.build(Req);
   assert(isWellFormed(Prog.M) && "workload built a malformed module");
-  Image = std::move(Prog.Memory);
+  Image = SimMemory::freeze(std::move(Prog.Memory));
   return std::make_shared<const Module>(std::move(Prog.M));
+}
+
+void Pipeline::takeImage(DataSet DS, std::shared_ptr<const MemoryImage> &Image,
+                         ObsSession *Obs) const {
+  if (Image)
+    return;
+  TraceSpan BS(Obs, "build-image", "pipeline");
+  Image = Memo->image(W, {DS, Config.WorkloadSeedOffset});
 }
 
 std::vector<ProfileRunResult>
 Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
                           DataSet DS, std::span<ObsSession *const> MethodObs,
-                          bool TimeMemory, const RunStats *Stall) const {
+                          bool TimeMemory, const RunStats *Stall,
+                          std::shared_ptr<const MemoryImage> &Image) const {
   const size_t N = Methods.size();
   if (N == 0)
     return {};
@@ -184,11 +195,8 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
   ObsSession *Obs = ObsOf(0);
   TraceSpan Span(Obs, "run-profile", "pipeline");
 
-  Program Prog = [&] {
-    TraceSpan BS(Obs, "build-workload", "pipeline");
-    return W.build({DS, Config.WorkloadSeedOffset});
-  }();
-  assert(isWellFormed(Prog.M) && "workload built a malformed module");
+  Module M = *baseModule(DS, Image, Obs);
+  takeImage(DS, Image, Obs);
 
   // The module is instrumented for the family's widest base method when a
   // method needs it (naive-all), and the first method of that base rides
@@ -208,22 +216,22 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
   for (size_t K = 0; K != N; ++K)
     Sliced[K] = baseMethod(Methods[K]) != Instrumented;
   if (std::find(Sliced.begin(), Sliced.end(), true) != Sliced.end()) {
-    const std::vector<bool> Sites = loadSitesInLoop(Prog.M);
+    const std::vector<bool> Sites = loadSitesInLoop(M);
     InLoop.assign(Sites.begin(), Sites.end());
   }
 
   InstrumentationResult Instr = [&] {
     TraceSpan IS(Obs, "instrument", "instrument");
-    return instrumentModule(Prog.M, Instrumented, Config.Instrument);
+    return instrumentModule(M, Instrumented, Config.Instrument);
   }();
-  assert(isWellFormed(Prog.M) && "instrumentation broke the module");
+  assert(isWellFormed(M) && "instrumentation broke the module");
 
   std::vector<StrideProfiler> Profilers;
   Profilers.reserve(N);
   for (size_t K = 0; K != N; ++K) {
     StrideProfilerConfig PC = Config.Profiler;
     PC.Sampling.Enabled = methodUsesSampling(Methods[K]);
-    Profilers.emplace_back(Prog.M.NumLoadSites, PC);
+    Profilers.emplace_back(M.NumLoadSites, PC);
     Profilers.back().attachObs(ObsOf(K));
   }
 
@@ -232,7 +240,7 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
   // run given its stall reports every method's interp.* below, once the
   // stall is in its cycle count (its session has no self-profiler to
   // attach, see memsysStall).
-  Interpreter I(Prog.M, std::move(Prog.Memory), Config.Timing, Config.Interp);
+  Interpreter I(M, SimMemory(Image), Config.Timing, Config.Interp);
   std::optional<MemoryHierarchy> MH;
   if (TimeMemory)
     I.attachMemory(&MH.emplace(Config.Memory));
@@ -248,7 +256,7 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
   if (!Config.TraceCapturePath.empty()) {
     TraceProvenance Prov{W.info().Name, dataSetName(DS),
                          profilingMethodName(Methods[0])};
-    Capture = TraceWriter::open(Config.TraceCapturePath, Prog.M.NumLoadSites,
+    Capture = TraceWriter::open(Config.TraceCapturePath, M.NumLoadSites,
                                 std::move(Prov));
     if (Capture)
       I.attachEventSink(Capture.get());
@@ -265,9 +273,9 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
   assert(Stats.Completed && "profile run did not complete");
 
   // Harvest the edge profile from the counters.
-  EdgeProfile Edges(Prog.M.Functions.size());
+  EdgeProfile Edges(M.Functions.size());
   const std::vector<uint64_t> &Counters = I.counters();
-  for (uint32_t FI = 0, FE = static_cast<uint32_t>(Prog.M.Functions.size());
+  for (uint32_t FI = 0, FE = static_cast<uint32_t>(M.Functions.size());
        FI != FE; ++FI) {
     for (const auto &[E, CtrId] : Instr.EdgeCounters[FI])
       Edges.setFrequency(FI, E, Counters[CtrId]);
@@ -360,11 +368,11 @@ RunStats Pipeline::runBaseline(DataSet DS) const {
   ObsSession *Obs = Session;
   TraceSpan Span(Obs, "run-baseline", "pipeline");
 
-  std::optional<SimMemory> Image;
+  std::shared_ptr<const MemoryImage> Image;
   const std::shared_ptr<const Module> M = baseModule(DS, Image, Obs);
-  RunStats Stats = executeTimed(*M, std::move(Image), DS,
-                                /*Attribution=*/false, "baseline", Obs)
-                       .first;
+  RunStats Stats =
+      executeTimed(*M, Image, DS, /*Attribution=*/false, "baseline", Obs)
+          .first;
   assert(Stats.Completed && "baseline run did not complete");
 
   if (Obs) {
@@ -379,7 +387,7 @@ TimedRunResult Pipeline::runPrefetched(DataSet DS, const EdgeProfile &Edges,
   ObsSession *Obs = Session;
   TraceSpan Span(Obs, "timed-run", "pipeline");
 
-  std::optional<SimMemory> Image;
+  std::shared_ptr<const MemoryImage> Image;
   Module M = *baseModule(DS, Image, Obs);
   TimedRunResult Result;
   Result.Feedback = runFeedback(M, Edges, Strides, Config.Classifier, Obs);
@@ -387,8 +395,8 @@ TimedRunResult Pipeline::runPrefetched(DataSet DS, const EdgeProfile &Edges,
   assert(isWellFormed(M) && "prefetch insertion broke the module");
 
   std::tie(Result.Stats, Result.Attribution) =
-      executeTimed(M, std::move(Image), DS, Config.Memory.EnableAttribution,
-                   "timed", Obs);
+      executeTimed(M, Image, DS, Config.Memory.EnableAttribution, "timed",
+                   Obs);
   assert(Result.Stats.Completed && "prefetched run did not complete");
 
   if (Obs) {
@@ -417,16 +425,14 @@ TimedRunResult Pipeline::runPrefetched(DataSet DS, const EdgeProfile &Edges,
 }
 
 std::pair<RunStats, AttributionData>
-Pipeline::executeTimed(const Module &M, std::optional<SimMemory> Image,
-                       DataSet DS, bool Attribution, const char *Phase,
+Pipeline::executeTimed(const Module &M,
+                       std::shared_ptr<const MemoryImage> &Image, DataSet DS,
+                       bool Attribution, const char *Phase,
                        ObsSession *Obs) const {
   auto Execute = [&](ObsSession *RunObs) {
-    if (!Image) {
-      TraceSpan BS(Obs, "build-image", "pipeline");
-      Image = Memo->image(W, {DS, Config.WorkloadSeedOffset});
-    }
+    takeImage(DS, Image, Obs);
     const bool ClockFree = runsClockFree(M);
-    Interpreter I(M, std::move(*Image), Config.Timing, Config.Interp);
+    Interpreter I(M, SimMemory(Image), Config.Timing, Config.Interp);
     MemoryHierarchy MH(Config.Memory,
                        ClockFree ? CacheModel::ClockFree : CacheModel::Timed);
     if (Attribution)

@@ -109,8 +109,10 @@ struct TimedRunResult {
   AttributionData Attribution;
 };
 
-/// Drives one workload through the paper's pipeline. The workload's
-/// Program is rebuilt for every run so runs never share mutable state.
+/// Drives one workload through the paper's pipeline. Every run transforms
+/// its own copy of the workload's module and executes on its own
+/// copy-on-write overlay of the build's memory image, so runs never share
+/// mutable state.
 class Pipeline {
 public:
   Pipeline(const Workload &W, PipelineConfig Config = {})
@@ -124,12 +126,14 @@ public:
   /// Runs against an externally owned telemetry session (nullptr disables
   /// telemetry). Config.Obs is not consulted; the experiment engine uses
   /// this so every job's pipeline phases land in the job's metric scope.
-  /// With \p Memo (the engine's, see driver/RunMemo.h), runBaseline,
-  /// runPrefetched and the memory stall of runProfiles take their module
-  /// from it and execute through it, so identical timed runs in one engine
-  /// wave execute once and only an executing run takes a memory image;
-  /// results and telemetry are unchanged. A session with the self-profiler attached
-  /// bypasses the memo.
+  /// With \p Memo (the engine's, see driver/RunMemo.h), every run takes
+  /// its module and its memory image from it, and runBaseline,
+  /// runPrefetched and the memory stall of runProfiles execute through it,
+  /// so identical timed runs in one engine wave execute once, only an
+  /// executing run takes an image, and overlapping runs share one; results
+  /// and telemetry are unchanged. A session with the self-profiler
+  /// attached executes every timed run itself. Without a memo, each run
+  /// builds the program and executes on an overlay of its unshared image.
   Pipeline(const Workload &W, PipelineConfig Config, ObsSession *External,
            RunMemo *Memo = nullptr)
       : W(W), Config(std::move(Config)), Session(External), Memo(Memo) {}
@@ -218,8 +222,11 @@ private:
   /// The un-instrumented program's timed run on \p DS, whose stalls and
   /// MemoryStats every profile run of it shares, with a span in \p Obs;
   /// nullopt when the run's conditions for that do not hold (see
-  /// runProfiles).
-  std::optional<RunStats> memsysStall(DataSet DS, ObsSession *Obs) const;
+  /// runProfiles). The image the run executed on, if any, is left in
+  /// \p Image for the profile execution.
+  std::optional<RunStats> memsysStall(DataSet DS,
+                                      std::shared_ptr<const MemoryImage> &Image,
+                                      ObsSession *Obs) const;
 
   /// Whether a run of \p M has its serving levels' latencies (see
   /// MemoryHierarchy): the Decoded engine, no Prefetch or SpecLoad in \p M,
@@ -228,30 +235,38 @@ private:
   /// profile runs' stalls only under it.
   bool runsClockFree(const Module &M) const;
 
-  /// The module a timed run on \p DS starts from, untransformed, with a
+  /// The module a run on \p DS starts from, untransformed, with a
   /// build-workload span in \p Obs. With a memo it is the memo's
-  /// (RunMemo::module) and \p Image stays empty: executeTimed takes the
-  /// image (RunMemo::image) only when the run executes. Without one it is
-  /// a fresh build, whose image goes to \p Image.
+  /// (RunMemo::module) and \p Image is left as it is: a run takes the
+  /// image (takeImage) only when it executes. Without one it is a fresh
+  /// build, whose image goes to \p Image.
   std::shared_ptr<const Module>
-  baseModule(DataSet DS, std::optional<SimMemory> &Image,
+  baseModule(DataSet DS, std::shared_ptr<const MemoryImage> &Image,
              ObsSession *Obs) const;
 
-  /// One instrumented execution for \p Methods: with a cache hierarchy
-  /// attached when \p TimeMemory (one method only), or without one, plus
-  /// \p Stall's memory accounting when given.
+  /// Sets an empty \p Image to the memo's image for \p DS
+  /// (RunMemo::image), in a build-image span in \p Obs.
+  void takeImage(DataSet DS, std::shared_ptr<const MemoryImage> &Image,
+                 ObsSession *Obs) const;
+
+  /// One instrumented execution for \p Methods on an overlay of \p Image
+  /// (taken first if empty): with a cache hierarchy attached when
+  /// \p TimeMemory (one method only), or without one, plus \p Stall's
+  /// memory accounting when given.
   std::vector<ProfileRunResult>
   executeProfiles(std::span<const ProfilingMethod> Methods, DataSet DS,
                   std::span<ObsSession *const> MethodObs, bool TimeMemory,
-                  const RunStats *Stall) const;
+                  const RunStats *Stall,
+                  std::shared_ptr<const MemoryImage> &Image) const;
 
-  /// The execute step of a timed run: runs \p M on \p DS's image
-  /// (\p Image, or the memo's when it is empty) with the cache hierarchy
+  /// The execute step of a timed run: runs \p M on an overlay of \p DS's
+  /// image (\p Image, taken first if empty) with the cache hierarchy
   /// attached, through the memo when there is one, and records its
-  /// telemetry in \p Obs.
+  /// telemetry in \p Obs. A memo hit leaves \p Image as it is.
   std::pair<RunStats, AttributionData>
-  executeTimed(const Module &M, std::optional<SimMemory> Image, DataSet DS,
-               bool Attribution, const char *Phase, ObsSession *Obs) const;
+  executeTimed(const Module &M, std::shared_ptr<const MemoryImage> &Image,
+               DataSet DS, bool Attribution, const char *Phase,
+               ObsSession *Obs) const;
 
   const Workload &W;
   PipelineConfig Config;

@@ -108,8 +108,9 @@ std::shared_ptr<const Module> RunMemo::module(const Workload &W,
   if (!Hit)
     fill(*E, [&] {
       Program P = W.build(Req);
+      ++ImageBuilds;
       // Read only once the entry is published.
-      E->Image = std::move(P.Memory);
+      E->Held = SimMemory::freeze(std::move(P.Memory));
       return std::move(P.M);
     });
   if (E->Error)
@@ -117,23 +118,43 @@ std::shared_ptr<const Module> RunMemo::module(const Workload &W,
   return E->Value;
 }
 
-SimMemory RunMemo::image(const Workload &W, const BuildRequest &Req) {
+std::shared_ptr<const MemoryImage> RunMemo::image(const Workload &W,
+                                                  const BuildRequest &Req) {
+  ModuleEntry *E = nullptr;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    ModuleEntry *E = findModule(W, Req);
-    if (E && E->Done && E->Image) {
-      SimMemory Image = std::move(*E->Image);
-      E->Image.reset();
-      return Image;
-    }
+    E = findModule(W, Req);
+    if (E && !E->Done)
+      E = nullptr; // still building: make a copy nobody shares
   }
-  return W.build(Req).Memory;
+  if (!E) {
+    ++ImageBuilds;
+    return SimMemory::freeze(W.build(Req).Memory);
+  }
+  std::lock_guard<std::mutex> ImageLock(E->ImageMu);
+  if (E->Held) {
+    E->Live = E->Held;
+    return std::move(E->Held);
+  }
+  if (std::shared_ptr<const MemoryImage> Image = E->Live.lock()) {
+    ++ImageShares;
+    return Image;
+  }
+  // Building under the entry's lock makes an overlapping call wait for
+  // this image instead of building its own; the build takes no lock.
+  std::shared_ptr<const MemoryImage> Image =
+      SimMemory::freeze(W.build(Req).Memory);
+  ++ImageBuilds;
+  E->Live = Image;
+  return Image;
 }
 
 RunMemo::Counts RunMemo::counts() const {
   std::lock_guard<std::mutex> Lock(Mu);
   Counts C;
   C.Misses = Entries.size();
+  C.ImageBuilds = ImageBuilds;
+  C.ImageShares = ImageShares;
   for (const Entry &E : Entries) {
     // A failed run replays its exception, not a run, to later requests.
     if (!E.Value || E.Requests == 0)
@@ -148,4 +169,6 @@ void RunMemo::clear() {
   std::lock_guard<std::mutex> Lock(Mu);
   Entries.clear();
   Modules.clear();
+  ImageBuilds = 0;
+  ImageShares = 0;
 }

@@ -23,23 +23,29 @@
 /// metric delta; every caller folds the delta into its own telemetry scope,
 /// so results and telemetry equal those of a memo-free run.
 ///
-/// No request ever waits. One for a key that is still executing throws
+/// No request for a run waits. One for a key that is still executing throws
 /// JobPending (driver/JobGraph.h): its job parks, the worker runs other
 /// ready jobs, and the executing request wakes the job once it has
 /// published a value or an exception. The job re-runs from the start and
 /// its request finds the finished entry. So the number of executions
-/// equals the number of distinct keys, and the counts (taken over the
-/// requests of job attempts that did not park) are the same at any thread
-/// count.
+/// equals the number of distinct keys, and the hit and miss counts (taken
+/// over the requests of job attempts that did not park) are the same at
+/// any thread count.
 ///
 /// The memo also holds each (workload, data set, seed offset)'s
 /// un-transformed module, built once per wave by its first request (the
 /// module cache). A timed run copies it, transforms the copy and hashes
 /// it for its key, and takes its memory image only inside the execute
-/// callback: the image that module's build left, for the first run that
-/// executes, else a fresh build. So a hit builds nothing, and a wave
-/// builds one program per execution. A request for a module still being
-/// built parks like a request for a run in flight.
+/// callback; a profile run copies it to instrument it. A request for a
+/// module still being built parks like a request for a run in flight.
+///
+/// Every executing run reads its image as a copy-on-write overlay
+/// (SimMemory) on one immutable base per request. The memo holds the base
+/// its module's build left until the first executing run takes it, and
+/// from then on only weakly: runs that overlap share that base, the last
+/// one to end frees it, and a later run builds it again. So a hit builds
+/// nothing, and a wave holds one copy of an image per set of overlapping
+/// runs, never every image it touched.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,12 +58,12 @@
 #include "obs/Metrics.h"
 #include "workloads/Workload.h"
 
+#include <atomic>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -93,6 +99,12 @@ public:
     uint64_t Misses = 0; ///< executions, one per distinct key
     /// Simulated instructions the hits did not execute.
     uint64_t SavedInstructions = 0;
+    /// Workload builds: one per module, plus one per image() call that
+    /// found no base alive. Unlike the counts above, this depends on how
+    /// runs overlap, and so on the thread count.
+    uint64_t ImageBuilds = 0;
+    /// image() calls served by a base that an overlapping run still held.
+    uint64_t ImageShares = 0;
   };
 
   /// Returns the run for \p K, calling \p Execute on the first request for
@@ -107,16 +119,21 @@ public:
 
   /// The module \p W builds for \p Req, before any transformation: built
   /// by the first request since clear(), which keeps the build's image for
-  /// image(), and shared by every later one. A request made while another builds it
-  /// throws JobPending, as run() does; a failed build's exception
+  /// image(), and shared by every later one. A request made while another
+  /// builds it throws JobPending, as run() does; a failed build's exception
   /// propagates to every request.
   std::shared_ptr<const Module> module(const Workload &W,
                                        const BuildRequest &Req);
 
-  /// The initial memory image of \p W built for \p Req: the one the
-  /// module's build left, for the first call after it, else a fresh
-  /// build. Call it only for a run that executes.
-  SimMemory image(const Workload &W, const BuildRequest &Req);
+  /// The initial memory image of \p W built for \p Req, as the base of an
+  /// executing run's overlay: the one the module's build left, for the
+  /// first call after it; else the one an earlier caller still holds; else
+  /// a fresh build, which the memo then holds weakly too. A call made while
+  /// another builds the image waits for that build rather than making a
+  /// second copy. Call it only for a run that executes, after module();
+  /// without a published module it builds an image nobody shares.
+  std::shared_ptr<const MemoryImage> image(const Workload &W,
+                                           const BuildRequest &Req);
 
   /// Drops every entry and module. Callers must have drained every request
   /// first.
@@ -141,8 +158,12 @@ private:
     const Workload *W = nullptr;
     DataSet DS = DataSet::Train;
     uint64_t SeedOffset = 0;
+    /// Guards Held and Live; image() holds it while it builds.
+    std::mutex ImageMu;
     /// The image of the module's build, until image() takes it.
-    std::optional<SimMemory> Image;
+    std::shared_ptr<const MemoryImage> Held;
+    /// The image the executing runs share, expired once none holds it.
+    std::weak_ptr<const MemoryImage> Live;
   };
 
   /// The entry for (\p W, \p Req), or nullptr. Call with Mu held.
@@ -158,6 +179,7 @@ private:
   /// Deques, so entries stay put until clear().
   std::deque<Entry> Entries;
   std::deque<ModuleEntry> Modules;
+  std::atomic<uint64_t> ImageBuilds{0}, ImageShares{0};
 };
 
 } // namespace sprof

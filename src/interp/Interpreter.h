@@ -169,6 +169,9 @@ public:
   /// Profiling counters (edge/block frequencies) after the run.
   const std::vector<uint64_t> &counters() const { return Counters; }
 
+  /// The memory the run read and wrote.
+  const SimMemory &memory() const { return Memory; }
+
   const InterpreterConfig &config() const { return Config; }
 
 private:

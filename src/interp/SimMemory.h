@@ -15,29 +15,45 @@
 /// constant strides, and controlled amounts of out-of-order allocation
 /// produce the paper's 94%/29%/48%-style stride mixes.
 ///
+/// A run's memory is an overlay on an immutable, shared base image: reads
+/// go through to the base's pages, and the first write to a page copies it
+/// into the overlay (a write to a page the base does not map gets a private
+/// zeroed page). A workload build writes into a memory with no base;
+/// SimMemory::freeze turns that into the base, so every run of one build
+/// request can read one copy of its image while each writes only its own
+/// pages (driver/RunMemo.h).
+///
 /// Page lookup is the single hottest operation of a simulated run (every
 /// Load/Store/SpecLoad pays it), so translation is served by a two-level
-/// software TLB in front of the page map: a last-page pointer (hit by the
+/// software TLB in front of the page maps: a last-page pointer (hit by the
 /// streaming/pointer-chasing access patterns the paper studies) backed by a
-/// small direct-mapped translation table. Only mapped pages are cached;
-/// page-data pointers stay valid while the memory object is alive because
-/// pages are carved from append-only slabs and never removed, so the cache
-/// needs invalidation only on copy/move (the page map is cloned or
-/// abandoned wholesale).
+/// small direct-mapped translation table. It caches the overlay's pages,
+/// the base's, and unmapped ones as a shared zero page (workloads read
+/// untouched tables a lot); page-data pointers stay valid while the
+/// memory object is alive because pages are carved from append-only slabs
+/// and never removed, so the cache needs invalidation only on copy/move
+/// (the page map is cloned or abandoned wholesale). Each entry records
+/// whether its page is the overlay's own, and only such an entry, or the
+/// last page written, serves a write, so a base page a read cached is
+/// still copied on its first write.
+/// The base has no translation cache: overlays on other threads only look
+/// up its page map.
 ///
 /// Page storage is slab-pooled rather than one heap allocation per page:
-/// pages are carved in order from 2 MB slabs that are aligned to their own
-/// size and (on Linux) advised MADV_HUGEPAGE. Randomly-indexed multi-MB
-/// tables -- the workloads' "unprefetchable" access patterns -- then touch
-/// a handful of host huge pages instead of thousands of scattered 4 KB
-/// pages, which takes host-dTLB misses out of the simulated-load path for
-/// both execution engines.
+/// a build's pages are carved in order from 2 MB slabs that are aligned to
+/// their own size and (on Linux) advised MADV_HUGEPAGE. Randomly-indexed
+/// multi-MB tables -- the workloads' "unprefetchable" access patterns --
+/// then touch a handful of host huge pages instead of thousands of
+/// scattered 4 KB pages, which takes host-dTLB misses out of the
+/// simulated-load path for both execution engines. An overlay, which
+/// writes few pages if any, takes its pages one at a time.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPROF_INTERP_SIMMEMORY_H
 #define SPROF_INTERP_SIMMEMORY_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -51,44 +67,167 @@
 
 namespace sprof {
 
-/// Sparse paged memory. Reads of unmapped pages return zero without
-/// allocating; writes allocate. Copyable so that every experiment run can
-/// start from the same initial image.
-class SimMemory {
+/// The pages of a memory image: a page map over zeroed 64 KB pages carved
+/// from slabs. Shared as the immutable base of SimMemory overlays, and the
+/// page store of each SimMemory itself.
+class MemoryImage {
 public:
   static constexpr unsigned PageShift = 16;
   static constexpr uint64_t PageBytes = 1ull << PageShift;
+  /// Pages per slab of a build's image: one 2 MB, THP-sized slab.
+  static constexpr unsigned BuildSlabPages = (2u << 20) / PageBytes;
+
+  explicit MemoryImage(unsigned SlabPages = BuildSlabPages)
+      : SlabPages(SlabPages), SlabFill(SlabPages) {}
+  MemoryImage(const MemoryImage &Other) : MemoryImage(Other.SlabPages) {
+    copyPagesFrom(Other);
+  }
+  MemoryImage(MemoryImage &&Other) noexcept
+      : Pages(std::move(Other.Pages)), Slabs(std::move(Other.Slabs)),
+        SlabPages(Other.SlabPages), SlabFill(Other.SlabFill) {
+    Other.Pages.clear();
+    Other.SlabFill = Other.SlabPages;
+  }
+  MemoryImage &operator=(const MemoryImage &Other) {
+    if (this != &Other)
+      *this = MemoryImage(Other);
+    return *this;
+  }
+  MemoryImage &operator=(MemoryImage &&Other) noexcept {
+    if (this != &Other) {
+      Pages = std::move(Other.Pages);
+      Slabs = std::move(Other.Slabs);
+      SlabPages = Other.SlabPages;
+      SlabFill = Other.SlabFill;
+      Other.Pages.clear();
+      Other.SlabFill = Other.SlabPages;
+    }
+    return *this;
+  }
+
+  /// The data of page \p Page (an address >> PageShift), or nullptr when
+  /// it is unmapped.
+  const uint8_t *find(uint64_t Page) const {
+    auto It = Pages.find(Page);
+    return It == Pages.end() ? nullptr : It->second;
+  }
+  uint8_t *find(uint64_t Page) {
+    auto It = Pages.find(Page);
+    return It == Pages.end() ? nullptr : It->second;
+  }
+
+  /// Maps the unmapped page \p Page to a zeroed page and returns its data.
+  uint8_t *map(uint64_t Page) {
+    uint8_t *P = allocPage();
+    Pages.emplace(Page, P);
+    return P;
+  }
+
+  /// Copies in every page of \p Other that this image does not map.
+  void copyPagesFrom(const MemoryImage &Other) {
+    Pages.reserve(Pages.size() + Other.Pages.size());
+    for (const auto &[Page, Data] : Other.Pages)
+      if (!find(Page))
+        std::memcpy(map(Page), Data, PageBytes);
+  }
+
+  size_t numPages() const { return Pages.size(); }
+
+  /// The mapped page indices, in ascending order.
+  std::vector<uint64_t> pages() const {
+    std::vector<uint64_t> Indices;
+    Indices.reserve(Pages.size());
+    for (const auto &Entry : Pages)
+      Indices.push_back(Entry.first);
+    std::sort(Indices.begin(), Indices.end());
+    return Indices;
+  }
+
+  /// Number of pages mapped here and not in \p Other.
+  size_t numPagesNotIn(const MemoryImage &Other) const {
+    size_t N = 0;
+    for (const auto &Entry : Pages)
+      N += !Other.find(Entry.first);
+    return N;
+  }
+
+private:
+  /// Hands out the next zeroed page from the slab pool, growing the pool by
+  /// one slab when the current one is exhausted. Slabs are aligned to their
+  /// own size so the kernel can back 2 MB ones with transparent huge pages,
+  /// and are zeroed (and thereby faulted in) up front.
+  uint8_t *allocPage() {
+    if (SlabFill == SlabPages) {
+      const uint64_t Bytes = uint64_t(SlabPages) * PageBytes;
+      auto *Raw = static_cast<uint8_t *>(
+          ::operator new(Bytes, std::align_val_t(Bytes)));
+#if defined(__linux__)
+      if (SlabPages == BuildSlabPages)
+        ::madvise(Raw, Bytes, MADV_HUGEPAGE);
+#endif
+      std::memset(Raw, 0, Bytes);
+      Slabs.emplace_back(Raw, SlabDeleter{Bytes});
+      SlabFill = 0;
+    }
+    return Slabs.back().get() + uint64_t(SlabFill++) * PageBytes;
+  }
+
+  struct SlabDeleter {
+    uint64_t Bytes; ///< the slab's size, which is also its alignment
+    void operator()(uint8_t *P) const {
+      ::operator delete(P, std::align_val_t(Bytes));
+    }
+  };
+
+  std::unordered_map<uint64_t, uint8_t *> Pages;
+  std::vector<std::unique_ptr<uint8_t[], SlabDeleter>> Slabs;
+  unsigned SlabPages;
+  unsigned SlabFill; ///< pages carved from the last slab
+};
+
+/// Sparse paged memory: an overlay on an optional shared base image. Reads
+/// of unmapped pages return zero without allocating; writes allocate, or
+/// copy the base's page. Copyable: a copy shares the base and copies the
+/// overlay's own pages.
+class SimMemory {
+public:
+  static constexpr unsigned PageShift = MemoryImage::PageShift;
+  static constexpr uint64_t PageBytes = MemoryImage::PageBytes;
 
   SimMemory() = default;
-  SimMemory(const SimMemory &Other) { copyPagesFrom(Other); }
+  /// An overlay on \p Base, which it reads until it writes a page.
+  explicit SimMemory(std::shared_ptr<const MemoryImage> Base)
+      : Base(std::move(Base)), Own(/*SlabPages=*/1) {}
+  SimMemory(const SimMemory &Other) : Base(Other.Base), Own(Other.Own) {}
   SimMemory(SimMemory &&Other) noexcept
-      : Pages(std::move(Other.Pages)), Slabs(std::move(Other.Slabs)),
-        SlabFill(Other.SlabFill) {
+      : Base(std::move(Other.Base)), Own(std::move(Other.Own)) {
     // The moved-from map no longer owns the cached pages; a stale write
     // through Other's cache would corrupt this object's image.
-    Other.SlabFill = PagesPerSlab;
     Other.resetTranslationCache();
   }
   SimMemory &operator=(const SimMemory &Other) {
     if (this != &Other) {
-      Pages.clear();
-      Slabs.clear();
-      SlabFill = PagesPerSlab;
-      copyPagesFrom(Other);
+      Base = Other.Base;
+      Own = Other.Own;
       resetTranslationCache();
     }
     return *this;
   }
   SimMemory &operator=(SimMemory &&Other) noexcept {
     if (this != &Other) {
-      Pages = std::move(Other.Pages);
-      Slabs = std::move(Other.Slabs);
-      SlabFill = Other.SlabFill;
-      Other.SlabFill = PagesPerSlab;
+      Base = std::move(Other.Base);
+      Own = std::move(Other.Own);
       resetTranslationCache();
       Other.resetTranslationCache();
     }
     return *this;
+  }
+
+  /// \p M's contents as an immutable image, for overlays to share.
+  static std::shared_ptr<const MemoryImage> freeze(SimMemory M) {
+    if (M.Base)
+      M.Own.copyPagesFrom(*M.Base);
+    return std::make_shared<const MemoryImage>(std::move(M.Own));
   }
 
   int64_t read64(uint64_t Addr) const {
@@ -120,8 +259,16 @@ public:
 #endif
   }
 
-  /// Number of mapped pages (for tests).
-  size_t numPages() const { return Pages.size(); }
+  /// Number of mapped pages, the base's included (for tests).
+  size_t numPages() const {
+    return Base ? Base->numPages() + Own.numPagesNotIn(*Base)
+                : Own.numPages();
+  }
+
+  /// The pages this memory holds itself, in ascending order: with a base,
+  /// its copies of base pages and the pages it mapped on a write (for
+  /// tests).
+  std::vector<uint64_t> ownPages() const { return Own.pages(); }
 
 private:
   /// Direct-mapped translation table size; a power of two. 512 entries
@@ -131,110 +278,105 @@ private:
   /// table itself is 8 KB -- small enough to stay cache-resident.
   static constexpr size_t TlbSize = 512;
 
+  /// What an unmapped page reads as.
+  alignas(64) static inline const uint8_t ZeroPage[PageBytes] = {};
+
   struct TlbEntry {
-    uint64_t Base = ~0ull; ///< page index; ~0 is unreachable (addr >> 16)
-    uint8_t *Data = nullptr;
+    uint64_t Page = ~0ull; ///< page index; ~0 is unreachable (addr >> 16)
+    const uint8_t *Data = nullptr;
   };
+  static_assert(sizeof(TlbEntry) == 16);
 
   const uint8_t *translate(uint64_t Addr) const {
-    uint64_t Base = Addr >> PageShift;
-    if (Base == LastBase)
+    uint64_t Page = Addr >> PageShift;
+    if (Page == LastPage)
       return LastData;
-    const TlbEntry &E = Tlb[Base & (TlbSize - 1)];
-    if (E.Base == Base) {
-      LastBase = Base;
+    const TlbEntry &E = Tlb[Page & (TlbSize - 1)];
+    if (E.Page == Page) {
+      LastPage = Page;
       LastData = E.Data;
       return E.Data;
     }
     return translateSlow(Addr);
   }
 
+  /// The table miss path, kept out of line so that every inlined copy of
+  /// translate() stays the two compares above.
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((noinline))
+#endif
   const uint8_t *translateSlow(uint64_t Addr) const {
-    uint64_t Base = Addr >> PageShift;
-    auto It = Pages.find(Base);
-    if (It == Pages.end())
-      return nullptr; // unmapped reads stay uncached until a write maps them
-    insertTranslation(Base, It->second);
-    return It->second;
+    uint64_t Page = Addr >> PageShift;
+    if (const uint8_t *P = Own.find(Page)) {
+      insertTranslation(Page, P, /*Owned=*/true);
+      return P;
+    }
+    const uint8_t *P = Base ? Base->find(Page) : nullptr;
+    // An unmapped page reads as the shared zero page until a write maps
+    // it; not owned, so that write still maps a page of its own.
+    insertTranslation(Page, P ? P : ZeroPage, /*Owned=*/false);
+    return P ? P : ZeroPage;
   }
 
   uint8_t *translateForWrite(uint64_t Addr) {
-    uint64_t Base = Addr >> PageShift;
-    if (Base == LastBase)
-      return LastData;
-    TlbEntry &E = Tlb[Base & (TlbSize - 1)];
-    if (E.Base == Base) {
-      LastBase = Base;
-      LastData = E.Data;
-      return E.Data;
+    uint64_t Page = Addr >> PageShift;
+    if (Page == LastWritePage)
+      return LastWriteData;
+    // An owned translation points into Own, which this object may write.
+    const size_t Slot = Page & (TlbSize - 1);
+    uint8_t *P = Tlb[Slot].Page == Page && TlbOwned[Slot]
+                     ? const_cast<uint8_t *>(Tlb[Slot].Data)
+                     : nullptr;
+    if (!P) {
+      P = Own.find(Page);
+      if (!P) {
+        P = Own.map(Page);
+        if (const uint8_t *Shared = Base ? Base->find(Page) : nullptr)
+          std::memcpy(P, Shared, PageBytes);
+      }
+      insertTranslation(Page, P, /*Owned=*/true);
     }
-    auto It = Pages.find(Base);
-    if (It == Pages.end())
-      It = Pages.emplace(Base, allocPage()).first;
-    insertTranslation(Base, It->second);
-    return It->second;
+    LastWritePage = Page;
+    LastWriteData = P;
+    return P;
   }
 
-  /// Hands out the next zeroed page from the slab pool, growing the pool by
-  /// one slab when the current one is exhausted. Slabs are aligned to their
-  /// own size so the kernel can back them with transparent huge pages, and
-  /// are zeroed (and thereby faulted in) up front.
-  uint8_t *allocPage() {
-    if (SlabFill == PagesPerSlab) {
-      auto *Raw = static_cast<uint8_t *>(
-          ::operator new(SlabBytes, std::align_val_t(SlabBytes)));
-#if defined(__linux__)
-      ::madvise(Raw, SlabBytes, MADV_HUGEPAGE);
-#endif
-      std::memset(Raw, 0, SlabBytes);
-      Slabs.emplace_back(Raw);
-      SlabFill = 0;
-    }
-    return Slabs.back().get() + uint64_t(SlabFill++) * PageBytes;
-  }
-
-  void copyPagesFrom(const SimMemory &Other) {
-    Pages.reserve(Other.Pages.size());
-    for (const auto &[Base, Data] : Other.Pages) {
-      uint8_t *P = allocPage();
-      std::memcpy(P, Data, PageBytes);
-      Pages.emplace(Base, P);
-    }
-  }
-
-  void insertTranslation(uint64_t Base, uint8_t *Data) const {
-    TlbEntry &E = Tlb[Base & (TlbSize - 1)];
-    E.Base = Base;
-    E.Data = Data;
-    LastBase = Base;
+  void insertTranslation(uint64_t Page, const uint8_t *Data,
+                         bool Owned) const {
+    const size_t Slot = Page & (TlbSize - 1);
+    Tlb[Slot].Page = Page;
+    Tlb[Slot].Data = Data;
+    TlbOwned[Slot] = Owned;
+    LastPage = Page;
     LastData = Data;
   }
 
   void resetTranslationCache() {
     for (TlbEntry &E : Tlb)
       E = TlbEntry();
-    LastBase = ~0ull;
+    LastPage = LastWritePage = ~0ull;
     LastData = nullptr;
+    LastWriteData = nullptr;
   }
 
-  static constexpr uint64_t SlabBytes = 2ull << 20; ///< one THP-sized slab
-  static constexpr unsigned PagesPerSlab = SlabBytes / PageBytes;
-
-  struct SlabDeleter {
-    void operator()(uint8_t *P) const {
-      ::operator delete(P, std::align_val_t(SlabBytes));
-    }
-  };
-
-  std::unordered_map<uint64_t, uint8_t *> Pages;
-  std::vector<std::unique_ptr<uint8_t[], SlabDeleter>> Slabs;
-  unsigned SlabFill = PagesPerSlab; ///< pages carved from the last slab
+  /// The shared image this memory reads through to; null for a memory a
+  /// build writes.
+  std::shared_ptr<const MemoryImage> Base;
+  /// The pages this memory wrote; all of them when there is no base.
+  MemoryImage Own;
 
   // Translation cache; mutable because reads warm it. Never copied: a
   // copied/moved-into memory starts cold (pointers would alias or dangle).
   mutable TlbEntry Tlb[TlbSize];
-  mutable uint64_t LastBase = ~0ull;
-  mutable uint8_t *LastData = nullptr;
+  /// Whether each entry's page is Own's, and so may be written; a reset
+  /// entry matches no page, whatever its flag.
+  mutable bool TlbOwned[TlbSize] = {};
+  mutable uint64_t LastPage = ~0ull;
+  mutable const uint8_t *LastData = nullptr;
+  /// The last page written, always Own's: reads never set it, so it never
+  /// holds a base page.
+  uint64_t LastWritePage = ~0ull;
+  uint8_t *LastWriteData = nullptr;
 };
 
 /// Sequential ("program-owned") allocator over SimMemory address space.

@@ -133,6 +133,8 @@ JsonValue sprof::buildSweepReport(const std::vector<JobRecord> &Jobs,
   Memo.set("misses", Sched.RunMemoMisses);
   Memo.set("saved_instructions", Sched.RunMemoSavedInstructions);
   Memo.set("parks", Sched.RunMemoParks);
+  Memo.set("image_builds", Sched.RunMemoImageBuilds);
+  Memo.set("image_shares", Sched.RunMemoImageShares);
   SchedJson.set("run_memo", std::move(Memo));
 
   JsonValue Workers = JsonValue::array();

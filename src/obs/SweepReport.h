@@ -28,7 +28,8 @@
 ///                  "jobs_enqueued", "jobs_started", "jobs_finished",
 ///                  "jobs_failed", "jobs_skipped",
 ///                  "run_memo": {"hits", "misses", "saved_instructions",
-///                               "parks"},
+///                               "parks", "image_builds",
+///                               "image_shares"},
 ///                  "workers": [{"worker", "jobs", "busy_us",
 ///                               "utilization"}, ...],
 ///                  "stragglers": [{"id", "name", "run_us",
@@ -66,6 +67,10 @@ struct SweepSchedulerStats {
   uint64_t RunMemoSavedInstructions = 0;
   /// Job attempts parked on an in-flight memo entry; schedule dependent.
   uint64_t RunMemoParks = 0;
+  /// Workload builds the memo made, and image requests served by a base
+  /// an overlapping run held (RunMemo::Counts); schedule dependent.
+  uint64_t RunMemoImageBuilds = 0;
+  uint64_t RunMemoImageShares = 0;
 };
 
 /// The computed critical path: job ids in execution order, and the sum of

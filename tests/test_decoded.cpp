@@ -33,7 +33,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -645,9 +647,12 @@ void expectSameProfileResult(const Workload &W, const ProfileRunResult &Spec,
 // the spec. Every method on train, lone, in its pair and in the naive
 // family, and the edge-check pair on ref.
 //
-// The (workload, input) cases spread over four threads to keep the suite
-// quick.
-TEST(RunProfiles, MatchSeparateRunsAcrossSuiteInputsAndEngines) {
+// One case per workload, so test sharding spreads them. gtest deals cases
+// to shards round-robin, so cases eight apart share a shard; the order
+// below pairs each slow workload with a quick one.
+class RunProfilesAcrossSuite : public ::testing::TestWithParam<int> {};
+
+TEST_P(RunProfilesAcrossSuite, MatchSeparateRunsAcrossInputsAndEngines) {
   const std::pair<ProfilingMethod, ProfilingMethod> Pairs[] = {
       {ProfilingMethod::NaiveAll, ProfilingMethod::SampleNaiveAll},
       {ProfilingMethod::NaiveLoop, ProfilingMethod::SampleNaiveLoop},
@@ -727,24 +732,23 @@ TEST(RunProfiles, MatchSeparateRunsAcrossSuiteInputsAndEngines) {
            {Ref.runProfile(Sampled, DataSet::Ref, true),
             Ref.runProfile(Base, DataSet::Ref, true)});
   };
-  const std::vector<std::unique_ptr<Workload>> Suite = makeSpecIntSuite();
-  std::atomic<size_t> Next{0};
-  std::vector<std::thread> Workers;
-  for (unsigned T = 0; T != 4; ++T)
-    Workers.emplace_back([&] {
-      // The memsys cases, the slowest, go first.
-      for (size_t I; (I = Next.fetch_add(1)) < 3 * Suite.size();) {
-        const size_t WI = I % Suite.size();
-        if (I < Suite.size())
-          CheckMemsys(*Suite[WI]);
-        else
-          Check(*Suite[WI], I < 2 * Suite.size() ? DataSet::Train
-                                                 : DataSet::Ref);
-      }
-    });
-  for (std::thread &T : Workers)
-    T.join();
+  const std::unique_ptr<Workload> W =
+      std::move(makeSpecIntSuite()[static_cast<size_t>(GetParam())]);
+  CheckMemsys(*W);
+  Check(*W, DataSet::Train);
+  Check(*W, DataSet::Ref);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, RunProfilesAcrossSuite,
+    ::testing::Values(11, 3, 8, 1, 10, 6, 9, 4, 7, 5, 2, 0),
+    [](const ::testing::TestParamInfo<int> &Info) {
+      std::string Name =
+          makeSpecIntSuite()[static_cast<size_t>(Info.param)]->info().Name;
+      std::replace_if(Name.begin(), Name.end(),
+                      [](char C) { return !std::isalnum(C); }, '_');
+      return Name;
+    });
 
 TEST(RunProfiles, RejectsMixedBasesMissizedSessionsAndCapture) {
   std::unique_ptr<Workload> W = makeWorkloadByName("181.mcf");

@@ -1091,12 +1091,14 @@ private:
   const Workload &Inner;
 };
 
-// The module cache: a timed run takes its module from the wave's memo and
-// its memory image only when it executes, the first one the image its
-// module's build left, so a memo hit builds nothing. Per workload, a
-// one-method measureSuite wave builds one program for each profile
-// execution (the edge-only run and the edge-check run); every other build
-// is a memo miss's. Builds, counts and results agree at 1 and 4 threads.
+// The module cache: every run takes its module from the wave's memo and
+// its memory image only when it executes, so a memo hit builds nothing.
+// The first executing run takes the image its module's build left, runs
+// that overlap it share it, and a run that overlaps none builds it again:
+// per workload a one-method measureSuite wave builds at least one program
+// per request (ref and train) and at most one per execution (the memo's
+// misses and the two profile executions, edge-only and edge-check). The
+// memo counts every build. Results agree at 1 and 4 threads.
 TEST(RunMemo, ModuleCacheBuildsImagesOnlyOnMisses) {
   ChaseWorkload Chase;
   PassesChaseWorkload Passes;
@@ -1108,11 +1110,47 @@ TEST(RunMemo, ModuleCacheBuildsImagesOnlyOnMisses) {
         measureSuite(Engine, WL, {}, {ProfilingMethod::EdgeCheck}));
     const SweepSchedulerStats &S = Engine.schedStats();
     const uint64_t Builds = CountedChase.Builds + CountedPasses.Builds;
-    EXPECT_EQ(Builds, S.RunMemoMisses + WL.size() * 2);
+    EXPECT_EQ(Builds, S.RunMemoImageBuilds);
+    EXPECT_GE(Builds, WL.size() * 2);
+    EXPECT_LE(Builds, S.RunMemoMisses + WL.size() * 2);
     EXPECT_GT(S.RunMemoHits, 0u);
-    return std::make_tuple(Text, Builds, S.RunMemoHits, S.RunMemoMisses);
+    return std::make_tuple(Text, S.RunMemoHits, S.RunMemoMisses);
   };
   EXPECT_EQ(Run(4), Run(1));
+}
+
+// Four runs of one request that execute at once on four workers share one
+// base image: the module's build is the only build, the first run takes
+// its image and the other three share it, and every run reads the same
+// program off its own overlay.
+TEST(RunMemo, FourConcurrentRunsOfOneRequestBuildOnce) {
+  ChaseWorkload Chase;
+  CountingWorkload Counted(Chase);
+  ExperimentEngine Engine(withThreads(4));
+  RunMemo *Memo = Engine.runMemo();
+  constexpr unsigned Runs = 4;
+  std::atomic<unsigned> Holding{0};
+  std::vector<RunStats> Stats(Runs);
+  for (unsigned J = 0; J != Runs; ++J)
+    Engine.addJob("run" + std::to_string(J), "test", [&, J](ObsSession *) {
+      const std::shared_ptr<const Module> M =
+          Memo->module(Counted, DataSet::Ref);
+      Interpreter I(*M, SimMemory(Memo->image(Counted, DataSet::Ref)));
+      // Keep this run's image until every run holds one.
+      ++Holding;
+      ASSERT_TRUE(spinUntil([&] { return Holding == Runs; }));
+      Stats[J] = I.run();
+    });
+  Engine.run();
+  EXPECT_EQ(Counted.Builds.load(), 1u);
+  const SweepSchedulerStats &S = Engine.schedStats();
+  EXPECT_EQ(S.RunMemoImageBuilds, 1u);
+  EXPECT_EQ(S.RunMemoImageShares, Runs - 1);
+  for (const RunStats &R : Stats) {
+    EXPECT_TRUE(R.Completed);
+    EXPECT_EQ(R.Instructions, Stats[0].Instructions);
+    EXPECT_EQ(R.ExitValue, Stats[0].ExitValue);
+  }
 }
 
 // A request for a module another job is still building parks, and every
@@ -1137,8 +1175,8 @@ TEST(RunMemo, ModuleCacheParksConcurrentRequests) {
       "images", "test",
       [&](ObsSession *) {
         BuildsAfterModules = Counted.Builds;
-        LeftPages = Memo->image(Counted, DataSet::Ref).numPages();
-        BuiltPages = Memo->image(Counted, DataSet::Ref).numPages();
+        LeftPages = Memo->image(Counted, DataSet::Ref)->numPages();
+        BuiltPages = Memo->image(Counted, DataSet::Ref)->numPages();
         BuildsAfterImages = Counted.Builds;
       },
       Requests);

@@ -4,11 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "instrument/Instrumentation.h"
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
+#include "workloads/Workload.h"
 
 #include "TestHelpers.h"
 #include <gtest/gtest.h>
+#include <algorithm>
+#include <cctype>
+#include <thread>
+#include <tuple>
 
 using namespace sprof;
 
@@ -30,6 +36,210 @@ TEST(SimMemory, CopyIsIndependent) {
   EXPECT_EQ(B.read64(0x100), 7);
 }
 
+namespace {
+
+/// Runs a module with no memory system attached and returns the stats.
+RunStats runFlat(const Module &M, SimMemory Mem = SimMemory()) {
+  Interpreter I(M, std::move(Mem));
+  return I.run();
+}
+
+/// A base image with word \p I of page \p Page set to Page * 1000 + I for
+/// the first 16 words of pages 0x10 and 0x11.
+std::shared_ptr<const MemoryImage> makeBase() {
+  SimMemory Build;
+  for (uint64_t Page : {0x10, 0x11})
+    for (uint64_t I = 0; I != 16; ++I)
+      Build.write64(Page * SimMemory::PageBytes + I * 8,
+                    static_cast<int64_t>(Page * 1000 + I));
+  return SimMemory::freeze(std::move(Build));
+}
+
+constexpr uint64_t Page10 = 0x10 * SimMemory::PageBytes;
+
+} // namespace
+
+TEST(SimMemory, OverlayReadsGoThroughToTheBase) {
+  const std::shared_ptr<const MemoryImage> Base = makeBase();
+  SimMemory Overlay(Base);
+  EXPECT_EQ(Overlay.read64(Page10 + 8), 0x10 * 1000 + 1);
+  EXPECT_EQ(Overlay.read64(Page10 + SimMemory::PageBytes), 0x11 * 1000);
+  EXPECT_EQ(Overlay.read64(0xDEAD0000), 0);
+  EXPECT_EQ(Overlay.numPages(), 2u);
+  EXPECT_TRUE(Overlay.ownPages().empty());
+}
+
+TEST(SimMemory, OverlayWriteCopiesThePageAndLeavesBaseAndSiblingsAlone) {
+  const std::shared_ptr<const MemoryImage> Base = makeBase();
+  SimMemory Writer(Base), Sibling(Base);
+  EXPECT_EQ(Sibling.read64(Page10), 0x10 * 1000); // warm the sibling's TLB
+  Writer.write64(Page10, -1);
+  EXPECT_EQ(Writer.read64(Page10), -1);
+  // The rest of the page came along with the copy.
+  EXPECT_EQ(Writer.read64(Page10 + 15 * 8), 0x10 * 1000 + 15);
+  EXPECT_EQ(Writer.ownPages(), std::vector<uint64_t>{0x10});
+  EXPECT_EQ(Writer.numPages(), 2u);
+
+  EXPECT_EQ(Sibling.read64(Page10), 0x10 * 1000);
+  EXPECT_TRUE(Sibling.ownPages().empty());
+  EXPECT_EQ(SimMemory(Base).read64(Page10), 0x10 * 1000);
+  EXPECT_EQ(Base->numPages(), 2u);
+
+  // A copy of the writer shares the base and copies the written page.
+  SimMemory Copy = Writer;
+  Copy.write64(Page10, -2);
+  EXPECT_EQ(Writer.read64(Page10), -1);
+  EXPECT_EQ(Copy.read64(Page10), -2);
+  EXPECT_EQ(Copy.read64(Page10 + SimMemory::PageBytes), 0x11 * 1000);
+
+  // Frozen, the writer's view becomes a base of its own.
+  SimMemory Refrozen(SimMemory::freeze(Writer));
+  EXPECT_EQ(Refrozen.read64(Page10), -1);
+  EXPECT_EQ(Refrozen.read64(Page10 + SimMemory::PageBytes), 0x11 * 1000);
+  EXPECT_EQ(Refrozen.numPages(), 2u);
+  EXPECT_EQ(Writer.read64(Page10), -1);
+}
+
+// The last-page pointer and the table both hold the base page after the
+// read; neither may serve the write.
+TEST(SimMemory, WriteAfterACachedReadOfABasePageStillCopies) {
+  const std::shared_ptr<const MemoryImage> Base = makeBase();
+  SimMemory Overlay(Base);
+  EXPECT_EQ(Overlay.read64(Page10 + 8), 0x10 * 1000 + 1);
+  Overlay.write64(Page10 + 8, 7);
+  EXPECT_EQ(Overlay.read64(Page10 + 8), 7);
+  EXPECT_EQ(Overlay.ownPages(), std::vector<uint64_t>{0x10});
+  EXPECT_EQ(SimMemory(Base).read64(Page10 + 8), 0x10 * 1000 + 1);
+
+  // Once copied, further writes stay on the copy.
+  Overlay.write64(Page10 + 16, 8);
+  EXPECT_EQ(Overlay.ownPages().size(), 1u);
+  EXPECT_EQ(SimMemory(Base).read64(Page10 + 16), 0x10 * 1000 + 2);
+}
+
+TEST(SimMemory, OverlayWriteToAnUnmappedPageGetsAPrivateZeroPage) {
+  const std::shared_ptr<const MemoryImage> Base = makeBase();
+  SimMemory Overlay(Base);
+  const uint64_t Addr = 0x40 * SimMemory::PageBytes;
+  Overlay.write64(Addr + 8, 5);
+  EXPECT_EQ(Overlay.read64(Addr + 8), 5);
+  EXPECT_EQ(Overlay.read64(Addr), 0);
+  EXPECT_EQ(Overlay.ownPages(), std::vector<uint64_t>{0x40});
+  EXPECT_EQ(Overlay.numPages(), 3u);
+  EXPECT_EQ(Base->numPages(), 2u);
+  EXPECT_EQ(SimMemory(Base).read64(Addr + 8), 0);
+}
+
+// Four threads run one program, each on its own overlay of one base, and
+// write their own pages while the others read the base.
+TEST(SimMemory, FourThreadsRunOneBase) {
+  uint32_t DataSite = 0, NextSite = 0;
+  const Module M = test::makeChaseModule(DataSite, NextSite);
+  SimMemory Build;
+  test::fillChaseList(Build, 512, 64);
+  const std::shared_ptr<const MemoryImage> Base =
+      SimMemory::freeze(std::move(Build));
+  const RunStats Spec = runFlat(M, SimMemory(Base));
+
+  constexpr unsigned Threads = 4;
+  std::vector<RunStats> Stats(Threads);
+  std::vector<int64_t> Seen(Threads);
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T != Threads; ++T)
+    Workers.emplace_back([&, T] {
+      SimMemory Overlay(Base);
+      // Node T's data word, on the list's page, and a page of its own.
+      Overlay.write64(0x1000 + T * 64 + 8, 100 + T);
+      Overlay.write64((0x100 + T) * SimMemory::PageBytes, T);
+      Seen[T] = Overlay.read64(0x1000 + T * 64 + 8) +
+                Overlay.read64((0x100 + T) * SimMemory::PageBytes);
+      Interpreter I(M, SimMemory(Base));
+      Stats[T] = I.run();
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  for (unsigned T = 0; T != Threads; ++T) {
+    EXPECT_EQ(Seen[T], 100 + 2 * T);
+    EXPECT_EQ(Stats[T].ExitValue, Spec.ExitValue);
+    EXPECT_EQ(Stats[T].Instructions, Spec.Instructions);
+  }
+  SimMemory Reader(Base);
+  for (unsigned T = 0; T != Threads; ++T)
+    EXPECT_EQ(Reader.read64(0x1000 + T * 64 + 8), T);
+  EXPECT_EQ(Base->numPages(), 1u);
+}
+
+namespace {
+
+/// Engine, input, workload index: the workload varies fastest, so that
+/// the slow Reference runs on ref spread over gtest's round-robin shards.
+using OverlayCase = std::tuple<InterpreterConfig::Engine, DataSet, int>;
+
+} // namespace
+
+class SimMemoryOverlay : public ::testing::TestWithParam<OverlayCase> {};
+
+// A run on an overlay of a shared base equals a run on the build's own
+// memory: every workload, both inputs, both engines, an edge-instrumented
+// module (the cache model reads addresses, not memory, so it stays off to
+// keep the cases quick). The overlay copies no page it does not
+// write. The suite's only stores are 164.gzip's hash-head updates, to one
+// page its image does not map; that page ends up as the private run's.
+TEST_P(SimMemoryOverlay, RunMatchesARunOnAPrivateBuild) {
+  const auto [Exec, DS, Index] = GetParam();
+  const std::unique_ptr<Workload> W =
+      std::move(makeSpecIntSuite()[static_cast<size_t>(Index)]);
+  Program P = W->build(DS);
+  instrumentModule(P.M, ProfilingMethod::EdgeOnly);
+  const std::shared_ptr<const MemoryImage> Base = SimMemory::freeze(P.Memory);
+
+  InterpreterConfig Config;
+  Config.Exec = Exec;
+  Interpreter Private(P.M, std::move(P.Memory), TimingModel(), Config);
+  Interpreter Overlay(P.M, SimMemory(Base), TimingModel(), Config);
+  const RunStats Spec = Private.run();
+  const RunStats Got = Overlay.run();
+  ASSERT_TRUE(Spec.Completed);
+  test::expectSameStats(Spec, Got);
+  EXPECT_EQ(Private.counters(), Overlay.counters());
+
+  const SimMemory &Written = Overlay.memory();
+  const std::vector<uint64_t> Pages = Written.ownPages();
+  EXPECT_EQ(Written.numPages(), Private.memory().numPages());
+  if (W->info().Name == "164.gzip") {
+    ASSERT_EQ(Pages.size(), 1u);
+    EXPECT_EQ(Base->find(Pages[0]), nullptr);
+  } else {
+    EXPECT_TRUE(Pages.empty());
+  }
+  for (uint64_t Page : Pages)
+    for (uint64_t Off = 0; Off != SimMemory::PageBytes; Off += 8) {
+      const uint64_t Addr = Page * SimMemory::PageBytes + Off;
+      ASSERT_EQ(Written.read64(Addr), Private.memory().read64(Addr))
+          << "word " << Addr;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, SimMemoryOverlay,
+    ::testing::Combine(
+        ::testing::Values(InterpreterConfig::Engine::Decoded,
+                          InterpreterConfig::Engine::Reference),
+        ::testing::Values(DataSet::Train, DataSet::Ref),
+        ::testing::Range(0, 12)),
+    [](const ::testing::TestParamInfo<OverlayCase> &Info) {
+      std::string Name = makeSpecIntSuite()[static_cast<size_t>(
+                                                std::get<2>(Info.param))]
+                             ->info()
+                             .Name;
+      std::replace_if(Name.begin(), Name.end(),
+                      [](char C) { return !std::isalnum(C); }, '_');
+      return Name + "_" + dataSetName(std::get<1>(Info.param)) +
+             (std::get<0>(Info.param) == InterpreterConfig::Engine::Decoded
+                  ? "_decoded"
+                  : "_reference");
+    });
+
 TEST(BumpAllocator, AlignsAndSkips) {
   BumpAllocator A(0x1000);
   uint64_t P1 = A.alloc(10, 8);
@@ -41,15 +251,6 @@ TEST(BumpAllocator, AlignsAndSkips) {
   EXPECT_GE(P3, P2 + 8 + 100);
 }
 
-namespace {
-
-/// Runs a module with no memory system attached and returns the stats.
-RunStats runFlat(const Module &M, SimMemory Mem = SimMemory()) {
-  Interpreter I(M, std::move(Mem));
-  return I.run();
-}
-
-} // namespace
 
 TEST(Interpreter, ArithmeticAndExitValue) {
   Module M;

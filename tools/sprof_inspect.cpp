@@ -778,7 +778,9 @@ int runSweepReport(const std::string &Path, size_t TopN) {
                 << uintAt(Memo, "misses") << " misses, "
                 << uintAt(Memo, "saved_instructions")
                 << " instructions not re-executed, " << uintAt(Memo, "parks")
-                << " parks\n";
+                << " parks, " << uintAt(Memo, "image_builds")
+                << " image builds / " << uintAt(Memo, "image_shares")
+                << " shares\n";
     std::cout << "\n";
     const JsonValue *Workers = Sched->get("workers");
     if (Workers && Workers->isArray() && Workers->size() != 0) {
