@@ -151,9 +151,9 @@ public:
   /// cells' run jobs go through ProfileGroups, so cells whose methods share
   /// an instrumentation family share one execution. Cells and job names
   /// equal those of one runProfile per cell, and so do per-job metrics but
-  /// for pipeline.profile_sliced. Throws std::invalid_argument
-  /// for a config requireSharableConfig rejects, before scheduling
-  /// anything.
+  /// for pipeline.profile_derived and pipeline.profile_sliced. Throws
+  /// std::invalid_argument for a config requireSharableConfig rejects,
+  /// before scheduling anything.
   SweepResult runSweep(const SweepSpec &Spec);
 
   /// Scheduler and run-memo accounting accumulated over every drain of
@@ -192,15 +192,16 @@ private:
 /// cells on an engine so that the cells of one workload, seed offset and
 /// profile input whose methods share an instrumentationFamily (the four
 /// naive methods; edge-check and sample-edge-check; ...) form a group that
-/// executes once (Pipeline::runProfiles, which slices naive-loop's events
-/// from the naive-all run), with or without a cache model; with one, the
-/// group's memory stall comes from its un-instrumented program's run
-/// through the engine's run memo, so every group of a workload and input
-/// shares one such execution per wave. The first
-/// cell's run job executes for the whole group; every other cell keeps
-/// its own run job under its own name, which depends on the first and
-/// only publishes its profile and folds in the metrics its lone
-/// runProfile would have recorded (plus pipeline.profile_sliced when
+/// executes once (Pipeline::runProfiles, which reads naive-loop's profile
+/// off the naive-all profiler or slices its events from the naive-all
+/// run), with or without a cache model; with one, the group's memory
+/// stall comes from its un-instrumented program's run through the
+/// engine's run memo, so every group of a workload and input shares one
+/// such execution per wave. The first cell's run job executes for the
+/// whole group; every other cell keeps its own run job under its own name,
+/// which depends on the first and only publishes its profile and folds in
+/// the metrics its lone runProfile would have recorded (plus
+/// pipeline.profile_derived when derived and pipeline.profile_sliced when
 /// sliced). A session with the self-profiler attached runs every cell
 /// alone: its samples belong to each run's own job. The object must
 /// outlive the engine's next run().

@@ -35,15 +35,14 @@ static void labelSelfProfile(ObsSession *Obs, const Workload &W,
 
 namespace {
 
-/// Feeds one execution's ProfStride batches to the profilers of every
-/// method but the one the interpreter drives itself, summing each one's
-/// simulated cost. A sliced profiler sees only the events of in-loop load
-/// sites: in a naive-all execution, exactly the trap stream of the
-/// naive-loop run.
+/// Feeds one execution's ProfStride batches to every profiler but the one
+/// the interpreter drives itself, summing each one's simulated cost. A
+/// sliced profiler sees only the events of in-loop load sites: in a
+/// naive-all execution, exactly the trap stream of the naive-loop run.
 class ProfilerFanOut final : public AccessSink {
 public:
   /// \p Rider's profiler takes no batches here; \p InLoop (per load site)
-  /// is empty when no method in \p Sliced is.
+  /// is empty when no profiler in \p Sliced is.
   ProfilerFanOut(std::span<StrideProfiler> Profilers, size_t Rider,
                  std::vector<bool> Sliced, std::vector<uint8_t> InLoop)
       : Profilers(Profilers), Rider(Rider), Sliced(std::move(Sliced)),
@@ -108,56 +107,69 @@ std::vector<ProfileRunResult>
 Pipeline::profileRuns(std::span<const ProfilingMethod> Methods, DataSet DS,
                       std::span<ObsSession *const> MethodObs,
                       bool WithMemorySystem) const {
-  // One base image serves the stall run and every execution below.
+  // One build, module and base image, serves the stall run and every
+  // execution below.
+  std::shared_ptr<const Module> Base;
   std::shared_ptr<const MemoryImage> Image;
   if (!WithMemorySystem)
     return executeProfiles(Methods, DS, MethodObs, /*TimeMemory=*/false,
-                           /*Stall=*/nullptr, Image);
+                           /*Stall=*/nullptr, Base, Image);
   ObsSession *Obs = MethodObs.empty() ? Session : MethodObs.front();
-  if (std::optional<RunStats> Stall = memsysStall(DS, Image, Obs))
+  if (std::optional<RunStats> Stall = memsysStall(DS, Base, Image, Obs))
     return executeProfiles(Methods, DS, MethodObs, /*TimeMemory=*/false,
-                           &*Stall, Image);
+                           &*Stall, Base, Image);
   // The cache model times each method's own execution.
   std::vector<ProfileRunResult> Results;
   for (size_t K = 0; K != Methods.size(); ++K)
     Results.push_back(std::move(executeProfiles(
         Methods.subspan(K, 1), DS,
         MethodObs.empty() ? MethodObs : MethodObs.subspan(K, 1),
-        /*TimeMemory=*/true, /*Stall=*/nullptr, Image)[0]));
+        /*TimeMemory=*/true, /*Stall=*/nullptr, Base, Image)[0]));
   return Results;
 }
 
 std::optional<RunStats>
-Pipeline::memsysStall(DataSet DS, std::shared_ptr<const MemoryImage> &Image,
+Pipeline::memsysStall(DataSet DS, std::shared_ptr<const Module> &Base,
+                      std::shared_ptr<const MemoryImage> &Image,
                       ObsSession *Obs) const {
-  // A self-profiled session samples the run whose cycles it reports.
-  if (Obs && Obs->selfProfiler())
+  // A self-profiled session samples the run whose cycles it reports. The
+  // engine and latency test needs no module, so it goes first: a run that
+  // cannot derive its stall builds nothing under this span.
+  if ((Obs && Obs->selfProfiler()) || !timesClockFree())
     return std::nullopt;
   TraceSpan Span(Obs, "memsys-stall", "pipeline");
-  const std::shared_ptr<const Module> M = baseModule(DS, Image, Obs);
+  Base = baseModule(DS, Image, Obs);
   // Instrumentation adds no memory op, so this is the instrumented
   // module's property too.
-  if (!runsClockFree(*M))
+  if (!prefetchFree(*Base))
     return std::nullopt;
   // Its telemetry stays out of the profile run's: the run memo counts it.
-  return executeTimed(*M, Image, DS, /*Attribution=*/false, "memsys-stall",
+  return executeTimed(*Base, Image, DS, /*Attribution=*/false, "memsys-stall",
                       /*Obs=*/nullptr)
       .first;
 }
 
-bool Pipeline::runsClockFree(const Module &M) const {
+bool Pipeline::timesClockFree() const {
   // The Reference engine, the executable spec, keeps the timed model.
   if (Config.Interp.Exec == InterpreterConfig::Engine::Reference)
     return false;
   for (const CacheLevelConfig &L : Config.Memory.Levels)
     if (Config.Timing.FlatLoadLatency > L.HitLatency)
       return false;
+  return true;
+}
+
+bool Pipeline::prefetchFree(const Module &M) {
   for (const Function &F : M.Functions)
     for (const BasicBlock &BB : F.Blocks)
       for (const Instruction &I : BB.Insts)
         if (I.Op == Opcode::Prefetch || I.Op == Opcode::SpecLoad)
           return false;
   return true;
+}
+
+bool Pipeline::runsClockFree(const Module &M) const {
+  return timesClockFree() && prefetchFree(M);
 }
 
 std::shared_ptr<const Module>
@@ -185,6 +197,7 @@ std::vector<ProfileRunResult>
 Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
                           DataSet DS, std::span<ObsSession *const> MethodObs,
                           bool TimeMemory, const RunStats *Stall,
+                          std::shared_ptr<const Module> &Base,
                           std::shared_ptr<const MemoryImage> &Image) const {
   const size_t N = Methods.size();
   if (N == 0)
@@ -195,14 +208,20 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
   ObsSession *Obs = ObsOf(0);
   TraceSpan Span(Obs, "run-profile", "pipeline");
 
-  Module M = *baseModule(DS, Image, Obs);
+  if (!Base)
+    Base = baseModule(DS, Image, Obs);
+  Module M = *Base;
   takeImage(DS, Image, Obs);
 
   // The module is instrumented for the family's widest base method when a
   // method needs it (naive-all), and the first method of that base rides
-  // in the interpreter. A method of a narrower base (naive-loop) is sliced:
-  // it profiles the in-loop events of that execution, which are exactly
-  // its own run's trap stream.
+  // in the interpreter. A method of a narrower base (naive-loop) sees the
+  // in-loop events of that execution, which are exactly its own run's trap
+  // stream. Without sampling, per-site state is strictly per site, so the
+  // first unsampled such method is derived: its profile is the unsampled
+  // widest-base profiler's (the host's) restricted to the in-loop sites,
+  // its site subset, and it gets no profiler of its own. Any other one is
+  // sliced: its profiler takes the in-loop events.
   const ProfilingMethod Family = instrumentationFamily(Methods[0]);
   const auto Widest = std::find_if(
       Methods.begin(), Methods.end(),
@@ -212,9 +231,16 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
                            : static_cast<size_t>(Widest - Methods.begin());
   const ProfilingMethod Instrumented = baseMethod(Methods[Rider]);
   std::vector<bool> Sliced(N);
-  std::vector<uint8_t> InLoop;
   for (size_t K = 0; K != N; ++K)
     Sliced[K] = baseMethod(Methods[K]) != Instrumented;
+  const size_t Host = static_cast<size_t>(
+      std::find(Methods.begin(), Methods.end(), Instrumented) -
+      Methods.begin());
+  size_t Derived = N;
+  for (size_t K = 0; K != N && Host != N && Derived == N; ++K)
+    if (Sliced[K] && !methodUsesSampling(Methods[K]))
+      Derived = K;
+  std::vector<uint8_t> InLoop;
   if (std::find(Sliced.begin(), Sliced.end(), true) != Sliced.end()) {
     const std::vector<bool> Sites = loadSitesInLoop(M);
     InLoop.assign(Sites.begin(), Sites.end());
@@ -226,14 +252,27 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
   }();
   assert(isWellFormed(M) && "instrumentation broke the module");
 
+  // One profiler per method but the derived one, which reads the host's;
+  // Prof[K] is method K's.
   std::vector<StrideProfiler> Profilers;
+  std::vector<size_t> Prof(N);
+  std::vector<bool> ProfSliced;
   Profilers.reserve(N);
   for (size_t K = 0; K != N; ++K) {
+    if (K == Derived)
+      continue;
     StrideProfilerConfig PC = Config.Profiler;
     PC.Sampling.Enabled = methodUsesSampling(Methods[K]);
-    Profilers.emplace_back(M.NumLoadSites, PC);
+    Prof[K] = Profilers.size();
+    ProfSliced.push_back(Sliced[K]);
+    Profilers.emplace_back(M.NumLoadSites, PC,
+                           K == Host && Derived != N
+                               ? std::span<const uint8_t>(InLoop)
+                               : std::span<const uint8_t>());
     Profilers.back().attachObs(ObsOf(K));
   }
+  if (Derived != N)
+    Prof[Derived] = Prof[Host];
 
   // The rider's profiler runs in the interpreter exactly as a lone run's
   // would; the others take the same event batches through the fan-out. A
@@ -244,10 +283,14 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
   std::optional<MemoryHierarchy> MH;
   if (TimeMemory)
     I.attachMemory(&MH.emplace(Config.Memory));
-  I.attachProfiler(&Profilers[Rider]);
+  I.attachProfiler(&Profilers[Prof[Rider]]);
   I.attachObs(Stall ? nullptr : ObsOf(Rider));
-  ProfilerFanOut FanOut(Profilers, Rider, Sliced, std::move(InLoop));
-  if (N > 1)
+  const bool AnySliced =
+      std::find(ProfSliced.begin(), ProfSliced.end(), true) !=
+      ProfSliced.end();
+  ProfilerFanOut FanOut(Profilers, Prof[Rider], ProfSliced,
+                        AnySliced ? InLoop : std::vector<uint8_t>());
+  if (Profilers.size() > 1)
     I.attachEventSink(&FanOut);
 
   // Optional trace capture: tee the ProfStride event stream into a
@@ -293,13 +336,22 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
 
   // Every result but the last copies the shared parts; the last moves them.
   const uint64_t ExecCycles = Stats.Cycles - Stats.RuntimeCycles;
-  const uint64_t ExecTraps = Profilers[Rider].totalInvocations();
+  const uint64_t ExecTraps = Profilers[Prof[Rider]].totalInvocations();
   std::vector<ProfileRunResult> Results(N);
   for (size_t K = 0; K != N; ++K) {
     ProfileRunResult &Result = Results[K];
     ObsSession *MObs = ObsOf(K);
-    const StrideProfiler &Profiler = Profilers[K];
+    const StrideProfiler &Profiler = Profilers[Prof[K]];
     const bool Last = K + 1 == N;
+    // This method's strideProf counts and cost; a derived method's are its
+    // host's subset's, whose telemetry goes to its session here.
+    const StrideProfiler::RunTotals Totals =
+        K == Derived ? Profiler.harvestSubset(MObs)
+                     : StrideProfiler::RunTotals{
+                           .Invocations = Profiler.totalInvocations(),
+                           .Processed = Profiler.totalProcessed(),
+                           .LfuCalls = Profiler.totalLfuCalls(),
+                           .Cost = K == Rider ? 0 : FanOut.Costs[Prof[K]]};
     Result.Method = Methods[K];
     Result.Instr = Last ? std::move(Instr) : Instr;
     Result.Instr.Method = Methods[K];
@@ -309,33 +361,34 @@ Pipeline::executeProfiles(std::span<const ProfilingMethod> Methods,
       // The in-loop slice: the execution without its out-loop traps, each
       // one instruction that charges only runtime cycles.
       std::erase_if(Result.Instr.ProfiledSites,
-                    [&](uint32_t Site) { return !FanOut.InLoop[Site]; });
-      Result.Stats.Instructions -= ExecTraps - Profiler.totalInvocations();
+                    [&](uint32_t Site) { return !InLoop[Site]; });
+      Result.Stats.Instructions -= ExecTraps - Totals.Invocations;
     }
     if (K != Rider) {
       // The execution's accounting with this method's runtime cost in
       // place of the rider's (exact: nothing reads the cycle count between
       // traps).
-      const uint64_t Runtime = FanOut.Costs[K];
-      Result.Stats.Cycles = ExecCycles + Runtime;
-      Result.Stats.RuntimeCycles = Runtime;
+      Result.Stats.Cycles = ExecCycles + Totals.Cost;
+      Result.Stats.RuntimeCycles = Totals.Cost;
     }
     recordInstrumentation(MObs, Result.Instr);
     if (K != Rider || Stall)
-      I.recordRun(MObs, Result.Stats, Profiler.totalInvocations());
+      I.recordRun(MObs, Result.Stats, Totals.Invocations);
     {
       TraceSpan HS(MObs, "strideprof-harvest", "profile");
-      Result.Strides = StrideProfile::fromProfiler(Profiler);
+      Result.Strides = StrideProfile::fromProfiler(Profiler, K == Derived);
     }
-    Result.StrideInvocations = Profiler.totalInvocations();
-    Result.StrideProcessed = Profiler.totalProcessed();
-    Result.LfuCalls = Profiler.totalLfuCalls();
+    Result.StrideInvocations = Totals.Invocations;
+    Result.StrideProcessed = Totals.Processed;
+    Result.LfuCalls = Totals.LfuCalls;
     if (MObs) {
       MObs->counter("pipeline.profile_runs")->inc();
       MObs->counter("pipeline.profile_cycles")->inc(Result.Stats.Cycles);
       if (Stall)
         MObs->counter("pipeline.profile_memsys_derived")->inc();
-      if (Sliced[K])
+      if (K == Derived)
+        MObs->counter("pipeline.profile_derived")->inc();
+      else if (Sliced[K])
         MObs->counter("pipeline.profile_sliced")->inc();
       MObs->counter("strideprof.invocations")->inc(Result.StrideInvocations);
       MObs->counter("strideprof.processed")->inc(Result.StrideProcessed);

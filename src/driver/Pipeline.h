@@ -154,15 +154,22 @@ public:
   /// bit for bit.
   ///
   /// A group with a naive-all-based method instruments for naive-all, and
-  /// its naive-loop-based methods are sliced: their profilers see only the
-  /// events of in-loop load sites (loadSitesInLoop of the un-instrumented
-  /// module), which is the naive-loop run's trap stream, because the two
-  /// instrumentations differ only in the out-loop ProfStrides. A sliced
-  /// result's Instructions drop those traps and its ProfiledSites keep the
-  /// in-loop ones; everything else is derived as for any other method.
+  /// its naive-loop-based methods see only the events of in-loop load sites
+  /// (loadSitesInLoop of the un-instrumented module), which is the
+  /// naive-loop run's trap stream, because the two instrumentations differ
+  /// only in the out-loop ProfStrides. Without sampling, strideProf's state
+  /// is strictly per site, so where the group holds an unsampled naive-all
+  /// profiler, the first naive-loop is derived: it gets no profiler, and
+  /// its result is that profiler's restricted to the in-loop sites, its
+  /// site subset (see StrideProfiler). Any other naive-loop-based method
+  /// (sample-naive-loop, or naive-loop beside only sample-naive-all) is
+  /// sliced: its own profiler takes the in-loop events. A derived or sliced
+  /// result's Instructions drop the out-loop traps and its ProfiledSites
+  /// keep the in-loop ones; everything else is derived as for any other
+  /// method.
   ///
   /// Without a cache model, result K's RunStats are the execution's plus
-  /// that profiler's RuntimeCycles, which is exact because nothing reads
+  /// that method's strideProf cost, which is exact because nothing reads
   /// the cycle count between traps. With one, the run still executes
   /// without it: instrumentation issues no memory op, so a prefetch-free
   /// program's stalls and MemoryStats are those of its un-instrumented
@@ -177,11 +184,11 @@ public:
   ///
   /// Method K's telemetry goes to \p MethodObs[K], or to obs() for every
   /// method when \p MethodObs is empty, and its metrics equal that
-  /// runProfile's, plus pipeline.profile_sliced for a sliced method. The
-  /// shared phases' trace spans land once, in method 0's session; the
-  /// execution's self-profiler samples land in the session of the method
-  /// whose profiler rides in the interpreter; the un-instrumented run
-  /// records no metrics there. Throws std::invalid_argument when the
+  /// runProfile's, plus pipeline.profile_derived for a derived method and
+  /// pipeline.profile_sliced for a sliced one. The shared phases' trace
+  /// spans land once, in method 0's session; the execution's self-profiler
+  /// samples land in the session of the method whose profiler rides in the
+  /// interpreter; the un-instrumented run records no metrics there. Throws std::invalid_argument when the
   /// families differ, \p MethodObs has the wrong size, or trace capture is
   /// on with more than one method (the capture names one method).
   std::vector<ProfileRunResult>
@@ -222,18 +229,26 @@ private:
   /// The un-instrumented program's timed run on \p DS, whose stalls and
   /// MemoryStats every profile run of it shares, with a span in \p Obs;
   /// nullopt when the run's conditions for that do not hold (see
-  /// runProfiles). The image the run executed on, if any, is left in
-  /// \p Image for the profile execution.
+  /// runProfiles), tested before any build where they do not depend on
+  /// the module. The module it built, if any, is left in \p Base and the
+  /// image the run executed on in \p Image, for the profile execution.
   std::optional<RunStats> memsysStall(DataSet DS,
+                                      std::shared_ptr<const Module> &Base,
                                       std::shared_ptr<const MemoryImage> &Image,
                                       ObsSession *Obs) const;
 
   /// Whether a run of \p M has its serving levels' latencies (see
-  /// MemoryHierarchy): the Decoded engine, no Prefetch or SpecLoad in \p M,
-  /// and a FlatLoadLatency no larger than any level's HitLatency. Such a
+  /// MemoryHierarchy): timesClockFree() and prefetchFree(\p M). Such a
   /// timed run uses the clock-free cache model, and memsysStall derives
   /// profile runs' stalls only under it.
   bool runsClockFree(const Module &M) const;
+
+  /// runsClockFree's module-independent half: the Decoded engine and a
+  /// FlatLoadLatency no larger than any level's HitLatency.
+  bool timesClockFree() const;
+
+  /// runsClockFree's module half: no Prefetch or SpecLoad in \p M.
+  static bool prefetchFree(const Module &M);
 
   /// The module a run on \p DS starts from, untransformed, with a
   /// build-workload span in \p Obs. With a memo it is the memo's
@@ -249,14 +264,15 @@ private:
   void takeImage(DataSet DS, std::shared_ptr<const MemoryImage> &Image,
                  ObsSession *Obs) const;
 
-  /// One instrumented execution for \p Methods on an overlay of \p Image
-  /// (taken first if empty): with a cache hierarchy attached when
-  /// \p TimeMemory (one method only), or without one, plus \p Stall's
-  /// memory accounting when given.
+  /// One instrumented execution for \p Methods of a copy of \p Base
+  /// (baseModule's, first, if empty) on an overlay of \p Image (taken
+  /// first if empty): with a cache hierarchy attached when \p TimeMemory
+  /// (one method only), or without one, plus \p Stall's memory accounting
+  /// when given.
   std::vector<ProfileRunResult>
   executeProfiles(std::span<const ProfilingMethod> Methods, DataSet DS,
                   std::span<ObsSession *const> MethodObs, bool TimeMemory,
-                  const RunStats *Stall,
+                  const RunStats *Stall, std::shared_ptr<const Module> &Base,
                   std::shared_ptr<const MemoryImage> &Image) const;
 
   /// The execute step of a timed run: runs \p M on an overlay of \p DS's

@@ -83,15 +83,18 @@ StrideProfile::StrideProfile(uint32_t NumSites) {
     Sites[I].SiteId = I;
 }
 
-StrideProfile StrideProfile::fromProfiler(const StrideProfiler &P) {
+StrideProfile StrideProfile::fromProfiler(const StrideProfiler &P,
+                                          bool SubsetOnly) {
   StrideProfile Result(P.numSites());
   const bool Sampled = P.config().Sampling.Enabled;
   const int64_t FineF =
       Sampled ? static_cast<int64_t>(P.config().Sampling.FineInterval) : 1;
   for (uint32_t S = 0, E = P.numSites(); S != E; ++S) {
-    const StrideSiteData &D = P.site(S);
     StrideSiteSummary &Out = Result.Sites[S];
     Out.SiteId = S;
+    if (SubsetOnly && !P.inSubset(S))
+      continue;
+    const StrideSiteData &D = P.site(S);
     Out.TotalStrides = D.totalStrides();
     Out.NumZeroStride = D.NumZeroStride;
     Out.NumZeroDiff = D.NumZeroDiff;

@@ -109,7 +109,11 @@ public:
   /// Builds the summary view of a finished profiling run. When the run used
   /// fine sampling with interval F, collected stride values are divided by
   /// F to recover the original strides (paper Section 3.1: S2 = S1 / F).
-  static StrideProfile fromProfiler(const StrideProfiler &P);
+  /// With \p SubsetOnly, the profile of \p P's site subset, as a lone
+  /// profiler fed only the subset's events reports it: the other sites
+  /// stay empty (see StrideProfiler's file comment).
+  static StrideProfile fromProfiler(const StrideProfiler &P,
+                                    bool SubsetOnly = false);
 
   const StrideSiteSummary &site(uint32_t SiteId) const {
     return Sites[SiteId];

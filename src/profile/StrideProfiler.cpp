@@ -12,56 +12,62 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <utility>
 
 using namespace sprof;
 
+StrideProfiler::ObsSinks StrideProfiler::resolveSinks(ObsSession *Session) {
+  ObsSinks S{};
+  if (Session) {
+    S.ChunkSkipped = Session->counter("strideprof.chunk_skipped");
+    S.FineSkipped = Session->counter("strideprof.fine_skipped");
+    S.ZeroStrideFast = Session->counter("strideprof.zero_stride_fast");
+    S.Reanchored = Session->counter("strideprof.reanchored");
+    S.InvocationCost = Session->histogram("strideprof.invocation_cost");
+    S.LfuWork = Session->histogram("lfu.add_work");
+  }
+  for (Counter **C :
+       {&S.ChunkSkipped, &S.FineSkipped, &S.ZeroStrideFast, &S.Reanchored})
+    if (!*C)
+      *C = &dummyCounter();
+  for (Histogram **H : {&S.InvocationCost, &S.LfuWork})
+    if (!*H)
+      *H = &dummyHistogram();
+  return S;
+}
+
 StrideProfiler::StrideProfiler(uint32_t NumSites,
-                               const StrideProfilerConfig &Config)
+                               const StrideProfilerConfig &Config,
+                               std::span<const uint8_t> Subset)
     : Config(Config) {
   if (Config.Sampling.FineInterval == 0)
     throw std::invalid_argument(
         "SamplingConfig::FineInterval must be at least 1");
+  if (!Subset.empty() && Config.Sampling.Enabled)
+    throw std::invalid_argument(
+        "StrideProfiler: a site subset needs sampling disabled");
+  if (!Subset.empty() && Subset.size() != NumSites)
+    throw std::invalid_argument(
+        "StrideProfiler: the site subset needs one flag per site");
   // Each LFU's constructor validates the geometry; with no sites, one is
   // built only to check it.
   if (NumSites == 0)
     LfuValueProfiler Check(Config.Lfu);
   Hot.assign(NumSites, HotSite());
+  HasSubset = !Subset.empty();
+  for (size_t I = 0; I != Subset.size(); ++I)
+    Hot[I].InSubset = Subset[I] != 0;
   Sites.reserve(NumSites);
   for (uint32_t I = 0; I != NumSites; ++I)
     Sites.push_back(StrideSiteData{.Lfu = LfuValueProfiler(Config.Lfu)});
   WorkCounts.assign(2 * size_t(Config.Lfu.TempSize) + 1, 0);
+  if (HasSubset)
+    SubsetWork.assign(WorkCounts.size(), 0);
   attachObs(nullptr);
 }
 
 void StrideProfiler::attachObs(ObsSession *Session) {
-  Counter *LfuMerges = nullptr;
-  if (Session) {
-    Obs.ChunkSkipped = Session->counter("strideprof.chunk_skipped");
-    Obs.FineSkipped = Session->counter("strideprof.fine_skipped");
-    Obs.ZeroStrideFast = Session->counter("strideprof.zero_stride_fast");
-    Obs.Reanchored = Session->counter("strideprof.reanchored");
-    Obs.InvocationCost = Session->histogram("strideprof.invocation_cost");
-    Obs.LfuWork = Session->histogram("lfu.add_work");
-    LfuMerges = Session->counter("lfu.merges");
-  } else {
-    Obs = ObsSinks();
-  }
-  // Null-object sinks: a session can also hand back null metrics (metric
-  // collection disabled); always fall back to the dummies so the hot
-  // paths never test a sink pointer.
-  if (!Obs.ChunkSkipped)
-    Obs.ChunkSkipped = &dummyCounter();
-  if (!Obs.FineSkipped)
-    Obs.FineSkipped = &dummyCounter();
-  if (!Obs.ZeroStrideFast)
-    Obs.ZeroStrideFast = &dummyCounter();
-  if (!Obs.Reanchored)
-    Obs.Reanchored = &dummyCounter();
-  if (!Obs.InvocationCost)
-    Obs.InvocationCost = &dummyHistogram();
-  if (!Obs.LfuWork)
-    Obs.LfuWork = &dummyHistogram();
+  Obs = resolveSinks(Session);
+  Counter *LfuMerges = Session ? Session->counter("lfu.merges") : nullptr;
   for (StrideSiteData &D : Sites)
     D.Lfu.attachObs(LfuMerges);
 }
@@ -123,6 +129,7 @@ uint64_t lfuCallCost(const StrideProfilerConfig &Config, unsigned Work) {
 } // namespace
 
 // Inlined into each entry point, so the per-event loops make no call.
+template <bool Split>
 [[gnu::always_inline]] inline void
 StrideProfiler::processedTail(uint32_t SiteId, HotSite &H, uint64_t Address,
                               uint64_t Epoch, CallTally &T, bool Sampled) {
@@ -171,6 +178,8 @@ StrideProfiler::processedTail(uint32_t SiteId, HotSite &H, uint64_t Address,
   const unsigned Work = Sites[SiteId].Lfu.add(Stride);
   if (Work < WorkCounts.size()) {
     ++WorkCounts[Work];
+    if constexpr (Split)
+      SubsetWork[Work] += H.InSubset;
     T.MinWork = std::min(T.MinWork, Work);
     T.MaxWork = std::max(T.MaxWork, Work);
   } else {
@@ -180,14 +189,19 @@ StrideProfiler::processedTail(uint32_t SiteId, HotSite &H, uint64_t Address,
     Obs.InvocationCost->record(Cost);
     ++T.WideCalls;
     T.WideCost += Cost;
+    if constexpr (Split)
+      if (H.InSubset)
+        SubsetWide.push_back(Work);
   }
 }
 
-uint64_t StrideProfiler::fold(const CallTally &T) {
+uint64_t StrideProfiler::charge(const CallTally &T, const uint64_t *Counts,
+                                const ObsSinks &Sinks,
+                                uint64_t &LfuCalls) const {
   const StrideCostModel &C = Config.Costs;
   const uint64_t SkipCost = C.CallOverhead + C.ChunkCheckCost;
   const uint64_t CheckCost = SkipCost + C.FineCheckCost;
-  Histogram &Costs = *Obs.InvocationCost;
+  Histogram &Costs = *Sinks.InvocationCost;
   uint64_t Total = T.WideCost;
   auto Charge = [&](uint64_t Cost, uint64_t N) {
     Costs.record(Cost, N);
@@ -195,29 +209,77 @@ uint64_t StrideProfiler::fold(const CallTally &T) {
   };
   Charge(SkipCost, T.ChunkSkipped);
   Charge(CheckCost, T.FineSkipped);
-  uint64_t LfuCalls = T.WideCalls;
+  uint64_t Calls = T.WideCalls;
   for (unsigned W = T.MinWork; W <= T.MaxWork; ++W)
-    if (const uint64_t N = std::exchange(WorkCounts[W], 0)) {
-      LfuCalls += N;
-      Obs.LfuWork->record(W, N);
+    if (const uint64_t N = Counts[W]) {
+      Calls += N;
+      Sinks.LfuWork->record(W, N);
       Charge(lfuCallCost(Config, W), N);
     }
   // The rest took the first-address or zero-stride path.
   Charge((Config.Sampling.Enabled ? CheckCost : C.CallOverhead) +
              C.ZeroStrideCost,
-         T.Processed - LfuCalls);
+         T.Processed - Calls);
 
   auto Count = [](Counter *Sink, uint64_t N) {
     if (N)
       Sink->inc(N);
   };
-  Count(Obs.ChunkSkipped, T.ChunkSkipped);
-  Count(Obs.FineSkipped, T.FineSkipped);
-  Count(Obs.ZeroStrideFast, T.ZeroStride);
-  Count(Obs.Reanchored, T.Reanchored);
+  Count(Sinks.ChunkSkipped, T.ChunkSkipped);
+  Count(Sinks.FineSkipped, T.FineSkipped);
+  Count(Sinks.ZeroStrideFast, T.ZeroStride);
+  Count(Sinks.Reanchored, T.Reanchored);
+  LfuCalls += Calls;
+  return Total;
+}
+
+uint64_t StrideProfiler::fold(const CallTally &T) {
+  uint64_t LfuCalls = 0;
+  const uint64_t Total = charge(T, WorkCounts.data(), Obs, LfuCalls);
+  if (T.MinWork <= T.MaxWork)
+    std::fill(WorkCounts.begin() + T.MinWork,
+              WorkCounts.begin() + T.MaxWork + 1, 0);
   TotalProcessed += T.Processed;
   TotalLfuCalls += LfuCalls;
   return Total;
+}
+
+StrideProfiler::RunTotals
+StrideProfiler::harvestSubset(ObsSession *Session) const {
+  RunTotals Totals;
+  if (!HasSubset)
+    return Totals;
+  // The subset's outcomes over the run, as one call's tally: its sites'
+  // counters, and the works of their LFU calls.
+  CallTally T;
+  uint64_t Merges = 0;
+  for (uint32_t S = 0, E = numSites(); S != E; ++S) {
+    if (!Hot[S].InSubset)
+      continue;
+    const StrideSiteData &D = site(S);
+    Totals.Invocations += D.Invocations;
+    Totals.Processed += D.Processed;
+    Totals.LfuCalls += D.LfuCalls;
+    T.ZeroStride += D.NumZeroStride;
+    Merges += D.Lfu.numMerges();
+  }
+  T.Processed = Totals.Processed;
+  T.MinWork = 0;
+  T.MaxWork = static_cast<unsigned>(SubsetWork.size() - 1);
+  const ObsSinks Sinks = resolveSinks(Session);
+  for (unsigned Work : SubsetWide) {
+    const uint64_t Cost = lfuCallCost(Config, Work);
+    Sinks.LfuWork->record(Work);
+    Sinks.InvocationCost->record(Cost);
+    ++T.WideCalls;
+    T.WideCost += Cost;
+  }
+  uint64_t LfuCalls = 0;
+  Totals.Cost = charge(T, SubsetWork.data(), Sinks, LfuCalls);
+  assert(LfuCalls == Totals.LfuCalls && "subset LFU works miscounted");
+  if (Session)
+    Session->counter("lfu.merges")->inc(Merges);
+  return Totals;
 }
 
 uint64_t StrideProfiler::chargeSkip(Counter *Sink, uint64_t Cost) {
@@ -235,7 +297,10 @@ uint64_t StrideProfiler::chargeSkip(Counter *Sink, uint64_t Cost) {
                                                       bool Sampled) {
   CallTally T;
   T.Processed = 1;
-  processedTail(SiteId, H, Address, Epoch, T, Sampled);
+  if (HasSubset)
+    processedTail<true>(SiteId, H, Address, Epoch, T, Sampled);
+  else
+    processedTail(SiteId, H, Address, Epoch, T, Sampled);
   return fold(T);
 }
 
@@ -275,23 +340,30 @@ uint64_t StrideProfiler::profile(uint32_t SiteId, uint64_t Address,
   return processOne(SiteId, H, Address, ChunkEpoch, true);
 }
 
-uint64_t StrideProfiler::profileBatch(const StrideEvent *Events, size_t N) {
+template <bool Split>
+uint64_t StrideProfiler::profileUnsampled(const StrideEvent *Events,
+                                          size_t N) {
   CallTally T;
-
-  if (!Config.Sampling.Enabled) {
-    // No sampling: every event runs the full core.
-    for (size_t I = 0; I != N; ++I) {
-      const StrideEvent &E = Events[I];
-      assert(E.SiteId < Hot.size() && "site id out of range");
-      HotSite &H = Hot[E.SiteId];
-      ++H.Invocations;
-      updateRefGap(H, E.GlobalRefIndex);
-      processedTail(E.SiteId, H, E.Address, ChunkEpoch, T, false);
-    }
-    TotalInvocations += N;
-    T.Processed = N;
-    return fold(T);
+  for (size_t I = 0; I != N; ++I) {
+    const StrideEvent &E = Events[I];
+    assert(E.SiteId < Hot.size() && "site id out of range");
+    HotSite &H = Hot[E.SiteId];
+    ++H.Invocations;
+    updateRefGap(H, E.GlobalRefIndex);
+    processedTail<Split>(E.SiteId, H, E.Address, ChunkEpoch, T,
+                         /*Sampled=*/false);
   }
+  TotalInvocations += N;
+  T.Processed = N;
+  return fold(T);
+}
+
+uint64_t StrideProfiler::profileBatch(const StrideEvent *Events, size_t N) {
+  // No sampling: every event runs the full core.
+  if (!Config.Sampling.Enabled)
+    return HasSubset ? profileUnsampled<true>(Events, N)
+                     : profileUnsampled<false>(Events, N);
+  CallTally T;
 
   // Sampling: the global chunk phase is constant across a run of events,
   // so walk the block in phase-length segments and hoist the phase
@@ -358,6 +430,9 @@ uint64_t StrideProfiler::profileBatch(const StrideEvent *Events, size_t N) {
 }
 
 uint64_t StrideProfiler::profileIndexed(const IndexedLoad *Loads, size_t N) {
+  if (HasSubset)
+    throw std::logic_error(
+        "StrideProfiler::profileIndexed does not account a site subset");
   CallTally T;
   TotalInvocations += N;
 

@@ -50,6 +50,19 @@
 /// cycles and every counter and histogram are exactly what per-event
 /// accounting would give.
 ///
+/// Site subset. Without sampling, a site's state and each of its events'
+/// costs depend on that site's events alone, so a profiler fed a stream
+/// also holds, for any subset of its sites, what a lone profiler fed only
+/// the subset's events (in the same order) would hold. The sites' own
+/// counters give that profiler's totals, zero strides and first
+/// addresses; the one outcome they do not keep is each LFU call's work,
+/// so a profiler built with a subset also tallies the subset's LFU works
+/// over the whole run in profile() and profileBatch(). harvestSubset()
+/// turns that into the subset's cost and its strideprof.* and lfu.*
+/// telemetry, which are order-free sums; everything else is unchanged.
+/// The pipeline reads naive-loop's profile off the naive-all profiler
+/// this way: naive-loop's trap stream is naive-all's in-loop slice.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPROF_PROFILE_STRIDEPROFILER_H
@@ -172,9 +185,15 @@ struct StrideSiteData {
 /// The profiling runtime: one instance per instrumented program run.
 class StrideProfiler {
 public:
+  /// \p Subset, when not empty, holds one flag per site and names the
+  /// site subset whose LFU works are also tallied apart (see the file
+  /// comment).
   /// \throws std::invalid_argument for an invalid LFU geometry (see
-  /// LfuValueProfiler's constructor) or a zero Sampling.FineInterval.
-  StrideProfiler(uint32_t NumSites, const StrideProfilerConfig &Config);
+  /// LfuValueProfiler's constructor), a zero Sampling.FineInterval, or a
+  /// subset with sampling enabled (sampling phases are global, so a
+  /// subset's sampled state is not its own) or of the wrong size.
+  StrideProfiler(uint32_t NumSites, const StrideProfilerConfig &Config,
+                 std::span<const uint8_t> Subset = {});
 
   /// The strideProf entry point (Figures 6/7/9). \p Address is the load's
   /// effective data address. \p GlobalRefIndex, when non-zero, is the
@@ -212,6 +231,8 @@ public:
   /// different sites may come in any order; in ascending LoadIndex order
   /// the phase costs one division per chunk cycle the block touches.
   /// \returns the summed simulated cost.
+  /// \throws std::logic_error on a profiler with a site subset, which
+  /// only profile() and profileBatch() account.
   uint64_t profileIndexed(const IndexedLoad *Loads, size_t N);
 
   /// Drives the runtime from an abstract access stream until it ends: an
@@ -237,6 +258,23 @@ public:
   uint64_t totalInvocations() const { return TotalInvocations; }
   uint64_t totalProcessed() const { return TotalProcessed; }
   uint64_t totalLfuCalls() const { return TotalLfuCalls; }
+
+  /// Whether \p SiteId is in the site subset.
+  bool inSubset(uint32_t SiteId) const { return Hot[SiteId].InSubset; }
+
+  /// A profiling run's totals and summed simulated cost.
+  struct RunTotals {
+    uint64_t Invocations = 0;
+    uint64_t Processed = 0;
+    uint64_t LfuCalls = 0;
+    uint64_t Cost = 0;
+  };
+  /// What a lone profiler fed only the subset's events would report, from
+  /// the subset sites' counters and LFU works: its totals and cost, all
+  /// zero without a subset. With \p Session, also records there the
+  /// strideprof.* and lfu.* telemetry that profiler's attachObs(Session)
+  /// would have recorded, once per call.
+  RunTotals harvestSubset(ObsSession *Session = nullptr) const;
 
   /// Resolves telemetry sinks from \p Session (nullptr detaches). The
   /// sinks are never null: with no session attached -- the default --
@@ -298,6 +336,8 @@ private:
     uint32_t NumberToSkip = 0;
     bool HasPrevAddress = false;
     bool HasPrevStride = false;
+    /// In the site subset (0 or 1, added to SubsetWork).
+    uint8_t InSubset = 0;
   };
 
   /// The post-sampling core shared verbatim by profile(), profileBatch(),
@@ -306,15 +346,34 @@ private:
   /// for profileIndexed), first-address path, zero-stride shortcut,
   /// stride/diff bookkeeping, LFU call. Counts its outcome into \p T (the
   /// caller counts T.Processed); the cost follows from the outcome and is
-  /// charged by fold(). \p Sampled is Config.Sampling.Enabled, passed as the
-  /// constant each caller's branch already knows.
+  /// charged by fold(). \p Sampled is Config.Sampling.Enabled, passed as
+  /// the constant each caller's branch already knows. With \p Split (a
+  /// profiler with a site subset), a subset site's LFU work is also
+  /// tallied in SubsetWork or SubsetWide.
+  template <bool Split = false>
   void processedTail(uint32_t SiteId, HotSite &H, uint64_t Address,
                      uint64_t Epoch, CallTally &T, bool Sampled);
+
+  /// The sinks for \p Session: dummies where it is null or hands back
+  /// null metrics (metric collection disabled), so the hot paths never
+  /// test a sink pointer.
+  static ObsSinks resolveSinks(ObsSession *Session);
+
+  /// Charges \p T, whose LFU calls are counted per work in \p Counts, to
+  /// \p Sinks. \returns its summed simulated cost and adds its LFU calls
+  /// to \p LfuCalls.
+  uint64_t charge(const CallTally &T, const uint64_t *Counts,
+                  const ObsSinks &Sinks, uint64_t &LfuCalls) const;
 
   /// Folds one entry-point call's tally into the totals and the telemetry
   /// sinks, and zeroes the WorkCounts entries it used. \returns the
   /// call's summed simulated cost.
   uint64_t fold(const CallTally &T);
+
+  /// profileBatch's loop without sampling; with \p Split, on a profiler
+  /// with a site subset.
+  template <bool Split>
+  uint64_t profileUnsampled(const StrideEvent *Events, size_t N);
 
   /// profile()'s skipped reference: counts it in \p Sink and records
   /// \p Cost directly. \returns \p Cost.
@@ -349,6 +408,12 @@ private:
   std::vector<uint64_t> WorkCounts;
 
   ObsSinks Obs;
+
+  bool HasSubset = false;
+  /// The subset sites' LFU calls over the run: per work value as in
+  /// WorkCounts (empty without a subset), and the work of each wider one.
+  std::vector<uint64_t> SubsetWork;
+  std::vector<unsigned> SubsetWide;
 };
 
 } // namespace sprof

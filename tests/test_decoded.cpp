@@ -633,12 +633,16 @@ void expectSameProfileResult(const Workload &W, const ProfileRunResult &Spec,
 // Profile fan-out: one execution serving a family of methods gives each
 // method exactly the run it would have had alone, on every workload, both
 // inputs and both engines. The families are the edge-check pair and the
-// four naive methods, whose naive-loop members profile the in-loop slice
-// of the naive-all execution; the family runs in two orders, naive-loop
-// last and naive-loop leading. The lone runs execute on the Decoded engine
-// only: Reference equals Decoded (pinned above), and Reference runs are
-// the slow part, so on the ref input, about ten times the train input,
-// Reference runs only the edge-check pair (sampled method first).
+// four naive methods, whose naive-loop members read their profile off the
+// naive-all profiler's in-loop sites (derived) or profile the in-loop
+// slice of the naive-all execution (sliced); the family runs in two
+// orders, naive-loop last and naive-loop leading, where naive-all follows
+// the sampled rider. The group {naive-loop, sample-naive-all} holds no
+// unsampled naive-all profiler, so its naive-loop is sliced. The lone runs
+// execute on the Decoded engine only: Reference equals Decoded (pinned
+// above), and Reference runs are the slow part, so on the ref input, about
+// ten times the train input, Reference runs only the edge-check pair
+// (sampled method first).
 //
 // With the cache model on, the Decoded engine runs the instrumented
 // program without it and takes the stalls and cache statistics from the
@@ -647,10 +651,53 @@ void expectSameProfileResult(const Workload &W, const ProfileRunResult &Spec,
 // the spec. Every method on train, lone, in its pair and in the naive
 // family, and the edge-check pair on ref.
 //
-// One case per workload, so test sharding spreads them. gtest deals cases
-// to shards round-robin, so cases eight apart share a shard; the order
-// below pairs each slow workload with a quick one.
-class RunProfilesAcrossSuite : public ::testing::TestWithParam<int> {};
+// Every fused method reports to its own session, whose
+// pipeline.profile_derived and pipeline.profile_sliced counts name how it
+// was served.
+//
+// One case per workload and part (the memsys-on checks, train, ref), so
+// test sharding spreads them. gtest deals cases to shards round-robin, so
+// cases eight apart share a shard. The order below places each case, the
+// slowest first, on the shard with the least time so far, counting the
+// cases that come before this suite, by case times measured under
+// `ctest -j4`; a case added before it shifts every shard, so re-balance
+// then.
+enum class AcrossPart { Memsys, Train, Ref };
+
+struct AcrossCase {
+  int Workload;
+  AcrossPart Part;
+};
+
+class RunProfilesAcrossSuite : public ::testing::TestWithParam<AcrossCase> {};
+
+/// How runProfiles serves \p Methods[K] when its group shares one naive-all
+/// execution without a cache model, or with one on the Decoded engine: a
+/// naive-loop is derived where the group holds an unsampled naive-all and
+/// sliced where it holds only sample-naive-all, and a sample-naive-loop is
+/// sliced where the group holds either. {derived, sliced} counts.
+std::pair<uint64_t, uint64_t>
+fanOutCounts(const std::vector<ProfilingMethod> &Methods, size_t K) {
+  auto Has = [&](ProfilingMethod M) {
+    return std::find(Methods.begin(), Methods.end(), M) != Methods.end();
+  };
+  const bool NaiveAll = Has(ProfilingMethod::NaiveAll);
+  const bool AnyAll = NaiveAll || Has(ProfilingMethod::SampleNaiveAll);
+  switch (Methods[K]) {
+  case ProfilingMethod::NaiveLoop:
+    return {NaiveAll, AnyAll && !NaiveAll};
+  case ProfilingMethod::SampleNaiveLoop:
+    return {0, AnyAll};
+  default:
+    return {0, 0};
+  }
+}
+
+uint64_t counterValue(const ObsSession &S, const std::string &Name) {
+  const auto &Counters = S.registry().counters();
+  const auto It = Counters.find(Name);
+  return It == Counters.end() ? 0 : It->second.value();
+}
 
 TEST_P(RunProfilesAcrossSuite, MatchSeparateRunsAcrossInputsAndEngines) {
   const std::pair<ProfilingMethod, ProfilingMethod> Pairs[] = {
@@ -663,6 +710,38 @@ TEST_P(RunProfilesAcrossSuite, MatchSeparateRunsAcrossInputsAndEngines) {
        ProfilingMethod::SampleNaiveLoop, ProfilingMethod::NaiveLoop},
       {ProfilingMethod::NaiveLoop, ProfilingMethod::SampleNaiveAll,
        ProfilingMethod::NaiveAll, ProfilingMethod::SampleNaiveLoop},
+      {ProfilingMethod::NaiveLoop, ProfilingMethod::SampleNaiveAll},
+  };
+  ObsConfig MetricsOnly;
+  MetricsOnly.Enabled = true;
+  MetricsOnly.CollectTrace = false;
+  // Runs Methods fused through P, one session per method, and checks each
+  // result against Spec's and each session's fan-out counts.
+  auto Fuse = [&](const Workload &W, const Pipeline &P, DataSet DS,
+                  const std::vector<ProfilingMethod> &Methods,
+                  const std::vector<const ProfileRunResult *> &Spec,
+                  bool WithMemorySystem, const std::string &How) {
+    std::vector<std::unique_ptr<ObsSession>> Sessions;
+    std::vector<ObsSession *> Obs;
+    for (size_t K = 0; K != Methods.size(); ++K) {
+      Sessions.push_back(std::make_unique<ObsSession>(MetricsOnly));
+      Obs.push_back(Sessions.back().get());
+    }
+    std::vector<ProfileRunResult> Fused =
+        P.runProfiles(Methods, DS, Obs, WithMemorySystem);
+    ASSERT_EQ(Fused.size(), Methods.size());
+    for (size_t K = 0; K != Methods.size(); ++K) {
+      SCOPED_TRACE(W.info().Name + "/" + dataSetName(DS) + "/" +
+                   profilingMethodName(Methods[K]) + " of " +
+                   profilingMethodName(Methods[0]) + "'s group " + How);
+      if (WithMemorySystem) {
+        EXPECT_NE(Fused[K].Stats.Mem.DemandAccesses, 0u);
+      }
+      expectSameProfileResult(W, *Spec[K], Fused[K]);
+      const auto [Derived, Sliced] = fanOutCounts(Methods, K);
+      EXPECT_EQ(counterValue(*Obs[K], "pipeline.profile_derived"), Derived);
+      EXPECT_EQ(counterValue(*Obs[K], "pipeline.profile_sliced"), Sliced);
+    }
   };
   auto Check = [&](const Workload &W, DataSet DS) {
     Pipeline Dec(W, engineConfig(InterpreterConfig::Engine::Decoded));
@@ -673,15 +752,11 @@ TEST_P(RunProfilesAcrossSuite, MatchSeparateRunsAcrossInputsAndEngines) {
         Alone[M] = Dec.runProfile(M, DS, /*WithMemorySystem=*/false);
     auto Expect = [&](const Pipeline &P,
                       const std::vector<ProfilingMethod> &Methods) {
-      std::vector<ProfileRunResult> Fused = P.runProfiles(Methods, DS);
-      ASSERT_EQ(Fused.size(), Methods.size());
-      for (size_t K = 0; K != Methods.size(); ++K) {
-        SCOPED_TRACE(W.info().Name + "/" + dataSetName(DS) + "/" +
-                     profilingMethodName(Methods[K]) + " of " +
-                     profilingMethodName(Methods[0]) + "'s group" +
-                     (&P == &Ref ? " on reference" : " on decoded"));
-        expectSameProfileResult(W, Alone.at(Methods[K]), Fused[K]);
-      }
+      std::vector<const ProfileRunResult *> Spec;
+      for (ProfilingMethod M : Methods)
+        Spec.push_back(&Alone.at(M));
+      Fuse(W, P, DS, Methods, Spec, /*WithMemorySystem=*/false,
+           &P == &Ref ? "on reference" : "on decoded");
     };
     const auto [Base, Sampled] = Pairs[2];
     for (const Pipeline *P : {&Dec, &Ref})
@@ -699,56 +774,98 @@ TEST_P(RunProfilesAcrossSuite, MatchSeparateRunsAcrossInputsAndEngines) {
                  /*External=*/nullptr, &Memo);
     Pipeline Ref(W, engineConfig(InterpreterConfig::Engine::Reference));
     auto Expect = [&](DataSet DS, const std::vector<ProfilingMethod> &Methods,
-                      const std::vector<ProfileRunResult> &Spec) {
-      std::vector<ProfileRunResult> Fused =
-          Dec.runProfiles(Methods, DS, {}, /*WithMemorySystem=*/true);
-      ASSERT_EQ(Fused.size(), Methods.size());
-      for (size_t K = 0; K != Methods.size(); ++K) {
-        SCOPED_TRACE(W.info().Name + "/" + dataSetName(DS) + "/" +
-                     profilingMethodName(Methods[K]) + " of " +
-                     profilingMethodName(Methods[0]) +
-                     "'s group with memsys");
-        EXPECT_NE(Fused[K].Stats.Mem.DemandAccesses, 0u);
-        expectSameProfileResult(W, Spec[K], Fused[K]);
-      }
+                      const std::vector<const ProfileRunResult *> &Spec) {
+      Fuse(W, Dec, DS, Methods, Spec, /*WithMemorySystem=*/true,
+           "with memsys");
     };
     std::map<ProfilingMethod, ProfileRunResult> Spec;
     for (ProfilingMethod M : allProfilingMethods()) {
       Spec[M] = Ref.runProfile(M, DataSet::Train, /*WithMemorySystem=*/true);
-      Expect(DataSet::Train, {M}, {Spec[M]});
+      Expect(DataSet::Train, {M}, {&Spec[M]});
     }
     for (auto [Base, Sampled] : Pairs)
-      Expect(DataSet::Train, {Base, Sampled}, {Spec[Base], Spec[Sampled]});
+      Expect(DataSet::Train, {Base, Sampled}, {&Spec[Base], &Spec[Sampled]});
     for (const std::vector<ProfilingMethod> &Family : Families) {
-      std::vector<ProfileRunResult> FamilySpec;
+      std::vector<const ProfileRunResult *> FamilySpec;
       for (ProfilingMethod M : Family)
-        FamilySpec.push_back(Spec[M]);
+        FamilySpec.push_back(&Spec[M]);
       Expect(DataSet::Train, Family, FamilySpec);
     }
     // On ref, the pair cheapest to run under Reference: the ref input is
     // several times the train input.
     const auto [Base, Sampled] = Pairs[2];
-    Expect(DataSet::Ref, {Sampled, Base},
-           {Ref.runProfile(Sampled, DataSet::Ref, true),
-            Ref.runProfile(Base, DataSet::Ref, true)});
+    const ProfileRunResult RefSampled =
+        Ref.runProfile(Sampled, DataSet::Ref, true);
+    const ProfileRunResult RefBase = Ref.runProfile(Base, DataSet::Ref, true);
+    Expect(DataSet::Ref, {Sampled, Base}, {&RefSampled, &RefBase});
   };
   const std::unique_ptr<Workload> W =
-      std::move(makeSpecIntSuite()[static_cast<size_t>(GetParam())]);
-  CheckMemsys(*W);
-  Check(*W, DataSet::Train);
-  Check(*W, DataSet::Ref);
+      std::move(makeSpecIntSuite()[static_cast<size_t>(GetParam().Workload)]);
+  switch (GetParam().Part) {
+  case AcrossPart::Memsys:
+    CheckMemsys(*W);
+    break;
+  case AcrossPart::Train:
+    Check(*W, DataSet::Train);
+    break;
+  case AcrossPart::Ref:
+    Check(*W, DataSet::Ref);
+    break;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Suite, RunProfilesAcrossSuite,
-    ::testing::Values(11, 3, 8, 1, 10, 6, 9, 4, 7, 5, 2, 0),
-    [](const ::testing::TestParamInfo<int> &Info) {
-      std::string Name =
-          makeSpecIntSuite()[static_cast<size_t>(Info.param)]->info().Name;
-      std::replace_if(Name.begin(), Name.end(),
-                      [](char C) { return !std::isalnum(C); }, '_');
-      return Name;
-    });
+const AcrossCase AcrossCases[] = {
+    {9, AcrossPart::Train}, // 255_vortex_train
+    {11, AcrossPart::Train}, // 300_twolf_train
+    {4, AcrossPart::Memsys}, // 186_crafty_memsys
+    {8, AcrossPart::Memsys}, // 254_gap_memsys
+    {11, AcrossPart::Memsys}, // 300_twolf_memsys
+    {3, AcrossPart::Memsys}, // 181_mcf_memsys
+    {1, AcrossPart::Memsys}, // 175_vpr_memsys
+    {7, AcrossPart::Memsys}, // 253_perlbmk_memsys
+    {7, AcrossPart::Train}, // 253_perlbmk_train
+    {2, AcrossPart::Ref}, // 176_gcc_ref
+    {0, AcrossPart::Memsys}, // 164_gzip_memsys
+    {5, AcrossPart::Memsys}, // 197_parser_memsys
+    {11, AcrossPart::Ref}, // 300_twolf_ref
+    {10, AcrossPart::Memsys}, // 256_bzip2_memsys
+    {6, AcrossPart::Memsys}, // 252_eon_memsys
+    {2, AcrossPart::Memsys}, // 176_gcc_memsys
+    {2, AcrossPart::Train}, // 176_gcc_train
+    {6, AcrossPart::Ref}, // 252_eon_ref
+    {10, AcrossPart::Ref}, // 256_bzip2_ref
+    {0, AcrossPart::Ref}, // 164_gzip_ref
+    {9, AcrossPart::Memsys}, // 255_vortex_memsys
+    {3, AcrossPart::Ref}, // 181_mcf_ref
+    {8, AcrossPart::Ref}, // 254_gap_ref
+    {4, AcrossPart::Ref}, // 186_crafty_ref
+    {5, AcrossPart::Train}, // 197_parser_train
+    {5, AcrossPart::Ref}, // 197_parser_ref
+    {9, AcrossPart::Ref}, // 255_vortex_ref
+    {7, AcrossPart::Ref}, // 253_perlbmk_ref
+    {6, AcrossPart::Train}, // 252_eon_train
+    {1, AcrossPart::Ref}, // 175_vpr_ref
+    {4, AcrossPart::Train}, // 186_crafty_train
+    {1, AcrossPart::Train}, // 175_vpr_train
+    {0, AcrossPart::Train}, // 164_gzip_train
+    {8, AcrossPart::Train}, // 254_gap_train
+    {3, AcrossPart::Train}, // 181_mcf_train
+    {10, AcrossPart::Train}, // 256_bzip2_train
+};
+
+std::string acrossCaseName(const ::testing::TestParamInfo<AcrossCase> &Info) {
+  std::string Name =
+      makeSpecIntSuite()[static_cast<size_t>(Info.param.Workload)]
+          ->info()
+          .Name;
+  std::replace_if(Name.begin(), Name.end(),
+                  [](char C) { return !std::isalnum(C); }, '_');
+  const char *const Parts[] = {"memsys", "train", "ref"};
+  return Name + "_" + Parts[static_cast<int>(Info.param.Part)];
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, RunProfilesAcrossSuite,
+                         ::testing::ValuesIn(AcrossCases), acrossCaseName);
 
 TEST(RunProfiles, RejectsMixedBasesMissizedSessionsAndCapture) {
   std::unique_ptr<Workload> W = makeWorkloadByName("181.mcf");

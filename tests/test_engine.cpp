@@ -694,14 +694,28 @@ std::string registryText(const MetricsRegistry &Reg) {
   return OS.str();
 }
 
-/// \p Text, the registryText of runs that profiled alone, with the
-/// pipeline.profile_sliced count \p Sliced of the same runs sliced from
-/// their family's execution (the counter sorts after profile_runs).
-std::string withSliced(std::string Text, uint64_t Sliced = 1) {
-  const size_t Runs = Text.find("counter pipeline.profile_runs ");
-  if (Runs != std::string::npos)
-    Text.insert(Text.find('\n', Runs) + 1,
-                numbered("counter pipeline.profile_sliced ", Sliced) + "\n");
+/// \p Text, the registryText of runs that profiled alone, with counter
+/// \p Name at \p N in its sorted place: the fan-out's pipeline.profile_*
+/// counts of the same runs served by their family's execution.
+std::string withCounter(std::string Text, const std::string &Name,
+                        uint64_t N = 1) {
+  size_t At = 0;
+  while (Text.compare(At, 8, "counter ") == 0 &&
+         Text.compare(At + 8, Name.size() + 1, Name + " ") < 0)
+    At = Text.find('\n', At) + 1;
+  Text.insert(At, numbered("counter " + Name + " ", N) + "\n");
+  return Text;
+}
+
+/// withCounter for a naive-family fan-out's naive-loop-based method
+/// \p Method: a derived naive-loop, a sliced sample-naive-loop; \p Text
+/// unchanged for any other method.
+std::string withFanOutCount(std::string Text, ProfilingMethod Method,
+                            uint64_t N = 1) {
+  if (Method == ProfilingMethod::NaiveLoop)
+    return withCounter(std::move(Text), "pipeline.profile_derived", N);
+  if (Method == ProfilingMethod::SampleNaiveLoop)
+    return withCounter(std::move(Text), "pipeline.profile_sliced", N);
   return Text;
 }
 
@@ -789,11 +803,14 @@ TEST(RunMemo, SuiteMatchesMemoFreePipelines) {
   ObsSession Ref(RefConfig);
   std::vector<BenchMeasurement> Plain = measureWithoutMemo(WL, Methods, &Ref);
 
-  // The suite's naive-loop and sample-naive-loop runs are sliced from the
-  // naive family's execution.
+  // The suite's naive-loop runs are derived from the naive-all profiler
+  // of the naive family's execution, and its sample-naive-loop runs sliced
+  // from it.
   EXPECT_EQ(measurementsText(Memoized), measurementsText(Plain));
   EXPECT_EQ(registryText(Engine.obs()->registry()),
-            withSliced(registryText(Ref.registry()), 2 * WL.size()));
+            withCounter(withCounter(registryText(Ref.registry()),
+                                    "pipeline.profile_derived", WL.size()),
+                        "pipeline.profile_sliced", WL.size()));
 
   // The suite did repeat runs, and the memo caught them: per workload one
   // baseline plus one prefetched run per method, and the un-instrumented
@@ -1240,10 +1257,11 @@ GroupKey groupKey(const SweepCell &Cell) {
 
 /// A memsys-free sweep whose cells share their family's execution gives
 /// every cell, job name and per-job metric scope that one runProfile per
-/// cell would, but for the profile_sliced count of each naive-loop cell,
-/// which profiles the in-loop slice of the naive-all run. Both with
-/// naive-all leading the naive family (every method) and with naive-loop
-/// leading it (the paper's order).
+/// cell would, but for the profile_derived count of each naive-loop cell,
+/// read off the naive-all profiler's in-loop sites, and the profile_sliced
+/// count of each sample-naive-loop cell, which profiles the in-loop slice
+/// of the naive-all run. Both with naive-all leading the naive family
+/// (every method) and with naive-loop leading it (the paper's order).
 TEST(ExperimentEngine, ProfileFanOutMatchesPerCellRunsAtAnyThreadCount) {
   ChaseWorkload Chase;
   PassesChaseWorkload Passes;
@@ -1275,7 +1293,7 @@ TEST(ExperimentEngine, ProfileFanOutMatchesPerCellRunsAtAnyThreadCount) {
       const std::vector<JobRecord> &Records = Engine.obs()->jobs();
       ASSERT_EQ(Records.size(), R.Cells.size());
       std::map<GroupKey, size_t> Leaders;
-      size_t Shared = 0, Sliced = 0;
+      size_t Shared = 0, Derived = 0, Sliced = 0;
       for (size_t I = 0; I != R.Cells.size(); ++I) {
         const SweepCell &Cell = R.Cells[I];
         const std::string Tag = cellTag(Cell);
@@ -1312,20 +1330,21 @@ TEST(ExperimentEngine, ProfileFanOutMatchesPerCellRunsAtAnyThreadCount) {
         EXPECT_EQ(Cell.Profile.StrideInvocations, Alone.StrideInvocations);
         EXPECT_EQ(Cell.Profile.StrideProcessed, Alone.StrideProcessed);
         EXPECT_EQ(Cell.Profile.LfuCalls, Alone.LfuCalls);
-        const bool IsSliced =
-            baseMethod(Cell.Method) == ProfilingMethod::NaiveLoop;
-        Sliced += IsSliced;
-        const std::string Lone = registryText(RunObs.registry());
+        Derived += Cell.Method == ProfilingMethod::NaiveLoop;
+        Sliced += Cell.Method == ProfilingMethod::SampleNaiveLoop;
         EXPECT_EQ(registryText(Run.Metrics),
-                  IsSliced ? withSliced(Lone) : Lone);
+                  withFanOutCount(registryText(RunObs.registry()),
+                                  Cell.Method));
       }
       // Per (workload, seed offset, input): three followers in the naive
-      // family and one in the edge-check pair; two sliced naive-loop cells.
+      // family and one in the edge-check pair; one derived naive-loop cell
+      // and one sliced sample-naive-loop cell.
       EXPECT_EQ(Shared, 4 * Triples);
-      EXPECT_EQ(Sliced, 2 * Triples);
-      EXPECT_EQ(
-          Engine.obs()->registry().counter("pipeline.profile_sliced").value(),
-          Sliced);
+      EXPECT_EQ(Derived, Triples);
+      EXPECT_EQ(Sliced, Triples);
+      MetricsRegistry &Reg = Engine.obs()->registry();
+      EXPECT_EQ(Reg.counter("pipeline.profile_derived").value(), Derived);
+      EXPECT_EQ(Reg.counter("pipeline.profile_sliced").value(), Sliced);
     }
   }
 }
@@ -1333,15 +1352,17 @@ TEST(ExperimentEngine, ProfileFanOutMatchesPerCellRunsAtAnyThreadCount) {
 /// With a cache model, the cells of one instrumentation family still share
 /// one execution, which runs without the cache model and takes its stalls
 /// from the workload's un-instrumented train run (one memoized execution
-/// per workload); naive-loop's cells profile the in-loop slice of the
-/// naive-all run, in the paper's order, where naive-loop leads the naive
-/// family. Over every suite workload's train runs of the paper's six
-/// methods, each cell's RunStats (cache statistics included), profile, job
-/// name, dependency and per-job metric scope equal a lone memsys-on
-/// runProfile (plus profile_sliced for a sliced cell), at any thread
-/// count, and every cell counts one derived run. Under the Reference
-/// engine, the executable spec, each group's methods run alone with their
-/// own instrumentation, with the same cells, jobs and metrics, and none is
+/// per workload); naive-loop's cells read their profiles off the naive-all
+/// profiler's in-loop sites and sample-naive-loop's profile the in-loop
+/// slice of the naive-all run, in the paper's order, where naive-loop
+/// leads the naive family. Over every suite workload's train runs of the
+/// paper's six methods, each cell's RunStats (cache statistics included),
+/// profile, job name, dependency and per-job metric scope equal a lone
+/// memsys-on runProfile (plus profile_derived for a derived naive-loop
+/// cell and profile_sliced for a sliced one), at any thread count, and
+/// every cell counts one memsys-derived run. Under the Reference engine,
+/// the executable spec, each group's methods run alone with their own
+/// instrumentation, with the same cells, jobs and metrics, and none is
 /// derived or sliced.
 TEST(ExperimentEngine, MemsysProfileFanOutMatchesLoneRuns) {
   const std::vector<std::unique_ptr<Workload>> Suite = makeSpecIntSuite();
@@ -1382,9 +1403,10 @@ TEST(ExperimentEngine, MemsysProfileFanOutMatchesLoneRuns) {
     T.join();
 
   const std::string DerivedLine = "counter pipeline.profile_memsys_derived 1\n";
-  // Per workload: the followers of the cells' groups, and the sliced cells.
+  // Per workload: the followers of the cells' groups, and the derived and
+  // sliced naive-loop-based cells.
   auto Check = [&](const SweepSpec &S, unsigned Threads, size_t Followers,
-                   size_t Slices) {
+                   size_t FannedOut) {
     const bool Derives =
         S.Config.Interp.Exec == InterpreterConfig::Engine::Decoded;
     EngineOptions Opts = withThreads(Threads);
@@ -1395,7 +1417,7 @@ TEST(ExperimentEngine, MemsysProfileFanOutMatchesLoneRuns) {
     const std::vector<JobRecord> &Records = Engine.obs()->jobs();
     ASSERT_EQ(Records.size(), R.Cells.size());
     std::map<GroupKey, size_t> Leaders;
-    size_t Shared = 0, Sliced = 0;
+    size_t Shared = 0, Derived = 0, Sliced = 0;
     for (size_t I = 0; I != R.Cells.size(); ++I) {
       const SweepCell &Cell = R.Cells[I];
       const std::string Tag = cellTag(Cell);
@@ -1429,15 +1451,18 @@ TEST(ExperimentEngine, MemsysProfileFanOutMatchesLoneRuns) {
       std::string Expected = L.Metrics;
       if (!Derives)
         Expected.erase(At, DerivedLine.size());
-      const bool IsSliced =
-          Derives && baseMethod(Cell.Method) == ProfilingMethod::NaiveLoop;
-      Sliced += IsSliced;
-      EXPECT_EQ(registryText(Run.Metrics),
-                IsSliced ? withSliced(Expected) : Expected);
+      if (Derives) {
+        Derived += Cell.Method == ProfilingMethod::NaiveLoop;
+        Sliced += Cell.Method == ProfilingMethod::SampleNaiveLoop;
+        Expected = withFanOutCount(std::move(Expected), Cell.Method);
+      }
+      EXPECT_EQ(registryText(Run.Metrics), Expected);
     }
     EXPECT_EQ(Shared, S.Workloads.size() * Followers);
-    EXPECT_EQ(Sliced, S.Workloads.size() * Slices);
+    EXPECT_EQ(Derived + Sliced, S.Workloads.size() * FannedOut);
+    EXPECT_EQ(Derived, Sliced);
     MetricsRegistry &Reg = Engine.obs()->registry();
+    EXPECT_EQ(Reg.counter("pipeline.profile_derived").value(), Derived);
     EXPECT_EQ(Reg.counter("pipeline.profile_sliced").value(), Sliced);
     // Every memsys-on profile run on the suite is derived, from one
     // un-instrumented train run per workload, whichever of its groups asked
@@ -1448,7 +1473,7 @@ TEST(ExperimentEngine, MemsysProfileFanOutMatchesLoneRuns) {
               Derives ? S.Workloads.size() : 0u);
   };
   // Per workload, the naive family's three followers and sample-edge-
-  // check; naive-loop and sample-naive-loop sliced.
+  // check; naive-loop derived and sample-naive-loop sliced.
   for (unsigned Threads : {1u, 4u, 8u}) {
     SCOPED_TRACE(Threads);
     Check(Spec, Threads, 4, 2);

@@ -159,3 +159,46 @@ TEST(Pipeline, SampledProfilesStillFindDominantStrides) {
   }
   EXPECT_TRUE(Found128);
 }
+
+namespace {
+
+/// Forwards to another workload, counting its builds.
+class CountingWorkload final : public Workload {
+public:
+  explicit CountingWorkload(const Workload &Inner) : Inner(Inner) {}
+  WorkloadInfo info() const override { return Inner.info(); }
+  Program build(const BuildRequest &Req) const override {
+    ++Builds;
+    return Inner.build(Req);
+  }
+
+  const Workload &Inner;
+  mutable unsigned Builds = 0;
+};
+
+} // namespace
+
+// A memsys-on profile run builds its program once. One that cannot take
+// its stall from the un-instrumented run -- under the Reference engine, or
+// with a flat load latency above a level's hit latency -- learns so before
+// it builds anything; one that can runs the stall run and its execution on
+// that one build; and a group that runs each method alone shares it too.
+TEST(Pipeline, MemsysProfileRunsBuildOnce) {
+  const std::unique_ptr<Workload> W = makeMcfLike();
+  PipelineConfig Reference;
+  Reference.Interp.Exec = InterpreterConfig::Engine::Reference;
+  PipelineConfig SlowFlat;
+  SlowFlat.Timing.FlatLoadLatency = SlowFlat.Memory.Levels[0].HitLatency + 1;
+  const std::vector<ProfilingMethod> Pair = {ProfilingMethod::NaiveLoop,
+                                             ProfilingMethod::NaiveAll};
+  for (const PipelineConfig &C : {PipelineConfig(), Reference, SlowFlat})
+    for (size_t N : {1u, 2u}) {
+      CountingWorkload Counted(*W);
+      const std::vector<ProfileRunResult> R =
+          Pipeline(Counted, C).runProfiles({Pair.data(), N}, DataSet::Train,
+                                           {}, /*WithMemorySystem=*/true);
+      ASSERT_EQ(R.size(), N);
+      EXPECT_NE(R[0].Stats.Mem.DemandAccesses, 0u);
+      EXPECT_EQ(Counted.Builds, 1u) << N << " methods";
+    }
+}

@@ -8,8 +8,10 @@
 
 #include "LinearScanLfu.h"
 
+#include "analysis/LoopInfo.h"
 #include "instrument/Instrumentation.h"
 #include "interp/Interpreter.h"
+#include "obs/Obs.h"
 #include "obs/Report.h"
 #include "profile/LfuValueProfiler.h"
 #include "profile/ProfileData.h"
@@ -21,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -277,6 +280,34 @@ TEST(ProfileData, ReadRejectsMalformedInput) {
 
 namespace {
 
+// Compares every observable of site \p S in two profilers that should have
+// processed the same event stream for it.
+void expectSitesEqual(const StrideSiteData &X, const StrideSiteData &Y,
+                      uint32_t S) {
+  EXPECT_EQ(X.PrevAddress, Y.PrevAddress) << "site " << S;
+  EXPECT_EQ(X.HasPrevAddress, Y.HasPrevAddress) << "site " << S;
+  EXPECT_EQ(X.PrevStride, Y.PrevStride) << "site " << S;
+  EXPECT_EQ(X.HasPrevStride, Y.HasPrevStride) << "site " << S;
+  EXPECT_EQ(X.NumZeroStride, Y.NumZeroStride) << "site " << S;
+  EXPECT_EQ(X.NumNonZeroStride, Y.NumNonZeroStride) << "site " << S;
+  EXPECT_EQ(X.NumZeroDiff, Y.NumZeroDiff) << "site " << S;
+  EXPECT_EQ(X.NumberToSkip, Y.NumberToSkip) << "site " << S;
+  EXPECT_EQ(X.LastChunkEpoch, Y.LastChunkEpoch) << "site " << S;
+  EXPECT_EQ(X.PrevGlobalRef, Y.PrevGlobalRef) << "site " << S;
+  EXPECT_EQ(X.RefGapSum, Y.RefGapSum) << "site " << S;
+  EXPECT_EQ(X.RefGapCount, Y.RefGapCount) << "site " << S;
+  EXPECT_EQ(X.Invocations, Y.Invocations) << "site " << S;
+  EXPECT_EQ(X.Processed, Y.Processed) << "site " << S;
+  EXPECT_EQ(X.LfuCalls, Y.LfuCalls) << "site " << S;
+  std::vector<ValueCount> TX = X.Lfu.topValues();
+  std::vector<ValueCount> TY = Y.Lfu.topValues();
+  ASSERT_EQ(TX.size(), TY.size()) << "site " << S;
+  for (size_t I = 0; I < TX.size(); ++I) {
+    EXPECT_EQ(TX[I].Value, TY[I].Value) << "site " << S << " top " << I;
+    EXPECT_EQ(TX[I].Count, TY[I].Count) << "site " << S << " top " << I;
+  }
+}
+
 // Compares every observable of two profilers that should have processed the
 // same event stream (one per-event, one batched).
 void expectProfilersEqual(const StrideProfiler &A, const StrideProfiler &B) {
@@ -284,32 +315,8 @@ void expectProfilersEqual(const StrideProfiler &A, const StrideProfiler &B) {
   EXPECT_EQ(A.totalInvocations(), B.totalInvocations());
   EXPECT_EQ(A.totalProcessed(), B.totalProcessed());
   EXPECT_EQ(A.totalLfuCalls(), B.totalLfuCalls());
-  for (uint32_t S = 0; S < A.numSites(); ++S) {
-    const StrideSiteData &X = A.site(S);
-    const StrideSiteData &Y = B.site(S);
-    EXPECT_EQ(X.PrevAddress, Y.PrevAddress) << "site " << S;
-    EXPECT_EQ(X.HasPrevAddress, Y.HasPrevAddress) << "site " << S;
-    EXPECT_EQ(X.PrevStride, Y.PrevStride) << "site " << S;
-    EXPECT_EQ(X.HasPrevStride, Y.HasPrevStride) << "site " << S;
-    EXPECT_EQ(X.NumZeroStride, Y.NumZeroStride) << "site " << S;
-    EXPECT_EQ(X.NumNonZeroStride, Y.NumNonZeroStride) << "site " << S;
-    EXPECT_EQ(X.NumZeroDiff, Y.NumZeroDiff) << "site " << S;
-    EXPECT_EQ(X.NumberToSkip, Y.NumberToSkip) << "site " << S;
-    EXPECT_EQ(X.LastChunkEpoch, Y.LastChunkEpoch) << "site " << S;
-    EXPECT_EQ(X.PrevGlobalRef, Y.PrevGlobalRef) << "site " << S;
-    EXPECT_EQ(X.RefGapSum, Y.RefGapSum) << "site " << S;
-    EXPECT_EQ(X.RefGapCount, Y.RefGapCount) << "site " << S;
-    EXPECT_EQ(X.Invocations, Y.Invocations) << "site " << S;
-    EXPECT_EQ(X.Processed, Y.Processed) << "site " << S;
-    EXPECT_EQ(X.LfuCalls, Y.LfuCalls) << "site " << S;
-    std::vector<ValueCount> TX = X.Lfu.topValues();
-    std::vector<ValueCount> TY = Y.Lfu.topValues();
-    ASSERT_EQ(TX.size(), TY.size()) << "site " << S;
-    for (size_t I = 0; I < TX.size(); ++I) {
-      EXPECT_EQ(TX[I].Value, TY[I].Value) << "site " << S << " top " << I;
-      EXPECT_EQ(TX[I].Count, TY[I].Count) << "site " << S << " top " << I;
-    }
-  }
+  for (uint32_t S = 0; S < A.numSites(); ++S)
+    expectSitesEqual(A.site(S), B.site(S), S);
 }
 
 // Builds a deterministic multi-site event stream whose per-site address
@@ -936,57 +943,291 @@ struct ExactSite {
       Out.resize(N);
     return Out;
   }
+
+  /// Every exact statistic and the cost, one line.
+  std::string text() const {
+    std::ostringstream OS;
+    OS << "zero " << ZeroStride << " zerodiff " << ZeroDiff << " nonzero "
+       << NonZero << " cost " << Cost << " strides";
+    for (const auto &[Key, VC] : Strides)
+      OS << " " << VC.Value << ":" << VC.Count;
+    return OS.str();
+  }
 };
+
+/// The exact per-site statistics of \p Events under \p C.
+std::vector<ExactSite> exactSites(const std::vector<AccessEvent> &Events,
+                                  uint32_t NumSites,
+                                  const StrideProfilerConfig &C) {
+  std::vector<ExactSite> Exact(NumSites, ExactSite(C));
+  for (const AccessEvent &E : Events)
+    Exact[E.SiteId].add(E.Address, C);
+  return Exact;
+}
+
+/// One instrumented train run of \p W under \p Method with a \p PC
+/// profiler attached: its trap stream, its RunStats and that profiler.
+struct TrapRun {
+  std::vector<AccessEvent> Events;
+  RunStats Stats;
+  std::unique_ptr<StrideProfiler> Profiler;
+};
+
+TrapRun trapRun(const Workload &W, ProfilingMethod Method,
+                const StrideProfilerConfig &PC) {
+  Program P = W.build({DataSet::Train});
+  instrumentModule(P.M, Method, InstrumentConfig());
+  TrapRun R;
+  R.Profiler = std::make_unique<StrideProfiler>(P.M.NumLoadSites, PC);
+  CollectSink Events;
+  Interpreter I(P.M, std::move(P.Memory));
+  I.attachProfiler(R.Profiler.get());
+  I.attachEventSink(&Events);
+  R.Stats = I.run();
+  R.Events = Events.take();
+  return R;
+}
+
+/// The test name of a case over suite workload \p Info.param.
+std::string workloadCaseName(const ::testing::TestParamInfo<int> &Info) {
+  std::string Name =
+      makeSpecIntSuite()[static_cast<size_t>(Info.param)]->info().Name;
+  std::replace_if(Name.begin(), Name.end(),
+                  [](char C) { return !std::isalnum(C); }, '_');
+  return Name;
+}
+
+/// The in-loop flag of each of \p W's train-input load sites: the sites
+/// naive-loop instruments.
+std::vector<uint8_t> inLoopSites(const Workload &W) {
+  const std::vector<bool> InLoop =
+      loadSitesInLoop(W.build({DataSet::Train}).M);
+  return {InLoop.begin(), InLoop.end()};
+}
 
 } // namespace
 
-TEST(StrideOracle, NaiveAllProfilesMatchExactHistogramsAndCosts) {
+// One case per workload, so test sharding spreads them.
+class StrideOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(StrideOracle, NaiveAllProfilesMatchExactHistogramsAndCosts) {
+  const std::unique_ptr<Workload> W =
+      std::move(makeSpecIntSuite()[static_cast<size_t>(GetParam())]);
   StrideProfilerConfig PC;
   PC.Sampling.Enabled = false;
-  size_t TopChecked = 0, Sites = 0;
-  for (const std::unique_ptr<Workload> &W : makeSpecIntSuite()) {
-    SCOPED_TRACE(W->info().Name);
-    Program P = W->build({DataSet::Train});
-    instrumentModule(P.M, ProfilingMethod::NaiveAll, InstrumentConfig());
-    StrideProfiler Profiler(P.M.NumLoadSites, PC);
-    CollectSink Events;
-    Interpreter I(P.M, std::move(P.Memory));
-    I.attachProfiler(&Profiler);
-    I.attachEventSink(&Events);
-    const RunStats Stats = I.run();
-    ASSERT_TRUE(Stats.Completed);
+  const TrapRun All = trapRun(*W, ProfilingMethod::NaiveAll, PC);
+  ASSERT_TRUE(All.Stats.Completed);
+  const StrideProfiler &Profiler = *All.Profiler;
+  const uint32_t NumSites = Profiler.numSites();
 
-    std::vector<ExactSite> Exact(P.M.NumLoadSites, ExactSite(PC));
-    for (const AccessEvent &E : Events.events())
-      Exact[E.SiteId].add(E.Address, PC);
-    uint64_t ExactCost = 0;
-    for (const ExactSite &X : Exact)
-      ExactCost += X.Cost;
-    EXPECT_EQ(Stats.RuntimeCycles, ExactCost);
-    for (uint32_t S = 0; S != P.M.NumLoadSites; ++S) {
-      SCOPED_TRACE("site " + std::to_string(S));
-      const StrideSiteData &D = Profiler.site(S);
-      const ExactSite &X = Exact[S];
-      EXPECT_EQ(D.NumZeroStride, X.ZeroStride);
-      EXPECT_EQ(D.NumZeroDiff, X.ZeroDiff);
-      EXPECT_EQ(D.totalStrides(), X.ZeroStride + X.NonZero);
-      ++Sites;
-      // With no more distinct strides than the final buffer keeps, the
-      // LFU never evicts one, so its top values are exact.
-      if (X.Strides.size() > PC.Lfu.FinalSize)
-        continue;
-      const std::vector<ValueCount> Got = D.Lfu.topValues();
-      const std::vector<ValueCount> Want = X.top(PC.Lfu.FinalSize);
-      ASSERT_EQ(Got.size(), Want.size());
-      for (size_t R = 0; R != Got.size(); ++R) {
-        EXPECT_EQ(Got[R].Value, Want[R].Value) << "rank " << R;
-        EXPECT_EQ(Got[R].Count, Want[R].Count) << "rank " << R;
-      }
-      ++TopChecked;
-    }
+  const std::vector<ExactSite> Exact = exactSites(All.Events, NumSites, PC);
+  uint64_t ExactCost = 0;
+  for (const ExactSite &X : Exact)
+    ExactCost += X.Cost;
+  EXPECT_EQ(All.Stats.RuntimeCycles, ExactCost);
+
+  // Naive-loop's trap stream is naive-all's in-loop slice, so its exact
+  // histograms are naive-all's restricted to the in-loop sites, and the
+  // other sites see nothing: the ground a naive-loop profile read off the
+  // naive-all profiler's in-loop sites stands on.
+  const TrapRun Loop = trapRun(*W, ProfilingMethod::NaiveLoop, PC);
+  ASSERT_TRUE(Loop.Stats.Completed);
+  const std::vector<uint8_t> InLoop = inLoopSites(*W);
+  ASSERT_EQ(InLoop.size(), NumSites);
+  const std::vector<ExactSite> LoopExact =
+      exactSites(Loop.Events, NumSites, PC);
+  uint64_t LoopCost = 0;
+  size_t InLoopSites = 0;
+  for (uint32_t S = 0; S != NumSites; ++S) {
+    SCOPED_TRACE("naive-loop site " + std::to_string(S));
+    EXPECT_EQ(LoopExact[S].text(),
+              InLoop[S] ? Exact[S].text() : ExactSite(PC).text());
+    LoopCost += LoopExact[S].Cost;
+    InLoopSites += InLoop[S];
   }
-  // The suite has sites of both kinds; the exact top-N check must not be
+  EXPECT_EQ(Loop.Stats.RuntimeCycles, LoopCost);
+  // The workload has sites of both kinds, so the restriction is not
   // vacuous.
-  EXPECT_GT(TopChecked, 0u);
-  EXPECT_LT(TopChecked, Sites);
+  EXPECT_GT(InLoopSites, 0u);
+  EXPECT_LT(InLoopSites, NumSites);
+
+  size_t TopChecked = 0;
+  for (uint32_t S = 0; S != NumSites; ++S) {
+    SCOPED_TRACE("site " + std::to_string(S));
+    const StrideSiteData &D = Profiler.site(S);
+    const ExactSite &X = Exact[S];
+    EXPECT_EQ(D.NumZeroStride, X.ZeroStride);
+    EXPECT_EQ(D.NumZeroDiff, X.ZeroDiff);
+    EXPECT_EQ(D.totalStrides(), X.ZeroStride + X.NonZero);
+    // With no more distinct strides than the final buffer keeps, the LFU
+    // never evicts one, so its top values are exact.
+    if (X.Strides.size() > PC.Lfu.FinalSize)
+      continue;
+    const std::vector<ValueCount> Got = D.Lfu.topValues();
+    const std::vector<ValueCount> Want = X.top(PC.Lfu.FinalSize);
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t R = 0; R != Got.size(); ++R) {
+      EXPECT_EQ(Got[R].Value, Want[R].Value) << "rank " << R;
+      EXPECT_EQ(Got[R].Count, Want[R].Count) << "rank " << R;
+    }
+    ++TopChecked;
+  }
+  // Not vacuous: some site has more distinct strides than the final buffer
+  // keeps, and on every workload but 186.crafty some site has fewer.
+  EXPECT_LT(TopChecked, NumSites);
+  EXPECT_EQ(TopChecked == 0, W->info().Name == "186.crafty");
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, StrideOracle, ::testing::Range(0, 12),
+                         workloadCaseName);
+
+//===----------------------------------------------------------------------===//
+// Site subset: a profiler's restriction to a subset of its sites
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The strideprof.* and lfu.* metrics of \p Session, one per line: what a
+/// StrideProfiler records there.
+std::string strideMetricsText(ObsSession &Session) {
+  auto Keep = [](const std::string &Name) {
+    return Name.rfind("strideprof.", 0) == 0 || Name.rfind("lfu.", 0) == 0;
+  };
+  std::ostringstream OS;
+  const MetricsRegistry &Reg = Session.registry();
+  for (const auto &[Name, C] : Reg.counters())
+    if (Keep(Name))
+      OS << "counter " << Name << " " << C.value() << "\n";
+  for (const auto &[Name, H] : Reg.histograms()) {
+    if (!Keep(Name))
+      continue;
+    OS << "histogram " << Name << " " << H.count() << " " << H.sum() << " "
+       << H.min() << " " << H.max();
+    for (uint64_t B : H.bucketCounts())
+      OS << " " << B;
+    OS << "\n";
+  }
+  return OS.str();
+}
+
+/// Every field of every site summary of \p P, one site per line.
+std::string summaryText(const StrideProfile &P) {
+  std::ostringstream OS;
+  for (uint32_t Id = 0; Id != P.numSites(); ++Id) {
+    const StrideSiteSummary &S = P.site(Id);
+    OS << S.SiteId << ": " << S.TotalStrides << " " << S.NumZeroStride << " "
+       << S.NumZeroDiff << " " << S.RefGapSum << " " << S.RefGapCount;
+    for (const ValueCount &VC : S.TopStrides)
+      OS << " " << VC.Value << ":" << VC.Count;
+    OS << "\n";
+  }
+  return OS.str();
+}
+
+ObsConfig metricsOnly() {
+  ObsConfig C;
+  C.Enabled = true;
+  C.CollectTrace = false;
+  return C;
+}
+
+/// Feeds \p Events to \p P, through profile() per event when \p Block is
+/// 0 and through profileBatch() in blocks of \p Block otherwise.
+/// \returns the summed cost.
+uint64_t feed(StrideProfiler &P, const std::vector<AccessEvent> &Events,
+              size_t Block) {
+  uint64_t Cost = 0;
+  if (Block == 0) {
+    for (const AccessEvent &E : Events)
+      Cost += P.profile(E.SiteId, E.Address, E.GlobalRefIndex);
+    return Cost;
+  }
+  for (size_t I = 0; I < Events.size(); I += Block)
+    Cost += P.profileBatch(Events.data() + I,
+                           std::min(Block, Events.size() - I));
+  return Cost;
+}
+
+} // namespace
+
+// On each workload's naive-all trap stream, a profiler whose site subset is
+// the in-loop sites reports, for the subset, exactly what a lone profiler
+// fed only the in-loop events reports (naive-loop's run): site data, totals,
+// cost, profile and every strideprof.* and lfu.* metric. Its own accounting
+// stays a plain profiler's. Per event and at batch sizes that straddle the
+// engines' 256-event ring.
+class SubsetAcrossSuite : public ::testing::TestWithParam<int> {};
+
+TEST_P(SubsetAcrossSuite, MatchesALoneProfilerOfTheSubsetsEvents) {
+  const std::unique_ptr<Workload> W =
+      std::move(makeSpecIntSuite()[static_cast<size_t>(GetParam())]);
+  const StrideProfilerConfig PC;
+  const TrapRun All = trapRun(*W, ProfilingMethod::NaiveAll, PC);
+  ASSERT_TRUE(All.Stats.Completed);
+  const uint32_t NumSites = All.Profiler->numSites();
+  const std::vector<uint8_t> InLoop = inLoopSites(*W);
+  ASSERT_EQ(InLoop.size(), NumSites);
+  std::vector<AccessEvent> InLoopEvents;
+  for (const AccessEvent &E : All.Events)
+    if (InLoop[E.SiteId])
+      InLoopEvents.push_back(E);
+  ASSERT_FALSE(InLoopEvents.empty());
+
+  ObsSession LoneObs(metricsOnly()), WholeObs(metricsOnly());
+  StrideProfiler Lone(NumSites, PC), Whole(NumSites, PC);
+  Lone.attachObs(&LoneObs);
+  Whole.attachObs(&WholeObs);
+  const uint64_t LoneCost = feed(Lone, InLoopEvents, 0);
+  const uint64_t WholeCost = feed(Whole, All.Events, 0);
+  const std::string LoneProfile =
+      summaryText(StrideProfile::fromProfiler(Lone));
+
+  for (size_t Block : {0u, 1u, 3u, 256u, 257u}) {
+    SCOPED_TRACE("block " + std::to_string(Block));
+    ObsSession Own(metricsOnly()), Sub(metricsOnly());
+    StrideProfiler P(NumSites, PC, InLoop);
+    P.attachObs(&Own);
+    const uint64_t Cost = feed(P, All.Events, Block);
+
+    const StrideProfiler::RunTotals T = P.harvestSubset(&Sub);
+    EXPECT_EQ(T.Invocations, Lone.totalInvocations());
+    EXPECT_EQ(T.Processed, Lone.totalProcessed());
+    EXPECT_EQ(T.LfuCalls, Lone.totalLfuCalls());
+    EXPECT_EQ(T.Cost, LoneCost);
+    EXPECT_EQ(strideMetricsText(Sub), strideMetricsText(LoneObs));
+    for (uint32_t S = 0; S != NumSites; ++S)
+      if (InLoop[S])
+        expectSitesEqual(P.site(S), Lone.site(S), S);
+    EXPECT_EQ(summaryText(StrideProfile::fromProfiler(P, /*SubsetOnly=*/true)),
+              LoneProfile);
+
+    EXPECT_EQ(Cost, WholeCost);
+    expectProfilersEqual(P, Whole);
+    EXPECT_EQ(strideMetricsText(Own), strideMetricsText(WholeObs));
+    if (HasFailure())
+      return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, SubsetAcrossSuite, ::testing::Range(0, 12),
+                         workloadCaseName);
+
+TEST(StrideProfiler, SubsetNeedsSamplingOffAndOneFlagPerSite) {
+  const std::vector<uint8_t> Subset = {1, 0, 1};
+  StrideProfilerConfig C;
+  C.Sampling.Enabled = true;
+  EXPECT_THROW(StrideProfiler(3, C, Subset), std::invalid_argument);
+  C.Sampling.Enabled = false;
+  EXPECT_THROW(StrideProfiler(4, C, Subset), std::invalid_argument);
+  StrideProfiler P(3, C, Subset);
+  EXPECT_TRUE(P.inSubset(0));
+  EXPECT_FALSE(P.inSubset(1));
+  // Site-sharded replay's entry point does not account a subset.
+  const IndexedLoad L{0x1000, 1, 0, 0};
+  EXPECT_THROW(P.profileIndexed(&L, 1), std::logic_error);
+  // Without a subset, its totals are all zero.
+  StrideProfiler Plain(3, C);
+  Plain.profile(0, 0x1000);
+  EXPECT_EQ(Plain.harvestSubset().Invocations, 0u);
+  EXPECT_EQ(Plain.harvestSubset().Cost, 0u);
 }
